@@ -8,12 +8,11 @@ case study, and a config-driven command line front end.
 """
 
 from .algorithm import (BoundaryLayerResult, ConsensusBasis, ConvergenceReport,
-                        DiminishingSchedule, IterationTrace, TRACE_COLUMNS,
-                        TRACKER_MODES, TradesConfig, TradesState,
-                        baseline_diminishing, boundary_layer_budget,
+                        IterationTrace, TRACE_COLUMNS, TRACKER_MODES,
+                        TradesConfig, TradesState, boundary_layer_budget,
                         boundary_layer_probe, consensus_basis,
-                        decompose_tracker, exact_tracker_values,
-                        fit_convergence, init, reduced_system_run, run, step)
+                        exact_tracker_values, fit_convergence, init,
+                        reduced_system_run, run)
 from .config import (ExperimentConfig, canonical_text, load_config,
                      load_quadratic_game, parse_config, save_quadratic_game)
 from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
@@ -21,8 +20,8 @@ from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
                      SinkhornStalled, TradesError)
 from .games import (AffineGameSpec, AssumptionReport, CostOracle, GameAgent,
                     GameDefinition, StrategyProfile, aggregate,
-                    fixed_point_residual, linear_aggregation, local_operator,
-                    phi_stack, pseudo_gradient, quadratic_aggregative_game,
+                    linear_aggregation, local_operator, phi_stack,
+                    pseudo_gradient, quadratic_aggregative_game,
                     random_strongly_monotone_game, solve_ne_oracle,
                     validate_assumptions)
 from .grid import (DistFlowModel, EvAgentSpec, RadialNetwork,
@@ -33,11 +32,11 @@ from .grid import (DistFlowModel, EvAgentSpec, RadialNetwork,
                    load_network, load_prices, save_agents, save_network,
                    save_prices)
 from .network import (ConsensusSpectrum, WeightedDigraph, consensus_step,
-                      gen_digraph, is_strongly_connected, load_graph,
-                      make_doubly_stochastic, save_graph, spectrum)
+                      gen_digraph, is_strongly_connected,
+                      make_doubly_stochastic, spectrum)
 from .projections import (Box, ConvexSet, DiskPairs, FeasibleSetProjector,
                           Halfspace, Hyperplane, Intersection, box_projector,
                           build_ev_projector, identity_projector,
-                          project_dykstra, project_primitive)
+                          project_dykstra)
 
 __version__ = "0.1.0"

@@ -11,8 +11,7 @@ The module also carries the diagnostics that make the scheme auditable:
   contract to its equilibrium at the spectral rate of the weights,
 - a centralized reference iteration fed the exact aggregate, which the
   tracker-driven iteration must reproduce bit for bit when the trackers
-  are overwritten by their exact values each step,
-- a diminishing-stepsize baseline for benchmarking plots.
+  are overwritten by their exact values each step.
 
 All x-updates funnel through one helper so the distributed and the
 centralized routes share their floating-point summation order.
@@ -27,11 +26,15 @@ from .errors import NonFiniteDetected
 from .games import StrategyProfile, local_operator, phi_stack
 from .network import consensus_step, spectrum
 
-TRACKER_MODES = ("consensus", "exact", "exact_recomposed")
+TRACKER_MODES = ("consensus", "exact")
 
 _FIT_FLOOR = 1e-12
 _FIT_MIN_SKIP = 50
 _FIT_SKIP_FRACTION = 0.05
+# a positive fitted rate counts as decay only when the log-linear model
+# explains the error history; a stalled run that cycles at a constant
+# error fits a2 ~ 0 with R^2 ~ 0, while converging runs fit R^2 > 0.999
+_VERDICT_MIN_R2 = 0.9
 
 
 # ------------------------------------------------------------ configuration
@@ -43,8 +46,8 @@ class TradesConfig:
 
     delta is the convex-combination weight of the projected step; the
     nominal range is (0, 1) but the closed boundary delta = 1 is accepted
-    because the undamped iteration is a meaningful degenerate case (it is
-    exactly the baseline update).  stop_tol applies to the damping
+    because the undamped iteration is a meaningful degenerate case (a
+    plain projected-gradient step).  stop_tol applies to the damping
     normalized step norm ||x_next - x|| / delta.
     """
 
@@ -108,10 +111,6 @@ class ConsensusBasis:
         """Coordinates of an (N, d) stack in the disagreement basis."""
         return self.matrix.T @ np.asarray(stack, dtype=float)
 
-    def from_disagreement(self, coords):
-        """Lift (N-1, d) disagreement coordinates back to an (N, d) stack."""
-        return self.matrix @ np.asarray(coords, dtype=float)
-
 
 _BASIS_CACHE = {}
 
@@ -123,22 +122,6 @@ def consensus_basis(n_agents):
         basis = ConsensusBasis(n_agents)
         _BASIS_CACHE[n_agents] = basis
     return basis
-
-
-def decompose_tracker(z):
-    """Split a tracker stack into mean and disagreement coordinates.
-
-    Returns (mean over agents as a d-vector, disagreement coordinates
-    flattened to length (N-1)*d, basis handle).  The stack is recovered
-    as ones*mean + basis.from_disagreement(coords reshaped (N-1, d)).
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise ValueError("tracker stack must be a 2-d array (agents, d)")
-    basis = consensus_basis(z.shape[0])
-    z_bar = z.mean(axis=0)
-    z_perp = basis.to_disagreement(z)
-    return z_bar, z_perp.ravel(), basis
 
 
 # ------------------------------------------------------------------- traces
@@ -184,10 +167,6 @@ class IterationTrace:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
 
 @dataclass
 class ConvergenceReport:
@@ -195,7 +174,8 @@ class ConvergenceReport:
 
     a1, a2 come from least squares on log(err) vs t over the
     post-transient window: err is modeled as a1 * exp(-a2 * t).  The
-    verdict is PASS only when the fitted decay rate a2 is positive.
+    verdict is PASS only when the fitted decay rate a2 is positive and
+    the fit's R^2 reaches _VERDICT_MIN_R2.
     contraction_ratio is the median per-iteration error ratio over the
     fit window, an empirical counterpart to exp(-a2).
     """
@@ -213,7 +193,8 @@ class ConvergenceReport:
     def verdict(self):
         if self.a2 is None:
             return "N/A"
-        return "PASS" if self.a2 > 0 else "FAIL"
+        decays = self.a2 > 0 and self.r_squared >= _VERDICT_MIN_R2
+        return "PASS" if decays else "FAIL"
 
     def as_dict(self):
         return {
@@ -307,46 +288,37 @@ def _advance(game, graph, gamma, delta, blocks, z, tracker_mode):
 
     Both halves read the time-t state: the strategy update uses the
     time-t tracker, and the tracker update uses the time-t contributions
-    (never the freshly updated strategies).
+    (never the freshly updated strategies).  tracker_mode is one of
+    TRACKER_MODES, checked by run.
     """
     phix = phi_stack(game, blocks)
     if tracker_mode == "consensus":
         estimates = [phix[i] + z[i] for i in range(game.N)]
         new_blocks = _damped_projected_step(game, blocks, estimates, gamma, delta)
         new_z = consensus_step(graph, z, phix)
-    elif tracker_mode == "exact":
+    else:
         sigma = phix.mean(axis=0)
         estimates = [sigma] * game.N
         new_blocks = _damped_projected_step(game, blocks, estimates, gamma, delta)
         new_z = exact_tracker_values(game, new_blocks)
-    elif tracker_mode == "exact_recomposed":
-        sigma = phix.mean(axis=0)
-        estimates = [phix[i] + (sigma - phix[i]) for i in range(game.N)]
-        new_blocks = _damped_projected_step(game, blocks, estimates, gamma, delta)
-        new_z = exact_tracker_values(game, new_blocks)
-    else:
-        raise ValueError(f"unknown tracker_mode {tracker_mode!r}; "
-                         f"expected one of {TRACKER_MODES}")
     return new_blocks, new_z, phix
 
 
-def step(game, graph, cfg, state, tracker_mode="consensus"):
-    """Advance one iteration and return the new state.
+def _checked_step_norm(t, blocks, new_blocks, delta, new_z=None,
+                       recorder=None):
+    """Damping-normalized norm of the sweep out of iterate t.
 
-    Raises NonFiniteDetected, tagged with the produced iteration index,
-    as soon as any strategy or tracker coordinate stops being finite.
+    Raises NonFiniteDetected, tagged with the produced iteration index
+    t + 1 and carrying the rows recorded so far, as soon as any strategy
+    or tracker coordinate stops being finite.
     """
-    z = np.asarray(state.z, dtype=float)
-    if z.shape != (game.N, game.d):
-        raise ValueError(f"tracker stack must have shape ({game.N}, {game.d})")
-    blocks = game.as_blocks(state.x)
-    new_blocks, new_z, _ = _advance(game, graph, cfg.gamma, cfg.delta,
-                                    blocks, z, tracker_mode)
-    t_next = state.t + 1
-    if not all(np.all(np.isfinite(b)) for b in new_blocks) \
-            or not np.all(np.isfinite(new_z)):
-        raise NonFiniteDetected(t_next, "non-finite strategy or tracker value")
-    return TradesState(x=StrategyProfile(new_blocks), z=new_z, t=t_next)
+    produced = list(new_blocks) if new_z is None else [*new_blocks, new_z]
+    if not all(np.all(np.isfinite(v)) for v in produced):
+        raise NonFiniteDetected(
+            t + 1, "non-finite strategy or tracker value",
+            trace=None if recorder is None else recorder.build())
+    delta_vec = np.concatenate(new_blocks) - np.concatenate(blocks)
+    return float(np.linalg.norm(delta_vec)) / delta
 
 
 def _oracle_vector(game, oracle):
@@ -429,12 +401,8 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
     while t < cfg.max_iter:
         new_blocks, new_z, phix = _advance(game, graph, cfg.gamma, cfg.delta,
                                            blocks, z, tracker_mode)
-        if not all(np.all(np.isfinite(b)) for b in new_blocks) \
-                or not np.all(np.isfinite(new_z)):
-            raise NonFiniteDetected(t + 1, "non-finite strategy or tracker value",
-                                    trace=recorder.build(None))
-        delta_vec = np.concatenate(new_blocks) - np.concatenate(blocks)
-        step_norm = float(np.linalg.norm(delta_vec)) / cfg.delta
+        step_norm = _checked_step_norm(t, blocks, new_blocks, cfg.delta,
+                                       new_z, recorder)
         if t % cfg.trace_stride == 0:
             recorder.add(t, blocks, z, phix, step_norm)
         blocks, z = new_blocks, new_z
@@ -478,10 +446,7 @@ def reduced_system_run(game, cfg, x0):
         sigma = phix.mean(axis=0)
         new_blocks = _damped_projected_step(game, blocks, [sigma] * game.N,
                                             cfg.gamma, cfg.delta)
-        if not all(np.all(np.isfinite(b)) for b in new_blocks):
-            raise NonFiniteDetected(t + 1, "non-finite strategy value")
-        step_norm = float(np.linalg.norm(np.concatenate(new_blocks)
-                                         - np.concatenate(blocks))) / cfg.delta
+        step_norm = _checked_step_norm(t, blocks, new_blocks, cfg.delta)
         blocks = new_blocks
         trajectory.append(np.concatenate(blocks))
         if step_norm <= cfg.stop_tol:
@@ -554,70 +519,3 @@ def boundary_layer_probe(graph, game, x, steps=None):
     return BoundaryLayerResult(errors=errors, ratios=ratios,
                                final_gap_max=final_gap, steps=int(steps),
                                rho=float(rho))
-
-
-# ------------------------------------------------------------------ baseline
-
-
-@dataclass(frozen=True)
-class DiminishingSchedule:
-    """Stepsize sequence gamma0 / (1 + t) ** exponent.
-
-    The exponent window (1/2, 1] keeps the sequence square-summable but
-    not summable, the classic requirement for diminishing-step schemes;
-    gamma0 / t**2 style schedules (exponent 2) are rejected here at
-    declaration time because their sum is finite.
-    """
-
-    gamma0: float
-    exponent: float = 0.6
-
-    def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be > 0, got {self.gamma0}")
-        if not 0.5 < self.exponent <= 1.0:
-            raise ValueError(
-                f"exponent must lie in (0.5, 1], got {self.exponent}: "
-                "the step sum must diverge while the squared sum stays finite")
-
-    def __call__(self, t):
-        return self.gamma0 / (1.0 + t) ** self.exponent
-
-
-def baseline_diminishing(game, graph, schedule, x0, max_iter=2000,
-                         stop_tol=None, oracle=None, trace_stride=1):
-    """Undamped consensus-tracked iteration with a per-step stepsize.
-
-    schedule is a DiminishingSchedule (validated) or any callable
-    t -> stepsize supplied at the caller's responsibility, which also
-    admits degenerate constant schedules for comparison runs.  Returns
-    (final state, trace); meant for benchmarking plots, so there is no
-    rate fit and by default no early stop.
-    """
-    if not callable(schedule):
-        raise TypeError("schedule must be callable")
-    state = init(game, x0)
-    blocks = state.x.blocks
-    z = state.z
-    recorder = _Recorder(game, _oracle_vector(game, oracle))
-    step_norm = float("nan")
-    t = 0
-    while t < int(max_iter):
-        gamma_t = float(schedule(t))
-        if not gamma_t > 0:
-            raise ValueError(f"schedule produced stepsize {gamma_t} at t={t}")
-        new_blocks, new_z, phix = _advance(game, graph, gamma_t, 1.0,
-                                           blocks, z, "consensus")
-        if not all(np.all(np.isfinite(b)) for b in new_blocks) \
-                or not np.all(np.isfinite(new_z)):
-            raise NonFiniteDetected(t + 1, "non-finite strategy or tracker value")
-        step_norm = float(np.linalg.norm(np.concatenate(new_blocks)
-                                         - np.concatenate(blocks)))
-        if t % int(trace_stride) == 0:
-            recorder.add(t, blocks, z, phix, step_norm)
-        blocks, z = new_blocks, new_z
-        t += 1
-        if stop_tol is not None and step_norm <= stop_tol:
-            break
-    recorder.add(t, blocks, z, phi_stack(game, blocks), step_norm)
-    return TradesState(x=StrategyProfile(blocks), z=z, t=t), recorder.build()

@@ -12,8 +12,9 @@ Common flags: --out DIR replaces the configured output directory,
 reference-equilibrium solve.  TRADES_OUTPUT_DIR in the environment
 also overrides the output directory (the explicit flag wins).
 
-Exit codes: 0 success, 1 usage or validation failure, 2 divergence
-(or failed assumption checks under validate).
+Exit codes: 0 success, 1 usage or validation failure, 2 divergence or
+a FAIL convergence verdict (or failed assumption checks under
+validate).
 """
 
 import argparse
@@ -128,7 +129,7 @@ def _scenario_seed(cfg):
     return cfg.voltage.seed
 
 
-def _report_payload(cfg, graph, game, report, trace, diverged_at, elapsed):
+def _report_payload(cfg, graph, game, report, trace, diverged_at):
     spec = spectrum(graph)
     mu = lip = None
     if game.affine is not None:
@@ -173,7 +174,6 @@ def _report_payload(cfg, graph, game, report, trace, diverged_at, elapsed):
                    "max_iter": cfg.trades.max_iter,
                    "trace_stride": cfg.trades.trace_stride},
         "result": result,
-        "timing_seconds": round(elapsed, 3),
     }
 
 
@@ -196,8 +196,7 @@ def _execute_run(cfg, provenance=False):
         trace = exc.trace
     elapsed = time.perf_counter() - started
 
-    payload = _report_payload(cfg, graph, game, report, trace,
-                              diverged_at, elapsed)
+    payload = _report_payload(cfg, graph, game, report, trace, diverged_at)
     if cfg.scenario == "voltage" and state is not None:
         summary = evaluate_voltages(extras["model"], extras["agents"],
                                     state.x, extras["game_config"])
@@ -216,6 +215,10 @@ def _execute_run(cfg, provenance=False):
         _write_atomic(os.path.join(out_dir, "trace.csv"), trace.csv_text())
     _write_atomic(os.path.join(out_dir, "report.json"),
                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # measurements live apart from report.json, which stays deterministic
+    _write_atomic(os.path.join(out_dir, "metrics.json"),
+                  json.dumps({"timing_seconds": round(elapsed, 3)},
+                             indent=2, sort_keys=True) + "\n")
     _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
     if provenance and extras:
         save_network(extras["network"], os.path.join(out_dir, "network.csv"))
@@ -234,9 +237,7 @@ def _execute_run(cfg, provenance=False):
         print(f"voltage deviation score {v['deviation_score']:.6g} "
               f"vs base {v['base_score']:.6g}")
     print(f"outputs in {out_dir}")
-    if report.a2 is not None and report.a2 <= 0:
-        return 2
-    return 0
+    return 2 if report.verdict == "FAIL" else 0
 
 
 def cmd_run(cfg):

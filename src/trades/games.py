@@ -32,20 +32,9 @@ class StrategyProfile:
         self.dims = [b.size for b in self.blocks]
         self.n = int(sum(self.dims))
 
-    @classmethod
-    def from_stacked(cls, vec, dims):
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.size != sum(dims):
-            raise ValueError(f"stacked length {vec.size} does not match dims {dims}")
-        offsets = np.cumsum([0] + list(dims))
-        return cls([vec[offsets[i]:offsets[i + 1]] for i in range(len(dims))])
-
     @property
     def stacked(self):
         return np.concatenate(self.blocks)
-
-    def block(self, i):
-        return self.blocks[i]
 
     def __len__(self):
         return len(self.blocks)
@@ -149,7 +138,9 @@ class AffineGameSpec:
 
     Carried alongside a GameDefinition when the game is known to be
     affine; lets the validators compute the monotonicity modulus as an
-    exact eigenvalue instead of a sampled bound.
+    exact eigenvalue instead of a sampled bound.  Both constants are
+    dense O(n^3) factorizations, so each is computed on its first call
+    and kept; A is not to be modified afterwards.
     """
 
     A: np.ndarray
@@ -161,12 +152,19 @@ class AffineGameSpec:
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.A.shape != (self.b.size, self.b.size):
             raise ValueError("A must be square and match b")
+        self._modulus = None
+        self._lipschitz = None
 
     def exact_modulus(self):
-        return float(np.linalg.eigvalsh((self.A + self.A.T) / 2.0)[0])
+        if self._modulus is None:
+            self._modulus = float(
+                np.linalg.eigvalsh((self.A + self.A.T) / 2.0)[0])
+        return self._modulus
 
     def exact_lipschitz(self):
-        return float(np.linalg.norm(self.A, 2))
+        if self._lipschitz is None:
+            self._lipschitz = float(np.linalg.norm(self.A, 2))
+        return self._lipschitz
 
 
 # -------------------------------------------------------------- evaluation
@@ -216,16 +214,6 @@ def pseudo_gradient(game, x):
     s = phi_stack(game, blocks).mean(axis=0)
     return np.concatenate([local_operator(game, i, blocks[i], s)
                            for i in range(game.N)])
-
-
-def fixed_point_residual(game, x, gamma):
-    """Distance of x from one damped-free projected-gradient application."""
-    blocks = game.as_blocks(x)
-    stacked = np.concatenate(blocks)
-    f = pseudo_gradient(game, stacked)
-    shifted = game.split(stacked - gamma * f)
-    projected = np.concatenate(game.project(shifted))
-    return float(np.linalg.norm(stacked - projected))
 
 
 # -------------------------------------------------------------- validation

@@ -426,7 +426,7 @@ def _contribution_matrix(model, bus, n_agents, voltage_scale):
     return n_agents * voltage_scale * np.kron(cols, np.eye(model.horizon))
 
 
-def build_voltage_game(model, agents, cfg, dykstra_tol=None):
+def build_voltage_game(model, agents, cfg):
     """Assemble the voltage-support aggregative game.
 
     Each agent's contribution map carries the population factor N, so
@@ -466,7 +466,6 @@ def build_voltage_game(model, agents, cfg, dykstra_tol=None):
 
     game_agents = []
     maps = []
-    proj_kwargs = {} if dykstra_tol is None else {"dykstra_tol": dykstra_tol}
     for spec in agents:
         if not 0 <= spec.bus < model.n_buses:
             raise ValueError(f"agent bus {spec.bus} outside the network")
@@ -477,7 +476,7 @@ def build_voltage_game(model, agents, cfg, dykstra_tol=None):
         maps.append(phi / n_agents)
         projector = build_ev_projector(
             spec.plugged, spec.target_energy, spec.s_max,
-            reactive_always_on=cfg.reactive_always_on, **proj_kwargs)
+            reactive_always_on=cfg.reactive_always_on)
         game_agents.append(GameAgent(cost=make_cost(),
                                      aggregation=linear_aggregation(phi),
                                      projector=projector))

@@ -222,33 +222,3 @@ def spectrum(graph):
     sigma = float(np.linalg.norm(m, 2))
     return ConsensusSpectrum(rho, sigma)
 
-
-def save_graph(graph, path):
-    """Edge-list text format: header '<nodes> <edges>', then 'src dst weight'."""
-    if graph.weights is None:
-        raise ValueError("weights not set")
-    lines = [f"{graph.n_agents} {len(graph.edges)}"]
-    for src, dst in sorted(graph.edges):
-        lines.append(f"{src} {dst} {float(graph.weights[dst, src])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_graph(path):
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    head = tokens[0].split()
-    if len(head) != 2:
-        raise ValueError("graph file header must be '<nodes> <edges>'")
-    n, n_edges = int(head[0]), int(head[1])
-    edges = set()
-    w = np.zeros((n, n))
-    rows = [t for t in tokens[1:] if t.strip()]
-    if len(rows) != n_edges:
-        raise ValueError(f"expected {n_edges} edge rows, found {len(rows)}")
-    for row in rows:
-        s, t, val = row.split()
-        src, dst = int(s), int(t)
-        edges.add((src, dst))
-        w[dst, src] = float(val)
-    return WeightedDigraph(n, edges, w)

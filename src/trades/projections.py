@@ -41,9 +41,6 @@ class ConvexSet:
         v = _as_vector(v, self.dim)
         return float(np.linalg.norm(v - self.project(v)))
 
-    def contains(self, v, tol=1e-9):
-        return self.membership_residual(v) <= tol
-
 
 class Box(ConvexSet):
     """Axis-aligned box {v : lower <= v <= upper}; infinite bounds allowed."""
@@ -177,13 +174,6 @@ class Intersection(ConvexSet):
     def membership_residual(self, v):
         v = _as_vector(v, self.dim)
         return max(m.membership_residual(v) for m in self.members)
-
-
-def project_primitive(set_, v):
-    """Closed-form projection of v onto a primitive set."""
-    if isinstance(set_, Intersection):
-        raise ValueError("use project_dykstra for intersections")
-    return set_.project(v)
 
 
 def project_dykstra(set_, v, tol=DEFAULT_DYKSTRA_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):

@@ -154,3 +154,20 @@ def kron_consensus_oracle(weights, z, phix):
     pf = phix.reshape(-1)
     out = big @ zf + (big - np.eye(n * d)) @ pf
     return out.reshape(n, d)
+
+
+def fixed_point_residual(game, x, gamma):
+    """Distance of x from one undamped projected-gradient step.
+
+    Rebuilt from the game's explicit affine data, F(x) = A x + b clipped
+    to its boxes, rather than from the per-agent cost oracles and
+    projectors the solver itself uses.
+    """
+    affine = game.affine
+    x = np.asarray(x, dtype=float)
+    moved = x - gamma * (affine.A @ x + affine.b)
+    if affine.boxes:
+        lower = np.concatenate([lo for lo, _ in affine.boxes])
+        upper = np.concatenate([hi for _, hi in affine.boxes])
+        moved = np.clip(moved, lower, upper)
+    return float(np.linalg.norm(x - moved))

@@ -95,6 +95,7 @@ def test_explicit_section_seed_wins():
     ("strategy_dim = 2", "strategy_dim = 0"),
     ("[graph]", "[grid]"),
     ("edge_prob = 0.6", "edge_probability = 0.6"),
+    ("max_iter = 4000", "max_iter = 4000\ntracker = exact_recomposed"),
 ])
 def test_parse_rejections(mutation):
     old, new = mutation
@@ -267,9 +268,15 @@ def test_run_outputs_and_determinism(tmp_path):
     echoed = load_config(out / "config.echo")
     assert echoed.seed == 42 and echoed.trades.gamma == 0.02
 
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["timing_seconds"] >= 0
+    assert "timing_seconds" not in report
+
     assert main(["run", path, "--out", str(tmp_path / "run2")]) == 0
-    assert (tmp_path / "run2" / "trace.csv").read_bytes() == \
-        (out / "trace.csv").read_bytes()
+    # config.echo differs here only by the --out directory it records
+    for name in ("trace.csv", "report.json"):
+        assert (tmp_path / "run2" / name).read_bytes() == \
+            (out / name).read_bytes()
     assert main(["run", path, "--out", str(tmp_path / "run3"),
                  "--seed", "43"]) == 0
     assert (tmp_path / "run3" / "trace.csv").read_bytes() != \
@@ -307,6 +314,19 @@ def test_run_divergence_exit_and_report(tmp_path):
     assert report["result"]["diverged"] is True
     assert report["result"]["divergence_iteration"] >= 1
     assert (tmp_path / "divout" / "config.echo").exists()
+
+
+def test_run_stall_is_a_failed_verdict(tmp_path):
+    # gamma = 50 makes the iteration cycle at a fixed error until max_iter:
+    # the fitted rate is ~0 with no fit at all, which is not convergence
+    path = tmp_path / "stall.ini"
+    path.write_text(AFFINE_TEXT.format(out=tmp_path / "stall")
+                    .replace("gamma = 0.02", "gamma = 50"))
+    assert main(["run", str(path)]) == 2
+    result = json.loads((tmp_path / "stall" / "report.json").read_text())["result"]
+    assert result["verdict"] == "FAIL"
+    assert result["stop_reason"] == "max_iter"
+    assert result["diverged"] is False
 
 
 def test_env_var_output_override(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from trades.games import (
     GameDefinition,
     StrategyProfile,
     aggregate,
-    fixed_point_residual,
     linear_aggregation,
     local_operator,
     phi_stack,
@@ -41,17 +40,25 @@ def _scalar_pair_game():
 # ------------------------------------------------------------- profiles
 
 
+def _two_one_game():
+    # agents with strategy dims 2 and 1, for splitting stacked vectors
+    return quadratic_aggregative_game(
+        quadratics=[np.eye(2), np.eye(1)], linears=[np.zeros(2), np.zeros(1)],
+        coupling=0.0, couplers=[np.zeros((2, 1)), np.zeros((1, 1))],
+        aggregators=[np.ones((1, 2)), np.ones((1, 1))])
+
+
 def test_profile_round_trip_is_identity():
     profile = StrategyProfile([np.array([1.0, 2.0]), np.array([3.0])])
     assert profile.dims == [2, 1] and profile.n == 3
-    rebuilt = StrategyProfile.from_stacked(profile.stacked, profile.dims)
+    rebuilt = StrategyProfile(_two_one_game().split(profile.stacked))
     for a, b in zip(rebuilt.blocks, profile.blocks):
         assert np.array_equal(a, b)
 
 
 def test_profile_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        StrategyProfile.from_stacked(np.zeros(4), [2, 1])
+        _two_one_game().split(np.zeros(4))
 
 
 # ------------------------------------------------------------ aggregation
@@ -320,7 +327,7 @@ def test_oracle_fixed_point_is_damping_invariant():
     for delta in (0.1, 0.5, 1.0):
         moved = xs + delta * (projected - xs)
         assert np.linalg.norm(moved - xs) <= 2e-12
-    assert fixed_point_residual(game, xs, gamma) <= 2e-12
+    assert oracles.fixed_point_residual(game, xs, gamma) <= 2e-12
 
 
 def test_oracle_iteration_cap():
@@ -374,3 +381,27 @@ def test_phi_stack_shape():
 def test_affine_spec_shape_validation():
     with pytest.raises(ValueError):
         AffineGameSpec(np.zeros((2, 3)), np.zeros(2))
+
+
+def test_affine_constants_computed_once(monkeypatch):
+    spec = AffineGameSpec(np.array([[3.0, 1.0], [-1.0, 2.0]]), np.zeros(2))
+    calls = {"eigvalsh": 0, "norm": 0}
+    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_norm(*args, **kwargs):
+        calls["norm"] += 1
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    mu, lip = spec.exact_modulus(), spec.exact_lipschitz()
+    assert calls == {"eigvalsh": 1, "norm": 1}
+    assert spec.exact_modulus() == mu and spec.exact_lipschitz() == lip
+    assert calls == {"eigvalsh": 1, "norm": 1}
+    # symmetric part is diag(3, 2); the constants are the dense values
+    assert mu == 2.0
+    assert lip == norm(spec.A, 2)

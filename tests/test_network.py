@@ -12,9 +12,7 @@ from trades.network import (
     consensus_step,
     gen_digraph,
     is_strongly_connected,
-    load_graph,
     make_doubly_stochastic,
-    save_graph,
     spectrum,
 )
 
@@ -256,24 +254,3 @@ def test_disagreement_decays_windowed_directed_weights():
             rate = (errs[t + 10] / errs[t]) ** 0.1
             assert rate <= rho + 0.01, f"window at {t}"
     assert errs[40] <= errs[10] * (rho + 0.01) ** 30 + 1e-12
-
-
-# -------------------------------------------------------------- persistence
-
-
-def test_graph_file_round_trip_bitwise():
-    g = make_doubly_stochastic(gen_digraph(9, 0.4, seed=13))
-    path = "/tmp/graph_round_trip.txt"
-    save_graph(g, path)
-    back = load_graph(path)
-    assert back.n_agents == g.n_agents
-    assert back.edges == g.edges
-    assert np.array_equal(back.weights, g.weights)
-    with open(path) as fh:
-        head = fh.readline().split()
-    assert head == [str(g.n_agents), str(len(g.edges))]
-
-
-def test_save_requires_weights():
-    with pytest.raises(ValueError):
-        save_graph(gen_digraph(4, 0.5, seed=0), "/tmp/unweighted.txt")

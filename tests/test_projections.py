@@ -16,7 +16,6 @@ from trades.projections import (
     build_ev_projector,
     identity_projector,
     project_dykstra,
-    project_primitive,
 )
 
 
@@ -25,7 +24,7 @@ from trades.projections import (
 
 def test_box_clamps_componentwise():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    out = project_primitive(box, [2.0, -1.0])
+    out = box.project([2.0, -1.0])
     assert np.array_equal(out, [1.0, 0.0])
 
 
@@ -43,7 +42,7 @@ def test_box_semi_infinite_bounds():
 
 def test_hyperplane_symmetric_halving():
     hp = Hyperplane([1.0, 1.0], 2.0)
-    out = project_primitive(hp, [3.0, 3.0])
+    out = hp.project([3.0, 3.0])
     assert np.allclose(out, [1.0, 1.0], rtol=0, atol=1e-14)
 
 
@@ -70,7 +69,7 @@ def test_halfspace_projects_like_hyperplane_when_violated():
 def test_disk_pairs_radial_scaling():
     # (3,4) has norm 5, cap 1 scales by 1/5
     disks = DiskPairs(2, [(0, 1)], 1.0)
-    out = project_primitive(disks, [3.0, 4.0])
+    out = disks.project([3.0, 4.0])
     assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-14)
 
 
@@ -101,12 +100,6 @@ def test_dimension_mismatch_rejected():
     box = Box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         box.project([1.0, 2.0, 3.0])
-
-
-def test_project_primitive_refuses_intersection():
-    inter = Intersection([Box([0.0], [1.0])])
-    with pytest.raises(ValueError):
-        project_primitive(inter, [0.5])
 
 
 # ------------------------------------------------------------------- Dykstra
