@@ -18,9 +18,8 @@ from .config import (ExperimentConfig, canonical_text, load_config,
 from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
                      MaxIterExceeded, MaxSweepsExceeded, NonFiniteDetected,
                      SinkhornStalled, TradesError)
-from .games import (AffineGameSpec, AssumptionReport, CostOracle, GameAgent,
-                    GameDefinition, StrategyProfile, aggregate,
-                    linear_aggregation, local_operator, phi_stack,
+from .games import (AffineGameSpec, AssumptionReport, GameDefinition,
+                    StrategyProfile, aggregate, local_operator, phi_stack,
                     pseudo_gradient, quadratic_aggregative_game,
                     random_strongly_monotone_game, solve_ne_oracle,
                     validate_assumptions)

@@ -244,9 +244,9 @@ def fit_convergence(ts, errs, total_iterations):
 # ------------------------------------------------------------ the iteration
 
 
-def exact_tracker_values(game, blocks):
+def exact_tracker_values(game, x):
     """Tracker stack that makes every local estimate equal the aggregate."""
-    phix = phi_stack(game, blocks)
+    phix = phi_stack(game, x)
     return phix.mean(axis=0)[None, :] - phix
 
 
@@ -258,67 +258,61 @@ def init(game, x0):
     which pins its per-column mean to zero for the whole run.
     """
     if isinstance(x0, (int, np.integer)):
-        rng = np.random.default_rng(int(x0))
-        blocks = [rng.standard_normal(dim) for dim in game.dims]
+        x = np.random.default_rng(int(x0)).standard_normal((game.N, game.m))
     else:
-        blocks = game.as_blocks(x0)
-    projected = game.project(blocks)
-    return TradesState(x=StrategyProfile(projected),
+        x = game.split(x0)
+    return TradesState(x=StrategyProfile(game.project(x)),
                        z=np.zeros((game.N, game.d)), t=0)
 
 
-def _damped_projected_step(game, blocks, estimates, gamma, delta):
+def _exact_estimates(phix):
+    """Every agent's estimate set to the true aggregate of the stack."""
+    return np.broadcast_to(phix.mean(axis=0), phix.shape)
+
+
+def _damped_projected_step(game, x, estimates, gamma, delta):
     """x_i + delta * (P_i[x_i - gamma * direction_i] - x_i) for every agent.
 
     The single funnel for strategy updates: distributed, exact-tracker
     and centralized runs all pass through here, so equal inputs give
     bitwise equal outputs.
     """
-    new_blocks = []
-    for i, agent in enumerate(game.agents):
-        x_i = blocks[i]
-        v = x_i - gamma * local_operator(game, i, x_i, estimates[i])
-        p = agent.projector(v)
-        new_blocks.append(x_i + delta * (p - x_i))
-    return new_blocks
+    v = x - gamma * local_operator(game, x, estimates)
+    return x + delta * (game.project(v) - x)
 
 
-def _advance(game, graph, gamma, delta, blocks, z, tracker_mode):
-    """One synchronous sweep; returns (new blocks, new z, contributions).
+def _advance(game, graph, gamma, delta, x, z, tracker_mode):
+    """One synchronous sweep; returns (new x, new z, contributions).
 
     Both halves read the time-t state: the strategy update uses the
     time-t tracker, and the tracker update uses the time-t contributions
     (never the freshly updated strategies).  tracker_mode is one of
     TRACKER_MODES, checked by run.
     """
-    phix = phi_stack(game, blocks)
+    phix = phi_stack(game, x)
     if tracker_mode == "consensus":
-        estimates = [phix[i] + z[i] for i in range(game.N)]
-        new_blocks = _damped_projected_step(game, blocks, estimates, gamma, delta)
+        new_x = _damped_projected_step(game, x, phix + z, gamma, delta)
         new_z = consensus_step(graph, z, phix)
     else:
-        sigma = phix.mean(axis=0)
-        estimates = [sigma] * game.N
-        new_blocks = _damped_projected_step(game, blocks, estimates, gamma, delta)
-        new_z = exact_tracker_values(game, new_blocks)
-    return new_blocks, new_z, phix
+        new_x = _damped_projected_step(game, x, _exact_estimates(phix),
+                                       gamma, delta)
+        new_z = exact_tracker_values(game, new_x)
+    return new_x, new_z, phix
 
 
-def _checked_step_norm(t, blocks, new_blocks, delta, new_z=None,
-                       recorder=None):
+def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
     """Damping-normalized norm of the sweep out of iterate t.
 
     Raises NonFiniteDetected, tagged with the produced iteration index
     t + 1 and carrying the rows recorded so far, as soon as any strategy
     or tracker coordinate stops being finite.
     """
-    produced = list(new_blocks) if new_z is None else [*new_blocks, new_z]
-    if not all(np.all(np.isfinite(v)) for v in produced):
+    if not (np.all(np.isfinite(new_x))
+            and (new_z is None or np.all(np.isfinite(new_z)))):
         raise NonFiniteDetected(
             t + 1, "non-finite strategy or tracker value",
             trace=None if recorder is None else recorder.build())
-    delta_vec = np.concatenate(new_blocks) - np.concatenate(blocks)
-    return float(np.linalg.norm(delta_vec)) / delta
+    return float(np.linalg.norm(new_x - x)) / delta
 
 
 def _oracle_vector(game, oracle):
@@ -344,18 +338,18 @@ class _Recorder:
                      ("t", "err_x", "est_err_max", "disagreement",
                       "step_norm", "z_mean_residual", "feas_residual")}
 
-    def add(self, t, blocks, z, phix, step_norm):
+    def add(self, t, x, z, phix, step_norm):
         sigma = phix.mean(axis=0)
         est = float(np.max(np.linalg.norm(phix + z - sigma[None, :], axis=1)))
         disagreement = float(np.linalg.norm(self.basis.to_disagreement(z + phix)))
         z_norm = float(np.linalg.norm(z))
         z_mean = float(np.linalg.norm(z.sum(axis=0))) / max(1.0, z_norm)
-        feas = max(agent.projector.membership_residual(b)
-                   for agent, b in zip(self.game.agents, blocks))
+        feas = max(p.membership_residual(v)
+                   for p, v in zip(self.game.projectors, x))
         if self.oracle_vec is None:
             err = float("nan")
         else:
-            err = float(np.linalg.norm(np.concatenate(blocks) - self.oracle_vec))
+            err = float(np.linalg.norm(x.reshape(-1) - self.oracle_vec))
         r = self.rows
         r["t"].append(t)
         r["err_x"].append(err)
@@ -389,32 +383,29 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
             raise ValueError("run needs x0 or a seed in the configuration")
         x0 = int(cfg.seed)
     state = init(game, x0)
+    x, z = state.x.blocks, state.z
     oracle_vec = _oracle_vector(game, oracle)
     recorder = _Recorder(game, oracle_vec)
-    iterates = [np.concatenate(state.x.blocks)] if keep_iterates else None
+    iterates = [x.reshape(-1)] if keep_iterates else None
 
-    blocks = state.x.blocks
-    z = state.z
     stop_reason = "max_iter"
     step_norm = float("nan")
     t = 0
     while t < cfg.max_iter:
-        new_blocks, new_z, phix = _advance(game, graph, cfg.gamma, cfg.delta,
-                                           blocks, z, tracker_mode)
-        step_norm = _checked_step_norm(t, blocks, new_blocks, cfg.delta,
-                                       new_z, recorder)
+        new_x, new_z, phix = _advance(game, graph, cfg.gamma, cfg.delta,
+                                      x, z, tracker_mode)
+        step_norm = _checked_step_norm(t, x, new_x, cfg.delta, new_z, recorder)
         if t % cfg.trace_stride == 0:
-            recorder.add(t, blocks, z, phix, step_norm)
-        blocks, z = new_blocks, new_z
+            recorder.add(t, x, z, phix, step_norm)
+        x, z = new_x, new_z
         t += 1
         if keep_iterates:
-            iterates.append(np.concatenate(blocks))
+            iterates.append(x.reshape(-1))
         if step_norm <= cfg.stop_tol:
             stop_reason = "stop_tol"
             break
 
-    final_phix = phi_stack(game, blocks)
-    recorder.add(t, blocks, z, final_phix, step_norm)
+    recorder.add(t, x, z, phi_stack(game, x), step_norm)
     trace = recorder.build(np.asarray(iterates) if keep_iterates else None)
 
     if oracle_vec is not None:
@@ -426,8 +417,7 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
                                contraction_ratio=ratio, n_fit_points=n_fit,
                                iterations=t, stop_reason=stop_reason,
                                converged=(stop_reason == "stop_tol"))
-    state = TradesState(x=StrategyProfile(blocks), z=z, t=t)
-    return state, trace, report
+    return TradesState(x=StrategyProfile(x), z=z, t=t), trace, report
 
 
 def reduced_system_run(game, cfg, x0):
@@ -438,17 +428,15 @@ def reduced_system_run(game, cfg, x0):
     with run, so a run in tracker_mode="exact" with the same
     configuration and start reproduces this trajectory bitwise.
     """
-    state = init(game, x0)
-    blocks = state.x.blocks
-    trajectory = [np.concatenate(blocks)]
+    x = init(game, x0).x.blocks
+    trajectory = [x.reshape(-1)]
     for t in range(cfg.max_iter):
-        phix = phi_stack(game, blocks)
-        sigma = phix.mean(axis=0)
-        new_blocks = _damped_projected_step(game, blocks, [sigma] * game.N,
-                                            cfg.gamma, cfg.delta)
-        step_norm = _checked_step_norm(t, blocks, new_blocks, cfg.delta)
-        blocks = new_blocks
-        trajectory.append(np.concatenate(blocks))
+        new_x = _damped_projected_step(game, x,
+                                       _exact_estimates(phi_stack(game, x)),
+                                       cfg.gamma, cfg.delta)
+        step_norm = _checked_step_norm(t, x, new_x, cfg.delta)
+        x = new_x
+        trajectory.append(x.reshape(-1))
         if step_norm <= cfg.stop_tol:
             break
     return np.asarray(trajectory)
@@ -497,8 +485,7 @@ def boundary_layer_probe(graph, game, x, steps=None):
     step budget comes from boundary_layer_budget at the measured
     spectral rate of the weights.
     """
-    blocks = game.as_blocks(x)
-    phix = phi_stack(game, blocks)
+    phix = phi_stack(game, game.split(x))
     sigma = phix.mean(axis=0)
     basis = consensus_basis(game.N)
     target = -basis.to_disagreement(phix)

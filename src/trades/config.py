@@ -510,14 +510,13 @@ def save_quadratic_game(game, path):
              f"coupling {repr(float(data['coupling']))}"]
     boxes = data["boxes"]
     for i in range(game.N):
-        n_i = game.dims[i]
         if boxes is None:
-            lower = np.full(n_i, -np.inf)
-            upper = np.full(n_i, np.inf)
+            lower = np.full(game.m, -np.inf)
+            upper = np.full(game.m, np.inf)
         else:
             lower, upper = boxes[i]
         lines.append(f"agent {i}")
-        lines.append(f"dim {n_i}")
+        lines.append(f"dim {game.m}")
         lines.append("Q")
         lines += _matrix_lines(data["quadratics"][i])
         lines.append("r")
@@ -588,6 +587,8 @@ def load_quadratic_game(path):
     if n_agents < 1:
         raise ConfigError("game file: agent count must be positive")
     d = reader.tagged_int("aggregate_dim")
+    if d < 1:
+        raise ConfigError(f"game file: aggregate_dim {d} must be positive")
     line = reader.next()
     parts = line.split()
     if len(parts) != 2 or parts[0] != "coupling":
@@ -601,6 +602,13 @@ def load_quadratic_game(path):
         if reader.tagged_int("agent") != i:
             raise ConfigError("game file: agents must appear in order")
         n_i = reader.tagged_int("dim")
+        if n_i < 1:
+            raise ConfigError(f"game file: agent {i} has dim {n_i}; "
+                              "it must be positive")
+        if qs and n_i != qs[0].shape[0]:
+            raise ConfigError(f"game file: agent {i} has dim {n_i}, agent 0 "
+                              f"has {qs[0].shape[0]}; all agents must share "
+                              "one strategy dimension")
         reader.expect("Q")
         qs.append(reader.matrix(n_i, n_i))
         reader.expect("r")

@@ -1,17 +1,20 @@
 """Aggregative game definitions and centralized reference computations.
 
-An aggregative game couples N agents only through the average of
-per-agent aggregation maps.  Each agent owns a cost oracle (partial
-gradients with respect to its own strategy and the aggregate), an
-aggregation rule, and a feasible-set projector.  On top of those this
-module evaluates the stacked pseudo-gradient, validates the structural
-assumptions (strong monotonicity, Lipschitz bounds), and solves for the
-Nash equilibrium with a high-precision projected-gradient oracle.
+An aggregative game couples N agents only through the average of their
+contributions.  Every game this package builds is affine with linear
+contribution maps, so a game is one stack of per-agent matrices: agent
+i contributes phi_i(x_i) = G_i x_i and, holding an estimate s_i of the
+aggregate, moves along the search direction B_i x_i + E_i s_i + c_i
+(its own-strategy gradient with the chain-rule term through its own
+contribution folded in).  Fed the true aggregate, the directions stack
+into the pseudo-gradient F(x) = A x + b, so the monotonicity modulus
+and the Lipschitz constant are exact eigenvalue and norm computations.
 
-The quadratic family built by :func:`quadratic_aggregative_game` keeps
-the pseudo-gradient affine, so its monotonicity modulus is an exact
-eigenvalue rather than a sampled estimate; it is the canonical test
-family and the shape the smart-grid case study reduces to.
+On top of that this module validates the structural assumptions and
+solves for the Nash equilibrium with a high-precision projected-gradient
+oracle.  The quadratic family built by :func:`quadratic_aggregative_game`
+is the canonical test family; the smart-grid case study in
+:mod:`trades.grid` builds the same representation.
 """
 
 from dataclasses import dataclass, field
@@ -19,128 +22,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MaxIterExceeded
-from .projections import FeasibleSetProjector, box_projector, identity_projector
+from .projections import box_projector, identity_projector
 
 
 class StrategyProfile:
-    """Stacked strategies of all agents with per-agent block structure."""
+    """Strategies of all agents as an (N, m) array, one row per agent."""
 
     def __init__(self, blocks):
-        self.blocks = [np.asarray(b, dtype=float).reshape(-1) for b in blocks]
-        if not self.blocks:
-            raise ValueError("profile needs at least one agent block")
-        self.dims = [b.size for b in self.blocks]
-        self.n = int(sum(self.dims))
+        self.blocks = np.asarray(blocks, dtype=float)
+        if self.blocks.ndim != 2 or self.blocks.shape[0] == 0:
+            raise ValueError("profile needs an (N, m) array with at least one agent")
 
     @property
     def stacked(self):
-        return np.concatenate(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-@dataclass
-class AggregationRule:
-    """Per-agent contribution map into the shared aggregate space.
-
-    ``evaluate`` maps a strategy to its d-dimensional contribution and
-    ``jacobian`` returns the d x n_i derivative at a point.  The chain
-    rule is applied as jacobian-transpose times the aggregate gradient,
-    which keeps every dimension bookkeeping identical for linear and
-    nonlinear maps.
-    """
-
-    dim_in: int
-    dim_out: int
-    evaluate: callable
-    jacobian: callable
-    lipschitz_bound: float = None
-
-
-def linear_aggregation(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("aggregation matrix must be 2-D")
-    d, n_i = matrix.shape
-    return AggregationRule(
-        dim_in=n_i, dim_out=d,
-        evaluate=lambda v, m=matrix: m @ v,
-        jacobian=lambda v, m=matrix: m,
-        lipschitz_bound=float(np.linalg.norm(matrix, 2)))
-
-
-@dataclass
-class CostOracle:
-    """Partial gradients of one agent's cost J(x_i, s).
-
-    grad_strategy: derivative in the agent's own strategy at fixed s.
-    grad_aggregate: derivative in the aggregate slot.
-    value: optional scalar cost, used only for reporting and
-    finite-difference cross-checks.
-    """
-
-    grad_strategy: callable
-    grad_aggregate: callable
-    value: callable = None
-
-
-@dataclass
-class GameAgent:
-    cost: CostOracle
-    aggregation: AggregationRule
-    projector: FeasibleSetProjector
-
-
-class GameDefinition:
-    """N agents sharing one aggregate space of dimension d."""
-
-    def __init__(self, agents, affine=None):
-        agents = list(agents)
-        if not agents:
-            raise ValueError("game needs at least one agent")
-        d_values = {a.aggregation.dim_out for a in agents}
-        if len(d_values) != 1:
-            raise ValueError(f"agents disagree on aggregate dimension: {sorted(d_values)}")
-        for idx, a in enumerate(agents):
-            if a.projector.dim != a.aggregation.dim_in:
-                raise ValueError(
-                    f"agent {idx}: projector dim {a.projector.dim} != "
-                    f"strategy dim {a.aggregation.dim_in}")
-        self.agents = agents
-        self.d = d_values.pop()
-        self.N = len(agents)
-        self.dims = [a.aggregation.dim_in for a in agents]
-        self.offsets = np.cumsum([0] + self.dims)
-        self.n = int(self.offsets[-1])
-        self.affine = affine
-
-    def split(self, stacked):
-        stacked = np.asarray(stacked, dtype=float).reshape(-1)
-        if stacked.size != self.n:
-            raise ValueError(f"stacked length {stacked.size}, expected {self.n}")
-        return [stacked[self.offsets[i]:self.offsets[i + 1]] for i in range(self.N)]
-
-    def as_blocks(self, x):
-        if isinstance(x, StrategyProfile):
-            if x.dims != self.dims:
-                raise ValueError("profile dims do not match the game")
-            return x.blocks
-        return self.split(x)
-
-    def project(self, blocks):
-        return [a.projector(b) for a, b in zip(self.agents, blocks)]
+        return self.blocks.reshape(-1)
 
 
 @dataclass
 class AffineGameSpec:
     """Explicit affine pseudo-gradient F(x) = A x + b with box constraints.
 
-    Carried alongside a GameDefinition when the game is known to be
-    affine; lets the validators compute the monotonicity modulus as an
-    exact eigenvalue instead of a sampled bound.  Both constants are
-    dense O(n^3) factorizations, so each is computed on its first call
-    and kept; A is not to be modified afterwards.
+    Both constants are dense O(n^3) factorizations, so each is computed
+    on its first call and kept; A is not to be modified afterwards.
     """
 
     A: np.ndarray
@@ -167,53 +70,101 @@ class AffineGameSpec:
         return self._lipschitz
 
 
+class GameDefinition:
+    """N agents with m-dimensional strategies and a d-dimensional aggregate.
+
+    Agent i contributes G_i x_i and, given an aggregate estimate s_i,
+    moves along B_i x_i + E_i s_i + c_i.  The arrays are stacked over
+    agents: B (N, m, m), E (N, m, d), c (N, m), G (N, d, m); projectors
+    holds one feasible-set projector per agent.  The affine
+    pseudo-gradient F(x) = A x + b, with A = blockdiag(B) + E G / N and
+    b = c, is assembled here once.  boxes, when given, are the box
+    bounds the projectors enforce, recorded for independent checks.
+    """
+
+    def __init__(self, B, E, c, G, projectors, boxes=None):
+        B, E, c, G = (np.asarray(a, dtype=float) for a in (B, E, c, G))
+        if B.ndim != 3 or B.shape[1] != B.shape[2] or B.shape[0] == 0:
+            raise ValueError(f"B must be (N, m, m) with N >= 1, got {B.shape}")
+        n_agents, m = B.shape[:2]
+        d = G.shape[1] if G.ndim == 3 else -1
+        if (E.shape, c.shape, G.shape) != ((n_agents, m, d), (n_agents, m),
+                                           (n_agents, d, m)):
+            raise ValueError(f"per-agent arrays disagree: B {B.shape}, "
+                             f"E {E.shape}, c {c.shape}, G {G.shape}")
+        projectors = list(projectors)
+        if len(projectors) != n_agents:
+            raise ValueError(f"{len(projectors)} projectors for {n_agents} agents")
+        for idx, p in enumerate(projectors):
+            if p.dim != m:
+                raise ValueError(f"agent {idx}: projector dim {p.dim} != "
+                                 f"strategy dim {m}")
+        self.B, self.E, self.c, self.G = B, E, c, G
+        self.projectors = projectors
+        self.N, self.m, self.d = n_agents, m, d
+        self.n = n_agents * m
+        a = E.reshape(self.n, d) @ G.transpose(1, 0, 2).reshape(d, self.n)
+        a /= n_agents
+        diag = np.arange(n_agents)
+        a.reshape(n_agents, m, n_agents, m)[diag, :, diag, :] += B
+        self.affine = AffineGameSpec(a, c.reshape(-1),
+                                     boxes=[] if boxes is None else list(boxes))
+
+    def split(self, x):
+        """(N, m) strategy array of a profile, stacked vector or (N, m) array."""
+        if isinstance(x, StrategyProfile):
+            x = x.blocks
+        x = np.asarray(x, dtype=float)
+        if x.shape not in ((self.n,), (self.N, self.m)):
+            raise ValueError(f"strategy has shape {x.shape}, expected "
+                             f"({self.n},) or ({self.N}, {self.m})")
+        return x.reshape(self.N, self.m)
+
+    def project(self, x):
+        return np.stack([p(v) for p, v in zip(self.projectors, x)])
+
+
 # -------------------------------------------------------------- evaluation
 
 
-def phi_stack(game, blocks):
-    """All agent contributions as an (N, d) array.
+def phi_stack(game, x):
+    """All agent contributions G_i x_i of an (N, m) array, as (N, d).
 
     Every aggregate evaluation in the package funnels through this stack
     and :func:`aggregate` so repeated computations reduce in the same
     order and reproduce bitwise.
     """
-    return np.stack([a.aggregation.evaluate(b)
-                     for a, b in zip(game.agents, blocks)])
+    return np.einsum("idm,im->id", game.G, x)
 
 
 def aggregate(game, x):
     """Average contribution sigma(x) = (1/N) sum_i phi_i(x_i)."""
-    return phi_stack(game, game.as_blocks(x)).mean(axis=0)
+    return phi_stack(game, game.split(x)).mean(axis=0)
 
 
-def local_operator(game, i, x_i, s):
-    """Agent i's search direction given its own strategy and an aggregate
-    estimate s: grad_strategy + jacobian^T grad_aggregate / N.
+def local_operator(game, x, s):
+    """Every agent's search direction B_i x_i + E_i s_i + c_i, as (N, m).
 
-    Feeding the true aggregate recovers agent i's block of the
-    pseudo-gradient; feeding a tracker output gives the decentralized
-    surrogate.
+    x is the (N, m) strategy array and row i of the (N, d) array s is
+    agent i's aggregate estimate.  Feeding the true aggregate in every
+    row gives the pseudo-gradient; feeding tracker outputs gives the
+    decentralized surrogate.
     """
-    agent = game.agents[i]
-    x_i = np.asarray(x_i, dtype=float).reshape(-1)
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if x_i.size != agent.aggregation.dim_in:
-        raise ValueError(f"agent {i}: strategy has size {x_i.size}, "
-                         f"expected {agent.aggregation.dim_in}")
-    if s.size != game.d:
-        raise ValueError(f"aggregate estimate has size {s.size}, expected {game.d}")
-    g1 = agent.cost.grad_strategy(x_i, s)
-    g2 = agent.cost.grad_aggregate(x_i, s)
-    jac = agent.aggregation.jacobian(x_i)
-    return np.asarray(g1, dtype=float) + jac.T @ np.asarray(g2, dtype=float) / game.N
+    if np.shape(x) != (game.N, game.m):
+        raise ValueError(f"strategies have shape {np.shape(x)}, "
+                         f"expected ({game.N}, {game.m})")
+    if np.shape(s) != (game.N, game.d):
+        raise ValueError(f"aggregate estimates have shape {np.shape(s)}, "
+                         f"expected ({game.N}, {game.d})")
+    return (np.einsum("imk,ik->im", game.B, x)
+            + np.einsum("imd,id->im", game.E, s) + game.c)
 
 
 def pseudo_gradient(game, x):
     """Stacked partial gradients F(x), each agent fed the true aggregate."""
-    blocks = game.as_blocks(x)
-    s = phi_stack(game, blocks).mean(axis=0)
-    return np.concatenate([local_operator(game, i, blocks[i], s)
-                           for i in range(game.N)])
+    x = game.split(x)
+    sigma = np.broadcast_to(phi_stack(game, x).mean(axis=0), (game.N, game.d))
+    return local_operator(game, x, sigma).reshape(-1)
 
 
 # -------------------------------------------------------------- validation
@@ -223,14 +174,12 @@ def pseudo_gradient(game, x):
 class AssumptionReport:
     """Outcome of the structural checks a game must pass before a run."""
 
-    mu: float                      # exact eigenvalue or sampled lower bound
-    mu_is_exact: bool
+    mu: float                      # exact modulus of strong monotonicity
     lipschitz_pseudo_gradient: float
-    lip_grad_strategy: float
-    lip_grad_aggregate: float
-    lip_aggregation: float
+    lip_direction: float           # max_i ||[B_i E_i]||_2
+    lip_aggregation: float         # max_i ||G_i||_2
+    projector_residual: float      # worst membership residual of a sample
     projector_idempotent: bool
-    declared_bounds_ok: bool
     samples: int
 
     @property
@@ -238,21 +187,28 @@ class AssumptionReport:
         return self.mu > 0.0
 
     @property
+    def projections_feasible(self):
+        return self.projector_residual <= 1e-8
+
+    @property
     def passed(self):
-        return self.monotone and self.projector_idempotent and self.declared_bounds_ok
+        return (self.monotone and self.projections_feasible
+                and self.projector_idempotent)
 
     def summary_lines(self):
-        kind = "exact" if self.mu_is_exact else f"sampled over {self.samples} pairs"
-        verdict = "PASS" if self.passed else "FAIL"
+        feasible = "PASS" if self.projections_feasible else "FAIL"
         lines = [
-            f"monotonicity modulus: {self.mu:.6g} ({kind})",
+            f"monotonicity modulus: {self.mu:.6g} (exact)",
             f"pseudo-gradient Lipschitz: {self.lipschitz_pseudo_gradient:.6g}",
-            f"own-gradient Lipschitz: {self.lip_grad_strategy:.6g}",
-            f"aggregate-gradient Lipschitz: {self.lip_grad_aggregate:.6g}",
-            f"aggregation-map Lipschitz: {self.lip_aggregation:.6g}",
+            f"search-direction Lipschitz, max_i ||[B_i E_i]||: "
+            f"{self.lip_direction:.6g}",
+            f"contribution-map Lipschitz, max_i ||G_i||: "
+            f"{self.lip_aggregation:.6g}",
+            f"feasible-set projections: max membership residual "
+            f"{self.projector_residual:.3g} over {self.samples} samples "
+            f"({feasible})",
             f"projectors idempotent: {'yes' if self.projector_idempotent else 'NO'}",
-            f"declared bounds hold: {'yes' if self.declared_bounds_ok else 'NO'}",
-            f"assumptions: {verdict}",
+            f"assumptions: {'PASS' if self.passed else 'FAIL'}",
         ]
         if not self.monotone:
             lines.insert(1, "WARNING: modulus is not positive; equilibrium "
@@ -260,82 +216,33 @@ class AssumptionReport:
         return lines
 
 
-def _sample_feasible(game, rng, scale=3.0):
-    blocks = [a.projector(rng.normal(scale=scale, size=a.aggregation.dim_in))
-              for a in game.agents]
-    return blocks
-
-
 def validate_assumptions(game, sample_budget=50, rng=None, sample_scale=3.0):
-    """Check strong monotonicity and Lipschitz continuity on samples.
+    """Exact game constants plus a sampled check of the projectors.
 
-    Affine games get the exact modulus and operator norm; everything
-    else is probed on ``sample_budget`` random feasible pairs and
-    reported as empirical bounds, not proofs.
+    The modulus and the Lipschitz constants come from the game's
+    matrices.  The projectors are checked on ``sample_budget`` projected
+    random points: each must be a member of its set and a fixed point
+    of a second projection.
     """
-    if sample_budget < 2:
-        raise ValueError("sample_budget must be at least 2")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-
-    mu_hat = np.inf
-    lip_f = 0.0
-    lip_g1 = 0.0
-    lip_g2 = 0.0
-    lip_phi = 0.0
+    if sample_budget < 1:
+        raise ValueError("sample_budget must be at least 1")
+    rng = np.random.default_rng(rng)
+    worst = 0.0
     idempotent = True
-    declared_ok = True
-
     for _ in range(sample_budget):
-        xb = _sample_feasible(game, rng, sample_scale)
-        yb = _sample_feasible(game, rng, sample_scale)
-        x = np.concatenate(xb)
-        y = np.concatenate(yb)
-        diff = x - y
-        nrm2 = float(diff @ diff)
-        if nrm2 > 1e-20:
-            df = pseudo_gradient(game, x) - pseudo_gradient(game, y)
-            mu_hat = min(mu_hat, float(df @ diff) / nrm2)
-            lip_f = max(lip_f, float(np.linalg.norm(df)) / np.sqrt(nrm2))
-        s = aggregate(game, x)
-        t = aggregate(game, y)
-        for i, agent in enumerate(game.agents):
-            pair_gap = np.sqrt(float(np.sum((xb[i] - yb[i]) ** 2)) +
-                               float(np.sum((s - t) ** 2)))
-            if pair_gap > 1e-10:
-                d1 = np.linalg.norm(agent.cost.grad_strategy(xb[i], s) -
-                                    agent.cost.grad_strategy(yb[i], t))
-                d2 = np.linalg.norm(agent.cost.grad_aggregate(xb[i], s) -
-                                    agent.cost.grad_aggregate(yb[i], t))
-                lip_g1 = max(lip_g1, float(d1) / pair_gap)
-                lip_g2 = max(lip_g2, float(d2) / pair_gap)
-            gap_i = float(np.linalg.norm(xb[i] - yb[i]))
-            if gap_i > 1e-10:
-                dphi = float(np.linalg.norm(agent.aggregation.evaluate(xb[i]) -
-                                            agent.aggregation.evaluate(yb[i])))
-                lip_phi = max(lip_phi, dphi / gap_i)
-                bound = agent.aggregation.lipschitz_bound
-                if bound is not None and dphi > bound * gap_i * (1 + 1e-9) + 1e-12:
-                    declared_ok = False
-            again = agent.projector(xb[i])
-            if np.linalg.norm(again - xb[i]) > 1e-8:
-                idempotent = False
-
-    if game.affine is not None:
-        mu = game.affine.exact_modulus()
-        lip_f = game.affine.exact_lipschitz()
-        mu_exact = True
-    else:
-        mu = float(mu_hat) if np.isfinite(mu_hat) else 0.0
-        mu_exact = False
-
+        x = game.project(rng.normal(scale=sample_scale, size=(game.N, game.m)))
+        worst = max(worst, *(p.membership_residual(v)
+                             for p, v in zip(game.projectors, x)))
+        again = game.project(x)
+        idempotent &= bool(np.max(np.linalg.norm(again - x, axis=1)) <= 1e-8)
     return AssumptionReport(
-        mu=mu, mu_is_exact=mu_exact,
-        lipschitz_pseudo_gradient=float(lip_f),
-        lip_grad_strategy=float(lip_g1),
-        lip_grad_aggregate=float(lip_g2),
-        lip_aggregation=float(lip_phi),
+        mu=game.affine.exact_modulus(),
+        lipschitz_pseudo_gradient=game.affine.exact_lipschitz(),
+        lip_direction=float(np.max(np.linalg.norm(
+            np.concatenate([game.B, game.E], axis=2), 2, axis=(1, 2)))),
+        lip_aggregation=float(np.max(np.linalg.norm(game.G, 2, axis=(1, 2)))),
+        projector_residual=float(worst),
         projector_idempotent=idempotent,
-        declared_bounds_ok=declared_ok,
         samples=sample_budget)
 
 
@@ -343,8 +250,6 @@ def validate_assumptions(game, sample_budget=50, rng=None, sample_scale=3.0):
 
 
 def _oracle_stepsize(game):
-    if game.affine is None:
-        raise ValueError("stepsize required for games without affine structure")
     a = game.affine.A
     mu = game.affine.exact_modulus()
     lip = game.affine.exact_lipschitz()
@@ -375,27 +280,22 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000, x0=None):
         gamma = _oracle_stepsize(game)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if x0 is None:
-        blocks = game.project(game.split(np.zeros(game.n)))
-    else:
-        blocks = game.project(game.as_blocks(x0))
-    x = np.concatenate(blocks)
-
+    x = game.project(game.split(np.zeros(game.n) if x0 is None else x0))
     best = x
     best_resid = np.inf
     for _ in range(max_iter):
         f = pseudo_gradient(game, x)
-        x_next = np.concatenate(game.project(game.split(x - gamma * f)))
+        x_next = game.project(x - gamma * game.split(f))
         resid = float(np.linalg.norm(x - x_next))
         if resid < best_resid:
             best_resid = resid
             best = x_next
         x = x_next
         if resid <= tol:
-            return StrategyProfile(game.split(x))
+            return StrategyProfile(x)
     raise MaxIterExceeded(
         f"fixed-point residual {best_resid:.3e} after {max_iter} iterations "
-        f"(target {tol:.1e})", best=StrategyProfile(game.split(best)),
+        f"(target {tol:.1e})", best=StrategyProfile(best),
         residual=best_resid, iterations=max_iter)
 
 
@@ -407,64 +307,39 @@ def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
     """Build the canonical quadratic test family.
 
     Agent i pays 0.5 x_i'Q_i x_i + r_i'x_i + kappa x_i'C_i sigma with
-    contribution map phi_i(x_i) = G_i x_i.  Returns a GameDefinition
-    with the induced affine pseudo-gradient attached, assembled by
-    expanding the chain rule blockwise:
+    contribution map phi_i(x_i) = G_i x_i.  Its search direction, the
+    own-strategy gradient plus the chain-rule term through its own
+    contribution, is B_i x_i + E_i s + c_i with
 
-        A_ii = Q_i + (kappa/N)(C_i G_i + G_i'C_i')
-        A_ij = (kappa/N) C_i G_j          for j != i
-        b_i  = r_i
+        B_i = Q_i + (kappa/N) G_i'C_i',   E_i = kappa C_i,   c_i = r_i.
+
+    All agents share one strategy dimension m and one aggregate
+    dimension d.
     """
     n_agents = len(quadratics)
     if not (len(linears) == len(couplers) == len(aggregators) == n_agents):
         raise ValueError("per-agent lists must share one length")
+    dims = {np.size(r) for r in linears}
+    if len(dims) != 1:
+        raise ValueError(f"agents must share one strategy dimension, "
+                         f"got {sorted(dims)}")
     kappa = float(coupling)
-    qs = [np.asarray(q, dtype=float) for q in quadratics]
-    rs = [np.asarray(r, dtype=float).reshape(-1) for r in linears]
-    cs = [np.asarray(c, dtype=float) for c in couplers]
-    gs = [np.asarray(g, dtype=float) for g in aggregators]
-    d_values = {g.shape[0] for g in gs} | {c.shape[1] for c in cs}
-    if len(d_values) != 1:
-        raise ValueError("aggregate dimension inconsistent across agents")
-
-    agents = []
-    for i in range(n_agents):
-        n_i = rs[i].size
-        if qs[i].shape != (n_i, n_i) or cs[i].shape[0] != n_i or gs[i].shape[1] != n_i:
-            raise ValueError(f"agent {i}: matrix shapes inconsistent with n_i={n_i}")
-        if boxes is None:
-            proj = identity_projector(n_i)
-        else:
-            proj = box_projector(*boxes[i])
-
-        def make_cost(q, r, c):
-            def grad_strategy(x_i, s):
-                return q @ x_i + r + kappa * (c @ s)
-
-            def grad_aggregate(x_i, s):
-                return kappa * (c.T @ x_i)
-
-            def value(x_i, s):
-                return float(0.5 * x_i @ (q @ x_i) + r @ x_i + kappa * x_i @ (c @ s))
-
-            return CostOracle(grad_strategy, grad_aggregate, value)
-
-        agents.append(GameAgent(make_cost(qs[i], rs[i], cs[i]),
-                                linear_aggregation(gs[i]), proj))
-
-    dims = [r.size for r in rs]
-    offsets = np.cumsum([0] + dims)
-    n = offsets[-1]
-    amat = np.zeros((n, n))
-    bvec = np.concatenate(rs)
-    for i in range(n_agents):
-        si = slice(offsets[i], offsets[i + 1])
-        for j in range(n_agents):
-            sj = slice(offsets[j], offsets[j + 1])
-            amat[si, sj] = (kappa / n_agents) * cs[i] @ gs[j]
-        amat[si, si] += qs[i] + (kappa / n_agents) * gs[i].T @ cs[i].T
-    affine = AffineGameSpec(amat, bvec, boxes=list(boxes) if boxes else [])
-    game = GameDefinition(agents, affine=affine)
+    qs, cs, gs = (np.array(v, dtype=float)
+                  for v in (quadratics, couplers, aggregators))
+    rs = np.array(linears, dtype=float).reshape(n_agents, -1)
+    m = rs.shape[1]
+    d = gs.shape[1] if gs.ndim == 3 else -1
+    if qs.shape != (n_agents, m, m) or cs.shape != (n_agents, m, d) \
+            or gs.shape != (n_agents, d, m):
+        raise ValueError(f"matrix shapes inconsistent with m={m}: Q {qs.shape}, "
+                         f"C {cs.shape}, G {gs.shape}")
+    if boxes is None:
+        projectors = [identity_projector(m) for _ in range(n_agents)]
+    else:
+        projectors = [box_projector(*box) for box in boxes]
+    cg = cs @ gs
+    game = GameDefinition(qs + (kappa / n_agents) * cg.transpose(0, 2, 1),
+                          kappa * cs, rs, gs, projectors, boxes=boxes)
     # retained so instances can be written to and reread from text files
     game.quadratic_data = {"quadratics": qs, "linears": rs, "coupling": kappa,
                            "couplers": cs, "aggregators": gs,

@@ -33,14 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSpec
-from .games import (
-    AffineGameSpec,
-    AggregationRule,
-    CostOracle,
-    GameAgent,
-    GameDefinition,
-    linear_aggregation,
-)
+from .games import GameDefinition
 from .projections import build_ev_projector
 
 DEFAULT_POWER_BASE_KW = 1000.0
@@ -429,69 +422,39 @@ def _contribution_matrix(model, bus, n_agents, voltage_scale):
 def build_voltage_game(model, agents, cfg):
     """Assemble the voltage-support aggregative game.
 
-    Each agent's contribution map carries the population factor N, so
-    the average aggregate equals the scaled total voltage deviation.
-    The pseudo-gradient is affine; the explicit (A, b) pair is attached
-    so monotonicity and Lipschitz constants come out exact.
+    Agent i pays -pi'p_i + ||sigma - reference||^2 in the penalty norm
+    + x_i'W x_i.  Its contribution map G_i carries the population
+    factor N, so the average aggregate equals the scaled total voltage
+    deviation.  The search direction B_i x_i + E_i s + c_i has
+
+        B_i = 2W,   E_i = 2 G_i'H / N,   c_i = -(pi, 0) - E_i reference
+
+    with H the penalty matrix.
     """
     agents = list(agents)
     n_agents = len(agents)
     if n_agents == 0:
         raise ValueError("need at least one agent")
     t = model.horizon
-    d = model.dim
     if cfg.horizon != t:
         raise ValueError(f"config horizon {cfg.horizon} != model horizon {t}")
-    if cfg.reference.size != d:
+    if cfg.reference.size != model.dim:
         raise ValueError("config reference does not match the model dimension")
-    price_col = np.concatenate([cfg.prices, np.zeros(t)])
-    penalty = cfg.penalty
-    local_weight = cfg.local_weight
-    reference = cfg.reference
-
-    def make_cost():
-        def grad_strategy(x_i, s):
-            return -price_col + 2.0 * (local_weight @ x_i)
-
-        def grad_aggregate(x_i, s):
-            return 2.0 * (penalty @ (s - reference))
-
-        def value(x_i, s):
-            dev = s - reference
-            return float(-price_col @ x_i + dev @ penalty @ dev
-                         + x_i @ local_weight @ x_i)
-
-        return CostOracle(grad_strategy=grad_strategy,
-                          grad_aggregate=grad_aggregate, value=value)
-
-    game_agents = []
-    maps = []
+    projectors = []
     for spec in agents:
         if not 0 <= spec.bus < model.n_buses:
             raise ValueError(f"agent bus {spec.bus} outside the network")
         if spec.horizon != t:
             raise ValueError("agent plug-in horizon does not match the model")
-        phi = _contribution_matrix(model, spec.bus, n_agents,
-                                   cfg.voltage_scale)
-        maps.append(phi / n_agents)
-        projector = build_ev_projector(
+        projectors.append(build_ev_projector(
             spec.plugged, spec.target_energy, spec.s_max,
-            reactive_always_on=cfg.reactive_always_on)
-        game_agents.append(GameAgent(cost=make_cost(),
-                                     aggregation=linear_aggregation(phi),
-                                     projector=projector))
-
-    # exact affine structure: stacking the per-agent maps gives
-    # F(x) = A x + b with A = 2 M^T H M + blockdiag(2 lwm)
-    mstack = np.hstack(maps)
-    hm = penalty @ mstack
-    a = 2.0 * mstack.T @ hm
-    for i in range(n_agents):
-        sl = slice(2 * t * i, 2 * t * (i + 1))
-        a[sl, sl] += 2.0 * local_weight
-    b = np.tile(-price_col, n_agents) - 2.0 * (mstack.T @ (penalty @ reference))
-    affine = AffineGameSpec(A=a, b=b)
-    return GameDefinition(game_agents, affine=affine)
+            reactive_always_on=cfg.reactive_always_on))
+    g = np.stack([_contribution_matrix(model, spec.bus, n_agents,
+                                       cfg.voltage_scale) for spec in agents])
+    e = (2.0 / n_agents) * (g.transpose(0, 2, 1) @ cfg.penalty)
+    price_col = np.concatenate([cfg.prices, np.zeros(t)])
+    b = np.repeat(2.0 * cfg.local_weight[None], n_agents, axis=0)
+    return GameDefinition(b, e, -price_col - e @ cfg.reference, g, projectors)
 
 
 # ------------------------------------------------------------- evaluation

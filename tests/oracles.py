@@ -142,6 +142,24 @@ def central_diff_jacobian(f, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def quadratic_cost(data, i, x_i, s):
+    """Stated cost of agent i in the quadratic family,
+    J_i = 0.5 x'Q_i x + r_i'x + kappa x'C_i s, from the builder's inputs
+    (``game.quadratic_data``)."""
+    q, r, c = data["quadratics"][i], data["linears"][i], data["couplers"][i]
+    return float(0.5 * x_i @ q @ x_i + r @ x_i
+                 + data["coupling"] * x_i @ c @ s)
+
+
+def voltage_cost(cfg, x_i, s):
+    """Stated cost of one charger in the voltage game,
+    J_i = -pi'p + ||s - reference||_P^2 + x'W x with x = (p, q)."""
+    price = np.concatenate([cfg.prices, np.zeros(cfg.prices.size)])
+    dev = s - cfg.reference
+    return float(-price @ x_i + dev @ cfg.penalty @ dev
+                 + x_i @ cfg.local_weight @ x_i)
+
+
 def kron_consensus_oracle(weights, z, phix):
     """Tracker update via the explicit Kronecker-lifted matrix.
 

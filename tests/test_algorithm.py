@@ -193,11 +193,14 @@ def test_single_agent_is_projected_gradient():
     assert np.all(new.z == 0.0)
 
     x = state.x.blocks[0]
-    agent = game.agents[0]
-    s = agent.aggregation.evaluate(x)
-    direction = (agent.cost.grad_strategy(x, s)
-                 + agent.aggregation.jacobian(x).T @ agent.cost.grad_aggregate(x, s))
-    expected = agent.projector(x - cfg.gamma * direction)
+    data = game.quadratic_data
+    q, r, c, g = (data[key][0] for key in
+                  ("quadratics", "linears", "couplers", "aggregators"))
+    kappa = data["coupling"]
+    s = g @ x  # with N = 1 the aggregate is the own contribution
+    # own gradient Q x + r + kappa C s, plus G' (kappa C' x) through s
+    direction = q @ x + r + kappa * (c @ s) + g.T @ (kappa * (c.T @ x))
+    expected = game.projectors[0](x - cfg.gamma * direction)
     assert np.max(np.abs(new.x.blocks[0] - expected)) <= 1e-14
 
 

@@ -13,7 +13,7 @@ from trades.config import (AffineSettings, canonical_text,
                            derive_component_seeds, load_config,
                            load_quadratic_game, parse_config,
                            save_quadratic_game, split_scenario_seed)
-from trades.errors import ConfigError
+from trades.errors import ConfigError, MaxIterExceeded
 from trades.games import random_strongly_monotone_game
 
 AFFINE_TEXT = """
@@ -200,7 +200,7 @@ def test_game_file_round_trip(tmp_path):
     again = load_quadratic_game(path)
     assert np.array_equal(game.affine.A, again.affine.A)
     assert np.array_equal(game.affine.b, again.affine.b)
-    assert again.N == 4 and again.d == 2 and again.dims == game.dims
+    assert again.N == 4 and again.d == 2 and again.m == game.m == 3
     x = np.linspace(-1, 1, game.n)
     from trades.games import pseudo_gradient
     assert np.array_equal(pseudo_gradient(game, x), pseudo_gradient(again, x))
@@ -219,6 +219,15 @@ def test_game_file_rejects_damage(tmp_path):
     wrong.write_text("some-other-format v1\n")
     with pytest.raises(ConfigError):
         load_quadratic_game(wrong)
+    # nonpositive dimensions and unequal agent dimensions, named in the error
+    text = path.read_text()
+    for old, new, named in (("aggregate_dim 2", "aggregate_dim 0", "aggregate_dim"),
+                            ("agent 1\ndim 2", "agent 1\ndim -1", "agent 1"),
+                            ("agent 2\ndim 2", "agent 2\ndim 3", "agent 2")):
+        damaged = tmp_path / "damaged.txt"
+        damaged.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=named):
+            load_quadratic_game(damaged)
     with pytest.raises(ValueError):
         save_quadratic_game(object(), tmp_path / "nope.txt")
 
@@ -327,6 +336,34 @@ def test_run_stall_is_a_failed_verdict(tmp_path):
     assert result["verdict"] == "FAIL"
     assert result["stop_reason"] == "max_iter"
     assert result["diverged"] is False
+
+
+def test_oracle_failure_exit_and_report(tmp_path, monkeypatch, capsys):
+    # looked up through trades.cli, where the benchmark's phase timer also
+    # wraps it
+    def failing_oracle(game, **kwargs):
+        raise MaxIterExceeded("fixed-point residual 1.250e-03 after 7 "
+                              "iterations", residual=1.25e-3, iterations=7)
+
+    monkeypatch.setattr("trades.cli.solve_ne_oracle", failing_oracle)
+    path = _affine_cfg_file(tmp_path, out_name="noref")
+    assert main(["run", path]) == 3
+    out = tmp_path / "noref"
+    report = json.loads((out / "report.json").read_text())
+    assert report["oracle"] == {"converged": False, "residual": 1.25e-3,
+                                "iterations": 7}
+    assert report["result"]["diverged"] is False
+    assert "verdict" not in report["result"]
+    assert json.loads((out / "metrics.json").read_text())["timing_seconds"] >= 0
+    assert (out / "config.echo").exists()
+    assert not (out / "trace.csv").exists()
+    assert "reference equilibrium" in capsys.readouterr().out
+
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text(AFFINE_TEXT.format(out=tmp_path / "sw")
+                     + "\n[sweep]\ngamma = 0.02\ndelta = 0.5\n")
+    assert main(["sweep", str(sweep)]) == 3
+    assert "reference equilibrium" in capsys.readouterr().err
 
 
 def test_env_var_output_override(tmp_path, monkeypatch):

@@ -7,12 +7,9 @@ import oracles
 from trades.errors import MaxIterExceeded
 from trades.games import (
     AffineGameSpec,
-    CostOracle,
-    GameAgent,
     GameDefinition,
     StrategyProfile,
     aggregate,
-    linear_aggregation,
     local_operator,
     phi_stack,
     pseudo_gradient,
@@ -21,44 +18,40 @@ from trades.games import (
     solve_ne_oracle,
     validate_assumptions,
 )
-from trades.projections import box_projector, identity_projector
+from trades.projections import (FeasibleSetProjector, box_projector,
+                                identity_projector)
 
 
 def _scalar_pair_game():
-    # two scalar agents, identity contributions, decoupled costs
-    agents = []
-    for target in (0.0, 0.0):
-        cost = CostOracle(
-            grad_strategy=lambda x_i, s, t=target: x_i - t,
-            grad_aggregate=lambda x_i, s: np.zeros(1),
-            value=lambda x_i, s, t=target: float(0.5 * (x_i[0] - t) ** 2))
-        agents.append(GameAgent(cost, linear_aggregation(np.eye(1)),
-                                identity_projector(1)))
-    return GameDefinition(agents)
+    # two scalar agents, identity contributions, decoupled costs 0.5 x^2
+    return quadratic_aggregative_game(
+        [np.eye(1)] * 2, [np.zeros(1)] * 2, 0.0,
+        [np.zeros((1, 1))] * 2, [np.eye(1)] * 2)
 
 
 # ------------------------------------------------------------- profiles
 
 
-def _two_one_game():
-    # agents with strategy dims 2 and 1, for splitting stacked vectors
+def _pair_game():
+    # two agents with two-dimensional strategies, for splitting vectors
     return quadratic_aggregative_game(
-        quadratics=[np.eye(2), np.eye(1)], linears=[np.zeros(2), np.zeros(1)],
-        coupling=0.0, couplers=[np.zeros((2, 1)), np.zeros((1, 1))],
-        aggregators=[np.ones((1, 2)), np.ones((1, 1))])
+        quadratics=[np.eye(2)] * 2, linears=[np.zeros(2)] * 2, coupling=0.0,
+        couplers=[np.zeros((2, 1))] * 2, aggregators=[np.ones((1, 2))] * 2)
 
 
 def test_profile_round_trip_is_identity():
-    profile = StrategyProfile([np.array([1.0, 2.0]), np.array([3.0])])
-    assert profile.dims == [2, 1] and profile.n == 3
-    rebuilt = StrategyProfile(_two_one_game().split(profile.stacked))
-    for a, b in zip(rebuilt.blocks, profile.blocks):
-        assert np.array_equal(a, b)
+    profile = StrategyProfile([[1.0, 2.0], [3.0, 4.0]])
+    assert profile.blocks.shape == (2, 2)
+    assert np.array_equal(profile.stacked, [1.0, 2.0, 3.0, 4.0])
+    rebuilt = StrategyProfile(_pair_game().split(profile.stacked))
+    assert np.array_equal(rebuilt.blocks, profile.blocks)
 
 
 def test_profile_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        _two_one_game().split(np.zeros(4))
+        _pair_game().split(np.zeros(3))
+    with pytest.raises(ValueError):
+        _pair_game().split(np.zeros((4, 1)))  # right size, wrong shape
 
 
 # ------------------------------------------------------------ aggregation
@@ -81,23 +74,13 @@ def test_aggregate_zero_maps():
     assert np.array_equal(sigma, np.zeros(2))
 
 
-def test_linear_aggregation_metadata():
-    mat = np.array([[3.0, 0.0], [0.0, 4.0]])
-    rule = linear_aggregation(mat)
-    assert rule.dim_in == 2 and rule.dim_out == 2
-    assert rule.lipschitz_bound == 4.0
-    v = np.array([1.0, -2.0])
-    assert np.array_equal(rule.evaluate(v), mat @ v)
-    assert np.array_equal(rule.jacobian(v), mat)
-
-
 # --------------------------------------------------------- local operator
 
 
 def test_local_operator_reduces_to_own_gradient():
     game = _scalar_pair_game()
-    out = local_operator(game, 0, np.array([2.5]), np.array([9.9]))
-    assert np.allclose(out, [2.5], rtol=0, atol=1e-15)
+    out = local_operator(game, np.array([[2.5], [0.0]]), np.full((2, 1), 9.9))
+    assert np.allclose(out[0], [2.5], rtol=0, atol=1e-15)
 
 
 def test_local_operator_hand_expansion():
@@ -109,10 +92,10 @@ def test_local_operator_hand_expansion():
     game = quadratic_aggregative_game(
         [q0, np.eye(2)], [r0, np.zeros(2)], 0.5,
         [c0, np.zeros((2, 1))], [g0, np.zeros((1, 2))])
-    x0 = np.array([1.0, 2.0])
-    s = np.array([0.7])
-    out = local_operator(game, 0, x0, s)
-    # grad_strategy = Q x + r + kappa C s, plus G' (kappa C' x) / N
+    x = np.array([[1.0, 2.0], [0.0, 0.0]])
+    s = np.array([[0.7], [0.0]])
+    out = local_operator(game, x, s)[0]
+    # own gradient Q x + r + kappa C s, plus G' (kappa C' x) / N
     g2 = 0.5 * (1.0 * 1.0 + 2.0 * 2.0)
     expected = np.array([
         2.0 * 1.0 + 1.0 + 0.5 * 1.0 * 0.7 + 1.0 * g2 / 2.0,
@@ -122,30 +105,31 @@ def test_local_operator_hand_expansion():
 
 
 def test_local_operator_is_total_derivative():
-    """Against central differences of the cost along the own-strategy slice."""
+    """Against central differences of the stated cost J_i(x_i, sigma),
+    sigma moving with x_i through the agent's own contribution."""
     game = random_strongly_monotone_game(3, 2, 2, seed=11)
+    data = game.quadratic_data
+    gs = data["aggregators"]
     rng = np.random.default_rng(8)
+    x = rng.normal(size=(3, 2))
+    others = rng.normal(size=(3, 2))  # frozen contribution of everyone else
+    s = np.stack([gs[i] @ x[i] / game.N + others[i] for i in range(3)])
+    got = local_operator(game, x, s)
     for i in range(3):
-        agent = game.agents[i]
-        y = rng.normal(size=2)  # frozen contribution of everyone else
-
         def through_cost(x_i):
-            s = agent.aggregation.evaluate(x_i) / game.N + y
-            return agent.cost.value(x_i, s)
+            return oracles.quadratic_cost(data, i, x_i,
+                                          gs[i] @ x_i / game.N + others[i])
 
-        x_i = rng.normal(size=2)
-        s_here = agent.aggregation.evaluate(x_i) / game.N + y
-        got = local_operator(game, i, x_i, s_here)
-        ref = oracles.central_diff_gradient(through_cost, x_i)
-        assert np.allclose(got, ref, rtol=1e-5, atol=1e-7)
+        ref = oracles.central_diff_gradient(through_cost, x[i])
+        assert np.allclose(got[i], ref, rtol=1e-5, atol=1e-7)
 
 
 def test_local_operator_dimension_checks():
     game = _scalar_pair_game()
     with pytest.raises(ValueError):
-        local_operator(game, 0, np.zeros(2), np.zeros(1))
+        local_operator(game, np.zeros((2, 2)), np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        local_operator(game, 0, np.zeros(1), np.zeros(3))
+        local_operator(game, np.zeros((2, 1)), np.zeros((2, 3)))
 
 
 # -------------------------------------------------------- pseudo-gradient
@@ -166,10 +150,9 @@ def test_pseudo_gradient_stacks_local_operators():
     game = random_strongly_monotone_game(4, 2, 3, seed=31)
     rng = np.random.default_rng(32)
     x = rng.normal(size=game.n)
-    blocks = game.split(x)
     s = aggregate(game, x)
-    stacked = np.concatenate([local_operator(game, i, blocks[i], s)
-                              for i in range(game.N)])
+    stacked = local_operator(game, game.split(x),
+                             np.tile(s, (game.N, 1))).reshape(-1)
     f = pseudo_gradient(game, x)
     assert np.linalg.norm(f - stacked) <= 1e-14 * max(1.0, np.linalg.norm(f))
 
@@ -182,24 +165,23 @@ def test_pseudo_gradient_vanishes_at_interior_equilibrium():
 
 
 def test_gradient_oracles_match_finite_differences():
+    """The direction at an estimate s unrelated to x is the chain rule
+    dJ/dx_i + G_i' dJ/ds / N, each piece by central differences."""
     game = random_strongly_monotone_game(3, 2, 2, seed=51)
+    data = game.quadratic_data
     rng = np.random.default_rng(52)
     for _ in range(100):
         i = int(rng.integers(0, 3))
-        agent = game.agents[i]
-        x_i = rng.normal(size=2)
-        s = rng.normal(size=2)
-        g1 = agent.cost.grad_strategy(x_i, s)
-        g1_ref = oracles.central_diff_gradient(
-            lambda u: agent.cost.value(u, s), x_i)
-        assert np.allclose(g1, g1_ref, rtol=1e-5, atol=1e-6)
-        g2 = agent.cost.grad_aggregate(x_i, s)
-        g2_ref = oracles.central_diff_gradient(
-            lambda w: agent.cost.value(x_i, w), s)
-        assert np.allclose(g2, g2_ref, rtol=1e-5, atol=1e-6)
-        jac = agent.aggregation.jacobian(x_i)
-        jac_ref = oracles.central_diff_jacobian(agent.aggregation.evaluate, x_i)
-        assert np.allclose(jac, jac_ref, rtol=1e-5, atol=1e-6)
+        x = rng.normal(size=(3, 2))
+        s = rng.normal(size=(3, 2))
+        g1 = oracles.central_diff_gradient(
+            lambda u: oracles.quadratic_cost(data, i, u, s[i]), x[i])
+        g2 = oracles.central_diff_gradient(
+            lambda w: oracles.quadratic_cost(data, i, x[i], w), s[i])
+        jac = oracles.central_diff_jacobian(
+            lambda u: data["aggregators"][i] @ u, x[i])
+        got = local_operator(game, x, s)[i]
+        assert np.allclose(got, g1 + jac.T @ g2 / game.N, rtol=1e-5, atol=1e-6)
 
 
 # ------------------------------------------------------------- validation
@@ -210,7 +192,6 @@ def test_modulus_of_scaled_identity():
         [2.0 * np.eye(2)] * 2, [np.zeros(2)] * 2, 0.0,
         [np.zeros((2, 1))] * 2, [np.ones((1, 2))] * 2)
     report = validate_assumptions(game, sample_budget=5, rng=1)
-    assert report.mu_is_exact
     assert abs(report.mu - 2.0) <= 1e-12
     assert report.passed
 
@@ -227,26 +208,39 @@ def test_modulus_ignores_skew_part():
     assert abs(report.mu - 1.0) <= 1e-12
 
 
-def test_sampled_modulus_brackets_exact_value():
-    game = random_strongly_monotone_game(4, 2, 2, seed=61)
-    exact = game.affine.exact_modulus()
-    lip = game.affine.exact_lipschitz()
-    blind = GameDefinition(game.agents)  # same agents, affine structure hidden
-    report = validate_assumptions(blind, sample_budget=200, rng=62)
-    assert not report.mu_is_exact
-    assert report.mu >= exact - 1e-9
-    assert report.mu <= lip + 1e-9
-    assert report.lipschitz_pseudo_gradient <= lip + 1e-9
-    assert report.monotone
+def test_validation_reports_exact_matrix_norms():
+    game = random_strongly_monotone_game(4, 2, 3, seed=61)
+    data = game.quadratic_data
+    kappa = data["coupling"]
+    report = validate_assumptions(game, sample_budget=5, rng=62)
+    # [B_i E_i] rebuilt from the stated data, G_i as stated
+    direction = max(np.linalg.norm(np.hstack(
+        [q + (kappa / game.N) * g.T @ c.T, kappa * c]), 2)
+        for q, c, g in zip(data["quadratics"], data["couplers"],
+                           data["aggregators"]))
+    contribution = max(np.linalg.norm(g, 2) for g in data["aggregators"])
+    assert abs(report.lip_direction - direction) <= 1e-12 * direction
+    assert abs(report.lip_aggregation - contribution) <= 1e-12 * contribution
+    assert report.lipschitz_pseudo_gradient == game.affine.exact_lipschitz()
+    assert report.projector_residual == 0.0 and report.passed
 
 
-def test_declared_aggregation_bound_violation_flagged():
+class _OffsetProjector(FeasibleSetProjector):
+    """Box projector that lands far outside its box."""
+
+    def __call__(self, v):
+        return super().__call__(v) + 100.0
+
+
+def test_broken_projector_flagged():
     game = random_strongly_monotone_game(2, 2, 2, seed=71)
-    for agent in game.agents:
-        agent.aggregation.lipschitz_bound = 1e-6  # deliberately too small
-    report = validate_assumptions(game, sample_budget=20, rng=72)
-    assert not report.declared_bounds_ok
-    assert not report.passed
+    game.projectors[1] = _OffsetProjector(game.projectors[1].set)
+    report = validate_assumptions(game, sample_budget=3, rng=72)
+    assert report.projector_residual > 0.5
+    assert not report.projector_idempotent
+    assert report.monotone and not report.passed
+    assert any("feasible-set projections" in line and "FAIL" in line
+               for line in report.summary_lines())
 
 
 def test_non_monotone_game_flagged():
@@ -261,7 +255,7 @@ def test_non_monotone_game_flagged():
 
 def test_validation_needs_samples():
     with pytest.raises(ValueError):
-        validate_assumptions(_scalar_pair_game(), sample_budget=1)
+        validate_assumptions(_scalar_pair_game(), sample_budget=0)
 
 
 def test_monotonicity_inequality_on_samples():
@@ -305,8 +299,7 @@ def test_oracle_equilibrium_satisfies_variational_inequality():
     f = pseudo_gradient(game, xs)
     rng = np.random.default_rng(92)
     for _ in range(1000):
-        y = np.concatenate([a.projector(rng.normal(scale=4.0, size=2))
-                            for a in game.agents])
+        y = game.project(rng.normal(scale=4.0, size=(game.N, 2))).reshape(-1)
         assert float(f @ (y - xs)) >= -1e-8
 
 
@@ -348,28 +341,39 @@ def test_oracle_warm_start_agrees_with_cold_start():
     assert np.allclose(cold.stacked, warm.stacked, rtol=0, atol=1e-10)
 
 
-def test_oracle_requires_stepsize_without_structure():
+def test_oracle_requires_stepsize_for_non_monotone_game():
+    # no positive modulus, so no default stepsize can be derived
+    game = quadratic_aggregative_game(
+        [np.array([[-5.0]])], [np.zeros(1)], 0.0,
+        [np.zeros((1, 1))], [np.eye(1)])
     with pytest.raises(ValueError):
-        solve_ne_oracle(_scalar_pair_game())
+        solve_ne_oracle(game)
 
 
 # ------------------------------------------------------------ game checks
 
 
 def test_game_rejects_inconsistent_aggregate_dims():
-    a1 = GameAgent(CostOracle(lambda x, s: x, lambda x, s: np.zeros(1)),
-                   linear_aggregation(np.ones((1, 2))), identity_projector(2))
-    a2 = GameAgent(CostOracle(lambda x, s: x, lambda x, s: np.zeros(2)),
-                   linear_aggregation(np.ones((2, 2))), identity_projector(2))
+    # E reads a one-dimensional aggregate, G writes a two-dimensional one
     with pytest.raises(ValueError):
-        GameDefinition([a1, a2])
+        GameDefinition(np.zeros((2, 2, 2)), np.zeros((2, 2, 1)),
+                       np.zeros((2, 2)), np.ones((2, 2, 2)),
+                       [identity_projector(2)] * 2)
 
 
 def test_game_rejects_projector_dimension_clash():
-    agent = GameAgent(CostOracle(lambda x, s: x, lambda x, s: np.zeros(1)),
-                      linear_aggregation(np.ones((1, 2))), box_projector([0.0], [1.0]))
     with pytest.raises(ValueError):
-        GameDefinition([agent])
+        GameDefinition(np.eye(2)[None], np.zeros((1, 2, 1)), np.zeros((1, 2)),
+                       np.ones((1, 1, 2)), [box_projector([0.0], [1.0])])
+
+
+def test_game_rejects_unequal_strategy_dims():
+    with pytest.raises(ValueError):
+        quadratic_aggregative_game(
+            quadratics=[np.eye(2), np.eye(1)],
+            linears=[np.zeros(2), np.zeros(1)], coupling=0.0,
+            couplers=[np.zeros((2, 1)), np.zeros((1, 1))],
+            aggregators=[np.ones((1, 2)), np.ones((1, 1))])
 
 
 def test_phi_stack_shape():

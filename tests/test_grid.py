@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from trades.errors import InfeasibleSpec
-from trades.games import aggregate, pseudo_gradient, solve_ne_oracle
+from trades.games import (aggregate, local_operator, pseudo_gradient,
+                          solve_ne_oracle)
 from trades.grid import (
     DEFAULT_VOLTAGE_SCALE,
     DistFlowModel,
@@ -285,6 +287,29 @@ def test_affine_structure_matches_pseudo_gradient(desk):
         assembled = game.affine.A @ x + game.affine.b
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(direct - assembled)) <= 1e-12 * scale
+
+
+def test_local_operator_is_total_derivative(desk):
+    """Against central differences of the stated charger cost, with the
+    aggregate taken from the voltage model instead of the game."""
+    _, model, _, agents, cfg, game = desk
+    rng = np.random.default_rng(3)
+    x = game.project(game.split(rng.normal(size=game.n) * 3))
+
+    def sigma(stack):
+        volts = evaluate_voltages(model, agents, stack.reshape(-1)).voltages
+        return cfg.voltage_scale * (volts - model.v0)
+
+    got = local_operator(game, x, np.tile(sigma(x), (game.N, 1)))
+    for i in (0, 17, 39):
+        def through_cost(x_i):
+            moved = x.copy()
+            moved[i] = x_i
+            return oracles.voltage_cost(cfg, x_i, sigma(moved))
+
+        ref = oracles.central_diff_gradient(through_cost, x[i])
+        assert np.allclose(got[i], ref, rtol=1e-6, atol=1e-4), \
+            np.max(np.abs(got[i] - ref))
 
 
 def test_desk_game_monotonicity_exact(desk):
