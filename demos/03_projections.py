@@ -9,12 +9,16 @@ projection) converges to the true nearest point of the intersection.
 The closing example is the feasible set of one electric vehicle over a
 day: charge only while plugged in, meet the energy target exactly, and
 keep each hour's (active, reactive) power inside the inverter's disk.
+The package projects onto it without Dykstra: clamp and disk scaling
+are exact there, and the energy multiplier comes from a bracketed root
+search.  Dykstra on the same set, built from primitives, agrees.
 """
 
 import numpy as np
 
-from trades import (Box, DiskPairs, Halfspace, Hyperplane, Intersection,
-                    build_ev_projector, project_dykstra)
+from trades.projections import (Box, DiskPairs, Halfspace, Hyperplane,
+                                Intersection, build_ev_projector,
+                                project_dykstra)
 
 rng = np.random.default_rng(3)
 
@@ -67,3 +71,14 @@ print(f"  membership residual {proj.membership_residual(feasible):.2e}")
 # projecting twice changes nothing; the output is already feasible
 again = proj(feasible)
 print(f"  idempotent to {np.max(np.abs(again - feasible)):.2e}")
+
+# the same set as an intersection of primitives, projected by Dykstra
+lower = np.concatenate([np.where(plugged > 0, -np.inf, 0.0),
+                        np.full(HORIZON, -np.inf)])
+upper = np.concatenate([np.zeros(HORIZON), np.full(HORIZON, np.inf)])
+pairs = [(t, HORIZON + t) for t in range(HORIZON)]
+vehicle = Intersection([
+    Hyperplane(np.concatenate([plugged, np.zeros(HORIZON)]), -target_kwh),
+    Box(lower, upper), DiskPairs(2 * HORIZON, pairs, s_max)])
+reference = project_dykstra(vehicle, wish, tol=1e-13)
+print(f"  distance to Dykstra's answer {np.linalg.norm(feasible - reference):.2e}")

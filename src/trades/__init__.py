@@ -34,8 +34,6 @@ from .network import (ConsensusSpectrum, WeightedDigraph, consensus_step,
                       gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
 from .projections import (Box, ConvexSet, DiskPairs, FeasibleSetProjector,
-                          Halfspace, Hyperplane, Intersection, box_projector,
-                          build_ev_projector, identity_projector,
-                          project_dykstra)
+                          Halfspace, Hyperplane, build_ev_projector)
 
 __version__ = "0.1.0"

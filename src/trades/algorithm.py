@@ -344,8 +344,7 @@ class _Recorder:
         disagreement = float(np.linalg.norm(self.basis.to_disagreement(z + phix)))
         z_norm = float(np.linalg.norm(z))
         z_mean = float(np.linalg.norm(z.sum(axis=0))) / max(1.0, z_norm)
-        feas = max(p.membership_residual(v)
-                   for p, v in zip(self.game.projectors, x))
+        feas = self.game.projector.membership_residual(x)
         if self.oracle_vec is None:
             err = float("nan")
         else:

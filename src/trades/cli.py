@@ -124,25 +124,14 @@ def _finite_or_none(value):
     return value if np.isfinite(value) else None
 
 
-def _scenario_seed(cfg):
-    if cfg.scenario == "affine":
-        return cfg.affine.seed
-    return cfg.voltage.seed
-
-
 def _report_payload(cfg, graph, game, report, trace, diverged_at):
     spec = spectrum(graph)
     result = {"diverged": diverged_at is not None,
               "divergence_iteration": diverged_at}
     if report is not None:
-        as_dict = report.as_dict()
-        as_dict["a1"] = _finite_or_none(as_dict.get("a1"))
-        as_dict["a2"] = _finite_or_none(as_dict.get("a2"))
-        as_dict["r_squared"] = _finite_or_none(as_dict.get("r_squared"))
-        as_dict["contraction_ratio"] = _finite_or_none(
-            as_dict.get("contraction_ratio"))
-        result.update(as_dict)
-        result["verdict"] = report.verdict
+        result.update(report.as_dict())
+        for key in ("a1", "a2", "r_squared", "contraction_ratio"):
+            result[key] = _finite_or_none(result[key])
     if trace is not None and len(trace) > 0:
         result["err_x_final"] = _finite_or_none(trace.err_x[-1])
         result["est_err_final"] = _finite_or_none(trace.est_err_max[-1])
@@ -157,7 +146,9 @@ def _report_payload(cfg, graph, game, report, trace, diverged_at):
         "tracker": cfg.tracker,
         "oracle_enabled": cfg.oracle,
         "seeds": {"master": cfg.seed, "graph": cfg.graph.seed,
-                  "scenario": _scenario_seed(cfg), "init": cfg.trades.seed},
+                  "scenario": (cfg.affine if cfg.scenario == "affine"
+                               else cfg.voltage).seed,
+                  "init": cfg.trades.seed},
         "graph": {"n_agents": cfg.graph.n_agents,
                   "edge_prob": cfg.graph.edge_prob,
                   "weight_method": cfg.graph.weight_method,
@@ -178,7 +169,7 @@ def _report_payload(cfg, graph, game, report, trace, diverged_at):
 # ------------------------------------------------------------ subcommands
 
 
-def _execute_run(cfg, provenance=False):
+def cmd_run(cfg, provenance=False):
     started = time.perf_counter()
     graph = build_graph(cfg)
     game, extras = assemble_game(cfg)
@@ -243,19 +234,21 @@ def _execute_run(cfg, provenance=False):
     if "voltage" in payload:
         v = payload["voltage"]
         print(f"voltage deviation score {v['deviation_score']:.6g} "
-              f"vs base {v['base_score']:.6g}")
+              f"vs do-nothing {v['base_score']:.6g}")
+        ratio = v["improvement_ratio"]
+        if ratio is not None:
+            side = ("less than" if ratio < 1 else
+                    "more than" if ratio > 1 else "as much as")
+            print(f"improvement ratio {ratio:.6g}: the equilibrium deviates "
+                  f"{side} doing nothing")
     print(f"outputs in {out_dir}")
     return 2 if report.verdict == "FAIL" else 0
-
-
-def cmd_run(cfg):
-    return _execute_run(cfg)
 
 
 def cmd_case_study(cfg):
     if cfg.scenario != "voltage":
         raise ConfigError("case-study requires scenario = voltage")
-    return _execute_run(cfg, provenance=True)
+    return cmd_run(cfg, provenance=True)
 
 
 def cmd_validate(cfg):

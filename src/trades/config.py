@@ -508,13 +508,9 @@ def save_quadratic_game(game, path):
              f"agents {game.N}",
              f"aggregate_dim {game.d}",
              f"coupling {repr(float(data['coupling']))}"]
-    boxes = data["boxes"]
-    for i in range(game.N):
-        if boxes is None:
-            lower = np.full(game.m, -np.inf)
-            upper = np.full(game.m, np.inf)
-        else:
-            lower, upper = boxes[i]
+    box = game.projector.box
+    for i, (lower, upper) in enumerate(zip(box.lower.reshape(game.N, -1),
+                                           box.upper.reshape(game.N, -1))):
         lines.append(f"agent {i}")
         lines.append(f"dim {game.m}")
         lines.append("Q")

@@ -17,12 +17,12 @@ is the canonical test family; the smart-grid case study in
 :mod:`trades.grid` builds the same representation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MaxIterExceeded
-from .projections import box_projector, identity_projector
+from .projections import Box, FeasibleSetProjector
 
 
 class StrategyProfile:
@@ -40,7 +40,7 @@ class StrategyProfile:
 
 @dataclass
 class AffineGameSpec:
-    """Explicit affine pseudo-gradient F(x) = A x + b with box constraints.
+    """Explicit affine pseudo-gradient F(x) = A x + b.
 
     Both constants are dense O(n^3) factorizations, so each is computed
     on its first call and kept; A is not to be modified afterwards.
@@ -48,7 +48,6 @@ class AffineGameSpec:
 
     A: np.ndarray
     b: np.ndarray
-    boxes: list = field(default_factory=list)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -75,14 +74,13 @@ class GameDefinition:
 
     Agent i contributes G_i x_i and, given an aggregate estimate s_i,
     moves along B_i x_i + E_i s_i + c_i.  The arrays are stacked over
-    agents: B (N, m, m), E (N, m, d), c (N, m), G (N, d, m); projectors
-    holds one feasible-set projector per agent.  The affine
-    pseudo-gradient F(x) = A x + b, with A = blockdiag(B) + E G / N and
-    b = c, is assembled here once.  boxes, when given, are the box
-    bounds the projectors enforce, recorded for independent checks.
+    agents: B (N, m, m), E (N, m, d), c (N, m), G (N, d, m); projector
+    is one feasible-set projector over the whole (N, m) strategy stack.
+    The affine pseudo-gradient F(x) = A x + b, with A = blockdiag(B) +
+    E G / N and b = c, is assembled here once.
     """
 
-    def __init__(self, B, E, c, G, projectors, boxes=None):
+    def __init__(self, B, E, c, G, projector):
         B, E, c, G = (np.asarray(a, dtype=float) for a in (B, E, c, G))
         if B.ndim != 3 or B.shape[1] != B.shape[2] or B.shape[0] == 0:
             raise ValueError(f"B must be (N, m, m) with N >= 1, got {B.shape}")
@@ -92,23 +90,18 @@ class GameDefinition:
                                            (n_agents, d, m)):
             raise ValueError(f"per-agent arrays disagree: B {B.shape}, "
                              f"E {E.shape}, c {c.shape}, G {G.shape}")
-        projectors = list(projectors)
-        if len(projectors) != n_agents:
-            raise ValueError(f"{len(projectors)} projectors for {n_agents} agents")
-        for idx, p in enumerate(projectors):
-            if p.dim != m:
-                raise ValueError(f"agent {idx}: projector dim {p.dim} != "
-                                 f"strategy dim {m}")
+        if projector.shape not in ((n_agents * m,), (n_agents, m)):
+            raise ValueError(f"projector acts on shape {projector.shape}, "
+                             f"strategies have ({n_agents}, {m})")
         self.B, self.E, self.c, self.G = B, E, c, G
-        self.projectors = projectors
+        self.projector = projector
         self.N, self.m, self.d = n_agents, m, d
         self.n = n_agents * m
         a = E.reshape(self.n, d) @ G.transpose(1, 0, 2).reshape(d, self.n)
         a /= n_agents
         diag = np.arange(n_agents)
         a.reshape(n_agents, m, n_agents, m)[diag, :, diag, :] += B
-        self.affine = AffineGameSpec(a, c.reshape(-1),
-                                     boxes=[] if boxes is None else list(boxes))
+        self.affine = AffineGameSpec(a, c.reshape(-1))
 
     def split(self, x):
         """(N, m) strategy array of a profile, stacked vector or (N, m) array."""
@@ -121,7 +114,7 @@ class GameDefinition:
         return x.reshape(self.N, self.m)
 
     def project(self, x):
-        return np.stack([p(v) for p, v in zip(self.projectors, x)])
+        return self.projector(x)
 
 
 # -------------------------------------------------------------- evaluation
@@ -179,7 +172,6 @@ class AssumptionReport:
     lip_direction: float           # max_i ||[B_i E_i]||_2
     lip_aggregation: float         # max_i ||G_i||_2
     projector_residual: float      # worst membership residual of a sample
-    projector_idempotent: bool
     samples: int
 
     @property
@@ -192,8 +184,7 @@ class AssumptionReport:
 
     @property
     def passed(self):
-        return (self.monotone and self.projections_feasible
-                and self.projector_idempotent)
+        return self.monotone and self.projections_feasible
 
     def summary_lines(self):
         feasible = "PASS" if self.projections_feasible else "FAIL"
@@ -207,7 +198,6 @@ class AssumptionReport:
             f"feasible-set projections: max membership residual "
             f"{self.projector_residual:.3g} over {self.samples} samples "
             f"({feasible})",
-            f"projectors idempotent: {'yes' if self.projector_idempotent else 'NO'}",
             f"assumptions: {'PASS' if self.passed else 'FAIL'}",
         ]
         if not self.monotone:
@@ -217,24 +207,21 @@ class AssumptionReport:
 
 
 def validate_assumptions(game, sample_budget=50, rng=None, sample_scale=3.0):
-    """Exact game constants plus a sampled check of the projectors.
+    """Exact game constants plus a sampled check of the projector.
 
     The modulus and the Lipschitz constants come from the game's
-    matrices.  The projectors are checked on ``sample_budget`` projected
-    random points: each must be a member of its set and a fixed point
-    of a second projection.
+    matrices.  The projector is checked on ``sample_budget`` projected
+    random points: each must be a member of the feasible set, that is a
+    fixed point of a second projection (the projector's membership
+    residual is exactly that distance).
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
     rng = np.random.default_rng(rng)
     worst = 0.0
-    idempotent = True
     for _ in range(sample_budget):
         x = game.project(rng.normal(scale=sample_scale, size=(game.N, game.m)))
-        worst = max(worst, *(p.membership_residual(v)
-                             for p, v in zip(game.projectors, x)))
-        again = game.project(x)
-        idempotent &= bool(np.max(np.linalg.norm(again - x, axis=1)) <= 1e-8)
+        worst = max(worst, game.projector.membership_residual(x))
     return AssumptionReport(
         mu=game.affine.exact_modulus(),
         lipschitz_pseudo_gradient=game.affine.exact_lipschitz(),
@@ -242,7 +229,6 @@ def validate_assumptions(game, sample_budget=50, rng=None, sample_scale=3.0):
             np.concatenate([game.B, game.E], axis=2), 2, axis=(1, 2)))),
         lip_aggregation=float(np.max(np.linalg.norm(game.G, 2, axis=(1, 2)))),
         projector_residual=float(worst),
-        projector_idempotent=idempotent,
         samples=sample_budget)
 
 
@@ -333,17 +319,17 @@ def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
             or gs.shape != (n_agents, d, m):
         raise ValueError(f"matrix shapes inconsistent with m={m}: Q {qs.shape}, "
                          f"C {cs.shape}, G {gs.shape}")
-    if boxes is None:
-        projectors = [identity_projector(m) for _ in range(n_agents)]
-    else:
-        projectors = [box_projector(*box) for box in boxes]
+    lower, upper = np.full(n_agents * m, -np.inf), np.full(n_agents * m, np.inf)
+    if boxes is not None:
+        lower, upper = (np.array([box[k] for box in boxes], dtype=float)
+                        for k in (0, 1))
     cg = cs @ gs
     game = GameDefinition(qs + (kappa / n_agents) * cg.transpose(0, 2, 1),
-                          kappa * cs, rs, gs, projectors, boxes=boxes)
+                          kappa * cs, rs, gs,
+                          FeasibleSetProjector(Box(lower, upper)))
     # retained so instances can be written to and reread from text files
     game.quadratic_data = {"quadratics": qs, "linears": rs, "coupling": kappa,
-                           "couplers": cs, "aggregators": gs,
-                           "boxes": list(boxes) if boxes is not None else None}
+                           "couplers": cs, "aggregators": gs}
     return game
 
 
@@ -365,12 +351,9 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
             rs.append(rng.normal(size=strategy_dim))
             cs.append(rng.normal(size=(strategy_dim, agg_dim)) / np.sqrt(agg_dim))
             gs.append(rng.normal(size=(agg_dim, strategy_dim)) / np.sqrt(strategy_dim))
-            if box_halfwidth is None:
-                boxes.append((np.full(strategy_dim, -np.inf),
-                              np.full(strategy_dim, np.inf)))
-            else:
-                boxes.append((-box_halfwidth * np.ones(strategy_dim),
-                              box_halfwidth * np.ones(strategy_dim)))
+            half = np.inf if box_halfwidth is None else box_halfwidth
+            boxes.append((np.full(strategy_dim, -half),
+                          np.full(strategy_dim, half)))
         game = quadratic_aggregative_game(qs, rs, coupling, cs, gs, boxes)
         if game.affine.exact_modulus() > 0.25 * ridge:
             return game

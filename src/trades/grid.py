@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSpec
 from .games import GameDefinition
 from .projections import build_ev_projector
 
@@ -265,13 +264,8 @@ class EvAgentSpec:
         if not np.all((self.plugged == 0) | (self.plugged == 1)):
             raise ValueError("plug-in profile must be binary")
         self.plugged = self.plugged.astype(bool)
-        if self.target_energy < 0:
-            raise ValueError("recharge target must be nonnegative")
-        if self.s_max * int(self.plugged.sum()) < self.target_energy:
-            raise InfeasibleSpec(
-                f"target {self.target_energy} kWh exceeds what "
-                f"{int(self.plugged.sum())} plugged hours at "
-                f"{self.s_max} kVA can deliver")
+        # the feasible set's own checks: target >= 0, within the cap
+        build_ev_projector(self.plugged, self.target_energy, self.s_max)
 
     @property
     def horizon(self):
@@ -358,7 +352,6 @@ class VoltageGameConfig:
     local_weight: np.ndarray
     reference: np.ndarray
     voltage_scale: float = DEFAULT_VOLTAGE_SCALE
-    reactive_always_on: bool = True
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float).reshape(-1)
@@ -440,21 +433,21 @@ def build_voltage_game(model, agents, cfg):
         raise ValueError(f"config horizon {cfg.horizon} != model horizon {t}")
     if cfg.reference.size != model.dim:
         raise ValueError("config reference does not match the model dimension")
-    projectors = []
     for spec in agents:
         if not 0 <= spec.bus < model.n_buses:
             raise ValueError(f"agent bus {spec.bus} outside the network")
         if spec.horizon != t:
             raise ValueError("agent plug-in horizon does not match the model")
-        projectors.append(build_ev_projector(
-            spec.plugged, spec.target_energy, spec.s_max,
-            reactive_always_on=cfg.reactive_always_on))
+    projector = build_ev_projector(
+        np.stack([spec.plugged for spec in agents]),
+        [spec.target_energy for spec in agents],
+        [spec.s_max for spec in agents])
     g = np.stack([_contribution_matrix(model, spec.bus, n_agents,
                                        cfg.voltage_scale) for spec in agents])
     e = (2.0 / n_agents) * (g.transpose(0, 2, 1) @ cfg.penalty)
     price_col = np.concatenate([cfg.prices, np.zeros(t)])
     b = np.repeat(2.0 * cfg.local_weight[None], n_agents, axis=0)
-    return GameDefinition(b, e, -price_col - e @ cfg.reference, g, projectors)
+    return GameDefinition(b, e, -price_col - e @ cfg.reference, g, projector)
 
 
 # ------------------------------------------------------------- evaluation
@@ -480,23 +473,14 @@ def evaluate_voltages(model, agents, x, cfg=None):
     """
     agents = list(agents)
     t = model.horizon
-    if hasattr(x, "blocks"):
-        blocks = x.blocks
-    else:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != 2 * t * len(agents):
-            raise ValueError(f"strategy vector has length {x.size}, "
-                             f"expected {2 * t * len(agents)}")
-        blocks = [x[2 * t * i: 2 * t * (i + 1)] for i in range(len(agents))]
-    if len(blocks) != len(agents):
-        raise ValueError("one strategy block per agent required")
-    v = model.v0.reshape(model.n_buses, t).copy()
-    for spec, x_i in zip(agents, blocks):
-        x_i = np.asarray(x_i, dtype=float).reshape(-1)
-        if x_i.size != 2 * t:
-            raise ValueError("agent strategy must have length 2T")
-        v += np.outer(model.Rmat[:, spec.bus], x_i[:t])
-        v += np.outer(model.Xmat[:, spec.bus], x_i[t:])
+    x = np.asarray(getattr(x, "blocks", x), dtype=float)
+    if x.size != 2 * t * len(agents):
+        raise ValueError(f"strategies have {x.size} entries, expected "
+                         f"{2 * t * len(agents)}")
+    x = x.reshape(len(agents), 2 * t)
+    buses = [spec.bus for spec in agents]
+    v = (model.v0.reshape(model.n_buses, t) + model.Rmat[:, buses] @ x[:, :t]
+         + model.Xmat[:, buses] @ x[:, t:])
     voltages = v.ravel()
     if cfg is None:
         return VoltageSummary(voltages=voltages)

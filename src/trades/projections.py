@@ -1,12 +1,12 @@
 """Euclidean projections onto the convex sets used by the solvers.
 
 Primitive sets (boxes, hyperplanes, halfspaces, per-slot disk caps) have
-closed-form projections.  Intersections of primitives are handled by
-Dykstra's alternating projection scheme, which keeps one correction term
-per member set and converges to the exact projection onto the
-intersection.  The charger feasible set -- an energy-target hyperplane, a
-sign/availability box and per-slot apparent-power disks -- is assembled
-from these pieces.
+closed-form projections.  A game's feasible set is one box, disk caps
+and one hyperplane per agent over the whole strategy stack, which
+:class:`FeasibleSetProjector` projects onto exactly by a multiplier
+search; the charger sets of the case study are its instance.  Dykstra's
+alternating scheme projects onto any intersection of primitives and is
+the reference the exact projector is checked against.
 """
 
 import numpy as np
@@ -15,6 +15,10 @@ from .errors import EmptyIntersectionSuspected, InfeasibleSpec, MaxSweepsExceede
 
 DEFAULT_DYKSTRA_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 5000
+
+# multiplier search: hyperplane gap tolerance (times max(1, |b_i|)), budget
+_SEARCH_TOL = 1e-13
+_SEARCH_MAX_EVALS = 500
 
 # membership residual above which a stalled Dykstra run is treated as
 # evidence that the member sets have no common point
@@ -100,7 +104,8 @@ class Halfspace(ConvexSet):
 
 class DiskPairs(ConvexSet):
     """Per-pair Euclidean norm caps: for each index pair (i, j) the point
-    (v[i], v[j]) must lie in the disk of the given radius.
+    (v[i], v[j]) must lie in the disk of the given radius (one radius for
+    all pairs, or one per pair).
 
     Pairs must be disjoint, so the projection factorizes into independent
     radial scalings of the violating pairs.
@@ -113,11 +118,12 @@ class DiskPairs(ConvexSet):
         flat = pairs.reshape(-1)
         if np.unique(flat).size != flat.size:
             raise ValueError("disk pairs must not share coordinates")
-        if not radius > 0:
+        radius = np.asarray(radius, dtype=float)
+        if not np.all(radius > 0):
             raise ValueError("radius must be positive")
         self.dim = dim
         self.pairs = pairs
-        self.radius = float(radius)
+        self.radius = np.broadcast_to(radius, (pairs.shape[0],))
 
     def project(self, v):
         v = _as_vector(v, self.dim).copy()
@@ -128,7 +134,7 @@ class DiskPairs(ConvexSet):
         norms = np.hypot(v[idx_a], v[idx_b])
         bad = norms > self.radius
         if np.any(bad):
-            scale = self.radius / norms[bad]
+            scale = self.radius[bad] / norms[bad]
             v[idx_a[bad]] *= scale
             v[idx_b[bad]] *= scale
         return v
@@ -227,89 +233,129 @@ def project_dykstra(set_, v, tol=DEFAULT_DYKSTRA_TOL, max_sweeps=DEFAULT_MAX_SWE
         best=x, residual=resid, sweeps=max_sweeps)
 
 
-class FeasibleSetProjector:
-    """Callable projector onto a convex set with pinned tolerances."""
+class FeasibleSetProjector(ConvexSet):
+    """Exact projection onto a box, disk caps and one hyperplane per agent.
 
-    def __init__(self, set_, dykstra_tol=DEFAULT_DYKSTRA_TOL,
-                 max_sweeps=DEFAULT_MAX_SWEEPS):
-        self.set = set_
-        self.dykstra_tol = dykstra_tol
-        self.max_sweeps = max_sweeps
+    ``box`` and the optional ``disks`` span a stack of N agents' m-long
+    strategies; the optional ``normals`` (N, m) and ``levels`` (N,) add
+    a_i . x_i = b_i per agent (a zero row adds none).  Box bounds on disk
+    pairs must be 0 or infinite, so clamping then scaling onto the disks
+    projects exactly onto box and disks (call it P).  The projection is
+    P(v_i - lam_i a_i) at the root of the nonincreasing
+    g_i(lam) = a_i . P(v_i - lam a_i) - b_i, searched for all agents at
+    once; a search that cannot bracket or does not converge raises.
+    """
 
-    @property
-    def dim(self):
-        return self.set.dim
+    def __init__(self, box, disks=None, normals=None, levels=None):
+        if disks is not None and not (
+                np.all(np.isin(box.lower[disks.pairs], (0.0, -np.inf)))
+                and np.all(np.isin(box.upper[disks.pairs], (0.0, np.inf)))):
+            raise ValueError("disk pairs need box bounds of 0 or infinity")
+        self.box, self.disks, self.dim = box, disks, box.dim
+        self.normals, self.shape = None, (box.dim,)
+        if normals is not None:
+            self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
+            self.levels = np.asarray(levels, dtype=float).reshape(-1)
+            self.shape = self.normals.shape
+            aa = np.einsum("im,im->i", self.normals, self.normals)
+            self._aa = np.where(aa > 0.0, aa, 1.0)   # zero rows finish at once
+            self._tol = _SEARCH_TOL * np.maximum(1.0, np.abs(self.levels))
 
-    def __call__(self, v):
-        if isinstance(self.set, Intersection):
-            return project_dykstra(self.set, v, tol=self.dykstra_tol,
-                                   max_sweeps=self.max_sweeps)
-        return self.set.project(v)
+    def project(self, v):
+        """Projection of v, in the shape v comes in (stacked or flat)."""
+        shape = np.shape(v)
+        v = _as_vector(v, self.dim)
+        if self.normals is None:
+            return self._box_disk(v).reshape(shape)
+        return self._search(v.reshape(self.shape)).reshape(shape)
 
-    def membership_residual(self, v):
-        return self.set.membership_residual(v)
+    __call__ = project
+
+    def _box_disk(self, v):
+        x = self.box.project(v)
+        x = x if self.disks is None else self.disks.project(x)
+        return x.reshape(np.shape(v))
+
+    def _search(self, v):
+        n = self.levels.size
+        lam, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
+        g_lo, g_hi, side = np.zeros(n), np.zeros(n), np.zeros(n)
+        todo, collapsed, out = np.ones(n, bool), np.zeros(n, bool), None
+        for k in range(_SEARCH_MAX_EVALS):
+            x = self._box_disk(v - lam[:, None] * self.normals)
+            gap = np.einsum("im,im->i", self.normals, x) - self.levels
+            # a nan gap (non-finite input) ends too: the caller sees the nan
+            done = todo & (collapsed | ~(np.abs(gap) > self._tol))
+            out = x if out is None else np.where(done[:, None], x, out)
+            todo &= ~done
+            if not todo.any():
+                return out
+            up, down = todo & (gap > 0.0), todo & (gap < 0.0)
+            # Illinois: halve the gap of an end kept twice in a row (0 if
+            # open); side counts how often the same end moved in a row
+            g_hi[up & (side > 0)] *= 0.5
+            g_lo[down & (side < 0)] *= 0.5
+            side[up] = np.maximum(side[up], 0.0) + 1.0
+            side[down] = np.minimum(side[down], 0.0) - 1.0
+            lo[up], g_lo[up] = lam[up], gap[up]
+            hi[down], g_hi[down] = lam[down], gap[down]
+            closed = np.isfinite(lo) & np.isfinite(hi)
+            # g moves at most |a|^2 per unit of lam, so an open bracket
+            # steps 2^k times the least distance to the root; a closed one
+            # takes the false-position point, or the midpoint once an end
+            # has moved three times running or when rounding leaves no room
+            with np.errstate(invalid="ignore", divide="ignore"):
+                trial = np.where(closed, lo + g_lo * (hi - lo) / (g_lo - g_hi),
+                                 lam + 2.0 ** k * gap / self._aa)
+                bisect = (np.abs(side) >= 3) | ~((trial > lo) & (trial < hi))
+                trial = np.where(closed & bisect, 0.5 * (lo + hi), trial)
+            # no float strictly inside the bracket: the root is found
+            collapsed = closed & ~((trial > lo) & (trial < hi))
+            lam = np.where(todo, trial, lam)
+            if not np.all(np.isfinite(lam)):
+                break
+        if not np.all(closed[todo]):
+            raise InfeasibleSpec("a hyperplane misses the box-and-disk set")
+        raise MaxSweepsExceeded("multiplier search did not converge")
 
 
-def identity_projector(dim):
-    """Projector onto all of R^dim (unconstrained agents)."""
-    full = np.full(dim, np.inf)
-    return FeasibleSetProjector(Box(-full, full))
+def build_ev_projector(plugged, target_energy, s_max):
+    """Feasible-set projector of one charger, or of N stacked chargers.
 
-
-def box_projector(lower, upper):
-    return FeasibleSetProjector(Box(lower, upper))
-
-
-def build_ev_projector(plugged, target_energy, s_max, reactive_always_on=True,
-                       dykstra_tol=DEFAULT_DYKSTRA_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
-    """Feasible-set projector for one charger over a horizon of T slots.
-
-    The decision vector is col(p, q) of active and reactive power, one
-    entry per slot.  Constraints:
-
-    * total active energy over plugged slots equals the (sign-flipped)
-      charging target: sum of p over plugged slots = -target_energy,
-      with p <= 0 while plugged (drawing power) and p = 0 otherwise;
-    * per-slot apparent power cap: p^2 + q^2 <= s_max^2.
-
-    Reactive power stays free on unplugged slots by default (the
-    converter can provide support with no vehicle present); pass
-    ``reactive_always_on=False`` to force q = 0 there instead.
+    A charger's decision vector over T slots is col(p, q) of active and
+    reactive power.  It draws only while plugged (p <= 0 there, p = 0
+    elsewhere), its plugged draws sum to -target_energy, and every slot
+    keeps p^2 + q^2 <= s_max^2 (q stays free on unplugged slots: the
+    converter supports the grid with no vehicle present).  ``plugged``
+    is a (T,) or (N, T) mask, with a target and a cap per charger (or
+    one shared cap).  A zero target, or one at the cap s_max * #plugged,
+    fixes every plugged (p, q) to (0, 0) or (-s_max, 0); the box then
+    states it and the charger needs no hyperplane.
 
     Raises ``InfeasibleSpec`` when the cap makes the energy target
     unreachable (s_max * #plugged < target_energy).
     """
-    plugged = np.asarray(plugged).astype(bool).reshape(-1)
-    horizon = plugged.size
-    if horizon == 0:
-        raise ValueError("horizon must be positive")
-    target_energy = float(target_energy)
-    if target_energy < 0:
-        raise ValueError("target energy must be nonnegative")
-    s_max = float(s_max)
-    if not s_max > 0:
-        raise ValueError("s_max must be positive")
-    n_plugged = int(plugged.sum())
-    if s_max * n_plugged < target_energy:
-        raise InfeasibleSpec(
-            f"energy target {target_energy:.3f} exceeds cap "
-            f"{s_max:.3f} x {n_plugged} plugged slots")
-
-    dim = 2 * horizon
-    members = []
-    if n_plugged > 0:
-        normal = np.concatenate([plugged.astype(float), np.zeros(horizon)])
-        members.append(Hyperplane(normal, -target_energy))
-    lower = np.full(dim, -np.inf)
-    upper = np.full(dim, np.inf)
-    upper[:horizon] = 0.0                      # p <= 0 everywhere
-    lower[:horizon][~plugged] = 0.0            # p = 0 when unplugged
-    if not reactive_always_on:
-        lower[horizon:][~plugged] = 0.0
-        upper[horizon:][~plugged] = 0.0
-    members.append(Box(lower, upper))
-    pairs = np.column_stack([np.arange(horizon), horizon + np.arange(horizon)])
-    members.append(DiskPairs(dim, pairs, s_max))
-    set_ = Intersection(members, certify=True, dykstra_tol=dykstra_tol,
-                        max_sweeps=max_sweeps)
-    return FeasibleSetProjector(set_, dykstra_tol=dykstra_tol, max_sweeps=max_sweeps)
+    plugged = np.atleast_2d(np.asarray(plugged).astype(bool))
+    n_agents, horizon = plugged.shape
+    target, s_max = (np.broadcast_to(np.asarray(a, dtype=float), (n_agents,))
+                     for a in (target_energy, s_max))
+    if horizon == 0 or np.any(target < 0) or not np.all(s_max > 0):
+        raise ValueError("need a positive horizon and s_max, a target >= 0")
+    cap = s_max * plugged.sum(axis=1)
+    if np.any(cap < target):
+        k = np.argmax(cap < target)
+        raise InfeasibleSpec(f"energy target {target[k]:.3f} exceeds cap "
+                             f"{s_max[k]:.3f} x {plugged[k].sum()} plugged slots")
+    charging = plugged & ((target > 0) & (target < cap))[:, None]
+    pinned = plugged & ((target > 0) & (target == cap))[:, None]
+    full = np.where(pinned, -s_max[:, None], 0.0)
+    lower = np.hstack([np.where(charging, -np.inf, full),
+                       np.where(pinned, 0.0, -np.inf)])
+    upper = np.hstack([full, np.where(pinned, 0.0, np.inf)])
+    agent, slot = np.nonzero(~pinned)      # pinned slots need no disk
+    first = agent * 2 * horizon + slot
+    disks = DiskPairs(lower.size, np.column_stack([first, first + horizon]),
+                      s_max[agent])
+    return FeasibleSetProjector(
+        Box(lower, upper), disks, np.hstack([charging, 0.0 * charging]),
+        np.where(charging.any(axis=1), -target, 0.0))

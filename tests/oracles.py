@@ -13,6 +13,8 @@ import numpy as np
 from scipy.linalg import lstsq
 from scipy.optimize import nnls
 
+from trades.projections import Box, DiskPairs, Hyperplane, Intersection
+
 
 def box_constraints(lower, upper):
     """Box as a list of (a, b) halfspace rows a.v <= b (finite sides only)."""
@@ -75,7 +77,7 @@ def projection_qp_oracle(v, equalities, inequalities, feas_tol=1e-9):
     return best
 
 
-def ev_kkt_residual(v, w, plugged, s_max, reactive_always_on=True, active_tol=1e-7):
+def ev_kkt_residual(v, w, plugged, s_max, active_tol=1e-7):
     """Stationarity residual of w as the projection of v onto a charger set.
 
     Builds the active constraint gradients at w (energy-target equality,
@@ -104,10 +106,6 @@ def ev_kkt_residual(v, w, plugged, s_max, reactive_always_on=True, active_tol=1e
                 cols.append(e_p)
         else:
             free_direction(e_p)                # p = 0 pinned
-            if not reactive_always_on:
-                e_q = np.zeros(2 * horizon)
-                e_q[horizon + tau] = 1.0
-                free_direction(e_q)
         radius = np.hypot(w[tau], w[horizon + tau])
         if radius >= s_max - active_tol:       # disk boundary active
             g = np.zeros(2 * horizon)
@@ -120,6 +118,25 @@ def ev_kkt_residual(v, w, plugged, s_max, reactive_always_on=True, active_tol=1e
     gmat = np.stack(cols, axis=1)
     _, resid = nnls(gmat, target)
     return float(resid)
+
+
+def ev_reference_set(plugged, target_energy, s_max):
+    """One charger's feasible set as an intersection of primitives, for
+    the Dykstra reference: the energy hyperplane over plugged slots, the
+    sign/availability box and the per-slot disks."""
+    plugged = np.asarray(plugged).astype(bool)
+    horizon = plugged.size
+    lower = np.full(2 * horizon, -np.inf)
+    upper = np.full(2 * horizon, np.inf)
+    upper[:horizon] = 0.0
+    lower[:horizon][~plugged] = 0.0
+    members = [Box(lower, upper),
+               DiskPairs(2 * horizon, [(k, horizon + k) for k in range(horizon)],
+                         s_max)]
+    if plugged.any():
+        normal = np.concatenate([plugged, np.zeros(horizon)])
+        members.insert(0, Hyperplane(normal, -target_energy))
+    return Intersection(members, certify=False)
 
 
 def central_diff_gradient(f, x, h=1e-6):
@@ -178,14 +195,11 @@ def fixed_point_residual(game, x, gamma):
     """Distance of x from one undamped projected-gradient step.
 
     Rebuilt from the game's explicit affine data, F(x) = A x + b clipped
-    to its boxes, rather than from the per-agent cost oracles and
-    projectors the solver itself uses.
+    to the bounds of the game's box, rather than from the local operator
+    and the projector the solver itself uses.
     """
     affine = game.affine
+    box = game.projector.box
     x = np.asarray(x, dtype=float)
-    moved = x - gamma * (affine.A @ x + affine.b)
-    if affine.boxes:
-        lower = np.concatenate([lo for lo, _ in affine.boxes])
-        upper = np.concatenate([hi for _, hi in affine.boxes])
-        moved = np.clip(moved, lower, upper)
+    moved = np.clip(x - gamma * (affine.A @ x + affine.b), box.lower, box.upper)
     return float(np.linalg.norm(x - moved))

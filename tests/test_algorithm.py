@@ -200,7 +200,7 @@ def test_single_agent_is_projected_gradient():
     s = g @ x  # with N = 1 the aggregate is the own contribution
     # own gradient Q x + r + kappa C s, plus G' (kappa C' x) through s
     direction = q @ x + r + kappa * (c @ s) + g.T @ (kappa * (c.T @ x))
-    expected = game.projectors[0](x - cfg.gamma * direction)
+    expected = game.projector(x - cfg.gamma * direction)
     assert np.max(np.abs(new.x.blocks[0] - expected)) <= 1e-14
 
 

@@ -3,8 +3,10 @@
 perfbench/tracing.py wraps package functions and methods by name
 (games.phi_stack, FeasibleSetProjector.__call__, _Recorder.add, ...).
 A rename in the package would silently leave a layer unmeasured, so
-this runs one traced CLI command in a subprocess and checks that each
-layer recorded spans.
+these run traced CLI commands in a subprocess and check that each layer
+recorded spans: an affine run for every layer, and a small voltage run
+for the charger projections, which must go through
+FeasibleSetProjector.__call__ too.
 """
 
 import os
@@ -36,13 +38,34 @@ strategy_dim = 2
 agg_dim = 1
 """
 
+VOLTAGE_CONFIG = """
+[experiment]
+spec_version = 1
+scenario = voltage
+seed = 3
+
+[graph]
+n_agents = 3
+edge_prob = 0.6
+
+[trades]
+max_iter = 200
+stop_tol = 1e-6
+
+[voltage]
+n_buses = 5
+horizon = 12
+"""
+
 LAYERS = ("games.phi_stack", "games.local_operator", "games.pseudo_gradient",
-          "projections.project", "algorithm.record")
+          "projections.project", "projections.membership_residual",
+          "algorithm.record")
 
 
-def test_traced_run_records_every_layer(tmp_path):
+def _traced_layers(tmp_path, config):
+    """Names of the layers that recorded spans in one traced `run`."""
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(CONFIG)
+    cfg.write_text(config)
     prefix = tmp_path / "spans"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
@@ -50,9 +73,16 @@ def test_traced_run_records_every_layer(tmp_path):
          "--", "run", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
     with np.load(f"{prefix}.npz") as spans:
         names = [str(n) for n in spans["names"]]
-        recorded = set(spans["name"].tolist())
+        return {names[i] for i in set(spans["name"].tolist())}
+
+
+def test_traced_run_records_every_layer(tmp_path):
+    recorded = _traced_layers(tmp_path, CONFIG)
     for layer in LAYERS:
-        assert layer in names and names.index(layer) in recorded, layer
+        assert layer in recorded, layer
+
+
+def test_traced_voltage_run_records_charger_projections(tmp_path):
+    assert "projections.project" in _traced_layers(tmp_path, VOLTAGE_CONFIG)

@@ -510,3 +510,38 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "usage" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("penalty_weight, side", [(1.0, "more than"),
+                                                  (100.0, "less than")])
+def test_voltage_run_states_what_its_ratio_means(tmp_path, capsys,
+                                                 penalty_weight, side):
+    path = tmp_path / "volt.ini"
+    path.write_text(f"""
+[experiment]
+spec_version = 1
+scenario = voltage
+seed = 3
+output_dir = {tmp_path / "out"}
+oracle = off
+
+[graph]
+n_agents = 6
+edge_prob = 0.5
+
+[trades]
+max_iter = 300
+stop_tol = 1e-6
+
+[voltage]
+n_buses = 5
+horizon = 12
+penalty_weight = {penalty_weight}
+""")
+    assert main(["run", str(path)]) == 0
+    printed = capsys.readouterr().out
+    ratio = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "voltage"]["improvement_ratio"]
+    assert (ratio > 1) == (side == "more than")
+    assert (f"improvement ratio {ratio:.6g}: the equilibrium deviates "
+            f"{side} doing nothing") in printed

@@ -18,8 +18,7 @@ from trades.games import (
     solve_ne_oracle,
     validate_assumptions,
 )
-from trades.projections import (FeasibleSetProjector, box_projector,
-                                identity_projector)
+from trades.projections import Box, FeasibleSetProjector
 
 
 def _scalar_pair_game():
@@ -226,7 +225,7 @@ def test_validation_reports_exact_matrix_norms():
 
 
 class _OffsetProjector(FeasibleSetProjector):
-    """Box projector that lands far outside its box."""
+    """Box projector whose calls land far outside its box."""
 
     def __call__(self, v):
         return super().__call__(v) + 100.0
@@ -234,10 +233,9 @@ class _OffsetProjector(FeasibleSetProjector):
 
 def test_broken_projector_flagged():
     game = random_strongly_monotone_game(2, 2, 2, seed=71)
-    game.projectors[1] = _OffsetProjector(game.projectors[1].set)
+    game.projector = _OffsetProjector(game.projector.box)
     report = validate_assumptions(game, sample_budget=3, rng=72)
     assert report.projector_residual > 0.5
-    assert not report.projector_idempotent
     assert report.monotone and not report.passed
     assert any("feasible-set projections" in line and "FAIL" in line
                for line in report.summary_lines())
@@ -358,13 +356,14 @@ def test_game_rejects_inconsistent_aggregate_dims():
     with pytest.raises(ValueError):
         GameDefinition(np.zeros((2, 2, 2)), np.zeros((2, 2, 1)),
                        np.zeros((2, 2)), np.ones((2, 2, 2)),
-                       [identity_projector(2)] * 2)
+                       FeasibleSetProjector(Box(np.zeros(4), np.ones(4))))
 
 
 def test_game_rejects_projector_dimension_clash():
     with pytest.raises(ValueError):
         GameDefinition(np.eye(2)[None], np.zeros((1, 2, 1)), np.zeros((1, 2)),
-                       np.ones((1, 1, 2)), [box_projector([0.0], [1.0])])
+                       np.ones((1, 1, 2)),
+                       FeasibleSetProjector(Box([0.0], [1.0])))
 
 
 def test_game_rejects_unequal_strategy_dims():

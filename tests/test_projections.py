@@ -12,9 +12,7 @@ from trades.projections import (
     Halfspace,
     Hyperplane,
     Intersection,
-    box_projector,
     build_ev_projector,
-    identity_projector,
     project_dykstra,
 )
 
@@ -79,6 +77,14 @@ def test_disk_pairs_only_violating_pair_moves():
     out = disks.project(v)
     assert np.allclose(out[[0, 2]], [0.6, 0.8], rtol=0, atol=1e-14)
     assert out[1] == 0.1 and out[3] == 0.2
+
+
+def test_disk_pairs_radius_per_pair():
+    disks = DiskPairs(4, [(0, 2), (1, 3)], [1.0, 10.0])
+    out = disks.project([3.0, 3.0, 4.0, 4.0])
+    assert np.allclose(out, [0.6, 3.0, 0.8, 4.0], rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        DiskPairs(4, [(0, 2), (1, 3)], [1.0, -1.0])
 
 
 def test_primitive_constructor_validation():
@@ -206,17 +212,6 @@ def test_projector_wrapper_dispatch():
     assert proj.membership_residual([0.5, 0.5]) == 0.0
 
 
-def test_identity_projector_returns_input():
-    proj = identity_projector(3)
-    v = np.array([1.0, -2.0, 3.5])
-    assert np.array_equal(proj(v), v)
-
-
-def test_box_projector_shortcut():
-    proj = box_projector([0.0], [1.0])
-    assert proj([5.0])[0] == 1.0
-
-
 # ----------------------------------------------------------- charger EV set
 
 
@@ -264,10 +259,6 @@ def test_ev_reactive_support_modes():
     v = np.array([0.0, 0.0, 0.0, 5.0])  # asks for reactive power on the empty slot
     free_q = build_ev_projector(plugged, 1.0, 7.0)(v)
     assert free_q[3] > 1.0  # inverter keeps supporting without a vehicle
-    pinned = build_ev_projector(plugged, 1.0, 7.0, reactive_always_on=False)(v)
-    assert abs(pinned[3]) <= 1e-8
-    kkt = oracles.ev_kkt_residual(v, pinned, plugged, 7.0, reactive_always_on=False)
-    assert kkt <= 1e-6
 
 
 def test_ev_random_day_membership_and_kkt():
@@ -288,12 +279,91 @@ def test_ev_random_day_membership_and_kkt():
 
 
 def test_ev_projector_output_always_near_member():
-    # wrapper guarantee: residual stays below 10x the sweep tolerance
+    # membership measured constraint by constraint, not by the projector
     rng = np.random.default_rng(5)
     proj = build_ev_projector([1, 1, 0, 1], 4.0, 7.0)
+    reference = oracles.ev_reference_set([1, 1, 0, 1], 4.0, 7.0)
     for _ in range(10):
         out = proj(rng.normal(scale=10.0, size=8))
-        assert proj.membership_residual(out) <= 1e-9
+        assert reference.membership_residual(out) <= 1e-9
+
+
+def test_ev_target_at_cap_is_the_full_draw_point():
+    """Target = s_max x #plugged leaves each plugged slot one point."""
+    plugged = np.array([1, 0, 1])
+    proj = build_ev_projector(plugged, 2 * 4.0, 4.0)
+    v = np.array([1.0, 2.0, -3.0, 5.0, 9.0, -1.0])
+    out = proj(v)
+    assert np.array_equal(out[[0, 2, 3, 5]], [-4.0, -4.0, 0.0, 0.0])
+    # the unplugged slot keeps p = 0 and scales q onto its disk
+    assert out[1] == 0.0 and abs(out[4] - 4.0) <= 1e-15
+    assert np.array_equal(proj(out), out)
+
+
+def test_ev_charger_without_plugged_slot():
+    proj = build_ev_projector([0, 0, 0], 0.0, 5.0)
+    out = proj(np.array([-2.0, 1.0, 3.0, 1.0, -7.0, 2.0]))
+    assert np.array_equal(out[:3], np.zeros(3))
+    assert np.allclose(out[3:], [1.0, -5.0, 2.0], rtol=0, atol=1e-15)
+    with pytest.raises(InfeasibleSpec):
+        build_ev_projector([0, 0], 1.0, 5.0)
+
+
+def test_ev_stacked_chargers_keep_their_own_caps():
+    plugged = np.array([[1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 0]])
+    targets, caps = [4.0, 9.0, 0.0], [7.0, 3.5, 2.0]
+    proj = build_ev_projector(plugged, targets, caps)
+    assert proj.shape == (3, 8)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        v = rng.normal(scale=6.0, size=(3, 8))
+        out = proj(v)
+        for i in range(3):
+            ref = project_dykstra(
+                oracles.ev_reference_set(plugged[i], targets[i], caps[i]),
+                v[i], tol=1e-13, max_sweeps=100000)
+            assert np.linalg.norm(out[i] - ref) <= 1e-8
+            assert oracles.ev_kkt_residual(v[i], out[i], plugged[i],
+                                           caps[i]) <= 1e-6
+            assert np.all(np.hypot(out[i, :4], out[i, 4:]) <= caps[i] + 1e-12)
+
+
+def test_single_charger_call_matches_its_stacked_row():
+    rng = np.random.default_rng(13)
+    plugged = rng.random((5, 24)) < 0.6
+    plugged[:, 0] = True
+    caps = np.array([7.0, 7.0, 5.0, 6.0, 3.0])
+    targets = caps * plugged.sum(axis=1) * np.array([0.0, 1.0, 0.3, 0.7, 0.95])
+    stacked = build_ev_projector(plugged, targets, caps)
+    v = rng.normal(scale=6.0, size=(5, 48))
+    out = stacked(v)
+    assert np.array_equal(stacked(v.reshape(-1)), out.reshape(-1))
+    for i in range(5):
+        single = build_ev_projector(plugged[i], targets[i], caps[i])
+        assert np.array_equal(single(v[i]), out[i])
+
+
+def test_non_finite_input_passes_through():
+    # the run loop, not the projector, reports a diverged iterate
+    out = build_ev_projector([1, 1], 3.0, 4.0)(np.full(4, np.nan))
+    assert np.all(np.isnan(out))
+
+
+def test_hyperplane_outside_the_set_raises():
+    # p <= 0 on two slots of radius 1: the sums +1 and -3 are out of reach
+    box = Box([-np.inf] * 4, [0.0, 0.0, np.inf, np.inf])
+    disks = DiskPairs(4, [(0, 2), (1, 3)], 1.0)
+    for level in (1.0, -3.0):
+        proj = FeasibleSetProjector(box, disks, [1.0, 1.0, 0.0, 0.0], level)
+        with pytest.raises(InfeasibleSpec):
+            proj(np.zeros(4))
+
+
+def test_disk_pairs_need_cone_bounds_in_the_box():
+    # a bound of -1 on a disk coordinate would make box-then-disk inexact
+    with pytest.raises(ValueError):
+        FeasibleSetProjector(Box([-1.0, -np.inf], [0.0, np.inf]),
+                             DiskPairs(2, [(0, 1)], 1.0))
 
 
 # ------------------------------------------------------- shared properties
@@ -305,7 +375,7 @@ def _projection_zoo():
     Intersections run Dykstra at 1e-12 so the composite projection is
     resolved well below the 1e-10 property tolerances being checked.
     """
-    ev = build_ev_projector([1, 1, 0, 1], 5.0, 6.0, dykstra_tol=1e-12)
+    ev = build_ev_projector([1, 1, 0, 1], 5.0, 6.0)
     corner = Intersection([Box([0.0, 0.0], [2.0, 2.0]), Halfspace([1.0, 1.0], 1.0)])
     return [
         (Box([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5]).project, 3),
