@@ -242,11 +242,16 @@ def _resolve_file(sec, key, base_dir):
     return path
 
 
-def parse_config(text, base_dir="."):
-    """Build a validated ExperimentConfig from the raw text."""
+def parse_config(text, base_dir=".", overrides=None):
+    """Build a validated ExperimentConfig from the raw text.
+
+    overrides maps [experiment] keys to raw values that replace the
+    file's before anything is read from the section.
+    """
     sections = _read_sections(text)
     if "experiment" not in sections:
         raise ConfigError("missing required section [experiment]")
+    sections["experiment"].items.update(overrides or {})
     exp = sections["experiment"]
     version = exp.get_int("spec_version")
     if version != SPEC_VERSION:
@@ -326,9 +331,12 @@ def parse_config(text, base_dir="."):
                                          minimum=0.0, exclusive_min=True),
             voltage_scale=vsec.get_float("voltage_scale", DEFAULT_VOLTAGE_SCALE,
                                          minimum=0.0, exclusive_min=True),
-            penalty_weight=vsec.get_float("penalty_weight", 1.0),
-            active_weight=vsec.get_float("active_weight", 1.0),
-            reactive_weight=vsec.get_float("reactive_weight", 10.0),
+            penalty_weight=vsec.get_float("penalty_weight", 1.0,
+                                          minimum=0.0, exclusive_min=True),
+            active_weight=vsec.get_float("active_weight", 1.0,
+                                         minimum=0.0, exclusive_min=True),
+            reactive_weight=vsec.get_float("reactive_weight", 10.0,
+                                           minimum=0.0, exclusive_min=True),
             seed=vsec.get_int("seed", scenario_derived, minimum=0),
             network_file=_resolve_file(vsec, "network_file", base_dir),
             prices_file=_resolve_file(vsec, "prices_file", base_dir),
@@ -366,36 +374,15 @@ def load_config(path, seed=None, output_dir=None, oracle=None):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    overrides = []
+    overrides = {}
     if seed is not None:
-        overrides.append(("seed", str(int(seed))))
+        overrides["seed"] = str(int(seed))
     if output_dir is not None:
-        overrides.append(("output_dir", str(output_dir)))
+        overrides["output_dir"] = str(output_dir)
     if oracle is not None:
-        overrides.append(("oracle", oracle))
-    if overrides:
-        parser = configparser.ConfigParser(interpolation=None, strict=True)
-        parser.optionxform = str
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config: {exc}")
-        if not parser.has_section("experiment"):
-            raise ConfigError("missing required section [experiment]")
-        for key, value in overrides:
-            parser.set("experiment", key, value)
-        text = _parser_text(parser)
-    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def _parser_text(parser):
-    lines = []
-    for name in parser.sections():
-        lines.append(f"[{name}]")
-        for key, value in parser.items(name):
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
+        overrides["oracle"] = oracle
+    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)),
+                        overrides=overrides)
 
 
 # ------------------------------------------------------------------- echo

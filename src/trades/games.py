@@ -2,13 +2,17 @@
 
 An aggregative game couples N agents only through the average of their
 contributions.  Every game this package builds is affine with linear
-contribution maps, so a game is one stack of per-agent matrices: agent
-i contributes phi_i(x_i) = G_i x_i and, holding an estimate s_i of the
-aggregate, moves along the search direction B_i x_i + E_i s_i + c_i
-(its own-strategy gradient with the chain-rule term through its own
-contribution folded in).  Fed the true aggregate, the directions stack
-into the pseudo-gradient F(x) = A x + b, so the monotonicity modulus
-and the Lipschitz constant are exact eigenvalue and norm computations.
+contribution maps, held as one stack of per-agent Kronecker factors:
+agent i's strategy is a row-major (p, T) block x_i, it contributes the
+(q, T) block (G_i (x) I_T) x_i and, holding an estimate s_i of the
+aggregate, moves along the search direction
+(B_i (x) I_T) x_i + (E_i (x) I_T) s_i + c_i (its own-strategy gradient
+with the chain-rule term through its own contribution folded in).  The
+quadratic family has T = 1; in the voltage game T is the horizon.  Fed
+the true aggregate, the directions stack into the pseudo-gradient
+F(x) = (A (x) I_T) x + b with A of side N p, and A (x) I_T has the
+eigenvalues and singular values of A, so the monotonicity modulus and
+the Lipschitz constant are exact eigenvalue and norm computations on A.
 
 On top of that this module validates the structural assumptions and
 solves for the Nash equilibrium with a high-precision projected-gradient
@@ -40,10 +44,12 @@ class StrategyProfile:
 
 @dataclass
 class AffineGameSpec:
-    """Explicit affine pseudo-gradient F(x) = A x + b.
+    """Affine pseudo-gradient F(x) = (A (x) I_T) x + b, T = b.size / side of A.
 
-    Both constants are dense O(n^3) factorizations, so each is computed
-    on its first call and kept; A is not to be modified afterwards.
+    A (x) I_T has the eigenvalues and singular values of A, so both
+    constants are dense O((N p)^3) factorizations of A alone; each is
+    computed on its first call and kept, and A is not to be modified
+    afterwards.
     """
 
     A: np.ndarray
@@ -52,8 +58,9 @@ class AffineGameSpec:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        if self.A.shape != (self.b.size, self.b.size):
-            raise ValueError("A must be square and match b")
+        side = self.A.shape[0] if self.A.ndim == 2 else 0
+        if self.A.shape != (side, side) or side == 0 or self.b.size % side:
+            raise ValueError("A must be square with a side dividing b's size")
         self._modulus = None
         self._lipschitz = None
 
@@ -70,37 +77,43 @@ class AffineGameSpec:
 
 
 class GameDefinition:
-    """N agents with m-dimensional strategies and a d-dimensional aggregate.
+    """N agents with (p, T) strategy blocks and a (q, T) aggregate.
 
-    Agent i contributes G_i x_i and, given an aggregate estimate s_i,
-    moves along B_i x_i + E_i s_i + c_i.  The arrays are stacked over
-    agents: B (N, m, m), E (N, m, d), c (N, m), G (N, d, m); projector
-    is one feasible-set projector over the whole (N, m) strategy stack.
-    The affine pseudo-gradient F(x) = A x + b, with A = blockdiag(B) +
-    E G / N and b = c, is assembled here once.
+    The per-agent factors are stacked over agents: B (N, p, p),
+    E (N, p, q), G (N, q, p) and c (N, p, T), with T read from c.
+    Agent i contributes (G_i (x) I_T) x_i and, given an aggregate
+    estimate s_i, moves along (B_i (x) I_T) x_i + (E_i (x) I_T) s_i + c_i;
+    strategies are m = p T and aggregates d = q T long.  projector is
+    one feasible-set projector over the whole (N, m) strategy stack.
+    The factor A = blockdiag(B) + E G / N of the pseudo-gradient, with
+    b = c, is assembled here once.
     """
 
     def __init__(self, B, E, c, G, projector):
         B, E, c, G = (np.asarray(a, dtype=float) for a in (B, E, c, G))
         if B.ndim != 3 or B.shape[1] != B.shape[2] or B.shape[0] == 0:
-            raise ValueError(f"B must be (N, m, m) with N >= 1, got {B.shape}")
-        n_agents, m = B.shape[:2]
-        d = G.shape[1] if G.ndim == 3 else -1
-        if (E.shape, c.shape, G.shape) != ((n_agents, m, d), (n_agents, m),
-                                           (n_agents, d, m)):
+            raise ValueError(f"B must be (N, p, p) with N >= 1, got {B.shape}")
+        n_agents, p = B.shape[:2]
+        q = G.shape[1] if G.ndim == 3 else -1
+        horizon = c.shape[2] if c.ndim == 3 else -1
+        if (E.shape, c.shape, G.shape) != ((n_agents, p, q),
+                                           (n_agents, p, horizon),
+                                           (n_agents, q, p)):
             raise ValueError(f"per-agent arrays disagree: B {B.shape}, "
                              f"E {E.shape}, c {c.shape}, G {G.shape}")
-        if projector.shape not in ((n_agents * m,), (n_agents, m)):
+        self.N, self.p, self.q, self.T = n_agents, p, q, horizon
+        self.m, self.d = p * horizon, q * horizon
+        self.n = n_agents * self.m
+        if projector.shape not in ((self.n,), (n_agents, self.m)):
             raise ValueError(f"projector acts on shape {projector.shape}, "
-                             f"strategies have ({n_agents}, {m})")
+                             f"strategies have ({n_agents}, {self.m})")
         self.B, self.E, self.c, self.G = B, E, c, G
         self.projector = projector
-        self.N, self.m, self.d = n_agents, m, d
-        self.n = n_agents * m
-        a = E.reshape(self.n, d) @ G.transpose(1, 0, 2).reshape(d, self.n)
+        a = E.reshape(n_agents * p, q) @ G.transpose(1, 0, 2).reshape(
+            q, n_agents * p)
         a /= n_agents
         diag = np.arange(n_agents)
-        a.reshape(n_agents, m, n_agents, m)[diag, :, diag, :] += B
+        a.reshape(n_agents, p, n_agents, p)[diag, :, diag, :] += B
         self.affine = AffineGameSpec(a, c.reshape(-1))
 
     def split(self, x):
@@ -121,13 +134,14 @@ class GameDefinition:
 
 
 def phi_stack(game, x):
-    """All agent contributions G_i x_i of an (N, m) array, as (N, d).
+    """All agent contributions (G_i (x) I_T) x_i of an (N, m) array, as (N, d).
 
     Every aggregate evaluation in the package funnels through this stack
     and :func:`aggregate` so repeated computations reduce in the same
     order and reproduce bitwise.
     """
-    return np.einsum("idm,im->id", game.G, x)
+    x = np.reshape(x, (game.N, game.p, game.T))
+    return np.einsum("iqp,ipt->iqt", game.G, x).reshape(game.N, game.d)
 
 
 def aggregate(game, x):
@@ -136,12 +150,13 @@ def aggregate(game, x):
 
 
 def local_operator(game, x, s):
-    """Every agent's search direction B_i x_i + E_i s_i + c_i, as (N, m).
+    """Every agent's search direction, as (N, m).
 
     x is the (N, m) strategy array and row i of the (N, d) array s is
-    agent i's aggregate estimate.  Feeding the true aggregate in every
-    row gives the pseudo-gradient; feeding tracker outputs gives the
-    decentralized surrogate.
+    agent i's aggregate estimate; row i of the result is
+    (B_i (x) I_T) x_i + (E_i (x) I_T) s_i + c_i.  Feeding the true
+    aggregate in every row gives the pseudo-gradient; feeding tracker
+    outputs gives the decentralized surrogate.
     """
     if np.shape(x) != (game.N, game.m):
         raise ValueError(f"strategies have shape {np.shape(x)}, "
@@ -149,8 +164,11 @@ def local_operator(game, x, s):
     if np.shape(s) != (game.N, game.d):
         raise ValueError(f"aggregate estimates have shape {np.shape(s)}, "
                          f"expected ({game.N}, {game.d})")
-    return (np.einsum("imk,ik->im", game.B, x)
-            + np.einsum("imd,id->im", game.E, s) + game.c)
+    x = np.reshape(x, (game.N, game.p, game.T))
+    s = np.reshape(s, (game.N, game.q, game.T))
+    return (np.einsum("ipk,ikt->ipt", game.B, x)
+            + np.einsum("ipq,iqt->ipt", game.E, s)
+            + game.c).reshape(game.N, game.m)
 
 
 def pseudo_gradient(game, x):
@@ -169,8 +187,8 @@ class AssumptionReport:
 
     mu: float                      # exact modulus of strong monotonicity
     lipschitz_pseudo_gradient: float
-    lip_direction: float           # max_i ||[B_i E_i]||_2
-    lip_aggregation: float         # max_i ||G_i||_2
+    lip_direction: float           # max_i ||[B_i E_i] (x) I_T||_2
+    lip_aggregation: float         # max_i ||G_i (x) I_T||_2
     projector_residual: float      # worst membership residual of a sample
     samples: int
 
@@ -210,8 +228,9 @@ def validate_assumptions(game, sample_budget=50, rng=None, sample_scale=3.0):
     """Exact game constants plus a sampled check of the projector.
 
     The modulus and the Lipschitz constants come from the game's
-    matrices.  The projector is checked on ``sample_budget`` projected
-    random points: each must be a member of the feasible set, that is a
+    factors (a Kronecker product with I_T keeps the norm of its factor).
+    The projector is checked on ``sample_budget`` projected random
+    points: each must be a member of the feasible set, that is a
     fixed point of a second projection (the projector's membership
     residual is exactly that distance).
     """
@@ -300,7 +319,7 @@ def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
         B_i = Q_i + (kappa/N) G_i'C_i',   E_i = kappa C_i,   c_i = r_i.
 
     All agents share one strategy dimension m and one aggregate
-    dimension d.
+    dimension d; the game's factors are these matrices with T = 1.
     """
     n_agents = len(quadratics)
     if not (len(linears) == len(couplers) == len(aggregators) == n_agents):
@@ -325,7 +344,7 @@ def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
                         for k in (0, 1))
     cg = cs @ gs
     game = GameDefinition(qs + (kappa / n_agents) * cg.transpose(0, 2, 1),
-                          kappa * cs, rs, gs,
+                          kappa * cs, rs[:, :, None], gs,
                           FeasibleSetProjector(Box(lower, upper)))
     # retained so instances can be written to and reread from text files
     game.quadratic_data = {"quadratics": qs, "linears": rs, "coupling": kappa,

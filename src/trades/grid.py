@@ -340,39 +340,29 @@ def load_agents(path):
 class VoltageGameConfig:
     """Cost weights and references for the voltage-support game.
 
-    penalty weighs the aggregate voltage deviation (dimension
-    n_buses * horizon); local_weight weighs each agent's own injection
-    vector (dimension 2 * horizon, active block first).  reference is
-    the deviation target in scaled units; voltage_scale records the
-    unit change between per-unit volts and the aggregate.
+    penalty_weight weighs the squared aggregate voltage deviation
+    (dimension n_buses * horizon); active_weight and reactive_weight
+    weigh each agent's squared active and reactive injections.
+    reference is the deviation target in scaled units; voltage_scale
+    records the unit change between per-unit volts and the aggregate.
     """
 
     prices: np.ndarray
-    penalty: np.ndarray
-    local_weight: np.ndarray
     reference: np.ndarray
+    penalty_weight: float
+    active_weight: float
+    reactive_weight: float
     voltage_scale: float = DEFAULT_VOLTAGE_SCALE
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float).reshape(-1)
-        self.penalty = np.asarray(self.penalty, dtype=float)
-        self.local_weight = np.asarray(self.local_weight, dtype=float)
         self.reference = np.asarray(self.reference, dtype=float).reshape(-1)
-        if not self.voltage_scale > 0:
-            raise ValueError("voltage scale must be positive")
-        horizon = self.prices.size
-        if self.local_weight.shape != (2 * horizon, 2 * horizon):
-            raise ValueError("local weight must be 2T x 2T")
-        if self.penalty.shape != (self.reference.size, self.reference.size):
-            raise ValueError("penalty must match the reference dimension")
-        for name, mat in (("penalty", self.penalty),
-                          ("local weight", self.local_weight)):
-            if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.abs(mat).max()):
-                raise ValueError(f"{name} matrix must be symmetric")
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"{name} matrix must be positive definite")
+        for name in ("penalty_weight", "active_weight", "reactive_weight",
+                     "voltage_scale"):
+            value = float(getattr(self, name))
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            setattr(self, name, value)
 
     @property
     def horizon(self):
@@ -383,46 +373,39 @@ def default_voltage_config(model, prices,
                            voltage_scale=DEFAULT_VOLTAGE_SCALE,
                            penalty_weight=1.0, active_weight=1.0,
                            reactive_weight=10.0):
-    """Reference configuration: identity-style weights, support target.
+    """Reference configuration: the given weights, support target.
 
     The deviation target asks every bus to sit at 1 p.u., expressed in
-    scaled units as voltage_scale * (1 - v0).  The local weight is the
-    diagonal pair (active_weight, reactive_weight) repeated across the
-    horizon.
+    scaled units as voltage_scale * (1 - v0).
     """
     prices = np.asarray(prices, dtype=float).reshape(-1)
     if prices.size != model.horizon:
         raise ValueError("price horizon does not match the model")
-    t = model.horizon
-    d = model.dim
-    local = np.kron(np.diag([float(active_weight), float(reactive_weight)]),
-                    np.eye(t))
     return VoltageGameConfig(
         prices=prices,
-        penalty=float(penalty_weight) * np.eye(d),
-        local_weight=local,
         reference=float(voltage_scale) * (1.0 - model.v0),
-        voltage_scale=float(voltage_scale),
-    )
+        penalty_weight=penalty_weight, active_weight=active_weight,
+        reactive_weight=reactive_weight, voltage_scale=voltage_scale)
 
 
-def _contribution_matrix(model, bus, n_agents, voltage_scale):
-    """Scaled contribution map of one agent: N * vscale * [rho xi] (x) I_T."""
-    cols = np.column_stack([model.Rmat[:, bus], model.Xmat[:, bus]])
-    return n_agents * voltage_scale * np.kron(cols, np.eye(model.horizon))
+def _contribution_matrix(model, buses, n_agents, voltage_scale):
+    """Contribution factors N * vscale * [rho xi] of the agents at `buses`,
+    (len(buses), n_buses, 2); the contribution map is the factor (x) I_T."""
+    cols = np.stack([model.Rmat[:, buses], model.Xmat[:, buses]], axis=2)
+    return n_agents * voltage_scale * cols.transpose(1, 0, 2)
 
 
 def build_voltage_game(model, agents, cfg):
     """Assemble the voltage-support aggregative game.
 
-    Agent i pays -pi'p_i + ||sigma - reference||^2 in the penalty norm
-    + x_i'W x_i.  Its contribution map G_i carries the population
-    factor N, so the average aggregate equals the scaled total voltage
-    deviation.  The search direction B_i x_i + E_i s + c_i has
+    Agent i pays -pi'p_i + h ||sigma - reference||^2
+    + a ||p_i||^2 + r ||q_i||^2 with h, a, r the config's penalty,
+    active and reactive weights.  Its contribution factor G_i carries
+    the population factor N, so the average aggregate equals the scaled
+    total voltage deviation.  The search direction has the factors
 
-        B_i = 2W,   E_i = 2 G_i'H / N,   c_i = -(pi, 0) - E_i reference
-
-    with H the penalty matrix.
+        B_i = 2 diag(a, r),   E_i = 2 h G_i' / N,
+        c_i = -(pi, 0) - (E_i (x) I_T) reference.
     """
     agents = list(agents)
     n_agents = len(agents)
@@ -442,12 +425,14 @@ def build_voltage_game(model, agents, cfg):
         np.stack([spec.plugged for spec in agents]),
         [spec.target_energy for spec in agents],
         [spec.s_max for spec in agents])
-    g = np.stack([_contribution_matrix(model, spec.bus, n_agents,
-                                       cfg.voltage_scale) for spec in agents])
-    e = (2.0 / n_agents) * (g.transpose(0, 2, 1) @ cfg.penalty)
-    price_col = np.concatenate([cfg.prices, np.zeros(t)])
-    b = np.repeat(2.0 * cfg.local_weight[None], n_agents, axis=0)
-    return GameDefinition(b, e, -price_col - e @ cfg.reference, g, projector)
+    g = _contribution_matrix(model, [spec.bus for spec in agents], n_agents,
+                             cfg.voltage_scale)
+    e = (2.0 / n_agents) * (g.transpose(0, 2, 1) * cfg.penalty_weight)
+    weights = np.diag([cfg.active_weight, cfg.reactive_weight])
+    b = np.repeat(2.0 * weights[None], n_agents, axis=0)
+    price = np.stack([cfg.prices, np.zeros(t)])
+    c = -price - e @ cfg.reference.reshape(model.n_buses, t)
+    return GameDefinition(b, e, c, g, projector)
 
 
 # ------------------------------------------------------------- evaluation
@@ -468,7 +453,7 @@ def evaluate_voltages(model, agents, x, cfg=None):
     x is the stacked strategy vector (or profile) of all agents in the
     order of ``agents``; the voltage at bus b and hour tau lands at
     index b * horizon + tau.  With a config the deviation score
-    ||sigma - reference||^2 in penalty norm is attached, together with
+    penalty_weight * ||sigma - reference||^2 is attached, together with
     the do-nothing score for comparison.
     """
     agents = list(agents)
@@ -486,7 +471,7 @@ def evaluate_voltages(model, agents, x, cfg=None):
         return VoltageSummary(voltages=voltages)
     sigma = cfg.voltage_scale * (voltages - model.v0)
     dev = sigma - cfg.reference
-    score = float(dev @ cfg.penalty @ dev)
-    base = float(cfg.reference @ cfg.penalty @ cfg.reference)
+    score = float((cfg.penalty_weight * dev) @ dev)
+    base = float((cfg.penalty_weight * cfg.reference) @ cfg.reference)
     return VoltageSummary(voltages=voltages, deviation_score=score,
                           base_score=base)

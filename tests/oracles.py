@@ -170,11 +170,39 @@ def quadratic_cost(data, i, x_i, s):
 
 def voltage_cost(cfg, x_i, s):
     """Stated cost of one charger in the voltage game,
-    J_i = -pi'p + ||s - reference||_P^2 + x'W x with x = (p, q)."""
-    price = np.concatenate([cfg.prices, np.zeros(cfg.prices.size)])
+    J_i = -pi'p + h ||s - reference||^2 + a ||p||^2 + r ||q||^2 with
+    x = (p, q) and h, a, r the penalty, active and reactive weights."""
+    p, q = np.split(np.asarray(x_i, dtype=float), 2)
     dev = s - cfg.reference
-    return float(-price @ x_i + dev @ cfg.penalty @ dev
-                 + x_i @ cfg.local_weight @ x_i)
+    return float(-cfg.prices @ p + cfg.penalty_weight * (dev @ dev)
+                 + cfg.active_weight * (p @ p)
+                 + cfg.reactive_weight * (q @ q))
+
+
+def dense_voltage_game(model, agents, cfg):
+    """Kronecker-expanded per-agent blocks of the voltage game.
+
+    Rebuilt from the model and the config with np.kron, the route the
+    library avoids: G_i = N vscale [R_b X_b] (x) I_T, E_i = 2 h G_i' / N,
+    B_i = 2 diag(a, r) (x) I_T, c_i = -(pi, 0) - E_i reference, and the
+    dense pseudo-gradient matrix A = blockdiag(B) + [E_i G_j / N].
+    """
+    n_agents, eye = len(agents), np.eye(model.horizon)
+    g = np.stack([n_agents * cfg.voltage_scale * np.kron(np.column_stack(
+        [model.Rmat[:, a.bus], model.Xmat[:, a.bus]]), eye) for a in agents])
+    e = 2.0 * cfg.penalty_weight * g.transpose(0, 2, 1) / n_agents
+    b = np.kron(np.diag([2.0 * cfg.active_weight, 2.0 * cfg.reactive_weight]),
+                eye)
+    c = -np.concatenate([cfg.prices, np.zeros(model.horizon)]) \
+        - e @ cfg.reference
+    dim = b.shape[0]
+    a = np.zeros((n_agents * dim, n_agents * dim))
+    for i in range(n_agents):
+        a[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] += b
+        for j in range(n_agents):
+            a[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
+                e[i] @ g[j] / n_agents
+    return {"B": b, "E": e, "c": c, "G": g, "A": a}
 
 
 def kron_consensus_oracle(weights, z, phix):

@@ -58,8 +58,8 @@ horizon = 12
 """
 
 LAYERS = ("games.phi_stack", "games.local_operator", "games.pseudo_gradient",
-          "projections.project", "projections.membership_residual",
-          "algorithm.record")
+          "games.constants", "projections.project",
+          "projections.membership_residual", "algorithm.record")
 
 
 def _traced_layers(tmp_path, config):

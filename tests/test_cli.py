@@ -37,6 +37,24 @@ strategy_dim = 2
 agg_dim = 1
 """
 
+VOLTAGE_TEXT = """
+[experiment]
+spec_version = 1
+scenario = voltage
+seed = 3
+
+[graph]
+n_agents = 6
+edge_prob = 0.5
+
+[voltage]
+n_buses = 5
+horizon = 12
+penalty_weight = 1.0
+active_weight = 1.0
+reactive_weight = 10.0
+"""
+
 
 def _affine_cfg_file(tmp_path, out_name="out", extra=""):
     path = tmp_path / "exp.ini"
@@ -96,12 +114,20 @@ def test_explicit_section_seed_wins():
     ("[graph]", "[grid]"),
     ("edge_prob = 0.6", "edge_probability = 0.6"),
     ("max_iter = 4000", "max_iter = 4000\ntracker = exact_recomposed"),
+    ("penalty_weight = 1.0", "penalty_weight = 0"),
+    ("penalty_weight = 1.0", "penalty_weight = -1.0"),
+    ("active_weight = 1.0", "active_weight = 0.0"),
+    ("reactive_weight = 10.0", "reactive_weight = -2"),
 ])
 def test_parse_rejections(mutation):
     old, new = mutation
-    text = AFFINE_TEXT.format(out="out").replace(old, new)
-    with pytest.raises(ConfigError):
-        parse_config(text)
+    # each mutation edits whichever base config holds the line it replaces
+    base = next(text for text in (AFFINE_TEXT.format(out="out"), VOLTAGE_TEXT)
+                if old in text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(base.replace(old, new))
+    if "_weight" in old:
+        assert f"[voltage] {old.split()[0]} must be > 0" in str(err.value)
 
 
 def test_scenario_section_pairing():
@@ -412,10 +438,9 @@ n_buses = 5
 horizon = 12
 penalty_weight = -1.0
 """)
-    assert main(["validate", str(path)]) == 2
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "positive definite" in out
+    # rejected when the config is parsed, as a usage error naming the key
+    assert main(["validate", str(path)]) == 1
+    assert "[voltage] penalty_weight must be > 0" in capsys.readouterr().err
 
 
 def test_sweep_summary_and_parallel_determinism(tmp_path):

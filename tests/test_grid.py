@@ -12,8 +12,8 @@ from scipy import stats
 
 import oracles
 from trades.errors import InfeasibleSpec
-from trades.games import (aggregate, local_operator, pseudo_gradient,
-                          solve_ne_oracle)
+from trades.games import (aggregate, local_operator, phi_stack,
+                          pseudo_gradient, solve_ne_oracle)
 from trades.grid import (
     DEFAULT_VOLTAGE_SCALE,
     DistFlowModel,
@@ -230,27 +230,14 @@ def desk():
 
 def test_voltage_config_validation():
     t, d = 4, 12
-    ok = dict(prices=np.ones(t), penalty=np.eye(d),
-              local_weight=np.eye(2 * t), reference=np.zeros(d))
+    ok = dict(prices=np.ones(t), reference=np.zeros(d), penalty_weight=1.0,
+              active_weight=1.0, reactive_weight=10.0)
     VoltageGameConfig(**ok)
-    bad = dict(ok)
-    bad["penalty"] = -np.eye(d)
-    with pytest.raises(ValueError):
-        VoltageGameConfig(**bad)
-    bad = dict(ok)
-    m = np.eye(2 * t)
-    m[0, 1] = 0.5  # asymmetric
-    bad["local_weight"] = m
-    with pytest.raises(ValueError):
-        VoltageGameConfig(**bad)
-    bad = dict(ok)
-    bad["local_weight"] = np.eye(2 * t + 2)
-    with pytest.raises(ValueError):
-        VoltageGameConfig(**bad)
-    bad = dict(ok)
-    bad["voltage_scale"] = 0.0
-    with pytest.raises(ValueError):
-        VoltageGameConfig(**bad)
+    for key in ("penalty_weight", "active_weight", "reactive_weight",
+                "voltage_scale"):
+        for value in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match=key):
+                VoltageGameConfig(**dict(ok, **{key: value}))
 
 
 def test_desk_game_dimensions(desk):
@@ -260,6 +247,12 @@ def test_desk_game_dimensions(desk):
     assert game.d == 360
     assert game.n == 1920
     assert cfg.voltage_scale == DEFAULT_VOLTAGE_SCALE
+    # held as Kronecker factors with I_24: two strategy rows, 15 bus rows
+    assert (game.p, game.q, game.T) == (2, 15, 24)
+    assert game.G.shape == (40, 15, 2)
+    assert game.E.shape == (40, 2, 15) and game.B.shape == (40, 2, 2)
+    assert game.c.shape == (40, 2, 24)
+    assert game.affine.A.shape == (80, 80)
 
 
 def test_zero_incentive_game_has_zero_equilibrium():
@@ -269,10 +262,9 @@ def test_zero_incentive_game_has_zero_equilibrium():
     model = distflow_sensitivities(net, gen_baseline_profile(net, 8, seed=1))
     agents = [EvAgentSpec(bus=b, plugged=np.ones(8), target_energy=0.0)
               for b in (1, 3, 5)]
-    cfg = VoltageGameConfig(prices=np.zeros(8),
-                            penalty=np.eye(model.dim),
-                            local_weight=np.eye(16),
-                            reference=np.zeros(model.dim))
+    cfg = VoltageGameConfig(prices=np.zeros(8), reference=np.zeros(model.dim),
+                            penalty_weight=1.0, active_weight=1.0,
+                            reactive_weight=1.0)
     game = build_voltage_game(model, agents, cfg)
     xstar = solve_ne_oracle(game, tol=1e-13, max_iter=2000)
     assert np.max(np.abs(xstar.stacked)) <= 1e-12
@@ -284,9 +276,41 @@ def test_affine_structure_matches_pseudo_gradient(desk):
     for _ in range(3):
         x = np.concatenate(game.project(game.split(rng.normal(size=game.n) * 3)))
         direct = pseudo_gradient(game, x)
-        assembled = game.affine.A @ x + game.affine.b
+        assembled = np.kron(game.affine.A, np.eye(game.T)) @ x + game.affine.b
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(direct - assembled)) <= 1e-12 * scale
+
+
+def test_factored_game_matches_dense_expansion():
+    """Against per-agent blocks expanded with np.kron from the model and
+    the config: the contribution stack, the search directions and the
+    game constants of the factored game."""
+    net = build_radial_network(6, seed=12)
+    model = distflow_sensitivities(net, gen_baseline_profile(net, 12, seed=13))
+    agents = gen_agents(6, net, 12, seed=14)
+    cfg = default_voltage_config(model, gen_prices(12, seed=15),
+                                 penalty_weight=0.7, active_weight=1.3,
+                                 reactive_weight=4.0)
+    game = build_voltage_game(model, agents, cfg)
+    dense = oracles.dense_voltage_game(model, agents, cfg)
+    assert np.allclose(game.c.reshape(game.N, -1), dense["c"], rtol=1e-13,
+                       atol=1e-13 * np.max(np.abs(dense["c"])))
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        x = rng.normal(size=(game.N, game.m)) * 3
+        s = rng.normal(size=(game.N, game.d)) * 50
+        phi = np.stack([g @ x_i for g, x_i in zip(dense["G"], x)])
+        assert np.allclose(phi_stack(game, x), phi, rtol=1e-13,
+                           atol=1e-13 * np.max(np.abs(phi)))
+        direct = np.stack([dense["B"] @ x_i + e @ s_i + c_i for e, c_i, x_i,
+                           s_i in zip(dense["E"], dense["c"], x, s)])
+        assert np.allclose(local_operator(game, x, s), direct, rtol=1e-13,
+                           atol=1e-12 * np.max(np.abs(direct)))
+    a = dense["A"]
+    mu = np.linalg.eigvalsh((a + a.T) / 2.0)[0]
+    lip = np.linalg.norm(a, 2)
+    assert abs(game.affine.exact_modulus() - mu) <= 1e-10 * abs(mu)
+    assert abs(game.affine.exact_lipschitz() - lip) <= 1e-10 * lip
 
 
 def test_local_operator_is_total_derivative(desk):
