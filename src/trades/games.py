@@ -10,7 +10,7 @@ aggregate, moves along the search direction
 with the chain-rule term through its own contribution folded in).  The
 quadratic family has T = 1; in the voltage game T is the horizon.  Fed
 the true aggregate, the directions stack into the pseudo-gradient
-F(x) = (A (x) I_T) x + b with A of side N p, and A (x) I_T has the
+F(x) = (A (x) I_T) x + c with A of side N p, and A (x) I_T has the
 eigenvalues and singular values of A, so the monotonicity modulus and
 the Lipschitz constant are exact eigenvalue and norm computations on A.
 
@@ -44,7 +44,7 @@ class StrategyProfile:
 
 @dataclass
 class AffineGameSpec:
-    """Affine pseudo-gradient F(x) = (A (x) I_T) x + b, T = b.size / side of A.
+    """Factor A of an affine pseudo-gradient F(x) = (A (x) I_T) x + c.
 
     A (x) I_T has the eigenvalues and singular values of A, so both
     constants are dense O((N p)^3) factorizations of A alone; each is
@@ -53,14 +53,12 @@ class AffineGameSpec:
     """
 
     A: np.ndarray
-    b: np.ndarray
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
         side = self.A.shape[0] if self.A.ndim == 2 else 0
-        if self.A.shape != (side, side) or side == 0 or self.b.size % side:
-            raise ValueError("A must be square with a side dividing b's size")
+        if self.A.shape != (side, side) or side == 0:
+            raise ValueError(f"A must be square and nonempty, got {self.A.shape}")
         self._modulus = None
         self._lipschitz = None
 
@@ -85,8 +83,8 @@ class GameDefinition:
     estimate s_i, moves along (B_i (x) I_T) x_i + (E_i (x) I_T) s_i + c_i;
     strategies are m = p T and aggregates d = q T long.  projector is
     one feasible-set projector over the whole (N, m) strategy stack.
-    The factor A = blockdiag(B) + E G / N of the pseudo-gradient, with
-    b = c, is assembled here once.
+    The factor A = blockdiag(B) + E G / N of the pseudo-gradient
+    (A (x) I_T) x + c is assembled here once.
     """
 
     def __init__(self, B, E, c, G, projector):
@@ -114,7 +112,7 @@ class GameDefinition:
         a /= n_agents
         diag = np.arange(n_agents)
         a.reshape(n_agents, p, n_agents, p)[diag, :, diag, :] += B
-        self.affine = AffineGameSpec(a, c.reshape(-1))
+        self.affine = AffineGameSpec(a)
 
     def split(self, x):
         """(N, m) strategy array of a profile, stacked vector or (N, m) array."""

@@ -222,12 +222,13 @@ def kron_consensus_oracle(weights, z, phix):
 def fixed_point_residual(game, x, gamma):
     """Distance of x from one undamped projected-gradient step.
 
-    Rebuilt from the game's explicit affine data, F(x) = A x + b clipped
+    Rebuilt from the game's explicit affine data, F(x) = A x + c clipped
     to the bounds of the game's box, rather than from the local operator
     and the projector the solver itself uses.
     """
     affine = game.affine
     box = game.projector.box
     x = np.asarray(x, dtype=float)
-    moved = np.clip(x - gamma * (affine.A @ x + affine.b), box.lower, box.upper)
+    moved = np.clip(x - gamma * (affine.A @ x + game.c.reshape(-1)),
+                    box.lower, box.upper)
     return float(np.linalg.norm(x - moved))

@@ -225,7 +225,7 @@ def test_game_file_round_trip(tmp_path):
     save_quadratic_game(game, path)
     again = load_quadratic_game(path)
     assert np.array_equal(game.affine.A, again.affine.A)
-    assert np.array_equal(game.affine.b, again.affine.b)
+    assert np.array_equal(game.c, again.c)
     assert again.N == 4 and again.d == 2 and again.m == game.m == 3
     x = np.linspace(-1, 1, game.n)
     from trades.games import pseudo_gradient

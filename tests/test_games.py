@@ -141,7 +141,7 @@ def test_pseudo_gradient_matches_assembled_affine_map():
     for _ in range(20):
         x = rng.normal(scale=2.0, size=game.n)
         f = pseudo_gradient(game, x)
-        ref = aff.A @ x + aff.b
+        ref = aff.A @ x + game.c.reshape(-1)
         assert np.allclose(f, ref, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(ref)))
 
 
@@ -304,7 +304,7 @@ def test_oracle_equilibrium_satisfies_variational_inequality():
 def test_oracle_interior_matches_linear_solve():
     game = random_strongly_monotone_game(6, 2, 2, seed=93, box_halfwidth=None)
     star = solve_ne_oracle(game, tol=1e-13)
-    ref = np.linalg.solve(game.affine.A, -game.affine.b)
+    ref = np.linalg.solve(game.affine.A, -game.c.reshape(-1))
     assert np.allclose(star.stacked, ref, rtol=0, atol=1e-9)
 
 
@@ -353,16 +353,16 @@ def test_oracle_requires_stepsize_for_non_monotone_game():
 
 def test_game_rejects_inconsistent_aggregate_dims():
     # E reads a one-dimensional aggregate, G writes a two-dimensional one
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="per-agent arrays disagree"):
         GameDefinition(np.zeros((2, 2, 2)), np.zeros((2, 2, 1)),
-                       np.zeros((2, 2)), np.ones((2, 2, 2)),
+                       np.zeros((2, 2, 1)), np.ones((2, 2, 2)),
                        FeasibleSetProjector(Box(np.zeros(4), np.ones(4))))
 
 
 def test_game_rejects_projector_dimension_clash():
-    with pytest.raises(ValueError):
-        GameDefinition(np.eye(2)[None], np.zeros((1, 2, 1)), np.zeros((1, 2)),
-                       np.ones((1, 1, 2)),
+    with pytest.raises(ValueError, match="projector acts on"):
+        GameDefinition(np.eye(2)[None], np.zeros((1, 2, 1)),
+                       np.zeros((1, 2, 1)), np.ones((1, 1, 2)),
                        FeasibleSetProjector(Box([0.0], [1.0])))
 
 
@@ -383,11 +383,11 @@ def test_phi_stack_shape():
 
 def test_affine_spec_shape_validation():
     with pytest.raises(ValueError):
-        AffineGameSpec(np.zeros((2, 3)), np.zeros(2))
+        AffineGameSpec(np.zeros((2, 3)))
 
 
 def test_affine_constants_computed_once(monkeypatch):
-    spec = AffineGameSpec(np.array([[3.0, 1.0], [-1.0, 2.0]]), np.zeros(2))
+    spec = AffineGameSpec(np.array([[3.0, 1.0], [-1.0, 2.0]]))
     calls = {"eigvalsh": 0, "norm": 0}
     eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
 

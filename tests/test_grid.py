@@ -276,7 +276,7 @@ def test_affine_structure_matches_pseudo_gradient(desk):
     for _ in range(3):
         x = np.concatenate(game.project(game.split(rng.normal(size=game.n) * 3)))
         direct = pseudo_gradient(game, x)
-        assembled = np.kron(game.affine.A, np.eye(game.T)) @ x + game.affine.b
+        assembled = np.kron(game.affine.A, np.eye(game.T)) @ x + game.c.reshape(-1)
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(direct - assembled)) <= 1e-12 * scale
 
