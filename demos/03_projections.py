@@ -10,8 +10,9 @@ The closing example is the feasible set of one electric vehicle over a
 day: charge only while plugged in, meet the energy target exactly, and
 keep each hour's (active, reactive) power inside the inverter's disk.
 The package projects onto it without Dykstra: clamp and disk scaling
-are exact there, and the energy multiplier comes from a bracketed root
-search.  Dykstra on the same set, built from primitives, agrees.
+are exact there, and the energy multiplier comes from a Newton root
+search kept inside a bracket.  Dykstra on the same set, built from
+primitives, agrees.
 """
 
 import numpy as np

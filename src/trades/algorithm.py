@@ -327,13 +327,21 @@ def _oracle_vector(game, oracle):
     return vec
 
 
+def _disagreement(z, phix, mean_row):
+    """Norm of z + phix minus its mean (mean_row = ones/N), which is the
+    norm of its coordinates in the consensus basis."""
+    y = z + phix
+    y -= mean_row @ y
+    return float(np.linalg.norm(y))
+
+
 class _Recorder:
     """Accumulates trace rows; one call per recorded iterate."""
 
     def __init__(self, game, oracle_vec):
         self.game = game
         self.oracle_vec = oracle_vec
-        self.basis = consensus_basis(game.N)
+        self.mean_row = np.full(game.N, 1.0 / game.N)
         self.rows = {name: [] for name in
                      ("t", "err_x", "est_err_max", "disagreement",
                       "step_norm", "z_mean_residual", "feas_residual")}
@@ -341,7 +349,7 @@ class _Recorder:
     def add(self, t, x, z, phix, step_norm):
         sigma = phix.mean(axis=0)
         est = float(np.max(np.linalg.norm(phix + z - sigma[None, :], axis=1)))
-        disagreement = float(np.linalg.norm(self.basis.to_disagreement(z + phix)))
+        disagreement = _disagreement(z, phix, self.mean_row)
         z_norm = float(np.linalg.norm(z))
         z_mean = float(np.linalg.norm(z.sum(axis=0))) / max(1.0, z_norm)
         feas = self.game.projector.membership_residual(x)
@@ -486,16 +494,14 @@ def boundary_layer_probe(graph, game, x, steps=None):
     """
     phix = phi_stack(game, game.split(x))
     sigma = phix.mean(axis=0)
-    basis = consensus_basis(game.N)
-    target = -basis.to_disagreement(phix)
     rho = spectrum(graph).rho_disagreement
     if steps is None:
         steps = boundary_layer_budget(rho)
-    z = np.zeros((game.N, game.d))
-    errors = [float(np.linalg.norm(basis.to_disagreement(z) - target))]
+    z, mean_row = np.zeros((game.N, game.d)), np.full(game.N, 1.0 / game.N)
+    errors = [_disagreement(z, phix, mean_row)]
     for _ in range(int(steps)):
         z = consensus_step(graph, z, phix)
-        errors.append(float(np.linalg.norm(basis.to_disagreement(z) - target)))
+        errors.append(_disagreement(z, phix, mean_row))
     errors = np.asarray(errors)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(errors[:-1] > _FIT_FLOOR,

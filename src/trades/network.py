@@ -177,10 +177,10 @@ def make_doubly_stochastic(graph, method="metropolis_symmetrized",
 def consensus_step(graph, z, phix):
     """One perturbed-consensus update of the tracker stack.
 
-    Computes W z + (W - I) phi blockwise on (N, d) arrays; the lifted
-    Kronecker operator is never materialized.  Row and column sums of W
-    being one makes the per-column mean of z invariant, which is the
-    conservation property the aggregate trackers rely on.
+    Computes W z + (W - I) phi as W (z + phi) - phi, one product on
+    (N, d) arrays; the lifted Kronecker operator is never materialized.
+    Row and column sums of W being one makes the per-column mean of z
+    invariant, which is the conservation property the trackers rely on.
     """
     if graph.weights is None:
         raise ValueError("weights not set")
@@ -191,7 +191,7 @@ def consensus_step(graph, z, phix):
     if phix.shape != z.shape:
         raise ValueError("tracker and contribution stacks must share a shape")
     w = graph.weights
-    return w @ z + w @ phix - phix
+    return w @ (z + phix) - phix
 
 
 class ConsensusSpectrum:

@@ -1,12 +1,10 @@
 """Euclidean projections onto the convex sets used by the solvers.
 
 Primitive sets (boxes, hyperplanes, halfspaces, per-slot disk caps) have
-closed-form projections.  A game's feasible set is one box, disk caps
-and one hyperplane per agent over the whole strategy stack, which
-:class:`FeasibleSetProjector` projects onto exactly by a multiplier
-search; the charger sets of the case study are its instance.  Dykstra's
-alternating scheme projects onto any intersection of primitives and is
-the reference the exact projector is checked against.
+closed-form projections.  A game's feasible set, one box, disk caps and
+one hyperplane per agent over the strategy stack, is projected onto
+exactly by the Newton multiplier search of :class:`FeasibleSetProjector`.
+Dykstra's scheme, its reference, projects onto any intersection.
 """
 
 import numpy as np
@@ -242,8 +240,9 @@ class FeasibleSetProjector(ConvexSet):
     pairs must be 0 or infinite, so clamping then scaling onto the disks
     projects exactly onto box and disks (call it P).  The projection is
     P(v_i - lam_i a_i) at the root of the nonincreasing
-    g_i(lam) = a_i . P(v_i - lam a_i) - b_i, searched for all agents at
-    once; a search that cannot bracket or does not converge raises.
+    g_i(lam) = a_i . P(v_i - lam a_i) - b_i.  All agents take Newton steps
+    at once, each falling back to the midpoint of the root's bracket when
+    it would leave it; a search that cannot bracket or converge raises.
     """
 
     def __init__(self, box, disks=None, normals=None, levels=None):
@@ -263,52 +262,53 @@ class FeasibleSetProjector(ConvexSet):
 
     def project(self, v):
         """Projection of v, in the shape v comes in (stacked or flat)."""
-        shape = np.shape(v)
-        v = _as_vector(v, self.dim)
+        shape, v = np.shape(v), _as_vector(v, self.dim)
         if self.normals is None:
-            return self._box_disk(v).reshape(shape)
+            return self._box_disk(v)[0].reshape(shape)
         return self._search(v.reshape(self.shape)).reshape(shape)
 
     __call__ = project
 
     def _box_disk(self, v):
-        x = self.box.project(v)
-        x = x if self.disks is None else self.disks.project(x)
-        return x.reshape(np.shape(v))
+        """P(v) in the shape of v, and the flat clamped point y."""
+        y = self.box.project(v)
+        x = y if self.disks is None else self.disks.project(y)
+        return x.reshape(np.shape(v)), y
+
+    def _slope(self, y):
+        """a_i . J a_i = -g_i', J the Jacobian of P where the box clamps to y: the
+        free mask, then (r/|u|)(I - u u^T/|u|^2) on pairs u of y beyond radius r."""
+        ja = self.normals.reshape(-1) * ((self.box.lower < y) & (y < self.box.upper))
+        if self.disks is not None:
+            p, r = self.disks.pairs, self.disks.radius
+            norm = np.hypot(*y[p.T])
+            cap = norm > r
+            p, r, norm = p[cap], r[cap, None], norm[cap, None]
+            w, y_hat = ja[p], y[p] / norm
+            ja[p] = r / norm * (w - y_hat * (y_hat * w).sum(axis=1, keepdims=True))
+        return np.einsum("im,im->i", self.normals, ja.reshape(self.shape))
 
     def _search(self, v):
-        n = self.levels.size
+        n, a = self.levels.size, self.normals
         lam, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
-        g_lo, g_hi, side = np.zeros(n), np.zeros(n), np.zeros(n)
         todo, collapsed, out = np.ones(n, bool), np.zeros(n, bool), None
         for k in range(_SEARCH_MAX_EVALS):
-            x = self._box_disk(v - lam[:, None] * self.normals)
-            gap = np.einsum("im,im->i", self.normals, x) - self.levels
+            x, y = self._box_disk(v - lam[:, None] * a)
+            gap = np.einsum("im,im->i", a, x) - self.levels
             # a nan gap (non-finite input) ends too: the caller sees the nan
             done = todo & (collapsed | ~(np.abs(gap) > self._tol))
             out = x if out is None else np.where(done[:, None], x, out)
             todo &= ~done
             if not todo.any():
                 return out
-            up, down = todo & (gap > 0.0), todo & (gap < 0.0)
-            # Illinois: halve the gap of an end kept twice in a row (0 if
-            # open); side counts how often the same end moved in a row
-            g_hi[up & (side > 0)] *= 0.5
-            g_lo[down & (side < 0)] *= 0.5
-            side[up] = np.maximum(side[up], 0.0) + 1.0
-            side[down] = np.minimum(side[down], 0.0) - 1.0
-            lo[up], g_lo[up] = lam[up], gap[up]
-            hi[down], g_hi[down] = lam[down], gap[down]
+            lo, hi = np.where(gap > 0.0, lam, lo), np.where(gap < 0.0, lam, hi)
             closed = np.isfinite(lo) & np.isfinite(hi)
-            # g moves at most |a|^2 per unit of lam, so an open bracket
-            # steps 2^k times the least distance to the root; a closed one
-            # takes the false-position point, or the midpoint once an end
-            # has moved three times running or when rounding leaves no room
+            # g moves at most |a|^2 per unit of lam, so with no slope an
+            # open bracket steps 2^k times the least distance to the root
             with np.errstate(invalid="ignore", divide="ignore"):
-                trial = np.where(closed, lo + g_lo * (hi - lo) / (g_lo - g_hi),
-                                 lam + 2.0 ** k * gap / self._aa)
-                bisect = (np.abs(side) >= 3) | ~((trial > lo) & (trial < hi))
-                trial = np.where(closed & bisect, 0.5 * (lo + hi), trial)
+                trial = lam + gap / self._slope(y)
+                trial = np.where((trial > lo) & (trial < hi), trial, np.where(
+                    closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
             # no float strictly inside the bracket: the root is found
             collapsed = closed & ~((trial > lo) & (trial < hi))
             lam = np.where(todo, trial, lam)

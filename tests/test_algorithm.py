@@ -320,10 +320,11 @@ def test_trace_quantities_match_direct_evaluation():
     sigma = phix.mean(axis=0)
     est_direct = max(np.linalg.norm(phix[i] - sigma) for i in range(game.N))
     assert abs(trace.est_err_max[0] - est_direct) <= 1e-13
-    # disagreement at z = 0 equals the norm of the centered contribution
-    # stack; computing it without the orthonormal basis is the second route
-    centered = phix - sigma[None, :]
-    assert abs(trace.disagreement[0] - np.linalg.norm(centered)) <= 1e-12
+    # disagreement at z = 0 is the norm of the contribution stack's
+    # coordinates in the orthonormal basis; the recorder centers the stack
+    # instead, so the basis is the second route
+    basis_norm = np.linalg.norm(consensus_basis(game.N).to_disagreement(phix))
+    assert abs(trace.disagreement[0] - basis_norm) <= 1e-12
     assert np.isnan(trace.err_x[0])
 
 
@@ -517,16 +518,19 @@ def test_boundary_layer_er_graph_decay():
 
 
 def test_boundary_layer_error_has_two_routes():
-    # the probe's disagreement error, measured through the orthonormal
-    # basis, must agree with the centered-stack norm computed without it
+    # the probe's disagreement error, the norm of the centered estimates,
+    # must agree with the norm of their orthonormal-basis coordinates
+    from trades.network import consensus_step
     game = random_strongly_monotone_game(7, 2, 3, seed=14)
     graph = _graph(7, 0.5, 5)
     x = init(game, 8).x
     phix = phi_stack(game, x.blocks)
-    sigma = phix.mean(axis=0)
-    result = boundary_layer_probe(graph, game, x, steps=0)
-    direct = np.linalg.norm(phix - sigma[None, :])
-    assert abs(result.errors[0] - direct) <= 1e-12 * max(1.0, direct)
+    result = boundary_layer_probe(graph, game, x, steps=5)
+    z = np.zeros_like(phix)
+    for error in result.errors:
+        direct = np.linalg.norm(consensus_basis(7).to_disagreement(z + phix))
+        assert abs(error - direct) <= 1e-12 * max(1.0, direct)
+        z = consensus_step(graph, z, phix)
 
 
 # ------------------------------------------------------------------ fitting

@@ -6,7 +6,9 @@ A rename in the package would silently leave a layer unmeasured, so
 these run traced CLI commands in a subprocess and check that each layer
 recorded spans: an affine run for every layer, and a small voltage run
 for the charger projections, which must go through
-FeasibleSetProjector.__call__ too.
+FeasibleSetProjector.__call__ too and evaluate Box.project and
+DiskPairs.project inside it, where the per-projection evaluation counter
+looks for them.
 """
 
 import os
@@ -62,8 +64,8 @@ LAYERS = ("games.phi_stack", "games.local_operator", "games.pseudo_gradient",
           "projections.membership_residual", "algorithm.record")
 
 
-def _traced_layers(tmp_path, config):
-    """Names of the layers that recorded spans in one traced `run`."""
+def _traced_spans(tmp_path, config):
+    """Spans and counters of one traced `run`."""
     cfg = tmp_path / "exp.ini"
     cfg.write_text(config)
     prefix = tmp_path / "spans"
@@ -74,15 +76,24 @@ def _traced_layers(tmp_path, config):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     with np.load(f"{prefix}.npz") as spans:
-        names = [str(n) for n in spans["names"]]
-        return {names[i] for i in set(spans["name"].tolist())}
+        return {key: spans[key] for key in spans.files}
+
+
+def _layers(spans):
+    """Names of the layers that recorded spans."""
+    return {str(spans["names"][i]) for i in set(spans["name"].tolist())}
 
 
 def test_traced_run_records_every_layer(tmp_path):
-    recorded = _traced_layers(tmp_path, CONFIG)
+    recorded = _layers(_traced_spans(tmp_path, CONFIG))
     for layer in LAYERS:
         assert layer in recorded, layer
 
 
 def test_traced_voltage_run_records_charger_projections(tmp_path):
-    assert "projections.project" in _traced_layers(tmp_path, VOLTAGE_CONFIG)
+    spans = _traced_spans(tmp_path, VOLTAGE_CONFIG)
+    assert "projections.project" in _layers(spans)
+    project = list(spans["names"]).index("projections.project")
+    tallied = spans["name"][spans["member_idx"]] == project
+    assert tallied.any()
+    assert np.all(spans["member_val"][tallied] > 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from trades import projections
 from trades.errors import EmptyIntersectionSuspected, InfeasibleSpec, MaxSweepsExceeded
 from trades.projections import (
     Box,
@@ -357,6 +358,21 @@ def test_hyperplane_outside_the_set_raises():
         proj = FeasibleSetProjector(box, disks, [1.0, 1.0, 0.0, 0.0], level)
         with pytest.raises(InfeasibleSpec):
             proj(np.zeros(4))
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+def test_multiplier_search_out_of_budget_raises(monkeypatch, budget):
+    # this point needs five evaluations, and the second one closes the
+    # bracket, so a smaller budget ends in a bracket that never shrank
+    # to the root (one evaluation cannot bracket at all)
+    proj = build_ev_projector([1, 1, 1, 0], 5.0, 4.0)
+    v = np.array([3.0, -1.0, 2.0, 5.0, 1.0, -2.0, 0.5, 3.0])
+    reference = proj(v)
+    monkeypatch.setattr(projections, "_SEARCH_MAX_EVALS", budget)
+    with pytest.raises(MaxSweepsExceeded):
+        proj(v)
+    monkeypatch.setattr(projections, "_SEARCH_MAX_EVALS", 5)
+    assert np.array_equal(proj(v), reference)
 
 
 def test_disk_pairs_need_cone_bounds_in_the_box():

@@ -6,11 +6,12 @@ graph, then runs at most a few hundred sweeps.  Together the two game
 properties cover acceptance criteria 2, 4 and 8 beyond the hand-picked
 instances.  Each charger example draws a horizon, a plug mask, a cap and
 an energy target up to the cap, and checks the exact projection against
-Dykstra and for idempotence and nonexpansiveness.
+Dykstra and for idempotence and nonexpansiveness, and the slope of the
+multiplier search against a central difference.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -107,3 +108,28 @@ def test_charger_projection_is_idempotent_nonexpansive_stationary(inst):
     # exist), out of reach of the stationarity oracle's least squares
     if inst["fill"] <= 0.99:
         assert oracles.ev_kkt_residual(u, pu, plugged, inst["s_max"]) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(chargers(), st.floats(-2.0, 2.0))
+def test_multiplier_search_slope_is_the_derivative(inst, shift):
+    # g(lam) = a . P(v - lam a) - b has slope -a . J a wherever the
+    # clamped coordinates and the capped disk pairs stay the same; the
+    # difference quotient carries rounding of eps |a| . |P| / h besides
+    _, _, proj, (v, _) = _charger(inst)
+    a = proj.normals
+    lam, h = shift * inst["s_max"], 1e-5 * inst["s_max"]
+    points = [v - (lam + k * h) * a[0] for k in (-1, 0, 1)]
+
+    def piece(u):
+        y = proj.box.project(u)
+        free = (proj.box.lower < y) & (y < proj.box.upper)
+        capped = np.hypot(*y[proj.disks.pairs.T]) > proj.disks.radius
+        return np.concatenate([free, capped])
+
+    assume(all(np.array_equal(piece(points[1]), piece(u)) for u in points))
+    below, above = proj._box_disk(points[0])[0], proj._box_disk(points[2])[0]
+    (slope,) = proj._slope(proj.box.project(points[1]))
+    difference = a[0] @ (below - above) / (2.0 * h)
+    rounding = 4.0 * np.finfo(float).eps * (np.abs(a[0]) @ np.abs(below)) / h
+    assert abs(slope - difference) <= 1e-6 * abs(slope) + rounding
