@@ -18,6 +18,7 @@ validate), 3 the reference equilibrium solve missed its tolerance.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .algorithm import TradesConfig, run
+from .algorithm import run
 from .config import (SPEC_VERSION, canonical_text, load_config,
                      load_quadratic_game, parse_config, split_scenario_seed)
 from .errors import (ConfigError, MaxIterExceeded, NonFiniteDetected,
@@ -291,10 +292,8 @@ def _cell_dir(out_dir, i, j):
 def _sweep_cell(text, gamma, delta, max_iter, cell_dir, oracle_x):
     """One grid cell: isolated deterministic run, own trace file."""
     cfg = parse_config(text)
-    trades = TradesConfig(gamma=gamma, delta=delta,
-                          stop_tol=cfg.trades.stop_tol, max_iter=max_iter,
-                          trace_stride=cfg.trades.trace_stride,
-                          seed=cfg.trades.seed)
+    trades = dataclasses.replace(cfg.trades, gamma=gamma, delta=delta,
+                                 max_iter=max_iter)
     graph = build_graph(cfg)
     game, _ = assemble_game(cfg)
     diverged = False

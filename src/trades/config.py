@@ -5,18 +5,9 @@ lines grouped under section headers, versioned by a ``spec_version``
 key.  Unknown sections and unknown keys are rejected outright so a
 typo cannot silently fall back to a default.
 
-Sections:
-
-    [experiment]  spec_version, scenario (affine | voltage), seed,
-                  output_dir, oracle (on | off)
-    [graph]       n_agents, edge_prob, weight_method, seed
-    [trades]      gamma, delta, stop_tol, max_iter, trace_stride, tracker
-    [affine]      strategy_dim, agg_dim, coupling, box_halfwidth, seed,
-                  or a single game_file pointing at a saved instance
-    [voltage]     n_buses, horizon, power_base_kw, voltage_scale,
-                  penalty_weight, active_weight, reactive_weight,
-                  network_file, prices_file, agents_file, seed
-    [sweep]       gamma (comma list), delta (comma list), max_iter
+Every section's keys, their kinds, defaults and bounds are the rows of
+``_KEYS``: one table reads, checks and echoes them.  The few rules
+that relate keys to one another are written out in ``parse_config``.
 
 One master seed drives everything: per-component seeds (graph topology,
 scenario data, iterate initialization) are derived from it through a
@@ -30,6 +21,7 @@ working directory.
 """
 
 import configparser
+import operator
 import os
 from dataclasses import dataclass
 
@@ -44,17 +36,68 @@ from .network import _WEIGHT_METHODS
 SPEC_VERSION = 1
 SCENARIOS = ("affine", "voltage")
 
-_SECTION_KEYS = {
-    "experiment": {"spec_version", "scenario", "seed", "output_dir", "oracle"},
-    "graph": {"n_agents", "edge_prob", "weight_method", "seed"},
-    "trades": {"gamma", "delta", "stop_tol", "max_iter", "trace_stride",
-               "tracker"},
-    "affine": {"strategy_dim", "agg_dim", "coupling", "box_halfwidth", "seed",
-               "game_file"},
-    "voltage": {"n_buses", "horizon", "power_base_kw", "voltage_scale",
-                "penalty_weight", "active_weight", "reactive_weight",
-                "network_file", "prices_file", "agents_file", "seed"},
-    "sweep": {"gamma", "delta", "max_iter"},
+# kinds besides int, float, str and a tuple of allowed words
+_FILE, _FLAG, _FLOATS = "file", "on/off", "float list"
+# defaults besides a value; a derived one is passed in by parse_config
+_REQUIRED, _DERIVED = "required", "derived"
+_POSITIVE = ((">", 0.0),)
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_TRADES = TradesConfig()  # [trades] defaults; TradesConfig checks the values
+
+
+def _at_least(n):
+    return ((">=", n),)
+
+
+# section -> key -> (kind, default, bound), in echo order
+_KEYS = {
+    "experiment": {
+        "spec_version": (int, _REQUIRED, None),
+        "scenario": (SCENARIOS, _REQUIRED, None),
+        "seed": (int, _REQUIRED, _at_least(0)),
+        "output_dir": (str, "out", None),
+        "oracle": (_FLAG, True, None),
+    },
+    "graph": {
+        "n_agents": (int, _REQUIRED, _at_least(2)),
+        "edge_prob": (float, _REQUIRED, ((">=", 0.0), ("<=", 1.0))),
+        "weight_method": (_WEIGHT_METHODS, _WEIGHT_METHODS[0], None),
+        "seed": (int, _DERIVED, _at_least(0)),
+    },
+    "trades": {
+        "gamma": (float, _TRADES.gamma, None),
+        "delta": (float, _TRADES.delta, None),
+        "stop_tol": (float, _TRADES.stop_tol, None),
+        "max_iter": (int, _TRADES.max_iter, None),
+        "trace_stride": (int, _TRADES.trace_stride, None),
+        "tracker": (TRACKER_MODES, TRACKER_MODES[0], None),
+    },
+    "affine": {
+        "strategy_dim": (int, _REQUIRED, _at_least(1)),
+        "agg_dim": (int, _REQUIRED, _at_least(1)),
+        "coupling": (float, 0.3, None),
+        "box_halfwidth": (float, 5.0, _POSITIVE),
+        "seed": (int, _DERIVED, _at_least(0)),
+        "game_file": (_FILE, None, None),
+    },
+    "voltage": {
+        "n_buses": (int, _REQUIRED, _at_least(2)),
+        "horizon": (int, _REQUIRED, _at_least(1)),
+        "power_base_kw": (float, DEFAULT_POWER_BASE_KW, _POSITIVE),
+        "voltage_scale": (float, DEFAULT_VOLTAGE_SCALE, _POSITIVE),
+        "penalty_weight": (float, 1.0, _POSITIVE),
+        "active_weight": (float, 1.0, _POSITIVE),
+        "reactive_weight": (float, 10.0, _POSITIVE),
+        "network_file": (_FILE, None, None),
+        "prices_file": (_FILE, None, None),
+        "agents_file": (_FILE, None, None),
+        "seed": (int, _DERIVED, _at_least(0)),
+    },
+    "sweep": {  # in SweepSettings field order
+        "gamma": (_FLOATS, _REQUIRED, None),
+        "delta": (_FLOATS, _REQUIRED, None),
+        "max_iter": (int, _DERIVED, _at_least(1)),
+    },
 }
 
 
@@ -127,90 +170,6 @@ def split_scenario_seed(scenario_seed, n_streams=4):
 # ----------------------------------------------------------------- parsing
 
 
-class _Section:
-    """One section's raw strings with typed, validated accessors."""
-
-    def __init__(self, name, items):
-        self.name = name
-        self.items = dict(items)
-
-    def _raw(self, key, default):
-        return self.items.get(key, default)
-
-    def get_int(self, key, default=None, minimum=None):
-        raw = self._raw(key, None)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"[{self.name}] {key} must be >= {minimum}, got {value}")
-        return value
-
-    def get_float(self, key, default=None, minimum=None, maximum=None,
-                  exclusive_min=False):
-        raw = self._raw(key, None)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number")
-        if not np.isfinite(value):
-            raise ConfigError(f"[{self.name}] {key} must be finite")
-        if minimum is not None:
-            if exclusive_min and value <= minimum:
-                raise ConfigError(f"[{self.name}] {key} must be > {minimum}")
-            if not exclusive_min and value < minimum:
-                raise ConfigError(f"[{self.name}] {key} must be >= {minimum}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"[{self.name}] {key} must be <= {maximum}")
-        return value
-
-    def get_choice(self, key, choices, default=None):
-        raw = self._raw(key, None)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
-        if raw not in choices:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r}; "
-                              f"expected one of {tuple(choices)}")
-        return raw
-
-    def get_flag(self, key, default=None):
-        raw = self._raw(key, None)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
-        if raw not in ("on", "off"):
-            raise ConfigError(f"[{self.name}] {key} = {raw!r}; expected on or off")
-        return raw == "on"
-
-    def get_str(self, key, default=None):
-        return self._raw(key, default)
-
-    def get_float_list(self, key):
-        raw = self._raw(key, None)
-        if raw is None:
-            raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError(f"[{self.name}] {key} lists no values")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a "
-                              "comma-separated list of numbers")
-
-
 def _read_sections(text):
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str
@@ -220,26 +179,72 @@ def _read_sections(text):
         raise ConfigError(f"cannot parse config: {exc}")
     sections = {}
     for name in parser.sections():
-        if name not in _SECTION_KEYS:
+        if name not in _KEYS:
             raise ConfigError(f"unknown section [{name}]; "
-                              f"expected {sorted(_SECTION_KEYS)}")
+                              f"expected {sorted(_KEYS)}")
         items = dict(parser.items(name))
-        stray = set(items) - _SECTION_KEYS[name]
+        stray = set(items) - set(_KEYS[name])
         if stray:
             raise ConfigError(f"[{name}] has unknown keys: {sorted(stray)}")
-        sections[name] = _Section(name, items)
+        sections[name] = items
     return sections
 
 
-def _resolve_file(sec, key, base_dir):
-    raw = sec.get_str(key)
+def _value(name, key, kind, default, bound, raw, base_dir):
+    """One key's raw string, or its default, as a typed value in bound."""
     if raw is None:
-        return None
-    path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
-    path = os.path.abspath(path)
-    if not os.path.isfile(path):
-        raise ConfigError(f"[{sec.name}] {key} refers to a missing file: {path}")
-    return path
+        if default == _REQUIRED:
+            raise ConfigError(f"[{name}] missing required key {key!r}")
+        return default
+    where = f"[{name}] {key}"
+    if kind is str:
+        return raw
+    if kind == _FILE:
+        path = os.path.abspath(os.path.join(base_dir, raw))
+        if not os.path.isfile(path):
+            raise ConfigError(f"{where} refers to a missing file: {path}")
+        return path
+    if kind == _FLAG:
+        if raw not in ("on", "off"):
+            raise ConfigError(f"{where} = {raw!r}; expected on or off")
+        return raw == "on"
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"{where} = {raw!r}; expected one of {kind}")
+        return raw
+    if kind == _FLOATS:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"{where} lists no values")
+        try:
+            return tuple(float(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"{where} = {raw!r} is not a "
+                              "comma-separated list of numbers")
+    try:
+        value = kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} = {raw!r} is not {noun}")
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    for op, limit in bound or ():
+        if not _COMPARE[op](value, limit):
+            got = f", got {value}" if kind is int else ""
+            raise ConfigError(f"{where} must be {op} {limit}{got}")
+    return value
+
+
+def _section(sections, name, base_dir, **defaults):
+    """A section's typed values by key, in table order.
+
+    defaults replace the table's: the derived ones, and those a form of
+    the section leaves unset.
+    """
+    items = sections.get(name, {})
+    return {key: _value(name, key, kind, defaults.get(key, default), bound,
+                        items.get(key), base_dir)
+            for key, (kind, default, bound) in _KEYS[name].items()}
 
 
 def parse_config(text, base_dir=".", overrides=None):
@@ -251,114 +256,67 @@ def parse_config(text, base_dir=".", overrides=None):
     sections = _read_sections(text)
     if "experiment" not in sections:
         raise ConfigError("missing required section [experiment]")
-    sections["experiment"].items.update(overrides or {})
-    exp = sections["experiment"]
-    version = exp.get_int("spec_version")
-    if version != SPEC_VERSION:
-        raise ConfigError(f"spec_version {version} unsupported; "
+    sections["experiment"].update(overrides or {})
+    exp = _section(sections, "experiment", base_dir)
+    if exp["spec_version"] != SPEC_VERSION:
+        raise ConfigError(f"spec_version {exp['spec_version']} unsupported; "
                           f"this build reads version {SPEC_VERSION}")
-    scenario = exp.get_choice("scenario", SCENARIOS)
-    master_seed = exp.get_int("seed", minimum=0)
-    output_dir = exp.get_str("output_dir", "out")
-    oracle = exp.get_flag("oracle", True)
-    graph_derived, scenario_derived, init_seed = derive_component_seeds(master_seed)
+    scenario = exp["scenario"]
+    graph_derived, scenario_derived, init_seed = derive_component_seeds(exp["seed"])
 
     if "graph" not in sections:
         raise ConfigError("missing required section [graph]")
-    gsec = sections["graph"]
-    graph = GraphSettings(
-        n_agents=gsec.get_int("n_agents", minimum=2),
-        edge_prob=gsec.get_float("edge_prob", minimum=0.0, maximum=1.0),
-        weight_method=gsec.get_choice("weight_method", _WEIGHT_METHODS,
-                                      _WEIGHT_METHODS[0]),
-        seed=gsec.get_int("seed", graph_derived, minimum=0))
+    graph = GraphSettings(**_section(sections, "graph", base_dir,
+                                     seed=graph_derived))
 
-    tsec = sections.get("trades", _Section("trades", {}))
-    tracker = tsec.get_choice("tracker", TRACKER_MODES, TRACKER_MODES[0])
+    trades = _section(sections, "trades", base_dir)
+    tracker = trades.pop("tracker")
     try:
-        trades = TradesConfig(
-            gamma=tsec.get_float("gamma", 0.01),
-            delta=tsec.get_float("delta", 0.5),
-            stop_tol=tsec.get_float("stop_tol", 1e-10),
-            max_iter=tsec.get_int("max_iter", 50000),
-            trace_stride=tsec.get_int("trace_stride", 1),
-            seed=init_seed)
+        trades = TradesConfig(**trades, seed=init_seed)
     except ValueError as exc:
         raise ConfigError(f"[trades] {exc}")
 
+    other = "voltage" if scenario == "affine" else "affine"
+    article = {"affine": "an", "voltage": "a"}
+    if other in sections:
+        raise ConfigError(f"scenario = {scenario} forbids "
+                          f"{article[other]} [{other}] section")
+    if scenario not in sections:
+        raise ConfigError(f"scenario = {scenario} requires "
+                          f"{article[scenario]} [{scenario}] section")
     affine = voltage = None
-    if scenario == "affine":
-        if "voltage" in sections:
-            raise ConfigError("scenario = affine forbids a [voltage] section")
-        if "affine" not in sections:
-            raise ConfigError("scenario = affine requires an [affine] section")
-        asec = sections["affine"]
-        game_file = _resolve_file(asec, "game_file", base_dir)
-        if game_file is not None:
-            stray = set(asec.items) - {"game_file"}
-            if stray:
-                raise ConfigError("[affine] game_file excludes the generator "
-                                  f"keys, found {sorted(stray)}")
-            affine = AffineSettings(game_file=game_file)
-        else:
-            halfwidth_raw = asec.get_str("box_halfwidth", "5.0")
-            if halfwidth_raw == "none":
-                halfwidth = None
-            else:
-                halfwidth = asec.get_float("box_halfwidth", 5.0,
-                                           minimum=0.0, exclusive_min=True)
-            affine = AffineSettings(
-                strategy_dim=asec.get_int("strategy_dim", minimum=1),
-                agg_dim=asec.get_int("agg_dim", minimum=1),
-                coupling=asec.get_float("coupling", 0.3),
-                box_halfwidth=halfwidth,
-                seed=asec.get_int("seed", scenario_derived, minimum=0))
+    items = sections[scenario]
+    if scenario == "affine" and "game_file" in items:
+        stray = set(items) - {"game_file"}
+        if stray:
+            raise ConfigError("[affine] game_file excludes the generator "
+                              f"keys, found {sorted(stray)}")
+        unset = dict.fromkeys(_KEYS["affine"])
+        affine = AffineSettings(**_section(sections, "affine", base_dir, **unset))
+    elif scenario == "affine":
+        derived = {"seed": scenario_derived}
+        if items.get("box_halfwidth") == "none":  # an unconstrained box
+            del items["box_halfwidth"]
+            derived["box_halfwidth"] = None
+        affine = AffineSettings(**_section(sections, "affine", base_dir, **derived))
     else:
-        if "affine" in sections:
-            raise ConfigError("scenario = voltage forbids an [affine] section")
-        if "voltage" not in sections:
-            raise ConfigError("scenario = voltage requires a [voltage] section")
-        vsec = sections["voltage"]
-        agents_file = _resolve_file(vsec, "agents_file", base_dir)
-        horizon = vsec.get_int("horizon", minimum=1)
-        if agents_file is None and horizon < 10:
+        values = _section(sections, "voltage", base_dir, seed=scenario_derived)
+        if values["agents_file"] is None and values["horizon"] < 10:
             raise ConfigError("[voltage] horizon must be >= 10 when agent "
                               "schedules are generated")
-        voltage = VoltageSettings(
-            n_buses=vsec.get_int("n_buses", minimum=2),
-            horizon=horizon,
-            power_base_kw=vsec.get_float("power_base_kw", DEFAULT_POWER_BASE_KW,
-                                         minimum=0.0, exclusive_min=True),
-            voltage_scale=vsec.get_float("voltage_scale", DEFAULT_VOLTAGE_SCALE,
-                                         minimum=0.0, exclusive_min=True),
-            penalty_weight=vsec.get_float("penalty_weight", 1.0,
-                                          minimum=0.0, exclusive_min=True),
-            active_weight=vsec.get_float("active_weight", 1.0,
-                                         minimum=0.0, exclusive_min=True),
-            reactive_weight=vsec.get_float("reactive_weight", 10.0,
-                                           minimum=0.0, exclusive_min=True),
-            seed=vsec.get_int("seed", scenario_derived, minimum=0),
-            network_file=_resolve_file(vsec, "network_file", base_dir),
-            prices_file=_resolve_file(vsec, "prices_file", base_dir),
-            agents_file=agents_file)
+        voltage = VoltageSettings(**values)
 
     sweep = None
     if "sweep" in sections:
-        ssec = sections["sweep"]
-        gammas = ssec.get_float_list("gamma")
-        deltas = ssec.get_float_list("delta")
-        for g in gammas:
-            if g <= 0:
-                raise ConfigError("[sweep] gamma values must be positive")
-        for dl in deltas:
-            if not 0 < dl <= 1:
-                raise ConfigError("[sweep] delta values must lie in (0, 1]")
-        sweep = SweepSettings(gammas=gammas, deltas=deltas,
-                              max_iter=ssec.get_int("max_iter", trades.max_iter,
-                                                    minimum=1))
+        values = _section(sections, "sweep", base_dir, max_iter=trades.max_iter)
+        if any(g <= 0 for g in values["gamma"]):
+            raise ConfigError("[sweep] gamma values must be positive")
+        if not all(0 < dl <= 1 for dl in values["delta"]):
+            raise ConfigError("[sweep] delta values must lie in (0, 1]")
+        sweep = SweepSettings(*values.values())
 
-    return ExperimentConfig(scenario=scenario, seed=master_seed,
-                            output_dir=output_dir, oracle=oracle,
+    return ExperimentConfig(scenario=scenario, seed=exp["seed"],
+                            output_dir=exp["output_dir"], oracle=exp["oracle"],
                             graph=graph, trades=trades, tracker=tracker,
                             affine=affine, voltage=voltage, sweep=sweep)
 
@@ -391,8 +349,8 @@ def load_config(path, seed=None, output_dir=None, oracle=None):
 def _fmt(value):
     if isinstance(value, bool):
         return "on" if value else "off"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     if value is None:
         return "none"
     return str(value)
@@ -404,67 +362,26 @@ def canonical_text(cfg):
     Parsing the result yields a config equal to cfg, so the echo file
     written next to run outputs is a complete, replayable record.
     """
-    lines = [
-        "[experiment]",
-        f"spec_version = {SPEC_VERSION}",
-        f"scenario = {cfg.scenario}",
-        f"seed = {cfg.seed}",
-        f"output_dir = {cfg.output_dir}",
-        f"oracle = {_fmt(cfg.oracle)}",
-        "",
-        "[graph]",
-        f"n_agents = {cfg.graph.n_agents}",
-        f"edge_prob = {_fmt(cfg.graph.edge_prob)}",
-        f"weight_method = {cfg.graph.weight_method}",
-        f"seed = {cfg.graph.seed}",
-        "",
-        "[trades]",
-        f"gamma = {_fmt(cfg.trades.gamma)}",
-        f"delta = {_fmt(cfg.trades.delta)}",
-        f"stop_tol = {_fmt(cfg.trades.stop_tol)}",
-        f"max_iter = {cfg.trades.max_iter}",
-        f"trace_stride = {cfg.trades.trace_stride}",
-        f"tracker = {cfg.tracker}",
-        "",
-    ]
-    if cfg.affine is not None:
-        lines.append("[affine]")
-        if cfg.affine.game_file is not None:
-            lines.append(f"game_file = {cfg.affine.game_file}")
-        else:
-            lines += [
-                f"strategy_dim = {cfg.affine.strategy_dim}",
-                f"agg_dim = {cfg.affine.agg_dim}",
-                f"coupling = {_fmt(cfg.affine.coupling)}",
-                f"box_halfwidth = {_fmt(cfg.affine.box_halfwidth)}",
-                f"seed = {cfg.affine.seed}",
-            ]
+    sections = {
+        "experiment": {**vars(cfg), "spec_version": SPEC_VERSION},
+        "graph": vars(cfg.graph),
+        "trades": {**vars(cfg.trades), "tracker": cfg.tracker},
+        "affine": cfg.affine and vars(cfg.affine),
+        "voltage": cfg.voltage and vars(cfg.voltage),
+        "sweep": cfg.sweep and dict(zip(_KEYS["sweep"], vars(cfg.sweep).values())),
+    }
+    lines = []
+    for name, values in sections.items():
+        if values is None:
+            continue
+        lines.append(f"[{name}]")
+        for key in _KEYS[name]:
+            value = values[key]
+            # unset keys are left out, but an unconstrained box is echoed
+            if value is not None or (key == "box_halfwidth"
+                                     and values["game_file"] is None):
+                lines.append(f"{key} = {_fmt(value)}")
         lines.append("")
-    if cfg.voltage is not None:
-        v = cfg.voltage
-        lines += [
-            "[voltage]",
-            f"n_buses = {v.n_buses}",
-            f"horizon = {v.horizon}",
-            f"power_base_kw = {_fmt(v.power_base_kw)}",
-            f"voltage_scale = {_fmt(v.voltage_scale)}",
-            f"penalty_weight = {_fmt(v.penalty_weight)}",
-            f"active_weight = {_fmt(v.active_weight)}",
-            f"reactive_weight = {_fmt(v.reactive_weight)}",
-        ]
-        for key in ("network_file", "prices_file", "agents_file"):
-            value = getattr(v, key)
-            if value is not None:
-                lines.append(f"{key} = {value}")
-        lines += [f"seed = {v.seed}", ""]
-    if cfg.sweep is not None:
-        lines += [
-            "[sweep]",
-            "gamma = " + ",".join(repr(g) for g in cfg.sweep.gammas),
-            "delta = " + ",".join(repr(d) for d in cfg.sweep.deltas),
-            f"max_iter = {cfg.sweep.max_iter}",
-            "",
-        ]
     return "\n".join(lines)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,8 @@ import numpy as np
 import pytest
 
 from trades.cli import main
-from trades.config import (AffineSettings, canonical_text,
-                           derive_component_seeds, load_config,
-                           load_quadratic_game, parse_config,
+from trades.config import (_KEYS, canonical_text, derive_component_seeds,
+                           load_config, load_quadratic_game, parse_config,
                            save_quadratic_game, split_scenario_seed)
 from trades.errors import ConfigError, MaxIterExceeded
 from trades.games import random_strongly_monotone_game
@@ -201,6 +201,136 @@ voltage_scale = 600.0
 """
     vcfg = parse_config(vtext)
     assert parse_config(canonical_text(vcfg)) == vcfg
+
+
+# the echo's exact bytes: section and key order, number format, derived
+# seeds and resolved paths written out, unset keys left out
+ECHO_CASES = {
+    "affine": (AFFINE_TEXT.format(out="out")
+               .replace("[graph]", "[graph]\nseed = 11")
+               .replace("agg_dim = 1", "agg_dim = 1\nbox_halfwidth = none\n"
+                        "seed = 77")
+               + "\n[sweep]\ngamma = 0.01, 0.03\ndelta = 0.5,1\n", """\
+[experiment]
+spec_version = 1
+scenario = affine
+seed = 42
+output_dir = out
+oracle = on
+
+[graph]
+n_agents = 5
+edge_prob = 0.6
+weight_method = metropolis_symmetrized
+seed = 11
+
+[trades]
+gamma = 0.02
+delta = 0.5
+stop_tol = 1e-09
+max_iter = 4000
+trace_stride = 1
+tracker = consensus
+
+[affine]
+strategy_dim = 2
+agg_dim = 1
+coupling = 0.3
+box_halfwidth = none
+seed = 77
+
+[sweep]
+gamma = 0.01,0.03
+delta = 0.5,1.0
+max_iter = 4000
+"""),
+    "voltage": (VOLTAGE_TEXT.replace("seed = 3", "seed = 3\noracle = off")
+                .replace("edge_prob = 0.5", "edge_prob = 0.5\n"
+                         "weight_method = sinkhorn")
+                .replace("horizon = 12", "horizon = 4\nagents_file = agents.csv\n"
+                         "prices_file = prices.csv\nnetwork_file = net.csv")
+                + "\n[trades]\ntracker = exact\ntrace_stride = 3\n", """\
+[experiment]
+spec_version = 1
+scenario = voltage
+seed = 3
+output_dir = out
+oracle = off
+
+[graph]
+n_agents = 6
+edge_prob = 0.5
+weight_method = sinkhorn
+seed = 1576890651
+
+[trades]
+gamma = 0.01
+delta = 0.5
+stop_tol = 1e-10
+max_iter = 50000
+trace_stride = 3
+tracker = exact
+
+[voltage]
+n_buses = 5
+horizon = 4
+power_base_kw = 1000.0
+voltage_scale = 2400.0
+penalty_weight = 1.0
+active_weight = 1.0
+reactive_weight = 10.0
+network_file = {d}/net.csv
+prices_file = {d}/prices.csv
+agents_file = {d}/agents.csv
+seed = 2902887791
+"""),
+    "game_file": (AFFINE_TEXT.format(out="out").replace(
+        "strategy_dim = 2\nagg_dim = 1", "game_file = game.txt"), """\
+[experiment]
+spec_version = 1
+scenario = affine
+seed = 42
+output_dir = out
+oracle = on
+
+[graph]
+n_agents = 5
+edge_prob = 0.6
+weight_method = metropolis_symmetrized
+seed = 3444837047
+
+[trades]
+gamma = 0.02
+delta = 0.5
+stop_tol = 1e-09
+max_iter = 4000
+trace_stride = 1
+tracker = consensus
+
+[affine]
+game_file = {d}/game.txt
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ECHO_CASES))
+def test_canonical_text_bytes(tmp_path, case):
+    text, expected = ECHO_CASES[case]
+    for name in ("net.csv", "prices.csv", "agents.csv", "game.txt"):
+        (tmp_path / name).write_text("")
+    cfg = parse_config(text, base_dir=str(tmp_path))
+    assert canonical_text(cfg) == expected.format(d=tmp_path)
+
+
+def test_readme_names_every_config_key():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")).read()
+    for section, keys in _KEYS.items():
+        bullet = re.search(rf"^\* `\[{section}\]`:(.*?)(?=^\* |^$)", readme,
+                           re.M | re.S)
+        assert bullet is not None, section
+        missing = [key for key in keys if f"`{key}`" not in bullet.group(1)]
+        assert not missing, (section, missing)
 
 
 def test_load_config_overrides(tmp_path):

@@ -7,15 +7,22 @@ properties cover acceptance criteria 2, 4 and 8 beyond the hand-picked
 instances.  Each charger example draws a horizon, a plug mask, a cap and
 an energy target up to the cap, and checks the exact projection against
 Dykstra and for idempotence and nonexpansiveness, and the slope of the
-multiplier search against a central difference.
+multiplier search against a central difference.  The config examples
+draw a value for one bounded or multiple-choice key of the config's key
+table, in range or out of it, and check the parse.
 """
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from trades.algorithm import TradesConfig, reduced_system_run, run
+from trades.config import _KEYS, canonical_text, parse_config
+from trades.errors import ConfigError
 from trades.games import random_strongly_monotone_game
 from trades.network import gen_digraph, make_doubly_stochastic
 from trades.projections import build_ev_projector, project_dykstra
@@ -133,3 +140,98 @@ def test_multiplier_search_slope_is_the_derivative(inst, shift):
     difference = a[0] @ (below - above) / (2.0 * h)
     rounding = 4.0 * np.finfo(float).eps * (np.abs(a[0]) @ np.abs(below)) / h
     assert abs(slope - difference) <= 1e-6 * abs(slope) + rounding
+
+
+# one config per scenario, section -> key -> raw value; any existing file
+# serves as agents_file, which the parser only checks for existence and
+# which lets horizon take every value its own bound allows
+CONFIGS = {
+    "affine": {"experiment": {"spec_version": "1", "scenario": "affine",
+                              "seed": "42"},
+               "graph": {"n_agents": "5", "edge_prob": "0.6"},
+               "affine": {"strategy_dim": "2", "agg_dim": "1"},
+               "sweep": {"gamma": "0.01", "delta": "0.5"}},
+    "voltage": {"experiment": {"spec_version": "1", "scenario": "voltage",
+                               "seed": "3"},
+                "graph": {"n_agents": "6", "edge_prob": "0.5"},
+                "voltage": {"n_buses": "5", "horizon": "12",
+                            "agents_file": os.path.abspath(__file__)}},
+}
+RULED_KEYS = [(section, key, kind, bound)
+              for section, keys in _KEYS.items()
+              for key, (kind, _, bound) in keys.items()
+              if bound or isinstance(kind, tuple)]
+# each comparison of a bound as (hypothesis limit, exclusive): the side
+# that keeps it and the side that breaks it
+_KEEP = {">=": ("min_value", False), ">": ("min_value", True),
+         "<=": ("max_value", False)}
+_BREAK = {">=": ("max_value", True), ">": ("max_value", False),
+          "<=": ("min_value", True)}
+
+
+def _numbers(kind, conditions):
+    """Finite ints or floats within (limit name, exclusive, value) limits."""
+    limits = {}
+    for side, exclusive, limit in conditions:
+        if kind is int:
+            limits[side] = limit + exclusive * (1 if side == "min_value" else -1)
+        else:
+            limits[side], limits[f"exclude_{side[:3]}"] = limit, exclusive
+    if kind is int:
+        return st.integers(**limits)
+    return st.floats(allow_nan=False, allow_infinity=False, **limits)
+
+
+def _in_range(kind, bound):
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    return _numbers(kind, [(*_KEEP[op], limit) for op, limit in bound])
+
+
+def _out_of_range(kind, bound):
+    if isinstance(kind, tuple):
+        return st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+            lambda word: word not in kind)
+    outside = [_numbers(kind, [(*_BREAK[op], limit)]) for op, limit in bound]
+    if kind is float:
+        outside.append(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return st.one_of(outside)
+
+
+def _config_text(sections):
+    return "\n".join(f"[{name}]\n" + "".join(f"{key} = {raw}\n"
+                                             for key, raw in items.items())
+                      for name, items in sections.items())
+
+
+def _with(section, key, raw):
+    """A base config holding the section, with key set to raw."""
+    if key == "scenario" and raw in CONFIGS:
+        base = raw
+    else:
+        base = "voltage" if section == "voltage" else "affine"
+    sections = {name: dict(items) for name, items in CONFIGS[base].items()}
+    sections.setdefault(section, {})[key] = raw
+    return _config_text(sections)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_key_in_range_round_trips(data):
+    section, key, kind, bound = data.draw(st.sampled_from(RULED_KEYS))
+    raw = str(data.draw(_in_range(kind, bound)))
+    cfg = parse_config(_with(section, key, raw))
+    echo = canonical_text(cfg)
+    assert parse_config(echo) == cfg
+    block = next(b for b in echo.split("\n\n") if b.startswith(f"[{section}]"))
+    assert f"\n{key} = {raw}\n" in block + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_key_out_of_range_is_named(data):
+    section, key, kind, bound = data.draw(st.sampled_from(RULED_KEYS))
+    raw = str(data.draw(_out_of_range(kind, bound)))
+    with pytest.raises(ConfigError) as err:
+        parse_config(_with(section, key, raw))
+    assert str(err.value).startswith(f"[{section}] {key}"), str(err.value)
