@@ -347,11 +347,17 @@ class _Recorder:
                       "step_norm", "z_mean_residual", "feas_residual")}
 
     def add(self, t, x, z, phix, step_norm):
-        sigma = phix.mean(axis=0)
-        est = float(np.max(np.linalg.norm(phix + z - sigma[None, :], axis=1)))
-        disagreement = _disagreement(z, phix, self.mean_row)
-        z_norm = float(np.linalg.norm(z))
-        z_mean = float(np.linalg.norm(z.sum(axis=0))) / max(1.0, z_norm)
+        # rows of w are the estimation errors z_i + phi_i - sigma; they sum
+        # to the column sums of z, so the centred stack's squared norm (the
+        # disagreement) is their squared norm minus |sum_i z_i|^2 / N
+        w = z + phix
+        w -= self.mean_row @ phix
+        rows = np.einsum("ij,ij->i", w, w)
+        z_sum = z.sum(axis=0)
+        z_sum_sq = z_sum @ z_sum
+        est = math.sqrt(rows.max())
+        disagreement = math.sqrt(max(rows.sum() - z_sum_sq / self.game.N, 0.0))
+        z_mean = math.sqrt(z_sum_sq) / max(1.0, math.sqrt(np.vdot(z, z)))
         feas = self.game.projector.membership_residual(x)
         if self.oracle_vec is None:
             err = float("nan")

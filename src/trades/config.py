@@ -309,8 +309,8 @@ def parse_config(text, base_dir=".", overrides=None):
     sweep = None
     if "sweep" in sections:
         values = _section(sections, "sweep", base_dir, max_iter=trades.max_iter)
-        if any(g <= 0 for g in values["gamma"]):
-            raise ConfigError("[sweep] gamma values must be positive")
+        if not all(np.isfinite(g) and g > 0 for g in values["gamma"]):
+            raise ConfigError("[sweep] gamma values must be finite and positive")
         if not all(0 < dl <= 1 for dl in values["delta"]):
             raise ConfigError("[sweep] delta values must lie in (0, 1]")
         sweep = SweepSettings(*values.values())

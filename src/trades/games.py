@@ -134,12 +134,14 @@ class GameDefinition:
 def phi_stack(game, x):
     """All agent contributions (G_i (x) I_T) x_i of an (N, m) array, as (N, d).
 
+    One batched product: row i, read as a (p, T) block X_i, maps to the
+    (q, T) block G_i X_i, so the stack is ``G @ x`` over (N, p, T).
     Every aggregate evaluation in the package funnels through this stack
     and :func:`aggregate` so repeated computations reduce in the same
     order and reproduce bitwise.
     """
-    x = np.reshape(x, (game.N, game.p, game.T))
-    return np.einsum("iqp,ipt->iqt", game.G, x).reshape(game.N, game.d)
+    x = np.asarray(x).reshape(game.N, game.p, game.T)
+    return (game.G @ x).reshape(game.N, game.d)
 
 
 def aggregate(game, x):
@@ -154,19 +156,20 @@ def local_operator(game, x, s):
     agent i's aggregate estimate; row i of the result is
     (B_i (x) I_T) x_i + (E_i (x) I_T) s_i + c_i.  Feeding the true
     aggregate in every row gives the pseudo-gradient; feeding tracker
-    outputs gives the decentralized surrogate.
+    outputs gives the decentralized surrogate.  With rows read as (p, T)
+    and (q, T) blocks this is the batched ``B @ x + E @ s + c``.
     """
-    if np.shape(x) != (game.N, game.m):
-        raise ValueError(f"strategies have shape {np.shape(x)}, "
+    x, s = np.asarray(x), np.asarray(s)
+    if x.shape != (game.N, game.m):
+        raise ValueError(f"strategies have shape {x.shape}, "
                          f"expected ({game.N}, {game.m})")
-    if np.shape(s) != (game.N, game.d):
-        raise ValueError(f"aggregate estimates have shape {np.shape(s)}, "
+    if s.shape != (game.N, game.d):
+        raise ValueError(f"aggregate estimates have shape {s.shape}, "
                          f"expected ({game.N}, {game.d})")
-    x = np.reshape(x, (game.N, game.p, game.T))
-    s = np.reshape(s, (game.N, game.q, game.T))
-    return (np.einsum("ipk,ikt->ipt", game.B, x)
-            + np.einsum("ipq,iqt->ipt", game.E, s)
-            + game.c).reshape(game.N, game.m)
+    out = game.B @ x.reshape(game.N, game.p, game.T)
+    out += game.E @ s.reshape(game.N, game.q, game.T)
+    out += game.c
+    return out.reshape(game.N, game.m)
 
 
 def pseudo_gradient(game, x):

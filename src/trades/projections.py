@@ -242,7 +242,9 @@ class FeasibleSetProjector(ConvexSet):
     P(v_i - lam_i a_i) at the root of the nonincreasing
     g_i(lam) = a_i . P(v_i - lam a_i) - b_i.  All agents take Newton steps
     at once, each falling back to the midpoint of the root's bracket when
-    it would leave it; a search that cannot bracket or converge raises.
+    it would leave it.  A search that ends unbracketed where g is flat
+    raises InfeasibleSpec; one that runs out of evaluations otherwise
+    raises MaxSweepsExceeded.
     """
 
     def __init__(self, box, disks=None, normals=None, levels=None):
@@ -305,8 +307,9 @@ class FeasibleSetProjector(ConvexSet):
             closed = np.isfinite(lo) & np.isfinite(hi)
             # g moves at most |a|^2 per unit of lam, so with no slope an
             # open bracket steps 2^k times the least distance to the root
+            slope = self._slope(y)
             with np.errstate(invalid="ignore", divide="ignore"):
-                trial = lam + gap / self._slope(y)
+                trial = lam + gap / slope
                 trial = np.where((trial > lo) & (trial < hi), trial, np.where(
                     closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
             # no float strictly inside the bracket: the root is found
@@ -314,7 +317,9 @@ class FeasibleSetProjector(ConvexSet):
             lam = np.where(todo, trial, lam)
             if not np.all(np.isfinite(lam)):
                 break
-        if not np.all(closed[todo]):
+        # an open bracket where g is flat has no root ahead of it; any
+        # other open or closed bracket just ran out of evaluations
+        if np.any(todo & ~closed & (slope == 0.0)):
             raise InfeasibleSpec("a hyperplane misses the box-and-disk set")
         raise MaxSweepsExceeded("multiplier search did not converge")
 

@@ -16,6 +16,7 @@ from trades.algorithm import (
     IterationTrace,
     TRACE_COLUMNS,
     TradesConfig,
+    _Recorder,
     _advance,
     boundary_layer_budget,
     boundary_layer_probe,
@@ -27,6 +28,15 @@ from trades.algorithm import (
     run,
 )
 from trades.errors import NonFiniteDetected
+from trades.grid import (
+    build_radial_network,
+    build_voltage_game,
+    default_voltage_config,
+    distflow_sensitivities,
+    gen_agents,
+    gen_baseline_profile,
+    gen_prices,
+)
 from trades.games import (
     StrategyProfile,
     aggregate,
@@ -326,6 +336,47 @@ def test_trace_quantities_match_direct_evaluation():
     basis_norm = np.linalg.norm(consensus_basis(game.N).to_disagreement(phix))
     assert abs(trace.disagreement[0] - basis_norm) <= 1e-12
     assert np.isnan(trace.err_x[0])
+
+
+def _small_voltage_instance():
+    net = build_radial_network(6, seed=12)
+    model = distflow_sensitivities(net, gen_baseline_profile(net, 12, seed=13))
+    agents = gen_agents(6, net, 12, seed=14)
+    cfg = default_voltage_config(model, gen_prices(12, seed=15))
+    return build_voltage_game(model, agents, cfg), _graph(6, 0.7, 3)
+
+
+def _assert_row_is_direct(trace, k, game, x, z, reference):
+    phix = phi_stack(game, x)
+    sigma = phix.mean(axis=0)
+    est = max(np.linalg.norm(phix[i] + z[i] - sigma) for i in range(game.N))
+    assert abs(trace.est_err_max[k] - est) <= 1e-13
+    basis_norm = np.linalg.norm(consensus_basis(game.N).to_disagreement(z + phix))
+    assert abs(trace.disagreement[k] - basis_norm) <= 1e-12
+    z_mean = np.linalg.norm(z.sum(axis=0)) / max(1.0, np.linalg.norm(z))
+    assert z_mean > 0 and abs(trace.z_mean_residual[k] - z_mean) <= 1e-12 * z_mean
+    feas = np.linalg.norm(x - game.project(x))
+    assert abs(trace.feas_residual[k] - feas) <= 1e-12
+    assert abs(trace.err_x[k] - np.linalg.norm(x.reshape(-1) - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("instance", [_bench_instance, _small_voltage_instance])
+def test_final_trace_row_matches_direct_evaluation(instance):
+    # the final row describes the returned state, where z != 0 and its
+    # column sums are rounding; any vector serves as the error reference
+    game, graph = instance()
+    reference = np.random.default_rng(3).normal(size=game.n)
+    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=20)
+    state, trace, _ = run(game, graph, cfg, x0=11, oracle=reference)
+    x, z = state.x.blocks, state.z
+    assert trace.t[-1] == state.t == 20 and np.linalg.norm(z) > 1.0
+    _assert_row_is_direct(trace, -1, game, x, z, reference)
+    # off the zero-column-mean invariant the disagreement is still the
+    # norm of the centred estimate stack
+    shifted = z + np.linspace(-1.0, 2.0, game.d)
+    recorder = _Recorder(game, reference)
+    recorder.add(0, x, shifted, phi_stack(game, x), 0.0)
+    _assert_row_is_direct(recorder.build(), 0, game, x, shifted, reference)
 
 
 def test_trace_csv_format():

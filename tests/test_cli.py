@@ -176,6 +176,10 @@ def test_sweep_parse_and_rejections():
         parse_config(base + "\n[sweep]\ngamma = ,\ndelta = 0.5\n")
     with pytest.raises(ConfigError):
         parse_config(base + "\n[sweep]\ngamma = 0.01\ndelta = 2.0\n")
+    # nan slips past a plain `g <= 0` check
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=r"^\[sweep\] gamma"):
+            parse_config(base + f"\n[sweep]\ngamma = 0.01, {bad}\ndelta = 0.5\n")
 
 
 def test_canonical_text_round_trips():

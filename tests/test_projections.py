@@ -360,11 +360,12 @@ def test_hyperplane_outside_the_set_raises():
             proj(np.zeros(4))
 
 
-@pytest.mark.parametrize("budget", [2, 3])
+@pytest.mark.parametrize("budget", [1, 2, 3])
 def test_multiplier_search_out_of_budget_raises(monkeypatch, budget):
     # this point needs five evaluations, and the second one closes the
     # bracket, so a smaller budget ends in a bracket that never shrank
-    # to the root (one evaluation cannot bracket at all)
+    # to the root; one evaluation leaves it open on a slope, which is
+    # a spent budget, not a missed hyperplane
     proj = build_ev_projector([1, 1, 1, 0], 5.0, 4.0)
     v = np.array([3.0, -1.0, 2.0, 5.0, 1.0, -2.0, 0.5, 3.0])
     reference = proj(v)

@@ -4,10 +4,12 @@ Each game example draws a quadratic aggregative game (2-6 agents,
 strategy and aggregate dimensions 1-3) and a Metropolis-weighted random
 graph, then runs at most a few hundred sweeps.  Together the two game
 properties cover acceptance criteria 2, 4 and 8 beyond the hand-picked
-instances.  Each charger example draws a horizon, a plug mask, a cap and
-an energy target up to the cap, and checks the exact projection against
-Dykstra and for idempotence and nonexpansiveness, and the slope of the
-multiplier search against a central difference.  The config examples
+instances; a third draws random Kronecker factors (N, p, q, T) and
+checks the batched contractions against per-agent np.kron blocks.  Each
+charger example draws a horizon, a plug mask, a cap and an energy target
+up to the cap, and checks the exact projection against Dykstra and for
+idempotence and nonexpansiveness, and the slope of the multiplier search
+against a central difference.  The config examples
 draw a value for one bounded or multiple-choice key of the config's key
 table, in range or out of it, and check the parse.
 """
@@ -23,9 +25,11 @@ import oracles
 from trades.algorithm import TradesConfig, reduced_system_run, run
 from trades.config import _KEYS, canonical_text, parse_config
 from trades.errors import ConfigError
-from trades.games import random_strongly_monotone_game
+from trades.games import (GameDefinition, local_operator, phi_stack,
+                          random_strongly_monotone_game)
 from trades.network import gen_digraph, make_doubly_stochastic
-from trades.projections import build_ev_projector, project_dykstra
+from trades.projections import (Box, FeasibleSetProjector, build_ev_projector,
+                                project_dykstra)
 
 instances = st.fixed_dictionaries({
     "n_agents": st.integers(2, 6),
@@ -69,6 +73,38 @@ def test_consensus_run_keeps_tracker_mean_and_feasibility(inst):
     _, trace, _ = run(game, graph, cfg, x0=inst["seed"] + 1)
     assert np.max(trace.z_mean_residual) <= 1e-10
     assert np.max(trace.feas_residual) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 6), st.integers(0, 2 ** 16))
+def test_contractions_match_per_agent_kronecker_products(n, p, q, horizon, seed):
+    # the batched factor products against each agent's expanded blocks;
+    # a sum of k products is off by at most k eps times its absolute terms
+    rng = np.random.default_rng(seed)
+    B, E, G = (rng.normal(size=shape) for shape in
+               ((n, p, p), (n, p, q), (n, q, p)))
+    c = rng.normal(size=(n, p, horizon))
+    box = Box(np.full(n * p * horizon, -np.inf), np.full(n * p * horizon, np.inf))
+    game = GameDefinition(B, E, c, G, FeasibleSetProjector(box))
+    x = rng.normal(size=(n, game.m))
+    s = rng.normal(size=(n, game.d))
+    eye = np.eye(horizon)
+    phix = phi_stack(game, x)
+    for i in range(n):
+        kg = np.kron(G[i], eye)
+        assert np.all(np.abs(phix[i] - kg @ x[i])
+                      <= 1e-13 * (np.abs(kg) @ np.abs(x[i])))
+    # pseudo_gradient feeds every agent one aggregate as a broadcast view
+    for estimates in (s, np.broadcast_to(s[0], s.shape)):
+        direction = local_operator(game, x, estimates)
+        for i in range(n):
+            kb, ke = np.kron(B[i], eye), np.kron(E[i], eye)
+            terms = (np.abs(kb) @ np.abs(x[i]) + np.abs(ke) @ np.abs(estimates[i])
+                     + np.abs(c[i].reshape(-1)))
+            assert np.all(np.abs(direction[i] - (kb @ x[i] + ke @ estimates[i]
+                                                 + c[i].reshape(-1)))
+                          <= 1e-13 * terms)
 
 
 def chargers(max_fill=1.0):
