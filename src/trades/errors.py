@@ -38,7 +38,11 @@ class SinkhornStalled(TradesError):
 
 
 class MaxSweepsExceeded(TradesError):
-    """Dykstra's algorithm ran out of sweeps; carries the best iterate."""
+    """An alternating-projection solver ran out of sweeps.
+
+    Dykstra's algorithm sets ``best`` and ``residual`` to its best
+    iterate; the feasible-set multiplier search leaves them ``None``.
+    """
 
     def __init__(self, message, best=None, residual=None, sweeps=None):
         super().__init__(message)

@@ -9,6 +9,8 @@ support or a symmetrized Metropolis rule; the latter always exists and
 is the experiment default, the former preserves the directed structure.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import SinkhornStalled
@@ -22,43 +24,35 @@ _WEIGHT_METHODS = ("metropolis_symmetrized", "sinkhorn")
 class WeightedDigraph:
     """Directed graph on agent indices with optional consensus weights.
 
-    Edges are ordered (src, dst) pairs, information flowing src -> dst;
-    the weight matrix entry ``weights[dst, src]`` is positive exactly on
-    edges.  Instances are treated as immutable once built.
+    The boolean ``support[dst, src]`` is true exactly for the edge
+    src -> dst, information flowing from src to dst, so row i lists the
+    in-neighbours of node i.  The weight matrix entry ``weights[dst, src]``
+    is positive exactly on the support.  Instances are treated as
+    immutable once built.
     """
 
-    def __init__(self, n_agents, edges, weights=None):
-        n_agents = int(n_agents)
-        if n_agents < 1:
-            raise ValueError("graph needs at least one node")
-        edges = {(int(s), int(t)) for s, t in edges}
-        for s, t in edges:
-            if not (0 <= s < n_agents and 0 <= t < n_agents):
-                raise ValueError(f"edge ({s},{t}) out of range for {n_agents} nodes")
-        self.n_agents = n_agents
-        self.edges = frozenset(edges)
+    def __init__(self, support, weights=None):
+        # C order: the bits of Sinkhorn's row and column sums depend on it
+        support = np.ascontiguousarray(support)
+        if support.ndim != 2 or support.shape[0] != support.shape[1] or support.size == 0:
+            raise ValueError("support must be a nonempty square matrix")
+        if support.dtype != bool:
+            raise ValueError("support must be a boolean matrix")
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
-            if weights.shape != (n_agents, n_agents):
+            if weights.shape != support.shape:
                 raise ValueError("weight matrix shape mismatch")
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights must be finite")
             if np.any(weights < 0):
                 raise ValueError("weights must be nonnegative")
-            support = self.support_matrix().astype(bool)
             if np.any(weights[~support] != 0.0):
-                raise ValueError("positive weight outside the edge set")
+                raise ValueError("positive weight outside the support")
             if np.any(weights[support] <= 0.0):
                 raise ValueError("zero weight on an edge")
+        self.n_agents = support.shape[0]
+        self.support = support
         self.weights = weights
-
-    def support_matrix(self):
-        """0/1 matrix with ones at [dst, src] for every edge."""
-        s = np.zeros((self.n_agents, self.n_agents))
-        for src, dst in self.edges:
-            s[dst, src] = 1.0
-        return s
-
-    def has_all_self_loops(self):
-        return all((i, i) in self.edges for i in range(self.n_agents))
 
     def stochasticity_residual(self):
         """Worst deviation of any row or column sum from one."""
@@ -71,26 +65,17 @@ class WeightedDigraph:
 
 def is_strongly_connected(graph):
     """Every node reaches every node, by forward and backward sweeps."""
-    n = graph.n_agents
-    out_adj = [[] for _ in range(n)]
-    in_adj = [[] for _ in range(n)]
-    for src, dst in graph.edges:
-        out_adj[src].append(dst)
-        in_adj[dst].append(src)
 
-    def reaches_all(adj):
-        seen = [False] * n
+    def reaches_all(adj):  # adj[dst, src]: the sweep follows src -> dst
+        seen = np.zeros(graph.n_agents, dtype=bool)
         seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return all(seen)
+        frontier = seen
+        while frontier.any():
+            frontier = adj[:, frontier].any(axis=1) & ~seen
+            seen = seen | frontier
+        return bool(seen.all())
 
-    return reaches_all(out_adj) and reaches_all(in_adj)
+    return reaches_all(graph.support) and reaches_all(graph.support.T)
 
 
 def gen_digraph(n_agents, edge_prob, seed):
@@ -108,19 +93,15 @@ def gen_digraph(n_agents, edge_prob, seed):
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    mask = rng.random((n_agents, n_agents)) < edge_prob
-    edges = {(i, j) for i in range(n_agents) for j in range(n_agents)
-             if i != j and mask[i, j]}
+    arcs = rng.random((n_agents, n_agents)) < edge_prob  # arcs[src, dst]
     perm = rng.permutation(n_agents)
-    for k in range(n_agents):
-        edges.add((int(perm[k]), int(perm[(k + 1) % n_agents])))
-    for i in range(n_agents):
-        edges.add((i, i))
-    return WeightedDigraph(n_agents, edges)
+    arcs[perm, np.roll(perm, -1)] = True
+    np.fill_diagonal(arcs, True)
+    return WeightedDigraph(arcs.T)
 
 
 def _sinkhorn(support, tol, max_iter):
-    m = support.copy()
+    m = support.astype(float)
     residual = np.inf
     for it in range(1, max_iter + 1):
         m /= m.sum(axis=1, keepdims=True)
@@ -141,37 +122,28 @@ def make_doubly_stochastic(graph, method="metropolis_symmetrized",
 
     sinkhorn keeps the directed support (strong connectivity plus
     self-loops makes the pattern fully indecomposable, so the balancing
-    converges); metropolis_symmetrized first symmetrizes the edge set,
+    converges); metropolis_symmetrized first symmetrizes the support,
     sets w_ij = 1/(1 + max(deg_i, deg_j)) across each undirected edge
     and puts the remainder on the diagonal, which is symmetric and hence
     doubly stochastic with no iteration at all.
     """
     if method not in _WEIGHT_METHODS:
         raise ValueError(f"unknown weight method {method!r}; pick from {_WEIGHT_METHODS}")
-    if not graph.has_all_self_loops():
+    support = graph.support
+    if not support.diagonal().all():
         raise ValueError("weight synthesis expects all self-loops present")
     if not is_strongly_connected(graph):
         raise ValueError("weight synthesis expects a strongly connected graph")
-    n = graph.n_agents
 
     if method == "sinkhorn":
-        w = _sinkhorn(graph.support_matrix(), tol, max_iter)
-        return WeightedDigraph(n, graph.edges, w)
+        return WeightedDigraph(support, _sinkhorn(support, tol, max_iter))
 
-    sym_edges = set(graph.edges)
-    sym_edges.update((t, s) for s, t in graph.edges)
-    neighbors = [set() for _ in range(n)]
-    for s, t in sym_edges:
-        if s != t:
-            neighbors[s].add(t)
-            neighbors[t].add(s)
-    deg = np.array([len(nb) for nb in neighbors], dtype=float)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in neighbors[i]:
-            w[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    sym = support | support.T
+    off = sym & ~np.eye(graph.n_agents, dtype=bool)
+    deg = off.sum(axis=1)
+    w = np.where(off, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return WeightedDigraph(n, sym_edges, w)
+    return WeightedDigraph(sym, w)
 
 
 def consensus_step(graph, z, phix):
@@ -194,16 +166,11 @@ def consensus_step(graph, z, phix):
     return w @ (z + phix) - phix
 
 
-class ConsensusSpectrum:
+class ConsensusSpectrum(NamedTuple):
     """Spectral data of the disagreement map W - (1/N) ones."""
 
-    def __init__(self, rho_disagreement, sigma_disagreement):
-        self.rho_disagreement = float(rho_disagreement)
-        self.sigma_disagreement = float(sigma_disagreement)
-
-    def __repr__(self):
-        return (f"ConsensusSpectrum(rho_disagreement={self.rho_disagreement:.6g}, "
-                f"sigma_disagreement={self.sigma_disagreement:.6g})")
+    rho_disagreement: float
+    sigma_disagreement: float
 
 
 def spectrum(graph):
@@ -221,4 +188,3 @@ def spectrum(graph):
     rho = float(np.abs(eigs).max())
     sigma = float(np.linalg.norm(m, 2))
     return ConsensusSpectrum(rho, sigma)
-
