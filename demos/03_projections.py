@@ -77,9 +77,8 @@ print(f"  idempotent to {np.max(np.abs(again - feasible)):.2e}")
 lower = np.concatenate([np.where(plugged > 0, -np.inf, 0.0),
                         np.full(HORIZON, -np.inf)])
 upper = np.concatenate([np.zeros(HORIZON), np.full(HORIZON, np.inf)])
-pairs = [(t, HORIZON + t) for t in range(HORIZON)]
 vehicle = Intersection([
     Hyperplane(np.concatenate([plugged, np.zeros(HORIZON)]), -target_kwh),
-    Box(lower, upper), DiskPairs(2 * HORIZON, pairs, s_max)])
+    Box(lower, upper), DiskPairs(np.full(HORIZON, s_max))])
 reference = project_dykstra(vehicle, wish, tol=1e-13)
 print(f"  distance to Dykstra's answer {np.linalg.norm(feasible - reference):.2e}")

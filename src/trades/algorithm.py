@@ -282,7 +282,8 @@ def _damped_projected_step(game, x, estimates, gamma, delta):
 
 
 def _advance(game, graph, gamma, delta, x, z, tracker_mode):
-    """One synchronous sweep; returns (new x, new z, contributions).
+    """One synchronous sweep; returns (new x, new z, contributions, the
+    estimate stack z + contributions that the sweep and recorder share).
 
     Both halves read the time-t state: the strategy update uses the
     time-t tracker, and the tracker update uses the time-t contributions
@@ -290,14 +291,15 @@ def _advance(game, graph, gamma, delta, x, z, tracker_mode):
     TRACKER_MODES, checked by run.
     """
     phix = phi_stack(game, x)
+    estimates = z + phix
     if tracker_mode == "consensus":
-        new_x = _damped_projected_step(game, x, phix + z, gamma, delta)
-        new_z = consensus_step(graph, z, phix)
+        new_x = _damped_projected_step(game, x, estimates, gamma, delta)
+        new_z = consensus_step(graph, z, phix, estimates)
     else:
         new_x = _damped_projected_step(game, x, _exact_estimates(phix),
                                        gamma, delta)
         new_z = exact_tracker_values(game, new_x)
-    return new_x, new_z, phix
+    return new_x, new_z, phix, estimates
 
 
 def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
@@ -346,12 +348,12 @@ class _Recorder:
                      ("t", "err_x", "est_err_max", "disagreement",
                       "step_norm", "z_mean_residual", "feas_residual")}
 
-    def add(self, t, x, z, phix, step_norm):
+    def add(self, t, x, z, phix, estimates, step_norm):
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
         # to the column sums of z, so the centred stack's squared norm (the
-        # disagreement) is their squared norm minus |sum_i z_i|^2 / N
-        w = z + phix
-        w -= self.mean_row @ phix
+        # disagreement) is their squared norm minus |sum_i z_i|^2 / N;
+        # estimates (z + phix) is shared with the sweep, so it stays as is
+        w = estimates - self.mean_row @ phix
         rows = np.einsum("ij,ij->i", w, w)
         z_sum = z.sum(axis=0)
         z_sum_sq = z_sum @ z_sum
@@ -405,11 +407,11 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
     step_norm = float("nan")
     t = 0
     while t < cfg.max_iter:
-        new_x, new_z, phix = _advance(game, graph, cfg.gamma, cfg.delta,
-                                      x, z, tracker_mode)
+        new_x, new_z, phix, estimates = _advance(
+            game, graph, cfg.gamma, cfg.delta, x, z, tracker_mode)
         step_norm = _checked_step_norm(t, x, new_x, cfg.delta, new_z, recorder)
         if t % cfg.trace_stride == 0:
-            recorder.add(t, x, z, phix, step_norm)
+            recorder.add(t, x, z, phix, estimates, step_norm)
         x, z = new_x, new_z
         t += 1
         if keep_iterates:
@@ -418,7 +420,8 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
             stop_reason = "stop_tol"
             break
 
-    recorder.add(t, x, z, phi_stack(game, x), step_norm)
+    phix = phi_stack(game, x)
+    recorder.add(t, x, z, phix, z + phix, step_norm)
     trace = recorder.build(np.asarray(iterates) if keep_iterates else None)
 
     if oracle_vec is not None:

@@ -146,11 +146,12 @@ def make_doubly_stochastic(graph, method="metropolis_symmetrized",
     return WeightedDigraph(sym, w)
 
 
-def consensus_step(graph, z, phix):
+def consensus_step(graph, z, phix, estimates=None):
     """One perturbed-consensus update of the tracker stack.
 
     Computes W z + (W - I) phi as W (z + phi) - phi, one product on
-    (N, d) arrays; the lifted Kronecker operator is never materialized.
+    (N, d) arrays (``estimates``, if given, is z + phi formed already);
+    the lifted Kronecker operator is never materialized.
     Row and column sums of W being one makes the per-column mean of z
     invariant, which is the conservation property the trackers rely on.
     """
@@ -162,8 +163,7 @@ def consensus_step(graph, z, phix):
         raise ValueError(f"tracker stack must be ({graph.n_agents}, d)")
     if phix.shape != z.shape:
         raise ValueError("tracker and contribution stacks must share a shape")
-    w = graph.weights
-    return w @ (z + phix) - phix
+    return graph.weights @ (z + phix if estimates is None else estimates) - phix
 
 
 class ConsensusSpectrum(NamedTuple):

@@ -101,41 +101,40 @@ class Halfspace(ConvexSet):
 
 
 class DiskPairs(ConvexSet):
-    """Per-pair Euclidean norm caps: for each index pair (i, j) the point
-    (v[i], v[j]) must lie in the disk of the given radius (one radius for
-    all pairs, or one per pair).
-
-    Pairs must be disjoint, so the projection factorizes into independent
-    radial scalings of the violating pairs.
+    """Per-slot disk caps on the (..., 2, T) view of a vector: slot t pairs
+    [..., 0, t] (active) with [..., 1, t] (reactive) inside the disk of
+    radius[..., t]; an infinite radius sets no cap.  Slots are disjoint, so
+    the projection scales each slot beyond its radius radially on its own.
     """
 
-    def __init__(self, dim, pairs, radius):
-        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= dim):
-            raise ValueError("pair indices out of range")
-        flat = pairs.reshape(-1)
-        if np.unique(flat).size != flat.size:
-            raise ValueError("disk pairs must not share coordinates")
+    def __init__(self, radius):
         radius = np.asarray(radius, dtype=float)
-        if not np.all(radius > 0):
-            raise ValueError("radius must be positive")
-        self.dim = dim
-        self.pairs = pairs
-        self.radius = np.broadcast_to(radius, (pairs.shape[0],))
+        if radius.ndim == 0 or not np.all(radius > 0):
+            raise ValueError("need a (..., T) array of positive radii")
+        self.radius, self.dim = radius, 2 * radius.size
+        self.shape = radius.shape[:-1] + (2, radius.shape[-1])
+        # a squared norm below this keeps a slot inside whatever the rounding;
+        # subnormal squares (radius <= 1e-100) never clear, overflowed ones can
+        with np.errstate(over="ignore"):
+            self._clear = np.where(radius > 1e-100, radius * (1 - 1e-9) * radius, 0.0)
+
+    def capped(self, u):
+        """(norms, mask) of the slots of the (..., 2, T) view u, the mask
+        marking slots beyond their radius; None when no slot is."""
+        if (np.einsum("...kt,...kt->...t", u, u) < self._clear).all():
+            return None
+        norm = np.hypot(u[..., 0, :], u[..., 1, :])
+        cap = norm > self.radius
+        return (norm, cap) if cap.any() else None
 
     def project(self, v):
-        v = _as_vector(v, self.dim).copy()
-        if self.pairs.size == 0:
-            return v
-        idx_a = self.pairs[:, 0]
-        idx_b = self.pairs[:, 1]
-        norms = np.hypot(v[idx_a], v[idx_b])
-        bad = norms > self.radius
-        if np.any(bad):
-            scale = self.radius[bad] / norms[bad]
-            v[idx_a[bad]] *= scale
-            v[idx_b[bad]] *= scale
-        return v
+        u = _as_vector(v, self.dim).reshape(self.shape)
+        found = self.capped(u)
+        if found is None:
+            return u.reshape(-1).copy()
+        norm, cap = found
+        scale = np.divide(self.radius, norm, out=np.ones_like(norm), where=cap)
+        return (u * scale[..., None, :]).reshape(-1)
 
 
 class Intersection(ConvexSet):
@@ -236,8 +235,8 @@ class FeasibleSetProjector(ConvexSet):
 
     ``box`` and the optional ``disks`` span a stack of N agents' m-long
     strategies; the optional ``normals`` (N, m) and ``levels`` (N,) add
-    a_i . x_i = b_i per agent (a zero row adds none).  Box bounds on disk
-    pairs must be 0 or infinite, so clamping then scaling onto the disks
+    a_i . x_i = b_i per agent (a zero row adds none).  Box bounds on capped
+    disk slots must be 0 or infinite, so clamping then scaling onto the disks
     projects exactly onto box and disks (call it P).  The projection is
     P(v_i - lam_i a_i) at the root of the nonincreasing
     g_i(lam) = a_i . P(v_i - lam a_i) - b_i.  All agents take Newton steps
@@ -248,10 +247,10 @@ class FeasibleSetProjector(ConvexSet):
     """
 
     def __init__(self, box, disks=None, normals=None, levels=None):
-        if disks is not None and not (
-                np.all(np.isin(box.lower[disks.pairs], (0.0, -np.inf)))
-                and np.all(np.isin(box.upper[disks.pairs], (0.0, np.inf)))):
-            raise ValueError("disk pairs need box bounds of 0 or infinity")
+        if disks is not None and np.any(np.isfinite(disks.radius)[..., None, :] & ~(
+                np.isin(box.lower.reshape(disks.shape), (0.0, -np.inf))
+                & np.isin(box.upper.reshape(disks.shape), (0.0, np.inf)))):
+            raise ValueError("capped disk slots need box bounds of 0 or infinity")
         self.box, self.disks, self.dim = box, disks, box.dim
         self.normals, self.shape = None, (box.dim,)
         if normals is not None:
@@ -279,15 +278,16 @@ class FeasibleSetProjector(ConvexSet):
 
     def _slope(self, y):
         """a_i . J a_i = -g_i', J the Jacobian of P where the box clamps to y: the
-        free mask, then (r/|u|)(I - u u^T/|u|^2) on pairs u of y beyond radius r."""
+        free mask, then (r/|u|)(I - u u^T/|u|^2) on slots u of y beyond radius r."""
         ja = self.normals.reshape(-1) * ((self.box.lower < y) & (y < self.box.upper))
-        if self.disks is not None:
-            p, r = self.disks.pairs, self.disks.radius
-            norm = np.hypot(*y[p.T])
-            cap = norm > r
-            p, r, norm = p[cap], r[cap, None], norm[cap, None]
-            w, y_hat = ja[p], y[p] / norm
-            ja[p] = r / norm * (w - y_hat * (y_hat * w).sum(axis=1, keepdims=True))
+        found = None if self.disks is None else self.disks.capped(
+            y.reshape(self.disks.shape))
+        if found is not None:   # (..., T, 2) views of y and ja; capped slots
+            norm, cap = found
+            u, w = (np.moveaxis(b.reshape(self.disks.shape), -2, -1) for b in (y, ja))
+            y_hat, wc, norm = u[cap] / norm[cap, None], w[cap], norm[cap, None]
+            w[cap] = self.disks.radius[cap, None] / norm * (
+                wc - y_hat * (y_hat * wc).sum(axis=1, keepdims=True))
         return np.einsum("im,im->i", self.normals, ja.reshape(self.shape))
 
     def _search(self, v):
@@ -315,7 +315,7 @@ class FeasibleSetProjector(ConvexSet):
             # no float strictly inside the bracket: the root is found
             collapsed = closed & ~((trial > lo) & (trial < hi))
             lam = np.where(todo, trial, lam)
-            if not np.all(np.isfinite(lam)):
+            if not np.isfinite(lam).all():
                 break
         # an open bracket where g is flat has no root ahead of it; any
         # other open or closed bracket just ran out of evaluations
@@ -357,10 +357,7 @@ def build_ev_projector(plugged, target_energy, s_max):
     lower = np.hstack([np.where(charging, -np.inf, full),
                        np.where(pinned, 0.0, -np.inf)])
     upper = np.hstack([full, np.where(pinned, 0.0, np.inf)])
-    agent, slot = np.nonzero(~pinned)      # pinned slots need no disk
-    first = agent * 2 * horizon + slot
-    disks = DiskPairs(lower.size, np.column_stack([first, first + horizon]),
-                      s_max[agent])
+    disks = DiskPairs(np.where(pinned, np.inf, s_max[:, None]))  # pinned: no cap
     return FeasibleSetProjector(
         Box(lower, upper), disks, np.hstack([charging, 0.0 * charging]),
         np.where(charging.any(axis=1), -target, 0.0))

@@ -130,13 +130,26 @@ def ev_reference_set(plugged, target_energy, s_max):
     upper = np.full(2 * horizon, np.inf)
     upper[:horizon] = 0.0
     lower[:horizon][~plugged] = 0.0
-    members = [Box(lower, upper),
-               DiskPairs(2 * horizon, [(k, horizon + k) for k in range(horizon)],
-                         s_max)]
+    members = [Box(lower, upper), DiskPairs(np.full(horizon, s_max))]
     if plugged.any():
         normal = np.concatenate([plugged, np.zeros(horizon)])
         members.insert(0, Hyperplane(normal, -target_energy))
     return Intersection(members, certify=False)
+
+
+def disk_slots_projection(radius, v):
+    """Projection onto ``DiskPairs(radius)``, one slot at a time: slot t
+    of the (..., 2, T) view pairs [..., 0, t] with [..., 1, t], and a slot
+    whose norm exceeds its radius is scaled radially onto its circle."""
+    radius = np.asarray(radius, dtype=float)
+    out = np.array(v, dtype=float).reshape(
+        radius.shape[:-1] + (2, radius.shape[-1]))
+    for *lead, t in np.ndindex(radius.shape):
+        a, b = out[(*lead, 0, t)], out[(*lead, 1, t)]
+        norm, cap = np.hypot(a, b), radius[(*lead, t)]
+        if norm > cap:
+            out[(*lead, 0, t)], out[(*lead, 1, t)] = a * (cap / norm), b * (cap / norm)
+    return out.reshape(-1)
 
 
 def central_diff_gradient(f, x, h=1e-6):

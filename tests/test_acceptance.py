@@ -194,7 +194,7 @@ def test_criterion_5_projection_correctness():
         ("box", Box([-1.0, 0.0, 2.0], [1.0, 3.0, 2.5]).project, 3),
         ("hyperplane", Hyperplane([1.0, -2.0, 0.5], 1.2).project, 3),
         ("halfspace", Halfspace([0.3, 1.0], -0.4).project, 2),
-        ("disk pairs", DiskPairs(4, [(0, 2), (1, 3)], 1.7).project, 4),
+        ("disk pairs", DiskPairs([1.7, 1.7]).project, 4),
         ("intersection", ev_members, 8),
     ]
     idem_worst = 0.0

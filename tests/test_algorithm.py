@@ -143,7 +143,7 @@ def test_hand_computed_step_two_agents():
     graph = _graph(2, 1.0, 0)
     assert np.array_equal(graph.weights, np.full((2, 2), 0.5))
     blocks = [np.array([1.0]), np.array([-1.0])]
-    new_blocks, new_z, _ = _advance(game, graph, 0.1, 0.5, blocks,
+    new_blocks, new_z, *_ = _advance(game, graph, 0.1, 0.5, blocks,
                                     np.array([[0.2], [-0.2]]), "consensus")
     expected_x1 = 1.0 + 0.5 * ((1.0 - 0.1 * 1.7) - 1.0)
     expected_x2 = -1.0 + 0.5 * ((-1.0 - 0.1 * (-2.85)) - (-1.0))
@@ -154,7 +154,7 @@ def test_hand_computed_step_two_agents():
     # a one-iteration run is exactly this sweep from z = 0, at time 1
     cfg = TradesConfig(gamma=0.1, delta=0.5, max_iter=1)
     state, _, _ = run(game, graph, cfg, x0=np.array([1.0, -1.0]))
-    first_blocks, first_z, _ = _advance(game, graph, 0.1, 0.5, blocks,
+    first_blocks, first_z, *_ = _advance(game, graph, 0.1, 0.5, blocks,
                                         np.zeros((2, 1)), "consensus")
     assert np.array_equal(state.x.stacked, np.concatenate(first_blocks))
     assert np.array_equal(state.z, first_z)
@@ -170,7 +170,7 @@ def test_step_tracker_reads_pre_update_strategies():
     blocks = init(game, 99).x.blocks
     z = rng.normal(size=(5, 3))
     z -= z.mean(axis=0)
-    new_blocks, new_z, _ = _advance(game, graph, 0.05, 0.5, blocks, z,
+    new_blocks, new_z, *_ = _advance(game, graph, 0.05, 0.5, blocks, z,
                                     "consensus")
     phix_old = phi_stack(game, blocks)
     expected = kron_consensus_oracle(graph.weights, z, phix_old)
@@ -187,7 +187,7 @@ def test_equilibrium_is_fixed_point():
     blocks = xstar.blocks
     z = exact_tracker_values(game, blocks)
     for _ in range(5):
-        blocks, z, _ = _advance(game, graph, 0.05, 0.5, blocks, z, "consensus")
+        blocks, z, *_ = _advance(game, graph, 0.05, 0.5, blocks, z, "consensus")
     assert np.linalg.norm(np.concatenate(blocks) - xstar.stacked) <= 1e-9
 
 
@@ -225,7 +225,7 @@ def test_step_nonfinite_raises_with_iteration_index():
     produced = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while all(np.all(np.isfinite(v)) for v in [*blocks, z]):
-            blocks, z, _ = _advance(game, graph, cfg.gamma, cfg.delta,
+            blocks, z, *_ = _advance(game, graph, cfg.gamma, cfg.delta,
                                     blocks, z, "consensus")
             produced += 1
         with pytest.raises(NonFiniteDetected) as info:
@@ -375,7 +375,8 @@ def test_final_trace_row_matches_direct_evaluation(instance):
     # norm of the centred estimate stack
     shifted = z + np.linspace(-1.0, 2.0, game.d)
     recorder = _Recorder(game, reference)
-    recorder.add(0, x, shifted, phi_stack(game, x), 0.0)
+    phix = phi_stack(game, x)
+    recorder.add(0, x, shifted, phix, shifted + phix, 0.0)
     _assert_row_is_direct(recorder.build(), 0, game, x, shifted, reference)
 
 

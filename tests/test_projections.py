@@ -66,14 +66,15 @@ def test_halfspace_projects_like_hyperplane_when_violated():
 
 
 def test_disk_pairs_radial_scaling():
-    # (3,4) has norm 5, cap 1 scales by 1/5
-    disks = DiskPairs(2, [(0, 1)], 1.0)
+    # one slot pairs (v[0], v[1]); (3,4) has norm 5, cap 1 scales by 1/5
+    disks = DiskPairs([1.0])
     out = disks.project([3.0, 4.0])
     assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-14)
 
 
 def test_disk_pairs_only_violating_pair_moves():
-    disks = DiskPairs(4, [(0, 2), (1, 3)], 1.0)
+    # the (2, 2) view pairs slot 0 as (v[0], v[2]) and slot 1 as (v[1], v[3])
+    disks = DiskPairs([1.0, 1.0])
     v = np.array([3.0, 0.1, 4.0, 0.2])
     out = disks.project(v)
     assert np.allclose(out[[0, 2]], [0.6, 0.8], rtol=0, atol=1e-14)
@@ -81,11 +82,34 @@ def test_disk_pairs_only_violating_pair_moves():
 
 
 def test_disk_pairs_radius_per_pair():
-    disks = DiskPairs(4, [(0, 2), (1, 3)], [1.0, 10.0])
+    disks = DiskPairs([1.0, 10.0])
     out = disks.project([3.0, 3.0, 4.0, 4.0])
     assert np.allclose(out, [0.6, 3.0, 0.8, 4.0], rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
-        DiskPairs(4, [(0, 2), (1, 3)], [1.0, -1.0])
+        DiskPairs([1.0, -1.0])
+
+
+def test_disk_pairs_stacked_slots_and_infinite_radius():
+    # radius (2, 3): agent i's six coordinates are (p_0..p_2, q_0..q_2), and
+    # an infinite radius leaves its slot alone however far out it lies
+    disks = DiskPairs([[1.0, np.inf, 2.0], [np.inf, 5.0, 5.0]])
+    assert disks.dim == 12 and disks.shape == (2, 2, 3)
+    v = np.array([3.0, 30.0, 0.0, 4.0, 40.0, -4.0,
+                  1e300, 3.0, 0.5, 1e300, 4.0, 0.5])
+    out = disks.project(v)
+    assert np.allclose(out, [0.6, 30.0, 0.0, 0.8, 40.0, -2.0,
+                             1e300, 3.0, 0.5, 1e300, 4.0, 0.5], rtol=1e-15, atol=0)
+
+
+def test_disk_pairs_scale_a_slot_whose_square_is_subnormal():
+    # just outside its radius, yet its rounded squared norm falls below the
+    # rounded squared radius: only the norm itself shows the slot is out
+    radius = 9.761367969137454e-160
+    v = np.array([-9.697127255508606e-160, -1.1181322240746543e-160])
+    assert np.hypot(*v) > radius and v @ v < radius * radius
+    out = DiskPairs([radius]).project(v)
+    assert np.array_equal(out, oracles.disk_slots_projection([radius], v))
+    assert not np.array_equal(out, v)
 
 
 def test_primitive_constructor_validation():
@@ -96,11 +120,11 @@ def test_primitive_constructor_validation():
     with pytest.raises(ValueError):
         Halfspace([0.0], 1.0)
     with pytest.raises(ValueError):
-        DiskPairs(4, [(0, 1), (1, 2)], 1.0)
+        DiskPairs([0.0])
     with pytest.raises(ValueError):
-        DiskPairs(4, [(0, 5)], 1.0)
+        DiskPairs([np.nan])
     with pytest.raises(ValueError):
-        DiskPairs(4, [(0, 1)], 0.0)
+        DiskPairs(1.0)      # no slot axis
 
 
 def test_dimension_mismatch_rejected():
@@ -344,6 +368,31 @@ def test_single_charger_call_matches_its_stacked_row():
         assert np.array_equal(single(v[i]), out[i])
 
 
+def test_charger_search_evaluation_count_is_pinned(monkeypatch):
+    # one DiskPairs.project call per evaluation of the multiplier search;
+    # the counts were recorded when the disks were index pairs, and the
+    # slot layout does the same arithmetic, so a change in any count is a
+    # change in the Newton path
+    calls = []
+    project = DiskPairs.project
+    monkeypatch.setattr(DiskPairs, "project",
+                        lambda self, v: calls.append(1) or project(self, v))
+    rng = np.random.default_rng(31)
+    plugged = rng.random((6, 24)) < 0.6
+    plugged[:, 0] = True
+    caps = np.array([7.0, 7.0, 5.0, 6.0, 3.0, 4.0])
+    fill = np.array([0.0, 1.0, 0.3, 0.7, 0.95, 0.5])
+    proj = build_ev_projector(plugged, caps * plugged.sum(axis=1) * fill, caps)
+    counts = []
+    for scale in (0.5, 2.0, 6.0, 20.0):
+        for _ in range(5):
+            v = rng.normal(scale=scale, size=(6, 48))
+            before = len(calls)
+            proj(v)
+            counts.append(len(calls) - before)
+    assert counts == [7, 7, 6, 7, 8, 7, 7, 9, 7, 7, 7, 9, 7, 7, 10, 9, 8, 9, 8, 8]
+
+
 def test_non_finite_input_passes_through():
     # the run loop, not the projector, reports a diverged iterate
     out = build_ev_projector([1, 1], 3.0, 4.0)(np.full(4, np.nan))
@@ -353,7 +402,7 @@ def test_non_finite_input_passes_through():
 def test_hyperplane_outside_the_set_raises():
     # p <= 0 on two slots of radius 1: the sums +1 and -3 are out of reach
     box = Box([-np.inf] * 4, [0.0, 0.0, np.inf, np.inf])
-    disks = DiskPairs(4, [(0, 2), (1, 3)], 1.0)
+    disks = DiskPairs([1.0, 1.0])
     for level in (1.0, -3.0):
         proj = FeasibleSetProjector(box, disks, [1.0, 1.0, 0.0, 0.0], level)
         with pytest.raises(InfeasibleSpec):
@@ -377,10 +426,20 @@ def test_multiplier_search_out_of_budget_raises(monkeypatch, budget):
 
 
 def test_disk_pairs_need_cone_bounds_in_the_box():
-    # a bound of -1 on a disk coordinate would make box-then-disk inexact
+    # a bound of -1 on a capped slot would make box-then-disk inexact
     with pytest.raises(ValueError):
         FeasibleSetProjector(Box([-1.0, -np.inf], [0.0, np.inf]),
-                             DiskPairs(2, [(0, 1)], 1.0))
+                             DiskPairs([1.0]))
+    with pytest.raises(ValueError):
+        FeasibleSetProjector(Box([0.0, -np.inf, -np.inf, -np.inf],
+                                 [0.0, np.inf, np.inf, 2.0]),
+                             DiskPairs([[np.inf, 1.0]]))
+    # an uncapped (pinned) slot takes any bounds, and a capped slot beside
+    # it the bounds 0 and infinity
+    box = Box([-1.0, -np.inf, 0.5, 0.0], [3.0, 0.0, 0.5, np.inf])
+    proj = FeasibleSetProjector(box, DiskPairs([[np.inf, 1.0]]))
+    out = proj(np.array([5.0, -3.0, 0.0, 4.0]))
+    assert np.allclose(out, [3.0, -0.6, 0.5, 0.8], rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------- shared properties
@@ -398,7 +457,7 @@ def _projection_zoo():
         (Box([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5]).project, 3),
         (Hyperplane([1.0, -2.0, 0.5], 1.5).project, 3),
         (Halfspace([1.0, 1.0], 1.0).project, 2),
-        (DiskPairs(4, [(0, 2), (1, 3)], 2.0).project, 4),
+        (DiskPairs([2.0, 2.0]).project, 4),
         (lambda v: project_dykstra(corner, v, tol=1e-12), 2),
         (ev, 8),
     ]
@@ -427,7 +486,7 @@ def test_nonexpansiveness_on_random_pairs():
 def test_feasible_points_are_fixed_points():
     rng = np.random.default_rng(101)
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    disks = DiskPairs(4, [(0, 1), (2, 3)], 2.0)
+    disks = DiskPairs([[2.0], [2.0]])     # slots (v[0], v[1]) and (v[2], v[3])
     for _ in range(50):
         vb = rng.uniform(-1.0, 1.0, size=2)
         assert np.array_equal(box.project(vb), vb)

@@ -10,7 +10,8 @@ charger example draws a horizon, a plug mask, a cap and an energy target
 up to the cap, and checks the exact projection against Dykstra (or,
 where Dykstra runs out of sweeps, by stationarity and membership) and for
 idempotence and nonexpansiveness, and the slope of the multiplier search
-against a central difference.  The config examples
+against a central difference; disk caps of random shape and radius are
+checked against a per-slot scaling loop.  The config examples
 draw a value for one bounded or multiple-choice key of the config's key
 table, in range or out of it, and check the parse.
 """
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from trades.algorithm import TradesConfig, reduced_system_run, run
@@ -29,8 +31,8 @@ from trades.errors import ConfigError, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
                           random_strongly_monotone_game)
 from trades.network import gen_digraph, make_doubly_stochastic
-from trades.projections import (Box, FeasibleSetProjector, build_ev_projector,
-                                project_dykstra)
+from trades.projections import (Box, DiskPairs, FeasibleSetProjector,
+                                build_ev_projector, project_dykstra)
 
 instances = st.fixed_dictionaries({
     "n_agents": st.integers(2, 6),
@@ -194,8 +196,9 @@ def test_multiplier_search_slope_is_the_derivative(inst, shift):
     def piece(u):
         y = proj.box.project(u)
         free = (proj.box.lower < y) & (y < proj.box.upper)
-        capped = np.hypot(*y[proj.disks.pairs.T]) > proj.disks.radius
-        return np.concatenate([free, capped])
+        u = y.reshape(proj.disks.shape)
+        capped = np.hypot(u[..., 0, :], u[..., 1, :]) > proj.disks.radius
+        return np.concatenate([free, capped.reshape(-1)])
 
     assume(all(np.array_equal(piece(points[1]), piece(u)) for u in points))
     below, above = proj._box_disk(points[0])[0], proj._box_disk(points[2])[0]
@@ -203,6 +206,37 @@ def test_multiplier_search_slope_is_the_derivative(inst, shift):
     difference = a[0] @ (below - above) / (2.0 * h)
     rounding = 4.0 * np.finfo(float).eps * (np.abs(a[0]) @ np.abs(below)) / h
     assert abs(slope - difference) <= 1e-6 * abs(slope) + rounding
+
+
+@st.composite
+def disk_slots(draw):
+    """Radii of shape (..., T) over 400 decades, some infinite, and points
+    whose slots lie at the origin, inside, on, just off or outside their
+    circles (pinned slots at any size)."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+
+    def array(elements, dtype=float):
+        return draw(hnp.arrays(dtype, shape, elements=elements))
+
+    radius = 10.0 ** array(st.floats(-200.0, 200.0))
+    radius[array(st.booleans(), bool)] = np.inf
+    size = np.where(np.isinf(radius), 10.0 ** array(st.floats(-200.0, 200.0)),
+                    radius)
+    size *= array(st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0 - 1e-15, 1.0,
+                                   1.0 + 1e-15, 1.0 + 1e-9, 3.0]))
+    angle = array(st.floats(0.0, 2.0 * np.pi))
+    v = np.stack([np.cos(angle), np.sin(angle)], axis=-2) * size[..., None, :]
+    return radius, v.reshape(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(disk_slots())
+def test_disk_pairs_match_per_slot_scaling(case):
+    # bitwise: the squared-norm screen must never skip a slot beyond its
+    # radius, nor change the scaling of one that is
+    radius, v = case
+    got = DiskPairs(radius).project(v)
+    assert np.array_equal(got, oracles.disk_slots_projection(radius, v))
 
 
 # one config per scenario, section -> key -> raw value; any existing file
