@@ -7,19 +7,18 @@ generators, exact projection machinery, a radial-feeder voltage-support
 case study, and a config-driven command line front end.
 """
 
-from .algorithm import (BoundaryLayerResult, ConsensusBasis, ConvergenceReport,
+from .algorithm import (BoundaryLayerResult, ConvergenceReport,
                         IterationTrace, TRACE_COLUMNS, TRACKER_MODES,
                         TradesConfig, TradesState, boundary_layer_budget,
-                        boundary_layer_probe, consensus_basis,
-                        exact_tracker_values, fit_convergence, init,
-                        reduced_system_run, run)
+                        boundary_layer_probe, exact_tracker_values,
+                        fit_convergence, init, reduced_system_run, run)
 from .config import (ExperimentConfig, canonical_text, load_config,
                      load_quadratic_game, parse_config, save_quadratic_game)
 from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
                      MaxIterExceeded, MaxSweepsExceeded, NonFiniteDetected,
                      SinkhornStalled, TradesError)
 from .games import (AffineGameSpec, AssumptionReport, GameDefinition,
-                    StrategyProfile, aggregate, local_operator, phi_stack,
+                    StrategyProfile, local_operator, phi_stack,
                     pseudo_gradient, quadratic_aggregative_game,
                     random_strongly_monotone_game, solve_ne_oracle,
                     validate_assumptions)

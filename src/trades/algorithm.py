@@ -5,8 +5,8 @@ its own cost, evaluated at a *local estimate* of the aggregate, and one
 perturbed-consensus update of the tracker that maintains this estimate.
 The module also carries the diagnostics that make the scheme auditable:
 
-- a fixed orthonormal basis for the consensus-orthogonal (disagreement)
-  coordinates of the tracker stack,
+- trace rows whose disagreement column is the norm of the estimate
+  stack's deviation from its column mean,
 - a probe that freezes the strategies and watches the tracker subsystem
   contract to its equilibrium at the spectral rate of the weights,
 - a centralized reference iteration fed the exact aggregate, which the
@@ -78,50 +78,6 @@ class TradesState:
     x: StrategyProfile
     z: np.ndarray
     t: int = 0
-
-
-# ------------------------------------------------------- disagreement basis
-
-
-class ConsensusBasis:
-    """Orthonormal basis of the subspace orthogonal to agreement.
-
-    matrix has shape (N, N-1); its columns are orthonormal, each sums to
-    zero, and matrix @ matrix.T = I - ones/N.  Built from the Householder
-    reflection that maps the first coordinate axis onto the normalized
-    all-ones vector, so the basis is deterministic for each N.
-    """
-
-    def __init__(self, n_agents):
-        n = int(n_agents)
-        if n < 1:
-            raise ValueError("need at least one agent")
-        if n == 1:
-            matrix = np.zeros((1, 0))
-        else:
-            e1 = np.zeros(n)
-            e1[0] = 1.0
-            u = e1 - np.full(n, 1.0 / math.sqrt(n))
-            h = np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
-            matrix = h[:, 1:]
-        self.n_agents = n
-        self.matrix = matrix
-
-    def to_disagreement(self, stack):
-        """Coordinates of an (N, d) stack in the disagreement basis."""
-        return self.matrix.T @ np.asarray(stack, dtype=float)
-
-
-_BASIS_CACHE = {}
-
-
-def consensus_basis(n_agents):
-    """Shared per-N basis instance; identical object across calls."""
-    basis = _BASIS_CACHE.get(n_agents)
-    if basis is None:
-        basis = ConsensusBasis(n_agents)
-        _BASIS_CACHE[n_agents] = basis
-    return basis
 
 
 # ------------------------------------------------------------------- traces
@@ -307,14 +263,18 @@ def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
 
     Raises NonFiniteDetected, tagged with the produced iteration index
     t + 1 and carrying the rows recorded so far, as soon as any strategy
-    or tracker coordinate stops being finite.
+    or tracker coordinate stops being finite.  A non-finite strategy makes
+    the norm non-finite, so the strategies are scanned only then: a
+    finite stack whose norm overflows still returns inf.
     """
-    if not (np.all(np.isfinite(new_x))
-            and (new_z is None or np.all(np.isfinite(new_z)))):
+    d = (new_x - x).ravel()
+    step_norm = math.sqrt(d.dot(d)) / delta
+    if ((new_z is not None and not np.isfinite(new_z).all())
+            or (not math.isfinite(step_norm) and not np.isfinite(new_x).all())):
         raise NonFiniteDetected(
             t + 1, "non-finite strategy or tracker value",
             trace=None if recorder is None else recorder.build())
-    return float(np.linalg.norm(new_x - x)) / delta
+    return step_norm
 
 
 def _oracle_vector(game, oracle):
@@ -331,7 +291,8 @@ def _oracle_vector(game, oracle):
 
 def _disagreement(z, phix, mean_row):
     """Norm of z + phix minus its mean (mean_row = ones/N), which is the
-    norm of its coordinates in the consensus basis."""
+    norm of its coordinates in any orthonormal basis of the disagreement
+    subspace."""
     y = z + phix
     y -= mean_row @ y
     return float(np.linalg.norm(y))
@@ -341,12 +302,11 @@ class _Recorder:
     """Accumulates trace rows; one call per recorded iterate."""
 
     def __init__(self, game, oracle_vec):
-        self.game = game
+        self.n_agents = game.N
+        self.membership_residual = game.projector.membership_residual
         self.oracle_vec = oracle_vec
         self.mean_row = np.full(game.N, 1.0 / game.N)
-        self.rows = {name: [] for name in
-                     ("t", "err_x", "est_err_max", "disagreement",
-                      "step_norm", "z_mean_residual", "feas_residual")}
+        self.rows = []   # one tuple per recorded iterate, in field order
 
     def add(self, t, x, z, phix, estimates, step_norm):
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
@@ -357,26 +317,19 @@ class _Recorder:
         rows = np.einsum("ij,ij->i", w, w)
         z_sum = z.sum(axis=0)
         z_sum_sq = z_sum @ z_sum
-        est = math.sqrt(rows.max())
-        disagreement = math.sqrt(max(rows.sum() - z_sum_sq / self.game.N, 0.0))
+        disagreement = math.sqrt(max(rows.sum() - z_sum_sq / self.n_agents, 0.0))
         z_mean = math.sqrt(z_sum_sq) / max(1.0, math.sqrt(np.vdot(z, z)))
-        feas = self.game.projector.membership_residual(x)
         if self.oracle_vec is None:
-            err = float("nan")
+            err = math.nan
         else:
-            err = float(np.linalg.norm(x.reshape(-1) - self.oracle_vec))
-        r = self.rows
-        r["t"].append(t)
-        r["err_x"].append(err)
-        r["est_err_max"].append(est)
-        r["disagreement"].append(disagreement)
-        r["step_norm"].append(step_norm)
-        r["z_mean_residual"].append(z_mean)
-        r["feas_residual"].append(float(feas))
+            d = x.reshape(-1) - self.oracle_vec
+            err = math.sqrt(d.dot(d))
+        self.rows.append((t, err, math.sqrt(rows.max()), disagreement,
+                          step_norm, z_mean, self.membership_residual(x)))
 
     def build(self, iterates=None):
-        arrays = {name: np.asarray(vals) for name, vals in self.rows.items()}
-        return IterationTrace(iterates=iterates, **arrays)
+        columns = zip(*self.rows) if self.rows else [()] * 7   # 7 empty fields
+        return IterationTrace(*map(np.asarray, columns), iterates=iterates)
 
 
 def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
@@ -405,18 +358,20 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
 
     stop_reason = "max_iter"
     step_norm = float("nan")
+    gamma, delta, stop_tol = cfg.gamma, cfg.delta, cfg.stop_tol
+    max_iter, stride, record = cfg.max_iter, cfg.trace_stride, recorder.add
     t = 0
-    while t < cfg.max_iter:
+    while t < max_iter:
         new_x, new_z, phix, estimates = _advance(
-            game, graph, cfg.gamma, cfg.delta, x, z, tracker_mode)
-        step_norm = _checked_step_norm(t, x, new_x, cfg.delta, new_z, recorder)
-        if t % cfg.trace_stride == 0:
-            recorder.add(t, x, z, phix, estimates, step_norm)
+            game, graph, gamma, delta, x, z, tracker_mode)
+        step_norm = _checked_step_norm(t, x, new_x, delta, new_z, recorder)
+        if t % stride == 0:
+            record(t, x, z, phix, estimates, step_norm)
         x, z = new_x, new_z
         t += 1
         if keep_iterates:
             iterates.append(x.reshape(-1))
-        if step_norm <= cfg.stop_tol:
+        if step_norm <= stop_tol:
             stop_reason = "stop_tol"
             break
 

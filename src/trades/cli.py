@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -342,6 +341,7 @@ def cmd_sweep(cfg):
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(os.path.join(out_dir, "config.echo"), text)
 
+    from concurrent.futures import ProcessPoolExecutor   # only sweep uses it
     workers = min(len(cells), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_cell, text, g, d, cfg.sweep.max_iter,

@@ -136,17 +136,12 @@ def phi_stack(game, x):
 
     One batched product: row i, read as a (p, T) block X_i, maps to the
     (q, T) block G_i X_i, so the stack is ``G @ x`` over (N, p, T).
-    Every aggregate evaluation in the package funnels through this stack
-    and :func:`aggregate` so repeated computations reduce in the same
-    order and reproduce bitwise.
+    Every aggregate evaluation in the package funnels through this stack,
+    the aggregate being its column mean, so repeated computations reduce
+    in the same order and reproduce bitwise.
     """
     x = np.asarray(x).reshape(game.N, game.p, game.T)
     return (game.G @ x).reshape(game.N, game.d)
-
-
-def aggregate(game, x):
-    """Average contribution sigma(x) = (1/N) sum_i phi_i(x_i)."""
-    return phi_stack(game, game.split(x)).mean(axis=0)
 
 
 def local_operator(game, x, s):

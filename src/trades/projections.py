@@ -7,6 +7,8 @@ exactly by the Newton multiplier search of :class:`FeasibleSetProjector`.
 Dykstra's scheme, its reference, projects onto any intersection.
 """
 
+import math
+
 import numpy as np
 
 from .errors import EmptyIntersectionSuspected, InfeasibleSpec, MaxSweepsExceeded
@@ -270,6 +272,19 @@ class FeasibleSetProjector(ConvexSet):
 
     __call__ = project
 
+    def membership_residual(self, v):
+        """Distance from v to the set.  The search's first evaluation is P(v);
+        when every hyperplane gap there passes the search's own test, P(v) is
+        the projection, so only a point that fails it runs the search."""
+        v = _as_vector(v, self.dim)
+        x = self._box_disk(v)[0]
+        if self.normals is not None and (np.abs(np.einsum(
+                "im,im->i", self.normals, x.reshape(self.shape))
+                - self.levels) > self._tol).any():
+            return super().membership_residual(v)
+        d = v - x
+        return math.sqrt(d.dot(d))
+
     def _box_disk(self, v):
         """P(v) in the shape of v, and the flat clamped point y."""
         y = self.box.project(v)
@@ -294,29 +309,33 @@ class FeasibleSetProjector(ConvexSet):
         n, a = self.levels.size, self.normals
         lam, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
         todo, collapsed, out = np.ones(n, bool), np.zeros(n, bool), None
-        for k in range(_SEARCH_MAX_EVALS):
-            x, y = self._box_disk(v - lam[:, None] * a)
-            gap = np.einsum("im,im->i", a, x) - self.levels
-            # a nan gap (non-finite input) ends too: the caller sees the nan
-            done = todo & (collapsed | ~(np.abs(gap) > self._tol))
-            out = x if out is None else np.where(done[:, None], x, out)
-            todo &= ~done
-            if not todo.any():
-                return out
-            lo, hi = np.where(gap > 0.0, lam, lo), np.where(gap < 0.0, lam, hi)
-            closed = np.isfinite(lo) & np.isfinite(hi)
-            # g moves at most |a|^2 per unit of lam, so with no slope an
-            # open bracket steps 2^k times the least distance to the root
-            slope = self._slope(y)
-            with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for k in range(_SEARCH_MAX_EVALS):
+                x, y = self._box_disk(v - lam[:, None] * a)
+                gap = np.einsum("im,im->i", a, x) - self.levels
+                # a nan gap (non-finite input) ends too: the caller sees the nan
+                done = todo & (collapsed | ~(np.abs(gap) > self._tol))
+                if out is None:
+                    out = x
+                else:
+                    np.copyto(out, x, where=done[:, None])
+                todo &= ~done
+                if not todo.any():
+                    return out
+                np.copyto(lo, lam, where=gap > 0.0)
+                np.copyto(hi, lam, where=gap < 0.0)
+                closed = np.isfinite(lo) & np.isfinite(hi)
+                # g moves at most |a|^2 per unit of lam, so with no slope an
+                # open bracket steps 2^k times the least distance to the root
+                slope = self._slope(y)
                 trial = lam + gap / slope
                 trial = np.where((trial > lo) & (trial < hi), trial, np.where(
                     closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
-            # no float strictly inside the bracket: the root is found
-            collapsed = closed & ~((trial > lo) & (trial < hi))
-            lam = np.where(todo, trial, lam)
-            if not np.isfinite(lam).all():
-                break
+                # no float strictly inside the bracket: the root is found
+                collapsed = closed & ~((trial > lo) & (trial < hi))
+                np.copyto(lam, trial, where=todo)
+                if not np.isfinite(lam).all():
+                    break
         # an open bracket where g is flat has no root ahead of it; any
         # other open or closed bracket just ran out of evaluations
         if np.any(todo & ~closed & (slope == 0.0)):

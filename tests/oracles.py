@@ -5,14 +5,19 @@ projection oracle enumerates active sets of a dense QP, gradients are
 checked by central differences, and consensus updates are rebuilt from a
 dense Kronecker product.  scipy supplies the numerical kernels (lstsq,
 nnls) so the arithmetic route is genuinely different from the package's.
+Two helpers the package itself does not need live here too: the
+aggregate of a profile, and a fixed orthonormal basis of the
+disagreement subspace to measure the tracker stack in.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import lstsq
 from scipy.optimize import nnls
 
+from trades.games import phi_stack
 from trades.projections import Box, DiskPairs, Hyperplane, Intersection
 
 
@@ -216,6 +221,52 @@ def dense_voltage_game(model, agents, cfg):
             a[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
                 e[i] @ g[j] / n_agents
     return {"B": b, "E": e, "c": c, "G": g, "A": a}
+
+
+def aggregate(game, x):
+    """Average contribution sigma(x) = (1/N) sum_i phi_i(x_i)."""
+    return phi_stack(game, game.split(x)).mean(axis=0)
+
+
+class ConsensusBasis:
+    """Orthonormal basis of the subspace orthogonal to agreement.
+
+    matrix has shape (N, N-1); its columns are orthonormal, each sums to
+    zero, and matrix @ matrix.T = I - ones/N.  Built from the Householder
+    reflection that maps the first coordinate axis onto the normalized
+    all-ones vector, so the basis is deterministic for each N.
+    """
+
+    def __init__(self, n_agents):
+        n = int(n_agents)
+        if n < 1:
+            raise ValueError("need at least one agent")
+        if n == 1:
+            matrix = np.zeros((1, 0))
+        else:
+            e1 = np.zeros(n)
+            e1[0] = 1.0
+            u = e1 - np.full(n, 1.0 / math.sqrt(n))
+            h = np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
+            matrix = h[:, 1:]
+        self.n_agents = n
+        self.matrix = matrix
+
+    def to_disagreement(self, stack):
+        """Coordinates of an (N, d) stack in the disagreement basis."""
+        return self.matrix.T @ np.asarray(stack, dtype=float)
+
+
+_BASIS_CACHE = {}
+
+
+def consensus_basis(n_agents):
+    """Shared per-N basis instance; identical object across calls."""
+    basis = _BASIS_CACHE.get(n_agents)
+    if basis is None:
+        basis = ConsensusBasis(n_agents)
+        _BASIS_CACHE[n_agents] = basis
+    return basis
 
 
 def kron_consensus_oracle(weights, z, phix):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import consensus_basis
 from trades.algorithm import (TradesConfig, boundary_layer_budget,
-                              boundary_layer_probe, consensus_basis, init,
-                              reduced_system_run, run)
+                              boundary_layer_probe, init, reduced_system_run,
+                              run)
 from trades.cli import main
-from trades.games import (StrategyProfile, aggregate, phi_stack,
+from trades.games import (StrategyProfile, phi_stack,
                           random_strongly_monotone_game, solve_ne_oracle)
 from trades.grid import (build_radial_network, build_voltage_game,
                          default_voltage_config, distflow_sensitivities,

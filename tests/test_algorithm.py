@@ -11,16 +11,15 @@ import pytest
 
 from trades.algorithm import (
     BoundaryLayerResult,
-    ConsensusBasis,
     ConvergenceReport,
     IterationTrace,
     TRACE_COLUMNS,
     TradesConfig,
     _Recorder,
     _advance,
+    _checked_step_norm,
     boundary_layer_budget,
     boundary_layer_probe,
-    consensus_basis,
     exact_tracker_values,
     fit_convergence,
     init,
@@ -39,7 +38,6 @@ from trades.grid import (
 )
 from trades.games import (
     StrategyProfile,
-    aggregate,
     phi_stack,
     quadratic_aggregative_game,
     random_strongly_monotone_game,
@@ -52,7 +50,8 @@ from trades.network import (
     spectrum,
 )
 
-from oracles import kron_consensus_oracle
+from oracles import (ConsensusBasis, aggregate, consensus_basis,
+                     kron_consensus_oracle)
 
 
 def _graph(n, p, seed, method="metropolis_symmetrized"):
@@ -233,6 +232,50 @@ def test_step_nonfinite_raises_with_iteration_index():
     assert produced > 1
     assert info.value.iteration == produced
     assert len(info.value.trace) == produced - 1
+
+
+def _one_recorded_row():
+    game = _two_agent_game()
+    x, z = init(game, 0).x.blocks, np.zeros((2, 1))
+    recorder = _Recorder(game, None)
+    phix = phi_stack(game, x)
+    recorder.add(0, x, z, phix, z + phix, 0.0)
+    return x, z, recorder
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checked_step_norm_scans_the_tracker_stack(bad):
+    # the strategies are finite, so only the tracker scan can catch this
+    x, z, recorder = _one_recorded_row()
+    new_z = z.copy()
+    new_z[1, 0] = bad
+    with pytest.raises(NonFiniteDetected) as info:
+        _checked_step_norm(6, x, x + 1.0, 0.5, new_z, recorder)
+    assert info.value.iteration == 7
+    assert len(info.value.trace) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checked_step_norm_catches_a_nonfinite_strategy(bad):
+    x, z, recorder = _one_recorded_row()
+    new_x = x.copy()
+    new_x[0, 0] = bad
+    with pytest.raises(NonFiniteDetected) as info:
+        _checked_step_norm(2, x, new_x, 0.5, z, recorder)
+    assert info.value.iteration == 3
+    with pytest.raises(NonFiniteDetected):
+        _checked_step_norm(2, x, new_x, 0.5)
+
+
+def test_checked_step_norm_of_finite_stacks_may_overflow():
+    # finite strategies whose squared norm, or whose difference itself,
+    # overflows: an infinite step, not a non-finite iterate
+    z = np.zeros((2, 1))
+    for x, new_x in [(np.zeros((2, 1)), np.full((2, 1), 1e200)),
+                     (np.full((2, 1), -1e308), np.full((2, 1), 1e308))]:
+        with np.errstate(over="ignore"):
+            assert _checked_step_norm(0, x, new_x, 0.5, z) == np.inf
+            assert _checked_step_norm(0, x, new_x, 0.5) == np.inf
 
 
 def test_unknown_tracker_mode_rejected():

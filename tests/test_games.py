@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import aggregate
 from trades.errors import MaxIterExceeded
 from trades.games import (
     AffineGameSpec,
     GameDefinition,
     StrategyProfile,
-    aggregate,
     local_operator,
     phi_stack,
     pseudo_gradient,

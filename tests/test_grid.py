@@ -11,8 +11,9 @@ import pytest
 from scipy import stats
 
 import oracles
+from oracles import aggregate
 from trades.errors import InfeasibleSpec
-from trades.games import (aggregate, local_operator, phi_stack,
+from trades.games import (local_operator, phi_stack,
                           pseudo_gradient, solve_ne_oracle)
 from trades.grid import (
     DEFAULT_VOLTAGE_SCALE,

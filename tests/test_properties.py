@@ -11,9 +11,10 @@ up to the cap, and checks the exact projection against Dykstra (or,
 where Dykstra runs out of sweeps, by stationarity and membership) and for
 idempotence and nonexpansiveness, and the slope of the multiplier search
 against a central difference; disk caps of random shape and radius are
-checked against a per-slot scaling loop.  The config examples
-draw a value for one bounded or multiple-choice key of the config's key
-table, in range or out of it, and check the parse.
+checked against a per-slot scaling loop, and the membership residual of
+charger stacks and boxes against the distance to the projection.  The
+config examples draw a value for one bounded or multiple-choice key of
+the config's key table, in range or out of it, and check the parse.
 """
 
 import os
@@ -31,8 +32,9 @@ from trades.errors import ConfigError, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
                           random_strongly_monotone_game)
 from trades.network import gen_digraph, make_doubly_stochastic
-from trades.projections import (Box, DiskPairs, FeasibleSetProjector,
-                                build_ev_projector, project_dykstra)
+from trades.projections import (Box, ConvexSet, DiskPairs,
+                                FeasibleSetProjector, build_ev_projector,
+                                project_dykstra)
 
 instances = st.fixed_dictionaries({
     "n_agents": st.integers(2, 6),
@@ -206,6 +208,44 @@ def test_multiplier_search_slope_is_the_derivative(inst, shift):
     difference = a[0] @ (below - above) / (2.0 * h)
     rounding = 4.0 * np.finfo(float).eps * (np.abs(a[0]) @ np.abs(below)) / h
     assert abs(slope - difference) <= 1e-6 * abs(slope) + rounding
+
+
+@st.composite
+def charger_stacks(draw):
+    """A stack of 1-5 chargers with their own masks and caps, targets
+    anywhere from 0 to the cap (both ends pin the charger), or a box-only
+    projector over a stack of the same shape; and a raw point."""
+    n, horizon = draw(st.integers(1, 5)), draw(st.integers(1, 24))
+    plugged = draw(hnp.arrays(bool, (n, horizon)))
+    s_max = draw(hnp.arrays(float, n, elements=st.floats(0.5, 10.0)))
+    fill = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0])
+                           | st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    v = rng.normal(scale=2.0 * s_max.max(), size=(n, 2 * horizon))
+    if draw(st.booleans()):
+        return build_ev_projector(plugged, fill * s_max * plugged.sum(axis=1),
+                                  s_max), v
+    half = np.where(np.hstack([plugged, plugged]), s_max[:, None], np.inf)
+    return FeasibleSetProjector(Box(-half, half)), v
+
+
+@settings(max_examples=200, deadline=None)
+@given(charger_stacks())
+def test_membership_residual_is_the_projection_distance(case):
+    # bitwise against the distance to the search's projection; a projected
+    # point passes the gap test at once, so it never enters the search
+    proj, v = case
+    searches = []
+    search = proj._search
+    p = proj(v)
+    proj._search = lambda u: searches.append(1) or search(u)
+    direct = proj.membership_residual(p)
+    assert not searches
+    assert direct == ConvexSet.membership_residual(proj, p)
+    assert proj.membership_residual(v) == ConvexSet.membership_residual(proj, v)
+    v[0, 0] = np.nan
+    assert np.isnan(proj.membership_residual(v))
+    assert np.isnan(ConvexSet.membership_residual(proj, v))
 
 
 @st.composite
