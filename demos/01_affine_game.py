@@ -44,7 +44,7 @@ cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-10, max_iter=50000,
 state, trace, fit = run(game, graph, cfg, oracle=xstar)
 
 print(f"\nstopped after {fit.iterations} iterations ({fit.stop_reason})")
-final_err = np.linalg.norm(np.concatenate(state.x.blocks) - xstar.stacked)
+final_err = np.linalg.norm(state.x - xstar)
 print(f"distance to the reference equilibrium: {final_err:.3e}")
 
 # err(t) ~ exp(a1 - a2 t): a positive fitted a2 with a clean fit is the

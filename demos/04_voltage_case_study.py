@@ -64,7 +64,7 @@ print(f"  aggregate-tracking error: peak {trace.est_err_max.max():.2e}, "
 
 # what the equilibrium buys, in voltage terms
 idle = evaluate_voltages(model, agents, np.zeros(game.n), cfg)
-ne = evaluate_voltages(model, agents, xstar.stacked, cfg)
+ne = evaluate_voltages(model, agents, xstar, cfg)
 print("\nweighted squared voltage deviation over the day:")
 print(f"  all vehicles idle:  {ne.base_score:.1f}")
 print(f"  at the equilibrium: {ne.deviation_score:.1f}  "
@@ -75,8 +75,7 @@ worst_ne = np.abs(ne.voltages - 1.0).max()
 print(f"  worst bus excursion from 1 p.u.: {worst_idle:.4f} -> {worst_ne:.4f}")
 
 # the energy targets are met exactly while the converters lend support
-profile = xstar.stacked.reshape(N_AGENTS, 2 * HORIZON)
-p, q = profile[:, :HORIZON], profile[:, HORIZON:]
+p, q = xstar[:, :HORIZON], xstar[:, HORIZON:]   # (N_AGENTS, 2 HORIZON)
 print(f"  energy charged: {-p.sum():.1f} kWh "
       f"(target {sum(a.target_energy for a in agents):.1f})")
 print(f"  reactive support across the fleet: [{q.min():.2f}, {q.max():.2f}] kvar")

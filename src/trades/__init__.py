@@ -18,10 +18,9 @@ from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
                      MaxIterExceeded, MaxSweepsExceeded, NonFiniteDetected,
                      SinkhornStalled, TradesError)
 from .games import (AffineGameSpec, AssumptionReport, GameDefinition,
-                    StrategyProfile, local_operator, phi_stack,
-                    pseudo_gradient, quadratic_aggregative_game,
-                    random_strongly_monotone_game, solve_ne_oracle,
-                    validate_assumptions)
+                    local_operator, phi_stack, pseudo_gradient,
+                    quadratic_aggregative_game, random_strongly_monotone_game,
+                    solve_ne_oracle, validate_assumptions)
 from .grid import (DistFlowModel, EvAgentSpec, RadialNetwork,
                    VoltageGameConfig, VoltageSummary, build_radial_network,
                    build_voltage_game, default_voltage_config,

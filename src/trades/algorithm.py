@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteDetected
-from .games import StrategyProfile, local_operator, phi_stack
+from .games import local_operator, phi_stack
 from .network import consensus_step, spectrum
 
 TRACKER_MODES = ("consensus", "exact")
@@ -73,9 +73,9 @@ class TradesConfig:
 
 @dataclass
 class TradesState:
-    """Iterate: strategy profile, tracker stack (one row per agent), time."""
+    """Iterate: (N, m) strategies, (N, d) trackers (a row per agent), time."""
 
-    x: StrategyProfile
+    x: np.ndarray
     z: np.ndarray
     t: int = 0
 
@@ -207,18 +207,18 @@ def exact_tracker_values(game, x):
 
 
 def init(game, x0):
-    """Build the starting state from a profile, stacked vector, or seed.
+    """Starting state from a stacked vector, an (N, m) array or a seed.
 
-    The strategy part is projected componentwise so the feasibility
-    invariant holds from t = 0; the tracker stack starts at exactly zero,
-    which pins its per-column mean to zero for the whole run.
+    The strategies are projected, and kept as an (N, m) array, so the
+    feasibility invariant holds from t = 0; the tracker stack starts at
+    exactly zero, which pins its per-column mean to zero for the whole
+    run.
     """
     if isinstance(x0, (int, np.integer)):
         x = np.random.default_rng(int(x0)).standard_normal((game.N, game.m))
     else:
         x = game.split(x0)
-    return TradesState(x=StrategyProfile(game.project(x)),
-                       z=np.zeros((game.N, game.d)), t=0)
+    return TradesState(x=game.project(x), z=np.zeros((game.N, game.d)), t=0)
 
 
 def _exact_estimates(phix):
@@ -277,18 +277,6 @@ def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
     return step_norm
 
 
-def _oracle_vector(game, oracle):
-    if oracle is None:
-        return None
-    if isinstance(oracle, StrategyProfile):
-        return oracle.stacked
-    vec = np.asarray(oracle, dtype=float).reshape(-1)
-    if vec.size != game.n:
-        raise ValueError(f"equilibrium reference has length {vec.size}, "
-                         f"expected {game.n}")
-    return vec
-
-
 def _disagreement(z, phix, mean_row):
     """Norm of z + phix minus its mean (mean_row = ones/N), which is the
     norm of its coordinates in any orthonormal basis of the disagreement
@@ -336,12 +324,13 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
         keep_iterates=False):
     """Iterate to the stopping tolerance and instrument the trajectory.
 
-    x0 may be a profile, a stacked vector, or an integer seed; when it is
-    None the seed from cfg is used.  oracle, when given, is the reference
-    equilibrium used to fill the error column and fit the linear rate.
-    Returns (final state, trace, report).  Exhausting max_iter is an
-    outcome recorded in the report, not an exception; only non-finite
-    values raise.
+    x0 may be a stacked vector, an (N, m) array, or an integer seed; when
+    it is None the seed from cfg is used.  oracle, when given, is the
+    reference equilibrium (stacked or (N, m), as ``game.split`` reads it)
+    used to fill the error column and fit the linear rate.  Returns
+    (final state, trace, report); the state's x is an (N, m) array.
+    Exhausting max_iter is an outcome recorded in the report, not an
+    exception; only non-finite values raise.
     """
     if tracker_mode not in TRACKER_MODES:
         raise ValueError(f"unknown tracker_mode {tracker_mode!r}; "
@@ -351,8 +340,8 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
             raise ValueError("run needs x0 or a seed in the configuration")
         x0 = int(cfg.seed)
     state = init(game, x0)
-    x, z = state.x.blocks, state.z
-    oracle_vec = _oracle_vector(game, oracle)
+    x, z = state.x, state.z
+    oracle_vec = None if oracle is None else game.split(oracle).reshape(-1)
     recorder = _Recorder(game, oracle_vec)
     iterates = [x.reshape(-1)] if keep_iterates else None
 
@@ -388,7 +377,7 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
                                contraction_ratio=ratio, n_fit_points=n_fit,
                                iterations=t, stop_reason=stop_reason,
                                converged=(stop_reason == "stop_tol"))
-    return TradesState(x=StrategyProfile(x), z=z, t=t), trace, report
+    return TradesState(x=x, z=z, t=t), trace, report
 
 
 def reduced_system_run(game, cfg, x0):
@@ -399,7 +388,7 @@ def reduced_system_run(game, cfg, x0):
     with run, so a run in tracker_mode="exact" with the same
     configuration and start reproduces this trajectory bitwise.
     """
-    x = init(game, x0).x.blocks
+    x = init(game, x0).x
     trajectory = [x.reshape(-1)]
     for t in range(cfg.max_iter):
         new_x = _damped_projected_step(game, x,

@@ -37,7 +37,7 @@ from .grid import (build_radial_network, build_voltage_game,
                    default_voltage_config, distflow_sensitivities,
                    evaluate_voltages, gen_agents, gen_baseline_profile,
                    gen_prices, load_agents, load_network, load_prices,
-                   save_agents, save_network, save_prices)
+                   save_agents, save_network, save_prices, _write_atomic)
 from .network import (gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
 
@@ -108,13 +108,6 @@ def assemble_game(cfg):
 
 
 # ----------------------------------------------------------------- outputs
-
-
-def _write_atomic(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _finite_or_none(value):
@@ -329,7 +322,7 @@ def cmd_sweep(cfg):
     # two of the three per-cell metrics are errors to the equilibrium,
     # so the reference solve is not optional here
     try:
-        oracle_x = solve_ne_oracle(game).stacked
+        oracle_x = solve_ne_oracle(game)
     except MaxIterExceeded as exc:
         print(f"error: reference equilibrium not found: {exc}", file=sys.stderr)
         return 3

@@ -30,7 +30,7 @@ import numpy as np
 from .algorithm import TRACKER_MODES, TradesConfig
 from .errors import ConfigError
 from .games import quadratic_aggregative_game
-from .grid import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE
+from .grid import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE, _write_atomic
 from .network import _WEIGHT_METHODS
 
 SPEC_VERSION = 1
@@ -161,9 +161,9 @@ def derive_component_seeds(master_seed):
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def split_scenario_seed(scenario_seed, n_streams=4):
-    """Independent sub-seeds for the pieces of one scenario."""
-    state = np.random.SeedSequence(int(scenario_seed)).generate_state(n_streams)
+def split_scenario_seed(scenario_seed):
+    """Network, baseline, price and agent seeds of one scenario."""
+    state = np.random.SeedSequence(int(scenario_seed)).generate_state(4)
     return tuple(int(v) for v in state)
 
 
@@ -429,8 +429,7 @@ def save_quadratic_game(game, path):
         lines += _matrix_lines(lower)
         lines.append("upper")
         lines += _matrix_lines(upper)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 class _LineReader:

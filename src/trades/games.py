@@ -28,18 +28,8 @@ import numpy as np
 from .errors import MaxIterExceeded
 from .projections import Box, FeasibleSetProjector
 
-
-class StrategyProfile:
-    """Strategies of all agents as an (N, m) array, one row per agent."""
-
-    def __init__(self, blocks):
-        self.blocks = np.asarray(blocks, dtype=float)
-        if self.blocks.ndim != 2 or self.blocks.shape[0] == 0:
-            raise ValueError("profile needs an (N, m) array with at least one agent")
-
-    @property
-    def stacked(self):
-        return self.blocks.reshape(-1)
+_SAMPLE_SCALE = 3.0   # spread of the points validate_assumptions projects
+_RIDGE = 1.5          # added to each Q_i by random_strongly_monotone_game
 
 
 @dataclass
@@ -115,9 +105,7 @@ class GameDefinition:
         self.affine = AffineGameSpec(a)
 
     def split(self, x):
-        """(N, m) strategy array of a profile, stacked vector or (N, m) array."""
-        if isinstance(x, StrategyProfile):
-            x = x.blocks
+        """(N, m) strategy array of a stacked vector or an (N, m) array."""
         x = np.asarray(x, dtype=float)
         if x.shape not in ((self.n,), (self.N, self.m)):
             raise ValueError(f"strategy has shape {x.shape}, expected "
@@ -220,7 +208,7 @@ class AssumptionReport:
         return lines
 
 
-def validate_assumptions(game, sample_budget=50, rng=None, sample_scale=3.0):
+def validate_assumptions(game, sample_budget=50, rng=None):
     """Exact game constants plus a sampled check of the projector.
 
     The modulus and the Lipschitz constants come from the game's
@@ -235,7 +223,7 @@ def validate_assumptions(game, sample_budget=50, rng=None, sample_scale=3.0):
     rng = np.random.default_rng(rng)
     worst = 0.0
     for _ in range(sample_budget):
-        x = game.project(rng.normal(scale=sample_scale, size=(game.N, game.m)))
+        x = game.project(rng.normal(scale=_SAMPLE_SCALE, size=(game.N, game.m)))
         worst = max(worst, game.projector.membership_residual(x))
     return AssumptionReport(
         mu=game.affine.exact_modulus(),
@@ -272,10 +260,11 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000, x0=None):
     metric is measured against, so the default tolerance sits far below
     the accuracies claimed elsewhere.
 
-    ``x0`` warm-starts the iteration (soundness is unaffected: the
-    residual certifies the answer regardless of the starting point).
-    Raises MaxIterExceeded with the best iterate if the residual will
-    not come down.
+    ``x0`` (a stacked vector or an (N, m) array) warm-starts the
+    iteration (soundness is unaffected: the residual certifies the
+    answer regardless of the starting point).  Returns the equilibrium
+    as an (N, m) array; raises MaxIterExceeded with the best such array
+    if the residual will not come down.
     """
     if gamma is None:
         gamma = _oracle_stepsize(game)
@@ -293,10 +282,10 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000, x0=None):
             best = x_next
         x = x_next
         if resid <= tol:
-            return StrategyProfile(x)
+            return x
     raise MaxIterExceeded(
         f"fixed-point residual {best_resid:.3e} after {max_iter} iterations "
-        f"(target {tol:.1e})", best=StrategyProfile(best),
+        f"(target {tol:.1e})", best=best,
         residual=best_resid, iterations=max_iter)
 
 
@@ -349,8 +338,7 @@ def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
 
 
 def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
-                                  coupling=0.3, box_halfwidth=5.0,
-                                  ridge=1.5):
+                                  coupling=0.3, box_halfwidth=5.0):
     """Seeded quadratic instance with a certified positive modulus.
 
     Draws dense per-agent data, adds a ridge to each Q_i, and retries on
@@ -362,7 +350,7 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
         qs, rs, cs, gs, boxes = [], [], [], [], []
         for _ in range(n_agents):
             bmat = rng.normal(size=(strategy_dim, strategy_dim)) / np.sqrt(strategy_dim)
-            qs.append(bmat.T @ bmat + ridge * np.eye(strategy_dim))
+            qs.append(bmat.T @ bmat + _RIDGE * np.eye(strategy_dim))
             rs.append(rng.normal(size=strategy_dim))
             cs.append(rng.normal(size=(strategy_dim, agg_dim)) / np.sqrt(agg_dim))
             gs.append(rng.normal(size=(agg_dim, strategy_dim)) / np.sqrt(strategy_dim))
@@ -370,6 +358,6 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
             boxes.append((np.full(strategy_dim, -half),
                           np.full(strategy_dim, half)))
         game = quadratic_aggregative_game(qs, rs, coupling, cs, gs, boxes)
-        if game.affine.exact_modulus() > 0.25 * ridge:
+        if game.affine.exact_modulus() > 0.25 * _RIDGE:
             return game
     raise RuntimeError("could not draw a strongly monotone instance")

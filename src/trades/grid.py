@@ -28,6 +28,7 @@ string of length T.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +122,20 @@ def build_radial_network(n_buses, seed):
                          baseline_p=baseline)
 
 
+def _write_atomic(path, text):
+    """Write text to a sibling temporary file, then rename it onto path."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_network(net, path):
     lines = ["bus,parent,r,x,baseline_p"]
     for b in range(net.n_buses):
         lines.append(f"{b},{int(net.parent[b])},{float(net.line_r[b])!r},"
                      f"{float(net.line_x[b])!r},{float(net.baseline_p[b])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_network(path):
@@ -229,8 +237,7 @@ def gen_prices(horizon, seed):
 def save_prices(prices, path):
     lines = ["hour,price"]
     lines += [f"{h},{float(p)!r}" for h, p in enumerate(prices)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_prices(path):
@@ -272,14 +279,14 @@ class EvAgentSpec:
         return self.plugged.size
 
 
-def gen_agents(n_agents, net, horizon, seed, s_max=DEFAULT_INVERTER_KVA):
+def gen_agents(n_agents, net, horizon, seed):
     """Seeded agent population.
 
     Buses are sampled proportionally to the network's baseline demand
     (the substation, with zero demand, is never drawn).  Plug-in windows
     are overnight biased: arrival between 17h and 22h, departure between
     6h and 9h the next morning.  Recharge targets are uniform on
-    (0, 40] kWh, clipped to what the window can physically deliver.
+    (0, 40] kWh, clipped to what the window delivers at DEFAULT_INVERTER_KVA.
     """
     if int(horizon) < 10:
         raise ValueError("overnight windows need a horizon of at least 10 hours")
@@ -297,9 +304,9 @@ def gen_agents(n_agents, net, horizon, seed, s_max=DEFAULT_INVERTER_KVA):
         plugged[arrival:] = True
         plugged[:departure] = True
         target = float(rng.uniform(0.0, RECHARGE_TARGET_MAX_KWH))
-        target = min(target, s_max * int(plugged.sum()))
+        target = min(target, DEFAULT_INVERTER_KVA * int(plugged.sum()))
         agents.append(EvAgentSpec(bus=bus, plugged=plugged,
-                                  target_energy=target, s_max=s_max))
+                                  target_energy=target))
     return agents
 
 
@@ -309,8 +316,7 @@ def save_agents(agents, path):
         bits = "".join("1" if v else "0" for v in a.plugged)
         lines.append(f"{int(a.bus)},{float(a.target_energy)!r},"
                      f"{float(a.s_max)!r},{bits}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_agents(path):
@@ -450,19 +456,20 @@ class VoltageSummary:
 def evaluate_voltages(model, agents, x, cfg=None):
     """Apply every agent's injections to the linear voltage model.
 
-    x is the stacked strategy vector (or profile) of all agents in the
-    order of ``agents``; the voltage at bus b and hour tau lands at
-    index b * horizon + tau.  With a config the deviation score
+    x is the (N, 2 horizon) strategy array of the agents in the order of
+    ``agents``, or its stacked vector; the voltage at bus b and hour tau
+    lands at index b * horizon + tau.  With a config the deviation score
     penalty_weight * ||sigma - reference||^2 is attached, together with
     the do-nothing score for comparison.
     """
     agents = list(agents)
     t = model.horizon
-    x = np.asarray(getattr(x, "blocks", x), dtype=float)
-    if x.size != 2 * t * len(agents):
-        raise ValueError(f"strategies have {x.size} entries, expected "
-                         f"{2 * t * len(agents)}")
-    x = x.reshape(len(agents), 2 * t)
+    n, m = len(agents), 2 * t
+    x = np.asarray(x, dtype=float)
+    if x.shape not in ((n * m,), (n, m)):
+        raise ValueError(f"strategies have shape {x.shape}, expected "
+                         f"({n * m},) or ({n}, {m})")
+    x = x.reshape(n, m)
     buses = [spec.bus for spec in agents]
     v = (model.v0.reshape(model.n_buses, t) + model.Rmat[:, buses] @ x[:, :t]
          + model.Xmat[:, buses] @ x[:, t:])

@@ -17,8 +17,8 @@ from trades.algorithm import (TradesConfig, boundary_layer_budget,
                               boundary_layer_probe, init, reduced_system_run,
                               run)
 from trades.cli import main
-from trades.games import (StrategyProfile, phi_stack,
-                          random_strongly_monotone_game, solve_ne_oracle)
+from trades.games import (phi_stack, random_strongly_monotone_game,
+                          solve_ne_oracle)
 from trades.grid import (build_radial_network, build_voltage_game,
                          default_voltage_config, distflow_sensitivities,
                          evaluate_voltages, gen_agents, gen_baseline_profile,
@@ -105,8 +105,7 @@ def desk_run(desk):
 def test_criterion_1_linear_convergence(bench, bench_run):
     game, _, xstar = bench
     state, _, report, elapsed = bench_run
-    final_err = float(np.linalg.norm(np.concatenate(state.x.blocks)
-                                     - xstar.stacked))
+    final_err = float(np.linalg.norm(state.x - xstar))
     ok = (report.a2 is not None and report.a2 > 0
           and report.r_squared >= 0.98
           and final_err <= 1e-8
@@ -132,10 +131,10 @@ def test_criterion_2_tracker_mean_invariance(bench_run, exact_run, desk_run):
 def test_criterion_3_boundary_layer_tracking(bench):
     game, graph, _ = bench
     rho = spectrum(graph).rho_disagreement
-    blocks = init(game, 31).x.blocks
-    phix = phi_stack(game, blocks)
+    x = init(game, 31).x
+    phix = phi_stack(game, x)
     err0 = np.linalg.norm(consensus_basis(10).to_disagreement(phix))
-    frozen = StrategyProfile([(0.1 / max(err0, 1e-12)) * b for b in blocks])
+    frozen = (0.1 / max(err0, 1e-12)) * x
     result = boundary_layer_probe(graph, game, frozen)
 
     within_budget = (result.steps == boundary_layer_budget(rho)

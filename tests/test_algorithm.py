@@ -37,7 +37,6 @@ from trades.grid import (
     gen_prices,
 )
 from trades.games import (
-    StrategyProfile,
     phi_stack,
     quadratic_aggregative_game,
     random_strongly_monotone_game,
@@ -101,28 +100,28 @@ def test_config_validation():
 
 def test_init_feasible_start_unchanged():
     game = _two_agent_game()
-    state = init(game, StrategyProfile([[0.25], [-0.5]]))
+    state = init(game, np.array([[0.25], [-0.5]]))
     assert state.t == 0
-    assert state.x.blocks[0][0] == 0.25
-    assert state.x.blocks[1][0] == -0.5
+    assert state.x[0, 0] == 0.25
+    assert state.x[1, 0] == -0.5
     assert state.z.shape == (2, 1)
     assert np.all(state.z == 0.0)
 
 
 def test_init_projects_infeasible_start():
     game = _two_agent_game()
-    state = init(game, StrategyProfile([[25.0], [-11.0]]))
-    assert state.x.blocks[0][0] == 10.0
-    assert state.x.blocks[1][0] == -10.0
+    state = init(game, np.array([[25.0], [-11.0]]))
+    assert state.x[0, 0] == 10.0
+    assert state.x[1, 0] == -10.0
 
 
 def test_init_seeded_draw_deterministic():
     game = random_strongly_monotone_game(4, 3, 2, seed=0)
     a = init(game, 77)
     b = init(game, 77)
-    assert np.array_equal(a.x.stacked, b.x.stacked)
+    assert np.array_equal(a.x, b.x)
     c = init(game, 78)
-    assert not np.array_equal(a.x.stacked, c.x.stacked)
+    assert not np.array_equal(a.x, c.x)
 
 
 # ------------------------------------------------------------------- sweep
@@ -155,7 +154,7 @@ def test_hand_computed_step_two_agents():
     state, _, _ = run(game, graph, cfg, x0=np.array([1.0, -1.0]))
     first_blocks, first_z, *_ = _advance(game, graph, 0.1, 0.5, blocks,
                                         np.zeros((2, 1)), "consensus")
-    assert np.array_equal(state.x.stacked, np.concatenate(first_blocks))
+    assert np.array_equal(state.x, first_blocks)
     assert np.array_equal(state.z, first_z)
     assert state.t == 1
 
@@ -166,7 +165,7 @@ def test_step_tracker_reads_pre_update_strategies():
     rng = np.random.default_rng(31)
     game = random_strongly_monotone_game(5, 2, 3, seed=8)
     graph = _graph(5, 0.6, 2, method="sinkhorn")
-    blocks = init(game, 99).x.blocks
+    blocks = init(game, 99).x
     z = rng.normal(size=(5, 3))
     z -= z.mean(axis=0)
     new_blocks, new_z, *_ = _advance(game, graph, 0.05, 0.5, blocks, z,
@@ -183,11 +182,11 @@ def test_equilibrium_is_fixed_point():
     game = random_strongly_monotone_game(6, 2, 2, seed=3)
     xstar = solve_ne_oracle(game)
     graph = _graph(6, 0.5, 1)
-    blocks = xstar.blocks
+    blocks = xstar
     z = exact_tracker_values(game, blocks)
     for _ in range(5):
         blocks, z, *_ = _advance(game, graph, 0.05, 0.5, blocks, z, "consensus")
-    assert np.linalg.norm(np.concatenate(blocks) - xstar.stacked) <= 1e-9
+    assert np.linalg.norm(blocks - xstar) <= 1e-9
 
 
 def test_single_agent_is_projected_gradient():
@@ -201,7 +200,7 @@ def test_single_agent_is_projected_gradient():
     assert new.t == 1
     assert np.all(new.z == 0.0)
 
-    x = state.x.blocks[0]
+    x = state.x[0]
     data = game.quadratic_data
     q, r, c, g = (data[key][0] for key in
                   ("quadratics", "linears", "couplers", "aggregators"))
@@ -210,7 +209,7 @@ def test_single_agent_is_projected_gradient():
     # own gradient Q x + r + kappa C s, plus G' (kappa C' x) through s
     direction = q @ x + r + kappa * (c @ s) + g.T @ (kappa * (c.T @ x))
     expected = game.projector(x - cfg.gamma * direction)
-    assert np.max(np.abs(new.x.blocks[0] - expected)) <= 1e-14
+    assert np.max(np.abs(new.x[0] - expected)) <= 1e-14
 
 
 def test_step_nonfinite_raises_with_iteration_index():
@@ -220,7 +219,7 @@ def test_step_nonfinite_raises_with_iteration_index():
     game = random_strongly_monotone_game(3, 2, 2, seed=6, box_halfwidth=None)
     graph = _graph(3, 1.0, 0)
     cfg = TradesConfig(gamma=1e100, delta=1.0, stop_tol=1e-300)
-    blocks, z = init(game, 1).x.blocks, np.zeros((3, 2))
+    blocks, z = init(game, 1).x, np.zeros((3, 2))
     produced = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while all(np.all(np.isfinite(v)) for v in [*blocks, z]):
@@ -236,7 +235,7 @@ def test_step_nonfinite_raises_with_iteration_index():
 
 def _one_recorded_row():
     game = _two_agent_game()
-    x, z = init(game, 0).x.blocks, np.zeros((2, 1))
+    x, z = init(game, 0).x, np.zeros((2, 1))
     recorder = _Recorder(game, None)
     phix = phi_stack(game, x)
     recorder.add(0, x, z, phix, z + phix, 0.0)
@@ -361,6 +360,21 @@ def test_run_requires_start_point_or_seed():
         run(game, graph, TradesConfig())
 
 
+def test_run_reads_oracle_through_split():
+    # a flat oracle and its (N, m) array fill the error column alike; an
+    # oracle of the wrong size is split's ValueError, before any sweep
+    game, graph = _bench_instance()
+    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-12, max_iter=40)
+    xstar = solve_ne_oracle(game)
+    assert xstar.shape == (game.N, game.m)
+    texts = [run(game, graph, cfg, x0=5, oracle=o)[1].csv_text()
+             for o in (xstar, xstar.reshape(-1))]
+    assert texts[0] == texts[1]
+    assert "nan" not in texts[0]
+    with pytest.raises(ValueError, match="strategy has shape"):
+        run(game, graph, cfg, x0=5, oracle=xstar.reshape(-1)[:-1])
+
+
 def test_trace_quantities_match_direct_evaluation():
     game, graph = _bench_instance()
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-12,
@@ -368,7 +382,7 @@ def test_trace_quantities_match_direct_evaluation():
     state0 = init(game, 11)
     _, trace, _ = run(game, graph, cfg, x0=11)
     # row 0 describes the start state, where z = 0
-    blocks = state0.x.blocks
+    blocks = state0.x
     phix = phi_stack(game, blocks)
     sigma = phix.mean(axis=0)
     est_direct = max(np.linalg.norm(phix[i] - sigma) for i in range(game.N))
@@ -411,7 +425,7 @@ def test_final_trace_row_matches_direct_evaluation(instance):
     reference = np.random.default_rng(3).normal(size=game.n)
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=20)
     state, trace, _ = run(game, graph, cfg, x0=11, oracle=reference)
-    x, z = state.x.blocks, state.z
+    x, z = state.x, state.z
     assert trace.t[-1] == state.t == 20 and np.linalg.norm(z) > 1.0
     _assert_row_is_direct(trace, -1, game, x, z, reference)
     # off the zero-column-mean invariant the disagreement is still the
@@ -469,7 +483,7 @@ def test_exact_tracker_matches_reduced_system_bitwise():
 
 def test_reduced_system_monotone_error_decay():
     game = random_strongly_monotone_game(8, 2, 2, seed=21)
-    xstar = solve_ne_oracle(game).stacked
+    xstar = solve_ne_oracle(game).reshape(-1)
     cfg = TradesConfig(gamma=0.02, delta=0.5, stop_tol=1e-300, max_iter=400)
     trajectory = reduced_system_run(game, cfg, 77)
     errs = np.linalg.norm(trajectory - xstar[None, :], axis=1)
@@ -484,7 +498,7 @@ def test_reduced_system_stationary_at_equilibrium():
     cfg = TradesConfig(gamma=0.05, delta=0.5, stop_tol=1e-9, max_iter=50)
     trajectory = reduced_system_run(game, cfg, xstar)
     assert trajectory.shape[0] <= 3
-    assert np.max(np.abs(trajectory - xstar.stacked[None, :])) <= 1e-9
+    assert np.max(np.abs(trajectory - xstar.reshape(1, -1))) <= 1e-9
 
 
 # --------------------------------------------------- tracker decomposition
@@ -583,12 +597,11 @@ def test_boundary_layer_er_graph_decay():
     # scale the frozen point so the initial disagreement sits below 0.2,
     # making the budget's 1e-10 shrink factor land under the target
     x = init(game, 31).x
-    blocks = x.blocks
-    phix = phi_stack(game, blocks)
+    phix = phi_stack(game, x)
     basis = consensus_basis(10)
     err0 = np.linalg.norm(basis.to_disagreement(phix))
     scale = 0.15 / max(err0, 1e-12)
-    frozen = StrategyProfile([scale * b for b in blocks])
+    frozen = scale * x
 
     result = boundary_layer_probe(graph, game, frozen)
     assert result.steps == boundary_layer_budget(rho)
@@ -603,7 +616,7 @@ def test_boundary_layer_er_graph_decay():
 
     # limit check: trackers reach aggregate minus own contribution
     sigma = aggregate(game, frozen)
-    phif = phi_stack(game, frozen.blocks)
+    phif = phi_stack(game, frozen)
     z = np.zeros((10, 2))
     from trades.network import consensus_step
     for _ in range(result.steps):
@@ -619,7 +632,7 @@ def test_boundary_layer_error_has_two_routes():
     game = random_strongly_monotone_game(7, 2, 3, seed=14)
     graph = _graph(7, 0.5, 5)
     x = init(game, 8).x
-    phix = phi_stack(game, x.blocks)
+    phix = phi_stack(game, x)
     result = boundary_layer_probe(graph, game, x, steps=5)
     z = np.zeros_like(phix)
     for error in result.errors:

@@ -648,6 +648,45 @@ horizon = 12
         (out / "trace.csv").read_bytes()
 
 
+def test_case_study_writes_every_file_atomically(tmp_path, monkeypatch):
+    # each output file arrives by renaming a finished temporary sibling
+    path = tmp_path / "volt.ini"
+    path.write_text("""
+[experiment]
+spec_version = 1
+scenario = voltage
+seed = 3
+
+[graph]
+n_agents = 3
+edge_prob = 0.6
+
+[trades]
+max_iter = 200
+stop_tol = 1e-6
+
+[voltage]
+n_buses = 5
+horizon = 12
+""")
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        replaced.append((os.fspath(src), os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    out = tmp_path / "cs"
+    assert main(["case-study", str(path), "--out", str(out)]) == 0
+    names = ("trace.csv", "report.json", "metrics.json", "config.echo",
+             "network.csv", "prices.csv", "agents.csv")
+    targets = {dst for _, dst in replaced}
+    assert targets == {str(out / name) for name in names}
+    assert all(src.startswith(dst + ".tmp.") for src, dst in replaced)
+    assert sorted(os.listdir(out)) == sorted(names)
+
+
 def test_case_study_requires_voltage_scenario(tmp_path, capsys):
     path = _affine_cfg_file(tmp_path)
     assert main(["case-study", path]) == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import aggregate
@@ -9,7 +11,6 @@ from trades.errors import MaxIterExceeded
 from trades.games import (
     AffineGameSpec,
     GameDefinition,
-    StrategyProfile,
     local_operator,
     phi_stack,
     pseudo_gradient,
@@ -28,29 +29,42 @@ def _scalar_pair_game():
         [np.zeros((1, 1))] * 2, [np.eye(1)] * 2)
 
 
-# ------------------------------------------------------------- profiles
+# ------------------------------------------------------------ splitting
 
 
-def _pair_game():
-    # two agents with two-dimensional strategies, for splitting vectors
+def _uncoupled_game(n_agents, m):
+    # n_agents decoupled agents with m-dimensional strategies
     return quadratic_aggregative_game(
-        quadratics=[np.eye(2)] * 2, linears=[np.zeros(2)] * 2, coupling=0.0,
-        couplers=[np.zeros((2, 1))] * 2, aggregators=[np.ones((1, 2))] * 2)
+        quadratics=[np.eye(m)] * n_agents, linears=[np.zeros(m)] * n_agents,
+        coupling=0.0, couplers=[np.zeros((m, 1))] * n_agents,
+        aggregators=[np.ones((1, m))] * n_agents)
 
 
-def test_profile_round_trip_is_identity():
-    profile = StrategyProfile([[1.0, 2.0], [3.0, 4.0]])
-    assert profile.blocks.shape == (2, 2)
-    assert np.array_equal(profile.stacked, [1.0, 2.0, 3.0, 4.0])
-    rebuilt = StrategyProfile(_pair_game().split(profile.stacked))
-    assert np.array_equal(rebuilt.blocks, profile.blocks)
+@settings(max_examples=100, deadline=None)
+@given(n_agents=st.integers(1, 6), m=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16),
+       other=st.lists(st.integers(0, 8), min_size=0, max_size=3))
+def test_split_reads_flat_and_blocked_strategies_only(n_agents, m, seed,
+                                                      other):
+    """Flat and (N, m) inputs give one (N, m) float array; other shapes
+    raise ValueError."""
+    game = _uncoupled_game(n_agents, m)
+    x = np.random.default_rng(seed).normal(size=(n_agents, m))
+    for given_x in (x, x.reshape(-1), x.reshape(-1).tolist()):
+        out = game.split(given_x)
+        assert out.shape == (n_agents, m) and out.dtype == float
+        assert np.array_equal(out, x)
+    shape = tuple(other)
+    assume(shape not in ((n_agents * m,), (n_agents, m)))
+    with pytest.raises(ValueError):
+        game.split(np.zeros(shape))
 
 
 def test_profile_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        _pair_game().split(np.zeros(3))
+        _uncoupled_game(2, 2).split(np.zeros(3))
     with pytest.raises(ValueError):
-        _pair_game().split(np.zeros((4, 1)))  # right size, wrong shape
+        _uncoupled_game(2, 2).split(np.zeros((4, 1)))  # right size, wrong shape
 
 
 # ------------------------------------------------------------ aggregation
@@ -58,7 +72,7 @@ def test_profile_length_mismatch_rejected():
 
 def test_aggregate_identity_contributions_mean():
     game = _scalar_pair_game()
-    sigma = aggregate(game, StrategyProfile([[2.0], [4.0]]))
+    sigma = aggregate(game, np.array([[2.0], [4.0]]))
     assert sigma.shape == (1,)
     assert sigma[0] == 3.0
 
@@ -277,7 +291,7 @@ def test_oracle_unconstrained_minimum_inside_box():
         [np.zeros((1, 1))], [np.eye(1)],
         boxes=[(np.array([0.0]), np.array([10.0]))])
     star = solve_ne_oracle(game, tol=1e-12)
-    assert abs(star.stacked[0] - 3.0) <= 1e-9
+    assert abs(star[0, 0] - 3.0) <= 1e-9
 
 
 def test_oracle_active_box_constraint():
@@ -286,14 +300,14 @@ def test_oracle_active_box_constraint():
         [np.zeros((1, 1))], [np.eye(1)],
         boxes=[(np.array([0.0]), np.array([2.0]))])
     star = solve_ne_oracle(game, tol=1e-12)
-    assert abs(star.stacked[0] - 2.0) <= 1e-9
+    assert abs(star[0, 0] - 2.0) <= 1e-9
 
 
 def test_oracle_equilibrium_satisfies_variational_inequality():
     """No feasible direction improves on the oracle point (1000 probes)."""
     game = random_strongly_monotone_game(10, 2, 2, seed=91)
     star = solve_ne_oracle(game, tol=1e-12)
-    xs = star.stacked
+    xs = star.reshape(-1)
     f = pseudo_gradient(game, xs)
     rng = np.random.default_rng(92)
     for _ in range(1000):
@@ -305,14 +319,14 @@ def test_oracle_interior_matches_linear_solve():
     game = random_strongly_monotone_game(6, 2, 2, seed=93, box_halfwidth=None)
     star = solve_ne_oracle(game, tol=1e-13)
     ref = np.linalg.solve(game.affine.A, -game.c.reshape(-1))
-    assert np.allclose(star.stacked, ref, rtol=0, atol=1e-9)
+    assert np.allclose(star.reshape(-1), ref, rtol=0, atol=1e-9)
 
 
 def test_oracle_fixed_point_is_damping_invariant():
     game = random_strongly_monotone_game(5, 2, 2, seed=94)
     gamma = 0.05
     star = solve_ne_oracle(game, gamma=gamma, tol=1e-12)
-    xs = star.stacked
+    xs = star.reshape(-1)
     f = pseudo_gradient(game, xs)
     projected = np.concatenate(game.project(game.split(xs - gamma * f)))
     for delta in (0.1, 0.5, 1.0):
@@ -328,7 +342,7 @@ def test_oracle_iteration_cap():
     err = info.value
     assert err.iterations == 20
     assert err.residual > 1e-12
-    assert isinstance(err.best, StrategyProfile)
+    assert isinstance(err.best, np.ndarray) and err.best.shape == (3, 2)
 
 
 def test_oracle_warm_start_agrees_with_cold_start():
@@ -336,7 +350,7 @@ def test_oracle_warm_start_agrees_with_cold_start():
     cold = solve_ne_oracle(game, tol=1e-13)
     rng = np.random.default_rng(97)
     warm = solve_ne_oracle(game, tol=1e-13, x0=rng.normal(size=game.n))
-    assert np.allclose(cold.stacked, warm.stacked, rtol=0, atol=1e-10)
+    assert np.allclose(cold, warm, rtol=0, atol=1e-10)
 
 
 def test_oracle_requires_stepsize_for_non_monotone_game():

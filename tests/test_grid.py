@@ -268,7 +268,7 @@ def test_zero_incentive_game_has_zero_equilibrium():
                             reactive_weight=1.0)
     game = build_voltage_game(model, agents, cfg)
     xstar = solve_ne_oracle(game, tol=1e-13, max_iter=2000)
-    assert np.max(np.abs(xstar.stacked)) <= 1e-12
+    assert np.max(np.abs(xstar)) <= 1e-12
 
 
 def test_affine_structure_matches_pseudo_gradient(desk):
@@ -368,6 +368,13 @@ def test_evaluate_voltages_zero_strategy(desk):
     summary = evaluate_voltages(model, agents, x, cfg)
     assert np.array_equal(summary.voltages, model.v0)
     assert abs(summary.deviation_score - summary.base_score) <= 1e-9
+    # a stacked vector or the (N, 2 horizon) array, nothing else
+    assert np.array_equal(
+        evaluate_voltages(model, agents, x.reshape(len(agents), 48)).voltages,
+        summary.voltages)
+    for bad in (x[:-1], x.reshape(48, len(agents)), x.reshape(-1, 1)):
+        with pytest.raises(ValueError, match="strategies have shape"):
+            evaluate_voltages(model, agents, bad)
 
 
 def test_equilibrium_improves_voltage_deviation(desk):
@@ -378,7 +385,7 @@ def test_equilibrium_improves_voltage_deviation(desk):
     # the improvement is substantial, not a rounding artifact
     assert summary.deviation_score <= 0.9 * summary.base_score
     # charging appears where it must: plugged hours only, never positive
-    for spec, block in zip(agents, xstar.blocks):
+    for spec, block in zip(agents, xstar):
         p = block[:24]
         assert np.all(p <= 1e-10)
         assert np.max(np.abs(p[~spec.plugged])) <= 1e-9
