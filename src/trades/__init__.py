@@ -12,8 +12,7 @@ from .algorithm import (BoundaryLayerResult, ConvergenceReport,
                         TradesConfig, TradesState, boundary_layer_budget,
                         boundary_layer_probe, exact_tracker_values,
                         fit_convergence, init, reduced_system_run, run)
-from .config import (ExperimentConfig, canonical_text, load_config,
-                     load_quadratic_game, parse_config, save_quadratic_game)
+from .config import ExperimentConfig, canonical_text, load_config, parse_config
 from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
                      MaxIterExceeded, MaxSweepsExceeded, NonFiniteDetected,
                      SinkhornStalled, TradesError)

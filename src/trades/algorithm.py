@@ -92,8 +92,8 @@ class IterationTrace:
 
     The CSV columns are t, err_x (distance to the supplied equilibrium,
     nan when none was given), est_err_max (worst per-agent aggregate
-    estimation error), disagreement (norm of the tracker stack's
-    disagreement coordinates relative to their frozen-strategy target),
+    estimation error), disagreement (norm of the centred estimate stack
+    z + phi, i.e. of the estimates minus their mean across agents),
     and step_norm (damping-normalized step out of the recorded state;
     the final row repeats the arriving step, which is the stopping
     residual).  z_mean_residual and feas_residual are extra in-memory

@@ -27,8 +27,8 @@ import time
 import numpy as np
 
 from .algorithm import run
-from .config import (SPEC_VERSION, canonical_text, load_config,
-                     load_quadratic_game, parse_config, split_scenario_seed)
+from .config import (SPEC_VERSION, canonical_text, load_config, parse_config,
+                     split_scenario_seed)
 from .errors import (ConfigError, MaxIterExceeded, NonFiniteDetected,
                      TradesError)
 from .games import (random_strongly_monotone_game, solve_ne_oracle,
@@ -56,17 +56,9 @@ def assemble_game(cfg):
     """Game instance plus scenario data (empty dict for affine)."""
     if cfg.scenario == "affine":
         a = cfg.affine
-        if a.game_file is not None:
-            game = load_quadratic_game(a.game_file)
-            if game.N != cfg.graph.n_agents:
-                raise ConfigError(
-                    f"game file has {game.N} agents, [graph] says "
-                    f"{cfg.graph.n_agents}")
-            return game, {}
-        game = random_strongly_monotone_game(
+        return random_strongly_monotone_game(
             cfg.graph.n_agents, a.strategy_dim, a.agg_dim, seed=a.seed,
-            coupling=a.coupling, box_halfwidth=a.box_halfwidth)
-        return game, {}
+            coupling=a.coupling, box_halfwidth=a.box_halfwidth), {}
 
     v = cfg.voltage
     net_seed, base_seed, price_seed, agent_seed = split_scenario_seed(v.seed)

@@ -15,9 +15,9 @@ seed sequence unless a section pins its own.  The canonical echo
 materializes every derived value, so feeding the echo back through the
 parser reproduces the identical experiment.
 
-Referenced files (game_file, network_file, ...) resolve relative to the
-directory containing the config file; output_dir resolves against the
-working directory.
+Referenced files (network_file, prices_file, agents_file) resolve relative
+to the directory containing the config file; output_dir resolves against
+the working directory.
 """
 
 import configparser
@@ -29,8 +29,7 @@ import numpy as np
 
 from .algorithm import TRACKER_MODES, TradesConfig
 from .errors import ConfigError
-from .games import quadratic_aggregative_game
-from .grid import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE, _write_atomic
+from .grid import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE
 from .network import _WEIGHT_METHODS
 
 SPEC_VERSION = 1
@@ -78,7 +77,6 @@ _KEYS = {
         "coupling": (float, 0.3, None),
         "box_halfwidth": (float, 5.0, _POSITIVE),
         "seed": (int, _DERIVED, _at_least(0)),
-        "game_file": (_FILE, None, None),
     },
     "voltage": {
         "n_buses": (int, _REQUIRED, _at_least(2)),
@@ -111,12 +109,11 @@ class GraphSettings:
 
 @dataclass(frozen=True)
 class AffineSettings:
-    strategy_dim: int = None
-    agg_dim: int = None
-    coupling: float = None
-    box_halfwidth: float = None
-    seed: int = None
-    game_file: str = None
+    strategy_dim: int
+    agg_dim: int
+    coupling: float
+    box_halfwidth: float
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -238,8 +235,8 @@ def _value(name, key, kind, default, bound, raw, base_dir):
 def _section(sections, name, base_dir, **defaults):
     """A section's typed values by key, in table order.
 
-    defaults replace the table's: the derived ones, and those a form of
-    the section leaves unset.
+    defaults replace the table's: the derived ones, and the None of an
+    unconstrained box.
     """
     items = sections.get(name, {})
     return {key: _value(name, key, kind, defaults.get(key, default), bound,
@@ -285,16 +282,9 @@ def parse_config(text, base_dir=".", overrides=None):
         raise ConfigError(f"scenario = {scenario} requires "
                           f"{article[scenario]} [{scenario}] section")
     affine = voltage = None
-    items = sections[scenario]
-    if scenario == "affine" and "game_file" in items:
-        stray = set(items) - {"game_file"}
-        if stray:
-            raise ConfigError("[affine] game_file excludes the generator "
-                              f"keys, found {sorted(stray)}")
-        unset = dict.fromkeys(_KEYS["affine"])
-        affine = AffineSettings(**_section(sections, "affine", base_dir, **unset))
-    elif scenario == "affine":
+    if scenario == "affine":
         derived = {"seed": scenario_derived}
+        items = sections["affine"]
         if items.get("box_halfwidth") == "none":  # an unconstrained box
             del items["box_halfwidth"]
             derived["box_halfwidth"] = None
@@ -378,152 +368,7 @@ def canonical_text(cfg):
         for key in _KEYS[name]:
             value = values[key]
             # unset keys are left out, but an unconstrained box is echoed
-            if value is not None or (key == "box_halfwidth"
-                                     and values["game_file"] is None):
+            if value is not None or key == "box_halfwidth":
                 lines.append(f"{key} = {_fmt(value)}")
         lines.append("")
     return "\n".join(lines)
-
-
-# ------------------------------------------------- game file serialization
-
-
-_GAME_HEADER = "quadratic-game v1"
-
-
-def _matrix_lines(mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return [" ".join(repr(float(v)) for v in row) for row in mat]
-
-
-def save_quadratic_game(game, path):
-    """Write a quadratic game built by this package to a text file.
-
-    The schema lists the agent count, aggregate dimension, and coupling
-    once, then per agent the matrices of the quadratic cost, the
-    contribution map, and the box bounds, one row per line with floats
-    in repr form so a reload is bit-exact.
-    """
-    data = getattr(game, "quadratic_data", None)
-    if data is None:
-        raise ValueError("only games built by quadratic_aggregative_game "
-                         "can be serialized")
-    lines = [_GAME_HEADER,
-             f"agents {game.N}",
-             f"aggregate_dim {game.d}",
-             f"coupling {repr(float(data['coupling']))}"]
-    box = game.projector.box
-    for i, (lower, upper) in enumerate(zip(box.lower.reshape(game.N, -1),
-                                           box.upper.reshape(game.N, -1))):
-        lines.append(f"agent {i}")
-        lines.append(f"dim {game.m}")
-        lines.append("Q")
-        lines += _matrix_lines(data["quadratics"][i])
-        lines.append("r")
-        lines += _matrix_lines(data["linears"][i])
-        lines.append("C")
-        lines += _matrix_lines(data["couplers"][i])
-        lines.append("G")
-        lines += _matrix_lines(data["aggregators"][i])
-        lines.append("lower")
-        lines += _matrix_lines(lower)
-        lines.append("upper")
-        lines += _matrix_lines(upper)
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-class _LineReader:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
-
-    def next(self):
-        if self.pos >= len(self.lines):
-            raise ConfigError("game file ends early")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, token):
-        line = self.next()
-        if line != token:
-            raise ConfigError(f"game file: expected {token!r}, found {line!r}")
-
-    def tagged_int(self, tag):
-        line = self.next()
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != tag:
-            raise ConfigError(f"game file: expected '{tag} <int>', found {line!r}")
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise ConfigError(f"game file: {tag} value {parts[1]!r} is not an integer")
-
-    def matrix(self, rows, cols):
-        out = np.empty((rows, cols))
-        for k in range(rows):
-            parts = self.next().split()
-            if len(parts) != cols:
-                raise ConfigError(f"game file: row with {len(parts)} values, "
-                                  f"expected {cols}")
-            try:
-                out[k] = [float(p) for p in parts]
-            except ValueError:
-                raise ConfigError("game file: non-numeric matrix entry")
-        return out
-
-
-def load_quadratic_game(path):
-    """Rebuild a game from :func:`save_quadratic_game` output."""
-    try:
-        with open(path) as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read game file {path}: {exc}")
-    reader = _LineReader(lines)
-    reader.expect(_GAME_HEADER)
-    n_agents = reader.tagged_int("agents")
-    if n_agents < 1:
-        raise ConfigError("game file: agent count must be positive")
-    d = reader.tagged_int("aggregate_dim")
-    if d < 1:
-        raise ConfigError(f"game file: aggregate_dim {d} must be positive")
-    line = reader.next()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "coupling":
-        raise ConfigError(f"game file: expected 'coupling <float>', found {line!r}")
-    try:
-        coupling = float(parts[1])
-    except ValueError:
-        raise ConfigError("game file: coupling value is not a number")
-    qs, rs, cs, gs, boxes = [], [], [], [], []
-    for i in range(n_agents):
-        if reader.tagged_int("agent") != i:
-            raise ConfigError("game file: agents must appear in order")
-        n_i = reader.tagged_int("dim")
-        if n_i < 1:
-            raise ConfigError(f"game file: agent {i} has dim {n_i}; "
-                              "it must be positive")
-        if qs and n_i != qs[0].shape[0]:
-            raise ConfigError(f"game file: agent {i} has dim {n_i}, agent 0 "
-                              f"has {qs[0].shape[0]}; all agents must share "
-                              "one strategy dimension")
-        reader.expect("Q")
-        qs.append(reader.matrix(n_i, n_i))
-        reader.expect("r")
-        rs.append(reader.matrix(1, n_i).ravel())
-        reader.expect("C")
-        cs.append(reader.matrix(n_i, d))
-        reader.expect("G")
-        gs.append(reader.matrix(d, n_i))
-        reader.expect("lower")
-        lower = reader.matrix(1, n_i).ravel()
-        reader.expect("upper")
-        upper = reader.matrix(1, n_i).ravel()
-        boxes.append((lower, upper))
-    if reader.pos != len(lines):
-        raise ConfigError("game file: trailing content after the last agent")
-    try:
-        return quadratic_aggregative_game(qs, rs, coupling, cs, gs, boxes)
-    except ValueError as exc:
-        raise ConfigError(f"game file: {exc}")

@@ -331,7 +331,7 @@ def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
     game = GameDefinition(qs + (kappa / n_agents) * cg.transpose(0, 2, 1),
                           kappa * cs, rs[:, :, None], gs,
                           FeasibleSetProjector(Box(lower, upper)))
-    # retained so instances can be written to and reread from text files
+    # the builder's stated inputs, against which its factors can be checked
     game.quadratic_data = {"quadratics": qs, "linears": rs, "coupling": kappa,
                            "couplers": cs, "aggregators": gs}
     return game

@@ -24,9 +24,10 @@ File formats (documented here because they are the public interface):
 network CSV with header ``bus,parent,r,x,baseline_p`` (root row has
 parent -1 and zero impedance), price CSV with header ``hour,price``,
 agent CSV with header ``bus,b_ch,s_max,a_ch`` where a_ch is a 0/1
-string of length T.
+string of length T.  Every float field must be finite.
 """
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -123,11 +124,28 @@ def build_radial_network(n_buses, seed):
 
 
 def _write_atomic(path, text):
-    """Write text to a sibling temporary file, then rename it onto path."""
+    """Write text to a sibling temporary file, then rename it onto path.
+
+    If the write or the rename fails, the temporary is removed and path
+    keeps its old bytes.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _finite(field, name, where):
+    """One float field of a data file row; nan and inf are rejected."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {name} = {field!r} is not finite")
+    return value
 
 
 def save_network(net, path):
@@ -151,9 +169,10 @@ def load_network(path):
         if int(fields[0]) != k:
             raise ValueError(f"row {k + 1}: buses must be listed in order")
         parent.append(int(fields[1]))
-        r.append(float(fields[2]))
-        x.append(float(fields[3]))
-        base.append(float(fields[4]))
+        where = f"network file row {k + 1}"
+        r.append(_finite(fields[2], "r", where))
+        x.append(_finite(fields[3], "x", where))
+        base.append(_finite(fields[4], "baseline_p", where))
     return RadialNetwork(parent=parent, line_r=r, line_x=x, baseline_p=base)
 
 
@@ -250,7 +269,7 @@ def load_prices(path):
         fields = row.split(",")
         if len(fields) != 2 or int(fields[0]) != h:
             raise ValueError(f"bad price row {h + 1}: {row!r}")
-        prices.append(float(fields[1]))
+        prices.append(_finite(fields[1], "price", f"price file row {h + 1}"))
     return np.asarray(prices)
 
 
@@ -332,10 +351,11 @@ def load_agents(path):
         bits = fields[3]
         if set(bits) - {"0", "1"}:
             raise ValueError(f"row {k + 1}: plug-in profile must be 0/1")
+        where = f"agent file row {k + 1}"
         agents.append(EvAgentSpec(bus=int(fields[0]),
                                   plugged=[c == "1" for c in bits],
-                                  target_energy=float(fields[1]),
-                                  s_max=float(fields[2])))
+                                  target_energy=_finite(fields[1], "b_ch", where),
+                                  s_max=_finite(fields[2], "s_max", where)))
     return agents
 
 

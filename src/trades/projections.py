@@ -363,7 +363,7 @@ def build_ev_projector(plugged, target_energy, s_max):
     n_agents, horizon = plugged.shape
     target, s_max = (np.broadcast_to(np.asarray(a, dtype=float), (n_agents,))
                      for a in (target_energy, s_max))
-    if horizon == 0 or np.any(target < 0) or not np.all(s_max > 0):
+    if horizon == 0 or not np.all(target >= 0) or not np.all(s_max > 0):
         raise ValueError("need a positive horizon and s_max, a target >= 0")
     cap = s_max * plugged.sum(axis=1)
     if np.any(cap < target):

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from trades.cli import main
-from trades.config import (_KEYS, canonical_text, derive_component_seeds,
-                           load_config, load_quadratic_game, parse_config,
-                           save_quadratic_game, split_scenario_seed)
+from trades.config import (_DERIVED, _KEYS, _REQUIRED, SPEC_VERSION, _fmt,
+                           canonical_text, derive_component_seeds,
+                           load_config, parse_config, split_scenario_seed)
 from trades.errors import ConfigError, MaxIterExceeded
-from trades.games import random_strongly_monotone_game
+from trades.grid import (build_radial_network, gen_agents, gen_prices,
+                         save_agents, save_network, save_prices)
 
 AFFINE_TEXT = """
 [experiment]
@@ -118,6 +119,7 @@ def test_explicit_section_seed_wins():
     ("penalty_weight = 1.0", "penalty_weight = -1.0"),
     ("active_weight = 1.0", "active_weight = 0.0"),
     ("reactive_weight = 10.0", "reactive_weight = -2"),
+    ("agg_dim = 1", "agg_dim = 1\ngame_file = game.txt"),
 ])
 def test_parse_rejections(mutation):
     old, new = mutation
@@ -288,45 +290,21 @@ prices_file = {d}/prices.csv
 agents_file = {d}/agents.csv
 seed = 2902887791
 """),
-    "game_file": (AFFINE_TEXT.format(out="out").replace(
-        "strategy_dim = 2\nagg_dim = 1", "game_file = game.txt"), """\
-[experiment]
-spec_version = 1
-scenario = affine
-seed = 42
-output_dir = out
-oracle = on
-
-[graph]
-n_agents = 5
-edge_prob = 0.6
-weight_method = metropolis_symmetrized
-seed = 3444837047
-
-[trades]
-gamma = 0.02
-delta = 0.5
-stop_tol = 1e-09
-max_iter = 4000
-trace_stride = 1
-tracker = consensus
-
-[affine]
-game_file = {d}/game.txt
-"""),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ECHO_CASES))
 def test_canonical_text_bytes(tmp_path, case):
     text, expected = ECHO_CASES[case]
-    for name in ("net.csv", "prices.csv", "agents.csv", "game.txt"):
+    for name in ("net.csv", "prices.csv", "agents.csv"):
         (tmp_path / name).write_text("")
     cfg = parse_config(text, base_dir=str(tmp_path))
     assert canonical_text(cfg) == expected.format(d=tmp_path)
 
 
 def test_readme_names_every_config_key():
+    # both ways: every key of a section is in its bullet, and every
+    # backticked token there is a key, a word or a default the table knows
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
                                "README.md")).read()
     for section, keys in _KEYS.items():
@@ -335,6 +313,14 @@ def test_readme_names_every_config_key():
         assert bullet is not None, section
         missing = [key for key in keys if f"`{key}`" not in bullet.group(1)]
         assert not missing, (section, missing)
+        known = {"none", str(SPEC_VERSION), *keys}
+        for kind, default, _ in keys.values():
+            if isinstance(kind, tuple):
+                known.update(kind)
+            if default not in (_REQUIRED, _DERIVED):
+                known.add(_fmt(default))
+        stray = set(re.findall(r"`([^`]*)`", bullet.group(1))) - known
+        assert not stray, (section, sorted(stray))
 
 
 def test_load_config_overrides(tmp_path):
@@ -348,75 +334,6 @@ def test_load_config_overrides(tmp_path):
     redirected = load_config(path, output_dir="elsewhere", oracle="off")
     assert redirected.output_dir == "elsewhere"
     assert redirected.oracle is False
-
-
-# -------------------------------------------------------------- game files
-
-
-def test_game_file_round_trip(tmp_path):
-    game = random_strongly_monotone_game(4, 3, 2, seed=5)
-    path = tmp_path / "game.txt"
-    save_quadratic_game(game, path)
-    again = load_quadratic_game(path)
-    assert np.array_equal(game.affine.A, again.affine.A)
-    assert np.array_equal(game.c, again.c)
-    assert again.N == 4 and again.d == 2 and again.m == game.m == 3
-    x = np.linspace(-1, 1, game.n)
-    from trades.games import pseudo_gradient
-    assert np.array_equal(pseudo_gradient(game, x), pseudo_gradient(again, x))
-
-
-def test_game_file_rejects_damage(tmp_path):
-    game = random_strongly_monotone_game(3, 2, 2, seed=8)
-    path = tmp_path / "game.txt"
-    save_quadratic_game(game, path)
-    lines = path.read_text().splitlines()
-    truncated = tmp_path / "short.txt"
-    truncated.write_text("\n".join(lines[:10]) + "\n")
-    with pytest.raises(ConfigError):
-        load_quadratic_game(truncated)
-    wrong = tmp_path / "wrong.txt"
-    wrong.write_text("some-other-format v1\n")
-    with pytest.raises(ConfigError):
-        load_quadratic_game(wrong)
-    # nonpositive dimensions and unequal agent dimensions, named in the error
-    text = path.read_text()
-    for old, new, named in (("aggregate_dim 2", "aggregate_dim 0", "aggregate_dim"),
-                            ("agent 1\ndim 2", "agent 1\ndim -1", "agent 1"),
-                            ("agent 2\ndim 2", "agent 2\ndim 3", "agent 2")):
-        damaged = tmp_path / "damaged.txt"
-        damaged.write_text(text.replace(old, new))
-        with pytest.raises(ConfigError, match=named):
-            load_quadratic_game(damaged)
-    with pytest.raises(ValueError):
-        save_quadratic_game(object(), tmp_path / "nope.txt")
-
-
-def test_game_file_scenario_matches_generated_run(tmp_path):
-    path = _affine_cfg_file(tmp_path, out_name="gen")
-    assert main(["run", path]) == 0
-    cfg = load_config(path)
-    from trades.cli import assemble_game
-    game, _ = assemble_game(cfg)
-    gfile = tmp_path / "game.txt"
-    save_quadratic_game(game, gfile)
-    replay = tmp_path / "replay.ini"
-    replay.write_text(AFFINE_TEXT.format(out=tmp_path / "replay_out")
-                      .replace("[affine]\nstrategy_dim = 2\nagg_dim = 1",
-                               f"[affine]\ngame_file = {gfile}"))
-    assert main(["run", str(replay)]) == 0
-    first = (tmp_path / "gen" / "trace.csv").read_bytes()
-    second = (tmp_path / "replay_out" / "trace.csv").read_bytes()
-    assert first == second
-
-
-def test_game_file_excludes_generator_keys(tmp_path):
-    gfile = tmp_path / "game.txt"
-    save_quadratic_game(random_strongly_monotone_game(5, 2, 1, seed=1), gfile)
-    text = AFFINE_TEXT.format(out="out").replace(
-        "agg_dim = 1", f"agg_dim = 1\ngame_file = {gfile}")
-    with pytest.raises(ConfigError):
-        parse_config(text)
 
 
 # --------------------------------------------------------------- commands
@@ -685,6 +602,33 @@ horizon = 12
     assert targets == {str(out / name) for name in names}
     assert all(src.startswith(dst + ".tmp.") for src, dst in replaced)
     assert sorted(os.listdir(out)) == sorted(names)
+
+
+@pytest.mark.parametrize("name, row, column", [("network.csv", 3, "r"),
+                                               ("prices.csv", 5, "price"),
+                                               ("agents.csv", 2, "b_ch")])
+def test_run_rejects_a_nan_in_a_data_file(tmp_path, capsys, name, row, column):
+    # a nan target, price or resistance stops the run before any solve
+    net = build_radial_network(5, seed=1)
+    save_network(net, tmp_path / "network.csv")
+    save_prices(gen_prices(12, seed=2), tmp_path / "prices.csv")
+    save_agents(gen_agents(3, net, 12, seed=3), tmp_path / "agents.csv")
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[row].split(",")
+    fields[header.index(column)] = "nan"
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "volt.ini"
+    cfg.write_text(VOLTAGE_TEXT.replace("n_agents = 6", "n_agents = 3")
+                   + "network_file = network.csv\nprices_file = prices.csv\n"
+                   "agents_file = agents.csv\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"row {row}: {column} = 'nan' is not finite" in err
+    assert not out.exists()
 
 
 def test_case_study_requires_voltage_scenario(tmp_path, capsys):

@@ -6,12 +6,15 @@ entry (1,2) is 2*1 = 2 at unit power base; bus 2's own entry sums both
 lines, 2*2 = 4.
 """
 
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
 from oracles import aggregate
+from trades import cli
 from trades.errors import InfeasibleSpec
 from trades.games import (local_operator, phi_stack,
                           pseudo_gradient, solve_ne_oracle)
@@ -21,6 +24,7 @@ from trades.grid import (
     EvAgentSpec,
     RadialNetwork,
     VoltageGameConfig,
+    _write_atomic,
     build_radial_network,
     build_voltage_game,
     default_voltage_config,
@@ -139,6 +143,23 @@ def test_baseline_profile_shape_and_seed():
     assert load[1:, 18].mean() > load[1:, 3].mean()
 
 
+def test_write_atomic_failure_leaves_no_temporary(tmp_path):
+    target = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        _write_atomic(target, None)     # the write fails
+    assert os.listdir(tmp_path) == []
+    target.write_text("old\n")
+    with pytest.raises(TypeError):
+        _write_atomic(target, None)
+    assert target.read_text() == "old\n"
+    (tmp_path / "folder").mkdir()
+    with pytest.raises(OSError):
+        _write_atomic(tmp_path / "folder", "new\n")   # the rename fails
+    assert sorted(os.listdir(tmp_path)) == ["folder", "report.json"]
+    # the benchmark's tracer wraps the writer by identity through cli
+    assert cli._write_atomic is _write_atomic
+
+
 # ------------------------------------------------------------------ prices
 
 
@@ -167,6 +188,8 @@ def test_agent_spec_feasibility():
         EvAgentSpec(bus=1, plugged=[1, 2, 0], target_energy=1.0)
     with pytest.raises(ValueError):
         EvAgentSpec(bus=1, plugged=[1, 0], target_energy=-1.0)
+    with pytest.raises(ValueError):   # a nan target would lose its hyperplane
+        EvAgentSpec(bus=1, plugged=[1, 0], target_energy=float("nan"))
 
 
 def test_gen_agents_reproducible_and_feasible():

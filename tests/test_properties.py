@@ -14,10 +14,14 @@ against a central difference; disk caps of random shape and radius are
 checked against a per-slot scaling loop, and the membership residual of
 charger stacks and boxes against the distance to the projection.  The
 config examples draw a value for one bounded or multiple-choice key of
-the config's key table, in range or out of it, and check the parse.
+the config's key table, in range or out of it, and check the parse.  The
+data file examples draw a finite network, price curve or agent list,
+check that save then load is bit-exact, and that the same file with one
+float field made non-finite is rejected with its row named.
 """
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from trades.config import _KEYS, canonical_text, parse_config
 from trades.errors import ConfigError, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
                           random_strongly_monotone_game)
+from trades.grid import (EvAgentSpec, RadialNetwork, load_agents, load_network,
+                         load_prices, save_agents, save_network, save_prices)
 from trades.network import gen_digraph, make_doubly_stochastic
 from trades.projections import (Box, ConvexSet, DiskPairs,
                                 FeasibleSetProjector, build_ev_projector,
@@ -372,3 +378,73 @@ def test_config_key_out_of_range_is_named(data):
     with pytest.raises(ConfigError) as err:
         parse_config(_with(section, key, raw))
     assert str(err.value).startswith(f"[{section}] {key}"), str(err.value)
+
+
+# ------------------------------------------------------------- data files
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_IMPEDANCE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# kind -> (save, load, the columns that hold floats)
+DATA_FILES = {"network": (save_network, load_network, (2, 3, 4)),
+              "prices": (save_prices, load_prices, (1,)),
+              "agents": (save_agents, load_agents, (1, 2))}
+
+
+@st.composite
+def data_files(draw):
+    """(kind, value) of a random finite network, price curve or agent list."""
+    kind = draw(st.sampled_from(sorted(DATA_FILES)))
+    if kind == "prices":
+        return kind, np.array(draw(st.lists(_FINITE, min_size=1, max_size=30)))
+    if kind == "network":
+        n = draw(st.integers(2, 8))
+        line_r, line_x = ([draw(_FINITE)] + draw(st.lists(
+            _IMPEDANCE, min_size=n - 1, max_size=n - 1)) for _ in range(2))
+        return kind, RadialNetwork(
+            parent=[-1] + [draw(st.integers(0, k - 1)) for k in range(1, n)],
+            line_r=line_r, line_x=line_x,
+            baseline_p=draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    horizon = draw(st.integers(1, 24))
+    agents = []
+    for _ in range(draw(st.integers(1, 5))):
+        plugged = draw(hnp.arrays(bool, horizon))
+        s_max = draw(st.floats(1e-3, 1e3))
+        cap = s_max * int(plugged.sum())
+        agents.append(EvAgentSpec(bus=draw(st.integers(0, 50)), plugged=plugged,
+                                  target_energy=draw(st.floats(0.0, cap)),
+                                  s_max=s_max))
+    return kind, agents
+
+
+def _bits(kind, value):
+    """Every number of a network, price curve or agent list, as raw bytes."""
+    if kind == "network":
+        arrays = [value.parent, value.line_r, value.line_x, value.baseline_p]
+    elif kind == "prices":
+        arrays = [value]
+    else:
+        arrays = [[a.bus for a in value], [a.target_energy for a in value],
+                  [a.s_max for a in value], *(a.plugged for a in value)]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data_files(), st.data())
+def test_data_files_round_trip_and_reject_nonfinite_numbers(case, data):
+    kind, value = case
+    save, load, columns = DATA_FILES[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{kind}.csv")
+        save(value, path)
+        assert _bits(kind, load(path)) == _bits(kind, value)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        fields[data.draw(st.sampled_from(columns))] = data.draw(
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "+Infinity"]))
+        lines[row] = ",".join(fields)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"row {row}: .* is not finite"):
+            load(path)
