@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InfeasibleSpec
 from .games import GameDefinition
 from .projections import build_ev_projector
 
@@ -140,9 +141,20 @@ def _write_atomic(path, text):
         raise
 
 
+def _integer(field, name, where):
+    """One integer field of a data file row."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"{where}: {name} = {field!r} is not an integer") from None
+
+
 def _finite(field, name, where):
     """One float field of a data file row; nan and inf are rejected."""
-    value = float(field)
+    try:
+        value = float(field)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"{where}: {name} = {field!r} is not finite")
     return value
@@ -164,12 +176,12 @@ def load_network(path):
     parent, r, x, base = [], [], [], []
     for k, row in enumerate(rows[1:]):
         fields = row.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"row {k + 1}: expected 5 fields, got {len(fields)}")
-        if int(fields[0]) != k:
-            raise ValueError(f"row {k + 1}: buses must be listed in order")
-        parent.append(int(fields[1]))
         where = f"network file row {k + 1}"
+        if len(fields) != 5:
+            raise ValueError(f"{where}: expected 5 fields, got {len(fields)}")
+        if _integer(fields[0], "bus", where) != k:
+            raise ValueError(f"{where}: buses must be listed in order")
+        parent.append(_integer(fields[1], "parent", where))
         r.append(_finite(fields[2], "r", where))
         x.append(_finite(fields[3], "x", where))
         base.append(_finite(fields[4], "baseline_p", where))
@@ -266,10 +278,10 @@ def load_prices(path):
         raise ValueError("price file must start with the documented header")
     prices = []
     for h, row in enumerate(rows[1:]):
-        fields = row.split(",")
-        if len(fields) != 2 or int(fields[0]) != h:
-            raise ValueError(f"bad price row {h + 1}: {row!r}")
-        prices.append(_finite(fields[1], "price", f"price file row {h + 1}"))
+        fields, where = row.split(","), f"price file row {h + 1}"
+        if len(fields) != 2 or _integer(fields[0], "hour", where) != h:
+            raise ValueError(f"{where}: expected hour {h} and a price, got {row!r}")
+        prices.append(_finite(fields[1], "price", where))
     return np.asarray(prices)
 
 
@@ -345,17 +357,20 @@ def load_agents(path):
         raise ValueError("agent file must start with the documented header")
     agents = []
     for k, row in enumerate(rows[1:]):
-        fields = row.split(",")
+        fields, where = row.split(","), f"agent file row {k + 1}"
         if len(fields) != 4:
-            raise ValueError(f"bad agent row {k + 1}: {row!r}")
+            raise ValueError(f"{where}: expected 4 fields, got {len(fields)}")
         bits = fields[3]
         if set(bits) - {"0", "1"}:
-            raise ValueError(f"row {k + 1}: plug-in profile must be 0/1")
-        where = f"agent file row {k + 1}"
-        agents.append(EvAgentSpec(bus=int(fields[0]),
-                                  plugged=[c == "1" for c in bits],
-                                  target_energy=_finite(fields[1], "b_ch", where),
-                                  s_max=_finite(fields[2], "s_max", where)))
+            raise ValueError(f"{where}: plug-in profile must be 0/1")
+        bus = _integer(fields[0], "bus", where)
+        target = _finite(fields[1], "b_ch", where)
+        s_max = _finite(fields[2], "s_max", where)
+        try:
+            agents.append(EvAgentSpec(bus=bus, plugged=[c == "1" for c in bits],
+                                      target_energy=target, s_max=s_max))
+        except (ValueError, InfeasibleSpec) as err:
+            raise type(err)(f"{where}: {err}") from None
     return agents
 
 

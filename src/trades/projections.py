@@ -61,8 +61,8 @@ class Box(ConvexSet):
         self.dim = lower.size
 
     def project(self, v):
-        v = _as_vector(v, self.dim)
-        return np.minimum(np.maximum(v, self.lower), self.upper)
+        y = np.maximum(_as_vector(v, self.dim), self.lower)
+        return np.minimum(y, self.upper, out=y)
 
 
 class Hyperplane(ConvexSet):
@@ -129,14 +129,16 @@ class DiskPairs(ConvexSet):
         cap = norm > self.radius
         return (norm, cap) if cap.any() else None
 
+    def scaled(self, u, found):
+        """u with the slots that capped(u) found scaled onto their disks."""
+        norm, cap = found
+        return u * np.divide(self.radius, norm, out=np.ones_like(norm),
+                             where=cap)[..., None, :]
+
     def project(self, v):
         u = _as_vector(v, self.dim).reshape(self.shape)
         found = self.capped(u)
-        if found is None:
-            return u.reshape(-1).copy()
-        norm, cap = found
-        scale = np.divide(self.radius, norm, out=np.ones_like(norm), where=cap)
-        return (u * scale[..., None, :]).reshape(-1)
+        return (u.copy() if found is None else self.scaled(u, found)).reshape(-1)
 
 
 class Intersection(ConvexSet):
@@ -262,6 +264,9 @@ class FeasibleSetProjector(ConvexSet):
             aa = np.einsum("im,im->i", self.normals, self.normals)
             self._aa = np.where(aa > 0.0, aa, 1.0)   # zero rows finish at once
             self._tol = _SEARCH_TOL * np.maximum(1.0, np.abs(self.levels))
+            # box bounds in the normals' shape, for the slope's free mask
+            self._lower, self._upper = (b.reshape(self.shape)
+                                        for b in (box.lower, box.upper))
 
     def project(self, v):
         """Projection of v, in the shape v comes in (stacked or flat)."""
@@ -286,59 +291,69 @@ class FeasibleSetProjector(ConvexSet):
         return math.sqrt(d.dot(d))
 
     def _box_disk(self, v):
-        """P(v) in the shape of v, and the flat clamped point y."""
+        """P(v) in the shape of v, the clamped point y and y's capped slots
+        (DiskPairs.capped, None without disks), one evaluation of P."""
         y = self.box.project(v)
-        x = y if self.disks is None else self.disks.project(y)
-        return x.reshape(np.shape(v)), y
+        if self.disks is None:
+            return y.reshape(v.shape), y, None
+        y = y.reshape(self.disks.shape)
+        found = self.disks.capped(y)
+        x = y if found is None else self.disks.scaled(y, found)
+        return x.reshape(v.shape), y, found
 
-    def _slope(self, y):
-        """a_i . J a_i = -g_i', J the Jacobian of P where the box clamps to y: the
-        free mask, then (r/|u|)(I - u u^T/|u|^2) on slots u of y beyond radius r."""
-        ja = self.normals.reshape(-1) * ((self.box.lower < y) & (y < self.box.upper))
-        found = None if self.disks is None else self.disks.capped(
-            y.reshape(self.disks.shape))
+    def _slope(self, y, found):
+        """a_i . J a_i = -g_i', J the Jacobian of P where the box clamps to y and
+        found = capped(y): the free mask, then (r/|u|)(I - u u^T/|u|^2) on slots
+        u of y beyond radius r."""
+        y = y.reshape(self.shape)
+        ja = self.normals * ((self._lower < y) & (y < self._upper))
         if found is not None:   # (..., T, 2) views of y and ja; capped slots
             norm, cap = found
             u, w = (np.moveaxis(b.reshape(self.disks.shape), -2, -1) for b in (y, ja))
             y_hat, wc, norm = u[cap] / norm[cap, None], w[cap], norm[cap, None]
             w[cap] = self.disks.radius[cap, None] / norm * (
                 wc - y_hat * (y_hat * wc).sum(axis=1, keepdims=True))
-        return np.einsum("im,im->i", self.normals, ja.reshape(self.shape))
+        return np.einsum("im,im->i", self.normals, ja)
 
     def _search(self, v):
         n, a = self.levels.size, self.normals
-        lam, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
-        todo, collapsed, out = np.ones(n, bool), np.zeros(n, bool), None
+        lam, todo = np.zeros(n), None
         with np.errstate(invalid="ignore", divide="ignore"):
             for k in range(_SEARCH_MAX_EVALS):
-                x, y = self._box_disk(v - lam[:, None] * a)
+                x, y, found = self._box_disk(v - lam[:, None] * a)
                 gap = np.einsum("im,im->i", a, x) - self.levels
                 # a nan gap (non-finite input) ends too: the caller sees the nan
-                done = todo & (collapsed | ~(np.abs(gap) > self._tol))
-                if out is None:
-                    out = x
-                else:
-                    np.copyto(out, x, where=done[:, None])
-                todo &= ~done
-                if not todo.any():
-                    return out
+                miss = np.abs(gap) > self._tol
+                if todo is None:    # first evaluation: P(v) may be the answer
+                    if not miss.any():
+                        return x
+                    out, todo = x, miss
+                    hi = np.full(n, np.inf)
+                    lo = -hi
+                else:   # open rows take x; those still open take a later one
+                    np.copyto(out, x, where=todo[:, None])
+                    todo &= miss if collapsed is None else miss & ~collapsed
+                    if not todo.any():
+                        return out
                 np.copyto(lo, lam, where=gap > 0.0)
                 np.copyto(hi, lam, where=gap < 0.0)
-                closed = np.isfinite(lo) & np.isfinite(hi)
-                # g moves at most |a|^2 per unit of lam, so with no slope an
-                # open bracket steps 2^k times the least distance to the root
-                slope = self._slope(y)
-                trial = lam + gap / slope
-                trial = np.where((trial > lo) & (trial < hi), trial, np.where(
-                    closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
-                # no float strictly inside the bracket: the root is found
-                collapsed = closed & ~((trial > lo) & (trial < hi))
+                slope = self._slope(y, found)
+                trial, collapsed = lam + gap / slope, None
+                inside = (trial > lo) & (trial < hi)
+                if not inside.all():
+                    # g moves at most |a|^2 per unit of lam, so with no slope an
+                    # open bracket steps 2^k times the least distance to the root
+                    closed = np.isfinite(lo) & np.isfinite(hi)
+                    trial = np.where(inside, trial, np.where(
+                        closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
+                    # no float strictly inside the bracket: the root is found
+                    collapsed = closed & ~((trial > lo) & (trial < hi))
+                    if not np.isfinite(trial[todo]).all():
+                        break
                 np.copyto(lam, trial, where=todo)
-                if not np.isfinite(lam).all():
-                    break
         # an open bracket where g is flat has no root ahead of it; any
         # other open or closed bracket just ran out of evaluations
-        if np.any(todo & ~closed & (slope == 0.0)):
+        if np.any(todo & ~(np.isfinite(lo) & np.isfinite(hi)) & (slope == 0.0)):
             raise InfeasibleSpec("a hyperplane misses the box-and-disk set")
         raise MaxSweepsExceeded("multiplier search did not converge")
 

@@ -7,7 +7,8 @@ dense Kronecker product.  scipy supplies the numerical kernels (lstsq,
 nnls) so the arithmetic route is genuinely different from the package's.
 Two helpers the package itself does not need live here too: the
 aggregate of a profile, and a fixed orthonormal basis of the
-disagreement subspace to measure the tracker stack in.
+disagreement subspace to measure the tracker stack in.  The charger
+multiplier search is checked against its first form, kept here verbatim.
 """
 
 import itertools
@@ -17,8 +18,10 @@ import numpy as np
 from scipy.linalg import lstsq
 from scipy.optimize import nnls
 
+from trades.errors import InfeasibleSpec, MaxSweepsExceeded
 from trades.games import phi_stack
-from trades.projections import Box, DiskPairs, Hyperplane, Intersection
+from trades.projections import (_SEARCH_MAX_EVALS, Box, DiskPairs, Hyperplane,
+                                Intersection)
 
 
 def box_constraints(lower, upper):
@@ -296,3 +299,79 @@ def fixed_point_residual(game, x, gamma):
     moved = np.clip(x - gamma * (affine.A @ x + game.c.reshape(-1)),
                     box.lower, box.upper)
     return float(np.linalg.norm(x - moved))
+
+
+class ReferenceSearch:
+    """The multiplier search of ``FeasibleSetProjector`` as first written:
+    its ``_box_disk``, ``_slope`` and ``_search`` copied verbatim, run on a
+    projector's data.  That loop rebuilt the bracket, the fallback and the
+    disk screen on every evaluation; the package's must return the same
+    bits after the same number of evaluations, counted in ``evaluations``.
+    """
+
+    def __init__(self, proj):
+        for name in ("box", "disks", "normals", "levels", "shape", "_aa", "_tol"):
+            setattr(self, name, getattr(proj, name))
+        self.evaluations = 0
+
+    def __call__(self, v):
+        self.evaluations = 0
+        return self._search(np.asarray(v, dtype=float).reshape(self.shape))
+
+    def _box_disk(self, v):
+        """P(v) in the shape of v, and the flat clamped point y."""
+        self.evaluations += 1
+        y = self.box.project(v)
+        x = y if self.disks is None else self.disks.project(y)
+        return x.reshape(np.shape(v)), y
+
+    def _slope(self, y):
+        """a_i . J a_i = -g_i', J the Jacobian of P where the box clamps to y: the
+        free mask, then (r/|u|)(I - u u^T/|u|^2) on slots u of y beyond radius r."""
+        ja = self.normals.reshape(-1) * ((self.box.lower < y) & (y < self.box.upper))
+        found = None if self.disks is None else self.disks.capped(
+            y.reshape(self.disks.shape))
+        if found is not None:   # (..., T, 2) views of y and ja; capped slots
+            norm, cap = found
+            u, w = (np.moveaxis(b.reshape(self.disks.shape), -2, -1) for b in (y, ja))
+            y_hat, wc, norm = u[cap] / norm[cap, None], w[cap], norm[cap, None]
+            w[cap] = self.disks.radius[cap, None] / norm * (
+                wc - y_hat * (y_hat * wc).sum(axis=1, keepdims=True))
+        return np.einsum("im,im->i", self.normals, ja.reshape(self.shape))
+
+    def _search(self, v):
+        n, a = self.levels.size, self.normals
+        lam, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
+        todo, collapsed, out = np.ones(n, bool), np.zeros(n, bool), None
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for k in range(_SEARCH_MAX_EVALS):
+                x, y = self._box_disk(v - lam[:, None] * a)
+                gap = np.einsum("im,im->i", a, x) - self.levels
+                # a nan gap (non-finite input) ends too: the caller sees the nan
+                done = todo & (collapsed | ~(np.abs(gap) > self._tol))
+                if out is None:
+                    out = x
+                else:
+                    np.copyto(out, x, where=done[:, None])
+                todo &= ~done
+                if not todo.any():
+                    return out
+                np.copyto(lo, lam, where=gap > 0.0)
+                np.copyto(hi, lam, where=gap < 0.0)
+                closed = np.isfinite(lo) & np.isfinite(hi)
+                # g moves at most |a|^2 per unit of lam, so with no slope an
+                # open bracket steps 2^k times the least distance to the root
+                slope = self._slope(y)
+                trial = lam + gap / slope
+                trial = np.where((trial > lo) & (trial < hi), trial, np.where(
+                    closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
+                # no float strictly inside the bracket: the root is found
+                collapsed = closed & ~((trial > lo) & (trial < hi))
+                np.copyto(lam, trial, where=todo)
+                if not np.isfinite(lam).all():
+                    break
+        # an open bracket where g is flat has no root ahead of it; any
+        # other open or closed bracket just ran out of evaluations
+        if np.any(todo & ~closed & (slope == 0.0)):
+            raise InfeasibleSpec("a hyperplane misses the box-and-disk set")
+        raise MaxSweepsExceeded("multiplier search did not converge")

@@ -6,9 +6,10 @@ A rename in the package would silently leave a layer unmeasured, so
 these run traced CLI commands in a subprocess and check that each layer
 recorded spans: an affine run for every layer, and a small voltage run
 for the charger projections, which must go through
-FeasibleSetProjector.__call__ too and evaluate Box.project and
-DiskPairs.project inside it, where the per-projection evaluation counter
-looks for them.
+FeasibleSetProjector.__call__ too and evaluate Box.project inside it
+(once per evaluation of the multiplier search, which scales the disk
+caps itself rather than through DiskPairs.project), where the
+per-projection evaluation counter looks for it.
 """
 
 import os

@@ -604,11 +604,9 @@ horizon = 12
     assert sorted(os.listdir(out)) == sorted(names)
 
 
-@pytest.mark.parametrize("name, row, column", [("network.csv", 3, "r"),
-                                               ("prices.csv", 5, "price"),
-                                               ("agents.csv", 2, "b_ch")])
-def test_run_rejects_a_nan_in_a_data_file(tmp_path, capsys, name, row, column):
-    # a nan target, price or resistance stops the run before any solve
+def _run_with_doctored_field(tmp_path, name, row, column, value):
+    """Exit code and stderr of a 5-bus, 3-agent run whose data file `name`
+    holds `value` in `column` of `row`; the output directory must not exist."""
     net = build_radial_network(5, seed=1)
     save_network(net, tmp_path / "network.csv")
     save_prices(gen_prices(12, seed=2), tmp_path / "prices.csv")
@@ -617,7 +615,7 @@ def test_run_rejects_a_nan_in_a_data_file(tmp_path, capsys, name, row, column):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     fields = lines[row].split(",")
-    fields[header.index(column)] = "nan"
+    fields[header.index(column)] = value
     lines[row] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "volt.ini"
@@ -625,10 +623,39 @@ def test_run_rejects_a_nan_in_a_data_file(tmp_path, capsys, name, row, column):
                    + "network_file = network.csv\nprices_file = prices.csv\n"
                    "agents_file = agents.csv\n")
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    code = main(["run", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("name, row, column", [("network.csv", 3, "r"),
+                                               ("prices.csv", 5, "price"),
+                                               ("agents.csv", 2, "b_ch")])
+def test_run_rejects_a_nan_in_a_data_file(tmp_path, capsys, name, row, column):
+    # a nan target, price or resistance stops the run before any solve
+    code = _run_with_doctored_field(tmp_path, name, row, column, "nan")
+    assert code == 1
     err = capsys.readouterr().err
     assert f"row {row}: {column} = 'nan' is not finite" in err
-    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, row, column, value, message", [
+    ("agents.csv", 1, "bus", "x", "agent file row 1: bus = 'x' is not an integer"),
+    ("agents.csv", 2, "b_ch", "-2.0", "agent file row 2: need a positive horizon"),
+    ("agents.csv", 3, "b_ch", "abc", "agent file row 3: b_ch = 'abc' is not finite"),
+    ("network.csv", 2, "bus", "one",
+     "network file row 2: bus = 'one' is not an integer"),
+    ("prices.csv", 2, "hour", "1.5",
+     "price file row 2: hour = '1.5' is not an integer"),
+], ids=["agent-bus", "agent-target", "agent-b_ch", "network-bus", "price-hour"])
+def test_run_names_the_file_and_row_of_a_malformed_field(tmp_path, capsys, name,
+                                                         row, column, value,
+                                                         message):
+    # a field the loader cannot read, or an agent its checks reject, stops
+    # the run before any solve, and the message points at the file and row
+    code = _run_with_doctored_field(tmp_path, name, row, column, value)
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_case_study_requires_voltage_scenario(tmp_path, capsys):

@@ -369,13 +369,13 @@ def test_single_charger_call_matches_its_stacked_row():
 
 
 def test_charger_search_evaluation_count_is_pinned(monkeypatch):
-    # one DiskPairs.project call per evaluation of the multiplier search;
-    # the counts were recorded when the disks were index pairs, and the
-    # slot layout does the same arithmetic, so a change in any count is a
-    # change in the Newton path
+    # one Box.project call per evaluation of the multiplier search; the
+    # counts were recorded when the disks were index pairs, and neither the
+    # slot layout nor the leaner loop changes the arithmetic, so a change in
+    # any count is a change in the Newton path
     calls = []
-    project = DiskPairs.project
-    monkeypatch.setattr(DiskPairs, "project",
+    project = Box.project
+    monkeypatch.setattr(Box, "project",
                         lambda self, v: calls.append(1) or project(self, v))
     rng = np.random.default_rng(31)
     plugged = rng.random((6, 24)) < 0.6

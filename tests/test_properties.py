@@ -10,9 +10,12 @@ charger example draws a horizon, a plug mask, a cap and an energy target
 up to the cap, and checks the exact projection against Dykstra (or,
 where Dykstra runs out of sweeps, by stationarity and membership) and for
 idempotence and nonexpansiveness, and the slope of the multiplier search
-against a central difference; disk caps of random shape and radius are
-checked against a per-slot scaling loop, and the membership residual of
-charger stacks and boxes against the distance to the projection.  The
+against a central difference; the multiplier search is checked bit for
+bit against its first form (``oracles.ReferenceSearch``) on charger
+stacks and on steep hyperplanes whose brackets close; disk caps of
+random shape and radius are checked against a per-slot scaling loop,
+and the membership residual of charger stacks and boxes against the
+distance to the projection.  The
 config examples draw a value for one bounded or multiple-choice key of
 the config's key table, in range or out of it, and check the parse.  The
 data file examples draw a finite network, price curve or agent list,
@@ -208,12 +211,64 @@ def test_multiplier_search_slope_is_the_derivative(inst, shift):
         capped = np.hypot(u[..., 0, :], u[..., 1, :]) > proj.disks.radius
         return np.concatenate([free, capped.reshape(-1)])
 
+    # the slope from the evaluation's own cap data is, bit for bit, the
+    # first search's, which screened the clamped point for caps again
+    _, y, found = proj._box_disk(points[1])
+    (slope,) = proj._slope(y, found)
+    assert slope == oracles.ReferenceSearch(proj)._slope(proj.box.project(points[1]))
     assume(all(np.array_equal(piece(points[1]), piece(u)) for u in points))
     below, above = proj._box_disk(points[0])[0], proj._box_disk(points[2])[0]
-    (slope,) = proj._slope(proj.box.project(points[1]))
     difference = a[0] @ (below - above) / (2.0 * h)
     rounding = 4.0 * np.finfo(float).eps * (np.abs(a[0]) @ np.abs(below)) / h
     assert abs(slope - difference) <= 1e-6 * abs(slope) + rounding
+
+
+@st.composite
+def charger_searches(draw):
+    """A stack of 1-6 chargers, targets at 0, at the cap or between, and a
+    raw point at a scale from 0.5 to 20: small points leave every slot in
+    its disk, large ones cap slots, bend g so trials leave the bracket, and
+    clamp every plugged draw so g is flat.  Some points hold a nan."""
+    n, horizon = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    plugged = draw(hnp.arrays(bool, (n, horizon)))
+    s_max = draw(hnp.arrays(float, n, elements=st.floats(0.5, 10.0)))
+    fill = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0])
+                           | st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    v = rng.normal(scale=draw(st.floats(0.5, 20.0)), size=(n, 2 * horizon))
+    if draw(st.integers(0, 4)) == 4:
+        v[rng.integers(n), rng.integers(2 * horizon)] = np.nan
+    return build_ev_projector(plugged, fill * s_max * plugged.sum(axis=1),
+                              s_max), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(charger_searches())
+def test_multiplier_search_matches_the_reference_bitwise(case):
+    # the same points, bit for bit, after as many box-and-disk evaluations
+    # (one Box.project call each) as the search first written
+    proj, v = case
+    reference = oracles.ReferenceSearch(proj)
+    expected = reference(v)
+    calls, project = [], proj.box.project
+    proj.box.project = lambda u: calls.append(1) or project(u)
+    got = proj(v)
+    assert got.tobytes() == expected.tobytes()
+    assert len(calls) == reference.evaluations
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 16))
+def test_multiplier_search_matches_the_reference_where_brackets_close(n, m, seed):
+    # hyperplanes through free boxes at scale 1e8: the gap rounds to ~1e-9,
+    # far above the tolerance, so a search ends only when its bracket closes
+    # on adjacent floats, a path no charger draw above reaches
+    rng = np.random.default_rng(seed)
+    proj = FeasibleSetProjector(Box(np.full(n * m, -np.inf), np.full(n * m, np.inf)),
+                                None, rng.normal(size=(n, m)), rng.normal(size=n))
+    v = rng.normal(scale=1e8, size=(n, m))
+    reference = oracles.ReferenceSearch(proj)
+    assert proj(v).tobytes() == reference(v).tobytes()
 
 
 @st.composite
