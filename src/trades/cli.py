@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .algorithm import run
-from .config import (SPEC_VERSION, canonical_text, load_config, parse_config,
+from .config import (SPEC_VERSION, canonical_text, load_config,
                      split_scenario_seed)
 from .errors import (ConfigError, MaxIterExceeded, NonFiniteDetected,
                      TradesError)
@@ -273,19 +273,14 @@ def _cell_dir(out_dir, i, j):
     return os.path.join(out_dir, f"cell-{i:02d}-{j:02d}")
 
 
-def _sweep_cell(text, gamma, delta, max_iter, cell_dir, oracle_x):
-    """One grid cell: isolated deterministic run, own trace file."""
-    cfg = parse_config(text)
-    trades = dataclasses.replace(cfg.trades, gamma=gamma, delta=delta,
-                                 max_iter=max_iter)
-    graph = build_graph(cfg)
-    game, _ = assemble_game(cfg)
+def _sweep_cell(game, graph, trades, tracker, cell_dir, oracle_x):
+    """One grid cell: a deterministic run of the sweep's game, own trace file."""
     diverged = False
     report = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             _, trace, report = run(game, graph, trades, oracle=oracle_x,
-                                   tracker_mode=cfg.tracker)
+                                   tracker_mode=tracker)
         except NonFiniteDetected as exc:
             diverged = True
             trace = exc.trace
@@ -302,15 +297,14 @@ def _sweep_cell(text, gamma, delta, max_iter, cell_dir, oracle_x):
             hits = np.nonzero(trace.err_x <= ERR_TARGET_SWEEP)[0]
         if hits.size:
             iters = int(trace.t[hits[0]])
-    return gamma, delta, converged, a2, iters
+    return trades.gamma, trades.delta, converged, a2, iters
 
 
 def cmd_sweep(cfg):
     if cfg.sweep is None:
         raise ConfigError("sweep requires a [sweep] section")
-    graph = build_graph(cfg)  # fail early on graph problems
+    graph = build_graph(cfg)
     game, _ = assemble_game(cfg)
-    del graph
     # two of the three per-cell metrics are errors to the equilibrium,
     # so the reference solve is not optional here
     try:
@@ -318,20 +312,21 @@ def cmd_sweep(cfg):
     except MaxIterExceeded as exc:
         print(f"error: reference equilibrium not found: {exc}", file=sys.stderr)
         return 3
-    text = canonical_text(cfg)
-    cells = [(i, j, g, d)
-             for i, g in enumerate(cfg.sweep.gammas)
-             for j, d in enumerate(cfg.sweep.deltas)]
     out_dir = cfg.output_dir
+    cells = [(_cell_dir(out_dir, i, j),
+              dataclasses.replace(cfg.trades, gamma=g, delta=d,
+                                  max_iter=cfg.sweep.max_iter))
+             for i, g in enumerate(cfg.sweep.gamma)
+             for j, d in enumerate(cfg.sweep.delta)]
     os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "config.echo"), text)
+    _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
 
     from concurrent.futures import ProcessPoolExecutor   # only sweep uses it
     workers = min(len(cells), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_cell, text, g, d, cfg.sweep.max_iter,
-                               _cell_dir(out_dir, i, j), oracle_x)
-                   for i, j, g, d in cells]
+        futures = [pool.submit(_sweep_cell, game, graph, trades, cfg.tracker,
+                               cell_dir, oracle_x)
+                   for cell_dir, trades in cells]
         rows = [f.result() for f in futures]
 
     lines = ["gamma,delta,converged,a2,iters"]
@@ -386,9 +381,6 @@ def main(argv=None):
         cfg = load_config(args.config, seed=args.seed, output_dir=out,
                           oracle=args.oracle)
         return handlers[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TradesError, ValueError, OSError) as exc:
+    except (TradesError, ValueError, OSError) as exc:  # ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1

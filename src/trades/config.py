@@ -6,8 +6,9 @@ key.  Unknown sections and unknown keys are rejected outright so a
 typo cannot silently fall back to a default.
 
 Every section's keys, their kinds, defaults and bounds are the rows of
-``_KEYS``: one table reads, checks and echoes them.  The few rules
-that relate keys to one another are written out in ``parse_config``.
+``_KEYS``: one table reads, checks and echoes them, and declares the
+fields of each section's settings record.  The few rules that relate
+keys to one another are written out in ``parse_config``.
 
 One master seed drives everything: per-component seeds (graph topology,
 scenario data, iterate initialization) are derived from it through a
@@ -23,7 +24,7 @@ the working directory.
 import configparser
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -36,7 +37,7 @@ SPEC_VERSION = 1
 SCENARIOS = ("affine", "voltage")
 
 # kinds besides int, float, str and a tuple of allowed words
-_FILE, _FLAG, _FLOATS = "file", "on/off", "float list"
+_FILE, _FLAG, _FLOATS, _OR_NONE = "file", "on/off", "float list", "float or none"
 # defaults besides a value; a derived one is passed in by parse_config
 _REQUIRED, _DERIVED = "required", "derived"
 _POSITIVE = ((">", 0.0),)
@@ -75,7 +76,7 @@ _KEYS = {
         "strategy_dim": (int, _REQUIRED, _at_least(1)),
         "agg_dim": (int, _REQUIRED, _at_least(1)),
         "coupling": (float, 0.3, None),
-        "box_halfwidth": (float, 5.0, _POSITIVE),
+        "box_halfwidth": (_OR_NONE, 5.0, _POSITIVE),  # none: unconstrained
         "seed": (int, _DERIVED, _at_least(0)),
     },
     "voltage": {
@@ -91,7 +92,7 @@ _KEYS = {
         "agents_file": (_FILE, None, None),
         "seed": (int, _DERIVED, _at_least(0)),
     },
-    "sweep": {  # in SweepSettings field order
+    "sweep": {
         "gamma": (_FLOATS, _REQUIRED, None),
         "delta": (_FLOATS, _REQUIRED, None),
         "max_iter": (int, _DERIVED, _at_least(1)),
@@ -99,43 +100,16 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class GraphSettings:
-    n_agents: int
-    edge_prob: float
-    weight_method: str
-    seed: int
+def _settings(name):
+    """Frozen record of one section: a field per key, named as the key."""
+    cls = make_dataclass(f"{name.capitalize()}Settings", list(_KEYS[name]),
+                         frozen=True)
+    cls.__module__ = __name__  # so records pickle by name
+    return cls
 
 
-@dataclass(frozen=True)
-class AffineSettings:
-    strategy_dim: int
-    agg_dim: int
-    coupling: float
-    box_halfwidth: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class VoltageSettings:
-    n_buses: int
-    horizon: int
-    power_base_kw: float
-    voltage_scale: float
-    penalty_weight: float
-    active_weight: float
-    reactive_weight: float
-    seed: int
-    network_file: str = None
-    prices_file: str = None
-    agents_file: str = None
-
-
-@dataclass(frozen=True)
-class SweepSettings:
-    gammas: tuple
-    deltas: tuple
-    max_iter: int = None
+GraphSettings, AffineSettings, VoltageSettings, SweepSettings = map(
+    _settings, ("graph", "affine", "voltage", "sweep"))
 
 
 @dataclass(frozen=True)
@@ -201,6 +175,10 @@ def _value(name, key, kind, default, bound, raw, base_dir):
         if not os.path.isfile(path):
             raise ConfigError(f"{where} refers to a missing file: {path}")
         return path
+    if kind == _OR_NONE:
+        if raw == "none":
+            return None
+        kind = float
     if kind == _FLAG:
         if raw not in ("on", "off"):
             raise ConfigError(f"{where} = {raw!r}; expected on or off")
@@ -235,8 +213,7 @@ def _value(name, key, kind, default, bound, raw, base_dir):
 def _section(sections, name, base_dir, **defaults):
     """A section's typed values by key, in table order.
 
-    defaults replace the table's: the derived ones, and the None of an
-    unconstrained box.
+    defaults replace the table's derived ones.
     """
     items = sections.get(name, {})
     return {key: _value(name, key, kind, defaults.get(key, default), bound,
@@ -283,12 +260,8 @@ def parse_config(text, base_dir=".", overrides=None):
                           f"{article[scenario]} [{scenario}] section")
     affine = voltage = None
     if scenario == "affine":
-        derived = {"seed": scenario_derived}
-        items = sections["affine"]
-        if items.get("box_halfwidth") == "none":  # an unconstrained box
-            del items["box_halfwidth"]
-            derived["box_halfwidth"] = None
-        affine = AffineSettings(**_section(sections, "affine", base_dir, **derived))
+        affine = AffineSettings(**_section(sections, "affine", base_dir,
+                                           seed=scenario_derived))
     else:
         values = _section(sections, "voltage", base_dir, seed=scenario_derived)
         if values["agents_file"] is None and values["horizon"] < 10:
@@ -303,7 +276,7 @@ def parse_config(text, base_dir=".", overrides=None):
             raise ConfigError("[sweep] gamma values must be finite and positive")
         if not all(0 < dl <= 1 for dl in values["delta"]):
             raise ConfigError("[sweep] delta values must lie in (0, 1]")
-        sweep = SweepSettings(*values.values())
+        sweep = SweepSettings(**values)
 
     return ExperimentConfig(scenario=scenario, seed=exp["seed"],
                             output_dir=exp["output_dir"], oracle=exp["oracle"],
@@ -358,17 +331,16 @@ def canonical_text(cfg):
         "trades": {**vars(cfg.trades), "tracker": cfg.tracker},
         "affine": cfg.affine and vars(cfg.affine),
         "voltage": cfg.voltage and vars(cfg.voltage),
-        "sweep": cfg.sweep and dict(zip(_KEYS["sweep"], vars(cfg.sweep).values())),
+        "sweep": cfg.sweep and vars(cfg.sweep),
     }
     lines = []
     for name, values in sections.items():
         if values is None:
             continue
         lines.append(f"[{name}]")
-        for key in _KEYS[name]:
+        for key, (kind, _, _) in _KEYS[name].items():
             value = values[key]
-            # unset keys are left out, but an unconstrained box is echoed
-            if value is not None or key == "box_halfwidth":
+            if value is not None or kind != _FILE:  # unset files are left out
                 lines.append(f"{key} = {_fmt(value)}")
         lines.append("")
     return "\n".join(lines)

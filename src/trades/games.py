@@ -208,7 +208,7 @@ class AssumptionReport:
         return lines
 
 
-def validate_assumptions(game, sample_budget=50, rng=None):
+def validate_assumptions(game, sample_budget=50, rng=0):
     """Exact game constants plus a sampled check of the projector.
 
     The modulus and the Lipschitz constants come from the game's
@@ -216,7 +216,8 @@ def validate_assumptions(game, sample_budget=50, rng=None):
     The projector is checked on ``sample_budget`` projected random
     points: each must be a member of the feasible set, that is a
     fixed point of a second projection (the projector's membership
-    residual is exactly that distance).
+    residual is exactly that distance).  ``rng`` seeds the sampled
+    points; the fixed default makes the check reproducible.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
@@ -252,7 +253,7 @@ def _oracle_stepsize(game):
     return 0.9 * 2.0 * mu / lip ** 2
 
 
-def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000, x0=None):
+def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
     """High-precision Nash equilibrium by projected pseudo-gradient.
 
     Iterates x <- P_X[x - gamma F(x)] until the fixed-point residual
@@ -260,17 +261,15 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000, x0=None):
     metric is measured against, so the default tolerance sits far below
     the accuracies claimed elsewhere.
 
-    ``x0`` (a stacked vector or an (N, m) array) warm-starts the
-    iteration (soundness is unaffected: the residual certifies the
-    answer regardless of the starting point).  Returns the equilibrium
-    as an (N, m) array; raises MaxIterExceeded with the best such array
-    if the residual will not come down.
+    Starts from the projection of zero.  Returns the equilibrium as an
+    (N, m) array; raises MaxIterExceeded with the best such array if the
+    residual will not come down.
     """
     if gamma is None:
         gamma = _oracle_stepsize(game)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    x = game.project(game.split(np.zeros(game.n) if x0 is None else x0))
+    x = game.project(np.zeros((game.N, game.m)))
     best = x
     best_resid = np.inf
     for _ in range(max_iter):
@@ -343,7 +342,8 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
 
     Draws dense per-agent data, adds a ridge to each Q_i, and retries on
     fresh draws (same stream) in the unlikely event the coupling pushes
-    the symmetric part indefinite.
+    the symmetric part indefinite; a coupling too large for 50 draws is
+    a ValueError.
     """
     rng = np.random.default_rng(seed)
     for _ in range(50):
@@ -360,4 +360,5 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
         game = quadratic_aggregative_game(qs, rs, coupling, cs, gs, boxes)
         if game.affine.exact_modulus() > 0.25 * _RIDGE:
             return game
-    raise RuntimeError("could not draw a strongly monotone instance")
+    raise ValueError(f"coupling = {coupling} gave no strongly monotone "
+                     "instance in 50 draws")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -171,8 +172,8 @@ horizon = 12
 def test_sweep_parse_and_rejections():
     base = AFFINE_TEXT.format(out="out")
     cfg = parse_config(base + "\n[sweep]\ngamma = 0.01, 0.02\ndelta = 0.5\n")
-    assert cfg.sweep.gammas == (0.01, 0.02)
-    assert cfg.sweep.deltas == (0.5,)
+    assert cfg.sweep.gamma == (0.01, 0.02)
+    assert cfg.sweep.delta == (0.5,)
     assert cfg.sweep.max_iter == 4000
     with pytest.raises(ConfigError):
         parse_config(base + "\n[sweep]\ngamma = ,\ndelta = 0.5\n")
@@ -207,6 +208,16 @@ voltage_scale = 600.0
 """
     vcfg = parse_config(vtext)
     assert parse_config(canonical_text(vcfg)) == vcfg
+
+
+def test_configs_pickle():
+    # a record class made from the key table pickles only under the
+    # module name it is exported from
+    for text in (AFFINE_TEXT.format(out="out")
+                 + "\n[sweep]\ngamma = 0.01\ndelta = 0.5,1.0\n",
+                 VOLTAGE_TEXT):
+        cfg = parse_config(text)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 # the echo's exact bytes: section and key order, number format, derived
@@ -516,6 +527,27 @@ def test_sweep_summary_and_parallel_determinism(tmp_path):
             (tmp_path / "sw1" / name / "trace.csv").read_bytes()
 
 
+def test_sweep_cell_is_the_run_of_its_stepsizes(tmp_path):
+    # each cell runs the sweep's one game with the cell's gamma, delta and
+    # max_iter, so its trace is that of `trades run` with those settings
+    gammas, deltas, max_iter = (0.02, 0.08), (0.5, 1.0), 700
+    text = AFFINE_TEXT.format(out=tmp_path / "unused")
+    path = tmp_path / "sweep.ini"
+    path.write_text(text + f"\n[sweep]\ngamma = {gammas[0]},{gammas[1]}\n"
+                    f"delta = {deltas[0]},{deltas[1]}\nmax_iter = {max_iter}\n")
+    assert main(["sweep", str(path), "--out", str(tmp_path / "sw")]) == 0
+    for i, gamma in enumerate(gammas):
+        for j, delta in enumerate(deltas):
+            cell = tmp_path / f"cell-{i}{j}.ini"
+            cell.write_text(text.replace("gamma = 0.02", f"gamma = {gamma}\n"
+                                         f"delta = {delta}")
+                            .replace("max_iter = 4000", f"max_iter = {max_iter}"))
+            out = tmp_path / f"run-{i}{j}"
+            assert main(["run", str(cell), "--out", str(out)]) in (0, 2)
+            assert (out / "trace.csv").read_bytes() == \
+                (tmp_path / "sw" / f"cell-{i:02d}-{j:02d}" / "trace.csv").read_bytes()
+
+
 def test_sweep_without_grid_is_usage_error(tmp_path, capsys):
     path = _affine_cfg_file(tmp_path)
     assert main(["sweep", path]) == 1
@@ -656,6 +688,19 @@ def test_run_names_the_file_and_row_of_a_malformed_field(tmp_path, capsys, name,
     code = _run_with_doctored_field(tmp_path, name, row, column, value)
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def test_too_large_a_coupling_is_an_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "coupled.ini"
+    path.write_text(AFFINE_TEXT.format(out=tmp_path / "out")
+                    .replace("n_agents = 5", "n_agents = 4")
+                    .replace("agg_dim = 1", "agg_dim = 1\ncoupling = 50"))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coupling = 50.0 ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("assembly: FAIL (coupling = 50.0 ")
 
 
 def test_case_study_requires_voltage_scenario(tmp_path, capsys):

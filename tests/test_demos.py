@@ -1,8 +1,4 @@
-"""Smoke test of the README's demo tour: each script runs to exit 0.
-
-The voltage case-study demo (04) is left out; it takes about half a
-minute, and the CLI and acceptance tests already run that scenario.
-"""
+"""Smoke test of the README's demo tour: each script runs to exit 0."""
 
 import os
 import pathlib
@@ -16,7 +12,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script", ["01_affine_game.py",
                                     "02_consensus_tracking.py",
-                                    "03_projections.py"])
+                                    "03_projections.py",
+                                    "04_voltage_case_study.py"])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],

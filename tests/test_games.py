@@ -345,14 +345,6 @@ def test_oracle_iteration_cap():
     assert isinstance(err.best, np.ndarray) and err.best.shape == (3, 2)
 
 
-def test_oracle_warm_start_agrees_with_cold_start():
-    game = random_strongly_monotone_game(4, 2, 2, seed=96)
-    cold = solve_ne_oracle(game, tol=1e-13)
-    rng = np.random.default_rng(97)
-    warm = solve_ne_oracle(game, tol=1e-13, x0=rng.normal(size=game.n))
-    assert np.allclose(cold, warm, rtol=0, atol=1e-10)
-
-
 def test_oracle_requires_stepsize_for_non_monotone_game():
     # no positive modulus, so no default stepsize can be derived
     game = quadratic_aggregative_game(

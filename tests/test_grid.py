@@ -16,8 +16,8 @@ import oracles
 from oracles import aggregate
 from trades import cli
 from trades.errors import InfeasibleSpec
-from trades.games import (local_operator, phi_stack,
-                          pseudo_gradient, solve_ne_oracle)
+from trades.games import (local_operator, phi_stack, pseudo_gradient,
+                          solve_ne_oracle, validate_assumptions)
 from trades.grid import (
     DEFAULT_VOLTAGE_SCALE,
     DistFlowModel,
@@ -277,6 +277,14 @@ def test_desk_game_dimensions(desk):
     assert game.E.shape == (40, 2, 15) and game.B.shape == (40, 2, 2)
     assert game.c.shape == (40, 2, 24)
     assert game.affine.A.shape == (80, 80)
+
+
+def test_assumption_check_is_reproducible_without_a_seed(desk):
+    # the sampled projector check draws from a fixed stream by default
+    game = desk[-1]
+    first, second = (validate_assumptions(game, sample_budget=10)
+                     for _ in range(2))
+    assert first.projector_residual == second.projector_residual
 
 
 def test_zero_incentive_game_has_zero_equilibrium():
