@@ -13,8 +13,11 @@ The module also carries the diagnostics that make the scheme auditable:
   tracker-driven iteration must reproduce bit for bit when the trackers
   are overwritten by their exact values each step.
 
-All x-updates funnel through one helper so the distributed and the
-centralized routes share their floating-point summation order.
+Four routes take the one strategy step games.damped_projected_step,
+x + delta (P(x - gamma d) - x), and so share their floating-point order:
+the consensus run (d from the tracked estimates), and the exact-tracker
+run, reduced_system_run and games.solve_ne_oracle (delta = 1) with d the
+pseudo-gradient.
 """
 
 import math
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteDetected
-from .games import local_operator, phi_stack
+from .games import (damped_projected_step, local_operator, phi_stack,
+                    pseudo_gradient)
 from .network import consensus_step, spectrum
 
 TRACKER_MODES = ("consensus", "exact")
@@ -113,15 +117,11 @@ class IterationTrace:
         return len(self.t)
 
     def csv_text(self):
-        lines = [",".join(TRACE_COLUMNS)]
-        for k in range(len(self.t)):
-            row = (repr(int(self.t[k])),
-                   repr(float(self.err_x[k])),
-                   repr(float(self.est_err_max[k])),
-                   repr(float(self.disagreement[k])),
-                   repr(float(self.step_norm[k])))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        # the Python ints and floats of .tolist(), one repr per column
+        columns = [list(map(repr, getattr(self, name).tolist()))
+                   for name in TRACE_COLUMNS]
+        return "\n".join([",".join(TRACE_COLUMNS),
+                          *map(",".join, zip(*columns)), ""])
 
 
 @dataclass
@@ -221,22 +221,6 @@ def init(game, x0):
     return TradesState(x=game.project(x), z=np.zeros((game.N, game.d)), t=0)
 
 
-def _exact_estimates(phix):
-    """Every agent's estimate set to the true aggregate of the stack."""
-    return np.broadcast_to(phix.mean(axis=0), phix.shape)
-
-
-def _damped_projected_step(game, x, estimates, gamma, delta):
-    """x_i + delta * (P_i[x_i - gamma * direction_i] - x_i) for every agent.
-
-    The single funnel for strategy updates: distributed, exact-tracker
-    and centralized runs all pass through here, so equal inputs give
-    bitwise equal outputs.
-    """
-    v = x - gamma * local_operator(game, x, estimates)
-    return x + delta * (game.project(v) - x)
-
-
 def _advance(game, graph, gamma, delta, x, z, tracker_mode):
     """One synchronous sweep; returns (new x, new z, contributions, the
     estimate stack z + contributions that the sweep and recorder share).
@@ -249,11 +233,12 @@ def _advance(game, graph, gamma, delta, x, z, tracker_mode):
     phix = phi_stack(game, x)
     estimates = z + phix
     if tracker_mode == "consensus":
-        new_x = _damped_projected_step(game, x, estimates, gamma, delta)
+        new_x = damped_projected_step(
+            game, x, local_operator(game, x, estimates), gamma, delta)
         new_z = consensus_step(graph, z, phix, estimates)
     else:
-        new_x = _damped_projected_step(game, x, _exact_estimates(phix),
-                                       gamma, delta)
+        new_x = damped_projected_step(
+            game, x, game.split(pseudo_gradient(game, x)), gamma, delta)
         new_z = exact_tracker_values(game, new_x)
     return new_x, new_z, phix, estimates
 
@@ -384,16 +369,15 @@ def reduced_system_run(game, cfg, x0):
     """Centralized reference: damped projected steps on the exact aggregate.
 
     Returns the trajectory of stacked iterates, shape (steps + 1, n),
-    first row the projected start.  Shares the strategy-update funnel
-    with run, so a run in tracker_mode="exact" with the same
+    first row the projected start.  Takes the strategy step of run's
+    exact mode, so a run in tracker_mode="exact" with the same
     configuration and start reproduces this trajectory bitwise.
     """
     x = init(game, x0).x
     trajectory = [x.reshape(-1)]
     for t in range(cfg.max_iter):
-        new_x = _damped_projected_step(game, x,
-                                       _exact_estimates(phi_stack(game, x)),
-                                       cfg.gamma, cfg.delta)
+        new_x = damped_projected_step(
+            game, x, game.split(pseudo_gradient(game, x)), cfg.gamma, cfg.delta)
         step_norm = _checked_step_norm(t, x, new_x, cfg.delta)
         x = new_x
         trajectory.append(x.reshape(-1))

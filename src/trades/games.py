@@ -162,6 +162,13 @@ def pseudo_gradient(game, x):
     return local_operator(game, x, sigma).reshape(-1)
 
 
+def damped_projected_step(game, x, direction, gamma, delta):
+    """x + delta * (P(x - gamma * direction) - x) over the (N, m) stack:
+    the one strategy update, so equal inputs give equal bits on every
+    route (both run modes, reduced_system_run, and the oracle)."""
+    return x + delta * (game.project(x - gamma * direction) - x)
+
+
 # -------------------------------------------------------------- validation
 
 
@@ -256,29 +263,32 @@ def _oracle_stepsize(game):
 def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
     """High-precision Nash equilibrium by projected pseudo-gradient.
 
-    Iterates x <- P_X[x - gamma F(x)] until the fixed-point residual
-    drops to ``tol``.  The result is the reference point every error
-    metric is measured against, so the default tolerance sits far below
-    the accuracies claimed elsewhere.
+    Iterates the undamped step x <- P_X[x - gamma F(x)] until the
+    fixed-point residual drops to ``tol``.  The result is the reference
+    point every error metric is measured against, so the default
+    tolerance sits far below the accuracies claimed elsewhere.
 
     Starts from the projection of zero.  Returns the equilibrium as an
     (N, m) array; raises MaxIterExceeded with the best such array if the
-    residual will not come down.
+    residual will not come down, at once if an iterate stops being finite.
     """
     if gamma is None:
         gamma = _oracle_stepsize(game)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     x = game.project(np.zeros((game.N, game.m)))
-    best = x
-    best_resid = np.inf
-    for _ in range(max_iter):
-        f = pseudo_gradient(game, x)
-        x_next = game.project(x - gamma * game.split(f))
+    best, best_resid = x, np.inf
+    for k in range(1, max_iter + 1):
+        x_next = damped_projected_step(
+            game, x, game.split(pseudo_gradient(game, x)), gamma, 1.0)
         resid = float(np.linalg.norm(x - x_next))
         if resid < best_resid:
-            best_resid = resid
-            best = x_next
+            best, best_resid = x_next, resid
+        elif not np.isfinite(resid) and not np.isfinite(x_next).all():
+            raise MaxIterExceeded(
+                f"non-finite iterate at iteration {k}; best fixed-point "
+                f"residual {best_resid:.3e}", best=best,
+                residual=best_resid, iterations=k)
         x = x_next
         if resid <= tol:
             return x
