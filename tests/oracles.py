@@ -8,7 +8,10 @@ nnls) so the arithmetic route is genuinely different from the package's.
 Two helpers the package itself does not need live here too: the
 aggregate of a profile, and a fixed orthonormal basis of the
 disagreement subspace to measure the tracker stack in.  The charger
-multiplier search is checked against its first form, kept here verbatim.
+multiplier search and the reference equilibrium solve are checked
+against their first forms, kept here verbatim.  ``literal_run`` writes
+the consensus-mode iteration the slow way, agent by agent and neighbour
+by neighbour, with its own box and charger projections.
 """
 
 import itertools
@@ -18,8 +21,8 @@ import numpy as np
 from scipy.linalg import lstsq
 from scipy.optimize import nnls
 
-from trades.errors import InfeasibleSpec, MaxSweepsExceeded
-from trades.games import phi_stack
+from trades.errors import InfeasibleSpec, MaxIterExceeded, MaxSweepsExceeded
+from trades.games import _oracle_stepsize, phi_stack, pseudo_gradient
 from trades.projections import (_SEARCH_MAX_EVALS, Box, DiskPairs, Hyperplane,
                                 Intersection)
 
@@ -375,3 +378,153 @@ class ReferenceSearch:
         if np.any(todo & ~closed & (slope == 0.0)):
             raise InfeasibleSpec("a hyperplane misses the box-and-disk set")
         raise MaxSweepsExceeded("multiplier search did not converge")
+
+
+def reference_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
+    """``games.solve_ne_oracle`` as first written, with its own undamped
+    step P(x - gamma F(x)) and no stop on a non-finite iterate; the
+    package's, which takes the run's damped step at delta = 1, must
+    return the same bits and raise with the same best iterate."""
+    if gamma is None:
+        gamma = _oracle_stepsize(game)
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    x = game.project(np.zeros((game.N, game.m)))
+    best = x
+    best_resid = np.inf
+    for _ in range(max_iter):
+        f = pseudo_gradient(game, x)
+        x_next = game.project(x - gamma * game.split(f))
+        resid = float(np.linalg.norm(x - x_next))
+        if resid < best_resid:
+            best_resid = resid
+            best = x_next
+        x = x_next
+        if resid <= tol:
+            return x
+    raise MaxIterExceeded(
+        f"fixed-point residual {best_resid:.3e} after {max_iter} iterations "
+        f"(target {tol:.1e})", best=best,
+        residual=best_resid, iterations=max_iter)
+
+
+def box_projection(v, lower, upper):
+    """Clamp of v to [lower, upper], one coordinate at a time."""
+    return np.array([min(max(float(a), lo), hi)
+                     for a, lo, hi in zip(v, lower, upper)])
+
+
+def charger_projection(v, plugged, target, s_max):
+    """Projection of v = (p, q) onto one charger's set, from its stated
+    constraints: p_t <= 0 while plugged and p_t = 0 otherwise, plugged
+    draws summing to -target (each at -s_max when target is the cap), and
+    p_t^2 + q_t^2 <= s_max^2.  projection_qp_oracle solves the linear
+    constraints; when its point leaves a disk, the projection is the
+    per-slot projection onto half-disks at the root, found by bisection,
+    of the energy gap in the hyperplane's multiplier."""
+    v, plugged = np.asarray(v, dtype=float), list(map(bool, plugged))
+    horizon, cap = len(plugged), s_max * sum(plugged)
+    charging, rows = 0.0 < target < cap, np.eye(2 * horizon)
+    equalities, inequalities = [], []
+    for t, on in enumerate(plugged):
+        if on and target == cap:
+            equalities += [(rows[t], -s_max), (rows[horizon + t], 0.0)]
+        elif on and charging:
+            inequalities.append((rows[t], 0.0))
+        else:
+            equalities.append((rows[t], 0.0))
+    if charging:
+        equalities.append((np.concatenate([plugged, np.zeros(horizon)]),
+                           -target))
+    w = projection_qp_oracle(v, equalities, inequalities, feas_tol=1e-12)
+    if all(math.hypot(w[t], w[horizon + t]) <= s_max for t in range(horizon)):
+        return w
+
+    def point(lam):
+        out = np.zeros(2 * horizon)
+        for t, on in enumerate(plugged):
+            p, q = v[t] - lam * on, v[horizon + t]
+            if on and target == cap:          # pinned at full draw
+                out[t] = -s_max
+            elif on and charging and p <= 0.0:
+                r = math.hypot(p, q)
+                scale = s_max / r if r > s_max else 1.0
+                out[t], out[horizon + t] = p * scale, q * scale
+            else:                             # p = 0, |q| <= s_max
+                out[horizon + t] = min(max(q, -s_max), s_max)
+        return out
+
+    def gap(lam):   # nonincreasing in lam
+        return sum(point(lam)[:horizon][plugged]) + target
+
+    if not charging:
+        return point(0.0)
+    lo, hi = -1.0, 1.0
+    while gap(lo) < 0.0:
+        lo *= 2.0
+    while gap(hi) > 0.0:
+        hi *= 2.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+    return point(lo if abs(gap(lo)) <= abs(gap(hi)) else hi)
+
+
+def literal_run(game, weights, gamma, delta, x0, steps, project_agent,
+                oracle=None):
+    """``steps`` sweeps of the consensus-mode iteration of
+    ``algorithm.run``, the slow way.
+
+    Agent i holds x_i and z_i; with its lifted factors G_i (x) I_T,
+    B_i (x) I_T and E_i (x) I_T built by np.kron it moves to
+    x_i + delta (P_i(x_i - gamma (B_i x_i + E_i (z_i + phi_i) + c_i)) - x_i),
+    and its tracker to sum_j w_ij (z_j + phi_j) - phi_i over its
+    in-neighbours j, both from the time-t state.  P_i is
+    ``project_agent(i, v)``; x0 is the raw (N, m) start, projected first.
+    Returns the final (N, m) strategies, the (N, d) trackers and one
+    tuple per iterate in the order of run's trace fields: t, distance to
+    ``oracle`` (nan without one), worst estimation error, disagreement,
+    damping-normalized step out of the iterate (the last row repeats the
+    arriving one), tracker-mean residual and distance to the feasible set.
+    """
+    n, eye = game.N, np.eye(game.T)
+    g, b, e = ([np.kron(f[i], eye) for i in range(n)]
+               for f in (game.G, game.B, game.E))
+    c = [game.c[i].reshape(-1) for i in range(n)]
+    x = [project_agent(i, np.asarray(x0[i], dtype=float)) for i in range(n)]
+    z = [np.zeros(game.d) for _ in range(n)]
+    rows, step = [], math.nan
+
+    def row(t, x, z, step):
+        phi = [g[i] @ x[i] for i in range(n)]
+        sigma = sum(phi) / n
+        est = [z[i] + phi[i] for i in range(n)]
+        est_mean = sum(est) / n
+        z_norm = math.sqrt(sum(float(zi @ zi) for zi in z))
+        err = math.nan if oracle is None else float(
+            np.linalg.norm(np.concatenate(x) - np.ravel(oracle)))
+        return (t, err, max(float(np.linalg.norm(s - sigma)) for s in est),
+                math.sqrt(sum(float((s - est_mean) @ (s - est_mean))
+                              for s in est)),
+                step, float(np.linalg.norm(sum(z))) / max(1.0, z_norm),
+                math.sqrt(sum(float(np.sum((x[i] - project_agent(i, x[i])) ** 2))
+                              for i in range(n))))
+
+    for t in range(steps):
+        phi = [g[i] @ x[i] for i in range(n)]
+        new_x, new_z = [], []
+        for i in range(n):
+            direction = b[i] @ x[i] + e[i] @ (z[i] + phi[i]) + c[i]
+            target = project_agent(i, x[i] - gamma * direction)
+            new_x.append(x[i] + delta * (target - x[i]))
+            mixed = -phi[i]
+            for j in range(n):
+                if weights[i][j] != 0.0:
+                    mixed = mixed + weights[i][j] * (z[j] + phi[j])
+            new_z.append(mixed)
+        step = math.sqrt(sum(float(np.sum((new_x[i] - x[i]) ** 2))
+                             for i in range(n))) / delta
+        rows.append(row(t, x, z, step))
+        x, z = new_x, new_z
+    rows.append(row(steps, x, z, step))
+    return np.array(x), np.array(z), rows

@@ -35,11 +35,14 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from trades.algorithm import TradesConfig, reduced_system_run, run
 from trades.config import _KEYS, canonical_text, parse_config
-from trades.errors import ConfigError, MaxSweepsExceeded
+from trades.errors import ConfigError, MaxIterExceeded, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
-                          random_strongly_monotone_game)
-from trades.grid import (EvAgentSpec, RadialNetwork, load_agents, load_network,
-                         load_prices, save_agents, save_network, save_prices)
+                          random_strongly_monotone_game, solve_ne_oracle)
+from trades.grid import (EvAgentSpec, RadialNetwork, build_radial_network,
+                         build_voltage_game, default_voltage_config,
+                         distflow_sensitivities, gen_baseline_profile,
+                         gen_prices, load_agents, load_network, load_prices,
+                         save_agents, save_network, save_prices)
 from trades.network import gen_digraph, make_doubly_stochastic
 from trades.projections import (Box, ConvexSet, DiskPairs,
                                 FeasibleSetProjector, build_ev_projector,
@@ -87,6 +90,100 @@ def test_consensus_run_keeps_tracker_mean_and_feasibility(inst):
     _, trace, _ = run(game, graph, cfg, x0=inst["seed"] + 1)
     assert np.max(trace.z_mean_residual) <= 1e-10
     assert np.max(trace.feas_residual) <= 1e-8
+
+
+@st.composite
+def affine_games(draw, min_agents=1):
+    """A small quadratic game with boxes of half-width 0.5 or 5, or none,
+    and each agent's projection as a coordinate-wise clamp."""
+    game = random_strongly_monotone_game(
+        draw(st.integers(min_agents, 4)), draw(st.integers(1, 2)),
+        draw(st.integers(1, 2)), seed=draw(st.integers(0, 2 ** 16)),
+        box_halfwidth=draw(st.sampled_from([None, 0.5, 5.0])))
+    lower, upper = (b.reshape(game.N, game.m) for b in
+                    (game.projector.box.lower, game.projector.box.upper))
+    return game, lambda i, v: oracles.box_projection(v, lower[i], upper[i])
+
+
+@st.composite
+def charger_games(draw, min_agents=1, max_fill=1.0):
+    """A voltage game of 1-4 chargers on a 2-4 bus feeder over 1-2 hours:
+    each charger has its own plug mask, cap, and a target at 0, at the cap
+    or up to the share `max_fill` of it, and its projection from the
+    stated constraints."""
+    n_buses, horizon = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2 ** 16))
+    net = build_radial_network(n_buses, seed=seed)
+    model = distflow_sensitivities(net, gen_baseline_profile(net, horizon, seed))
+    agents = []
+    for _ in range(draw(st.integers(min_agents, 4))):
+        plugged = np.array(draw(st.lists(st.booleans(), min_size=horizon,
+                                         max_size=horizon)))
+        s_max = draw(st.floats(0.5, 3.0))
+        fill = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, max_fill))
+        agents.append(EvAgentSpec(bus=draw(st.integers(1, n_buses - 1)),
+                                  plugged=plugged, s_max=s_max,
+                                  target_energy=fill * s_max * plugged.sum()))
+    game = build_voltage_game(model, agents, default_voltage_config(
+        model, gen_prices(horizon, seed)))
+    return game, lambda i, v: oracles.charger_projection(
+        v, agents[i].plugged, agents[i].target_energy, agents[i].s_max)
+
+
+def _oracle_outcome(solve, game, **kwargs):
+    try:
+        return "solved", solve(game, **kwargs).tobytes()
+    except MaxIterExceeded as exc:
+        return "raised", exc.best.tobytes(), exc.residual, exc.iterations
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_games() | charger_games(), st.integers(1, 4))
+def test_oracle_matches_its_first_form(case, budget):
+    # the run's damped step at delta = 1 reproduces the oracle's own
+    # undamped step bit for bit, to the end and on budgets cut short
+    game, _ = case
+    for kwargs in ({}, {"tol": 1e-300, "max_iter": budget}):
+        assert (_oracle_outcome(solve_ne_oracle, game, **kwargs)
+                == _oracle_outcome(oracles.reference_ne_oracle, game, **kwargs))
+
+
+TRACE_FIELDS = ("t", "err_x", "est_err_max", "disagreement", "step_norm",
+                "z_mean_residual", "feas_residual")
+
+
+@settings(max_examples=20, deadline=None)
+@given(affine_games(min_agents=2) | charger_games(min_agents=2, max_fill=0.9),
+       st.floats(0.0, 1.0), st.sampled_from(["metropolis_symmetrized",
+                                             "sinkhorn"]),
+       st.floats(0.005, 0.1), st.floats(0.1, 1.0), st.integers(0, 2 ** 16))
+def test_consensus_run_matches_the_literal_iteration(case, edge_prob, method,
+                                                     gamma, delta, seed):
+    # 50 sweeps against per-agent, per-neighbour loops over np.kron
+    # factors and projections that do not share the package's code; a
+    # target just short of the cap makes the projection itself
+    # ill-conditioned (two exact methods part by 2e-10 at 1 - 1e-6 of it)
+    game, project_agent = case
+    graph = make_doubly_stochastic(gen_digraph(game.N, edge_prob, seed),
+                                   method=method)
+    cfg = TradesConfig(gamma=gamma, delta=delta, stop_tol=1e-300, max_iter=50)
+    rng = np.random.default_rng(seed)
+    x0, oracle = rng.normal(scale=3.0, size=(2, game.N, game.m))
+    state, trace, _ = run(game, graph, cfg, x0=x0, oracle=oracle)
+    # a run that lands on a floating-point cycle stops on a zero step the
+    # other route may round to 1e-17, so the loops take the run's count
+    x, z, rows = oracles.literal_run(game, graph.weights, gamma, delta, x0,
+                                     state.t, project_agent, oracle)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.all(np.abs(got - want) <= 1e-10 * scale)
+
+    close(state.x, x)
+    close(state.z, z)
+    for name, column in zip(TRACE_FIELDS, zip(*rows)):
+        close(getattr(trace, name), np.array(column))
 
 
 @settings(max_examples=100, deadline=None)
