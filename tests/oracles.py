@@ -44,14 +44,18 @@ def box_constraints(lower, upper):
     return rows
 
 
-def projection_qp_oracle(v, equalities, inequalities, feas_tol=1e-9):
+def projection_qp_oracle(v, equalities, inequalities, feas_tol=1e-9,
+                         eq_tol=1e-7):
     """Exact projection onto {w : Aw = b, Cw <= d} by active-set enumeration.
 
     ``equalities`` and ``inequalities`` are lists of (a, b) rows.  Every
     subset of inequality rows is tried as an active set; each candidate
     solves the equality-constrained least-distance problem in closed form
     through the KKT system.  The feasible candidate closest to v is the
-    projection (the true active set is among the subsets).
+    projection (the true active set is among the subsets).  Candidates
+    whose rows miss their levels by more than ``eq_tol`` (relative) are
+    inconsistent or infeasible; a set whose levels are that close to
+    each other needs a smaller one.
     """
     v = np.asarray(v, dtype=float)
     dim = v.size
@@ -72,12 +76,12 @@ def projection_qp_oracle(v, equalities, inequalities, feas_tol=1e-9):
                 rhs = amat @ v - bvec
                 lam = lstsq(gram, rhs, lapack_driver="gelsd")[0]
                 w = v - amat.T @ lam
-                if np.linalg.norm(amat @ w - bvec) > 1e-7 * max(1.0, np.linalg.norm(bvec)):
+                if np.linalg.norm(amat @ w - bvec) > eq_tol * max(1.0, np.linalg.norm(bvec)):
                     continue  # inconsistent active set
             else:
                 w = v.copy()
             ok = all(a @ w <= b + feas_tol for a, b in in_rows)
-            ok = ok and all(abs(a @ w - b) <= 1e-7 * max(1.0, abs(b)) for a, b in eq_rows)
+            ok = ok and all(abs(a @ w - b) <= eq_tol * max(1.0, abs(b)) for a, b in eq_rows)
             if ok:
                 dist = np.linalg.norm(w - v)
                 if dist < best_dist - 1e-12:
@@ -436,7 +440,8 @@ def charger_projection(v, plugged, target, s_max):
     if charging:
         equalities.append((np.concatenate([plugged, np.zeros(horizon)]),
                            -target))
-    w = projection_qp_oracle(v, equalities, inequalities, feas_tol=1e-12)
+    w = projection_qp_oracle(v, equalities, inequalities, feas_tol=1e-12,
+                             eq_tol=1e-12)
     if all(math.hypot(w[t], w[horizon + t]) <= s_max for t in range(horizon)):
         return w
 

@@ -5,7 +5,11 @@ strategy and aggregate dimensions 1-3) and a Metropolis-weighted random
 graph, then runs at most a few hundred sweeps.  Together the two game
 properties cover acceptance criteria 2, 4 and 8 beyond the hand-picked
 instances; a third draws random Kronecker factors (N, p, q, T) and
-checks the batched contractions against per-agent np.kron blocks.  Each
+checks the batched contractions against per-agent np.kron blocks.  On
+small random affine and charger games the reference solve is checked
+bit for bit against its first form (``oracles.reference_ne_oracle``),
+and 50 consensus sweeps against the paper-literal loops of
+``oracles.literal_run`` under both weight methods.  Each
 charger example draws a horizon, a plug mask, a cap and an energy target
 up to the cap, and checks the exact projection against Dykstra (or,
 where Dykstra runs out of sweeps, by stationarity and membership) and for
