@@ -117,11 +117,11 @@ class IterationTrace:
         return len(self.t)
 
     def csv_text(self):
-        # the Python ints and floats of .tolist(), one repr per column
-        columns = [list(map(repr, getattr(self, name).tolist()))
-                   for name in TRACE_COLUMNS]
-        return "\n".join([",".join(TRACE_COLUMNS),
-                          *map(",".join, zip(*columns)), ""])
+        # %r of the Python ints and floats of .tolist() is their repr
+        columns = (getattr(self, name).tolist() for name in TRACE_COLUMNS)
+        lines = [",".join(TRACE_COLUMNS)]
+        lines += ["%r,%r,%r,%r,%r" % row for row in zip(*columns)]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
