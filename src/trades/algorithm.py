@@ -117,10 +117,13 @@ class IterationTrace:
         return len(self.t)
 
     def csv_text(self):
-        # %r of the Python ints and floats of .tolist() is their repr
-        columns = (getattr(self, name).tolist() for name in TRACE_COLUMNS)
+        # %r of the Python ints and floats of .tolist() is their repr;
+        # blocks of rows keep those temporaries small
         lines = [",".join(TRACE_COLUMNS)]
-        lines += ["%r,%r,%r,%r,%r" % row for row in zip(*columns)]
+        for k in range(0, len(self.t), 256):
+            block = [getattr(self, name)[k:k + 256].tolist()
+                     for name in TRACE_COLUMNS]
+            lines += ["%r,%r,%r,%r,%r" % row for row in zip(*block)]
         return "\n".join(lines) + "\n"
 
 
