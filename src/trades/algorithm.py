@@ -184,8 +184,8 @@ def fit_convergence(ts, errs, total_iterations):
     n_points = int(mask.sum())
     if n_points < 3:
         return None, None, None, None, n_points
-    tw = ts[mask]
-    logs = np.log(errs[mask])
+    tw, ew = ts[mask], errs[mask]
+    logs = np.log(ew)
     slope, intercept = np.polyfit(tw, logs, 1)
     pred = intercept + slope * tw
     ss_res = float(np.sum((logs - pred) ** 2))
@@ -195,8 +195,11 @@ def fit_convergence(ts, errs, total_iterations):
     else:
         r2 = 1.0 if ss_res == 0 else 0.0
     gaps = np.diff(tw)
-    ratios = (errs[mask][1:] / errs[mask][:-1]) ** (1.0 / gaps)
-    ratio = float(np.median(ratios)) if ratios.size else None
+    ratios = np.sort((ew[1:] / ew[:-1]) ** (1.0 / gaps))
+    # np.median's value (the middle ratio, or the mean of the middle two),
+    # without the numpy.ma import np.median makes on its first call
+    h = ratios.size // 2
+    ratio = float(ratios[h] if ratios.size % 2 else (ratios[h - 1] + ratios[h]) / 2)
     return float(np.exp(intercept)), float(-slope), float(r2), ratio, n_points
 
 
@@ -251,14 +254,23 @@ def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
 
     Raises NonFiniteDetected, tagged with the produced iteration index
     t + 1 and carrying the rows recorded so far, as soon as any strategy
-    or tracker coordinate stops being finite.  A non-finite strategy makes
-    the norm non-finite, so the strategies are scanned only then: a
-    finite stack whose norm overflows still returns inf.
+    or tracker coordinate stops being finite.  A non-finite entry makes
+    the norm non-finite, and the tracker stack's squared column-sum norm
+    too, so each stack is scanned only then: a finite stack whose norm
+    overflows passes (the step norm is then inf).  That squared norm is
+    left on the recorder as recorder.z_sum_sq, for the row that records
+    new_z.
     """
     d = (new_x - x).ravel()
     step_norm = math.sqrt(d.dot(d)) / delta
-    if ((new_z is not None and not np.isfinite(new_z).all())
-            or (not math.isfinite(step_norm) and not np.isfinite(new_x).all())):
+    finite = math.isfinite(step_norm) or np.isfinite(new_x).all()
+    if new_z is not None:
+        z_sum = new_z.sum(axis=0)
+        z_sum_sq = z_sum @ z_sum
+        finite = finite and (math.isfinite(z_sum_sq) or np.isfinite(new_z).all())
+        if recorder is not None:
+            recorder.z_sum_sq = z_sum_sq
+    if not finite:
         raise NonFiniteDetected(
             t + 1, "non-finite strategy or tracker value",
             trace=None if recorder is None else recorder.build())
@@ -283,16 +295,19 @@ class _Recorder:
         self.oracle_vec = oracle_vec
         self.mean_row = np.full(game.N, 1.0 / game.N)
         self.rows = []   # one tuple per recorded iterate, in field order
+        self.z_sum_sq = None   # set by _checked_step_norm
 
-    def add(self, t, x, z, phix, estimates, step_norm):
+    def add(self, t, x, z, phix, estimates, step_norm, z_sum_sq=None):
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
         # to the column sums of z, so the centred stack's squared norm (the
         # disagreement) is their squared norm minus |sum_i z_i|^2 / N;
-        # estimates (z + phix) is shared with the sweep, so it stays as is
+        # estimates (z + phix) is shared with the sweep, so it stays as is;
+        # z_sum_sq, when given, is |sum_i z_i|^2 from the tracker check
         w = estimates - self.mean_row @ phix
         rows = np.einsum("ij,ij->i", w, w)
-        z_sum = z.sum(axis=0)
-        z_sum_sq = z_sum @ z_sum
+        if z_sum_sq is None:
+            z_sum = z.sum(axis=0)
+            z_sum_sq = z_sum @ z_sum
         disagreement = math.sqrt(max(rows.sum() - z_sum_sq / self.n_agents, 0.0))
         z_mean = math.sqrt(z_sum_sq) / max(1.0, math.sqrt(np.vdot(z, z)))
         if self.oracle_vec is None:
@@ -337,14 +352,14 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
     step_norm = float("nan")
     gamma, delta, stop_tol = cfg.gamma, cfg.delta, cfg.stop_tol
     max_iter, stride, record = cfg.max_iter, cfg.trace_stride, recorder.add
-    t = 0
+    t, z_sum_sq = 0, None
     while t < max_iter:
         new_x, new_z, phix, estimates = _advance(
             game, graph, gamma, delta, x, z, tracker_mode)
         step_norm = _checked_step_norm(t, x, new_x, delta, new_z, recorder)
         if t % stride == 0:
-            record(t, x, z, phix, estimates, step_norm)
-        x, z = new_x, new_z
+            record(t, x, z, phix, estimates, step_norm, z_sum_sq)
+        x, z, z_sum_sq = new_x, new_z, recorder.z_sum_sq
         t += 1
         if keep_iterates:
             iterates.append(x.reshape(-1))
@@ -353,7 +368,7 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
             break
 
     phix = phi_stack(game, x)
-    recorder.add(t, x, z, phix, z + phix, step_norm)
+    recorder.add(t, x, z, phix, z + phix, step_norm, z_sum_sq)
     trace = recorder.build(np.asarray(iterates) if keep_iterates else None)
 
     if oracle_vec is not None:

@@ -119,11 +119,15 @@ class DiskPairs(ConvexSet):
         # subnormal squares (radius <= 1e-100) never clear, overflowed ones can
         with np.errstate(over="ignore"):
             self._clear = np.where(radius > 1e-100, radius * (1 - 1e-9) * radius, 0.0)
+        # with no |coordinate| above this, every slot is within 0.99 of its
+        # radius, so the screens below return None before any rounding test
+        self._screen = 0.7 * radius.min(initial=np.inf)
 
     def capped(self, u):
         """(norms, mask) of the slots of the (..., 2, T) view u, the mask
         marking slots beyond their radius; None when no slot is."""
-        if (np.einsum("...kt,...kt->...t", u, u) < self._clear).all():
+        if (np.abs(u).max(initial=0.0) <= self._screen
+                or (np.einsum("...kt,...kt->...t", u, u) < self._clear).all()):
             return None
         norm = np.hypot(u[..., 0, :], u[..., 1, :])
         cap = norm > self.radius
@@ -282,6 +286,10 @@ class FeasibleSetProjector(ConvexSet):
         when every hyperplane gap there passes the search's own test, P(v) is
         the projection, so only a point that fails it runs the search."""
         v = _as_vector(v, self.dim)
+        if self.disks is None and self.normals is None:   # a box: one clamp
+            d = self.box.project(v)
+            d -= v
+            return math.sqrt(d.dot(d))
         x = self._box_disk(v)[0]
         if self.normals is not None and (np.abs(np.einsum(
                 "im,im->i", self.normals, x.reshape(self.shape))
@@ -320,7 +328,9 @@ class FeasibleSetProjector(ConvexSet):
         lam, todo = np.zeros(n), None
         with np.errstate(invalid="ignore", divide="ignore"):
             for k in range(_SEARCH_MAX_EVALS):
-                x, y, found = self._box_disk(v - lam[:, None] * a)
+                # lam = 0 first: v itself, the bits of v - 0 a where a >= 0
+                u = v if todo is None else v - lam[:, None] * a
+                x, y, found = self._box_disk(u)
                 gap = np.einsum("im,im->i", a, x) - self.levels
                 # a nan gap (non-finite input) ends too: the caller sees the nan
                 miss = np.abs(gap) > self._tol
@@ -367,9 +377,10 @@ def build_ev_projector(plugged, target_energy, s_max):
     keeps p^2 + q^2 <= s_max^2 (q stays free on unplugged slots: the
     converter supports the grid with no vehicle present).  ``plugged``
     is a (T,) or (N, T) mask, with a target and a cap per charger (or
-    one shared cap).  A zero target, or one at the cap s_max * #plugged,
-    fixes every plugged (p, q) to (0, 0) or (-s_max, 0); the box then
-    states it and the charger needs no hyperplane.
+    one shared cap).  A zero target fixes every plugged p to 0, leaving q
+    free within the disk; one at the cap s_max * #plugged fixes every
+    plugged (p, q) to (-s_max, 0).  The box then states it and the
+    charger needs no hyperplane.
 
     Raises ``InfeasibleSpec`` when the cap makes the energy target
     unreachable (s_max * #plugged < target_energy).

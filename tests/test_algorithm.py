@@ -6,6 +6,8 @@ values come from the independent oracles in oracles.py or from direct
 re-evaluation of the defining formulas inside the test body.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,36 @@ def test_checked_step_norm_of_finite_stacks_may_overflow():
             assert _checked_step_norm(0, x, new_x, 0.5) == np.inf
 
 
+def test_checked_step_norm_passes_a_tracker_stack_whose_column_sum_overflows():
+    # every entry finite, yet the column sums overflow to inf: the entries
+    # are scanned and pass, and the recorder gets the overflowed sums
+    x, z, recorder = _one_recorded_row()
+    new_z = np.full((3, 2), 1e308)
+    with np.errstate(over="ignore"):
+        step = _checked_step_norm(4, x, x + 1.0, 0.5, new_z, recorder)
+        assert step == _checked_step_norm(4, x, x + 1.0, 0.5)
+    assert math.isfinite(step) and recorder.z_sum_sq == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 0)])
+def test_checked_step_norm_finds_any_nonfinite_tracker_entry(bad, entry):
+    # among entries whose column sums overflow or cancel, one nan or inf
+    # still raises, tagged with the produced iteration and carrying the
+    # rows recorded before it
+    x, z, recorder = _one_recorded_row()
+    new_z = np.array([[1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]])
+    new_z[entry] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteDetected) as info:
+            _checked_step_norm(4, x, x + 1.0, 0.5, new_z, recorder)
+    assert info.value.iteration == 5
+    recorded = recorder.build()
+    for name in (*TRACE_COLUMNS, "z_mean_residual", "feas_residual"):
+        assert np.array_equal(getattr(info.value.trace, name),
+                              getattr(recorded, name), equal_nan=True)
+
+
 def test_unknown_tracker_mode_rejected():
     game = _two_agent_game()
     graph = _graph(2, 1.0, 0)
@@ -454,6 +486,50 @@ def test_trace_csv_format():
         [float(f) for f in fields[1:]]
     ts = [int(line.split(",")[0]) for line in lines[1:]]
     assert ts == sorted(set(ts))
+
+
+def _trace_rows(trace):
+    """The seven recorded fields of each row, as float64 bytes."""
+    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
+    return {int(t): np.array([getattr(trace, f)[k] for f in fields]).tobytes()
+            for k, t in enumerate(trace.t)}
+
+
+@pytest.mark.parametrize("instance", [_bench_instance, _small_voltage_instance])
+def test_striding_keeps_every_recorded_row(instance, monkeypatch):
+    # a row is the same bits whichever rows are recorded around it: the
+    # tracker check's column sums, which a recorded row reads, come from the
+    # sweep before it, recorded or not; the final row (t = 150, not a
+    # multiple of 7) included.  Those sums are also the bits the recorder
+    # gets when it sums the row's tracker stack itself.
+    game, graph = instance()
+    reference = np.random.default_rng(3).normal(size=game.n)
+
+    def rows(stride):
+        cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14,
+                           max_iter=150, trace_stride=stride)
+        return _trace_rows(run(game, graph, cfg, x0=11, oracle=reference)[1])
+
+    every, strided = rows(1), rows(7)
+    assert sorted(strided) == list(range(0, 150, 7)) + [150]
+    assert all(strided[t] == every[t] for t in strided)
+    add = _Recorder.add
+    monkeypatch.setattr(_Recorder, "add", lambda self, *row: add(self, *row[:6]))
+    assert rows(1) == every
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
+def test_trace_csv_text_across_row_blocks(n_rows):
+    # rows are formatted in blocks of 256; every row, on either side of a
+    # block edge, is the repr of its fields, and err_x is nan without oracle
+    rng = np.random.default_rng(n_rows)
+    t = np.arange(n_rows) * 3
+    floats = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+              for _ in range(5)]
+    trace = IterationTrace(t, np.full(n_rows, np.nan), *floats)
+    rows = zip(t.tolist(), [np.nan] * n_rows, *(f.tolist() for f in floats[:3]))
+    expected = [",".join(TRACE_COLUMNS)] + [",".join(map(repr, r)) for r in rows]
+    assert trace.csv_text() == "\n".join(expected) + "\n"
 
 
 def test_trace_recording_pattern():

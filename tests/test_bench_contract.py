@@ -62,7 +62,9 @@ horizon = 12
 
 LAYERS = ("games.phi_stack", "games.local_operator", "games.pseudo_gradient",
           "games.constants", "projections.project",
-          "projections.membership_residual", "algorithm.record")
+          "projections.membership_residual", "algorithm.record",
+          "network.consensus_step", "algorithm.fit", "algorithm.run",
+          "cli.trace_csv")
 
 
 def _traced_spans(tmp_path, config):

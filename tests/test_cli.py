@@ -759,3 +759,19 @@ penalty_weight = {penalty_weight}
     assert (ratio > 1) == (side == "more than")
     assert (f"improvement ratio {ratio:.6g}: the equilibrium deviates "
             f"{side} doing nothing") in printed
+
+
+def test_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma on its first call (~13 ms and ~1 MB per
+    # command); the fit takes its median without it, so a whole run with
+    # the oracle on, fit included, never loads it
+    script = ("import sys\n"
+              "from trades.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "sys.exit(code or 10 * ('numpy.ma' in sys.modules))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", _affine_cfg_file(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["result"]["contraction_ratio"] > 0

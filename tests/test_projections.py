@@ -261,6 +261,17 @@ def test_ev_zero_target_keeps_origin():
     assert np.array_equal(out, np.zeros(6))
 
 
+def test_ev_zero_target_pins_p_and_leaves_q_in_the_disk():
+    # the vector is (p_0, p_1, q_0, q_1): the plugged slot 0 gets p = 0 and
+    # keeps its q inside the disk (scaled onto it from outside), like the
+    # unplugged slot 1, where p is 0 anyway
+    proj = build_ev_projector([True, False], 0.0, 1.0)
+    out = proj(np.array([0.5, 0.3, 0.7, -0.2]))
+    assert np.array_equal(out, [0.0, 0.0, 0.7, -0.2])
+    assert np.array_equal(proj(np.array([-0.5, 3.0, 2.0, -0.8])),
+                          [0.0, 0.0, 1.0, -0.8])
+
+
 def test_ev_infeasible_target_rejected():
     with pytest.raises(InfeasibleSpec):
         build_ev_projector([1, 0], 5.0, 3.0)

@@ -19,7 +19,9 @@ bit against its first form (``oracles.ReferenceSearch``) on charger
 stacks and on steep hyperplanes whose brackets close; disk caps of
 random shape and radius are checked against a per-slot scaling loop,
 and the membership residual of charger stacks and boxes against the
-distance to the projection.  The
+distance to the projection; the disk pre-screen is checked to leave the
+capped slots as they are without it, and the fit's contraction ratio
+against np.median bit for bit.  The
 config examples draw a value for one bounded or multiple-choice key of
 the config's key table, in range or out of it, and check the parse.  The
 data file examples draw a finite network, price curve or agent list,
@@ -37,7 +39,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from trades.algorithm import TradesConfig, reduced_system_run, run
+from trades.algorithm import (TradesConfig, fit_convergence,
+                              reduced_system_run, run)
 from trades.config import _KEYS, canonical_text, parse_config
 from trades.errors import ConfigError, MaxIterExceeded, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
@@ -441,6 +444,66 @@ def test_disk_pairs_match_per_slot_scaling(case):
     radius, v = case
     got = DiskPairs(radius).project(v)
     assert np.array_equal(got, oracles.disk_slots_projection(radius, v))
+
+
+@st.composite
+def screened_slots(draw):
+    """Radii of shape (..., T) within six decades, some or all infinite, and
+    a point in the (..., 2, T) layout whose coordinates sit at the disk
+    pre-screen's edge (0.7 of the smallest finite radius), one float either
+    side of it, at half of it, just beyond the diagonal of the smallest
+    disk, or at one or three times that radius, in either sign."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    radius = 10.0 ** draw(hnp.arrays(float, shape, elements=st.floats(-3.0, 3.0)))
+    radius[draw(hnp.arrays(bool, shape))] = np.inf
+    finite = radius[np.isfinite(radius)]
+    r_min = finite.min() if finite.size else 1.0
+    edge = 0.7 * r_min
+    # two coordinates at 0.71 r_min put a slot of radius r_min just outside
+    levels = [0.0, 0.5 * edge, np.nextafter(edge, 0.0), edge,
+              np.nextafter(edge, np.inf), 0.71 * r_min, r_min, 3.0 * r_min]
+    point_shape = shape[:-1] + (2, shape[-1])
+    u = draw(hnp.arrays(float, point_shape, elements=st.sampled_from(levels)))
+    return radius, u * draw(hnp.arrays(float, point_shape,
+                                       elements=st.sampled_from([-1.0, 1.0])))
+
+
+def _same_caps(a, b):
+    if a is None or b is None:
+        return a is b
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(screened_slots())
+def test_disk_screen_keeps_the_caps(case):
+    # the pre-screen on the largest coordinate only skips work: capped()
+    # finds the same slots and norms with it as without it (a screen
+    # below every coordinate), at its edge and with infinite radii too
+    radius, u = case
+    screened, unscreened = DiskPairs(radius), DiskPairs(radius)
+    unscreened._screen = -np.inf
+    assert _same_caps(screened.capped(u), unscreened.capped(u))
+    if np.abs(u).max() <= screened._screen:
+        assert screened.capped(u) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.booleans(), st.data())
+def test_fit_median_is_numpy_median(half, odd, data):
+    # the fit's contraction ratio is np.median of the per-step ratios, bit
+    # for bit, for odd and even ratio counts, ties and spaced rows included
+    n = 2 * half + odd + 1   # points; one ratio fewer
+    errs = data.draw(hnp.arrays(float, n, elements=st.floats(
+        1e-11, 1e100, allow_subnormal=False)))
+    gaps = data.draw(hnp.arrays(float, n - 1, elements=st.sampled_from(
+        [1.0, 2.0, 7.0])))
+    ts = 50.0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    ratios = (errs[1:] / errs[:-1]) ** (1.0 / np.diff(ts))
+    with np.errstate(over="ignore"):   # a1 of a wild history may overflow
+        ratio = fit_convergence(ts, errs, int(ts[-1]))[3]
+    assert ratios.size % 2 == odd
+    assert ratio.hex() == float(np.median(ratios)).hex()
 
 
 # one config per scenario, section -> key -> raw value; any existing file
