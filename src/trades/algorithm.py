@@ -21,6 +21,7 @@ pseudo-gradient.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +118,16 @@ class IterationTrace:
         return len(self.t)
 
     def csv_text(self):
-        # %r of the Python ints and floats of .tolist() is their repr;
-        # blocks of rows keep those temporaries small
-        lines = [",".join(TRACE_COLUMNS)]
+        """The header line, then one line per row of the repr of each field
+        (%r of the Python ints and floats of .tolist()).  Rows are formatted
+        in blocks of 256, each one string, joined once with the header, so
+        building the text holds about twice its size."""
+        blocks = [",".join(TRACE_COLUMNS) + "\n"]
         for k in range(0, len(self.t), 256):
             block = [getattr(self, name)[k:k + 256].tolist()
                      for name in TRACE_COLUMNS]
-            lines += ["%r,%r,%r,%r,%r" % row for row in zip(*block)]
-        return "\n".join(lines) + "\n"
+            blocks.append("".join(["%r,%r,%r,%r,%r\n" % row for row in zip(*block)]))
+        return "".join(blocks)
 
 
 @dataclass
@@ -287,14 +290,20 @@ def _disagreement(z, phix, mean_row):
 
 
 class _Recorder:
-    """Accumulates trace rows; one call per recorded iterate."""
+    """Accumulates trace rows; one call per recorded iterate.
+
+    Rows live in two flat typed buffers: t in an int64 array, and the six
+    float fields of each row, in field order, in a float64 array (about
+    57 B per row with the buffers' growth slack).
+    """
 
     def __init__(self, game, oracle_vec):
         self.n_agents = game.N
         self.membership_residual = game.projector.membership_residual
         self.oracle_vec = oracle_vec
         self.mean_row = np.full(game.N, 1.0 / game.N)
-        self.rows = []   # one tuple per recorded iterate, in field order
+        self.t = array("q")
+        self.fields = array("d")
         self.z_sum_sq = None   # set by _checked_step_norm
 
     def add(self, t, x, z, phix, estimates, step_norm, z_sum_sq=None):
@@ -315,12 +324,20 @@ class _Recorder:
         else:
             d = x.reshape(-1) - self.oracle_vec
             err = math.sqrt(d.dot(d))
-        self.rows.append((t, err, math.sqrt(rows.max()), disagreement,
-                          step_norm, z_mean, self.membership_residual(x)))
+        self.append(t, err, math.sqrt(rows.max()), disagreement, step_norm,
+                    z_mean, self.membership_residual(x))
+
+    def append(self, t, *fields):
+        """Store a row: the integer t, then the six float fields in order."""
+        self.t.append(t)
+        self.fields.extend(fields)
 
     def build(self, iterates=None):
-        columns = zip(*self.rows) if self.rows else [()] * 7   # 7 empty fields
-        return IterationTrace(*map(np.asarray, columns), iterates=iterates)
+        # copies, so the buffers stay free to grow (an array exporting its
+        # buffer to a live view cannot be resized)
+        fields = np.frombuffer(self.fields, dtype=np.float64).reshape(-1, 6).T.copy()
+        return IterationTrace(np.frombuffer(self.t, dtype=np.int64).copy(),
+                              *fields, iterates=iterates)
 
 
 def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",

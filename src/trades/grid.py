@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InfeasibleSpec
 from .games import GameDefinition
-from .projections import build_ev_projector
+from .projections import _charger_specs, build_ev_projector
 
 DEFAULT_POWER_BASE_KW = 1000.0
 DEFAULT_VOLTAGE_SCALE = 2400.0
@@ -303,7 +303,7 @@ class EvAgentSpec:
             raise ValueError("plug-in profile must be binary")
         self.plugged = self.plugged.astype(bool)
         # the feasible set's own checks: target >= 0, within the cap
-        build_ev_projector(self.plugged, self.target_energy, self.s_max)
+        _charger_specs(self.plugged, self.target_energy, self.s_max)
 
     @property
     def horizon(self):

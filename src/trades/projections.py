@@ -368,6 +368,25 @@ class FeasibleSetProjector(ConvexSet):
         raise MaxSweepsExceeded("multiplier search did not converge")
 
 
+def _charger_specs(plugged, target_energy, s_max):
+    """The checks of one charger, or of N stacked chargers, without their
+    projector: a positive horizon and s_max, a target >= 0 (nan fails) and
+    within the cap s_max * #plugged.  Returns the (N, T) boolean mask and
+    the (N,) targets, s_max values and caps."""
+    plugged = np.atleast_2d(np.asarray(plugged).astype(bool))
+    n_agents, horizon = plugged.shape
+    target, s_max = (np.broadcast_to(np.asarray(a, dtype=float), (n_agents,))
+                     for a in (target_energy, s_max))
+    if horizon == 0 or not np.all(target >= 0) or not np.all(s_max > 0):
+        raise ValueError("need a positive horizon and s_max, a target >= 0")
+    cap = s_max * plugged.sum(axis=1)
+    if np.any(cap < target):
+        k = np.argmax(cap < target)
+        raise InfeasibleSpec(f"energy target {target[k]:.3f} exceeds cap "
+                             f"{s_max[k]:.3f} x {plugged[k].sum()} plugged slots")
+    return plugged, target, s_max, cap
+
+
 def build_ev_projector(plugged, target_energy, s_max):
     """Feasible-set projector of one charger, or of N stacked chargers.
 
@@ -385,17 +404,7 @@ def build_ev_projector(plugged, target_energy, s_max):
     Raises ``InfeasibleSpec`` when the cap makes the energy target
     unreachable (s_max * #plugged < target_energy).
     """
-    plugged = np.atleast_2d(np.asarray(plugged).astype(bool))
-    n_agents, horizon = plugged.shape
-    target, s_max = (np.broadcast_to(np.asarray(a, dtype=float), (n_agents,))
-                     for a in (target_energy, s_max))
-    if horizon == 0 or not np.all(target >= 0) or not np.all(s_max > 0):
-        raise ValueError("need a positive horizon and s_max, a target >= 0")
-    cap = s_max * plugged.sum(axis=1)
-    if np.any(cap < target):
-        k = np.argmax(cap < target)
-        raise InfeasibleSpec(f"energy target {target[k]:.3f} exceeds cap "
-                             f"{s_max[k]:.3f} x {plugged[k].sum()} plugged slots")
+    plugged, target, s_max, cap = _charger_specs(plugged, target_energy, s_max)
     charging = plugged & ((target > 0) & (target < cap))[:, None]
     pinned = plugged & ((target > 0) & (target == cap))[:, None]
     full = np.where(pinned, -s_max[:, None], 0.0)

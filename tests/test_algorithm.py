@@ -7,6 +7,7 @@ re-evaluation of the defining formulas inside the test body.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,22 @@ def test_step_nonfinite_raises_with_iteration_index():
     assert produced > 1
     assert info.value.iteration == produced
     assert len(info.value.trace) == produced - 1
+
+
+def test_a_nonfinite_first_sweep_carries_an_empty_trace():
+    # no row is recorded before the first sweep is checked; the empty
+    # trace still has the recorded dtypes and writes the header alone
+    game = random_strongly_monotone_game(3, 2, 2, seed=6, box_halfwidth=None)
+    cfg = TradesConfig(gamma=1e308, delta=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteDetected) as info:
+            run(game, _graph(3, 1.0, 0), cfg, x0=1)
+    trace = info.value.trace
+    assert info.value.iteration == 1 and len(trace) == 0
+    assert trace.t.dtype == np.int64
+    for name in (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual"):
+        assert getattr(trace, name).dtype == np.float64
+    assert trace.csv_text() == ",".join(TRACE_COLUMNS) + "\n"
 
 
 def _one_recorded_row():
@@ -530,6 +547,45 @@ def test_trace_csv_text_across_row_blocks(n_rows):
     rows = zip(t.tolist(), [np.nan] * n_rows, *(f.tolist() for f in floats[:3]))
     expected = [",".join(TRACE_COLUMNS)] + [",".join(map(repr, r)) for r in rows]
     assert trace.csv_text() == "\n".join(expected) + "\n"
+
+
+def test_recorder_holds_under_80_bytes_per_row():
+    # a row is an int64 t and six float64 fields in flat buffers: 56 B
+    # plus the buffers' growth slack, where a tuple of Python numbers
+    # would take ~270 B
+    game = _two_agent_game()
+    x, z = init(game, 0).x, np.zeros((2, 1))
+    phix = phi_stack(game, x)
+    recorder = _Recorder(game, np.zeros(game.n))
+    recorder.add(0, x, z, phix, z + phix, 0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(1, 20001):
+            recorder.add(t, x, z, phix, z + phix, 1.0 / t)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recorder.build()) == 20001
+    assert held / 20000 <= 80
+
+
+def test_trace_csv_text_peaks_near_twice_its_size():
+    # the blocks and their one join are the two copies of the text; a list
+    # of every line, or a final + "\n", would each add one more
+    n_rows = 20000
+    rng = np.random.default_rng(5)
+    trace = IterationTrace(np.arange(n_rows), *rng.standard_normal((6, n_rows)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = trace.csv_text()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == n_rows + 1
+    assert peak <= 2.2 * len(text)
 
 
 def test_trace_recording_pattern():

@@ -761,6 +761,22 @@ penalty_weight = {penalty_weight}
             f"{side} doing nothing") in printed
 
 
+def test_run_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # the determinism above holds across interpreters too, whose string
+    # hashes, and so the order of any set of strings, differ by hash seed
+    path, out = _affine_cfg_file(tmp_path), tmp_path / "out"
+    names = ("trace.csv", "report.json", "config.echo")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "trades", "run", path, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
 def test_run_leaves_numpy_ma_unloaded(tmp_path):
     # np.median imports numpy.ma on its first call (~13 ms and ~1 MB per
     # command); the fit takes its median without it, so a whole run with

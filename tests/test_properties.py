@@ -21,7 +21,8 @@ random shape and radius are checked against a per-slot scaling loop,
 and the membership residual of charger stacks and boxes against the
 distance to the projection; the disk pre-screen is checked to leave the
 capped slots as they are without it, and the fit's contraction ratio
-against np.median bit for bit.  The
+against np.median bit for bit.  Drawn trace rows, special floats
+included, are checked to come back from the recorder bit for bit.  The
 config examples draw a value for one bounded or multiple-choice key of
 the config's key table, in range or out of it, and check the parse.  The
 data file examples draw a finite network, price curve or agent list,
@@ -29,6 +30,7 @@ check that save then load is bit-exact, and that the same file with one
 float field made non-finite is rejected with its row named.
 """
 
+import math
 import os
 import tempfile
 
@@ -39,8 +41,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from trades.algorithm import (TradesConfig, fit_convergence,
-                              reduced_system_run, run)
+from trades.algorithm import (TRACE_COLUMNS, TradesConfig, _Recorder,
+                              fit_convergence, reduced_system_run, run)
 from trades.config import _KEYS, canonical_text, parse_config
 from trades.errors import ConfigError, MaxIterExceeded, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
@@ -504,6 +506,38 @@ def test_fit_median_is_numpy_median(half, odd, data):
         ratio = fit_convergence(ts, errs, int(ts[-1]))[3]
     assert ratios.size % 2 == odd
     assert ratio.hex() == float(np.median(ratios)).hex()
+
+
+_FIELDS = (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual")
+# the floats a trace field may hold, special values drawn often
+trace_floats = st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+     -1e-310, 1.7976931348623157e308]) | st.floats()
+trace_rows = st.tuples(st.integers(0, 2 ** 40), *[trace_floats] * len(_FIELDS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trace_rows, max_size=40), st.integers(0, 40))
+def test_recorded_columns_are_the_recorded_values(rows, split):
+    # the built columns are np.asarray of the values, bit for bit (nan,
+    # infinities, -0.0 and subnormals included), t int64 and the rest
+    # float64, empty or not; a trace built midway leaves recording open
+    recorder = _Recorder(random_strongly_monotone_game(2, 1, 1, seed=0), None)
+
+    def check(recorded):
+        trace = recorder.build()
+        columns = [np.asarray([row[k] for row in recorded], dtype=dtype)
+                   for k, dtype in enumerate([np.int64] + [np.float64] * 6)]
+        for name, column in zip(("t", *_FIELDS), columns):
+            built = getattr(trace, name)
+            assert built.dtype == column.dtype
+            assert built.tobytes() == column.tobytes()
+
+    for k, row in enumerate(rows):
+        if k == split:
+            check(rows[:k])
+        recorder.append(*row)
+    check(rows)
 
 
 # one config per scenario, section -> key -> raw value; any existing file
