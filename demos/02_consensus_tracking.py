@@ -8,6 +8,8 @@ what the slow process looks like when the fast one is replaced by an
 all-knowing shortcut.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from trades import (TradesConfig, boundary_layer_budget,
@@ -36,16 +38,16 @@ print(f"final gap {result.final_gap_max:.3e} after {result.steps} steps")
 # every tracker with the exact aggregate ("exact" mode) collapses the
 # network dynamics; the strategies then follow the centralized damped
 # projected iteration bit for bit.
-cfg = TradesConfig(gamma=0.02, delta=0.5, stop_tol=1e-300, max_iter=400)
-_, ideal, _ = run(game, graph, cfg, x0=123, tracker_mode="exact",
-                  keep_iterates=True)
+cfg = TradesConfig(gamma=0.02, delta=0.5, stop_tol=1e-300, max_iter=400,
+                   tracker="exact")
+_, ideal, _ = run(game, graph, cfg, x0=123, keep_iterates=True)
 central = reduced_system_run(game, cfg, 123)
 print(f"\nexact-tracker run vs centralized recursion: max gap "
       f"{np.max(np.abs(ideal.iterates - central)):.1e} over 400 steps")
 
 # the honest distributed run pays a tracking penalty early on, visible
 # as a hump in the estimate error before both processes settle together
-_, honest, _ = run(game, graph, cfg, x0=123, tracker_mode="consensus")
+_, honest, _ = run(game, graph, replace(cfg, tracker="consensus"), x0=123)
 est = honest.est_err_max
 print("\nconsensus-mode estimate error (moving target):")
 for t in (0, 1, 2, 5, 10, 50, 100, 399):

@@ -47,13 +47,14 @@ _VERDICT_MIN_R2 = 0.9
 
 @dataclass(frozen=True)
 class TradesConfig:
-    """Run parameters: stepsize, damping, stopping rule, trace cadence.
+    """Run parameters: stepsize, damping, stopping rule, trace cadence, tracker.
 
     delta is the convex-combination weight of the projected step; the
     nominal range is (0, 1) but the closed boundary delta = 1 is accepted
     because the undamped iteration is a meaningful degenerate case (a
     plain projected-gradient step).  stop_tol applies to the damping
-    normalized step norm ||x_next - x|| / delta.
+    normalized step norm ||x_next - x|| / delta.  tracker is one of
+    TRACKER_MODES; "exact" overwrites every tracker with its exact value.
     """
 
     gamma: float = 0.01
@@ -62,6 +63,7 @@ class TradesConfig:
     max_iter: int = 50000
     trace_stride: int = 1
     seed: int = None
+    tracker: str = TRACKER_MODES[0]
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -74,6 +76,9 @@ class TradesConfig:
             raise ValueError("max_iter must be at least 1")
         if int(self.trace_stride) < 1:
             raise ValueError("trace_stride must be at least 1")
+        if self.tracker not in TRACKER_MODES:
+            raise ValueError(f"tracker must be one of {TRACKER_MODES}, "
+                             f"got {self.tracker!r}")
 
 
 @dataclass
@@ -158,19 +163,6 @@ class ConvergenceReport:
         decays = self.a2 > 0 and self.r_squared >= _VERDICT_MIN_R2
         return "PASS" if decays else "FAIL"
 
-    def as_dict(self):
-        return {
-            "a1": self.a1,
-            "a2": self.a2,
-            "r_squared": self.r_squared,
-            "contraction_ratio": self.contraction_ratio,
-            "n_fit_points": self.n_fit_points,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "converged": self.converged,
-            "verdict": self.verdict,
-        }
-
 
 def fit_convergence(ts, errs, total_iterations):
     """Least-squares linear fit of log(err) against iteration index.
@@ -230,18 +222,18 @@ def init(game, x0):
     return TradesState(x=game.project(x), z=np.zeros((game.N, game.d)), t=0)
 
 
-def _advance(game, graph, gamma, delta, x, z, tracker_mode):
+def _advance(game, graph, gamma, delta, x, z, tracker):
     """One synchronous sweep; returns (new x, new z, contributions, the
     estimate stack z + contributions that the sweep and recorder share).
 
     Both halves read the time-t state: the strategy update uses the
     time-t tracker, and the tracker update uses the time-t contributions
-    (never the freshly updated strategies).  tracker_mode is one of
-    TRACKER_MODES, checked by run.
+    (never the freshly updated strategies).  tracker is one of
+    TRACKER_MODES, as TradesConfig checks it.
     """
     phix = phi_stack(game, x)
     estimates = z + phix
-    if tracker_mode == "consensus":
+    if tracker == "consensus":
         new_x = damped_projected_step(
             game, x, local_operator(game, x, estimates), gamma, delta)
         new_z = consensus_step(graph, z, phix, estimates)
@@ -340,8 +332,7 @@ class _Recorder:
                               *fields, iterates=iterates)
 
 
-def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
-        keep_iterates=False):
+def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     """Iterate to the stopping tolerance and instrument the trajectory.
 
     x0 may be a stacked vector, an (N, m) array, or an integer seed; when
@@ -350,11 +341,9 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
     used to fill the error column and fit the linear rate.  Returns
     (final state, trace, report); the state's x is an (N, m) array.
     Exhausting max_iter is an outcome recorded in the report, not an
-    exception; only non-finite values raise.
+    exception; only non-finite values raise.  cfg.tracker picks the
+    tracker mode.
     """
-    if tracker_mode not in TRACKER_MODES:
-        raise ValueError(f"unknown tracker_mode {tracker_mode!r}; "
-                         f"expected one of {TRACKER_MODES}")
     if x0 is None:
         if cfg.seed is None:
             raise ValueError("run needs x0 or a seed in the configuration")
@@ -372,7 +361,7 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
     t, z_sum_sq = 0, None
     while t < max_iter:
         new_x, new_z, phix, estimates = _advance(
-            game, graph, gamma, delta, x, z, tracker_mode)
+            game, graph, gamma, delta, x, z, cfg.tracker)
         step_norm = _checked_step_norm(t, x, new_x, delta, new_z, recorder)
         if t % stride == 0:
             record(t, x, z, phix, estimates, step_norm, z_sum_sq)
@@ -388,11 +377,8 @@ def run(game, graph, cfg, x0=None, oracle=None, tracker_mode="consensus",
     recorder.add(t, x, z, phix, z + phix, step_norm, z_sum_sq)
     trace = recorder.build(np.asarray(iterates) if keep_iterates else None)
 
-    if oracle_vec is not None:
-        a1, a2, r2, ratio, n_fit = fit_convergence(trace.t, trace.err_x, t)
-    else:
-        a1 = a2 = r2 = ratio = None
-        n_fit = 0
+    # without an oracle err_x is all nan, which the fit reads as no points
+    a1, a2, r2, ratio, n_fit = fit_convergence(trace.t, trace.err_x, t)
     report = ConvergenceReport(a1=a1, a2=a2, r_squared=r2,
                                contraction_ratio=ratio, n_fit_points=n_fit,
                                iterations=t, stop_reason=stop_reason,
@@ -405,7 +391,7 @@ def reduced_system_run(game, cfg, x0):
 
     Returns the trajectory of stacked iterates, shape (steps + 1, n),
     first row the projected start.  Takes the strategy step of run's
-    exact mode, so a run in tracker_mode="exact" with the same
+    exact mode, so a run with tracker = "exact" and the same
     configuration and start reproduces this trajectory bitwise.
     """
     x = init(game, x0).x

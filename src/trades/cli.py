@@ -114,7 +114,7 @@ def _report_payload(cfg, graph, game, report, trace, diverged_at):
     result = {"diverged": diverged_at is not None,
               "divergence_iteration": diverged_at}
     if report is not None:
-        result.update(report.as_dict())
+        result.update(vars(report), verdict=report.verdict)
         for key in ("a1", "a2", "r_squared", "contraction_ratio"):
             result[key] = _finite_or_none(result[key])
     if trace is not None and len(trace) > 0:
@@ -128,7 +128,7 @@ def _report_payload(cfg, graph, game, report, trace, diverged_at):
     return {
         "spec_version": SPEC_VERSION,
         "scenario": cfg.scenario,
-        "tracker": cfg.tracker,
+        "tracker": cfg.trades.tracker,
         "oracle_enabled": cfg.oracle,
         "seeds": {"master": cfg.seed, "graph": cfg.graph.seed,
                   "scenario": (cfg.affine if cfg.scenario == "affine"
@@ -163,8 +163,7 @@ def cmd_run(cfg, provenance=False):
     try:
         if cfg.oracle:
             oracle = solve_ne_oracle(game)
-        state, trace, report = run(game, graph, cfg.trades, oracle=oracle,
-                                   tracker_mode=cfg.tracker)
+        state, trace, report = run(game, graph, cfg.trades, oracle=oracle)
     except MaxIterExceeded as exc:  # only the reference solve raises this
         oracle_failure = exc
     except NonFiniteDetected as exc:
@@ -273,24 +272,19 @@ def _cell_dir(out_dir, i, j):
     return os.path.join(out_dir, f"cell-{i:02d}-{j:02d}")
 
 
-def _sweep_cell(game, graph, trades, tracker, cell_dir, oracle_x):
+def _sweep_cell(game, graph, trades, cell_dir, oracle_x):
     """One grid cell: a deterministic run of the sweep's game, own trace file."""
-    diverged = False
     report = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            _, trace, report = run(game, graph, trades, oracle=oracle_x,
-                                   tracker_mode=tracker)
+            _, trace, report = run(game, graph, trades, oracle=oracle_x)
         except NonFiniteDetected as exc:
-            diverged = True
             trace = exc.trace
     os.makedirs(cell_dir, exist_ok=True)
     if trace is not None:
         _write_atomic(os.path.join(cell_dir, "trace.csv"), trace.csv_text())
-    converged = (not diverged) and report.stop_reason == "stop_tol"
-    a2 = float("nan")
-    if report is not None and report.a2 is not None:
-        a2 = report.a2
+    converged = report is not None and report.converged
+    a2 = float("nan") if report is None or report.a2 is None else report.a2
     iters = -1
     if trace is not None and len(trace) > 0:
         with np.errstate(invalid="ignore"):
@@ -324,8 +318,8 @@ def cmd_sweep(cfg):
     from concurrent.futures import ProcessPoolExecutor   # only sweep uses it
     workers = min(len(cells), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_cell, game, graph, trades, cfg.tracker,
-                               cell_dir, oracle_x)
+        futures = [pool.submit(_sweep_cell, game, graph, trades, cell_dir,
+                               oracle_x)
                    for cell_dir, trades in cells]
         rows = [f.result() for f in futures]
 

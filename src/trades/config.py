@@ -70,7 +70,7 @@ _KEYS = {
         "stop_tol": (float, _TRADES.stop_tol, None),
         "max_iter": (int, _TRADES.max_iter, None),
         "trace_stride": (int, _TRADES.trace_stride, None),
-        "tracker": (TRACKER_MODES, TRACKER_MODES[0], None),
+        "tracker": (TRACKER_MODES, _TRADES.tracker, None),
     },
     "affine": {
         "strategy_dim": (int, _REQUIRED, _at_least(1)),
@@ -120,7 +120,6 @@ class ExperimentConfig:
     oracle: bool
     graph: GraphSettings
     trades: TradesConfig
-    tracker: str
     affine: AffineSettings = None
     voltage: VoltageSettings = None
     sweep: SweepSettings = None
@@ -243,10 +242,9 @@ def parse_config(text, base_dir=".", overrides=None):
     graph = GraphSettings(**_section(sections, "graph", base_dir,
                                      seed=graph_derived))
 
-    trades = _section(sections, "trades", base_dir)
-    tracker = trades.pop("tracker")
     try:
-        trades = TradesConfig(**trades, seed=init_seed)
+        trades = TradesConfig(**_section(sections, "trades", base_dir),
+                              seed=init_seed)
     except ValueError as exc:
         raise ConfigError(f"[trades] {exc}")
 
@@ -280,7 +278,7 @@ def parse_config(text, base_dir=".", overrides=None):
 
     return ExperimentConfig(scenario=scenario, seed=exp["seed"],
                             output_dir=exp["output_dir"], oracle=exp["oracle"],
-                            graph=graph, trades=trades, tracker=tracker,
+                            graph=graph, trades=trades,
                             affine=affine, voltage=voltage, sweep=sweep)
 
 
@@ -328,7 +326,7 @@ def canonical_text(cfg):
     sections = {
         "experiment": {**vars(cfg), "spec_version": SPEC_VERSION},
         "graph": vars(cfg.graph),
-        "trades": {**vars(cfg.trades), "tracker": cfg.tracker},
+        "trades": vars(cfg.trades),
         "affine": cfg.affine and vars(cfg.affine),
         "voltage": cfg.voltage and vars(cfg.voltage),
         "sweep": cfg.sweep and vars(cfg.sweep),

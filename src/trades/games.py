@@ -30,6 +30,7 @@ from .projections import Box, FeasibleSetProjector
 
 _SAMPLE_SCALE = 3.0   # spread of the points validate_assumptions projects
 _RIDGE = 1.5          # added to each Q_i by random_strongly_monotone_game
+_ORACLE_STALL = 2000  # oracle iterations without a new best residual
 
 
 @dataclass
@@ -270,24 +271,30 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
 
     Starts from the projection of zero.  Returns the equilibrium as an
     (N, m) array; raises MaxIterExceeded with the best such array if the
-    residual will not come down, at once if an iterate stops being finite.
+    residual will not come down: at once if an iterate stops being
+    finite, and once _ORACLE_STALL iterations pass without a new best.
     """
     if gamma is None:
         gamma = _oracle_stepsize(game)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     x = game.project(np.zeros((game.N, game.m)))
-    best, best_resid = x, np.inf
+    best, best_resid, best_k = x, np.inf, 0
     for k in range(1, max_iter + 1):
         x_next = damped_projected_step(
             game, x, game.split(pseudo_gradient(game, x)), gamma, 1.0)
         resid = float(np.linalg.norm(x - x_next))
         if resid < best_resid:
-            best, best_resid = x_next, resid
+            best, best_resid, best_k = x_next, resid, k
         elif not np.isfinite(resid) and not np.isfinite(x_next).all():
             raise MaxIterExceeded(
                 f"non-finite iterate at iteration {k}; best fixed-point "
                 f"residual {best_resid:.3e}", best=best,
+                residual=best_resid, iterations=k)
+        elif k - best_k >= _ORACLE_STALL:
+            raise MaxIterExceeded(
+                f"fixed-point residual {best_resid:.3e} not improved in "
+                f"{_ORACLE_STALL} iterations (target {tol:.1e})", best=best,
                 residual=best_resid, iterations=k)
         x = x_next
         if resid <= tol:

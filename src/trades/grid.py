@@ -160,6 +160,21 @@ def _finite(field, name, where):
     return value
 
 
+def _rows(path, header, what):
+    """(where, fields) of each row of a data file whose first line is header;
+    every row has the header's field count, and where names file and row."""
+    with open(path) as fh:
+        rows = [line.strip() for line in fh if line.strip()]
+    if not rows or rows[0] != header:
+        raise ValueError(f"{what} file must start with the documented header")
+    width = header.count(",") + 1
+    for k, row in enumerate(rows[1:], 1):
+        fields, where = row.split(","), f"{what} file row {k}"
+        if len(fields) != width:
+            raise ValueError(f"{where}: expected {width} fields, got {len(fields)}")
+        yield where, fields
+
+
 def save_network(net, path):
     lines = ["bus,parent,r,x,baseline_p"]
     for b in range(net.n_buses):
@@ -169,16 +184,9 @@ def save_network(net, path):
 
 
 def load_network(path):
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "bus,parent,r,x,baseline_p":
-        raise ValueError("network file must start with the documented header")
     parent, r, x, base = [], [], [], []
-    for k, row in enumerate(rows[1:]):
-        fields = row.split(",")
-        where = f"network file row {k + 1}"
-        if len(fields) != 5:
-            raise ValueError(f"{where}: expected 5 fields, got {len(fields)}")
+    for k, (where, fields) in enumerate(
+            _rows(path, "bus,parent,r,x,baseline_p", "network")):
         if _integer(fields[0], "bus", where) != k:
             raise ValueError(f"{where}: buses must be listed in order")
         parent.append(_integer(fields[1], "parent", where))
@@ -272,15 +280,11 @@ def save_prices(prices, path):
 
 
 def load_prices(path):
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "hour,price":
-        raise ValueError("price file must start with the documented header")
     prices = []
-    for h, row in enumerate(rows[1:]):
-        fields, where = row.split(","), f"price file row {h + 1}"
-        if len(fields) != 2 or _integer(fields[0], "hour", where) != h:
-            raise ValueError(f"{where}: expected hour {h} and a price, got {row!r}")
+    for h, (where, fields) in enumerate(_rows(path, "hour,price", "price")):
+        if _integer(fields[0], "hour", where) != h:
+            raise ValueError(f"{where}: expected hour {h} and a price, "
+                             f"got {','.join(fields)!r}")
         prices.append(_finite(fields[1], "price", where))
     return np.asarray(prices)
 
@@ -351,15 +355,8 @@ def save_agents(agents, path):
 
 
 def load_agents(path):
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "bus,b_ch,s_max,a_ch":
-        raise ValueError("agent file must start with the documented header")
     agents = []
-    for k, row in enumerate(rows[1:]):
-        fields, where = row.split(","), f"agent file row {k + 1}"
-        if len(fields) != 4:
-            raise ValueError(f"{where}: expected 4 fields, got {len(fields)}")
+    for where, fields in _rows(path, "bus,b_ch,s_max,a_ch", "agent"):
         bits = fields[3]
         if set(bits) - {"0", "1"}:
             raise ValueError(f"{where}: plug-in profile must be 0/1")

@@ -65,34 +65,30 @@ class Box(ConvexSet):
         return np.minimum(y, self.upper, out=y)
 
 
-class Hyperplane(ConvexSet):
-    """Affine hyperplane {v : a.v = b}."""
+class _LinearSet(ConvexSet):
+    """A set given by one nonzero normal a and one level b."""
 
     def __init__(self, a, b):
         a = np.asarray(a, dtype=float).reshape(-1)
         if not np.any(a != 0.0):
-            raise ValueError("hyperplane normal must be nonzero")
+            raise ValueError(
+                f"{type(self).__name__.lower()} normal must be nonzero")
         self.a = a
         self.b = float(b)
         self.dim = a.size
         self._aa = float(a @ a)
+
+
+class Hyperplane(_LinearSet):
+    """Affine hyperplane {v : a.v = b}."""
 
     def project(self, v):
         v = _as_vector(v, self.dim)
         return v - self.a * ((self.a @ v - self.b) / self._aa)
 
 
-class Halfspace(ConvexSet):
+class Halfspace(_LinearSet):
     """Halfspace {v : a.v <= b}."""
-
-    def __init__(self, a, b):
-        a = np.asarray(a, dtype=float).reshape(-1)
-        if not np.any(a != 0.0):
-            raise ValueError("halfspace normal must be nonzero")
-        self.a = a
-        self.b = float(b)
-        self.dim = a.size
-        self._aa = float(a @ a)
 
     def project(self, v):
         v = _as_vector(v, self.dim)
@@ -115,19 +111,14 @@ class DiskPairs(ConvexSet):
             raise ValueError("need a (..., T) array of positive radii")
         self.radius, self.dim = radius, 2 * radius.size
         self.shape = radius.shape[:-1] + (2, radius.shape[-1])
-        # a squared norm below this keeps a slot inside whatever the rounding;
-        # subnormal squares (radius <= 1e-100) never clear, overflowed ones can
-        with np.errstate(over="ignore"):
-            self._clear = np.where(radius > 1e-100, radius * (1 - 1e-9) * radius, 0.0)
         # with no |coordinate| above this, every slot is within 0.99 of its
-        # radius, so the screens below return None before any rounding test
+        # radius, so capped returns None before taking any norm
         self._screen = 0.7 * radius.min(initial=np.inf)
 
     def capped(self, u):
         """(norms, mask) of the slots of the (..., 2, T) view u, the mask
         marking slots beyond their radius; None when no slot is."""
-        if (np.abs(u).max(initial=0.0) <= self._screen
-                or (np.einsum("...kt,...kt->...t", u, u) < self._clear).all()):
+        if np.abs(u).max(initial=0.0) <= self._screen:
             return None
         norm = np.hypot(u[..., 0, :], u[..., 1, :])
         cap = norm > self.radius

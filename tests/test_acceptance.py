@@ -67,9 +67,9 @@ def bench_run(bench):
 @pytest.fixture(scope="module")
 def exact_run(bench):
     game, graph, _ = bench
-    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-300, max_iter=1000)
-    _, trace, _ = run(game, graph, cfg, x0=123, tracker_mode="exact",
-                      keep_iterates=True)
+    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-300, max_iter=1000,
+                       tracker="exact")
+    _, trace, _ = run(game, graph, cfg, x0=123, keep_iterates=True)
     _RUNS["exact-tracker run"] = trace
     return game, cfg, trace
 

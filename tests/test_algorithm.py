@@ -7,6 +7,7 @@ re-evaluation of the defining formulas inside the test body.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from trades.algorithm import (
     ConvergenceReport,
     IterationTrace,
     TRACE_COLUMNS,
+    TRACKER_MODES,
     TradesConfig,
     _Recorder,
     _advance,
@@ -327,13 +329,9 @@ def test_checked_step_norm_finds_any_nonfinite_tracker_entry(bad, entry):
 
 
 def test_unknown_tracker_mode_rejected():
-    game = _two_agent_game()
-    graph = _graph(2, 1.0, 0)
-    cfg = TradesConfig()
-    with pytest.raises(ValueError):
-        run(game, graph, cfg, x0=0, tracker_mode="oracle")
-    with pytest.raises(ValueError):
-        run(game, graph, cfg, x0=0, tracker_mode="centralized")
+    for mode in ("oracle", "centralized"):
+        with pytest.raises(ValueError, match=re.escape(str(TRACKER_MODES))):
+            TradesConfig(tracker=mode)
 
 
 # --------------------------------------------------------------------- run
@@ -604,9 +602,9 @@ def test_trace_recording_pattern():
 def test_exact_tracker_matches_reduced_system_bitwise():
     game = random_strongly_monotone_game(6, 2, 3, seed=11)
     graph = _graph(6, 0.5, 3)
-    cfg = TradesConfig(gamma=0.02, delta=0.5, stop_tol=1e-300, max_iter=1000)
-    _, trace, _ = run(game, graph, cfg, x0=123, tracker_mode="exact",
-                      keep_iterates=True)
+    cfg = TradesConfig(gamma=0.02, delta=0.5, stop_tol=1e-300, max_iter=1000,
+                       tracker="exact")
+    _, trace, _ = run(game, graph, cfg, x0=123, keep_iterates=True)
     trajectory = reduced_system_run(game, cfg, 123)
     assert trace.iterates.shape == trajectory.shape
     assert np.array_equal(trace.iterates, trajectory)

@@ -74,7 +74,7 @@ def test_parse_minimal_affine_defaults():
     assert cfg.oracle is True
     assert cfg.trades.gamma == 0.02
     assert cfg.trades.delta == 0.5
-    assert cfg.tracker == "consensus"
+    assert cfg.trades.tracker == "consensus"
     assert cfg.graph.weight_method == "metropolis_symmetrized"
     assert cfg.affine.coupling == 0.3
     assert cfg.affine.box_halfwidth == 5.0
@@ -452,6 +452,37 @@ def test_oracle_failure_exit_and_report(tmp_path, monkeypatch, capsys):
                      + "\n[sweep]\ngamma = 0.02\ndelta = 0.5\n")
     assert main(["sweep", str(sweep)]) == 3
     assert "reference equilibrium" in capsys.readouterr().err
+
+
+def test_report_result_keys_are_declared(tmp_path, monkeypatch):
+    # report.json's "result" holds exactly these keys in each outcome; the
+    # fit's keys are the report's fields, so a new field fails here until
+    # it is declared
+    always = {"diverged", "divergence_iteration"}
+    fit = {"a1", "a2", "r_squared", "contraction_ratio", "n_fit_points",
+           "iterations", "stop_reason", "converged", "verdict"}
+    traced = {"err_x_final", "est_err_final", "est_err_peak",
+              "disagreement_final", "feas_residual_max", "z_mean_residual_max"}
+
+    def result(name, *flags, path=None):
+        path = path or _affine_cfg_file(tmp_path, out_name=name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            main(["run", str(path), *flags])
+        return json.loads((tmp_path / name / "report.json").read_text())["result"]
+
+    assert set(result("pass")) == always | fit | traced
+    assert set(result("noq", "--oracle", "off")) == always | fit | traced
+    diverging = tmp_path / "div.ini"
+    diverging.write_text(AFFINE_TEXT.format(out=tmp_path / "div")
+                         .replace("gamma = 0.02", "gamma = 1e4")
+                         .replace("[affine]", "[affine]\nbox_halfwidth = none"))
+    assert set(result("div", path=diverging)) == always | traced
+
+    def failing_oracle(game, **kwargs):
+        raise MaxIterExceeded("no equilibrium", residual=1.0, iterations=1)
+
+    monkeypatch.setattr("trades.cli.solve_ne_oracle", failing_oracle)
+    assert set(result("noref")) == always
 
 
 def test_env_var_output_override(tmp_path, monkeypatch):

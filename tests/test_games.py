@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import aggregate
+from trades import games
 from trades.errors import MaxIterExceeded
 from trades.games import (
     AffineGameSpec,
@@ -19,6 +20,10 @@ from trades.games import (
     solve_ne_oracle,
     validate_assumptions,
 )
+from trades.grid import (EvAgentSpec, build_radial_network,
+                         build_voltage_game, default_voltage_config,
+                         distflow_sensitivities, gen_baseline_profile,
+                         gen_prices)
 from trades.projections import Box, FeasibleSetProjector
 
 
@@ -360,6 +365,32 @@ def test_oracle_stops_at_the_first_non_finite_iterate():
     assert np.isfinite(err.best).all() and np.isfinite(err.residual)
     assert err.best.tobytes() == first.value.best.tobytes()
     assert err.residual == first.value.residual
+
+
+def test_oracle_stops_once_its_best_residual_stalls(monkeypatch):
+    # three chargers on one bus, one with its target an ulp below its cap:
+    # the residual sets its last new best at iteration 3, then spins near
+    # 1e-10; with a stall window of 50 the solve raises at iteration 53
+    # with the best iterate of the first 53 iterations
+    net = build_radial_network(2, seed=2)
+    model = distflow_sensitivities(net, gen_baseline_profile(net, 1, 2))
+    agents = [EvAgentSpec(bus=1, plugged=plugged, s_max=s_max,
+                          target_energy=target)
+              for plugged, s_max, target in (
+                  ([True], 2.5095146153322236, 0.3513162898529648),
+                  ([True], 2.823232981721473, 0.0),
+                  ([True], 2.656636173323279, 2.6566361733232786),
+                  ([False], 2.2079818108066194, 0.0))]
+    game = build_voltage_game(model, agents,
+                              default_voltage_config(model, gen_prices(1, 2)))
+    monkeypatch.setattr(games, "_ORACLE_STALL", 50)
+    with pytest.raises(MaxIterExceeded) as info:
+        solve_ne_oracle(game)
+    with pytest.raises(MaxIterExceeded) as reference:
+        oracles.reference_ne_oracle(game, max_iter=53)
+    assert info.value.iterations == 53
+    assert info.value.best.tobytes() == reference.value.best.tobytes()
+    assert info.value.residual == reference.value.residual
 
 
 def test_oracle_requires_stepsize_for_non_monotone_game():

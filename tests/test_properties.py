@@ -30,6 +30,7 @@ check that save then load is bit-exact, and that the same file with one
 float field made non-finite is rejected with its row named.
 """
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -85,8 +86,8 @@ def _build(inst):
 def test_exact_tracker_run_reproduces_reduced_system(inst):
     game, graph, cfg = _build(inst)
     x0 = inst["seed"] + 1
-    _, trace, _ = run(game, graph, cfg, x0=x0, tracker_mode="exact",
-                      keep_iterates=True)
+    _, trace, _ = run(game, graph, dataclasses.replace(cfg, tracker="exact"),
+                      x0=x0, keep_iterates=True)
     trajectory = reduced_system_run(game, cfg, x0)
     assert trace.iterates.shape == trajectory.shape
     assert np.array_equal(trace.iterates, trajectory)
@@ -441,7 +442,7 @@ def disk_slots(draw):
 @settings(max_examples=200, deadline=None)
 @given(disk_slots())
 def test_disk_pairs_match_per_slot_scaling(case):
-    # bitwise: the squared-norm screen must never skip a slot beyond its
+    # bitwise: the coordinate pre-screen must never skip a slot beyond its
     # radius, nor change the scaling of one that is
     radius, v = case
     got = DiskPairs(radius).project(v)
