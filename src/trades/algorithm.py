@@ -40,6 +40,8 @@ _FIT_SKIP_FRACTION = 0.05
 # explains the error history; a stalled run that cycles at a constant
 # error fits a2 ~ 0 with R^2 ~ 0, while converging runs fit R^2 > 0.999
 _VERDICT_MIN_R2 = 0.9
+# bytes of sweep arrays the recorder holds before measuring them at once
+_BLOCK_BYTES = 64 * 1024
 
 
 # ------------------------------------------------------------ configuration
@@ -286,7 +288,13 @@ class _Recorder:
 
     Rows live in two flat typed buffers: t in an int64 array, and the six
     float fields of each row, in field order, in a float64 array (about
-    57 B per row with the buffers' growth slack).
+    57 B per row with the buffers' growth slack).  A game whose row of
+    sweep arrays (x, z, phix, estimates: 8 (n + 3 N d) bytes) fits at
+    least twice in _BLOCK_BYTES holds that many rows by reference (the
+    sweep never writes into its arrays again) and measures them in one
+    batched pass, bit for bit the per-row fields; a larger game measures
+    each row on arrival.  So a projector error met while measuring a row
+    of a small game surfaces at the end of the row's block.
     """
 
     def __init__(self, game, oracle_vec):
@@ -297,6 +305,8 @@ class _Recorder:
         self.t = array("q")
         self.fields = array("d")
         self.z_sum_sq = None   # set by _checked_step_norm
+        self.block = _BLOCK_BYTES // (8 * (game.n + 3 * game.N * game.d))
+        self.held = []
 
     def add(self, t, x, z, phix, estimates, step_norm, z_sum_sq=None):
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
@@ -304,11 +314,16 @@ class _Recorder:
         # disagreement) is their squared norm minus |sum_i z_i|^2 / N;
         # estimates (z + phix) is shared with the sweep, so it stays as is;
         # z_sum_sq, when given, is |sum_i z_i|^2 from the tracker check
-        w = estimates - self.mean_row @ phix
-        rows = np.einsum("ij,ij->i", w, w)
         if z_sum_sq is None:
             z_sum = z.sum(axis=0)
             z_sum_sq = z_sum @ z_sum
+        if self.block >= 2:
+            self.held.append((t, x, z, phix, estimates, step_norm, z_sum_sq))
+            if len(self.held) == self.block:
+                self.flush()
+            return
+        w = estimates - self.mean_row @ phix
+        rows = np.einsum("ij,ij->i", w, w)
         disagreement = math.sqrt(max(rows.sum() - z_sum_sq / self.n_agents, 0.0))
         z_mean = math.sqrt(z_sum_sq) / max(1.0, math.sqrt(np.vdot(z, z)))
         if self.oracle_vec is None:
@@ -319,6 +334,33 @@ class _Recorder:
         self.append(t, err, math.sqrt(rows.max()), disagreement, step_norm,
                     z_mean, self.membership_residual(x))
 
+    def flush(self):
+        """Measure the held rows: add's reductions over (k, ...) stacks, with
+        matmul of (k, 1, n) by (k, n, 1) for each dot, np.fmax for max(1.0, .)
+        (a nan norm gives 1.0) and the projector's block residual."""
+        if not self.held:
+            return
+        ts, xs, zs, phis, ests, steps, z_sum_sq = zip(*self.held)
+        self.held = []
+        k, x, z = len(ts), np.stack(xs), np.stack(zs)
+        w = np.stack(ests) - (self.mean_row @ np.stack(phis))[:, None, :]
+        rows = np.einsum("kij,kij->ki", w, w)
+        z_sum_sq = np.array(z_sum_sq)
+
+        def norms(d):
+            d = d.reshape(k, -1)
+            return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(k))
+
+        err = np.full(k, math.nan) if self.oracle_vec is None else norms(
+            x.reshape(k, -1) - self.oracle_vec)
+        fields = np.stack([
+            err, np.sqrt(rows.max(axis=1)),
+            np.sqrt(np.maximum(rows.sum(axis=1) - z_sum_sq / self.n_agents, 0.0)),
+            np.array(steps), np.sqrt(z_sum_sq) / np.fmax(1.0, norms(z)),
+            self.membership_residual(x)], axis=1)
+        self.t.extend(ts)
+        self.fields.frombytes(fields.tobytes())
+
     def append(self, t, *fields):
         """Store a row: the integer t, then the six float fields in order."""
         self.t.append(t)
@@ -327,6 +369,7 @@ class _Recorder:
     def build(self, iterates=None):
         # copies, so the buffers stay free to grow (an array exporting its
         # buffer to a live view cannot be resized)
+        self.flush()
         fields = np.frombuffer(self.fields, dtype=np.float64).reshape(-1, 6).T.copy()
         return IterationTrace(np.frombuffer(self.t, dtype=np.int64).copy(),
                               *fields, iterates=iterates)

@@ -275,7 +275,11 @@ class FeasibleSetProjector(ConvexSet):
     def membership_residual(self, v):
         """Distance from v to the set.  The search's first evaluation is P(v);
         when every hyperplane gap there passes the search's own test, P(v) is
-        the projection, so only a point that fails it runs the search."""
+        the projection, so only a point that fails it runs the search.  A
+        (k, N, m) block of points gives their k distances, each bit for bit
+        its own call's."""
+        if np.ndim(v) == 3:
+            return self._block_residual(v)
         v = _as_vector(v, self.dim)
         if self.disks is None and self.normals is None:   # a box: one clamp
             d = self.box.project(v)
@@ -288,6 +292,26 @@ class FeasibleSetProjector(ConvexSet):
             return super().membership_residual(v)
         d = v - x
         return math.sqrt(d.dot(d))
+
+    def _block_residual(self, v):
+        """One clamp and one disk screen for the block, then the gap test per
+        row; a row that fails it runs the search on its own."""
+        v = np.reshape(v, (len(v), self.dim))
+        x = np.maximum(v, self.box.lower)
+        np.minimum(x, self.box.upper, out=x)
+        if self.disks is not None:
+            y = x.reshape((len(v),) + self.disks.shape)
+            found = self.disks.capped(y)
+            if found is not None:
+                x = self.disks.scaled(y, found).reshape(x.shape)
+        d = v - x
+        dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(len(v)))
+        if self.normals is not None:
+            for k, xk in enumerate(x.reshape((len(v),) + self.shape)):
+                if (np.abs(np.einsum("im,im->i", self.normals, xk)
+                           - self.levels) > self._tol).any():
+                    dist[k] = ConvexSet.membership_residual(self, v[k])
+        return dist
 
     def _box_disk(self, v):
         """P(v) in the shape of v, the clamped point y and y's capped slots

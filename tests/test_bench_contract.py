@@ -9,7 +9,8 @@ for the charger projections, which must go through
 FeasibleSetProjector.__call__ too and evaluate Box.project inside it
 (once per evaluation of the multiplier search, which scales the disk
 caps itself rather than through DiskPairs.project), where the
-per-projection evaluation counter looks for it.
+per-projection evaluation counter looks for it, and the recorder and
+the feasibility residual record spans there too.
 """
 
 import os
@@ -96,6 +97,9 @@ def test_traced_run_records_every_layer(tmp_path):
 def test_traced_voltage_run_records_charger_projections(tmp_path):
     spans = _traced_spans(tmp_path, VOLTAGE_CONFIG)
     assert "projections.project" in _layers(spans)
+    # its rows are small enough to be measured in blocks, through the
+    # charger projector's block residual
+    assert {"projections.membership_residual", "algorithm.record"} <= _layers(spans)
     project = list(spans["names"]).index("projections.project")
     tallied = spans["name"][spans["member_idx"]] == project
     assert tallied.any()

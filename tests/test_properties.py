@@ -19,10 +19,12 @@ bit against its first form (``oracles.ReferenceSearch``) on charger
 stacks and on steep hyperplanes whose brackets close; disk caps of
 random shape and radius are checked against a per-slot scaling loop,
 and the membership residual of charger stacks and boxes against the
-distance to the projection; the disk pre-screen is checked to leave the
-capped slots as they are without it, and the fit's contraction ratio
-against np.median bit for bit.  Drawn trace rows, special floats
-included, are checked to come back from the recorder bit for bit.  The
+distance to the projection, its block form row by row; the disk
+pre-screen is checked to leave the capped slots as they are without it,
+and the fit's contraction ratio against np.median bit for bit.  Drawn
+trace rows, special floats included, are checked to come back from the
+recorder bit for bit, and the recorder's blocks of rows against its
+per-row pass on small games and overflowing runs.  The
 config examples draw a value for one bounded or multiple-choice key of
 the config's key table, in range or out of it, and check the parse.  The
 data file examples draw a finite network, price curve or agent list,
@@ -42,10 +44,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from trades import algorithm
 from trades.algorithm import (TRACE_COLUMNS, TradesConfig, _Recorder,
                               fit_convergence, reduced_system_run, run)
 from trades.config import _KEYS, canonical_text, parse_config
-from trades.errors import ConfigError, MaxIterExceeded, MaxSweepsExceeded
+from trades.errors import (ConfigError, MaxIterExceeded, MaxSweepsExceeded,
+                           NonFiniteDetected)
 from trades.games import (GameDefinition, local_operator, phi_stack,
                           random_strongly_monotone_game, solve_ne_oracle)
 from trades.grid import (EvAgentSpec, RadialNetwork, build_radial_network,
@@ -413,9 +417,32 @@ def test_membership_residual_is_the_projection_distance(case):
     assert not searches
     assert direct == ConvexSet.membership_residual(proj, p)
     assert proj.membership_residual(v) == ConvexSet.membership_residual(proj, v)
+    # the block form: one distance per (N, m) point, each bit for bit
+    assert proj.membership_residual(np.stack([v, p])).tobytes() == np.array(
+        [proj.membership_residual(v), direct]).tobytes()
     v[0, 0] = np.nan
     assert np.isnan(proj.membership_residual(v))
     assert np.isnan(ConvexSet.membership_residual(proj, v))
+    assert np.isnan(proj.membership_residual(v[None])).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(charger_stacks(), st.lists(st.sampled_from(
+    ["raw", "projected", "pinned", "capped", "nan"]), min_size=1, max_size=6))
+def test_block_membership_residual_is_each_rows_residual(case, kinds):
+    # rows outside the set (raw, mostly failing the gap test, so searched),
+    # inside it, outside it where only box-pinned coordinates move (P of the
+    # row passes the gap test), with every disk slot capped, and nan
+    proj, v = case
+    p = proj(v)
+    pinned = np.where(proj.box.lower == proj.box.upper, 1.0, 0.0).reshape(v.shape)
+    nan = v.copy()
+    nan[0, 0] = np.nan
+    rows = {"raw": v, "projected": p, "pinned": p + pinned,
+            "capped": 1e3 * v, "nan": nan}
+    block = np.stack([rows[kind] for kind in kinds])
+    expected = [proj.membership_residual(row) for row in block]
+    assert proj.membership_residual(block).tobytes() == np.array(expected).tobytes()
 
 
 @st.composite
@@ -539,6 +566,64 @@ def test_recorded_columns_are_the_recorded_values(rows, split):
             check(rows[:k])
         recorder.append(*row)
     check(rows)
+
+
+def _recorded_columns(game, graph, cfg, block, **kwargs):
+    """The seven in-memory columns of a run, as bytes, recorded in blocks
+    or (_BLOCK_BYTES = 0) row by row; a run that stops on a non-finite
+    value gives the columns of the trace it carries."""
+    saved = algorithm._BLOCK_BYTES
+    algorithm._BLOCK_BYTES = saved if block else 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(game, graph, cfg, **kwargs)[1]
+    except NonFiniteDetected as exc:
+        trace = exc.trace
+    finally:
+        algorithm._BLOCK_BYTES = saved
+    return [getattr(trace, name).tobytes() for name in TRACE_FIELDS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_games(min_agents=2) | charger_games(min_agents=2),
+       st.sampled_from([1, 7]),
+       st.integers(1, 400), st.booleans(), st.integers(0, 2 ** 16))
+def test_block_recorder_matches_the_per_row_recorder(case, stride, steps,
+                                                     with_oracle, seed):
+    # small games hold their rows in blocks; the batched pass gives every
+    # column bit for bit, for runs that end mid-block too
+    game, _ = case
+    assert algorithm._Recorder(game, None).block >= 2
+    graph = make_doubly_stochastic(gen_digraph(game.N, 0.6, seed))
+    cfg = TradesConfig(stop_tol=1e-300, max_iter=steps, trace_stride=stride)
+    rng = np.random.default_rng(seed)
+    x0, oracle = rng.normal(scale=3.0, size=(2, game.N, game.m))
+    kwargs = {"x0": x0, "oracle": oracle if with_oracle else None}
+    assert (_recorded_columns(game, graph, cfg, True, **kwargs)
+            == _recorded_columns(game, graph, cfg, False, **kwargs))
+
+
+@pytest.mark.parametrize("box_halfwidth", [1e300, None])
+def test_block_recorder_matches_on_overflowing_runs(box_halfwidth):
+    # gamma = 5 overflows: with huge boxes the run reaches inf and nan rows
+    # and stops at max_iter; without boxes it raises NonFiniteDetected
+    # mid-block, and the trace it carries holds every recorded row
+    game = random_strongly_monotone_game(10, 2, 2, seed=0,
+                                         box_halfwidth=box_halfwidth)
+    graph = make_doubly_stochastic(gen_digraph(10, 0.6, 0))
+    cfg = TradesConfig(gamma=5.0, delta=1.0, max_iter=500, seed=1)
+    columns = _recorded_columns(game, graph, cfg, True)
+    assert columns == _recorded_columns(game, graph, cfg, False)
+    t, disagreement = (np.frombuffer(columns[k], dtype=dtype) for k, dtype in
+                       ((0, np.int64), (3, np.float64)))
+    block = algorithm._Recorder(game, None).block
+    if box_halfwidth is None:
+        assert t.size % block and t.size < 500
+        assert np.array_equal(t, np.arange(t.size))
+    else:
+        assert t.size == 501
+    assert np.isnan(disagreement).any() and np.isinf(
+        np.frombuffer(columns[4], dtype=np.float64)).any()
 
 
 # one config per scenario, section -> key -> raw value; any existing file
