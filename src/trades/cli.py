@@ -12,9 +12,10 @@ Common flags: --out DIR replaces the configured output directory,
 reference-equilibrium solve.  TRADES_OUTPUT_DIR in the environment
 also overrides the output directory (the explicit flag wins).
 
-Exit codes: 0 success, 1 usage or validation failure, 2 divergence or
-a FAIL convergence verdict (or failed assumption checks under
-validate), 3 the reference equilibrium solve missed its tolerance.
+Exit codes: 0 success, 1 usage or validation failure, 2 divergence, a
+FAIL convergence verdict, an oracle-off run whose trace holds a
+non-finite step_norm or disagreement, or failed assumption checks under
+validate, 3 the reference equilibrium solve missed its tolerance.
 """
 
 import argparse
@@ -31,8 +32,8 @@ from .config import (SPEC_VERSION, canonical_text, load_config,
                      split_scenario_seed)
 from .errors import (ConfigError, MaxIterExceeded, NonFiniteDetected,
                      TradesError)
-from .games import (random_strongly_monotone_game, solve_ne_oracle,
-                    validate_assumptions)
+from .games import (_oracle_stepsize, random_strongly_monotone_game,
+                    solve_ne_oracle, validate_assumptions)
 from .grid import (build_radial_network, build_voltage_game,
                    default_voltage_config, distflow_sensitivities,
                    evaluate_voltages, gen_agents, gen_baseline_profile,
@@ -212,6 +213,15 @@ def cmd_run(cfg, provenance=False):
         print(f"DIVERGED at iteration {diverged_at}; outputs in {out_dir}")
         return 2
     print(f"stopped after {report.iterations} iterations ({report.stop_reason})")
+    # without an oracle there is no verdict, so a blow-up that the boxes
+    # kept finite in x shows only in the trace
+    blown = None
+    if not cfg.oracle:
+        bad = ~(np.isfinite(trace.step_norm) & np.isfinite(trace.disagreement))
+        if bad.any():
+            blown = int(trace.t[np.argmax(bad)])
+            print(f"non-finite step_norm or disagreement in the trace from "
+                  f"iteration {blown}: the run blew up")
     if report.a2 is not None:
         print(f"fitted decay exponent {report.a2:.6g} "
               f"(R^2 = {report.r_squared:.6g}), verdict {report.verdict}")
@@ -226,7 +236,7 @@ def cmd_run(cfg, provenance=False):
             print(f"improvement ratio {ratio:.6g}: the equilibrium deviates "
                   f"{side} doing nothing")
     print(f"outputs in {out_dir}")
-    return 2 if report.verdict == "FAIL" else 0
+    return 2 if report.verdict == "FAIL" or blown is not None else 0
 
 
 def cmd_case_study(cfg):
@@ -264,6 +274,13 @@ def cmd_validate(cfg):
     report = validate_assumptions(game, rng=cfg.trades.seed)
     for line in report.summary_lines():
         print(line)
+    if report.monotone:
+        gamma, beta = _oracle_stepsize(game)
+        kappa = report.lipschitz_pseudo_gradient / report.mu
+        print(f"reference oracle: step 1/L = {gamma:.3g}, momentum {beta:.3g} "
+              f"(potential game, kappa {kappa:.3g})" if beta else
+              f"reference oracle: step {gamma:.3g}, no momentum "
+              f"(kappa {kappa:.3g})")
     ok &= report.passed
     return 0 if ok else 2
 

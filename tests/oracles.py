@@ -386,23 +386,31 @@ class ReferenceSearch:
 
 def reference_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
     """``games.solve_ne_oracle`` as first written, with its own undamped
-    step P(x - gamma F(x)) and no stop on a non-finite iterate; the
-    package's, which takes the run's damped step at delta = 1, must
-    return the same bits and raise with the same best iterate."""
+    step P(y - gamma F(y)) from y = x + beta (x - x_prev), y = x while
+    beta is 0, and no stop on a non-finite iterate; the package's, which
+    takes the run's damped step at delta = 1, must return the same bits
+    and raise with the same best iterate."""
+    beta = 0.0
     if gamma is None:
-        gamma = _oracle_stepsize(game)
+        gamma, beta = _oracle_stepsize(game)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     x = game.project(np.zeros((game.N, game.m)))
+    x_prev = x
     best = x
     best_resid = np.inf
     for _ in range(max_iter):
-        f = pseudo_gradient(game, x)
-        x_next = game.project(x - gamma * game.split(f))
-        resid = float(np.linalg.norm(x - x_next))
+        if beta != 0:
+            y = x + beta * (x - x_prev)
+        else:
+            y = x
+        f = pseudo_gradient(game, y)
+        x_next = game.project(y - gamma * game.split(f))
+        resid = float(np.linalg.norm(y - x_next))
         if resid < best_resid:
             best_resid = resid
             best = x_next
+        x_prev = x
         x = x_next
         if resid <= tol:
             return x

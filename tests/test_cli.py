@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from trades.cli import main
+from trades.cli import assemble_game, main
 from trades.config import (_DERIVED, _KEYS, _REQUIRED, SPEC_VERSION, _fmt,
                            canonical_text, derive_component_seeds,
                            load_config, parse_config, split_scenario_seed)
 from trades.errors import ConfigError, MaxIterExceeded
+from trades.games import _oracle_stepsize
 from trades.grid import (build_radial_network, gen_agents, gen_prices,
                          save_agents, save_network, save_prices)
 
@@ -426,6 +427,52 @@ def test_run_stall_is_a_failed_verdict(tmp_path):
     assert result["diverged"] is False
 
 
+OVERFLOW_TEXT = """
+[experiment]
+spec_version = 1
+scenario = affine
+seed = 0
+
+[graph]
+n_agents = 10
+edge_prob = 0.7
+seed = 7
+
+[trades]
+gamma = 5
+delta = 1
+stop_tol = 1e-10
+max_iter = 500
+
+[affine]
+strategy_dim = 2
+agg_dim = 2
+seed = 42
+box_halfwidth = 1e300
+"""
+
+
+@pytest.mark.parametrize("oracle", ["off", "on"])
+def test_overflowing_run_exits_two_with_the_oracle_on_or_off(tmp_path, capsys,
+                                                            oracle):
+    # gamma = 5 on the 10-agent benchmark game overflows; the huge boxes
+    # keep every strategy finite, so the run reaches max_iter with inf
+    # step norms and nan disagreements in its trace.  With the oracle on,
+    # the fit's FAIL verdict says so; with it off, the trace itself does
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOW_TEXT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", str(path), "--oracle", oracle,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "stopped after 500 iterations (max_iter)" in out
+    assert ("the run blew up" in out) == (oracle == "off")
+    assert ("verdict FAIL" in out) == (oracle == "on")
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert rows[-1].endswith(",nan,inf")
+
+
 def test_oracle_failure_exit_and_report(tmp_path, monkeypatch, capsys):
     # looked up through trades.cli, where the benchmark's phase timer also
     # wraps it
@@ -504,6 +551,28 @@ def test_validate_passes_on_affine(tmp_path, capsys):
     assert "spectral gap" in out
     assert "FAIL" not in out
     assert not (tmp_path / "out").exists()  # validate never writes
+
+
+@pytest.mark.parametrize("scenario", ["affine", "voltage"])
+def test_validate_names_the_oracle_step(tmp_path, capsys, scenario):
+    # a voltage game's A is symmetric, so its reference solve adds
+    # momentum to the 1/L step; the affine game's A is not
+    text = (AFFINE_TEXT.format(out="unused") if scenario == "affine"
+            else VOLTAGE_TEXT)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 0
+    game, _ = assemble_game(load_config(str(path)))
+    gamma, beta = _oracle_stepsize(game)
+    kappa = game.affine.exact_lipschitz() / game.affine.exact_modulus()
+    line = capsys.readouterr().out.splitlines()[-1]
+    if scenario == "voltage":
+        assert gamma == 1.0 / game.affine.exact_lipschitz() and beta > 0
+        assert line == (f"reference oracle: step 1/L = {gamma:.3g}, momentum "
+                        f"{beta:.3g} (potential game, kappa {kappa:.3g})")
+    else:
+        assert line == (f"reference oracle: step {gamma:.3g}, no momentum "
+                        f"(kappa {kappa:.3g})")
 
 
 def test_validate_passes_with_no_random_edges(tmp_path, capsys):

@@ -6,8 +6,11 @@ graph, then runs at most a few hundred sweeps.  Together the two game
 properties cover acceptance criteria 2, 4 and 8 beyond the hand-picked
 instances; a third draws random Kronecker factors (N, p, q, T) and
 checks the batched contractions against per-agent np.kron blocks.  On
-small random affine and charger games the reference solve is checked
-bit for bit against its first form (``oracles.reference_ne_oracle``),
+small random affine, charger and potential games the reference solve
+is checked bit for bit against its first form
+(``oracles.reference_ne_oracle``); on potential games (a symmetric
+factor A) its momentum is checked against the constant-momentum rate
+bound and its answer against the natural-residual certificate,
 and 50 consensus sweeps against the paper-literal loops of
 ``oracles.literal_run`` under both weight methods.  Each
 charger example draws a horizon, a plug mask, a cap and an energy target
@@ -36,6 +39,7 @@ import dataclasses
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,13 +48,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from trades import algorithm
+from trades import algorithm, games
 from trades.algorithm import (TRACE_COLUMNS, TradesConfig, _Recorder,
                               fit_convergence, reduced_system_run, run)
 from trades.config import _KEYS, canonical_text, parse_config
 from trades.errors import (ConfigError, MaxIterExceeded, MaxSweepsExceeded,
                            NonFiniteDetected)
 from trades.games import (GameDefinition, local_operator, phi_stack,
+                          pseudo_gradient, quadratic_aggregative_game,
                           random_strongly_monotone_game, solve_ne_oracle)
 from trades.grid import (EvAgentSpec, RadialNetwork, build_radial_network,
                          build_voltage_game, default_voltage_config,
@@ -144,6 +149,24 @@ def charger_games(draw, min_agents=1, max_fill=1.0):
         v, agents[i].plugged, agents[i].target_energy, agents[i].s_max)
 
 
+@st.composite
+def potential_games(draw):
+    """A boxed quadratic game whose A is symmetric: coupler C_i = G_i'
+    makes B_i = Q_i + (kappa/N) G_i'G_i and every block E_i G_j / N =
+    (kappa/N) G_i'G_j, the Hessian of a strongly convex potential."""
+    n, m, d = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+               draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    root = rng.normal(size=(n, m, m)) / np.sqrt(m)
+    aggregators = rng.normal(size=(n, d, m)) / np.sqrt(m)
+    half = draw(st.sampled_from([0.5, 5.0]))
+    return quadratic_aggregative_game(
+        root.transpose(0, 2, 1) @ root + draw(st.floats(0.1, 2.0)) * np.eye(m),
+        rng.normal(size=(n, m)), draw(st.floats(0.0, 3.0)),
+        aggregators.transpose(0, 2, 1), aggregators,
+        [(np.full(m, -half), np.full(m, half))] * n)
+
+
 def _oracle_outcome(solve, game, **kwargs):
     try:
         return "solved", solve(game, **kwargs).tobytes()
@@ -152,7 +175,8 @@ def _oracle_outcome(solve, game, **kwargs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(affine_games() | charger_games(), st.integers(1, 4))
+@given(affine_games() | charger_games()
+       | potential_games().map(lambda game: (game, None)), st.integers(1, 4))
 def test_oracle_matches_its_first_form(case, budget):
     # the run's damped step at delta = 1 reproduces the oracle's own
     # undamped step bit for bit, to the end and on budgets cut short; a
@@ -162,6 +186,59 @@ def test_oracle_matches_its_first_form(case, budget):
     for kwargs in ({"max_iter": 2000}, {"tol": 1e-300, "max_iter": budget}):
         assert (_oracle_outcome(solve_ne_oracle, game, **kwargs)
                 == _oracle_outcome(oracles.reference_ne_oracle, game, **kwargs))
+
+
+def _certificate(game, x, gamma):
+    """(1 + gamma L)/(gamma mu) ||x - P(x - gamma F(x))||, a bound on the
+    distance from x to the equilibrium of a strongly monotone game."""
+    lip, mu = game.affine.exact_lipschitz(), game.affine.exact_modulus()
+    natural = x - game.project(x - gamma * game.split(pseudo_gradient(game, x)))
+    return (1.0 + gamma * lip) / (gamma * mu) * float(np.linalg.norm(natural))
+
+
+def _potential(game, x):
+    """0.5 x'(A (x) I_T) x + c'x, whose gradient is F when A is symmetric."""
+    x = x.reshape(-1)
+    return 0.5 * x @ (pseudo_gradient(game, x) + game.c.reshape(-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(potential_games() | charger_games(max_fill=0.9).map(lambda c: c[0]))
+def test_accelerated_oracle_keeps_its_rate_and_certificate(game):
+    # on a symmetric A the default solve adds the momentum
+    # beta = (sqrt(kappa) - 1)/(sqrt(kappa) + 1) to the 1/L step.  By the
+    # constant-momentum bound (Beck, First-Order Methods in Optimization,
+    # 2017, Thm 10.42) the potential gap at x_k is at most
+    # q^k (gap(x_0) + mu/2 ||x_0 - x*||^2), q = 1 - 1/sqrt(kappa), so
+    # ||x_k - x*|| <= e q^(k/2) and the residual ||y_k - x_k+1|| the
+    # solve tests is at most 4 e q^((k-1)/2): the solve must stop by the
+    # iteration where that meets tol, and its answer must lie within its
+    # certificate of a tight reference solve.  It is not checked against
+    # the plain 1/L loop instance by instance: on well-conditioned boxed
+    # games that loop lands exactly on the answer within a few steps,
+    # and the momentum's overshoot cost 1 to 8 more in half of 400 draws
+    mu, lip = game.affine.exact_modulus(), game.affine.exact_lipschitz()
+    gamma, beta = games._oracle_stepsize(game)
+    assert gamma == 1.0 / lip and 0.0 <= beta < 1.0
+    with mock.patch.object(games, "pseudo_gradient",
+                           wraps=games.pseudo_gradient) as counter:
+        fast = solve_ne_oracle(game, tol=1e-12)
+    try:
+        tight = oracles.reference_ne_oracle(game, gamma=gamma, tol=1e-15,
+                                            max_iter=3000)
+    except MaxIterExceeded as exc:
+        tight = exc.best
+    start = game.project(np.zeros((game.N, game.m)))
+    gap = (_potential(game, start) - _potential(game, tight)
+           + mu / 2 * np.linalg.norm(start - tight) ** 2)
+    scale = 4.0 * math.sqrt(2.0 * max(gap, 0.0) / mu)
+    q = 1.0 - 1.0 / math.sqrt(lip / mu)
+    steps = 0 if q <= 0 else math.ceil(
+        2.0 * math.log(max(1.0, scale / 1e-12)) / -math.log(q))
+    assert counter.call_count <= 2 + steps
+    rounding = 4 * np.finfo(float).eps * (1.0 + np.linalg.norm(tight))
+    assert (np.linalg.norm(fast - tight) <= _certificate(game, fast, gamma)
+            + _certificate(game, tight, gamma) + rounding)
 
 
 TRACE_FIELDS = ("t", "err_x", "est_err_max", "disagreement", "step_norm",
