@@ -250,27 +250,23 @@ def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
     """Damping-normalized norm of the sweep out of iterate t.
 
     Raises NonFiniteDetected, tagged with the produced iteration index
-    t + 1 and carrying the rows recorded so far, as soon as any strategy
-    or tracker coordinate stops being finite.  A non-finite entry makes
-    the norm non-finite, and the tracker stack's squared column-sum norm
-    too, so each stack is scanned only then: a finite stack whose norm
-    overflows passes (the step norm is then inf).  That squared norm is
-    left on the recorder as recorder.z_sum_sq, for the row that records
-    new_z.
+    t + 1 and carrying the rows recorded so far, when the step norm or the
+    new tracker stack's squared column-sum norm is not finite (a
+    non-finite entry or an overflow).  That squared norm is left on the
+    recorder as recorder.z_sum_sq, for the row that records new_z.
     """
     d = (new_x - x).ravel()
     step_norm = math.sqrt(d.dot(d)) / delta
-    finite = math.isfinite(step_norm) or np.isfinite(new_x).all()
+    finite = math.isfinite(step_norm)
     if new_z is not None:
         z_sum = new_z.sum(axis=0)
         z_sum_sq = z_sum @ z_sum
-        finite = finite and (math.isfinite(z_sum_sq) or np.isfinite(new_z).all())
+        finite = finite and math.isfinite(z_sum_sq)
         if recorder is not None:
             recorder.z_sum_sq = z_sum_sq
     if not finite:
         raise NonFiniteDetected(
-            t + 1, "non-finite strategy or tracker value",
-            trace=None if recorder is None else recorder.build())
+            t + 1, trace=None if recorder is None else recorder.build())
     return step_norm
 
 
@@ -384,8 +380,8 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     used to fill the error column and fit the linear rate.  Returns
     (final state, trace, report); the state's x is an (N, m) array.
     Exhausting max_iter is an outcome recorded in the report, not an
-    exception; only non-finite values raise.  cfg.tracker picks the
-    tracker mode.
+    exception; only a non-finite step norm or tracker sum raises
+    (_checked_step_norm).  cfg.tracker picks the tracker mode.
     """
     if x0 is None:
         if cfg.seed is None:

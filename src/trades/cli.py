@@ -12,10 +12,10 @@ Common flags: --out DIR replaces the configured output directory,
 reference-equilibrium solve.  TRADES_OUTPUT_DIR in the environment
 also overrides the output directory (the explicit flag wins).
 
-Exit codes: 0 success, 1 usage or validation failure, 2 divergence, a
-FAIL convergence verdict, an oracle-off run whose trace holds a
-non-finite step_norm or disagreement, or failed assumption checks under
-validate, 3 the reference equilibrium solve missed its tolerance.
+Exit codes: 0 success, 1 usage or validation failure, 2 divergence (a
+non-finite step norm or tracker sum), a FAIL convergence verdict, or
+failed assumption checks under validate, 3 the reference equilibrium
+solve missed its tolerance.
 """
 
 import argparse
@@ -213,15 +213,6 @@ def cmd_run(cfg, provenance=False):
         print(f"DIVERGED at iteration {diverged_at}; outputs in {out_dir}")
         return 2
     print(f"stopped after {report.iterations} iterations ({report.stop_reason})")
-    # without an oracle there is no verdict, so a blow-up that the boxes
-    # kept finite in x shows only in the trace
-    blown = None
-    if not cfg.oracle:
-        bad = ~(np.isfinite(trace.step_norm) & np.isfinite(trace.disagreement))
-        if bad.any():
-            blown = int(trace.t[np.argmax(bad)])
-            print(f"non-finite step_norm or disagreement in the trace from "
-                  f"iteration {blown}: the run blew up")
     if report.a2 is not None:
         print(f"fitted decay exponent {report.a2:.6g} "
               f"(R^2 = {report.r_squared:.6g}), verdict {report.verdict}")
@@ -236,7 +227,7 @@ def cmd_run(cfg, provenance=False):
             print(f"improvement ratio {ratio:.6g}: the equilibrium deviates "
                   f"{side} doing nothing")
     print(f"outputs in {out_dir}")
-    return 2 if report.verdict == "FAIL" or blown is not None else 0
+    return 2 if report.verdict == "FAIL" else 0
 
 
 def cmd_case_study(cfg):

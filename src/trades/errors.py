@@ -20,10 +20,12 @@ class MaxIterExceeded(TradesError):
 
 
 class NonFiniteDetected(TradesError):
-    """A NaN or infinity appeared in the iterate at the given iteration."""
+    """The sweep producing the given iteration has a non-finite step norm
+    or tracker sum."""
 
-    def __init__(self, iteration, message=None, trace=None):
-        super().__init__(message or f"non-finite values at iteration {iteration}")
+    def __init__(self, iteration, trace=None):
+        super().__init__(f"non-finite step norm or tracker sum at iteration "
+                         f"{iteration}")
         self.iteration = iteration
         self.trace = trace
 
@@ -52,7 +54,7 @@ class MaxSweepsExceeded(TradesError):
 
 
 class EmptyIntersectionSuspected(TradesError):
-    """Dykstra's iterates settled while still far from every set at once."""
+    """An Intersection's feasibility certificate failed."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -283,8 +283,8 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
 
     Starts from the projection of zero.  Returns the equilibrium as an
     (N, m) array; raises MaxIterExceeded with the best such array if the
-    residual will not come down: at once if an iterate stops being
-    finite, and once _ORACLE_STALL iterations pass without a new best.
+    residual will not come down: at once if it is not finite, and once
+    _ORACLE_STALL iterations pass without a new best.
     """
     beta = 0.0
     if gamma is None:
@@ -300,9 +300,9 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
         resid = float(np.linalg.norm(y - x_next))
         if resid < best_resid:
             best, best_resid, best_k = x_next, resid, k
-        elif not np.isfinite(resid) and not np.isfinite(x_next).all():
+        elif not np.isfinite(resid):
             raise MaxIterExceeded(
-                f"non-finite iterate at iteration {k}; best fixed-point "
+                f"non-finite residual at iteration {k}; best fixed-point "
                 f"residual {best_resid:.3e}", best=best,
                 residual=best_resid, iterations=k)
         elif k - best_k >= _ORACLE_STALL:

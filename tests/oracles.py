@@ -387,7 +387,7 @@ class ReferenceSearch:
 def reference_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
     """``games.solve_ne_oracle`` as first written, with its own undamped
     step P(y - gamma F(y)) from y = x + beta (x - x_prev), y = x while
-    beta is 0, and no stop on a non-finite iterate; the package's, which
+    beta is 0, and no stop on a non-finite residual; the package's, which
     takes the run's damped step at delta = 1, must return the same bits
     and raise with the same best iterate."""
     beta = 0.0

@@ -219,18 +219,21 @@ def test_single_agent_is_projected_gradient():
 
 def test_step_nonfinite_raises_with_iteration_index():
     # the error names the iteration the offending sweep produced, counted
-    # here by hand with the bare sweep; the growth takes several sweeps to
-    # overflow, so an off-by-one in the index would show
+    # here by hand with the bare sweep: the first whose squared step norm
+    # or squared tracker column sum is not finite; the growth takes several
+    # sweeps to overflow, so an off-by-one in the index would show
     game = random_strongly_monotone_game(3, 2, 2, seed=6, box_halfwidth=None)
     graph = _graph(3, 1.0, 0)
     cfg = TradesConfig(gamma=1e100, delta=1.0, stop_tol=1e-300)
-    blocks, z = init(game, 1).x, np.zeros((3, 2))
-    produced = 0
+    x, z = init(game, 1).x, np.zeros((3, 2))
+    produced, finite = 0, True
     with np.errstate(over="ignore", invalid="ignore"):
-        while all(np.all(np.isfinite(v)) for v in [*blocks, z]):
-            blocks, z, *_ = _advance(game, graph, cfg.gamma, cfg.delta,
-                                    blocks, z, "consensus")
-            produced += 1
+        while finite:
+            new_x, z, *_ = _advance(game, graph, cfg.gamma, cfg.delta,
+                                    x, z, "consensus")
+            d, z_sum = (new_x - x).ravel(), z.sum(axis=0)
+            finite = np.isfinite(d @ d) and np.isfinite(z_sum @ z_sum)
+            x, produced = new_x, produced + 1
         with pytest.raises(NonFiniteDetected) as info:
             run(game, graph, cfg, x0=1)
     assert produced > 1
@@ -287,26 +290,29 @@ def test_checked_step_norm_catches_a_nonfinite_strategy(bad):
         _checked_step_norm(2, x, new_x, 0.5)
 
 
-def test_checked_step_norm_of_finite_stacks_may_overflow():
+def test_checked_step_norm_stops_finite_stacks_whose_norm_overflows():
     # finite strategies whose squared norm, or whose difference itself,
-    # overflows: an infinite step, not a non-finite iterate
+    # overflows: an infinite step is a divergence, as a non-finite entry is
     z = np.zeros((2, 1))
     for x, new_x in [(np.zeros((2, 1)), np.full((2, 1), 1e200)),
                      (np.full((2, 1), -1e308), np.full((2, 1), 1e308))]:
         with np.errstate(over="ignore"):
-            assert _checked_step_norm(0, x, new_x, 0.5, z) == np.inf
-            assert _checked_step_norm(0, x, new_x, 0.5) == np.inf
+            for args in ((z,), ()):
+                with pytest.raises(NonFiniteDetected) as info:
+                    _checked_step_norm(0, x, new_x, 0.5, *args)
+                assert info.value.iteration == 1
 
 
-def test_checked_step_norm_passes_a_tracker_stack_whose_column_sum_overflows():
-    # every entry finite, yet the column sums overflow to inf: the entries
-    # are scanned and pass, and the recorder gets the overflowed sums
+def test_checked_step_norm_stops_a_tracker_stack_whose_column_sum_overflows():
+    # every entry finite and the step finite, yet the column sums overflow
+    # to inf: a divergence, carrying the rows recorded before it
     x, z, recorder = _one_recorded_row()
     new_z = np.full((3, 2), 1e308)
     with np.errstate(over="ignore"):
-        step = _checked_step_norm(4, x, x + 1.0, 0.5, new_z, recorder)
-        assert step == _checked_step_norm(4, x, x + 1.0, 0.5)
-    assert math.isfinite(step) and recorder.z_sum_sq == np.inf
+        assert math.isfinite(_checked_step_norm(4, x, x + 1.0, 0.5))
+        with pytest.raises(NonFiniteDetected) as info:
+            _checked_step_norm(4, x, x + 1.0, 0.5, new_z, recorder)
+    assert info.value.iteration == 5 and len(info.value.trace) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -456,21 +456,22 @@ box_halfwidth = 1e300
 def test_overflowing_run_exits_two_with_the_oracle_on_or_off(tmp_path, capsys,
                                                             oracle):
     # gamma = 5 on the 10-agent benchmark game overflows; the huge boxes
-    # keep every strategy finite, so the run reaches max_iter with inf
-    # step norms and nan disagreements in its trace.  With the oracle on,
-    # the fit's FAIL verdict says so; with it off, the trace itself does
+    # keep every strategy finite, but the step norm of the sweep that
+    # produces iteration 123 overflows, so the run stops there with the
+    # oracle on or off, and its trace holds the 122 finite rows before it
     path = tmp_path / "overflow.ini"
     path.write_text(OVERFLOW_TEXT)
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", str(path), "--oracle", oracle,
+        code = main(["run", str(path), "--oracle", oracle, "--seed", "5",
                      "--out", str(tmp_path / "out")])
     assert code == 2
-    out = capsys.readouterr().out
-    assert "stopped after 500 iterations (max_iter)" in out
-    assert ("the run blew up" in out) == (oracle == "off")
-    assert ("verdict FAIL" in out) == (oracle == "on")
-    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-    assert rows[-1].endswith(",nan,inf")
+    assert "DIVERGED at iteration 123" in capsys.readouterr().out
+    trace = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",",
+                       skiprows=1, ndmin=2)
+    assert trace.shape[0] == 122 and np.isfinite(trace[:, 2:]).all()
+    assert np.isfinite(trace[:, 1]).all() == (oracle == "on")
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert result["diverged"] and result["divergence_iteration"] == 123
 
 
 def test_oracle_failure_exit_and_report(tmp_path, monkeypatch, capsys):

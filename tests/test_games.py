@@ -350,18 +350,18 @@ def test_oracle_iteration_cap():
     assert isinstance(err.best, np.ndarray) and err.best.shape == (3, 2)
 
 
-def test_oracle_stops_at_the_first_non_finite_iterate():
+def test_oracle_stops_at_the_first_non_finite_residual():
     # gamma = 10 blows the unboxed game up: the residual overflows from
-    # iteration 98 on while the iterates stay finite, and iteration 196
-    # is the first to overflow; the solve stops there, not after 100,000
+    # iteration 98 on while the iterates stay finite (until 196); the
+    # solve stops at 98, not after 100,000, with the best of the first 97
     game = random_strongly_monotone_game(10, 2, 2, seed=42, box_halfwidth=None)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(MaxIterExceeded) as info:
             solve_ne_oracle(game, gamma=10.0)
         with pytest.raises(MaxIterExceeded) as first:
-            oracles.reference_ne_oracle(game, gamma=10.0, max_iter=195)
+            oracles.reference_ne_oracle(game, gamma=10.0, max_iter=97)
     err = info.value
-    assert err.iterations == 196
+    assert err.iterations == 98 and "non-finite residual" in str(err)
     assert np.isfinite(err.best).all() and np.isfinite(err.residual)
     assert err.best.tobytes() == first.value.best.tobytes()
     assert err.residual == first.value.residual

@@ -214,11 +214,23 @@ def test_max_sweeps_carries_best_iterate():
 
 
 def test_disjoint_sets_flagged_during_projection():
-    # [0,1] and [2,3] share no point; the iterate settles far from both
+    # [0,1] and [2,3] share no point; the iterate settles far from both,
+    # and the spent budget says so through the residual it carries (thin
+    # non-empty sets stall too, so the projection alone claims no emptiness)
     inter = Intersection([Box([0.0], [1.0]), Box([2.0], [3.0])], certify=False)
-    with pytest.raises(EmptyIntersectionSuspected) as info:
+    with pytest.raises(MaxSweepsExceeded) as info:
         project_dykstra(inter, [1.5])
     assert info.value.residual > 0.5
+
+
+def test_a_spent_budget_on_a_nonempty_set_is_not_called_empty():
+    # the box and the line x + y = 1 meet (the certificate passes), yet one
+    # sweep from (10, -10) ends 0.5 from the box: out of sweeps, not empty
+    inter = Intersection([Box([0.0, 0.0], [2.0, 2.0]), Hyperplane([1.0, 1.0], 1.0)])
+    with pytest.raises(MaxSweepsExceeded) as info:
+        project_dykstra(inter, [10.0, -10.0], max_sweeps=1)
+    assert info.value.residual == 0.5
+    assert np.array_equal(info.value.best, [1.5, -0.5])
 
 
 def test_disjoint_sets_flagged_at_construction():

@@ -27,7 +27,9 @@ pre-screen is checked to leave the capped slots as they are without it,
 and the fit's contraction ratio against np.median bit for bit.  Drawn
 trace rows, special floats included, are checked to come back from the
 recorder bit for bit, and the recorder's blocks of rows against its
-per-row pass on small games and overflowing runs.  The
+per-row pass on small games and overflowing runs; runs at stepsizes
+from 1e-3 to 1e3 are checked to stop at their first sweep with a
+non-finite step norm or tracker sum, with every recorded row finite.  The
 config examples draw a value for one bounded or multiple-choice key of
 the config's key table, in range or out of it, and check the parse.  The
 data file examples draw a finite network, price curve or agent list,
@@ -43,7 +45,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -112,13 +114,13 @@ def test_consensus_run_keeps_tracker_mean_and_feasibility(inst):
 
 
 @st.composite
-def affine_games(draw, min_agents=1):
-    """A small quadratic game with boxes of half-width 0.5 or 5, or none,
-    and each agent's projection as a coordinate-wise clamp."""
+def affine_games(draw, min_agents=1, halfwidths=(None, 0.5, 5.0)):
+    """A small quadratic game with boxes of one of the half-widths (None:
+    no box), and each agent's projection as a coordinate-wise clamp."""
     game = random_strongly_monotone_game(
         draw(st.integers(min_agents, 4)), draw(st.integers(1, 2)),
         draw(st.integers(1, 2)), seed=draw(st.integers(0, 2 ** 16)),
-        box_halfwidth=draw(st.sampled_from([None, 0.5, 5.0])))
+        box_halfwidth=draw(st.sampled_from(halfwidths)))
     lower, upper = (b.reshape(game.N, game.m) for b in
                     (game.projector.box.lower, game.projector.box.upper))
     return game, lambda i, v: oracles.box_projection(v, lower[i], upper[i])
@@ -682,25 +684,62 @@ def test_block_recorder_matches_the_per_row_recorder(case, stride, steps,
 
 @pytest.mark.parametrize("box_halfwidth", [1e300, None])
 def test_block_recorder_matches_on_overflowing_runs(box_halfwidth):
-    # gamma = 5 overflows: with huge boxes the run reaches inf and nan rows
-    # and stops at max_iter; without boxes it raises NonFiniteDetected
-    # mid-block, and the trace it carries holds every recorded row
+    # gamma = 5 overflows: with huge boxes or none, the run raises
+    # NonFiniteDetected mid-block, and the trace it carries holds every
+    # recorded row, each finite
     game = random_strongly_monotone_game(10, 2, 2, seed=0,
                                          box_halfwidth=box_halfwidth)
     graph = make_doubly_stochastic(gen_digraph(10, 0.6, 0))
     cfg = TradesConfig(gamma=5.0, delta=1.0, max_iter=500, seed=1)
     columns = _recorded_columns(game, graph, cfg, True)
     assert columns == _recorded_columns(game, graph, cfg, False)
-    t, disagreement = (np.frombuffer(columns[k], dtype=dtype) for k, dtype in
-                       ((0, np.int64), (3, np.float64)))
-    block = algorithm._Recorder(game, None).block
-    if box_halfwidth is None:
-        assert t.size % block and t.size < 500
-        assert np.array_equal(t, np.arange(t.size))
-    else:
-        assert t.size == 501
-    assert np.isnan(disagreement).any() and np.isinf(
-        np.frombuffer(columns[4], dtype=np.float64)).any()
+    t = np.frombuffer(columns[0], dtype=np.int64)
+    assert t.size % algorithm._Recorder(game, None).block and t.size < 500
+    assert np.array_equal(t, np.arange(t.size))
+    for column in columns[2:]:
+        assert np.isfinite(np.frombuffer(column, dtype=np.float64)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given((affine_games(min_agents=2, halfwidths=(5.0, 1e300, None))
+        | charger_games(min_agents=2)).map(lambda c: c[0]),
+       st.floats(-3.0, 3.0), st.floats(0.1, 1.0), st.integers(1, 300),
+       st.integers(0, 2 ** 16))
+@example(random_strongly_monotone_game(10, 2, 2, seed=42, box_halfwidth=1e300),
+         math.log10(5.0), 1.0, 300, 7)
+def test_a_run_stops_at_its_first_non_finite_sweep(game, log_gamma, delta,
+                                                   steps, seed):
+    # stepsizes from 1e-3 to 1e3: a run returns, or raises
+    # NonFiniteDetected tagged with the first sweep whose squared step or
+    # squared tracker column sum is not finite (replayed here on the bare
+    # sweep); either way every recorded column is finite.  About one draw
+    # in 25 blows up, so the example pins one: the overflowing benchmark
+    # game inside boxes of half-width 1e300
+    gamma = 10.0 ** log_gamma
+    graph = make_doubly_stochastic(gen_digraph(game.N, 0.6, seed))
+    cfg = TradesConfig(gamma=gamma, delta=delta, stop_tol=1e-300,
+                       max_iter=steps)
+    x0, oracle = np.random.default_rng(seed).normal(
+        scale=3.0, size=(2, game.N, game.m))
+    x, z, first = algorithm.init(game, x0).x, np.zeros((game.N, game.d)), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            new_x, z, *_ = algorithm._advance(game, graph, gamma, delta, x, z,
+                                              "consensus")
+            d, z_sum = (new_x - x).ravel(), z.sum(axis=0)
+            if not (np.isfinite(d @ d) and np.isfinite(z_sum @ z_sum)):
+                first = t + 1
+                break
+            if math.sqrt(d @ d) / delta <= cfg.stop_tol:
+                break
+            x = new_x
+        try:
+            trace, raised = run(game, graph, cfg, x0=x0, oracle=oracle)[1], None
+        except NonFiniteDetected as exc:
+            trace, raised = exc.trace, exc.iteration
+    assert raised == first
+    for name in TRACE_FIELDS:
+        assert np.isfinite(getattr(trace, name)).all(), name
 
 
 # one config per scenario, section -> key -> raw value; any existing file
