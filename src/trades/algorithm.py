@@ -247,27 +247,25 @@ def _advance(game, graph, gamma, delta, x, z, tracker):
 
 
 def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
-    """Damping-normalized norm of the sweep out of iterate t.
+    """Damping-normalized norm of the sweep out of iterate t, paired with
+    the squared norm of the new tracker stack's column sums (None without
+    new_z), which run hands to the row that records new_z.
 
     Raises NonFiniteDetected, tagged with the produced iteration index
-    t + 1 and carrying the rows recorded so far, when the step norm or the
-    new tracker stack's squared column-sum norm is not finite (a
-    non-finite entry or an overflow).  That squared norm is left on the
-    recorder as recorder.z_sum_sq, for the row that records new_z.
+    t + 1 and carrying the rows recorded so far, when either is not
+    finite (a non-finite entry or an overflow).
     """
     d = (new_x - x).ravel()
     step_norm = math.sqrt(d.dot(d)) / delta
-    finite = math.isfinite(step_norm)
+    finite, z_sum_sq = math.isfinite(step_norm), None
     if new_z is not None:
         z_sum = new_z.sum(axis=0)
         z_sum_sq = z_sum @ z_sum
         finite = finite and math.isfinite(z_sum_sq)
-        if recorder is not None:
-            recorder.z_sum_sq = z_sum_sq
     if not finite:
         raise NonFiniteDetected(
             t + 1, trace=None if recorder is None else recorder.build())
-    return step_norm
+    return step_norm, z_sum_sq
 
 
 def _disagreement(z, phix, mean_row):
@@ -300,19 +298,16 @@ class _Recorder:
         self.mean_row = np.full(game.N, 1.0 / game.N)
         self.t = array("q")
         self.fields = array("d")
-        self.z_sum_sq = None   # set by _checked_step_norm
         self.block = _BLOCK_BYTES // (8 * (game.n + 3 * game.N * game.d))
         self.held = []
 
-    def add(self, t, x, z, phix, estimates, step_norm, z_sum_sq=None):
+    def add(self, t, x, z, phix, estimates, step_norm, z_sum_sq):
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
         # to the column sums of z, so the centred stack's squared norm (the
-        # disagreement) is their squared norm minus |sum_i z_i|^2 / N;
-        # estimates (z + phix) is shared with the sweep, so it stays as is;
-        # z_sum_sq, when given, is |sum_i z_i|^2 from the tracker check
-        if z_sum_sq is None:
-            z_sum = z.sum(axis=0)
-            z_sum_sq = z_sum @ z_sum
+        # disagreement) is their squared norm minus z_sum_sq / N, where
+        # z_sum_sq = |sum_i z_i|^2 comes from the tracker check of the sweep
+        # that produced z; estimates (z + phix) is shared with the sweep, so
+        # it stays as is
         if self.block >= 2:
             self.held.append((t, x, z, phix, estimates, step_norm, z_sum_sq))
             if len(self.held) == self.block:
@@ -397,14 +392,15 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     step_norm = float("nan")
     gamma, delta, stop_tol = cfg.gamma, cfg.delta, cfg.stop_tol
     max_iter, stride, record = cfg.max_iter, cfg.trace_stride, recorder.add
-    t, z_sum_sq = 0, None
+    t, z_sum_sq = 0, 0.0   # the tracker stack starts at zero
     while t < max_iter:
         new_x, new_z, phix, estimates = _advance(
             game, graph, gamma, delta, x, z, cfg.tracker)
-        step_norm = _checked_step_norm(t, x, new_x, delta, new_z, recorder)
+        step_norm, new_z_sum_sq = _checked_step_norm(
+            t, x, new_x, delta, new_z, recorder)
         if t % stride == 0:
             record(t, x, z, phix, estimates, step_norm, z_sum_sq)
-        x, z, z_sum_sq = new_x, new_z, recorder.z_sum_sq
+        x, z, z_sum_sq = new_x, new_z, new_z_sum_sq
         t += 1
         if keep_iterates:
             iterates.append(x.reshape(-1))
@@ -438,7 +434,7 @@ def reduced_system_run(game, cfg, x0):
     for t in range(cfg.max_iter):
         new_x = damped_projected_step(
             game, x, game.split(pseudo_gradient(game, x)), cfg.gamma, cfg.delta)
-        step_norm = _checked_step_norm(t, x, new_x, cfg.delta)
+        step_norm, _ = _checked_step_norm(t, x, new_x, cfg.delta)
         x = new_x
         trajectory.append(x.reshape(-1))
         if step_norm <= cfg.stop_tol:

@@ -1,16 +1,15 @@
 """Command-line experiment runner.
 
-Four subcommands, each taking a config file:
+Three subcommands, each taking a config file:
 
-    trades run        <config>   iterate and persist trace + report
-    trades validate   <config>   structural checks only, no iteration
-    trades sweep      <config>   stepsize grid, one cell per (gamma, delta)
-    trades case-study <config>   voltage scenario run with data provenance
+    trades run      <config>   iterate and persist trace + report (and,
+                               on a voltage scenario, its input data)
+    trades validate <config>   structural checks only, no iteration
+    trades sweep    <config>   stepsize grid, one cell per (gamma, delta)
 
 Common flags: --out DIR replaces the configured output directory,
 --seed N replaces the master seed, --oracle on|off toggles the
-reference-equilibrium solve.  TRADES_OUTPUT_DIR in the environment
-also overrides the output directory (the explicit flag wins).
+reference-equilibrium solve.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 divergence (a
 non-finite step norm or tracker sum), a FAIL convergence verdict, or
@@ -155,21 +154,29 @@ def _report_payload(cfg, graph, game, report, trace, diverged_at):
 # ------------------------------------------------------------ subcommands
 
 
-def cmd_run(cfg, provenance=False):
+def _guarded_run(game, graph, trades, oracle):
+    """run() with overflow warnings silenced, a divergence being an outcome:
+    (state, trace, report, diverged_at); a diverged run has no state or
+    report, and its trace holds the rows recorded before the divergence."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return (*run(game, graph, trades, oracle=oracle), None)
+        except NonFiniteDetected as exc:
+            return None, exc.trace, None, exc.iteration
+
+
+def cmd_run(cfg):
     started = time.perf_counter()
     graph = build_graph(cfg)
     game, extras = assemble_game(cfg)
-    oracle = oracle_failure = diverged_at = None
-    state = trace = report = None
+    oracle_failure = state = trace = report = diverged_at = None
     try:
-        if cfg.oracle:
-            oracle = solve_ne_oracle(game)
-        state, trace, report = run(game, graph, cfg.trades, oracle=oracle)
-    except MaxIterExceeded as exc:  # only the reference solve raises this
+        oracle = solve_ne_oracle(game) if cfg.oracle else None
+    except MaxIterExceeded as exc:
         oracle_failure = exc
-    except NonFiniteDetected as exc:
-        diverged_at = exc.iteration
-        trace = exc.trace
+    else:
+        state, trace, report, diverged_at = _guarded_run(
+            game, graph, cfg.trades, oracle)
     elapsed = time.perf_counter() - started
 
     payload = _report_payload(cfg, graph, game, report, trace, diverged_at)
@@ -200,7 +207,7 @@ def cmd_run(cfg, provenance=False):
                   json.dumps({"timing_seconds": round(elapsed, 3)},
                              indent=2, sort_keys=True) + "\n")
     _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
-    if provenance and extras:
+    if extras:   # the voltage scenario's input data, for a replay
         save_network(extras["network"], os.path.join(out_dir, "network.csv"))
         save_prices(extras["prices"], os.path.join(out_dir, "prices.csv"))
         save_agents(extras["agents"], os.path.join(out_dir, "agents.csv"))
@@ -228,12 +235,6 @@ def cmd_run(cfg, provenance=False):
                   f"{side} doing nothing")
     print(f"outputs in {out_dir}")
     return 2 if report.verdict == "FAIL" else 0
-
-
-def cmd_case_study(cfg):
-    if cfg.scenario != "voltage":
-        raise ConfigError("case-study requires scenario = voltage")
-    return cmd_run(cfg, provenance=True)
 
 
 def cmd_validate(cfg):
@@ -282,19 +283,13 @@ def _cell_dir(out_dir, i, j):
 
 def _sweep_cell(game, graph, trades, cell_dir, oracle_x):
     """One grid cell: a deterministic run of the sweep's game, own trace file."""
-    report = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            _, trace, report = run(game, graph, trades, oracle=oracle_x)
-        except NonFiniteDetected as exc:
-            trace = exc.trace
+    _, trace, report, _ = _guarded_run(game, graph, trades, oracle_x)
     os.makedirs(cell_dir, exist_ok=True)
-    if trace is not None:
-        _write_atomic(os.path.join(cell_dir, "trace.csv"), trace.csv_text())
+    _write_atomic(os.path.join(cell_dir, "trace.csv"), trace.csv_text())
     converged = report is not None and report.converged
     a2 = float("nan") if report is None or report.a2 is None else report.a2
     iters = -1
-    if trace is not None and len(trace) > 0:
+    if len(trace) > 0:
         with np.errstate(invalid="ignore"):
             hits = np.nonzero(trace.err_x <= ERR_TARGET_SWEEP)[0]
         if hits.size:
@@ -361,8 +356,7 @@ def _build_parser():
     for name, help_text in (
             ("run", "iterate one configured experiment"),
             ("validate", "structural checks without iterating"),
-            ("sweep", "grid of stepsize pairs"),
-            ("case-study", "voltage scenario with data provenance")):
+            ("sweep", "grid of stepsize pairs")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="experiment config file")
         p.add_argument("--out", help="output directory override")
@@ -375,12 +369,9 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"run": cmd_run, "validate": cmd_validate,
-                "sweep": cmd_sweep, "case-study": cmd_case_study}
+    handlers = {"run": cmd_run, "validate": cmd_validate, "sweep": cmd_sweep}
     try:
-        out = args.out if args.out is not None \
-            else os.environ.get("TRADES_OUTPUT_DIR")
-        cfg = load_config(args.config, seed=args.seed, output_dir=out,
+        cfg = load_config(args.config, seed=args.seed, output_dir=args.out,
                           oracle=args.oracle)
         return handlers[args.command](cfg)
     except (TradesError, ValueError, OSError) as exc:  # ConfigError too

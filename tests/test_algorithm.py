@@ -262,7 +262,7 @@ def _one_recorded_row():
     x, z = init(game, 0).x, np.zeros((2, 1))
     recorder = _Recorder(game, None)
     phix = phi_stack(game, x)
-    recorder.add(0, x, z, phix, z + phix, 0.0)
+    recorder.add(0, x, z, phix, z + phix, 0.0, 0.0)
     return x, z, recorder
 
 
@@ -309,10 +309,23 @@ def test_checked_step_norm_stops_a_tracker_stack_whose_column_sum_overflows():
     x, z, recorder = _one_recorded_row()
     new_z = np.full((3, 2), 1e308)
     with np.errstate(over="ignore"):
-        assert math.isfinite(_checked_step_norm(4, x, x + 1.0, 0.5))
+        step_norm, z_sum_sq = _checked_step_norm(4, x, x + 1.0, 0.5)
+        assert math.isfinite(step_norm) and z_sum_sq is None
         with pytest.raises(NonFiniteDetected) as info:
             _checked_step_norm(4, x, x + 1.0, 0.5, new_z, recorder)
     assert info.value.iteration == 5 and len(info.value.trace) == 1
+
+
+def test_checked_step_norm_returns_the_tracker_column_sum_square():
+    # the pair the run hands on: the step norm and |sum_i z_i|^2 of the new
+    # tracker stack, returned, with nothing left on the recorder
+    x, z, recorder = _one_recorded_row()
+    new_z = np.array([[1.5], [-0.25]])
+    step_norm, z_sum_sq = _checked_step_norm(0, x, x + 1.0, 0.5, new_z,
+                                             recorder)
+    assert step_norm == math.sqrt(x.size) / 0.5
+    assert z_sum_sq == 1.25 ** 2
+    assert not hasattr(recorder, "z_sum_sq")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -486,7 +499,9 @@ def test_final_trace_row_matches_direct_evaluation(instance):
     shifted = z + np.linspace(-1.0, 2.0, game.d)
     recorder = _Recorder(game, reference)
     phix = phi_stack(game, x)
-    recorder.add(0, x, shifted, phix, shifted + phix, 0.0)
+    shifted_sum = shifted.sum(axis=0)
+    recorder.add(0, x, shifted, phix, shifted + phix, 0.0,
+                 shifted_sum @ shifted_sum)
     _assert_row_is_direct(recorder.build(), 0, game, x, shifted, reference)
 
 
@@ -521,8 +536,8 @@ def test_striding_keeps_every_recorded_row(instance, monkeypatch):
     # a row is the same bits whichever rows are recorded around it: the
     # tracker check's column sums, which a recorded row reads, come from the
     # sweep before it, recorded or not; the final row (t = 150, not a
-    # multiple of 7) included.  Those sums are also the bits the recorder
-    # gets when it sums the row's tracker stack itself.
+    # multiple of 7) included.  Those sums are also the bits of the row's
+    # own tracker stack summed afresh.
     game, graph = instance()
     reference = np.random.default_rng(3).normal(size=game.n)
 
@@ -535,7 +550,12 @@ def test_striding_keeps_every_recorded_row(instance, monkeypatch):
     assert sorted(strided) == list(range(0, 150, 7)) + [150]
     assert all(strided[t] == every[t] for t in strided)
     add = _Recorder.add
-    monkeypatch.setattr(_Recorder, "add", lambda self, *row: add(self, *row[:6]))
+
+    def add_own_sum(self, t, x, z, *rest):
+        z_sum = z.sum(axis=0)
+        return add(self, t, x, z, *rest[:3], z_sum @ z_sum)
+
+    monkeypatch.setattr(_Recorder, "add", add_own_sum)
     assert rows(1) == every
 
 
@@ -561,12 +581,12 @@ def test_recorder_holds_under_80_bytes_per_row():
     x, z = init(game, 0).x, np.zeros((2, 1))
     phix = phi_stack(game, x)
     recorder = _Recorder(game, np.zeros(game.n))
-    recorder.add(0, x, z, phix, z + phix, 0.5)
+    recorder.add(0, x, z, phix, z + phix, 0.5, 0.0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for t in range(1, 20001):
-            recorder.add(t, x, z, phix, z + phix, 1.0 / t)
+            recorder.add(t, x, z, phix, z + phix, 1.0 / t, 0.0)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

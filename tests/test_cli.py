@@ -369,6 +369,9 @@ def test_run_outputs_and_determinism(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["timing_seconds"] >= 0
     assert "timing_seconds" not in report
+    # the scenario files are a voltage run's; an affine run has none
+    assert sorted(os.listdir(out)) == ["config.echo", "metrics.json",
+                                       "report.json", "trace.csv"]
 
     assert main(["run", path, "--out", str(tmp_path / "run2")]) == 0
     # config.echo differs here only by the --out directory it records
@@ -474,6 +477,21 @@ def test_overflowing_run_exits_two_with_the_oracle_on_or_off(tmp_path, capsys,
     assert result["diverged"] and result["divergence_iteration"] == 123
 
 
+@pytest.mark.parametrize("oracle", ["off", "on"])
+def test_overflowing_run_leaves_stderr_empty(tmp_path, oracle):
+    # a command line run silences numpy's overflow warnings as a sweep cell
+    # does: the divergence is reported once, on stdout
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOW_TEXT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trades", "run", str(path), "--oracle", oracle,
+         "--seed", "5", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "DIVERGED at iteration 123" in proc.stdout
+    assert proc.stderr == ""
+
+
 def test_oracle_failure_exit_and_report(tmp_path, monkeypatch, capsys):
     # looked up through trades.cli, where the benchmark's phase timer also
     # wraps it
@@ -531,17 +549,6 @@ def test_report_result_keys_are_declared(tmp_path, monkeypatch):
 
     monkeypatch.setattr("trades.cli.solve_ne_oracle", failing_oracle)
     assert set(result("noref")) == always
-
-
-def test_env_var_output_override(tmp_path, monkeypatch):
-    path = _affine_cfg_file(tmp_path, out_name="cfgdir")
-    monkeypatch.setenv("TRADES_OUTPUT_DIR", str(tmp_path / "envdir"))
-    assert main(["run", path]) == 0
-    assert (tmp_path / "envdir" / "trace.csv").exists()
-    assert not (tmp_path / "cfgdir").exists()
-    # the explicit flag beats the environment
-    assert main(["run", path, "--out", str(tmp_path / "flagdir")]) == 0
-    assert (tmp_path / "flagdir" / "trace.csv").exists()
 
 
 def test_validate_passes_on_affine(tmp_path, capsys):
@@ -677,7 +684,7 @@ stop_tol = 1e-6
 n_buses = 5
 horizon = 12
 """)
-    assert main(["case-study", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
     out = tmp_path / "cs"
     report = json.loads((out / "report.json").read_text())
     assert report["scenario"] == "voltage"
@@ -685,14 +692,14 @@ horizon = 12
     assert report["voltage"]["voltage_scale"] == 2400.0
     for name in ("trace.csv", "network.csv", "prices.csv", "agents.csv"):
         assert (out / name).exists()
-    # the provenance files reload into the identical instance
+    # the scenario files reload into the identical instance
     replay = tmp_path / "replay.ini"
     replay.write_text(path.read_text().replace(
         "[voltage]",
         f"[voltage]\nnetwork_file = {out / 'network.csv'}\n"
         f"prices_file = {out / 'prices.csv'}\n"
         f"agents_file = {out / 'agents.csv'}"))
-    assert main(["case-study", str(replay), "--out",
+    assert main(["run", str(replay), "--out",
                  str(tmp_path / "cs2")]) == 0
     assert (tmp_path / "cs2" / "trace.csv").read_bytes() == \
         (out / "trace.csv").read_bytes()
@@ -728,7 +735,7 @@ horizon = 12
 
     monkeypatch.setattr(os, "replace", spy)
     out = tmp_path / "cs"
-    assert main(["case-study", str(path), "--out", str(out)]) == 0
+    assert main(["run", str(path), "--out", str(out)]) == 0
     names = ("trace.csv", "report.json", "metrics.json", "config.echo",
              "network.csv", "prices.csv", "agents.csv")
     targets = {dst for _, dst in replaced}
@@ -804,18 +811,15 @@ def test_too_large_a_coupling_is_an_error_naming_it(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("assembly: FAIL (coupling = 50.0 ")
 
 
-def test_case_study_requires_voltage_scenario(tmp_path, capsys):
-    path = _affine_cfg_file(tmp_path)
-    assert main(["case-study", path]) == 1
-    assert "voltage" in capsys.readouterr().err
-
-
 def test_usage_errors_exit_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["run"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:   # a voltage `run` saves its inputs
+        main(["case-study", _affine_cfg_file(tmp_path)])
     assert exc.value.code == 1
     assert main(["run", str(tmp_path / "missing.ini")]) == 1
 

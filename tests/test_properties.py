@@ -34,7 +34,9 @@ config examples draw a value for one bounded or multiple-choice key of
 the config's key table, in range or out of it, and check the parse.  The
 data file examples draw a finite network, price curve or agent list,
 check that save then load is bit-exact, and that the same file with one
-float field made non-finite is rejected with its row named.
+float field made non-finite is rejected with its row named; a drawn small
+voltage scenario (2-8 buses, 10-24 hours, 1-6 agents), saved and
+reloaded, rebuilds its game bit for bit.
 """
 
 import dataclasses
@@ -61,9 +63,10 @@ from trades.games import (GameDefinition, local_operator, phi_stack,
                           random_strongly_monotone_game, solve_ne_oracle)
 from trades.grid import (EvAgentSpec, RadialNetwork, build_radial_network,
                          build_voltage_game, default_voltage_config,
-                         distflow_sensitivities, gen_baseline_profile,
-                         gen_prices, load_agents, load_network, load_prices,
-                         save_agents, save_network, save_prices)
+                         distflow_sensitivities, gen_agents,
+                         gen_baseline_profile, gen_prices, load_agents,
+                         load_network, load_prices, save_agents, save_network,
+                         save_prices)
 from trades.network import gen_digraph, make_doubly_stochastic
 from trades.projections import (Box, ConvexSet, DiskPairs,
                                 FeasibleSetProjector, build_ev_projector,
@@ -905,3 +908,43 @@ def test_data_files_round_trip_and_reject_nonfinite_numbers(case, data):
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"row {row}: .* is not finite"):
             load(path)
+
+
+def _voltage_game_bits(game):
+    """Shape and bytes of the game factors and of the projector's box,
+    disks, hyperplane normals and levels."""
+    p = game.projector
+    arrays = (game.B, game.E, game.c, game.G, p.box.lower, p.box.upper,
+              p.disks.radius, p.normals, p.levels)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(10, 24), st.integers(1, 6),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=4, max_size=4))
+def test_saved_scenario_rebuilds_the_identical_voltage_game(
+        n_buses, horizon, n_agents, seeds):
+    # what a voltage run saves (network, prices, agents) is what its replay
+    # through the [voltage] file keys reads: the game rebuilt from the
+    # reloaded files, as the command line assembles it, is the same bits
+    net_seed, base_seed, price_seed, agent_seed = seeds
+
+    def voltage_game(net, prices, agents):
+        baseline = gen_baseline_profile(net, horizon, seed=base_seed)
+        model = distflow_sensitivities(net, baseline)
+        return build_voltage_game(model, agents,
+                                  default_voltage_config(model, prices))
+
+    net = build_radial_network(n_buses, seed=net_seed)
+    prices = gen_prices(horizon, seed=price_seed)
+    agents = gen_agents(n_agents, net, horizon, seed=agent_seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{kind}.csv")
+                 for kind in ("network", "prices", "agents")]
+        for save, value, path in zip((save_network, save_prices, save_agents),
+                                     (net, prices, agents), paths):
+            save(value, path)
+        reloaded = [load(path) for load, path in
+                    zip((load_network, load_prices, load_agents), paths)]
+    assert (_voltage_game_bits(voltage_game(*reloaded))
+            == _voltage_game_bits(voltage_game(net, prices, agents)))
