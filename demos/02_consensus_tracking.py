@@ -8,8 +8,6 @@ what the slow process looks like when the fast one is replaced by an
 all-knowing shortcut.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from trades import (TradesConfig, boundary_layer_budget,
@@ -47,7 +45,7 @@ print(f"\nexact-tracker run vs centralized recursion: max gap "
 
 # the honest distributed run pays a tracking penalty early on, visible
 # as a hump in the estimate error before both processes settle together
-_, honest, _ = run(game, graph, replace(cfg, tracker="consensus"), x0=123)
+_, honest, _ = run(game, graph, cfg._replace(tracker="consensus"), x0=123)
 est = honest.est_err_max
 print("\nconsensus-mode estimate error (moving target):")
 for t in (0, 1, 2, 5, 10, 50, 100, 399):

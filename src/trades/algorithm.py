@@ -22,10 +22,10 @@ pseudo-gradient.
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._base import Record
 from .errors import NonFiniteDetected
 from .games import (damped_projected_step, local_operator, phi_stack,
                     pseudo_gradient)
@@ -47,8 +47,7 @@ _BLOCK_BYTES = 64 * 1024
 # ------------------------------------------------------------ configuration
 
 
-@dataclass(frozen=True)
-class TradesConfig:
+class TradesConfig(Record, frozen=True):
     """Run parameters: stepsize, damping, stopping rule, trace cadence, tracker.
 
     delta is the convex-combination weight of the projected step; the
@@ -74,17 +73,18 @@ class TradesConfig:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if not self.stop_tol > 0:
             raise ValueError(f"stop_tol must be > 0, got {self.stop_tol}")
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
-        if int(self.trace_stride) < 1:
-            raise ValueError("trace_stride must be at least 1")
+        for name in ("max_iter", "trace_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.tracker not in TRACKER_MODES:
             raise ValueError(f"tracker must be one of {TRACKER_MODES}, "
                              f"got {self.tracker!r}")
 
 
-@dataclass
-class TradesState:
+class TradesState(Record):
     """Iterate: (N, m) strategies, (N, d) trackers (a row per agent), time."""
 
     x: np.ndarray
@@ -98,8 +98,7 @@ class TradesState:
 TRACE_COLUMNS = ("t", "err_x", "est_err_max", "disagreement", "step_norm")
 
 
-@dataclass
-class IterationTrace:
+class IterationTrace(Record):
     """Recorded rows of a run.
 
     The CSV columns are t, err_x (distance to the supplied equilibrium,
@@ -137,8 +136,7 @@ class IterationTrace:
         return "".join(blocks)
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Fitted linear-rate summary of a completed run.
 
     a1, a2 come from least squares on log(err) vs t over the
@@ -459,8 +457,7 @@ def boundary_layer_budget(rho):
     return int(math.ceil(10.0 / math.log10(1.0 / rho)))
 
 
-@dataclass
-class BoundaryLayerResult:
+class BoundaryLayerResult(Record):
     """Frozen-strategy tracker transient.
 
     errors[k] is the distance of the disagreement coordinates from their

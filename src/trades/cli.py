@@ -18,7 +18,6 @@ solve missed its tolerance.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -26,6 +25,7 @@ import time
 
 import numpy as np
 
+from ._base import _write_atomic
 from .algorithm import run
 from .config import (SPEC_VERSION, canonical_text, load_config,
                      split_scenario_seed)
@@ -33,11 +33,6 @@ from .errors import (ConfigError, MaxIterExceeded, NonFiniteDetected,
                      TradesError)
 from .games import (_oracle_stepsize, random_strongly_monotone_game,
                     solve_ne_oracle, validate_assumptions)
-from .grid import (build_radial_network, build_voltage_game,
-                   default_voltage_config, distflow_sensitivities,
-                   evaluate_voltages, gen_agents, gen_baseline_profile,
-                   gen_prices, load_agents, load_network, load_prices,
-                   save_agents, save_network, save_prices, _write_atomic)
 from .network import (gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
 
@@ -60,6 +55,12 @@ def assemble_game(cfg):
             cfg.graph.n_agents, a.strategy_dim, a.agg_dim, seed=a.seed,
             coupling=a.coupling, box_halfwidth=a.box_halfwidth), {}
 
+    # the voltage module loads on first use; a name looked up here at call
+    # time is the one the module holds then
+    from .grid import (build_radial_network, build_voltage_game,
+                       default_voltage_config, distflow_sensitivities,
+                       gen_agents, gen_baseline_profile, gen_prices,
+                       load_agents, load_network, load_prices)
     v = cfg.voltage
     net_seed, base_seed, price_seed, agent_seed = split_scenario_seed(v.seed)
     if v.network_file is not None:
@@ -185,6 +186,7 @@ def cmd_run(cfg):
                              "residual": oracle_failure.residual,
                              "iterations": oracle_failure.iterations}
     if cfg.scenario == "voltage" and state is not None:
+        from .grid import evaluate_voltages
         summary = evaluate_voltages(extras["model"], extras["agents"],
                                     state.x, extras["game_config"])
         payload["voltage"] = {
@@ -208,6 +210,7 @@ def cmd_run(cfg):
                              indent=2, sort_keys=True) + "\n")
     _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
     if extras:   # the voltage scenario's input data, for a replay
+        from .grid import save_agents, save_network, save_prices
         save_network(extras["network"], os.path.join(out_dir, "network.csv"))
         save_prices(extras["prices"], os.path.join(out_dir, "prices.csv"))
         save_agents(extras["agents"], os.path.join(out_dir, "agents.csv"))
@@ -311,7 +314,7 @@ def cmd_sweep(cfg):
         return 3
     out_dir = cfg.output_dir
     cells = [(_cell_dir(out_dir, i, j),
-              dataclasses.replace(cfg.trades, gamma=g, delta=d,
+              cfg.trades._replace(gamma=g, delta=d,
                                   max_iter=cfg.sweep.max_iter))
              for i, g in enumerate(cfg.sweep.gamma)
              for j, d in enumerate(cfg.sweep.delta)]

@@ -24,17 +24,19 @@ the working directory.
 import configparser
 import operator
 import os
-from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
+from ._base import Record
 from .algorithm import TRACKER_MODES, TradesConfig
 from .errors import ConfigError
-from .grid import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE
 from .network import _WEIGHT_METHODS
 
 SPEC_VERSION = 1
 SCENARIOS = ("affine", "voltage")
+# [voltage] defaults, which the voltage model's functions share
+DEFAULT_POWER_BASE_KW = 1000.0
+DEFAULT_VOLTAGE_SCALE = 2400.0
 
 # kinds besides int, float, str and a tuple of allowed words
 _FILE, _FLAG, _FLOATS, _OR_NONE = "file", "on/off", "float list", "float or none"
@@ -102,18 +104,17 @@ _KEYS = {
 
 def _settings(name):
     """Frozen record of one section: a field per key, named as the key."""
-    cls = make_dataclass(f"{name.capitalize()}Settings", list(_KEYS[name]),
-                         frozen=True)
-    cls.__module__ = __name__  # so records pickle by name
-    return cls
+    return type(f"{name.capitalize()}Settings", (Record,),
+                {"__annotations__": dict.fromkeys(_KEYS[name]),
+                 "__module__": __name__},  # so records pickle by name
+                frozen=True)
 
 
 GraphSettings, AffineSettings, VoltageSettings, SweepSettings = map(
     _settings, ("graph", "affine", "voltage", "sweep"))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record, frozen=True):
     scenario: str
     seed: int
     output_dir: str

@@ -21,10 +21,9 @@ is the canonical test family; the smart-grid case study in
 :mod:`trades.grid` builds the same representation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._base import Record
 from .errors import MaxIterExceeded
 from .projections import Box, FeasibleSetProjector
 
@@ -33,8 +32,7 @@ _RIDGE = 1.5          # added to each Q_i by random_strongly_monotone_game
 _ORACLE_STALL = 2000  # oracle iterations without a new best residual
 
 
-@dataclass
-class AffineGameSpec:
+class AffineGameSpec(Record):
     """Factor A of an affine pseudo-gradient F(x) = (A (x) I_T) x + c.
 
     A (x) I_T has the eigenvalues and singular values of A, so both
@@ -173,8 +171,7 @@ def damped_projected_step(game, x, direction, gamma, delta):
 # -------------------------------------------------------------- validation
 
 
-@dataclass
-class AssumptionReport:
+class AssumptionReport(Record):
     """Outcome of the structural checks a game must pass before a run."""
 
     mu: float                      # exact modulus of strong monotonicity

@@ -27,19 +27,16 @@ agent CSV with header ``bus,b_ch,s_max,a_ch`` where a_ch is a 0/1
 string of length T.  Every float field must be finite.
 """
 
-import contextlib
 import math
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._base import Record, _write_atomic
+from .config import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE
 from .errors import InfeasibleSpec
 from .games import GameDefinition
 from .projections import _charger_specs, build_ev_projector
 
-DEFAULT_POWER_BASE_KW = 1000.0
-DEFAULT_VOLTAGE_SCALE = 2400.0
 DEFAULT_INVERTER_KVA = 7.0
 RECHARGE_TARGET_MAX_KWH = 40.0
 
@@ -47,8 +44,7 @@ RECHARGE_TARGET_MAX_KWH = 40.0
 # ------------------------------------------------------------ the network
 
 
-@dataclass
-class RadialNetwork:
+class RadialNetwork(Record):
     """Tree-shaped feeder; bus 0 is the substation root.
 
     parent[k] is the upstream bus of k (parent[0] = -1); line k connects
@@ -124,23 +120,6 @@ def build_radial_network(n_buses, seed):
                          baseline_p=baseline)
 
 
-def _write_atomic(path, text):
-    """Write text to a sibling temporary file, then rename it onto path.
-
-    If the write or the rename fails, the temporary is removed and path
-    keeps its old bytes.
-    """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def _integer(field, name, where):
     """One integer field of a data file row."""
     try:
@@ -199,8 +178,7 @@ def load_network(path):
 # ------------------------------------------------- sensitivities and loads
 
 
-@dataclass
-class DistFlowModel:
+class DistFlowModel(Record):
     """Linearized branch-flow voltage model.
 
     Rmat and Xmat map kW / kvar injection vectors to per-unit voltage
@@ -292,8 +270,7 @@ def load_prices(path):
 # ------------------------------------------------------------- the agents
 
 
-@dataclass
-class EvAgentSpec:
+class EvAgentSpec(Record):
     """One charging agent: bus, plug-in window, energy need, capacity."""
 
     bus: int
@@ -374,8 +351,7 @@ def load_agents(path):
 # ------------------------------------------------------------- the game
 
 
-@dataclass
-class VoltageGameConfig:
+class VoltageGameConfig(Record):
     """Cost weights and references for the voltage-support game.
 
     penalty_weight weighs the squared aggregate voltage deviation
@@ -476,8 +452,7 @@ def build_voltage_game(model, agents, cfg):
 # ------------------------------------------------------------- evaluation
 
 
-@dataclass
-class VoltageSummary:
+class VoltageSummary(Record):
     """Bus voltages (p.u., bus-major over the horizon) and scores."""
 
     voltages: np.ndarray

@@ -100,6 +100,43 @@ def test_config_validation():
         TradesConfig(trace_stride=0)
 
 
+@pytest.mark.parametrize("field", ["max_iter", "trace_stride"])
+def test_config_counts_are_integers(field):
+    # a float count ran fractional sweeps or strides (max_iter = 2.5 gave
+    # 3 sweeps), and a string one failed only inside run
+    for value in (2.5, 6.0, "10", None):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TradesConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        TradesConfig(**{field: np.int64(0)})
+    assert getattr(TradesConfig(**{field: np.int64(3)}), field) == 3
+
+
+def test_records_behave_as_declared():
+    cfg = TradesConfig(0.02, tracker="exact")
+    assert cfg == TradesConfig(gamma=0.02, tracker="exact") != TradesConfig()
+    assert hash(cfg) == hash(TradesConfig(gamma=0.02, tracker="exact"))
+    assert repr(cfg).startswith("TradesConfig(gamma=0.02, delta=0.5, ")
+    with pytest.raises(AttributeError, match="cannot assign to field 'gamma'"):
+        cfg.gamma = 1.0
+    with pytest.raises(AttributeError, match="cannot delete field 'gamma'"):
+        del cfg.gamma
+    assert cfg._replace(delta=1.0) == TradesConfig(0.02, 1.0, tracker="exact")
+    with pytest.raises(ValueError, match="delta"):   # the copy is checked
+        cfg._replace(delta=2.0)
+    for args, kwargs in (((0.02,), {"gamma": 0.02}), ((), {"bogus": 1}),
+                         ((1,) * 8, {})):
+        with pytest.raises(TypeError):
+            TradesConfig(*args, **kwargs)
+    with pytest.raises(TypeError):
+        IterationTrace(np.arange(2))     # a field without a default
+    report = ConvergenceReport(a2=0.5)
+    report.a2 = 0.25                    # an unfrozen record takes assignment
+    assert report == ConvergenceReport(a2=0.25)
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 # -------------------------------------------------------------------- init
 
 

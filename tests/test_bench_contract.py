@@ -100,6 +100,10 @@ def test_traced_voltage_run_records_charger_projections(tmp_path):
     # its rows are small enough to be measured in blocks, through the
     # charger projector's block residual
     assert {"projections.membership_residual", "algorithm.record"} <= _layers(spans)
+    # the CLI imports the voltage functions when it calls them, so these
+    # spans show that it picks up the tracer's wrappers, not the originals
+    assert {"grid.scenario", "grid.build_voltage_game",
+            "grid.evaluate_voltages"} <= _layers(spans)
     project = list(spans["names"]).index("projections.project")
     tallied = spans["name"][spans["member_idx"]] == project
     assert tallied.any()

@@ -896,3 +896,79 @@ def test_run_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["result"]["contraction_ratio"] > 0
+
+
+# the names `import trades` bound before the voltage module loaded on use
+PACKAGE_NAMES = (
+    "AffineGameSpec", "AssumptionReport", "BoundaryLayerResult", "Box",
+    "ConfigError", "ConsensusSpectrum", "ConvergenceReport", "ConvexSet",
+    "DiskPairs", "DistFlowModel", "EmptyIntersectionSuspected", "EvAgentSpec",
+    "ExperimentConfig", "FeasibleSetProjector", "GameDefinition", "Halfspace",
+    "Hyperplane", "InfeasibleSpec", "IterationTrace", "MaxIterExceeded",
+    "MaxSweepsExceeded", "NonFiniteDetected", "RadialNetwork",
+    "SinkhornStalled", "TRACE_COLUMNS", "TRACKER_MODES", "TradesConfig",
+    "TradesError", "TradesState", "VoltageGameConfig", "VoltageSummary",
+    "WeightedDigraph", "boundary_layer_budget", "boundary_layer_probe",
+    "build_ev_projector", "build_radial_network", "build_voltage_game",
+    "canonical_text", "consensus_step", "default_voltage_config",
+    "distflow_sensitivities", "evaluate_voltages", "exact_tracker_values",
+    "fit_convergence", "gen_agents", "gen_baseline_profile", "gen_digraph",
+    "gen_prices", "init", "is_strongly_connected", "load_agents",
+    "load_config", "load_network", "load_prices", "local_operator",
+    "make_doubly_stochastic", "parse_config", "phi_stack", "pseudo_gradient",
+    "quadratic_aggregative_game", "random_strongly_monotone_game",
+    "reduced_system_run", "run", "save_agents", "save_network",
+    "save_prices", "solve_ne_oracle", "spectrum", "validate_assumptions",
+    "grid", "__version__")
+
+
+def _fresh_python(script, *args):
+    """Run script in a new interpreter; fail the test on a nonzero exit."""
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_affine_run_never_loads_the_voltage_module(tmp_path):
+    _fresh_python("import sys\n"
+                  "import trades.cli as cli\n"
+                  "assert 'trades.grid' not in sys.modules\n"
+                  "assert cli.main(['run', sys.argv[1]]) == 0\n"
+                  "assert 'trades.grid' not in sys.modules\n",
+                  _affine_cfg_file(tmp_path))
+    assert (tmp_path / "out" / "trace.csv").stat().st_size > 0
+
+
+def test_package_names_resolve_in_a_fresh_interpreter():
+    _fresh_python("import sys, trades\n"
+                  "assert 'trades.grid' not in sys.modules\n"
+                  "from trades import build_voltage_game, RadialNetwork\n"
+                  "import trades.grid as grid\n"
+                  "assert build_voltage_game is grid.build_voltage_game\n"
+                  "assert RadialNetwork is grid.RadialNetwork\n"
+                  "for name in sys.argv[1:]:\n"
+                  "    getattr(trades, name)\n", *PACKAGE_NAMES)
+    _fresh_python("import trades\n"
+                  "assert trades.grid.RadialNetwork is trades.RadialNetwork\n"
+                  "try:\n"
+                  "    trades.no_such_name\n"
+                  "except AttributeError:\n"
+                  "    pass\n"
+                  "else:\n"
+                  "    raise SystemExit('trades.no_such_name resolved')\n")
+
+
+def test_voltage_run_loads_the_voltage_module(tmp_path):
+    path = tmp_path / "volt.ini"
+    path.write_text(VOLTAGE_TEXT.replace(
+        "n_agents = 6", "n_agents = 3").replace(
+        "[voltage]", "[trades]\nmax_iter = 200\nstop_tol = 1e-6\n\n[voltage]"))
+    _fresh_python("import sys\n"
+                  "import trades.cli as cli\n"
+                  "assert cli.main(['run', sys.argv[1], '--oracle', 'off',\n"
+                  "                 '--out', sys.argv[2]]) == 0\n"
+                  "assert 'trades.grid' in sys.modules\n",
+                  str(path), str(tmp_path / "volt"))
+    for name in ("network", "prices", "agents"):
+        assert (tmp_path / "volt" / f"{name}.csv").stat().st_size > 0

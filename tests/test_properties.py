@@ -39,7 +39,6 @@ voltage scenario (2-8 buses, 10-24 hours, 1-6 agents), saved and
 reloaded, rebuilds its game bit for bit.
 """
 
-import dataclasses
 import math
 import os
 import tempfile
@@ -100,7 +99,7 @@ def _build(inst):
 def test_exact_tracker_run_reproduces_reduced_system(inst):
     game, graph, cfg = _build(inst)
     x0 = inst["seed"] + 1
-    _, trace, _ = run(game, graph, dataclasses.replace(cfg, tracker="exact"),
+    _, trace, _ = run(game, graph, cfg._replace(tracker="exact"),
                       x0=x0, keep_iterates=True)
     trajectory = reduced_system_run(game, cfg, x0)
     assert trace.iterates.shape == trajectory.shape
