@@ -67,15 +67,15 @@ class TradesConfig(Record, frozen=True):
     tracker: str = TRACKER_MODES[0]
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        for name in ("gamma", "stop_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if not self.stop_tol > 0:
-            raise ValueError(f"stop_tol must be > 0, got {self.stop_tol}")
         for name in ("max_iter", "trace_stride"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, (int, np.integer)) or type(value) is bool:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")

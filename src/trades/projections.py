@@ -255,49 +255,36 @@ class FeasibleSetProjector(ConvexSet):
 
     def project(self, v):
         """Projection of v, in the shape v comes in (stacked or flat)."""
-        shape, v = np.shape(v), _as_vector(v, self.dim)
-        if self.normals is None:
-            return self._box_disk(v)[0].reshape(shape)
-        return self._search(v.reshape(self.shape)).reshape(shape)
+        return self._point(_as_vector(v, self.dim)).reshape(np.shape(v))
 
     __call__ = project
 
     def membership_residual(self, v):
-        """Distance from v to the set.  The search's first evaluation is P(v);
-        when every hyperplane gap there passes the search's own test, P(v) is
-        the projection, so only a point that fails it runs the search.  A
-        (k, N, m) block of points gives their k distances, each bit for bit
-        its own call's."""
-        if np.ndim(v) == 3:
-            return self._block_residual(v)
-        v = _as_vector(v, self.dim)
-        x = self._box_disk(v)[0]
-        if self.normals is not None and (np.abs(np.einsum(
-                "im,im->i", self.normals, x.reshape(self.shape))
-                - self.levels) > self._tol).any():
-            return super().membership_residual(v)
-        d = v - x
-        return math.sqrt(d.dot(d))
-
-    def _block_residual(self, v):
-        """One clamp and one disk screen for the block, then the gap test per
-        row; a row that fails it runs the search on its own."""
+        """Distance |v - P(v)| from v to the set; a (k, N, m) block of
+        points gives their k distances, each bit for bit its own call's."""
+        if np.ndim(v) != 3:
+            v = _as_vector(v, self.dim)
+            d = v - self._point(v)
+            return math.sqrt(d.dot(d))
         v = np.reshape(v, (len(v), self.dim))
-        x = np.maximum(v, self.box.lower)
-        np.minimum(x, self.box.upper, out=x)
-        if self.disks is not None:
-            y = x.reshape((len(v),) + self.disks.shape)
-            found = self.disks.capped(y)
-            if found is not None:
-                x = self.disks.scaled(y, found).reshape(x.shape)
-        d = v - x
-        dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(len(v)))
         if self.normals is not None:
-            for k, xk in enumerate(x.reshape((len(v),) + self.shape)):
-                if (np.abs(np.einsum("im,im->i", self.normals, xk)
-                           - self.levels) > self._tol).any():
-                    dist[k] = ConvexSet.membership_residual(self, v[k])
-        return dist
+            x = np.stack([self._point(row) for row in v])
+        else:   # one clamp and one disk screen for the whole block
+            x = np.maximum(v, self.box.lower)
+            np.minimum(x, self.box.upper, out=x)
+            if self.disks is not None:
+                y = x.reshape((len(v),) + self.disks.shape)
+                found = self.disks.capped(y)
+                if found is not None:
+                    x = self.disks.scaled(y, found).reshape(x.shape)
+        d = v - x
+        return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(len(v)))
+
+    def _point(self, v):
+        """The projection of one flat point v, flat."""
+        if self.normals is None:
+            return self._box_disk(v)[0]
+        return self._search(v.reshape(self.shape)).reshape(-1)
 
     def _box_disk(self, v):
         """P(v) in the shape of v, the clamped point y and y's capped slots
@@ -324,44 +311,47 @@ class FeasibleSetProjector(ConvexSet):
                 wc - y_hat * (y_hat * wc).sum(axis=1, keepdims=True))
         return np.einsum("im,im->i", self.normals, ja)
 
+    # a flat g divides by zero; as a decorator the scope costs about half
+    # of a with block per call, and every projection and residual enters it
+    @np.errstate(invalid="ignore", divide="ignore")
     def _search(self, v):
-        n, a = self.levels.size, self.normals
-        lam, todo = np.zeros(n), None
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for k in range(_SEARCH_MAX_EVALS):
-                # lam = 0 first: v itself, the bits of v - 0 a where a >= 0
-                u = v if todo is None else v - lam[:, None] * a
-                x, y, found = self._box_disk(u)
-                gap = np.einsum("im,im->i", a, x) - self.levels
-                # a nan gap (non-finite input) ends too: the caller sees the nan
-                miss = np.abs(gap) > self._tol
-                if todo is None:    # first evaluation: P(v) may be the answer
-                    if not miss.any():
-                        return x
-                    out, todo = x, miss
-                    hi = np.full(n, np.inf)
-                    lo = -hi
-                else:   # open rows take x; those still open take a later one
-                    np.copyto(out, x, where=todo[:, None])
-                    todo &= miss if collapsed is None else miss & ~collapsed
-                    if not todo.any():
-                        return out
-                np.copyto(lo, lam, where=gap > 0.0)
-                np.copyto(hi, lam, where=gap < 0.0)
-                slope = self._slope(y, found)
-                trial, collapsed = lam + gap / slope, None
-                inside = (trial > lo) & (trial < hi)
-                if not inside.all():
-                    # g moves at most |a|^2 per unit of lam, so with no slope an
-                    # open bracket steps 2^k times the least distance to the root
-                    closed = np.isfinite(lo) & np.isfinite(hi)
-                    trial = np.where(inside, trial, np.where(
-                        closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
-                    # no float strictly inside the bracket: the root is found
-                    collapsed = closed & ~((trial > lo) & (trial < hi))
-                    if not np.isfinite(trial[todo]).all():
-                        break
-                np.copyto(lam, trial, where=todo)
+        a = self.normals
+        # lam = 0 first: P(v) is the projection when every gap passes
+        x, y, found = self._box_disk(v)
+        gap = np.einsum("im,im->i", a, x) - self.levels
+        # a nan gap (non-finite input) ends too: the caller sees the nan
+        todo = np.abs(gap) > self._tol
+        if not todo.any():
+            return x
+        out, lam, hi = x, np.zeros(len(gap)), np.full(len(gap), np.inf)
+        lo = -hi
+        for k in range(_SEARCH_MAX_EVALS):
+            np.copyto(lo, lam, where=gap > 0.0)
+            np.copyto(hi, lam, where=gap < 0.0)
+            slope = self._slope(y, found)
+            trial, collapsed = lam + gap / slope, None
+            inside = (trial > lo) & (trial < hi)
+            if not inside.all():
+                # g moves at most |a|^2 per unit of lam, so with no slope an
+                # open bracket steps 2^k times the least distance to the root
+                closed = np.isfinite(lo) & np.isfinite(hi)
+                trial = np.where(inside, trial, np.where(
+                    closed, 0.5 * (lo + hi), lam + 2.0 ** k * gap / self._aa))
+                # no float strictly inside the bracket: the root is found
+                collapsed = closed & ~((trial > lo) & (trial < hi))
+                if not np.isfinite(trial[todo]).all():
+                    break
+            if k + 1 == _SEARCH_MAX_EVALS:
+                break   # no evaluation left for the trial
+            np.copyto(lam, trial, where=todo)
+            x, y, found = self._box_disk(v - lam[:, None] * a)
+            gap = np.einsum("im,im->i", a, x) - self.levels
+            # open rows take x; those still open take a later one
+            np.copyto(out, x, where=todo[:, None])
+            miss = np.abs(gap) > self._tol
+            todo &= miss if collapsed is None else miss & ~collapsed
+            if not todo.any():
+                return out
         # an open bracket where g is flat has no root ahead of it; any
         # other open or closed bracket just ran out of evaluations
         if np.any(todo & ~(np.isfinite(lo) & np.isfinite(hi)) & (slope == 0.0)):

@@ -100,11 +100,21 @@ def test_config_validation():
         TradesConfig(trace_stride=0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "stop_tol"])
+def test_config_rates_are_finite(field):
+    # gamma = inf ran every sweep to a FAIL verdict, and stop_tol = inf
+    # stopped a run after one sweep as converged
+    for value in (math.inf, -math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            TradesConfig(**{field: value})
+    assert getattr(TradesConfig(**{field: 1e300}), field) == 1e300
+
+
 @pytest.mark.parametrize("field", ["max_iter", "trace_stride"])
 def test_config_counts_are_integers(field):
     # a float count ran fractional sweeps or strides (max_iter = 2.5 gave
-    # 3 sweeps), and a string one failed only inside run
-    for value in (2.5, 6.0, "10", None):
+    # 3 sweeps), a string one failed only inside run, and True ran one sweep
+    for value in (2.5, 6.0, "10", None, True, False):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TradesConfig(**{field: value})
     with pytest.raises(ValueError, match=f"{field} must be at least 1"):

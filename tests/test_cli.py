@@ -1,5 +1,6 @@
 """Config parsing and command-line behavior."""
 
+import inspect
 import json
 import os
 import pickle
@@ -957,6 +958,19 @@ def test_package_names_resolve_in_a_fresh_interpreter():
                   "    pass\n"
                   "else:\n"
                   "    raise SystemExit('trades.no_such_name resolved')\n")
+
+
+def test_grid_names_are_every_public_grid_name():
+    # trades._GRID_NAMES is kept by hand: a public class or function of
+    # trades.grid missing from it would not resolve as trades.<name>
+    import trades
+    import trades.grid as grid
+    public = {name for name, obj in vars(grid).items()
+              if (inspect.isclass(obj) or inspect.isfunction(obj))
+              and obj.__module__ == "trades.grid" and not name.startswith("_")}
+    assert public == trades._GRID_NAMES
+    for name in trades._GRID_NAMES:
+        assert getattr(trades, name) is getattr(grid, name)
 
 
 def test_voltage_run_loads_the_voltage_module(tmp_path):

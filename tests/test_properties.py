@@ -488,14 +488,17 @@ def charger_stacks(draw):
 @given(charger_stacks())
 def test_membership_residual_is_the_projection_distance(case):
     # bitwise against the distance to the search's projection; a projected
-    # point passes the gap test at once, so it never enters the search
+    # point passes the gap test at lam = 0, so its residual and its own
+    # projection each evaluate P once
     proj, v = case
-    searches = []
-    search = proj._search
+    evaluations = []
+    box_disk = proj._box_disk
     p = proj(v)
-    proj._search = lambda u: searches.append(1) or search(u)
+    proj._box_disk = lambda u: evaluations.append(1) or box_disk(u)
     direct = proj.membership_residual(p)
-    assert not searches
+    assert len(evaluations) == 1
+    proj(p)
+    assert len(evaluations) == 2
     assert direct == ConvexSet.membership_residual(proj, p)
     assert proj.membership_residual(v) == ConvexSet.membership_residual(proj, v)
     # the block form: one distance per (N, m) point, each bit for bit
