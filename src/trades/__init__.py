@@ -16,8 +16,8 @@ from .algorithm import (BoundaryLayerResult, ConvergenceReport,
                         fit_convergence, init, reduced_system_run, run)
 from .config import ExperimentConfig, canonical_text, load_config, parse_config
 from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
-                     MaxIterExceeded, MaxSweepsExceeded, NonFiniteDetected,
-                     SinkhornStalled, TradesError)
+                     MaxIterExceeded, MaxSweepsExceeded, SinkhornStalled,
+                     TradesError)
 from .games import (AffineGameSpec, AssumptionReport, GameDefinition,
                     local_operator, phi_stack, pseudo_gradient,
                     quadratic_aggregative_game, random_strongly_monotone_game,

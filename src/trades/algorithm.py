@@ -26,7 +26,6 @@ from array import array
 import numpy as np
 
 from ._base import Record
-from .errors import NonFiniteDetected
 from .games import (damped_projected_step, local_operator, phi_stack,
                     pseudo_gradient)
 from .network import consensus_step, spectrum
@@ -141,10 +140,10 @@ class ConvergenceReport(Record):
 
     a1, a2 come from least squares on log(err) vs t over the
     post-transient window: err is modeled as a1 * exp(-a2 * t).  The
-    verdict is PASS only when the fitted decay rate a2 is positive and
-    the fit's R^2 reaches _VERDICT_MIN_R2.
-    contraction_ratio is the median per-iteration error ratio over the
-    fit window, an empirical counterpart to exp(-a2).
+    verdict is FAIL on stop_reason "diverged", else PASS only when a2 > 0
+    and the fit's R^2 reaches _VERDICT_MIN_R2.  contraction_ratio is the
+    median per-iteration error ratio over the fit window, an empirical
+    counterpart to exp(-a2).
     """
 
     a1: float = None
@@ -154,10 +153,15 @@ class ConvergenceReport(Record):
     n_fit_points: int = 0
     iterations: int = 0
     stop_reason: str = "max_iter"
-    converged: bool = False
+
+    @property
+    def converged(self):
+        return self.stop_reason == "stop_tol"
 
     @property
     def verdict(self):
+        if self.stop_reason == "diverged":
+            return "FAIL"
         if self.a2 is None:
             return "N/A"
         decays = self.a2 > 0 and self.r_squared >= _VERDICT_MIN_R2
@@ -244,14 +248,12 @@ def _advance(game, graph, gamma, delta, x, z, tracker):
     return new_x, new_z, phix, estimates
 
 
-def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
-    """Damping-normalized norm of the sweep out of iterate t, paired with
+def _checked_step_norm(x, new_x, delta, new_z=None):
+    """Damping-normalized norm of the sweep from x to new_x, paired with
     the squared norm of the new tracker stack's column sums (None without
-    new_z), which run hands to the row that records new_z.
-
-    Raises NonFiniteDetected, tagged with the produced iteration index
-    t + 1 and carrying the rows recorded so far, when either is not
-    finite (a non-finite entry or an overflow).
+    new_z), which run hands to the row that records new_z; None when
+    either is not finite (a non-finite entry or an overflow), which is a
+    divergence.
     """
     d = (new_x - x).ravel()
     step_norm = math.sqrt(d.dot(d)) / delta
@@ -260,10 +262,7 @@ def _checked_step_norm(t, x, new_x, delta, new_z=None, recorder=None):
         z_sum = new_z.sum(axis=0)
         z_sum_sq = z_sum @ z_sum
         finite = finite and math.isfinite(z_sum_sq)
-    if not finite:
-        raise NonFiniteDetected(
-            t + 1, trace=None if recorder is None else recorder.build())
-    return step_norm, z_sum_sq
+    return (step_norm, z_sum_sq) if finite else None
 
 
 def _disagreement(z, phix, mean_row):
@@ -372,9 +371,10 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     reference equilibrium (stacked or (N, m), as ``game.split`` reads it)
     used to fill the error column and fit the linear rate.  Returns
     (final state, trace, report); the state's x is an (N, m) array.
-    Exhausting max_iter is an outcome recorded in the report, not an
-    exception; only a non-finite step norm or tracker sum raises
-    (_checked_step_norm).  cfg.tracker picks the tracker mode.
+    The report's stop_reason is "stop_tol", "max_iter" or "diverged": at
+    a non-finite step norm or tracker sum (_checked_step_norm) the state
+    is the last finite iterate, with no final row.  cfg.tracker picks the
+    tracker mode.
     """
     if x0 is None:
         if cfg.seed is None:
@@ -387,15 +387,17 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     iterates = [x.reshape(-1)] if keep_iterates else None
 
     stop_reason = "max_iter"
-    step_norm = float("nan")
     gamma, delta, stop_tol = cfg.gamma, cfg.delta, cfg.stop_tol
     max_iter, stride, record = cfg.max_iter, cfg.trace_stride, recorder.add
     t, z_sum_sq = 0, 0.0   # the tracker stack starts at zero
     while t < max_iter:
         new_x, new_z, phix, estimates = _advance(
             game, graph, gamma, delta, x, z, cfg.tracker)
-        step_norm, new_z_sum_sq = _checked_step_norm(
-            t, x, new_x, delta, new_z, recorder)
+        checked = _checked_step_norm(x, new_x, delta, new_z)
+        if checked is None:
+            stop_reason = "diverged"
+            break
+        step_norm, new_z_sum_sq = checked
         if t % stride == 0:
             record(t, x, z, phix, estimates, step_norm, z_sum_sq)
         x, z, z_sum_sq = new_x, new_z, new_z_sum_sq
@@ -406,16 +408,16 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
             stop_reason = "stop_tol"
             break
 
-    phix = phi_stack(game, x)
-    recorder.add(t, x, z, phix, z + phix, step_norm, z_sum_sq)
+    if stop_reason != "diverged":
+        phix = phi_stack(game, x)
+        recorder.add(t, x, z, phix, z + phix, step_norm, z_sum_sq)
     trace = recorder.build(np.asarray(iterates) if keep_iterates else None)
 
     # without an oracle err_x is all nan, which the fit reads as no points
     a1, a2, r2, ratio, n_fit = fit_convergence(trace.t, trace.err_x, t)
     report = ConvergenceReport(a1=a1, a2=a2, r_squared=r2,
                                contraction_ratio=ratio, n_fit_points=n_fit,
-                               iterations=t, stop_reason=stop_reason,
-                               converged=(stop_reason == "stop_tol"))
+                               iterations=t, stop_reason=stop_reason)
     return TradesState(x=x, z=z, t=t), trace, report
 
 
@@ -423,19 +425,21 @@ def reduced_system_run(game, cfg, x0):
     """Centralized reference: damped projected steps on the exact aggregate.
 
     Returns the trajectory of stacked iterates, shape (steps + 1, n),
-    first row the projected start.  Takes the strategy step of run's
-    exact mode, so a run with tracker = "exact" and the same
-    configuration and start reproduces this trajectory bitwise.
+    first row the projected start, up to the last finite iterate.  Takes
+    run's exact-mode strategy step, so a run with tracker = "exact" and
+    the same configuration and start reproduces this trajectory bitwise.
     """
     x = init(game, x0).x
     trajectory = [x.reshape(-1)]
-    for t in range(cfg.max_iter):
+    for _ in range(cfg.max_iter):
         new_x = damped_projected_step(
             game, x, game.split(pseudo_gradient(game, x)), cfg.gamma, cfg.delta)
-        step_norm, _ = _checked_step_norm(t, x, new_x, cfg.delta)
+        checked = _checked_step_norm(x, new_x, cfg.delta)
+        if checked is None:
+            break
         x = new_x
         trajectory.append(x.reshape(-1))
-        if step_norm <= cfg.stop_tol:
+        if checked[0] <= cfg.stop_tol:
             break
     return np.asarray(trajectory)
 

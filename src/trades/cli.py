@@ -11,10 +11,10 @@ Common flags: --out DIR replaces the configured output directory,
 --seed N replaces the master seed, --oracle on|off toggles the
 reference-equilibrium solve.
 
-Exit codes: 0 success, 1 usage or validation failure, 2 divergence (a
-non-finite step norm or tracker sum), a FAIL convergence verdict, or
-failed assumption checks under validate, 3 the reference equilibrium
-solve missed its tolerance.
+Exit codes: 0 success, 1 usage or validation failure, 2 a FAIL
+convergence verdict (a divergence, at a non-finite step norm or tracker
+sum, among them) or failed assumption checks under validate, 3 the
+reference equilibrium solve missed its tolerance.
 """
 
 import argparse
@@ -29,8 +29,7 @@ from ._base import _write_atomic
 from .algorithm import run
 from .config import (SPEC_VERSION, canonical_text, load_config,
                      split_scenario_seed)
-from .errors import (ConfigError, MaxIterExceeded, NonFiniteDetected,
-                     TradesError)
+from .errors import ConfigError, MaxIterExceeded, TradesError
 from .games import (_oracle_stepsize, random_strongly_monotone_game,
                     solve_ne_oracle, validate_assumptions)
 from .network import (gen_digraph, is_strongly_connected,
@@ -110,12 +109,15 @@ def _finite_or_none(value):
     return value if np.isfinite(value) else None
 
 
-def _report_payload(cfg, graph, game, report, trace, diverged_at):
+def _report_payload(cfg, graph, game, report, trace):
     spec = spectrum(graph)
-    result = {"diverged": diverged_at is not None,
-              "divergence_iteration": diverged_at}
+    diverged = report is not None and report.stop_reason == "diverged"
+    # the sweep that diverged would have produced iteration iterations + 1
+    result = {"diverged": diverged,
+              "divergence_iteration": report.iterations + 1 if diverged else None}
     if report is not None:
-        result.update(vars(report), verdict=report.verdict)
+        result.update(vars(report), converged=report.converged,
+                      verdict=report.verdict)
         for key in ("a1", "a2", "r_squared", "contraction_ratio"):
             result[key] = _finite_or_none(result[key])
     if trace is not None and len(trace) > 0:
@@ -156,36 +158,31 @@ def _report_payload(cfg, graph, game, report, trace, diverged_at):
 
 
 def _guarded_run(game, graph, trades, oracle):
-    """run() with overflow warnings silenced, a divergence being an outcome:
-    (state, trace, report, diverged_at); a diverged run has no state or
-    report, and its trace holds the rows recorded before the divergence."""
+    """run() with the overflow warnings of a diverging run silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return (*run(game, graph, trades, oracle=oracle), None)
-        except NonFiniteDetected as exc:
-            return None, exc.trace, None, exc.iteration
+        return run(game, graph, trades, oracle=oracle)
 
 
 def cmd_run(cfg):
     started = time.perf_counter()
     graph = build_graph(cfg)
     game, extras = assemble_game(cfg)
-    oracle_failure = state = trace = report = diverged_at = None
+    oracle_failure = state = trace = report = None
     try:
         oracle = solve_ne_oracle(game) if cfg.oracle else None
     except MaxIterExceeded as exc:
         oracle_failure = exc
     else:
-        state, trace, report, diverged_at = _guarded_run(
-            game, graph, cfg.trades, oracle)
+        state, trace, report = _guarded_run(game, graph, cfg.trades, oracle)
     elapsed = time.perf_counter() - started
 
-    payload = _report_payload(cfg, graph, game, report, trace, diverged_at)
+    payload = _report_payload(cfg, graph, game, report, trace)
+    divergence = payload["result"]["divergence_iteration"]
     if oracle_failure is not None:
         payload["oracle"] = {"converged": False,
                              "residual": oracle_failure.residual,
                              "iterations": oracle_failure.iterations}
-    if cfg.scenario == "voltage" and state is not None:
+    if cfg.scenario == "voltage" and state is not None and divergence is None:
         from .grid import evaluate_voltages
         summary = evaluate_voltages(extras["model"], extras["agents"],
                                     state.x, extras["game_config"])
@@ -219,8 +216,8 @@ def cmd_run(cfg):
         print(f"reference equilibrium not found: {oracle_failure}; "
               f"outputs in {out_dir}")
         return 3
-    if diverged_at is not None:
-        print(f"DIVERGED at iteration {diverged_at}; outputs in {out_dir}")
+    if divergence is not None:
+        print(f"DIVERGED at iteration {divergence}; outputs in {out_dir}")
         return 2
     print(f"stopped after {report.iterations} iterations ({report.stop_reason})")
     if report.a2 is not None:
@@ -280,24 +277,16 @@ def cmd_validate(cfg):
     return 0 if ok else 2
 
 
-def _cell_dir(out_dir, i, j):
-    return os.path.join(out_dir, f"cell-{i:02d}-{j:02d}")
-
-
 def _sweep_cell(game, graph, trades, cell_dir, oracle_x):
     """One grid cell: a deterministic run of the sweep's game, own trace file."""
-    _, trace, report, _ = _guarded_run(game, graph, trades, oracle_x)
+    _, trace, report = _guarded_run(game, graph, trades, oracle_x)
     os.makedirs(cell_dir, exist_ok=True)
     _write_atomic(os.path.join(cell_dir, "trace.csv"), trace.csv_text())
-    converged = report is not None and report.converged
-    a2 = float("nan") if report is None or report.a2 is None else report.a2
-    iters = -1
-    if len(trace) > 0:
-        with np.errstate(invalid="ignore"):
-            hits = np.nonzero(trace.err_x <= ERR_TARGET_SWEEP)[0]
-        if hits.size:
-            iters = int(trace.t[hits[0]])
-    return trades.gamma, trades.delta, converged, a2, iters
+    a2 = float("nan") if report.a2 is None else report.a2
+    with np.errstate(invalid="ignore"):
+        hits = np.nonzero(trace.err_x <= ERR_TARGET_SWEEP)[0]
+    iters = int(trace.t[hits[0]]) if hits.size else -1
+    return trades.gamma, trades.delta, report.converged, a2, iters
 
 
 def cmd_sweep(cfg):
@@ -313,7 +302,7 @@ def cmd_sweep(cfg):
         print(f"error: reference equilibrium not found: {exc}", file=sys.stderr)
         return 3
     out_dir = cfg.output_dir
-    cells = [(_cell_dir(out_dir, i, j),
+    cells = [(os.path.join(out_dir, f"cell-{i:02d}-{j:02d}"),
               cfg.trades._replace(gamma=g, delta=d,
                                   max_iter=cfg.sweep.max_iter))
              for i, g in enumerate(cfg.sweep.gamma)

@@ -141,13 +141,25 @@ def split_scenario_seed(scenario_seed):
 # ----------------------------------------------------------------- parsing
 
 
+class _Unparsable(ConfigError):
+    """Text that is not INI; load_config adds the file to the message."""
+
+
 def _read_sections(text):
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str
+    # configparser's own messages span lines and name no file
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}")
+    except configparser.MissingSectionHeaderError as exc:
+        raise _Unparsable(f"line {exc.lineno} comes before any [section] "
+                          "header") from None
+    except configparser.ParsingError as exc:
+        raise _Unparsable(f"line {exc.errors[0][0]} is neither a [section] "
+                          "header nor key = value") from None
+    except configparser.Error as exc:   # a repeated section or key
+        raise _Unparsable(f"line {exc.lineno}: "
+                          f"{str(exc).split(']: ', 1)[-1]}") from None
     sections = {}
     for name in parser.sections():
         if name not in _KEYS:
@@ -292,8 +304,8 @@ def load_config(path, seed=None, output_dir=None, oracle=None):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     overrides = {}
     if seed is not None:
         overrides["seed"] = str(int(seed))
@@ -301,8 +313,11 @@ def load_config(path, seed=None, output_dir=None, oracle=None):
         overrides["output_dir"] = str(output_dir)
     if oracle is not None:
         overrides["oracle"] = oracle
-    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)),
-                        overrides=overrides)
+    try:
+        return parse_config(text, overrides=overrides,
+                            base_dir=os.path.dirname(os.path.abspath(path)))
+    except _Unparsable as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from None
 
 
 # ------------------------------------------------------------------- echo

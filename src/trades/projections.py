@@ -216,7 +216,7 @@ def project_dykstra(set_, v, tol=DEFAULT_DYKSTRA_TOL, max_sweeps=DEFAULT_MAX_SWE
     resid = set_.membership_residual(x)
     raise MaxSweepsExceeded(
         f"no convergence within {max_sweeps} sweeps; membership residual "
-        f"{resid:.3e}", best=x, residual=resid, sweeps=max_sweeps)
+        f"{resid:.3e}", best=x, residual=resid, iterations=max_sweeps)
 
 
 class FeasibleSetProjector(ConvexSet):

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trades import algorithm
 from trades.algorithm import (
     BoundaryLayerResult,
     ConvergenceReport,
@@ -31,7 +32,6 @@ from trades.algorithm import (
     reduced_system_run,
     run,
 )
-from trades.errors import NonFiniteDetected
 from trades.grid import (
     build_radial_network,
     build_voltage_game,
@@ -145,6 +145,22 @@ def test_records_behave_as_declared():
     assert report == ConvergenceReport(a2=0.25)
     with pytest.raises(TypeError):
         hash(report)
+
+
+@pytest.mark.parametrize("stop_reason, converged, verdicts", [
+    ("stop_tol", True, ("PASS", "FAIL", "N/A")),
+    ("max_iter", False, ("PASS", "FAIL", "N/A")),
+    ("diverged", False, ("FAIL", "FAIL", "FAIL")),
+])
+def test_the_stop_reason_sets_converged_and_a_diverged_verdict(
+        stop_reason, converged, verdicts):
+    # converged is read off the stop reason, not stored; a divergence FAILs
+    # whatever its fit says, a decaying fit, a flat one, or none
+    fits = ({"a2": 0.1, "r_squared": 0.99}, {"a2": 0.1, "r_squared": 0.5}, {})
+    for fit, verdict in zip(fits, verdicts):
+        report = ConvergenceReport(stop_reason=stop_reason, **fit)
+        assert report.converged is converged and report.verdict == verdict
+    assert "converged" not in ConvergenceReport._fields
 
 
 # -------------------------------------------------------------------- init
@@ -265,10 +281,10 @@ def test_single_agent_is_projected_gradient():
 
 
 def test_step_nonfinite_raises_with_iteration_index():
-    # the error names the iteration the offending sweep produced, counted
-    # here by hand with the bare sweep: the first whose squared step norm
-    # or squared tracker column sum is not finite; the growth takes several
-    # sweeps to overflow, so an off-by-one in the index would show
+    # a divergence names the iteration the offending sweep produced,
+    # counted here by hand with the bare sweep: the first whose squared
+    # step norm or squared tracker column sum is not finite; the growth
+    # takes several sweeps to overflow, so an off-by-one would show
     game = random_strongly_monotone_game(3, 2, 2, seed=6, box_halfwidth=None)
     graph = _graph(3, 1.0, 0)
     cfg = TradesConfig(gamma=1e100, delta=1.0, stop_tol=1e-300)
@@ -280,12 +296,15 @@ def test_step_nonfinite_raises_with_iteration_index():
                                     x, z, "consensus")
             d, z_sum = (new_x - x).ravel(), z.sum(axis=0)
             finite = np.isfinite(d @ d) and np.isfinite(z_sum @ z_sum)
-            x, produced = new_x, produced + 1
-        with pytest.raises(NonFiniteDetected) as info:
-            run(game, graph, cfg, x0=1)
+            last_finite, x, produced = x, new_x, produced + 1
+        state, trace, report = run(game, graph, cfg, x0=1)
     assert produced > 1
-    assert info.value.iteration == produced
-    assert len(info.value.trace) == produced - 1
+    assert report.stop_reason == "diverged" and report.verdict == "FAIL"
+    assert not report.converged
+    assert report.iterations + 1 == produced
+    assert len(trace) == produced - 1
+    # the returned state is the last finite iterate
+    assert state.t == produced - 1 and np.array_equal(state.x, last_finite)
 
 
 def test_a_nonfinite_first_sweep_carries_an_empty_trace():
@@ -294,10 +313,11 @@ def test_a_nonfinite_first_sweep_carries_an_empty_trace():
     game = random_strongly_monotone_game(3, 2, 2, seed=6, box_halfwidth=None)
     cfg = TradesConfig(gamma=1e308, delta=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteDetected) as info:
-            run(game, _graph(3, 1.0, 0), cfg, x0=1)
-    trace = info.value.trace
-    assert info.value.iteration == 1 and len(trace) == 0
+        state, trace, report = run(game, _graph(3, 1.0, 0), cfg, x0=1)
+    assert report.stop_reason == "diverged"
+    assert report.iterations + 1 == 1 and len(trace) == 0
+    assert report.a2 is None and report.verdict == "FAIL"
+    assert np.array_equal(state.x, init(game, 1).x)
     assert trace.t.dtype == np.int64
     for name in (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual"):
         assert getattr(trace, name).dtype == np.float64
@@ -313,31 +333,67 @@ def _one_recorded_row():
     return x, z, recorder
 
 
+def _run_replacing_sweep(monkeypatch, at, replace, x0=1):
+    """(state, trace, report) of a 3-agent run at stride 1 whose sweep that
+    produces iteration `at` has its (new x, new z) swapped for
+    replace(new x, new z); with no replace, an unaltered run."""
+    real, calls = algorithm._advance, []
+
+    def advance(*args):
+        new_x, new_z, *rest = real(*args)
+        calls.append(None)
+        if len(calls) == at and replace is not None:
+            new_x, new_z = replace(new_x, new_z)
+        return (new_x, new_z, *rest)
+
+    monkeypatch.setattr(algorithm, "_advance", advance)
+    game = random_strongly_monotone_game(3, 2, 2, seed=6, box_halfwidth=None)
+    cfg = TradesConfig(stop_tol=1e-300, max_iter=50)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return run(game, _graph(3, 1.0, 0), cfg, x0=x0)
+
+
+def _diverged_at(out, at):
+    """True when a run stopped as diverged at the sweep producing `at`,
+    with the state and rows before it."""
+    state, trace, report = out
+    return (report.stop_reason == "diverged" and report.verdict == "FAIL"
+            and report.iterations + 1 == at and state.t == at - 1
+            and len(trace) == at - 1)
+
+
+def _with_entry(value, entry):
+    def set_entry(a):
+        a = a.copy()
+        a[entry] = value
+        return a
+    return set_entry
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_checked_step_norm_scans_the_tracker_stack(bad):
+def test_checked_step_norm_scans_the_tracker_stack(monkeypatch, bad):
     # the strategies are finite, so only the tracker scan can catch this
-    x, z, recorder = _one_recorded_row()
-    new_z = z.copy()
-    new_z[1, 0] = bad
-    with pytest.raises(NonFiniteDetected) as info:
-        _checked_step_norm(6, x, x + 1.0, 0.5, new_z, recorder)
-    assert info.value.iteration == 7
-    assert len(info.value.trace) == 1
+    x, z, _ = _one_recorded_row()
+    new_z = _with_entry(bad, (1, 0))(z)
+    assert _checked_step_norm(x, x + 1.0, 0.5, new_z) is None
+    out = _run_replacing_sweep(monkeypatch, 7, lambda new_x, new_z: (
+        new_x, _with_entry(bad, (1, 0))(new_z)))
+    assert _diverged_at(out, 7)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_checked_step_norm_catches_a_nonfinite_strategy(bad):
-    x, z, recorder = _one_recorded_row()
-    new_x = x.copy()
-    new_x[0, 0] = bad
-    with pytest.raises(NonFiniteDetected) as info:
-        _checked_step_norm(2, x, new_x, 0.5, z, recorder)
-    assert info.value.iteration == 3
-    with pytest.raises(NonFiniteDetected):
-        _checked_step_norm(2, x, new_x, 0.5)
+def test_checked_step_norm_catches_a_nonfinite_strategy(monkeypatch, bad):
+    x, z, _ = _one_recorded_row()
+    new_x = _with_entry(bad, (0, 0))(x)
+    assert _checked_step_norm(x, new_x, 0.5, z) is None
+    assert _checked_step_norm(x, new_x, 0.5) is None
+    out = _run_replacing_sweep(monkeypatch, 3, lambda new_x, new_z: (
+        _with_entry(bad, (0, 0))(new_x), new_z))
+    assert _diverged_at(out, 3)
 
 
-def test_checked_step_norm_stops_finite_stacks_whose_norm_overflows():
+def test_checked_step_norm_stops_finite_stacks_whose_norm_overflows(
+        monkeypatch):
     # finite strategies whose squared norm, or whose difference itself,
     # overflows: an infinite step is a divergence, as a non-finite entry is
     z = np.zeros((2, 1))
@@ -345,22 +401,27 @@ def test_checked_step_norm_stops_finite_stacks_whose_norm_overflows():
                      (np.full((2, 1), -1e308), np.full((2, 1), 1e308))]:
         with np.errstate(over="ignore"):
             for args in ((z,), ()):
-                with pytest.raises(NonFiniteDetected) as info:
-                    _checked_step_norm(0, x, new_x, 0.5, *args)
-                assert info.value.iteration == 1
+                assert _checked_step_norm(x, new_x, 0.5, *args) is None
+        out = _run_replacing_sweep(
+            monkeypatch, 1, lambda _, new_z: (np.full((3, 2), new_x[0, 0]),
+                                              new_z),
+            x0=np.full((3, 2), x[0, 0]))
+        assert _diverged_at(out, 1)
 
 
-def test_checked_step_norm_stops_a_tracker_stack_whose_column_sum_overflows():
+def test_checked_step_norm_stops_a_tracker_stack_whose_column_sum_overflows(
+        monkeypatch):
     # every entry finite and the step finite, yet the column sums overflow
-    # to inf: a divergence, carrying the rows recorded before it
-    x, z, recorder = _one_recorded_row()
+    # to inf: a divergence, stopping the run with the rows recorded before it
+    x, z, _ = _one_recorded_row()
     new_z = np.full((3, 2), 1e308)
     with np.errstate(over="ignore"):
-        step_norm, z_sum_sq = _checked_step_norm(4, x, x + 1.0, 0.5)
+        step_norm, z_sum_sq = _checked_step_norm(x, x + 1.0, 0.5)
         assert math.isfinite(step_norm) and z_sum_sq is None
-        with pytest.raises(NonFiniteDetected) as info:
-            _checked_step_norm(4, x, x + 1.0, 0.5, new_z, recorder)
-    assert info.value.iteration == 5 and len(info.value.trace) == 1
+        assert _checked_step_norm(x, x + 1.0, 0.5, new_z) is None
+    out = _run_replacing_sweep(monkeypatch, 5,
+                               lambda new_x, _: (new_x, new_z.copy()))
+    assert _diverged_at(out, 5) and len(out[1]) == 4
 
 
 def test_checked_step_norm_returns_the_tracker_column_sum_square():
@@ -368,8 +429,7 @@ def test_checked_step_norm_returns_the_tracker_column_sum_square():
     # tracker stack, returned, with nothing left on the recorder
     x, z, recorder = _one_recorded_row()
     new_z = np.array([[1.5], [-0.25]])
-    step_norm, z_sum_sq = _checked_step_norm(0, x, x + 1.0, 0.5, new_z,
-                                             recorder)
+    step_norm, z_sum_sq = _checked_step_norm(x, x + 1.0, 0.5, new_z)
     assert step_norm == math.sqrt(x.size) / 0.5
     assert z_sum_sq == 1.25 ** 2
     assert not hasattr(recorder, "z_sum_sq")
@@ -377,21 +437,23 @@ def test_checked_step_norm_returns_the_tracker_column_sum_square():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 0)])
-def test_checked_step_norm_finds_any_nonfinite_tracker_entry(bad, entry):
+def test_checked_step_norm_finds_any_nonfinite_tracker_entry(monkeypatch, bad,
+                                                             entry):
     # among entries whose column sums overflow or cancel, one nan or inf
-    # still raises, tagged with the produced iteration and carrying the
-    # rows recorded before it
-    x, z, recorder = _one_recorded_row()
+    # still stops the run, at the produced iteration and with the rows
+    # recorded before it
     new_z = np.array([[1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]])
     new_z[entry] = bad
+    x, _, _ = _one_recorded_row()
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteDetected) as info:
-            _checked_step_norm(4, x, x + 1.0, 0.5, new_z, recorder)
-    assert info.value.iteration == 5
-    recorded = recorder.build()
+        assert _checked_step_norm(x, x + 1.0, 0.5, new_z) is None
+    out = _run_replacing_sweep(monkeypatch, 5,
+                               lambda new_x, _: (new_x, new_z.copy()))
+    assert _diverged_at(out, 5)
+    recorded = _run_replacing_sweep(monkeypatch, 5, None)[1]
     for name in (*TRACE_COLUMNS, "z_mean_residual", "feas_residual"):
-        assert np.array_equal(getattr(info.value.trace, name),
-                              getattr(recorded, name), equal_nan=True)
+        assert np.array_equal(getattr(out[1], name),
+                              getattr(recorded, name)[:4], equal_nan=True)
 
 
 def test_unknown_tracker_mode_rejected():
@@ -449,12 +511,10 @@ def test_run_divergence_is_flagged():
     xstar = solve_ne_oracle(game)
     cfg = TradesConfig(gamma=10.0, delta=0.5, stop_tol=1e-12, max_iter=3000)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            _, _, report = run(game, graph, cfg, x0=4, oracle=xstar)
-        except NonFiniteDetected as err:
-            assert err.iteration >= 1
-        else:
-            assert report.verdict != "PASS"
+        _, trace, report = run(game, graph, cfg, x0=4, oracle=xstar)
+    assert report.verdict != "PASS"
+    if report.stop_reason == "diverged":
+        assert report.iterations + 1 >= 1 and len(trace) == report.iterations
 
 
 def test_run_seed_determinism_bitwise():

@@ -17,8 +17,8 @@ from trades.config import (_DERIVED, _KEYS, _REQUIRED, SPEC_VERSION, _fmt,
                            load_config, parse_config, split_scenario_seed)
 from trades.errors import ConfigError, MaxIterExceeded
 from trades.games import _oracle_stepsize
-from trades.grid import (build_radial_network, gen_agents, gen_prices,
-                         save_agents, save_network, save_prices)
+from trades.grid import (EvAgentSpec, build_radial_network, gen_agents,
+                         gen_prices, save_agents, save_network, save_prices)
 
 AFFINE_TEXT = """
 [experiment]
@@ -476,6 +476,9 @@ def test_overflowing_run_exits_two_with_the_oracle_on_or_off(tmp_path, capsys,
     assert np.isfinite(trace[:, 1]).all() == (oracle == "on")
     result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert result["diverged"] and result["divergence_iteration"] == 123
+    # a divergence is the run's stop reason, counting the 122 finite sweeps
+    assert result["stop_reason"] == "diverged" and result["iterations"] == 122
+    assert result["verdict"] == "FAIL" and result["converged"] is False
 
 
 @pytest.mark.parametrize("oracle", ["off", "on"])
@@ -543,7 +546,7 @@ def test_report_result_keys_are_declared(tmp_path, monkeypatch):
     diverging.write_text(AFFINE_TEXT.format(out=tmp_path / "div")
                          .replace("gamma = 0.02", "gamma = 1e4")
                          .replace("[affine]", "[affine]\nbox_halfwidth = none"))
-    assert set(result("div", path=diverging)) == always | traced
+    assert set(result("div", path=diverging)) == always | fit | traced
 
     def failing_oracle(game, **kwargs):
         raise MaxIterExceeded("no equilibrium", residual=1.0, iterations=1)
@@ -799,6 +802,86 @@ def test_run_names_the_file_and_row_of_a_malformed_field(tmp_path, capsys, name,
     assert message in capsys.readouterr().err
 
 
+def _usage_error_of_both_commands(capsys, path, out):
+    """The one stderr line that `run` and `validate` each print for the
+    config at path, checking their exit 1 and that run wrote nothing."""
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("n_buses = 5", "n_buses = 6"), "network file has 5 buses, [voltage] says 6"),
+    (("horizon = 12", "horizon = 11"),
+     "price file covers 12 hours, [voltage] says 11"),
+    (("n_agents = 3", "n_agents = 4"), "agents file lists 3 agents, [graph] says 4"),
+    (None, "agent 1 covers 14 hours, [voltage] says 12"),
+], ids=["buses", "price-hours", "agents", "agent-hours"])
+def test_scenario_files_must_match_the_config(tmp_path, capsys, edit, message):
+    # each data file is checked against the config before any solve, as a
+    # usage error naming the file and the key it disagrees with
+    net = build_radial_network(5, seed=1)
+    agents = gen_agents(3, net, 12, seed=3)
+    if edit is None:   # one agent's schedule covers 14 hours
+        agents[1] = EvAgentSpec(bus=1, plugged=np.ones(14, dtype=bool),
+                                target_energy=1.0)
+    save_network(net, tmp_path / "network.csv")
+    save_prices(gen_prices(12, seed=2), tmp_path / "prices.csv")
+    save_agents(agents, tmp_path / "agents.csv")
+    text = (VOLTAGE_TEXT.replace("n_agents = 6", "n_agents = 3")
+            + "network_file = network.csv\nprices_file = prices.csv\n"
+            "agents_file = agents.csv\n")
+    path = tmp_path / "volt.ini"
+    path.write_text(text.replace(*edit) if edit else text)
+    assert _usage_error_of_both_commands(capsys, path, tmp_path / "out") == \
+        f"error: {message}\n"
+
+
+def _without_section(text, name):
+    return re.sub(rf"\[{name}\]\n(?:.+\n)*", "", text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (AFFINE_TEXT.replace("n_agents = 5\n", ""),
+     "[graph] missing required key 'n_agents'"),
+    (AFFINE_TEXT.replace("seed = 42\n", "seed = 42\noracle = maybe\n"),
+     "[experiment] oracle = 'maybe'; expected on or off"),
+    (AFFINE_TEXT + "\n[sweep]\ngamma = 0.01, x\ndelta = 0.5\n",
+     "[sweep] gamma = '0.01, x' is not a comma-separated list of numbers"),
+    (_without_section(AFFINE_TEXT, "experiment"),
+     "missing required section [experiment]"),
+    (_without_section(AFFINE_TEXT, "graph"), "missing required section [graph]"),
+], ids=["required-key", "flag", "float-list", "no-experiment", "no-graph"])
+def test_config_errors_name_the_key_or_section(tmp_path, capsys, text, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(text.format(out=tmp_path / "out"))
+    assert _usage_error_of_both_commands(capsys, path, tmp_path / "out") == \
+        f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"hello world\n", "cannot parse config {}: line 1 comes before any "
+     "[section] header"),
+    (b"[experiment]\nspec_version\nseed\n", "cannot parse config {}: line 2 is "
+     "neither a [section] header nor key = value"),
+    (b"[experiment]\nseed = 1\n[experiment]\n", "cannot parse config {}: "
+     "line 3: section 'experiment' already exists"),
+    (b"[experiment]\n\xff\xfe = 1\n", "cannot read config {}: "),
+], ids=["no-header", "no-equals", "repeated-section", "not-utf-8"])
+def test_unreadable_config_is_one_error_line_naming_the_file(tmp_path, capsys,
+                                                             text, message):
+    # configparser's own messages span several lines and name no file, and
+    # a decoding error names no file: each of these is one line naming it
+    path = tmp_path / "exp.ini"
+    path.write_bytes(text)
+    err = _usage_error_of_both_commands(capsys, path, tmp_path / "out")
+    assert err.startswith(f"error: {message.format(path)}")
+
+
 def test_too_large_a_coupling_is_an_error_naming_it(tmp_path, capsys):
     path = tmp_path / "coupled.ini"
     path.write_text(AFFINE_TEXT.format(out=tmp_path / "out")
@@ -883,6 +966,46 @@ def test_run_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+DESK_TEXT = """
+[experiment]
+spec_version = 1
+scenario = voltage
+seed = 0
+
+[graph]
+n_agents = 40
+edge_prob = 0.3
+seed = 11
+
+[trades]
+max_iter = 300
+
+[voltage]
+n_buses = 15
+horizon = 24
+seed = 2026
+"""
+
+
+def test_desk_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the README's byte-for-byte claim holds for one numpy/BLAS build at
+    # one thread count; at the desk's size (40 agents) it holds at one and
+    # at two BLAS threads as well
+    path, out = tmp_path / "desk.ini", tmp_path / "out"
+    path.write_text(DESK_TEXT)
+    names = ("trace.csv", "report.json", "config.echo")
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "trades",
+             "run", str(path), "--seed", "5", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode in (0, 2), proc.stdout + proc.stderr
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
 def test_run_leaves_numpy_ma_unloaded(tmp_path):
     # np.median imports numpy.ma on its first call (~13 ms and ~1 MB per
     # command); the fit takes its median without it, so a whole run with
@@ -899,14 +1022,14 @@ def test_run_leaves_numpy_ma_unloaded(tmp_path):
     assert report["result"]["contraction_ratio"] > 0
 
 
-# the names `import trades` bound before the voltage module loaded on use
+# the package's public names, the voltage module's among them
 PACKAGE_NAMES = (
     "AffineGameSpec", "AssumptionReport", "BoundaryLayerResult", "Box",
     "ConfigError", "ConsensusSpectrum", "ConvergenceReport", "ConvexSet",
     "DiskPairs", "DistFlowModel", "EmptyIntersectionSuspected", "EvAgentSpec",
     "ExperimentConfig", "FeasibleSetProjector", "GameDefinition", "Halfspace",
     "Hyperplane", "InfeasibleSpec", "IterationTrace", "MaxIterExceeded",
-    "MaxSweepsExceeded", "NonFiniteDetected", "RadialNetwork",
+    "MaxSweepsExceeded", "RadialNetwork",
     "SinkhornStalled", "TRACE_COLUMNS", "TRACKER_MODES", "TradesConfig",
     "TradesError", "TradesState", "VoltageGameConfig", "VoltageSummary",
     "WeightedDigraph", "boundary_layer_budget", "boundary_layer_probe",
@@ -925,8 +1048,8 @@ PACKAGE_NAMES = (
 
 def _fresh_python(script, *args):
     """Run script in a new interpreter; fail the test on a nonzero exit."""
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           script, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
 

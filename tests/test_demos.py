@@ -39,7 +39,9 @@ def test_readme_minimal_config_parses():
                                     "04_voltage_case_study.py"])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
+    # the suite's RuntimeWarning gate, which the child would not inherit
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / script)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

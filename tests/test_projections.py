@@ -207,7 +207,7 @@ def test_max_sweeps_carries_best_iterate():
     with pytest.raises(MaxSweepsExceeded) as info:
         project_dykstra(inter, [2.0, 2.0], max_sweeps=1)
     err = info.value
-    assert err.sweeps == 1
+    assert err.iterations == 1
     assert err.best.shape == (2,)
     assert np.all(np.isfinite(err.best))
     assert err.residual >= 0.0

@@ -55,8 +55,7 @@ from trades import algorithm, games
 from trades.algorithm import (TRACE_COLUMNS, TradesConfig, _Recorder,
                               fit_convergence, reduced_system_run, run)
 from trades.config import _KEYS, canonical_text, parse_config
-from trades.errors import (ConfigError, MaxIterExceeded, MaxSweepsExceeded,
-                           NonFiniteDetected)
+from trades.errors import ConfigError, MaxIterExceeded, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
                           pseudo_gradient, quadratic_aggregative_game,
                           random_strongly_monotone_game, solve_ne_oracle)
@@ -511,13 +510,18 @@ def test_membership_residual_is_the_projection_distance(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(charger_stacks(), st.lists(st.sampled_from(
+@given(charger_stacks(), st.booleans(), st.lists(st.sampled_from(
     ["raw", "projected", "pinned", "capped", "nan"]), min_size=1, max_size=6))
-def test_block_membership_residual_is_each_rows_residual(case, kinds):
+def test_block_membership_residual_is_each_rows_residual(case, hyperplanes,
+                                                         kinds):
     # rows outside the set (raw, mostly failing the gap test, so searched),
     # inside it, outside it where only box-pinned coordinates move (P of the
-    # row passes the gap test), with every disk slot capped, and nan
+    # row passes the gap test), with every disk slot capped, and nan; the
+    # charger sets also without their hyperplanes, whose block takes one
+    # clamp and one disk screen
     proj, v = case
+    if not hyperplanes and proj.disks is not None:
+        proj = FeasibleSetProjector(proj.box, proj.disks)
     p = proj(v)
     pinned = np.where(proj.box.lower == proj.box.upper, 1.0, 0.0).reshape(v.shape)
     nan = v.copy()
@@ -655,14 +659,12 @@ def test_recorded_columns_are_the_recorded_values(rows, split):
 def _recorded_columns(game, graph, cfg, block, **kwargs):
     """The seven in-memory columns of a run, as bytes, recorded in blocks
     or (_BLOCK_BYTES = 0) row by row; a run that stops on a non-finite
-    value gives the columns of the trace it carries."""
+    value gives the rows recorded before it."""
     saved = algorithm._BLOCK_BYTES
     algorithm._BLOCK_BYTES = saved if block else 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = run(game, graph, cfg, **kwargs)[1]
-    except NonFiniteDetected as exc:
-        trace = exc.trace
     finally:
         algorithm._BLOCK_BYTES = saved
     return [getattr(trace, name).tobytes() for name in TRACE_FIELDS]
@@ -689,9 +691,9 @@ def test_block_recorder_matches_the_per_row_recorder(case, stride, steps,
 
 @pytest.mark.parametrize("box_halfwidth", [1e300, None])
 def test_block_recorder_matches_on_overflowing_runs(box_halfwidth):
-    # gamma = 5 overflows: with huge boxes or none, the run raises
-    # NonFiniteDetected mid-block, and the trace it carries holds every
-    # recorded row, each finite
+    # gamma = 5 overflows: with huge boxes or none, the run stops as
+    # diverged mid-block, and its trace holds every recorded row, each
+    # finite
     game = random_strongly_monotone_game(10, 2, 2, seed=0,
                                          box_halfwidth=box_halfwidth)
     graph = make_doubly_stochastic(gen_digraph(10, 0.6, 0))
@@ -703,6 +705,9 @@ def test_block_recorder_matches_on_overflowing_runs(box_halfwidth):
     assert np.array_equal(t, np.arange(t.size))
     for column in columns[2:]:
         assert np.isfinite(np.frombuffer(column, dtype=np.float64)).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run(game, graph, cfg)[2]
+    assert report.stop_reason == "diverged" and report.iterations == t.size
 
 
 @settings(max_examples=60, deadline=None)
@@ -714,10 +719,10 @@ def test_block_recorder_matches_on_overflowing_runs(box_halfwidth):
          math.log10(5.0), 1.0, 300, 7)
 def test_a_run_stops_at_its_first_non_finite_sweep(game, log_gamma, delta,
                                                    steps, seed):
-    # stepsizes from 1e-3 to 1e3: a run returns, or raises
-    # NonFiniteDetected tagged with the first sweep whose squared step or
-    # squared tracker column sum is not finite (replayed here on the bare
-    # sweep); either way every recorded column is finite.  About one draw
+    # stepsizes from 1e-3 to 1e3: a run stops at its tolerance or budget,
+    # or as diverged at the first sweep whose squared step or squared
+    # tracker column sum is not finite (replayed here on the bare sweep),
+    # with no final row; either way every recorded column is finite.  About one draw
     # in 25 blows up, so the example pins one: the overflowing benchmark
     # game inside boxes of half-width 1e300
     gamma = 10.0 ** log_gamma
@@ -738,11 +743,10 @@ def test_a_run_stops_at_its_first_non_finite_sweep(game, log_gamma, delta,
             if math.sqrt(d @ d) / delta <= cfg.stop_tol:
                 break
             x = new_x
-        try:
-            trace, raised = run(game, graph, cfg, x0=x0, oracle=oracle)[1], None
-        except NonFiniteDetected as exc:
-            trace, raised = exc.trace, exc.iteration
-    assert raised == first
+        _, trace, report = run(game, graph, cfg, x0=x0, oracle=oracle)
+    diverged = report.stop_reason == "diverged"
+    assert (report.iterations + 1 if diverged else None) == first
+    assert len(trace) == report.iterations + (not diverged)
     for name in TRACE_FIELDS:
         assert np.isfinite(getattr(trace, name)).all(), name
 
