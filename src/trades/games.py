@@ -226,11 +226,9 @@ def validate_assumptions(game, sample_budget=50, rng=0):
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(sample_budget):
-        x = game.project(rng.normal(scale=_SAMPLE_SCALE, size=(game.N, game.m)))
-        worst = max(worst, game.projector.membership_residual(x))
+    x = game.project(np.random.default_rng(rng).normal(
+        scale=_SAMPLE_SCALE, size=(sample_budget, game.N, game.m)))
+    worst = max(0.0, *game.projector.membership_residual(x).tolist())
     return AssumptionReport(
         mu=game.affine.exact_modulus(),
         lipschitz_pseudo_gradient=game.affine.exact_lipschitz(),

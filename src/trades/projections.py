@@ -57,7 +57,12 @@ class Box(ConvexSet):
         self.dim = lower.size
 
     def project(self, v):
-        y = np.maximum(_as_vector(v, self.dim), self.lower)
+        """v clamped into the box: a point of size dim, flat, or each row of
+        a (k, dim) stack with k > 1."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 2 or len(v) == 1 or v.shape[1] != self.dim:
+            v = _as_vector(v, self.dim)
+        y = np.maximum(v, self.lower)
         return np.minimum(y, self.upper, out=y)
 
 
@@ -254,62 +259,58 @@ class FeasibleSetProjector(ConvexSet):
                                         for b in (box.lower, box.upper))
 
     def project(self, v):
-        """Projection of v, in the shape v comes in (stacked or flat)."""
-        return self._point(_as_vector(v, self.dim)).reshape(np.shape(v))
+        """Projection of v, in the shape v comes in: one point (stacked or
+        flat) or a (k, N, m) stack of them, each row its own call's bits."""
+        return self._point(self._flat(v)).reshape(np.shape(v))
 
     __call__ = project
 
     def membership_residual(self, v):
-        """Distance |v - P(v)| from v to the set; a (k, N, m) block of
+        """Distance |v - P(v)| from v to the set; a (k, N, m) stack of
         points gives their k distances, each bit for bit its own call's."""
-        if np.ndim(v) != 3:
-            v = _as_vector(v, self.dim)
-            d = v - self._point(v)
+        v = self._flat(v)
+        d = v - self._point(v)
+        if v.ndim == 1:
             return math.sqrt(d.dot(d))
-        v = np.reshape(v, (len(v), self.dim))
-        if self.normals is not None:
-            x = np.stack([self._point(row) for row in v])
-        else:   # one clamp and one disk screen for the whole block
-            x = np.maximum(v, self.box.lower)
-            np.minimum(x, self.box.upper, out=x)
-            if self.disks is not None:
-                y = x.reshape((len(v),) + self.disks.shape)
-                found = self.disks.capped(y)
-                if found is not None:
-                    x = self.disks.scaled(y, found).reshape(x.shape)
-        d = v - x
         return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(len(v)))
 
+    def _flat(self, v):
+        """One point as a flat vector, or a (k, N, m) stack as (k, dim)."""
+        if np.ndim(v) != 3:
+            return _as_vector(v, self.dim)
+        return np.asarray(v, dtype=float).reshape(len(v), self.dim)
+
     def _point(self, v):
-        """The projection of one flat point v, flat."""
+        """The projection of a flat point or of each row of a (k, dim) stack."""
         if self.normals is None:
             return self._box_disk(v)[0]
-        return self._search(v.reshape(self.shape)).reshape(-1)
+        return self._search(v.reshape(v.shape[:-1] + self.shape)).reshape(v.shape)
 
     def _box_disk(self, v):
-        """P(v) in the shape of v, the clamped point y and y's capped slots
-        (DiskPairs.capped, None without disks), one evaluation of P."""
-        y = self.box.project(v)
+        """P(v) and the clamped point y, both in the shape of v (a point in
+        self.shape or a stack of them), and y's capped slots
+        (DiskPairs.capped, None without disks): one evaluation of P."""
+        y = self.box.project(v.reshape(-1, self.dim)).reshape(v.shape)
         if self.disks is None:
-            return y.reshape(v.shape), y, None
-        y = y.reshape(self.disks.shape)
-        found = self.disks.capped(y)
-        x = y if found is None else self.disks.scaled(y, found)
-        return x.reshape(v.shape), y, found
+            return y, y, None
+        u = y.reshape(v.shape[:v.ndim - len(self.shape)] + self.disks.shape)
+        found = self.disks.capped(u)
+        x = y if found is None else self.disks.scaled(u, found).reshape(v.shape)
+        return x, y, found
 
     def _slope(self, y, found):
         """a_i . J a_i = -g_i', J the Jacobian of P where the box clamps to y and
         found = capped(y): the free mask, then (r/|u|)(I - u u^T/|u|^2) on slots
         u of y beyond radius r."""
-        y = y.reshape(self.shape)
         ja = self.normals * ((self._lower < y) & (y < self._upper))
         if found is not None:   # (..., T, 2) views of y and ja; capped slots
             norm, cap = found
-            u, w = (np.moveaxis(b.reshape(self.disks.shape), -2, -1) for b in (y, ja))
-            y_hat, wc, norm = u[cap] / norm[cap, None], w[cap], norm[cap, None]
-            w[cap] = self.disks.radius[cap, None] / norm * (
+            u, w = (np.moveaxis(b.reshape(y.shape[:-2] + self.disks.shape), -2, -1)
+                    for b in (y, ja))
+            y_hat, wc = u[cap] / norm[cap, None], w[cap]
+            w[cap] = (self.disks.radius / norm)[cap, None] * (
                 wc - y_hat * (y_hat * wc).sum(axis=1, keepdims=True))
-        return np.einsum("im,im->i", self.normals, ja)
+        return np.einsum("im,...im->...i", self.normals, ja)
 
     # a flat g divides by zero; as a decorator the scope costs about half
     # of a with block per call, and every projection and residual enters it
@@ -318,12 +319,12 @@ class FeasibleSetProjector(ConvexSet):
         a = self.normals
         # lam = 0 first: P(v) is the projection when every gap passes
         x, y, found = self._box_disk(v)
-        gap = np.einsum("im,im->i", a, x) - self.levels
+        gap = np.einsum("im,...im->...i", a, x) - self.levels
         # a nan gap (non-finite input) ends too: the caller sees the nan
         todo = np.abs(gap) > self._tol
         if not todo.any():
             return x
-        out, lam, hi = x, np.zeros(len(gap)), np.full(len(gap), np.inf)
+        out, lam, hi = x, np.zeros(gap.shape), np.full(gap.shape, np.inf)
         lo = -hi
         for k in range(_SEARCH_MAX_EVALS):
             np.copyto(lo, lam, where=gap > 0.0)
@@ -344,10 +345,10 @@ class FeasibleSetProjector(ConvexSet):
             if k + 1 == _SEARCH_MAX_EVALS:
                 break   # no evaluation left for the trial
             np.copyto(lam, trial, where=todo)
-            x, y, found = self._box_disk(v - lam[:, None] * a)
-            gap = np.einsum("im,im->i", a, x) - self.levels
+            x, y, found = self._box_disk(v - lam[..., None] * a)
+            gap = np.einsum("im,...im->...i", a, x) - self.levels
             # open rows take x; those still open take a later one
-            np.copyto(out, x, where=todo[:, None])
+            np.copyto(out, x, where=todo[..., None])
             miss = np.abs(gap) > self._tol
             todo &= miss if collapsed is None else miss & ~collapsed
             if not todo.any():

@@ -8,10 +8,11 @@ nnls) so the arithmetic route is genuinely different from the package's.
 Two helpers the package itself does not need live here too: the
 aggregate of a profile, and a fixed orthonormal basis of the
 disagreement subspace to measure the tracker stack in.  The charger
-multiplier search and the reference equilibrium solve are checked
-against their first forms, kept here verbatim.  ``literal_run`` writes
-the consensus-mode iteration the slow way, agent by agent and neighbour
-by neighbour, with its own box and charger projections.
+multiplier search, the reference equilibrium solve and the sampled
+projector check of ``validate_assumptions`` are checked against their
+first forms, kept here verbatim.  ``literal_run`` writes the
+consensus-mode iteration the slow way, agent by agent and neighbour by
+neighbour, with its own box and charger projections.
 """
 
 import itertools
@@ -22,7 +23,8 @@ from scipy.linalg import lstsq
 from scipy.optimize import nnls
 
 from trades.errors import InfeasibleSpec, MaxIterExceeded, MaxSweepsExceeded
-from trades.games import _oracle_stepsize, phi_stack, pseudo_gradient
+from trades.games import (_SAMPLE_SCALE, _oracle_stepsize, phi_stack,
+                          pseudo_gradient)
 from trades.projections import (_SEARCH_MAX_EVALS, Box, DiskPairs, Hyperplane,
                                 Intersection)
 
@@ -382,6 +384,18 @@ class ReferenceSearch:
         if np.any(todo & ~closed & (slope == 0.0)):
             raise InfeasibleSpec("a hyperplane misses the box-and-disk set")
         raise MaxSweepsExceeded("multiplier search did not converge")
+
+
+def sampled_projector_residual(game, sample_budget=50, rng=0):
+    """``validate_assumptions``'s projector check as first written: one
+    (N, m) draw, projection and membership residual per sample, and the
+    builtin max over the residuals from 0."""
+    rng = np.random.default_rng(rng)
+    worst = 0.0
+    for _ in range(sample_budget):
+        x = game.project(rng.normal(scale=_SAMPLE_SCALE, size=(game.N, game.m)))
+        worst = max(worst, game.projector.membership_residual(x))
+    return worst
 
 
 def reference_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):

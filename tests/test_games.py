@@ -270,6 +270,13 @@ def test_non_monotone_game_flagged():
     assert any("WARNING" in line for line in report.summary_lines())
 
 
+def test_assumption_check_of_a_box_is_the_per_sample_loop():
+    game = random_strongly_monotone_game(3, 2, 2, seed=63, box_halfwidth=0.5)
+    report = validate_assumptions(game, sample_budget=7, rng=64)
+    assert report.projector_residual == oracles.sampled_projector_residual(
+        game, sample_budget=7, rng=64)
+
+
 def test_validation_needs_samples():
     with pytest.raises(ValueError):
         validate_assumptions(_scalar_pair_game(), sample_budget=0)

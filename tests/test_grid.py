@@ -287,6 +287,14 @@ def test_assumption_check_is_reproducible_without_a_seed(desk):
     assert first.projector_residual == second.projector_residual
 
 
+def test_assumption_check_is_the_per_sample_loop(desk):
+    # one stacked draw, projected and measured in one call each, gives the
+    # sample-by-sample loop's residual bit for bit
+    report = validate_assumptions(desk[-1], sample_budget=20, rng=4)
+    assert report.projector_residual == oracles.sampled_projector_residual(
+        desk[-1], sample_budget=20, rng=4)
+
+
 def test_zero_incentive_game_has_zero_equilibrium():
     # prices zero, recharge targets zero, deviation target zero: nothing
     # moves, and the origin is feasible, so it is the equilibrium

@@ -22,16 +22,17 @@ bit against its first form (``oracles.ReferenceSearch``) on charger
 stacks and on steep hyperplanes whose brackets close; disk caps of
 random shape and radius are checked against a per-slot scaling loop,
 and the membership residual of charger stacks and boxes against the
-distance to the projection, its block form row by row; the disk
-pre-screen is checked to leave the capped slots as they are without it,
-and the fit's contraction ratio against np.median bit for bit.  Drawn
-trace rows, special floats included, are checked to come back from the
-recorder bit for bit, and the recorder's blocks of rows against its
-per-row pass on small games and overflowing runs; runs at stepsizes
-from 1e-3 to 1e3 are checked to stop at their first sweep with a
-non-finite step norm or tracker sum, with every recorded row finite.  The
-config examples draw a value for one bounded or multiple-choice key of
-the config's key table, in range or out of it, and check the parse.  The
+distance to the projection, its block form and the projection of a
+stack row by row; the disk pre-screen is checked to leave the capped
+slots as they are without it, and the fit's contraction ratio against
+np.median bit for bit.  Drawn trace rows, special floats included, are
+checked to come back from the recorder bit for bit, and the recorder's
+blocks of rows against its per-row pass on small games and overflowing
+runs; runs at stepsizes from 1e-3 to 1e3 are checked to stop at their
+first sweep with a non-finite step norm or tracker sum, with every
+recorded row finite.  The config examples draw a value for one bounded
+or multiple-choice key of the config's key table, in range or out of
+it, and check the parse.  The
 data file examples draw a finite network, price curve or agent list,
 check that save then load is bit-exact, and that the same file with one
 float field made non-finite is rejected with its row named; a drawn small
@@ -531,6 +532,18 @@ def test_block_membership_residual_is_each_rows_residual(case, hyperplanes,
     block = np.stack([rows[kind] for kind in kinds])
     expected = [proj.membership_residual(row) for row in block]
     assert proj.membership_residual(block).tobytes() == np.array(expected).tobytes()
+    # the stack's projection is each row's, bit for bit, after as many
+    # Box.project calls (one per evaluation) as its longest row search
+    calls, project = [], proj.box.project
+    proj.box.project = lambda u: calls.append(1) or project(u)
+    expected, counts = [], []
+    for row in block:
+        calls.clear()
+        expected.append(proj(row))
+        counts.append(len(calls))
+    calls.clear()
+    assert proj(block).tobytes() == np.stack(expected).tobytes()
+    assert len(calls) == max(counts)
 
 
 @st.composite
