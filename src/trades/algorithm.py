@@ -140,10 +140,11 @@ class ConvergenceReport(Record):
 
     a1, a2 come from least squares on log(err) vs t over the
     post-transient window: err is modeled as a1 * exp(-a2 * t).  The
-    verdict is FAIL on stop_reason "diverged", else PASS only when a2 > 0
-    and the fit's R^2 reaches _VERDICT_MIN_R2.  contraction_ratio is the
-    median per-iteration error ratio over the fit window, an empirical
-    counterpart to exp(-a2).
+    verdict is FAIL on stop_reason "diverged", N/A with neither a fit nor
+    err_x_final (no oracle), else PASS only when the run stopped by
+    stop_tol, a2 > 0 and the fit's R^2 reaches _VERDICT_MIN_R2.
+    contraction_ratio is the median per-iteration error ratio over the
+    fit window, an empirical counterpart to exp(-a2).
     """
 
     a1: float = None
@@ -153,6 +154,7 @@ class ConvergenceReport(Record):
     n_fit_points: int = 0
     iterations: int = 0
     stop_reason: str = "max_iter"
+    err_x_final: float = None
 
     @property
     def converged(self):
@@ -162,10 +164,11 @@ class ConvergenceReport(Record):
     def verdict(self):
         if self.stop_reason == "diverged":
             return "FAIL"
-        if self.a2 is None:
+        if self.a2 is None and self.err_x_final is None:
             return "N/A"
-        decays = self.a2 > 0 and self.r_squared >= _VERDICT_MIN_R2
-        return "PASS" if decays else "FAIL"
+        decays = (self.a2 is not None and self.a2 > 0
+                  and self.r_squared >= _VERDICT_MIN_R2)
+        return "PASS" if self.converged and decays else "FAIL"
 
 
 def fit_convergence(ts, errs, total_iterations):
@@ -415,9 +418,11 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
 
     # without an oracle err_x is all nan, which the fit reads as no points
     a1, a2, r2, ratio, n_fit = fit_convergence(trace.t, trace.err_x, t)
+    err = float(trace.err_x[-1]) if oracle is not None and len(trace) else None
     report = ConvergenceReport(a1=a1, a2=a2, r_squared=r2,
                                contraction_ratio=ratio, n_fit_points=n_fit,
-                               iterations=t, stop_reason=stop_reason)
+                               iterations=t, stop_reason=stop_reason,
+                               err_x_final=err)
     return TradesState(x=x, z=z, t=t), trace, report
 
 

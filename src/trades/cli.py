@@ -13,8 +13,9 @@ reference-equilibrium solve.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 a FAIL
 convergence verdict (a divergence, at a non-finite step norm or tracker
-sum, among them) or failed assumption checks under validate, 3 the
-reference equilibrium solve missed its tolerance.
+sum, and with the oracle on a run that ends short of stop_tol or without
+a decaying fit, among them) or failed assumption checks under validate,
+3 the reference equilibrium solve missed its tolerance.
 """
 
 import argparse
@@ -36,13 +37,26 @@ from .network import (gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
 
 ERR_TARGET_SWEEP = 1e-6
+# the dense arrays of one run, in bytes: a config that needs more is refused
+MAX_DENSE_BYTES = 2 ** 31
 
 
 # ---------------------------------------------------------------- assembly
 
 
 def build_graph(cfg):
-    graph = gen_digraph(cfg.graph.n_agents, cfg.graph.edge_prob, cfg.graph.seed)
+    """The config's weighted graph, once the run's dense arrays fit: about
+    four float arrays at a time of side N (the graph, the weights and the
+    spectrum's copies) and of side N p (the game's A and the copies of its
+    modulus and Lipschitz solves; p = 2 for a voltage game)."""
+    n = cfg.graph.n_agents
+    p = cfg.affine.strategy_dim if cfg.scenario == "affine" else 2
+    dense = 32 * (n ** 2 + (n * p) ** 2)
+    if dense > MAX_DENSE_BYTES:
+        raise ConfigError(f"[graph] n_agents = {n} needs ~{dense / 2 ** 30:.3g} "
+                          f"GiB of dense arrays, above the "
+                          f"{MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
+    graph = gen_digraph(n, cfg.graph.edge_prob, cfg.graph.seed)
     return make_doubly_stochastic(graph, method=cfg.graph.weight_method)
 
 
@@ -118,10 +132,10 @@ def _report_payload(cfg, graph, game, report, trace):
     if report is not None:
         result.update(vars(report), converged=report.converged,
                       verdict=report.verdict)
-        for key in ("a1", "a2", "r_squared", "contraction_ratio"):
+        for key in ("a1", "a2", "r_squared", "contraction_ratio",
+                    "err_x_final"):
             result[key] = _finite_or_none(result[key])
     if trace is not None and len(trace) > 0:
-        result["err_x_final"] = _finite_or_none(trace.err_x[-1])
         result["est_err_final"] = _finite_or_none(trace.est_err_max[-1])
         result["est_err_peak"] = _finite_or_none(np.max(trace.est_err_max))
         result["disagreement_final"] = _finite_or_none(trace.disagreement[-1])
@@ -223,6 +237,8 @@ def cmd_run(cfg):
     if report.a2 is not None:
         print(f"fitted decay exponent {report.a2:.6g} "
               f"(R^2 = {report.r_squared:.6g}), verdict {report.verdict}")
+    elif report.verdict == "FAIL":
+        print("no fitted decay, verdict FAIL")
     if "voltage" in payload:
         v = payload["voltage"]
         print(f"voltage deviation score {v['deviation_score']:.6g} "

@@ -42,6 +42,8 @@ strategy_dim = 2
 agg_dim = 1
 """
 
+# it reaches stop_tol after 1,122 sweeps: a run that spends max_iter is a
+# FAIL verdict, which exits 2
 VOLTAGE_CONFIG = """
 [experiment]
 spec_version = 1
@@ -53,7 +55,7 @@ n_agents = 3
 edge_prob = 0.6
 
 [trades]
-max_iter = 200
+max_iter = 2000
 stop_tol = 1e-6
 
 [voltage]

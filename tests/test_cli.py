@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import pickle
 import re
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from trades.cli import assemble_game, main
+from trades.cli import MAX_DENSE_BYTES, assemble_game, main
 from trades.config import (_DERIVED, _KEYS, _REQUIRED, SPEC_VERSION, _fmt,
                            canonical_text, derive_component_seeds,
                            load_config, parse_config, split_scenario_seed)
@@ -431,6 +432,57 @@ def test_run_stall_is_a_failed_verdict(tmp_path):
     assert result["diverged"] is False
 
 
+# the benchmark's 10-agent affine config (perfbench/workloads.py), with
+# gamma and max_iter to fill in
+BENCH_TEXT = """
+[experiment]
+spec_version = 1
+scenario = affine
+seed = 0
+
+[graph]
+n_agents = 10
+edge_prob = 0.7
+seed = 7
+
+[trades]
+gamma = {gamma}
+delta = 0.5
+stop_tol = 1e-10
+max_iter = {max_iter}
+
+[affine]
+strategy_dim = 2
+agg_dim = 2
+seed = 42
+"""
+
+
+@pytest.mark.parametrize("gamma, max_iter, stop_reason, line", [
+    ("1e-9", 2000, "max_iter",
+     "fitted decay exponent 1.06003e-09 (R^2 = 1), verdict FAIL"),
+    ("1e-13", 50000, "stop_tol", "no fitted decay, verdict FAIL"),
+])
+def test_a_run_short_of_the_equilibrium_fails(tmp_path, capsys, gamma,
+                                              max_iter, stop_reason, line):
+    # at gamma = 1e-9 the error decays log-linearly (R^2 = 1) until max_iter
+    # runs out at err_x 4.661; at 1e-13 the first step norm, which scales
+    # with gamma, is already below stop_tol, and there is no fit.  With the
+    # oracle neither is a PASS; without it neither has a verdict
+    path = tmp_path / "short.ini"
+    path.write_text(BENCH_TEXT.format(gamma=gamma, max_iter=max_iter))
+    assert main(["run", str(path), "--out", str(tmp_path / "on")]) == 2
+    assert line in capsys.readouterr().out.splitlines()
+    result = json.loads((tmp_path / "on" / "report.json").read_text())["result"]
+    assert result["verdict"] == "FAIL" and result["stop_reason"] == stop_reason
+    assert round(result["err_x_final"], 3) == 4.661
+    assert main(["run", str(path), "--out", str(tmp_path / "off"),
+                 "--oracle", "off"]) == 0
+    assert "verdict" not in capsys.readouterr().out
+    result = json.loads((tmp_path / "off" / "report.json").read_text())["result"]
+    assert result["verdict"] == "N/A" and result["err_x_final"] is None
+
+
 OVERFLOW_TEXT = """
 [experiment]
 spec_version = 1
@@ -530,9 +582,9 @@ def test_report_result_keys_are_declared(tmp_path, monkeypatch):
     # it is declared
     always = {"diverged", "divergence_iteration"}
     fit = {"a1", "a2", "r_squared", "contraction_ratio", "n_fit_points",
-           "iterations", "stop_reason", "converged", "verdict"}
-    traced = {"err_x_final", "est_err_final", "est_err_peak",
-              "disagreement_final", "feas_residual_max", "z_mean_residual_max"}
+           "iterations", "stop_reason", "err_x_final", "converged", "verdict"}
+    traced = {"est_err_final", "est_err_peak", "disagreement_final",
+              "feas_residual_max", "z_mean_residual_max"}
 
     def result(name, *flags, path=None):
         path = path or _affine_cfg_file(tmp_path, out_name=name)
@@ -547,6 +599,11 @@ def test_report_result_keys_are_declared(tmp_path, monkeypatch):
                          .replace("gamma = 0.02", "gamma = 1e4")
                          .replace("[affine]", "[affine]\nbox_halfwidth = none"))
     assert set(result("div", path=diverging)) == always | fit | traced
+    # a run that diverges at its first sweep records no row
+    diverging.write_text(AFFINE_TEXT.format(out=tmp_path / "first")
+                         .replace("gamma = 0.02", "gamma = 1e308")
+                         .replace("[affine]", "[affine]\nbox_halfwidth = none"))
+    assert set(result("first", path=diverging)) == always | fit
 
     def failing_oracle(game, **kwargs):
         raise MaxIterExceeded("no equilibrium", residual=1.0, iterations=1)
@@ -710,7 +767,8 @@ horizon = 12
 
 
 def test_case_study_writes_every_file_atomically(tmp_path, monkeypatch):
-    # each output file arrives by renaming a finished temporary sibling
+    # each output file arrives by renaming a finished temporary sibling; the
+    # run reaches stop_tol after 1,122 sweeps, so it PASSes and exits 0
     path = tmp_path / "volt.ini"
     path.write_text("""
 [experiment]
@@ -723,7 +781,7 @@ n_agents = 3
 edge_prob = 0.6
 
 [trades]
-max_iter = 200
+max_iter = 2000
 stop_tol = 1e-6
 
 [voltage]
@@ -880,6 +938,23 @@ def test_unreadable_config_is_one_error_line_naming_the_file(tmp_path, capsys,
     path.write_bytes(text)
     err = _usage_error_of_both_commands(capsys, path, tmp_path / "out")
     assert err.startswith(f"error: {message.format(path)}")
+
+
+@pytest.mark.parametrize("n_agents", [
+    10 ** 20, math.isqrt(MAX_DENSE_BYTES // (32 * (1 + 2 ** 2))) + 1])
+def test_too_many_agents_is_an_error_before_any_allocation(tmp_path, capsys,
+                                                           monkeypatch, n_agents):
+    # 10^20 agents met numpy's dimension limit; the least count whose (N, N)
+    # and (2 N, 2 N) arrays pass MAX_DENSE_BYTES would try to allocate them
+    def no_graph(*args):
+        raise AssertionError("the graph was drawn")
+
+    monkeypatch.setattr("trades.cli.gen_digraph", no_graph)
+    path = tmp_path / "crowd.ini"
+    path.write_text(AFFINE_TEXT.format(out=tmp_path / "out")
+                    .replace("n_agents = 5", f"n_agents = {n_agents}"))
+    err = _usage_error_of_both_commands(capsys, path, tmp_path / "out")
+    assert err.startswith(f"error: [graph] n_agents = {n_agents} needs ")
 
 
 def test_too_large_a_coupling_is_an_error_naming_it(tmp_path, capsys):
