@@ -156,28 +156,15 @@ def test_the_stop_reason_sets_converged_and_a_diverged_verdict(
         stop_reason, converged, verdicts):
     # converged is read off the stop reason, not stored; a divergence FAILs
     # whatever its fit says, a decaying fit, a flat one, or none, and so
-    # does a decaying fit of a run that spent its max_iter
+    # does a decaying fit of a run that spent its max_iter; with a final
+    # error (the oracle on) a run with no fit FAILs too, instead of N/A
     fits = ({"a2": 0.1, "r_squared": 0.99}, {"a2": 0.1, "r_squared": 0.5}, {})
     for fit, verdict in zip(fits, verdicts):
         report = ConvergenceReport(stop_reason=stop_reason, **fit)
         assert report.converged is converged and report.verdict == verdict
+        assert report._replace(err_x_final=3e-8).verdict == (
+            "FAIL" if verdict == "N/A" else verdict)
     assert "converged" not in ConvergenceReport._fields
-
-
-@pytest.mark.parametrize("stop_reason, fit, verdict", [
-    ("stop_tol", {"a2": 0.1, "r_squared": 0.99}, "PASS"),
-    ("stop_tol", {}, "FAIL"),
-    ("max_iter", {"a2": 1e-9, "r_squared": 1.0}, "FAIL"),
-    ("max_iter", {}, "FAIL"),
-])
-def test_with_an_oracle_a_pass_needs_stop_tol_and_a_decaying_fit(
-        stop_reason, fit, verdict):
-    # a final error means the oracle was on: then a run with no fit fails,
-    # and so does one that spent max_iter however its error decays; with
-    # neither a fit nor a final error there is no verdict
-    report = ConvergenceReport(stop_reason=stop_reason, err_x_final=3e-8, **fit)
-    assert report.verdict == verdict
-    assert report._replace(err_x_final=None).verdict == (verdict if fit else "N/A")
 
 
 # -------------------------------------------------------------------- init
