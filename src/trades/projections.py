@@ -57,12 +57,11 @@ class Box(ConvexSet):
         self.dim = lower.size
 
     def project(self, v):
-        """v clamped into the box: a point of size dim, flat, or each row of
-        a (k, dim) stack with k > 1."""
+        """v clamped into the box: a point of size dim, flat, or each point
+        of a stack of k > 1 of them, as (k, dim)."""
         v = np.asarray(v, dtype=float)
-        if v.ndim != 2 or len(v) == 1 or v.shape[1] != self.dim:
-            v = _as_vector(v, self.dim)
-        y = np.maximum(v, self.lower)
+        y = np.maximum(_as_vector(v, self.dim) if v.size == self.dim or v.ndim < 2
+                       else v.reshape(len(v), self.dim), self.lower)
         return np.minimum(y, self.upper, out=y)
 
 
@@ -247,6 +246,8 @@ class FeasibleSetProjector(ConvexSet):
             raise ValueError("capped disk slots need box bounds of 0 or infinity")
         self.box, self.disks, self.dim = box, disks, box.dim
         self.normals, self.shape = None, (box.dim,)
+        # a point or a stack of points as a stack of disk slot views
+        self._slots = None if disks is None else (-1,) + disks.shape
         if normals is not None:
             self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
             self.levels = np.asarray(levels, dtype=float).reshape(-1)
@@ -276,9 +277,8 @@ class FeasibleSetProjector(ConvexSet):
 
     def _flat(self, v):
         """One point as a flat vector, or a (k, N, m) stack as (k, dim)."""
-        if np.ndim(v) != 3:
-            return _as_vector(v, self.dim)
-        return np.asarray(v, dtype=float).reshape(len(v), self.dim)
+        v = np.asarray(v, dtype=float)
+        return v.reshape(len(v), self.dim) if v.ndim == 3 else _as_vector(v, self.dim)
 
     def _point(self, v):
         """The projection of a flat point or of each row of a (k, dim) stack."""
@@ -290,10 +290,10 @@ class FeasibleSetProjector(ConvexSet):
         """P(v) and the clamped point y, both in the shape of v (a point in
         self.shape or a stack of them), and y's capped slots
         (DiskPairs.capped, None without disks): one evaluation of P."""
-        y = self.box.project(v.reshape(-1, self.dim)).reshape(v.shape)
+        y = self.box.project(v).reshape(v.shape)
         if self.disks is None:
             return y, y, None
-        u = y.reshape(v.shape[:v.ndim - len(self.shape)] + self.disks.shape)
+        u = y.reshape(self._slots)
         found = self.disks.capped(u)
         x = y if found is None else self.disks.scaled(u, found).reshape(v.shape)
         return x, y, found
@@ -305,8 +305,7 @@ class FeasibleSetProjector(ConvexSet):
         ja = self.normals * ((self._lower < y) & (y < self._upper))
         if found is not None:   # (..., T, 2) views of y and ja; capped slots
             norm, cap = found
-            u, w = (np.moveaxis(b.reshape(y.shape[:-2] + self.disks.shape), -2, -1)
-                    for b in (y, ja))
+            u, w = (np.moveaxis(b.reshape(self._slots), -2, -1) for b in (y, ja))
             y_hat, wc = u[cap] / norm[cap, None], w[cap]
             w[cap] = (self.disks.radius / norm)[cap, None] * (
                 wc - y_hat * (y_hat * wc).sum(axis=1, keepdims=True))
