@@ -60,8 +60,8 @@ class Box(ConvexSet):
         """v clamped into the box: a point of size dim, flat, or each point
         of a stack of k > 1 of them, as (k, dim)."""
         v = np.asarray(v, dtype=float)
-        y = np.maximum(_as_vector(v, self.dim) if v.size == self.dim or v.ndim < 2
-                       else v.reshape(len(v), self.dim), self.lower)
+        y = np.maximum(v.reshape((self.dim,) if v.ndim < 2 or v.size == self.dim
+                                 else (len(v), self.dim)), self.lower)
         return np.minimum(y, self.upper, out=y)
 
 
@@ -246,7 +246,7 @@ class FeasibleSetProjector(ConvexSet):
             raise ValueError("capped disk slots need box bounds of 0 or infinity")
         self.box, self.disks, self.dim = box, disks, box.dim
         self.normals, self.shape = None, (box.dim,)
-        # a point or a stack of points as a stack of disk slot views
+        # the disk slot view of a stack of points (one point: disks.shape)
         self._slots = None if disks is None else (-1,) + disks.shape
         if normals is not None:
             self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -278,7 +278,7 @@ class FeasibleSetProjector(ConvexSet):
     def _flat(self, v):
         """One point as a flat vector, or a (k, N, m) stack as (k, dim)."""
         v = np.asarray(v, dtype=float)
-        return v.reshape(len(v), self.dim) if v.ndim == 3 else _as_vector(v, self.dim)
+        return v.reshape((len(v), self.dim) if v.ndim == 3 else (self.dim,))
 
     def _point(self, v):
         """The projection of a flat point or of each row of a (k, dim) stack."""
@@ -293,7 +293,7 @@ class FeasibleSetProjector(ConvexSet):
         y = self.box.project(v).reshape(v.shape)
         if self.disks is None:
             return y, y, None
-        u = y.reshape(self._slots)
+        u = y.reshape(self._slots if v.ndim > len(self.shape) else self.disks.shape)
         found = self.disks.capped(u)
         x = y if found is None else self.disks.scaled(u, found).reshape(v.shape)
         return x, y, found
@@ -305,7 +305,8 @@ class FeasibleSetProjector(ConvexSet):
         ja = self.normals * ((self._lower < y) & (y < self._upper))
         if found is not None:   # (..., T, 2) views of y and ja; capped slots
             norm, cap = found
-            u, w = (np.moveaxis(b.reshape(self._slots), -2, -1) for b in (y, ja))
+            view = self._slots if y.ndim > 2 else self.disks.shape
+            u, w = (np.moveaxis(b.reshape(view), -2, -1) for b in (y, ja))
             y_hat, wc = u[cap] / norm[cap, None], w[cap]
             w[cap] = (self.disks.radius / norm)[cap, None] * (
                 wc - y_hat * (y_hat * wc).sum(axis=1, keepdims=True))
