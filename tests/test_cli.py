@@ -944,8 +944,9 @@ def test_unreadable_config_is_one_error_line_naming_the_file(tmp_path, capsys,
     10 ** 20, math.isqrt(MAX_DENSE_BYTES // (32 * (1 + 2 ** 2))) + 1])
 def test_too_many_agents_is_an_error_before_any_allocation(tmp_path, capsys,
                                                            monkeypatch, n_agents):
-    # 10^20 agents met numpy's dimension limit; the least count whose (N, N)
-    # and (2 N, 2 N) arrays pass MAX_DENSE_BYTES would try to allocate them
+    # 10^20 agents meet numpy's dimension limit; the least count whose (N, N)
+    # and (2 N, 2 N) arrays pass MAX_DENSE_BYTES would, unchecked, allocate
+    # them; both are refused before the graph is drawn
     def no_graph(*args):
         raise AssertionError("the graph was drawn")
 
