@@ -226,7 +226,7 @@ def init(game, x0):
         x = np.random.default_rng(int(x0)).standard_normal((game.N, game.m))
     else:
         x = game.split(x0)
-    return TradesState(x=game.project(x), z=np.zeros((game.N, game.d)), t=0)
+    return TradesState(x=game.projector(x), z=np.zeros((game.N, game.d)), t=0)
 
 
 def _advance(game, graph, gamma, delta, x, z, tracker):
@@ -333,8 +333,8 @@ class _Recorder:
             return
         ts, xs, zs, phis, ests, steps, z_sum_sq = zip(*self.held)
         self.held = []
-        k, x, z = len(ts), np.stack(xs), np.stack(zs)
-        w = np.stack(ests) - (self.mean_row @ np.stack(phis))[:, None, :]
+        k, x, z = len(ts), np.array(xs), np.array(zs)
+        w = np.array(ests) - (self.mean_row @ np.array(phis))[:, None, :]
         rows = np.einsum("kij,kij->ki", w, w)
         z_sum_sq = np.array(z_sum_sq)
 

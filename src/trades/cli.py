@@ -28,8 +28,8 @@ import numpy as np
 
 from ._base import _write_atomic
 from .algorithm import run
-from .config import (SPEC_VERSION, canonical_text, load_config,
-                     split_scenario_seed)
+from .config import (_KEYS, SPEC_VERSION, canonical_text, load_config,
+                     seed_streams)
 from .errors import ConfigError, MaxIterExceeded, TradesError
 from .games import (_oracle_stepsize, random_strongly_monotone_game,
                     solve_ne_oracle, validate_assumptions)
@@ -39,29 +39,70 @@ from .network import (gen_digraph, is_strongly_connected,
 ERR_TARGET_SWEEP = 1e-6
 # the dense arrays of one run, in bytes: a config that needs more is refused
 MAX_DENSE_BYTES = 2 ** 31
+# each scenario's size keys, and the dimensions (N, p, q, T, buses) they set
+_SIZE_KEYS = {
+    "affine": ((("graph", "n_agents"), ("affine", "strategy_dim"),
+                ("affine", "agg_dim")), lambda n, p, q: (n, p, q, 1, 0)),
+    "voltage": ((("graph", "n_agents"), ("voltage", "n_buses"),
+                 ("voltage", "horizon")), lambda n, b, t: (n, 2, b, t, b)),
+}
 
 
 # ---------------------------------------------------------------- assembly
 
 
+def _dense_bytes(n, p, q, t, buses):
+    """Bytes of a run's dense float arrays, about as many as are live at
+    once: four of side N (the graph, the weights and the spectrum's
+    copies) and of side N p (the game's A and the copies of its modulus
+    and Lipschitz solves), five of side buses (the feeder's path and
+    sensitivity matrices), four (N, p, q) factors and eight (N, (p + q) T)
+    strategy and tracker stacks of a sweep; p = 2 and q = buses for a
+    voltage game, T = 1 for an affine one."""
+    return 8 * (4 * n * n + 4 * (n * p) ** 2 + 5 * buses * buses
+                + 4 * n * p * q + 8 * n * (p + q) * t)
+
+
+def _check_sizes(cfg):
+    """Refuse a config whose dense arrays pass MAX_DENSE_BYTES, naming the
+    size key whose least allowed value shrinks the estimate most."""
+    keys, dims = _SIZE_KEYS[cfg.scenario]
+    values = [getattr(getattr(cfg, section), key) for section, key in keys]
+    dense = _dense_bytes(*dims(*values))
+    if dense <= MAX_DENSE_BYTES:
+        return
+
+    def shrunk(k):
+        section, key = keys[k]
+        least = dict(_KEYS[section][key][2])[">="]   # the table's bound
+        return _dense_bytes(*dims(*values[:k], least, *values[k + 1:]))
+
+    k = min(range(len(keys)), key=shrunk)
+    from decimal import Decimal   # a float overflows past ~1e308 bytes
+    raise ConfigError(f"[{keys[k][0]}] {keys[k][1]} = {values[k]} needs "
+                      f"~{Decimal(dense) / 2 ** 30:.3g} GiB of dense arrays, "
+                      f"above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
+
+
 def build_graph(cfg):
-    """The config's weighted graph, once the run's dense arrays fit: about
-    four float arrays at a time of side N (the graph, the weights and the
-    spectrum's copies) and of side N p (the game's A and the copies of its
-    modulus and Lipschitz solves; p = 2 for a voltage game)."""
-    n = cfg.graph.n_agents
-    p = cfg.affine.strategy_dim if cfg.scenario == "affine" else 2
-    dense = 32 * (n ** 2 + (n * p) ** 2)
-    if dense > MAX_DENSE_BYTES:
-        raise ConfigError(f"[graph] n_agents = {n} needs ~{dense / 2 ** 30:.3g} "
-                          f"GiB of dense arrays, above the "
-                          f"{MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
-    graph = gen_digraph(n, cfg.graph.edge_prob, cfg.graph.seed)
+    """The config's weighted graph, once the run's dense arrays fit."""
+    _check_sizes(cfg)
+    graph = gen_digraph(cfg.graph.n_agents, cfg.graph.edge_prob, cfg.graph.seed)
     return make_doubly_stochastic(graph, method=cfg.graph.weight_method)
 
 
 def assemble_game(cfg):
-    """Game instance plus scenario data (empty dict for affine)."""
+    """Game instance plus scenario data (empty dict for affine); a scale or
+    weight that makes the game's factors overflow is a ConfigError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _scenario_game(cfg)
+    except FloatingPointError as exc:
+        raise ConfigError(f"the [{cfg.scenario}] scales and weights make the "
+                          f"game's factors overflow ({exc})") from None
+
+
+def _scenario_game(cfg):
     if cfg.scenario == "affine":
         a = cfg.affine
         return random_strongly_monotone_game(
@@ -75,7 +116,7 @@ def assemble_game(cfg):
                        gen_agents, gen_baseline_profile, gen_prices,
                        load_agents, load_network, load_prices)
     v = cfg.voltage
-    net_seed, base_seed, price_seed, agent_seed = split_scenario_seed(v.seed)
+    net_seed, base_seed, price_seed, agent_seed = seed_streams(v.seed, 4)
     if v.network_file is not None:
         net = load_network(v.network_file)
         if net.n_buses != v.n_buses:

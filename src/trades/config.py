@@ -7,8 +7,10 @@ typo cannot silently fall back to a default.
 
 Every section's keys, their kinds, defaults and bounds are the rows of
 ``_KEYS``: one table reads, checks and echoes them, and declares the
-fields of each section's settings record.  The few rules that relate
-keys to one another are written out in ``parse_config``.
+fields of each section's settings record; the ``[trades]`` rows are
+built from ``TradesConfig``'s fields and defaults (all but its seed).
+The few rules that relate keys to one another are written out in
+``parse_config``.
 
 One master seed drives everything: per-component seeds (graph topology,
 scenario data, iterate initialization) are derived from it through a
@@ -44,7 +46,6 @@ _FILE, _FLAG, _FLOATS, _OR_NONE = "file", "on/off", "float list", "float or none
 _REQUIRED, _DERIVED = "required", "derived"
 _POSITIVE = ((">", 0.0),)
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
-_TRADES = TradesConfig()  # [trades] defaults; TradesConfig checks the values
 
 
 def _at_least(n):
@@ -66,14 +67,11 @@ _KEYS = {
         "weight_method": (_WEIGHT_METHODS, _WEIGHT_METHODS[0], None),
         "seed": (int, _DERIVED, _at_least(0)),
     },
-    "trades": {
-        "gamma": (float, _TRADES.gamma, None),
-        "delta": (float, _TRADES.delta, None),
-        "stop_tol": (float, _TRADES.stop_tol, None),
-        "max_iter": (int, _TRADES.max_iter, None),
-        "trace_stride": (int, _TRADES.trace_stride, None),
-        "tracker": (TRACKER_MODES, _TRADES.tracker, None),
-    },
+    # TradesConfig's fields and defaults but the derived seed; it checks them
+    "trades": {key: (TRACKER_MODES if key == "tracker" else kind,
+                     getattr(TradesConfig, key), None)
+               for key, kind in TradesConfig.__annotations__.items()
+               if key != "seed"},
     "affine": {
         "strategy_dim": (int, _REQUIRED, _at_least(1)),
         "agg_dim": (int, _REQUIRED, _at_least(1)),
@@ -126,16 +124,11 @@ class ExperimentConfig(Record, frozen=True):
     sweep: SweepSettings = None
 
 
-def derive_component_seeds(master_seed):
-    """Graph, scenario, and init seeds from the one master seed."""
-    state = np.random.SeedSequence(int(master_seed)).generate_state(3)
-    return int(state[0]), int(state[1]), int(state[2])
-
-
-def split_scenario_seed(scenario_seed):
-    """Network, baseline, price and agent seeds of one scenario."""
-    state = np.random.SeedSequence(int(scenario_seed)).generate_state(4)
-    return tuple(int(v) for v in state)
+def seed_streams(seed, count):
+    """count seeds drawn from one: the graph, scenario and init seeds of a
+    master seed (3), or the network, baseline, price and agent seeds of a
+    scenario seed (4)."""
+    return tuple(map(int, np.random.SeedSequence(int(seed)).generate_state(count)))
 
 
 # ----------------------------------------------------------------- parsing
@@ -248,7 +241,7 @@ def parse_config(text, base_dir=".", overrides=None):
         raise ConfigError(f"spec_version {exp['spec_version']} unsupported; "
                           f"this build reads version {SPEC_VERSION}")
     scenario = exp["scenario"]
-    graph_derived, scenario_derived, init_seed = derive_component_seeds(exp["seed"])
+    graph_derived, scenario_derived, init_seed = seed_streams(exp["seed"], 3)
 
     if "graph" not in sections:
         raise ConfigError("missing required section [graph]")

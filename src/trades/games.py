@@ -111,9 +111,6 @@ class GameDefinition:
                              f"({self.n},) or ({self.N}, {self.m})")
         return x.reshape(self.N, self.m)
 
-    def project(self, x):
-        return self.projector(x)
-
 
 # -------------------------------------------------------------- evaluation
 
@@ -165,7 +162,7 @@ def damped_projected_step(game, x, direction, gamma, delta):
     """x + delta * (P(x - gamma * direction) - x) over the (N, m) stack:
     the one strategy update, so equal inputs give equal bits on every
     route (both run modes, reduced_system_run, and the oracle)."""
-    return x + delta * (game.project(x - gamma * direction) - x)
+    return x + delta * (game.projector(x - gamma * direction) - x)
 
 
 # -------------------------------------------------------------- validation
@@ -226,7 +223,7 @@ def validate_assumptions(game, sample_budget=50, rng=0):
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
-    x = game.project(np.random.default_rng(rng).normal(
+    x = game.projector(np.random.default_rng(rng).normal(
         scale=_SAMPLE_SCALE, size=(sample_budget, game.N, game.m)))
     worst = max(0.0, *game.projector.membership_residual(x).tolist())
     return AssumptionReport(
@@ -286,7 +283,7 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
         gamma, beta = _oracle_stepsize(game)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    x = x_prev = game.project(np.zeros((game.N, game.m)))
+    x = x_prev = game.projector(np.zeros((game.N, game.m)))
     best, best_resid, best_k = x, np.inf, 0
     for k in range(1, max_iter + 1):
         y = x + beta * (x - x_prev) if beta else x

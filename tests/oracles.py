@@ -393,7 +393,7 @@ def sampled_projector_residual(game, sample_budget=50, rng=0):
     rng = np.random.default_rng(rng)
     worst = 0.0
     for _ in range(sample_budget):
-        x = game.project(rng.normal(scale=_SAMPLE_SCALE, size=(game.N, game.m)))
+        x = game.projector(rng.normal(scale=_SAMPLE_SCALE, size=(game.N, game.m)))
         worst = max(worst, game.projector.membership_residual(x))
     return worst
 
@@ -409,7 +409,7 @@ def reference_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
         gamma, beta = _oracle_stepsize(game)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    x = game.project(np.zeros((game.N, game.m)))
+    x = game.projector(np.zeros((game.N, game.m)))
     x_prev = x
     best = x
     best_resid = np.inf
@@ -419,7 +419,7 @@ def reference_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
         else:
             y = x
         f = pseudo_gradient(game, y)
-        x_next = game.project(y - gamma * game.split(f))
+        x_next = game.projector(y - gamma * game.split(f))
         resid = float(np.linalg.norm(y - x_next))
         if resid < best_resid:
             best_resid = resid

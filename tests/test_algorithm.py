@@ -589,7 +589,7 @@ def _assert_row_is_direct(trace, k, game, x, z, reference):
     assert abs(trace.disagreement[k] - basis_norm) <= 1e-12
     z_mean = np.linalg.norm(z.sum(axis=0)) / max(1.0, np.linalg.norm(z))
     assert z_mean > 0 and abs(trace.z_mean_residual[k] - z_mean) <= 1e-12 * z_mean
-    feas = np.linalg.norm(x - game.project(x))
+    feas = np.linalg.norm(x - game.projector(x))
     assert abs(trace.feas_residual[k] - feas) <= 1e-12
     assert abs(trace.err_x[k] - np.linalg.norm(x.reshape(-1) - reference)) <= 1e-12
 

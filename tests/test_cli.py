@@ -1,8 +1,9 @@
 """Config parsing and command-line behavior."""
 
+import contextlib
 import inspect
+import io
 import json
-import math
 import os
 import pickle
 import re
@@ -11,11 +12,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trades.cli import MAX_DENSE_BYTES, assemble_game, main
-from trades.config import (_DERIVED, _KEYS, _REQUIRED, SPEC_VERSION, _fmt,
-                           canonical_text, derive_component_seeds,
-                           load_config, parse_config, split_scenario_seed)
+from trades.cli import _check_sizes, _dense_bytes, assemble_game, main
+from trades.config import (_DERIVED, _FILE, _FLAG, _FLOATS, _KEYS, _OR_NONE,
+                           _REQUIRED, SCENARIOS, SPEC_VERSION, _fmt,
+                           canonical_text, load_config, parse_config,
+                           seed_streams)
 from trades.errors import ConfigError, MaxIterExceeded
 from trades.games import _oracle_stepsize
 from trades.grid import (EvAgentSpec, build_radial_network, gen_agents,
@@ -85,17 +89,17 @@ def test_parse_minimal_affine_defaults():
 
 
 def test_component_seeds_derived_and_stable():
-    g1, s1, i1 = derive_component_seeds(42)
-    g2, s2, i2 = derive_component_seeds(42)
+    g1, s1, i1 = seed_streams(42, 3)
+    g2, s2, i2 = seed_streams(42, 3)
     assert (g1, s1, i1) == (g2, s2, i2)
     assert len({g1, s1, i1}) == 3
-    assert derive_component_seeds(43) != (g1, s1, i1)
+    assert seed_streams(43, 3) != (g1, s1, i1)
     cfg = parse_config(AFFINE_TEXT.format(out="out"))
     assert cfg.graph.seed == g1
     assert cfg.affine.seed == s1
     assert cfg.trades.seed == i1
-    assert split_scenario_seed(7) == split_scenario_seed(7)
-    assert len(split_scenario_seed(7)) == 4
+    assert seed_streams(7, 4) == seed_streams(7, 4)
+    assert len(seed_streams(7, 4)) == 4
 
 
 def test_explicit_section_seed_wins():
@@ -103,7 +107,7 @@ def test_explicit_section_seed_wins():
         "[graph]", "[graph]\nseed = 123")
     cfg = parse_config(text)
     assert cfg.graph.seed == 123
-    assert cfg.affine.seed == derive_component_seeds(42)[1]
+    assert cfg.affine.seed == seed_streams(42, 3)[1]
 
 
 @pytest.mark.parametrize("mutation", [
@@ -343,7 +347,7 @@ def test_load_config_overrides(tmp_path):
     assert load_config(path) == base
     reseeded = load_config(path, seed=7)
     assert reseeded.seed == 7
-    assert reseeded.graph.seed == derive_component_seeds(7)[0]
+    assert reseeded.graph.seed == seed_streams(7, 3)[0]
     assert reseeded.graph.seed != base.graph.seed
     redirected = load_config(path, output_dir="elsewhere", oracle="off")
     assert redirected.output_dir == "elsewhere"
@@ -940,22 +944,161 @@ def test_unreadable_config_is_one_error_line_naming_the_file(tmp_path, capsys,
     assert err.startswith(f"error: {message.format(path)}")
 
 
-@pytest.mark.parametrize("n_agents", [
-    10 ** 20, math.isqrt(MAX_DENSE_BYTES // (32 * (1 + 2 ** 2))) + 1])
-def test_too_many_agents_is_an_error_before_any_allocation(tmp_path, capsys,
-                                                           monkeypatch, n_agents):
-    # 10^20 agents meet numpy's dimension limit; the least count whose (N, N)
-    # and (2 N, 2 N) arrays pass MAX_DENSE_BYTES would, unchecked, allocate
-    # them; both are refused before the graph is drawn
-    def no_graph(*args):
-        raise AssertionError("the graph was drawn")
+def _no_graph(*args):
+    raise AssertionError("the graph was drawn")
 
-    monkeypatch.setattr("trades.cli.gen_digraph", no_graph)
-    path = tmp_path / "crowd.ini"
-    path.write_text(AFFINE_TEXT.format(out=tmp_path / "out")
-                    .replace("n_agents = 5", f"n_agents = {n_agents}"))
+
+@pytest.mark.parametrize("size", ["huge", "least"])
+@pytest.mark.parametrize("section, key", [
+    ("graph", "n_agents"), ("affine", "strategy_dim"), ("affine", "agg_dim"),
+    ("voltage", "n_buses"), ("voltage", "horizon")])
+def test_too_large_a_size_is_an_error_naming_its_key(tmp_path, capsys,
+                                                     monkeypatch, section,
+                                                     key, size):
+    # 10^20 meets numpy's dimension limit, and the least value the check
+    # refuses would, unchecked, allocate ~2 GiB; each is one error line
+    # naming its key, before the graph is drawn or any scenario data
+    text = VOLTAGE_TEXT if section == "voltage" else AFFINE_TEXT
+    old = re.search(rf"^{key} = (\d+)$", text, re.M)
+
+    def with_value(value):
+        return text.format(out=tmp_path / "out").replace(
+            old.group(), f"{key} = {value}")
+
+    def refused(value):
+        try:
+            _check_sizes(parse_config(with_value(value)))
+        except ConfigError:
+            return True
+        return False
+
+    value = 10 ** 20
+    if size == "least":
+        low = int(old.group(1))
+        assert not refused(low) and refused(value)
+        while value - low > 1:
+            mid = (low + value) // 2
+            low, value = (low, mid) if refused(mid) else (mid, value)
+    monkeypatch.setattr("trades.cli.gen_digraph", _no_graph)
+    path = tmp_path / "large.ini"
+    path.write_text(with_value(value))
     err = _usage_error_of_both_commands(capsys, path, tmp_path / "out")
-    assert err.startswith(f"error: [graph] n_agents = {n_agents} needs ")
+    assert err.startswith(f"error: [{section}] {key} = {value} needs ")
+
+
+@pytest.mark.parametrize("n_agents", [40, 500])
+def test_the_desk_case_passes_the_size_check(n_agents):
+    # the desk (15 buses, 24 h) peaks near 69 MB at N = 500
+    cfg = parse_config(VOLTAGE_TEXT.replace("n_agents = 6", f"n_agents = {n_agents}")
+                       .replace("n_buses = 5", "n_buses = 15")
+                       .replace("horizon = 12", "horizon = 24"))
+    _check_sizes(cfg)
+    assert _dense_bytes(n_agents, 2, 15, 24, 15) < 2 ** 26
+
+
+# raw values that a key reads as a wrong kind, a value out of bounds or
+# at an edge, or a size far above the size check
+_ODD_VALUES = ("", "x", "1.5", "1e3", "-1", "0", "1", "nan", "inf", "-inf",
+               "1e-320", "1e-300", "1e300", "1e308", "on", "none", "0x10",
+               "1,2", str(10 ** 20), "missing.csv")
+# accepted sizes stay small, since validate factorizes A of side N p
+_SIZE_DRAWS = {"n_agents": (2, 5), "strategy_dim": (1, 3), "agg_dim": (1, 3),
+               "n_buses": (2, 6), "horizon": (10, 14)}
+
+
+def _valid_value(section, key):
+    """A raw value that the key accepts (a data file key has none here)."""
+    kind = _KEYS[section][key][0]
+    if key in _SIZE_DRAWS and section != "sweep":
+        return st.integers(*_SIZE_DRAWS[key]).map(str)
+    if key == "spec_version":
+        return st.just(str(SPEC_VERSION))
+    if kind is int:                      # seeds and iteration counts
+        return st.integers(1, 2 ** 64).map(str)
+    if kind in (float, _OR_NONE):        # in (0, 1], which every bound takes
+        return st.floats(1e-3, 1.0).map(repr)
+    if kind == _FLOATS:
+        return st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3).map(
+            lambda v: ",".join(map(repr, v)))
+    if kind == _FLAG:
+        return st.sampled_from(("on", "off"))
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    return st.just("out")                # output_dir
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text drawn from the key table: the scenario's sections with
+    most of their keys valid, then at most one odd value (any float repr
+    too, nan and inf among them) and at most one edit (a duplicate, an
+    unknown name, or text that configparser cannot read)."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    names = ["experiment", "graph", "trades", scenario]
+    names += [name for name in ("sweep", "affine", "voltage")
+              if name not in names and draw(st.integers(0, 4)) == 0]
+    sections = {name: {key: draw(_valid_value(name, key))
+                       for key, (kind, _, _) in _KEYS[name].items()
+                       if kind != _FILE and draw(st.integers(0, 15)) > 0}
+                for name in names}
+    sections["experiment"]["scenario"] = scenario
+    if draw(st.integers(0, 2)) == 0:
+        name = draw(st.sampled_from(names))
+        sections[name][draw(st.sampled_from(list(_KEYS[name])))] = draw(
+            st.sampled_from(_ODD_VALUES)
+            | st.floats(allow_nan=True, allow_infinity=True).map(repr))
+    lines = [line for name, values in sections.items()
+             for line in (f"[{name}]",
+                          *(f"{key} = {value}" for key, value in values.items()))]
+    edit = draw(st.sampled_from((None,) * 10 + ("key", "section", "unknown key",
+                                             "unknown section", "unreadable")))
+    at = draw(st.integers(1, len(lines)))
+    if edit == "key":
+        lines.insert(at, lines[at - 1] if "=" in lines[at - 1] else "seed = 1")
+    elif edit == "section":
+        lines.append(draw(st.sampled_from([line for line in lines
+                                           if line.startswith("[")])))
+    elif edit == "unknown key":
+        lines.insert(at, "colour = red")
+    elif edit == "unknown section":
+        lines.insert(draw(st.sampled_from((0, len(lines)))), "[extra]")
+    elif edit == "unreadable":
+        lines.insert(draw(st.sampled_from((0, at))), draw(st.sampled_from(
+            ("just words", "= 3", "\udcff\x00\x01", "[unclosed"))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_config_texts())
+def test_validate_on_any_config_text_exits_with_a_known_code(tmp_path_factory,
+                                                            text):
+    # a config from the key table, valid or not, gives one of the four
+    # exit codes and no traceback; exit 1 is one line on stderr
+    path = tmp_path_factory.mktemp("drawn") / "drawn.ini"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("text, edit", [
+    (AFFINE_TEXT, ("agg_dim = 1", "agg_dim = 1\ncoupling = -1e308")),
+    (VOLTAGE_TEXT, ("horizon = 12", "horizon = 12\nvoltage_scale = 1e300")),
+    (VOLTAGE_TEXT, ("penalty_weight = 1.0", "penalty_weight = 1.7e308")),
+    (VOLTAGE_TEXT, ("horizon = 12", "horizon = 12\npower_base_kw = 1e-300"))],
+    ids=["coupling", "voltage-scale", "penalty", "power-base"])
+def test_a_scale_that_overflows_the_game_is_an_error_line(tmp_path, capsys,
+                                                         text, edit):
+    path = tmp_path / "scaled.ini"
+    path.write_text(text.format(out=tmp_path / "out").replace(*edit))
+    section = "affine" if text is AFFINE_TEXT else "voltage"
+    err = _usage_error_of_both_commands(capsys, path, tmp_path / "out")
+    assert err.startswith(f"error: the [{section}] scales and weights make "
+                          "the game's factors overflow (")
 
 
 def test_too_large_a_coupling_is_an_error_naming_it(tmp_path, capsys):

@@ -323,7 +323,7 @@ def test_oracle_equilibrium_satisfies_variational_inequality():
     f = pseudo_gradient(game, xs)
     rng = np.random.default_rng(92)
     for _ in range(1000):
-        y = game.project(rng.normal(scale=4.0, size=(game.N, 2))).reshape(-1)
+        y = game.projector(rng.normal(scale=4.0, size=(game.N, 2))).reshape(-1)
         assert float(f @ (y - xs)) >= -1e-8
 
 
@@ -340,7 +340,7 @@ def test_oracle_fixed_point_is_damping_invariant():
     star = solve_ne_oracle(game, gamma=gamma, tol=1e-12)
     xs = star.reshape(-1)
     f = pseudo_gradient(game, xs)
-    projected = np.concatenate(game.project(game.split(xs - gamma * f)))
+    projected = np.concatenate(game.projector(game.split(xs - gamma * f)))
     for delta in (0.1, 0.5, 1.0):
         moved = xs + delta * (projected - xs)
         assert np.linalg.norm(moved - xs) <= 2e-12

@@ -314,7 +314,7 @@ def test_affine_structure_matches_pseudo_gradient(desk):
     _, _, _, _, _, game = desk
     rng = np.random.default_rng(1)
     for _ in range(3):
-        x = np.concatenate(game.project(game.split(rng.normal(size=game.n) * 3)))
+        x = np.concatenate(game.projector(game.split(rng.normal(size=game.n) * 3)))
         direct = pseudo_gradient(game, x)
         assembled = np.kron(game.affine.A, np.eye(game.T)) @ x + game.c.reshape(-1)
         scale = max(1.0, float(np.max(np.abs(direct))))
@@ -358,7 +358,7 @@ def test_local_operator_is_total_derivative(desk):
     aggregate taken from the voltage model instead of the game."""
     _, model, _, agents, cfg, game = desk
     rng = np.random.default_rng(3)
-    x = game.project(game.split(rng.normal(size=game.n) * 3))
+    x = game.projector(game.split(rng.normal(size=game.n) * 3))
 
     def sigma(stack):
         volts = evaluate_voltages(model, agents, stack.reshape(-1)).voltages
@@ -393,7 +393,7 @@ def test_aggregate_equals_scaled_voltage_deviation(desk):
     _, model, _, agents, cfg, game = desk
     rng = np.random.default_rng(2)
     for _ in range(3):
-        x = np.concatenate(game.project(game.split(rng.normal(size=game.n) * 5)))
+        x = np.concatenate(game.projector(game.split(rng.normal(size=game.n) * 5)))
         sigma_game = aggregate(game, x)
         volts = evaluate_voltages(model, agents, x).voltages
         sigma_direct = cfg.voltage_scale * (volts - model.v0)

@@ -196,7 +196,7 @@ def _certificate(game, x, gamma):
     """(1 + gamma L)/(gamma mu) ||x - P(x - gamma F(x))||, a bound on the
     distance from x to the equilibrium of a strongly monotone game."""
     lip, mu = game.affine.exact_lipschitz(), game.affine.exact_modulus()
-    natural = x - game.project(x - gamma * game.split(pseudo_gradient(game, x)))
+    natural = x - game.projector(x - gamma * game.split(pseudo_gradient(game, x)))
     return (1.0 + gamma * lip) / (gamma * mu) * float(np.linalg.norm(natural))
 
 
@@ -232,7 +232,7 @@ def test_accelerated_oracle_keeps_its_rate_and_certificate(game):
                                             max_iter=3000)
     except MaxIterExceeded as exc:
         tight = exc.best
-    start = game.project(np.zeros((game.N, game.m)))
+    start = game.projector(np.zeros((game.N, game.m)))
     gap = (_potential(game, start) - _potential(game, tight)
            + mu / 2 * np.linalg.norm(start - tight) ** 2)
     scale = 4.0 * math.sqrt(2.0 * max(gap, 0.0) / mu)
