@@ -37,6 +37,8 @@ from .network import (gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
 
 ERR_TARGET_SWEEP = 1e-6
+# the BLAS thread settings metrics.json records, as the environment sets them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the dense arrays of one run, in bytes: a config that needs more is refused
 MAX_DENSE_BYTES = 2 ** 31
 # each scenario's size keys, and the dimensions (N, p, q, T, buses) they set
@@ -87,8 +89,8 @@ def _check_sizes(cfg):
 def build_graph(cfg):
     """The config's weighted graph, once the run's dense arrays fit."""
     _check_sizes(cfg)
-    graph = gen_digraph(cfg.graph.n_agents, cfg.graph.edge_prob, cfg.graph.seed)
-    return make_doubly_stochastic(graph, method=cfg.graph.weight_method)
+    support = gen_digraph(cfg.graph.n_agents, cfg.graph.edge_prob, cfg.graph.seed)
+    return make_doubly_stochastic(support, method=cfg.graph.weight_method)
 
 
 def assemble_game(cfg):
@@ -162,6 +164,15 @@ def _finite_or_none(value):
         return None
     value = float(value)
     return value if np.isfinite(value) else None
+
+
+def _blas_build():
+    """Name and version of numpy's BLAS, or None where numpy cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):   # numpy before 1.26 takes no mode
+        return None
 
 
 def _report_payload(cfg, graph, game, report, trace):
@@ -257,9 +268,11 @@ def cmd_run(cfg):
     _write_atomic(os.path.join(out_dir, "report.json"),
                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
     # measurements live apart from report.json, which stays deterministic
+    metrics = {"timing_seconds": round(elapsed, 3), "blas": _blas_build(),
+               "blas_thread_env": {k: os.environ.get(k)
+                                   for k in _BLAS_THREAD_VARS}}
     _write_atomic(os.path.join(out_dir, "metrics.json"),
-                  json.dumps({"timing_seconds": round(elapsed, 3)},
-                             indent=2, sort_keys=True) + "\n")
+                  json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
     if extras:   # the voltage scenario's input data, for a replay
         from .grid import save_agents, save_network, save_prices
@@ -305,7 +318,7 @@ def cmd_validate(cfg):
         return 2
 
     ok = True
-    connected = is_strongly_connected(graph)
+    connected = is_strongly_connected(graph.support)
     ok &= connected
     print(f"graph strongly connected: {'PASS' if connected else 'FAIL'}")
     residual = graph.stochasticity_residual()

@@ -171,7 +171,8 @@ def damped_projected_step(game, x, direction, gamma, delta):
 class AssumptionReport(Record):
     """Outcome of the structural checks a game must pass before a run."""
 
-    mu: float                      # exact modulus of strong monotonicity
+    mu: float                      # modulus of strong monotonicity
+    mu_rounding: float             # N p eps L, the eigensolve's bound on mu
     lipschitz_pseudo_gradient: float
     lip_direction: float           # max_i ||[B_i E_i] (x) I_T||_2
     lip_aggregation: float         # max_i ||G_i (x) I_T||_2
@@ -180,7 +181,7 @@ class AssumptionReport(Record):
 
     @property
     def monotone(self):
-        return self.mu > 0.0
+        return self.mu > self.mu_rounding
 
     @property
     def projections_feasible(self):
@@ -192,8 +193,10 @@ class AssumptionReport(Record):
 
     def summary_lines(self):
         feasible = "PASS" if self.projections_feasible else "FAIL"
+        unresolved = ": sign not resolved" if abs(self.mu) <= self.mu_rounding else ""
         lines = [
-            f"monotonicity modulus: {self.mu:.6g} (exact)",
+            f"monotonicity modulus: {self.mu:.6g} "
+            f"(rounding bound {self.mu_rounding:.3g}{unresolved})",
             f"pseudo-gradient Lipschitz: {self.lipschitz_pseudo_gradient:.6g}",
             f"search-direction Lipschitz, max_i ||[B_i E_i]||: "
             f"{self.lip_direction:.6g}",
@@ -205,8 +208,9 @@ class AssumptionReport(Record):
             f"assumptions: {'PASS' if self.passed else 'FAIL'}",
         ]
         if not self.monotone:
-            lines.insert(1, "WARNING: modulus is not positive; equilibrium "
-                            "uniqueness and convergence are not guaranteed")
+            lines.insert(1, "WARNING: modulus is not positive beyond its "
+                            "rounding bound; equilibrium uniqueness and "
+                            "convergence are not guaranteed")
         return lines
 
 
@@ -215,6 +219,9 @@ def validate_assumptions(game, sample_budget=50, rng=0):
 
     The modulus and the Lipschitz constants come from the game's
     factors (a Kronecker product with I_T keeps the norm of its factor).
+    The modulus is an eigenvalue of a side N p matrix, computed to
+    within N p eps L of rounding; the game counts as strongly monotone
+    only when the modulus is above that bound.
     The projector is checked on ``sample_budget`` projected random
     points: each must be a member of the feasible set, that is a
     fixed point of a second projection (the projector's membership
@@ -226,9 +233,11 @@ def validate_assumptions(game, sample_budget=50, rng=0):
     x = game.projector(np.random.default_rng(rng).normal(
         scale=_SAMPLE_SCALE, size=(sample_budget, game.N, game.m)))
     worst = max(0.0, *game.projector.membership_residual(x).tolist())
+    lip = game.affine.exact_lipschitz()
     return AssumptionReport(
         mu=game.affine.exact_modulus(),
-        lipschitz_pseudo_gradient=game.affine.exact_lipschitz(),
+        mu_rounding=len(game.affine.A) * np.finfo(float).eps * lip,
+        lipschitz_pseudo_gradient=lip,
         lip_direction=float(np.max(np.linalg.norm(
             np.concatenate([game.B, game.E], axis=2), 2, axis=(1, 2)))),
         lip_aggregation=float(np.max(np.linalg.norm(game.G, 2, axis=(1, 2)))),

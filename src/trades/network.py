@@ -22,52 +22,44 @@ _WEIGHT_METHODS = ("metropolis_symmetrized", "sinkhorn")
 
 
 class WeightedDigraph:
-    """Directed graph on agent indices with optional consensus weights.
+    """Directed graph on agent indices, held as its consensus weights.
 
-    The boolean ``support[dst, src]`` is true exactly for the edge
+    The weight ``weights[dst, src]`` is positive exactly for the edge
     src -> dst, information flowing from src to dst, so row i lists the
-    in-neighbours of node i.  The weight matrix entry ``weights[dst, src]``
-    is positive exactly on the support.  Instances are treated as
-    immutable once built.
+    in-neighbours of node i; the boolean ``support`` is ``weights > 0``.
+    Instances are treated as immutable once built.
     """
 
-    def __init__(self, support, weights=None):
-        # C order: the bits of Sinkhorn's row and column sums depend on it
-        support = np.ascontiguousarray(support)
-        if support.ndim != 2 or support.shape[0] != support.shape[1] or support.size == 0:
-            raise ValueError("support must be a nonempty square matrix")
-        if support.dtype != bool:
-            raise ValueError("support must be a boolean matrix")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != support.shape:
-                raise ValueError("weight matrix shape mismatch")
-            if not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be finite")
-            if np.any(weights < 0):
-                raise ValueError("weights must be nonnegative")
-            if np.any(weights[~support] != 0.0):
-                raise ValueError("positive weight outside the support")
-            if np.any(weights[support] <= 0.0):
-                raise ValueError("zero weight on an edge")
-        self.n_agents = support.shape[0]
-        self.support = support
+    def __init__(self, weights):
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[0] != weights.shape[1] or weights.size == 0:
+            raise ValueError("weights must be a nonempty square matrix")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if np.any(weights < 0):
+            raise ValueError("weights must be nonnegative")
+        self.n_agents = weights.shape[0]
         self.weights = weights
+        self.support = weights > 0
 
     def stochasticity_residual(self):
         """Worst deviation of any row or column sum from one."""
-        if self.weights is None:
-            raise ValueError("weights not set")
         w = self.weights
         return float(max(np.abs(w.sum(axis=0) - 1.0).max(),
                          np.abs(w.sum(axis=1) - 1.0).max()))
 
 
-def is_strongly_connected(graph):
-    """Every node reaches every node, by forward and backward sweeps."""
+def is_strongly_connected(support):
+    """Every node reaches every node of the boolean ``support[dst, src]``,
+    by forward and backward sweeps."""
+    support = np.asarray(support)
+    if support.ndim != 2 or support.shape[0] != support.shape[1] or support.size == 0:
+        raise ValueError("support must be a nonempty square matrix")
+    if support.dtype != bool:
+        raise ValueError("support must be a boolean matrix")
 
     def reaches_all(adj):  # adj[dst, src]: the sweep follows src -> dst
-        seen = np.zeros(graph.n_agents, dtype=bool)
+        seen = np.zeros(len(adj), dtype=bool)
         seen[0] = True
         frontier = seen
         while frontier.any():
@@ -75,11 +67,12 @@ def is_strongly_connected(graph):
             seen = seen | frontier
         return bool(seen.all())
 
-    return reaches_all(graph.support) and reaches_all(graph.support.T)
+    return reaches_all(support) and reaches_all(support.T)
 
 
 def gen_digraph(n_agents, edge_prob, seed):
-    """Seeded random digraph, strongly connected by construction.
+    """Boolean support ``[dst, src]`` of a seeded random digraph, strongly
+    connected by construction.
 
     Every ordered pair (i, j), i != j, is included independently with
     probability ``edge_prob``; a Hamiltonian cycle over a seeded
@@ -97,18 +90,19 @@ def gen_digraph(n_agents, edge_prob, seed):
     perm = rng.permutation(n_agents)
     arcs[perm, np.roll(perm, -1)] = True
     np.fill_diagonal(arcs, True)
-    return WeightedDigraph(arcs.T)
+    return arcs.T.copy()
 
 
-def _sinkhorn(support, tol, max_iter):
-    m = support.astype(float)
+def _sinkhorn(support, max_iter):
+    # C order: the bits of the row and column sums depend on it
+    m = support.astype(float, order="C")
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         m /= m.sum(axis=1, keepdims=True)
         m /= m.sum(axis=0, keepdims=True)
         residual = max(np.abs(m.sum(axis=1) - 1.0).max(),
                        np.abs(m.sum(axis=0) - 1.0).max())
-        if residual <= tol:
+        if residual <= SINKHORN_TOL:
             return m
     raise SinkhornStalled(
         f"balancing residual {residual:.3e} after {max_iter} iterations; "
@@ -116,34 +110,36 @@ def _sinkhorn(support, tol, max_iter):
         residual=float(residual), iterations=max_iter)
 
 
-def make_doubly_stochastic(graph, method="metropolis_symmetrized",
-                           tol=SINKHORN_TOL, max_iter=SINKHORN_MAX_ITER):
-    """Attach doubly stochastic weights supported on the graph.
+def make_doubly_stochastic(support, method="metropolis_symmetrized",
+                           max_iter=SINKHORN_MAX_ITER):
+    """The weighted graph of doubly stochastic weights on a support.
 
-    sinkhorn keeps the directed support (strong connectivity plus
-    self-loops makes the pattern fully indecomposable, so the balancing
-    converges); metropolis_symmetrized first symmetrizes the support,
-    sets w_ij = 1/(1 + max(deg_i, deg_j)) across each undirected edge
-    and puts the remainder on the diagonal, which is symmetric and hence
-    doubly stochastic with no iteration at all.
+    ``support`` is a square boolean ``[dst, src]`` matrix with every
+    self-loop, strongly connected.  sinkhorn keeps the directed support
+    (strong connectivity plus self-loops makes the pattern fully
+    indecomposable, so the balancing converges); metropolis_symmetrized
+    first symmetrizes the support, sets w_ij = 1/(1 + max(deg_i, deg_j))
+    across each undirected edge and puts the remainder on the diagonal,
+    which is symmetric and hence doubly stochastic with no iteration at
+    all.
     """
     if method not in _WEIGHT_METHODS:
         raise ValueError(f"unknown weight method {method!r}; pick from {_WEIGHT_METHODS}")
-    support = graph.support
+    support = np.asarray(support)
+    if not is_strongly_connected(support):
+        raise ValueError("weight synthesis expects a strongly connected graph")
     if not support.diagonal().all():
         raise ValueError("weight synthesis expects all self-loops present")
-    if not is_strongly_connected(graph):
-        raise ValueError("weight synthesis expects a strongly connected graph")
 
     if method == "sinkhorn":
-        return WeightedDigraph(support, _sinkhorn(support, tol, max_iter))
+        return WeightedDigraph(_sinkhorn(support, max_iter))
 
     sym = support | support.T
-    off = sym & ~np.eye(graph.n_agents, dtype=bool)
+    off = sym & ~np.eye(len(sym), dtype=bool)
     deg = off.sum(axis=1)
     w = np.where(off, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return WeightedDigraph(sym, w)
+    return WeightedDigraph(w)
 
 
 def consensus_step(graph, z, phix, estimates=None):
@@ -155,8 +151,6 @@ def consensus_step(graph, z, phix, estimates=None):
     Row and column sums of W being one makes the per-column mean of z
     invariant, which is the conservation property the trackers rely on.
     """
-    if graph.weights is None:
-        raise ValueError("weights not set")
     z = np.asarray(z, dtype=float)
     phix = np.asarray(phix, dtype=float)
     if z.ndim != 2 or z.shape[0] != graph.n_agents:
@@ -180,8 +174,6 @@ def spectrum(graph):
     spectral radius governs the asymptotic per-step decay and its
     largest singular value the one-step worst case.
     """
-    if graph.weights is None:
-        raise ValueError("weights not set")
     n = graph.n_agents
     m = graph.weights - np.full((n, n), 1.0 / n)
     eigs = np.linalg.eigvals(m)

@@ -63,7 +63,7 @@ def _graph(n, p, seed, method="metropolis_symmetrized"):
 
 
 def _single_agent_graph():
-    return WeightedDigraph(np.ones((1, 1), dtype=bool), weights=[[1.0]])
+    return WeightedDigraph([[1.0]])
 
 
 def _two_agent_game():

@@ -390,6 +390,28 @@ def test_run_outputs_and_determinism(tmp_path):
         (out / "trace.csv").read_bytes()
 
 
+def test_metrics_record_the_blas_build_and_its_thread_settings(tmp_path,
+                                                               monkeypatch):
+    # the thread settings as the environment holds them, not the thread
+    # count BLAS runs with
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = _affine_cfg_file(tmp_path, out_name="m")
+    assert main(["run", path, "--oracle", "off"]) == 0
+    metrics = json.loads((tmp_path / "m" / "metrics.json").read_text())
+    assert set(metrics) == {"timing_seconds", "blas", "blas_thread_env"}
+    assert metrics["blas_thread_env"] == {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+    if np.lib.NumpyVersion(np.__version__) < "1.26.0":
+        # show_config takes no mode before numpy 1.26
+        assert metrics["blas"] is None
+    else:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert metrics["blas"] == {"name": build["name"],
+                                   "version": build["version"]}
+
+
 def test_run_oracle_off_skips_fit(tmp_path):
     path = _affine_cfg_file(tmp_path, out_name="noq")
     assert main(["run", path, "--oracle", "off"]) == 0
@@ -676,6 +698,35 @@ penalty_weight = -1.0
     # rejected when the config is parsed, as a usage error naming the key
     assert main(["validate", str(path)]) == 1
     assert "[voltage] penalty_weight must be > 0" in capsys.readouterr().err
+
+
+def test_validate_does_not_resolve_the_sign_of_a_swamped_modulus(tmp_path,
+                                                                  capsys):
+    # at active_weight = 1e300 the desk's modulus (at least 20, as E G is
+    # positive semidefinite) is lost in the eigensolve's rounding, which
+    # the modulus line bounds by N p eps L instead of calling it exact
+    path = tmp_path / "desk.ini"
+    path.write_text(DESK_TEXT.replace("[voltage]",
+                                      "[voltage]\nactive_weight = 1e300"))
+    assert main(["validate", str(path)]) == 2
+    game, _ = assemble_game(load_config(str(path)))
+    bound = 80 * np.finfo(float).eps * game.affine.exact_lipschitz()
+    mu = game.affine.exact_modulus()
+    assert abs(mu) <= bound
+    lines = capsys.readouterr().out.splitlines()
+    assert (f"monotonicity modulus: {mu:.6g} (rounding bound {bound:.3g}: "
+            f"sign not resolved)") in lines
+    assert "assumptions: FAIL" in lines
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "not strongly monotone" in capsys.readouterr().err
+
+
+def test_validate_bounds_the_modulus_of_the_desk(tmp_path, capsys):
+    path = tmp_path / "desk.ini"
+    path.write_text(DESK_TEXT)
+    assert main(["validate", str(path)]) == 0
+    assert "monotonicity modulus: 2 (rounding bound 4.41e-13)" in \
+        capsys.readouterr().out.splitlines()
 
 
 def test_sweep_summary_and_parallel_determinism(tmp_path):

@@ -270,6 +270,25 @@ def test_non_monotone_game_flagged():
     assert any("WARNING" in line for line in report.summary_lines())
 
 
+def test_a_modulus_within_its_rounding_bound_is_not_monotone():
+    game = random_strongly_monotone_game(3, 2, 2, seed=63)
+    report = validate_assumptions(game, sample_budget=2, rng=1)
+    assert report.mu_rounding == (6 * np.finfo(float).eps
+                                  * game.affine.exact_lipschitz())
+    assert report.monotone
+    assert f"(rounding bound {report.mu_rounding:.3g})" in \
+        report.summary_lines()[0]
+    for mu in (0.5 * report.mu_rounding, -report.mu_rounding):
+        swamped = report._replace(mu=mu)
+        assert not swamped.monotone and not swamped.passed
+        lines = swamped.summary_lines()
+        assert lines[0].endswith(": sign not resolved)")
+        assert lines[1].startswith("WARNING")
+    below = report._replace(mu=-2.0 * report.mu_rounding)
+    assert not below.monotone
+    assert "sign not resolved" not in below.summary_lines()[0]
+
+
 def test_assumption_check_of_a_box_is_the_per_sample_loop():
     game = random_strongly_monotone_game(3, 2, 2, seed=63, box_halfwidth=0.5)
     report = validate_assumptions(game, sample_budget=7, rng=64)

@@ -22,9 +22,9 @@ from trades.network import (
 )
 
 
-def _scc_count(graph):
+def _scc_count(support):
     # independent strong-connectivity route
-    count, _ = connected_components(csr_matrix(graph.support),
+    count, _ = connected_components(csr_matrix(support),
                                     directed=True, connection="strong")
     return count
 
@@ -38,36 +38,37 @@ def _cycle_support(n):
 
 
 def test_full_probability_gives_complete_digraph():
-    g = gen_digraph(6, 1.0, seed=0)
-    assert g.support.shape == (6, 6)
-    assert g.support.dtype == bool
-    assert g.support.all()
+    s = gen_digraph(6, 1.0, seed=0)
+    assert s.shape == (6, 6)
+    assert s.dtype == bool
+    assert s.flags.c_contiguous
+    assert s.all()
 
 
 def test_zero_probability_gives_cycle_plus_loops():
-    g = gen_digraph(5, 0.0, seed=3)
-    assert g.support.sum() == 10  # 5 loops + 5 cycle arcs
-    assert g.support.diagonal().all()
-    arcs = g.support & ~np.eye(5, dtype=bool)
+    s = gen_digraph(5, 0.0, seed=3)
+    assert s.sum() == 10  # 5 loops + 5 cycle arcs
+    assert s.diagonal().all()
+    arcs = s & ~np.eye(5, dtype=bool)
     assert np.all(arcs.sum(axis=0) == 1)  # one out-neighbour per source
     assert np.all(arcs.sum(axis=1) == 1)  # one in-neighbour per destination
-    assert is_strongly_connected(g)
-    assert _scc_count(g) == 1
+    assert is_strongly_connected(s)
+    assert _scc_count(s) == 1
 
 
 def test_desk_scale_generation_strongly_connected():
-    g = gen_digraph(321, 0.7, seed=7)
-    assert g.support.diagonal().all()
-    assert is_strongly_connected(g)
-    assert _scc_count(g) == 1
+    s = gen_digraph(321, 0.7, seed=7)
+    assert s.diagonal().all()
+    assert is_strongly_connected(s)
+    assert _scc_count(s) == 1
 
 
 def test_generation_reproducible_and_seed_sensitive():
     a = gen_digraph(30, 0.4, seed=11)
     b = gen_digraph(30, 0.4, seed=11)
     c = gen_digraph(30, 0.4, seed=12)
-    assert np.array_equal(a.support, b.support)
-    assert not np.array_equal(a.support, c.support)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def _sha256(array):
@@ -77,12 +78,12 @@ def _sha256(array):
 def test_desk_graph_is_pinned_bitwise():
     # digests of the desk graph of the benchmark configs; a change here
     # means a seed no longer pins the graph and its weights bitwise
-    g = gen_digraph(40, 0.3, 11)
-    assert _sha256(g.support) == \
+    s = gen_digraph(40, 0.3, 11)
+    assert _sha256(s) == \
         "ccfde507db5ea6dcccf48e8456f2d576dd10a37e407658d939499e9ed921d6fc"
-    assert _sha256(make_doubly_stochastic(g).weights) == \
+    assert _sha256(make_doubly_stochastic(s).weights) == \
         "a6501cee9725bbb607508e2e693aafcc93eceb2095b801af24ae6cb0aed09b14"
-    assert _sha256(make_doubly_stochastic(g, method="sinkhorn").weights) == \
+    assert _sha256(make_doubly_stochastic(s, method="sinkhorn").weights) == \
         "8a133500d916636a712758b986a04b3b1567dd1d58c72bc162a90ad6cbde8bcc"
 
 
@@ -96,38 +97,30 @@ def test_generation_validation():
 
 
 def test_digraph_constructor_validation():
-    loops = np.eye(2, dtype=bool)
-    full = np.ones((2, 2), dtype=bool)
-    g = WeightedDigraph(full, np.full((2, 2), 0.5))
+    g = WeightedDigraph(np.full((2, 2), 0.5))
     assert g.n_agents == 2
-    for support in (np.ones((2, 3), dtype=bool),    # not square
-                    np.ones(4, dtype=bool),         # not a matrix
-                    np.zeros((0, 0), dtype=bool),   # no nodes
-                    np.eye(2)):                     # not boolean
+    assert g.support.all()
+    # the support is where the weights are positive
+    assert np.array_equal(WeightedDigraph(np.diag([1.0, 0.0])).support,
+                          np.diag([True, False]))
+    for weights in (np.ones((2, 3)),                # not square
+                    np.ones(4),                     # not a matrix
+                    np.zeros((0, 0)),               # no nodes
+                    -np.eye(2)):                    # negative
         with pytest.raises(ValueError):
-            WeightedDigraph(support)
-    bad_weights = (
-        np.eye(3),                                  # shape mismatch
-        -np.eye(2),                                 # negative
-        np.full((2, 2), 0.5),                       # positive off the support
-        np.diag([1.0, 0.0]),                        # zero weight on an edge
-    )
-    for weights in bad_weights:
-        with pytest.raises(ValueError):
-            WeightedDigraph(loops, weights)
+            WeightedDigraph(weights)
     for bad in (np.nan, np.inf):                    # non-finite on an edge
         weights = np.full((2, 2), 0.5)
         weights[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            WeightedDigraph(full, weights)
+            WeightedDigraph(weights)
 
 
 # ---------------------------------------------------------------- weights
 
 
 def test_directed_cycle_balances_to_half_half():
-    g = make_doubly_stochastic(WeightedDigraph(_cycle_support(6)),
-                               method="sinkhorn")
+    g = make_doubly_stochastic(_cycle_support(6), method="sinkhorn")
     w = g.weights
     nz = w[w != 0.0]
     assert nz.size == 12
@@ -135,24 +128,21 @@ def test_directed_cycle_balances_to_half_half():
 
 
 def test_complete_graph_balances_to_uniform():
-    g = gen_digraph(7, 1.0, seed=1)
+    s = gen_digraph(7, 1.0, seed=1)
     for method in ("sinkhorn", "metropolis_symmetrized"):
-        w = make_doubly_stochastic(g, method=method).weights
+        w = make_doubly_stochastic(s, method=method).weights
         assert np.allclose(w, np.full((7, 7), 1.0 / 7.0), rtol=0, atol=1e-12)
 
 
 def test_weights_doubly_stochastic_and_on_support():
-    g = gen_digraph(15, 0.3, seed=21)
-    sink = make_doubly_stochastic(g, method="sinkhorn")
+    s = gen_digraph(15, 0.3, seed=21)
+    sink = make_doubly_stochastic(s, method="sinkhorn")
     assert sink.stochasticity_residual() <= 1e-12
     # balancing never moves the support
-    assert np.array_equal(sink.support, g.support)
-    assert np.array_equal(sink.weights > 0, g.support)
-    metro = make_doubly_stochastic(g, method="metropolis_symmetrized")
+    assert np.array_equal(sink.support, s)
+    metro = make_doubly_stochastic(s, method="metropolis_symmetrized")
     assert metro.stochasticity_residual() <= 1e-12
-    sym = g.support | g.support.T
-    assert np.array_equal(metro.support, sym)
-    assert np.array_equal(metro.weights > 0, sym)
+    assert np.array_equal(metro.support, s | s.T)
     assert np.all(metro.weights == metro.weights.T)
     assert np.all(np.diag(metro.weights) > 0)
 
@@ -164,20 +154,26 @@ def test_weight_synthesis_reproducible():
 
 
 def test_sinkhorn_iteration_cap():
-    g = gen_digraph(10, 0.35, seed=5)
+    s = gen_digraph(10, 0.35, seed=5)
     with pytest.raises(SinkhornStalled) as info:
-        make_doubly_stochastic(g, method="sinkhorn", max_iter=2)
+        make_doubly_stochastic(s, method="sinkhorn", max_iter=2)
     assert info.value.iterations == 2
     assert info.value.residual > 1e-13
 
 
 def test_weight_synthesis_preconditions():
-    no_loops = WeightedDigraph(_cycle_support(3) & ~np.eye(3, dtype=bool))
-    with pytest.raises(ValueError):
-        make_doubly_stochastic(no_loops)
-    disconnected = WeightedDigraph(np.eye(2, dtype=bool))
-    with pytest.raises(ValueError):
-        make_doubly_stochastic(disconnected)
+    malformed = (np.ones((2, 3), dtype=bool),                     # not square
+                 np.ones(4, dtype=bool),                          # not a matrix
+                 np.zeros((0, 0), dtype=bool),                    # no nodes
+                 np.ones((2, 2)))                                 # not boolean
+    for support in malformed:
+        with pytest.raises(ValueError):
+            is_strongly_connected(support)
+    for support in (_cycle_support(3) & ~np.eye(3, dtype=bool),  # no loops
+                    np.eye(2, dtype=bool),                        # disconnected
+                    *malformed):
+        with pytest.raises(ValueError):
+            make_doubly_stochastic(support)
     with pytest.raises(ValueError):
         make_doubly_stochastic(gen_digraph(4, 0.5, seed=0), method="magic")
 
@@ -190,17 +186,20 @@ def test_connectivity_and_weight_preconditions_on_random_supports(support, loops
     # (with `loops`) ones whose only defect can be connectivity
     if loops:
         np.fill_diagonal(support, True)
-    g = WeightedDigraph(support)
-    connected = _scc_count(g) == 1
-    assert is_strongly_connected(g) == connected
+    connected = _scc_count(support) == 1
+    assert is_strongly_connected(support) == connected
     admissible = connected and bool(support.diagonal().all())
+    # the weights keep the support they were built on, symmetrized by
+    # the Metropolis rule
+    kept = {"metropolis_symmetrized": support | support.T, "sinkhorn": support}
     for method in ("metropolis_symmetrized", "sinkhorn"):
         if admissible:
-            w = make_doubly_stochastic(g, method=method)
+            w = make_doubly_stochastic(support, method=method)
+            assert np.array_equal(w.support, kept[method])
             assert w.stochasticity_residual() <= 1e-12
         else:
             with pytest.raises(ValueError):
-                make_doubly_stochastic(g, method=method)
+                make_doubly_stochastic(support, method=method)
 
 
 # ----------------------------------------------------------- consensus step
@@ -228,7 +227,7 @@ def test_consensus_ignores_agreeing_contributions():
 
 
 def test_single_agent_tracker_stays_zero():
-    g = WeightedDigraph(np.ones((1, 1), dtype=bool), np.array([[1.0]]))
+    g = WeightedDigraph(np.array([[1.0]]))
     z = np.zeros((1, 4))
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -248,10 +247,7 @@ def test_consensus_preserves_column_means():
 
 
 def test_consensus_shape_and_weight_checks():
-    bare = gen_digraph(4, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        consensus_step(bare, np.zeros((4, 2)), np.zeros((4, 2)))
-    g = make_doubly_stochastic(bare)
+    g = make_doubly_stochastic(gen_digraph(4, 0.5, seed=0))
     with pytest.raises(ValueError):
         consensus_step(g, np.zeros((3, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
@@ -269,7 +265,7 @@ def test_spectrum_of_one_step_consensus():
 
 
 def test_spectrum_two_agent_uniform():
-    g = WeightedDigraph(np.ones((2, 2), dtype=bool), np.full((2, 2), 0.5))
+    g = WeightedDigraph(np.full((2, 2), 0.5))
     assert spectrum(g).rho_disagreement <= 1e-15
 
 
