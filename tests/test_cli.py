@@ -700,12 +700,15 @@ penalty_weight = -1.0
     assert "[voltage] penalty_weight must be > 0" in capsys.readouterr().err
 
 
-def test_validate_does_not_resolve_the_sign_of_a_swamped_modulus(tmp_path,
-                                                                  capsys):
+def test_validate_bounds_the_modulus_by_its_rounding(tmp_path, capsys):
+    path = tmp_path / "desk.ini"
+    path.write_text(DESK_TEXT)
+    assert main(["validate", str(path)]) == 0
+    assert "monotonicity modulus: 2 (rounding bound 4.41e-13)" in \
+        capsys.readouterr().out.splitlines()
     # at active_weight = 1e300 the desk's modulus (at least 20, as E G is
     # positive semidefinite) is lost in the eigensolve's rounding, which
     # the modulus line bounds by N p eps L instead of calling it exact
-    path = tmp_path / "desk.ini"
     path.write_text(DESK_TEXT.replace("[voltage]",
                                       "[voltage]\nactive_weight = 1e300"))
     assert main(["validate", str(path)]) == 2
@@ -719,14 +722,6 @@ def test_validate_does_not_resolve_the_sign_of_a_swamped_modulus(tmp_path,
     assert "assumptions: FAIL" in lines
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "not strongly monotone" in capsys.readouterr().err
-
-
-def test_validate_bounds_the_modulus_of_the_desk(tmp_path, capsys):
-    path = tmp_path / "desk.ini"
-    path.write_text(DESK_TEXT)
-    assert main(["validate", str(path)]) == 0
-    assert "monotonicity modulus: 2 (rounding bound 4.41e-13)" in \
-        capsys.readouterr().out.splitlines()
 
 
 def test_sweep_summary_and_parallel_determinism(tmp_path):
