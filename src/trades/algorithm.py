@@ -21,6 +21,8 @@ pseudo-gradient.
 """
 
 import math
+import os
+import sys
 from array import array
 
 import numpy as np
@@ -41,6 +43,9 @@ _FIT_SKIP_FRACTION = 0.05
 _VERDICT_MIN_R2 = 0.9
 # bytes of sweep arrays the recorder holds before measuring them at once
 _BLOCK_BYTES = 64 * 1024
+# the BLAS thread settings, as the environment sets them (metrics.json
+# records them; a run forks its row replay only when they give one thread)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ------------------------------------------------------------ configuration
@@ -262,10 +267,16 @@ def _checked_step_norm(x, new_x, delta, new_z=None):
     step_norm = math.sqrt(d.dot(d)) / delta
     finite, z_sum_sq = math.isfinite(step_norm), None
     if new_z is not None:
-        z_sum = new_z.sum(axis=0)
-        z_sum_sq = z_sum @ z_sum
+        z_sum_sq = _column_sum_sq(new_z)
         finite = finite and math.isfinite(z_sum_sq)
     return (step_norm, z_sum_sq) if finite else None
+
+
+def _column_sum_sq(z):
+    """|sum_i z_i|^2 of a tracker stack, the value its recorded row reads
+    (also in the forked replay, which must hold the same bits)."""
+    z_sum = z.sum(axis=0)
+    return z_sum @ z_sum
 
 
 def _disagreement(z, phix, mean_row):
@@ -366,6 +377,23 @@ class _Recorder:
                               *fields, iterates=iterates)
 
 
+def _replays_apart(recorder):
+    """Whether a forked child measures the rows (trades._replay): for a
+    game measured row by row, on Linux x86-64 (its stores reach the other
+    process in order) with two usable CPUs, one BLAS thread (every setting
+    that is set reads 1: a BLAS pool on every CPU leaves the child none)
+    and one Python thread, outside a multiprocessing worker (a sweep's
+    pool would double up)."""
+    if recorder.block >= 2 or sys.platform != "linux":
+        return False
+    threads = [os.environ.get(name) for name in _BLAS_THREAD_VARS]
+    mp, threading = sys.modules.get("multiprocessing"), sys.modules.get("threading")
+    return (len(os.sched_getaffinity(0)) >= 2 and os.uname().machine == "x86_64"
+            and any(threads) and all(n in (None, "1") for n in threads)
+            and (threading is None or threading.active_count() == 1)
+            and (mp is None or mp.parent_process() is None))
+
+
 def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     """Iterate to the stopping tolerance and instrument the trajectory.
 
@@ -377,7 +405,8 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     The report's stop_reason is "stop_tol", "max_iter" or "diverged": at
     a non-finite step norm or tracker sum (_checked_step_norm) the state
     is the last finite iterate, with no final row.  cfg.tracker picks the
-    tracker mode.
+    tracker mode.  Where _replays_apart allows, a forked process measures
+    the rows (trades._replay), with the same bytes.
     """
     if x0 is None:
         if cfg.seed is None:
@@ -388,32 +417,49 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     oracle_vec = None if oracle is None else game.split(oracle).reshape(-1)
     recorder = _Recorder(game, oracle_vec)
     iterates = [x.reshape(-1)] if keep_iterates else None
+    replay = None
+    if _replays_apart(recorder):
+        from ._replay import Replay
+        try:
+            replay = Replay(game, graph, cfg, recorder)
+        except OSError:       # no process to spare: the rows stay here
+            pass
 
     stop_reason = "max_iter"
     gamma, delta, stop_tol = cfg.gamma, cfg.delta, cfg.stop_tol
     max_iter, stride, record = cfg.max_iter, cfg.trace_stride, recorder.add
     t, z_sum_sq = 0, 0.0   # the tracker stack starts at zero
-    while t < max_iter:
-        new_x, new_z, phix, estimates = _advance(
-            game, graph, gamma, delta, x, z, cfg.tracker)
-        checked = _checked_step_norm(x, new_x, delta, new_z)
-        if checked is None:
-            stop_reason = "diverged"
-            break
-        step_norm, new_z_sum_sq = checked
-        if t % stride == 0:
-            record(t, x, z, phix, estimates, step_norm, z_sum_sq)
-        x, z, z_sum_sq = new_x, new_z, new_z_sum_sq
-        t += 1
-        if keep_iterates:
-            iterates.append(x.reshape(-1))
-        if step_norm <= stop_tol:
-            stop_reason = "stop_tol"
-            break
+    try:
+        while t < max_iter:
+            new_x, new_z, phix, estimates = _advance(
+                game, graph, gamma, delta, x, z, cfg.tracker)
+            checked = _checked_step_norm(x, new_x, delta, new_z)
+            if checked is None:
+                stop_reason = "diverged"
+                break
+            step_norm, new_z_sum_sq = checked
+            if replay is not None:
+                replay.send(x, step_norm)
+            elif t % stride == 0:
+                record(t, x, z, phix, estimates, step_norm, z_sum_sq)
+            x, z, z_sum_sq = new_x, new_z, new_z_sum_sq
+            t += 1
+            if keep_iterates:
+                iterates.append(x.reshape(-1))
+            if step_norm <= stop_tol:
+                stop_reason = "stop_tol"
+                break
 
-    if stop_reason != "diverged":
-        phix = phi_stack(game, x)
-        recorder.add(t, x, z, phix, z + phix, step_norm, z_sum_sq)
+        final = stop_reason != "diverged"    # a diverged run has no final row
+        if replay is not None:
+            replay.finish(recorder, (x, step_norm) if final else None)
+        elif final:
+            phix = phi_stack(game, x)
+            recorder.add(t, x, z, phix, z + phix, step_norm, z_sum_sq)
+    except BaseException:
+        if replay is not None:
+            replay.close()
+        raise
     trace = recorder.build(np.asarray(iterates) if keep_iterates else None)
 
     # without an oracle err_x is all nan, which the fit reads as no points

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from ._base import _write_atomic
-from .algorithm import run
+from .algorithm import _BLAS_THREAD_VARS, run
 from .config import (_KEYS, SPEC_VERSION, canonical_text, load_config,
                      seed_streams)
 from .errors import ConfigError, MaxIterExceeded, TradesError
@@ -37,8 +37,6 @@ from .network import (gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
 
 ERR_TARGET_SWEEP = 1e-6
-# the BLAS thread settings metrics.json records, as the environment sets them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the dense arrays of one run, in bytes: a config that needs more is refused
 MAX_DENSE_BYTES = 2 ** 31
 # each scenario's size keys, and the dimensions (N, p, q, T, buses) they set

@@ -7,7 +7,9 @@ re-evaluation of the defining formulas inside the test body.
 """
 
 import math
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,7 @@ from trades.games import (
     random_strongly_monotone_game,
     solve_ne_oracle,
 )
+from trades.projections import FeasibleSetProjector
 from trades.network import (
     WeightedDigraph,
     gen_digraph,
@@ -731,6 +734,201 @@ def test_trace_recording_pattern():
     final_t = report.iterations
     expected = [t for t in range(final_t) if t % 7 == 0] + [final_t]
     assert list(trace.t) == expected
+
+
+# -------------------------------------------- rows measured in a fork
+
+
+@pytest.fixture(scope="module")
+def desk_game():
+    """The desk's game (15 buses, 40 chargers, 24 h), measured row by row."""
+    net = build_radial_network(15, seed=3)
+    model = distflow_sensitivities(net, gen_baseline_profile(net, 24, seed=4))
+    agents = gen_agents(40, net, 24, seed=5)
+    game = build_voltage_game(model, agents,
+                              default_voltage_config(model, gen_prices(24, seed=6)))
+    return game, _graph(40, 0.3, 11)
+
+
+def _run_on_path(monkeypatch, forked, game, graph, cfg, **kwargs):
+    """run() with its rows measured in a forked replay or in process, by
+    the selection monkeypatched; returns the outputs and the forks made."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    with monkeypatch.context() as patch, np.errstate(over="ignore",
+                                                     invalid="ignore"):
+        patch.setattr(os, "fork", counted_fork)
+        patch.setattr(algorithm, "_replays_apart", lambda recorder: forked)
+        out = run(game, graph, cfg, **kwargs)
+    return out, len(forks)
+
+
+def _run_bytes(out):
+    state, trace, report = out
+    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
+    return ([getattr(trace, f).tobytes() for f in fields],
+            state.x.tobytes(), state.z.tobytes(), state.t, report)
+
+
+@pytest.mark.parametrize("tracker", TRACKER_MODES)
+@pytest.mark.parametrize("stride", [1, 3])
+def test_forked_rows_are_the_in_process_rows(monkeypatch, desk_game, tracker,
+                                             stride):
+    # the replay rebuilds the tracker stack from the strategies alone and
+    # holds the run's bits: every column of every row, the final one of a
+    # run that spends max_iter (t = 40, not a multiple of 3) included
+    game, graph = desk_game
+    reference = np.random.default_rng(3).normal(size=game.n)
+    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-300, max_iter=40,
+                       trace_stride=stride, tracker=tracker)
+    forked, forks = _run_on_path(monkeypatch, True, game, graph, cfg, x0=11,
+                                 oracle=reference)
+    here, none = _run_on_path(monkeypatch, False, game, graph, cfg, x0=11,
+                              oracle=reference)
+    assert (forks, none) == (1, 0)
+    assert forked[2].stop_reason == "max_iter" and forked[1].t[-1] == 40
+    assert _run_bytes(forked) == _run_bytes(here)
+
+
+def test_forked_rows_of_a_diverging_run(monkeypatch):
+    # gamma = 5 overflows a game measured row by row: the replay records
+    # the rows before the divergence, each finite, and no final row
+    game = random_strongly_monotone_game(40, 2, 40, seed=0, box_halfwidth=1e300)
+    assert algorithm._Recorder(game, None).block < 2
+    graph = _graph(40, 0.6, 0)
+    cfg = TradesConfig(gamma=5.0, delta=1.0, max_iter=500, seed=1)
+    forked, forks = _run_on_path(monkeypatch, True, game, graph, cfg)
+    here, _ = _run_on_path(monkeypatch, False, game, graph, cfg)
+    assert forks == 1 and forked[2].stop_reason == "diverged"
+    assert _run_bytes(forked) == _run_bytes(here)
+    trace = forked[1]
+    assert np.array_equal(trace.t, np.arange(forked[2].iterations))
+    assert np.isfinite(trace.step_norm).all()
+
+
+def test_the_fork_is_chosen_for_rows_measured_one_by_one(monkeypatch,
+                                                         desk_game):
+    # only the per-row path forks, and only with BLAS held to one thread
+    # (a pool spinning on every CPU leaves the child none)
+    if (sys.platform != "linux" or os.uname().machine != "x86_64"
+            or len(os.sched_getaffinity(0)) < 2):
+        pytest.skip("the replay forks on Linux x86-64 with two CPUs")
+    desk = _Recorder(desk_game[0], None)
+    bench = _Recorder(_bench_instance()[0], None)
+    for name in algorithm._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    assert not algorithm._replays_apart(desk)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert algorithm._replays_apart(desk)
+    assert not algorithm._replays_apart(bench)
+    # nor from a process with a second thread
+    import threading
+    release = threading.Event()
+    second = threading.Thread(target=release.wait)
+    second.start()
+    try:
+        assert not algorithm._replays_apart(desk)
+    finally:
+        release.set()
+        second.join(timeout=10)
+    assert not second.is_alive() and algorithm._replays_apart(desk)
+    # a sweep's cells run in pool workers, which measure in process
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert not pool.submit(_forks_for, desk_game[0]).result()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert not algorithm._replays_apart(desk)
+
+
+def _forks_for(game):
+    return algorithm._replays_apart(_Recorder(game, None))
+
+
+@pytest.mark.parametrize("max_iter", [3, 5000])
+def test_a_run_raises_when_its_replay_dies(monkeypatch, desk_game, max_iter):
+    # the replay exits at its 2nd row: a long run raises once the ring is
+    # full, a short one when no rows come back, with the dead child reaped
+    game, graph = desk_game
+    calls, residual = [], FeasibleSetProjector.membership_residual
+
+    def dying(self, v):
+        calls.append(None)
+        if len(calls) == 2:
+            os._exit(3)
+        return residual(self, v)
+
+    monkeypatch.setattr(FeasibleSetProjector, "membership_residual", dying)
+    monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
+    cfg = TradesConfig(stop_tol=1e-300, max_iter=max_iter)
+    with pytest.raises(RuntimeError, match="trace replay process died"):
+        run(game, graph, cfg, x0=11)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_whose_fork_fails_measures_its_rows_in_process(monkeypatch,
+                                                            desk_game):
+    # no process to spare (fork raises EAGAIN): the rows stay in process
+    game, graph = desk_game
+    cfg = TradesConfig(stop_tol=1e-300, max_iter=20)
+    here, _ = _run_on_path(monkeypatch, False, game, graph, cfg, x0=11)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
+    assert _run_bytes(run(game, graph, cfg, x0=11)) == _run_bytes(here)
+
+
+class _ResidualFailed(Exception):
+    pass
+
+
+def test_a_run_that_raises_leaves_no_process(monkeypatch, desk_game):
+    # a projector error at sweep 50 stops the run, which reaps its replay
+    game, graph = desk_game
+    calls, project = [], FeasibleSetProjector.__call__
+
+    def failing(self, v):
+        calls.append(None)
+        if len(calls) == 51:          # the start point, then 50 sweeps
+            raise _ResidualFailed("sweep 50")
+        return project(self, v)
+
+    monkeypatch.setattr(FeasibleSetProjector, "__call__", failing)
+    monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
+    cfg = TradesConfig(stop_tol=1e-300, max_iter=200)
+    with pytest.raises(_ResidualFailed, match="sweep 50"):
+        run(game, graph, cfg, x0=11)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_error_in_the_replay_is_raised_by_run(monkeypatch, desk_game):
+    # the replay's residual fails at its 30th row: run finishes its loop,
+    # then raises that error's type, with the replay reaped
+    game, graph = desk_game
+    calls, residual = [], FeasibleSetProjector.membership_residual
+
+    def failing(self, v):
+        calls.append(None)
+        if len(calls) == 30:
+            raise _ResidualFailed("row 29")
+        return residual(self, v)
+
+    monkeypatch.setattr(FeasibleSetProjector, "membership_residual", failing)
+    monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
+    cfg = TradesConfig(stop_tol=1e-300, max_iter=100)
+    with pytest.raises(_ResidualFailed, match="row 29"):
+        run(game, graph, cfg, x0=11)
+    assert not calls                   # the residual ran in the replay only
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ------------------------------------------- exact trackers vs centralized

@@ -7,8 +7,10 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -1269,6 +1271,63 @@ def test_desk_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode in (0, 2), proc.stdout + proc.stderr
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
+
+
+def _children_of(pid):
+    """Pids of the live (not zombie) processes whose parent is pid."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except (OSError, ValueError):
+            continue                      # not a process, or gone meanwhile
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux" or os.uname().machine != "x86_64"
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="the trace replay forks on Linux x86-64 with two CPUs")
+def test_a_killed_desk_run_leaves_no_replay_process(tmp_path):
+    # a desk run with one BLAS thread measures its rows in one forked
+    # child; SIGKILL to the run leaves that child to see its parent gone
+    path = tmp_path / "desk.ini"
+    path.write_text(DESK_TEXT.replace("max_iter = 300",
+                                      "max_iter = 50000\nstop_tol = 1e-300"))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trades", "run", str(path), "--oracle", "off",
+         "--out", str(tmp_path / "out")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    children = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (children := _children_of(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        assert len(children) == 1
+        proc.kill()
+        proc.wait()
+        gone_by = time.monotonic() + 2.0
+        while _alive(children[0]) and time.monotonic() < gone_by:
+            time.sleep(0.01)
+        assert not _alive(children[0])
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, children):     # a failed check's leftover
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_leaves_numpy_ma_unloaded(tmp_path):
