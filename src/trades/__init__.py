@@ -15,9 +15,8 @@ from .algorithm import (BoundaryLayerResult, ConvergenceReport,
                         boundary_layer_probe, exact_tracker_values,
                         fit_convergence, init, reduced_system_run, run)
 from .config import ExperimentConfig, canonical_text, load_config, parse_config
-from .errors import (ConfigError, EmptyIntersectionSuspected, InfeasibleSpec,
-                     MaxIterExceeded, MaxSweepsExceeded, SinkhornStalled,
-                     TradesError)
+from .errors import (ConfigError, InfeasibleSpec, MaxIterExceeded,
+                     MaxSweepsExceeded, SinkhornStalled, TradesError)
 from .games import (AffineGameSpec, AssumptionReport, GameDefinition,
                     local_operator, phi_stack, pseudo_gradient,
                     quadratic_aggregative_game, random_strongly_monotone_game,
@@ -25,8 +24,8 @@ from .games import (AffineGameSpec, AssumptionReport, GameDefinition,
 from .network import (ConsensusSpectrum, WeightedDigraph, consensus_step,
                       gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
-from .projections import (Box, ConvexSet, DiskPairs, FeasibleSetProjector,
-                          Halfspace, Hyperplane, build_ev_projector)
+from .projections import (Box, DiskPairs, FeasibleSetProjector,
+                          build_ev_projector)
 
 __version__ = "0.1.0"
 

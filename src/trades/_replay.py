@@ -4,8 +4,8 @@ algorithm.run starts one Replay for a game whose rows are measured one
 by one.  After every checked sweep the run writes its strategies x and
 the step norm into a ring of slots in an anonymous shared mapping.  The
 child rebuilds the tracker stack from that stream with the sweep's own
-functions on the same inputs (phi_stack, z + phix, consensus_step or
-exact_tracker_values, the column-sum square), so it holds the run's
+functions on the same inputs (phi_stack, z + phix, and the run's tracker
+step algorithm._track as each next x arrives), so it holds the run's
 bits, and measures the recorded rows with the run's _Recorder.add.  At
 the end it sends back the recorder's two row buffers, or its error,
 through a pipe.
@@ -22,9 +22,8 @@ from mmap import mmap
 
 import numpy as np
 
-from .algorithm import _column_sum_sq, exact_tracker_values
+from .algorithm import _track
 from .games import phi_stack
-from .network import consensus_step
 
 _SLOTS = 8
 # the last float of a slot: a sweep's row, the final row, or the end
@@ -141,8 +140,7 @@ def _measure(game, graph, cfg, recorder, counts, ring, parent):
     """Replay the stream up to its end into the recorder's buffers.  An
     error stops the measuring, not the draining of the ring, and is raised
     at the end."""
-    exact, stride = cfg.tracker == "exact", cfg.trace_stride
-    z, z_sum_sq, error, k = np.zeros((game.N, game.d)), 0.0, None, 0
+    z, error, k = np.zeros((game.N, game.d)), None, 0
     while True:
         spins = 0
         while counts[_SENT] <= k:
@@ -157,23 +155,17 @@ def _measure(game, graph, cfg, recorder, counts, ring, parent):
         counts[_TAKEN] = k + 1
         if kind == _END:
             break
-        recorded = kind == _FINAL or k % stride == 0
-        if error is None and (recorded or not exact):
+        if error is None:
             try:
-                if exact and k:
-                    z = exact_tracker_values(game, x)
-                    z_sum_sq = _column_sum_sq(z)
+                if k:
+                    z = _track(game, graph, cfg.tracker, z, phix, estimates, x)
                 phix = phi_stack(game, x)
                 estimates = z + phix
-                if recorded:
-                    recorder.add(k, x, z, phix, estimates, step_norm, z_sum_sq)
-                if not exact and kind == _ROW:
-                    z = consensus_step(graph, z, phix, estimates)
-                    z_sum_sq = _column_sum_sq(z)
+                if kind == _FINAL or k % cfg.trace_stride == 0:
+                    recorder.add(k, x, z, phix, estimates, step_norm)
             except Exception as exc:
                 error = exc
         k += 1
     if error is not None:
         raise error
     recorder.flush()
-

@@ -239,53 +239,48 @@ def _advance(game, graph, gamma, delta, x, z, tracker):
     estimate stack z + contributions that the sweep and recorder share).
 
     Both halves read the time-t state: the strategy update uses the
-    time-t tracker, and the tracker update uses the time-t contributions
-    (never the freshly updated strategies).  tracker is one of
-    TRACKER_MODES, as TradesConfig checks it.
+    time-t tracker, and the tracker update (_track) uses the time-t
+    contributions (never the freshly updated strategies).  tracker is one
+    of TRACKER_MODES, as TradesConfig checks it.
     """
     phix = phi_stack(game, x)
     estimates = z + phix
     if tracker == "consensus":
-        new_x = damped_projected_step(
-            game, x, local_operator(game, x, estimates), gamma, delta)
-        new_z = consensus_step(graph, z, phix, estimates)
+        direction = local_operator(game, x, estimates)
     else:
-        new_x = damped_projected_step(
-            game, x, game.split(pseudo_gradient(game, x)), gamma, delta)
-        new_z = exact_tracker_values(game, new_x)
-    return new_x, new_z, phix, estimates
+        direction = game.split(pseudo_gradient(game, x))
+    new_x = damped_projected_step(game, x, direction, gamma, delta)
+    return (new_x, _track(game, graph, tracker, z, phix, estimates, new_x),
+            phix, estimates)
+
+
+def _track(game, graph, tracker, z, phix, estimates, new_x):
+    """The tracker stack after one sweep from (z, phix, estimates = z +
+    phix): one consensus step, or in "exact" mode the exact values at the
+    new strategies new_x.  The run's sweep and the forked row replay
+    (trades._replay) both take it, so they hold the same bits."""
+    if tracker == "consensus":
+        return consensus_step(graph, z, phix, estimates)
+    return exact_tracker_values(game, new_x)
 
 
 def _checked_step_norm(x, new_x, delta, new_z=None):
-    """Damping-normalized norm of the sweep from x to new_x, paired with
-    the squared norm of the new tracker stack's column sums (None without
-    new_z), which run hands to the row that records new_z; None when
-    either is not finite (a non-finite entry or an overflow), which is a
+    """Damping-normalized norm of the sweep from x to new_x; None when it,
+    or the squared norm of the new tracker stack's column sums (with
+    new_z), is not finite (a non-finite entry or an overflow), which is a
     divergence.
     """
     d = (new_x - x).ravel()
     step_norm = math.sqrt(d.dot(d)) / delta
-    finite, z_sum_sq = math.isfinite(step_norm), None
-    if new_z is not None:
-        z_sum_sq = _column_sum_sq(new_z)
-        finite = finite and math.isfinite(z_sum_sq)
-    return (step_norm, z_sum_sq) if finite else None
+    finite = math.isfinite(step_norm) and (
+        new_z is None or math.isfinite(_column_sum_sq(new_z)))
+    return step_norm if finite else None
 
 
 def _column_sum_sq(z):
-    """|sum_i z_i|^2 of a tracker stack, the value its recorded row reads
-    (also in the forked replay, which must hold the same bits)."""
+    """|sum_i z_i|^2 of a tracker stack, the value its recorded row reads."""
     z_sum = z.sum(axis=0)
     return z_sum @ z_sum
-
-
-def _disagreement(z, phix, mean_row):
-    """Norm of z + phix minus its mean (mean_row = ones/N), which is the
-    norm of its coordinates in any orthonormal basis of the disagreement
-    subspace."""
-    y = z + phix
-    y -= mean_row @ y
-    return float(np.linalg.norm(y))
 
 
 class _Recorder:
@@ -312,18 +307,17 @@ class _Recorder:
         self.block = _BLOCK_BYTES // (8 * (game.n + 3 * game.N * game.d))
         self.held = []
 
-    def add(self, t, x, z, phix, estimates, step_norm, z_sum_sq):
+    def add(self, t, x, z, phix, estimates, step_norm):
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
         # to the column sums of z, so the centred stack's squared norm (the
-        # disagreement) is their squared norm minus z_sum_sq / N, where
-        # z_sum_sq = |sum_i z_i|^2 comes from the tracker check of the sweep
-        # that produced z; estimates (z + phix) is shared with the sweep, so
-        # it stays as is
+        # disagreement) is their squared norm minus |sum_i z_i|^2 / N;
+        # estimates (z + phix) is shared with the sweep, so it stays as is
         if self.block >= 2:
-            self.held.append((t, x, z, phix, estimates, step_norm, z_sum_sq))
+            self.held.append((t, x, z, phix, estimates, step_norm))
             if len(self.held) == self.block:
                 self.flush()
             return
+        z_sum_sq = _column_sum_sq(z)
         w = estimates - self.mean_row @ phix
         rows = np.einsum("ij,ij->i", w, w)
         disagreement = math.sqrt(max(rows.sum() - z_sum_sq / self.n_agents, 0.0))
@@ -342,23 +336,23 @@ class _Recorder:
         (a nan norm gives 1.0) and the projector's block residual."""
         if not self.held:
             return
-        ts, xs, zs, phis, ests, steps, z_sum_sq = zip(*self.held)
+        ts, xs, zs, phis, ests, steps = zip(*self.held)
         self.held = []
         k, x, z = len(ts), np.array(xs), np.array(zs)
         w = np.array(ests) - (self.mean_row @ np.array(phis))[:, None, :]
         rows = np.einsum("kij,kij->ki", w, w)
-        z_sum_sq = np.array(z_sum_sq)
 
-        def norms(d):
+        def dots(d):
             d = d.reshape(k, -1)
-            return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(k))
+            return np.matmul(d[:, None, :], d[:, :, None]).reshape(k)
 
-        err = np.full(k, math.nan) if self.oracle_vec is None else norms(
-            x.reshape(k, -1) - self.oracle_vec)
+        z_sum_sq = dots(z.sum(axis=1))
+        err = np.full(k, math.nan) if self.oracle_vec is None else np.sqrt(
+            dots(x.reshape(k, -1) - self.oracle_vec))
         fields = np.stack([
             err, np.sqrt(rows.max(axis=1)),
             np.sqrt(np.maximum(rows.sum(axis=1) - z_sum_sq / self.n_agents, 0.0)),
-            np.array(steps), np.sqrt(z_sum_sq) / np.fmax(1.0, norms(z)),
+            np.array(steps), np.sqrt(z_sum_sq) / np.fmax(1.0, np.sqrt(dots(z))),
             self.membership_residual(x)], axis=1)
         self.t.extend(ts)
         self.fields.frombytes(fields.tobytes())
@@ -428,21 +422,20 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     stop_reason = "max_iter"
     gamma, delta, stop_tol = cfg.gamma, cfg.delta, cfg.stop_tol
     max_iter, stride, record = cfg.max_iter, cfg.trace_stride, recorder.add
-    t, z_sum_sq = 0, 0.0   # the tracker stack starts at zero
+    t = 0
     try:
         while t < max_iter:
             new_x, new_z, phix, estimates = _advance(
                 game, graph, gamma, delta, x, z, cfg.tracker)
-            checked = _checked_step_norm(x, new_x, delta, new_z)
-            if checked is None:
+            step_norm = _checked_step_norm(x, new_x, delta, new_z)
+            if step_norm is None:
                 stop_reason = "diverged"
                 break
-            step_norm, new_z_sum_sq = checked
             if replay is not None:
                 replay.send(x, step_norm)
             elif t % stride == 0:
-                record(t, x, z, phix, estimates, step_norm, z_sum_sq)
-            x, z, z_sum_sq = new_x, new_z, new_z_sum_sq
+                record(t, x, z, phix, estimates, step_norm)
+            x, z = new_x, new_z
             t += 1
             if keep_iterates:
                 iterates.append(x.reshape(-1))
@@ -455,7 +448,7 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
             replay.finish(recorder, (x, step_norm) if final else None)
         elif final:
             phix = phi_stack(game, x)
-            recorder.add(t, x, z, phix, z + phix, step_norm, z_sum_sq)
+            recorder.add(t, x, z, phix, z + phix, step_norm)
     except BaseException:
         if replay is not None:
             replay.close()
@@ -485,12 +478,12 @@ def reduced_system_run(game, cfg, x0):
     for _ in range(cfg.max_iter):
         new_x = damped_projected_step(
             game, x, game.split(pseudo_gradient(game, x)), cfg.gamma, cfg.delta)
-        checked = _checked_step_norm(x, new_x, cfg.delta)
-        if checked is None:
+        step_norm = _checked_step_norm(x, new_x, cfg.delta)
+        if step_norm is None:
             break
         x = new_x
         trajectory.append(x.reshape(-1))
-        if checked[0] <= cfg.stop_tol:
+        if step_norm <= cfg.stop_tol:
             break
     return np.asarray(trajectory)
 
@@ -535,24 +528,27 @@ def boundary_layer_probe(graph, game, x, steps=None):
     With x frozen the tracker dynamics are linear; their equilibrium
     makes every agent's estimate equal the true aggregate.  The default
     step budget comes from boundary_layer_budget at the measured
-    spectral rate of the weights.
+    spectral rate of the weights.  The run's recorder measures each
+    sweep: errors is its disagreement column, final_gap_max the last
+    est_err_max.
     """
-    phix = phi_stack(game, game.split(x))
-    sigma = phix.mean(axis=0)
+    x = game.split(x)
+    phix = phi_stack(game, x)
     rho = spectrum(graph).rho_disagreement
     if steps is None:
         steps = boundary_layer_budget(rho)
-    z, mean_row = np.zeros((game.N, game.d)), np.full(game.N, 1.0 / game.N)
-    errors = [_disagreement(z, phix, mean_row)]
-    for _ in range(int(steps)):
-        z = consensus_step(graph, z, phix)
-        errors.append(_disagreement(z, phix, mean_row))
-    errors = np.asarray(errors)
+    recorder, z = _Recorder(game, None), np.zeros((game.N, game.d))
+    for t in range(int(steps) + 1):
+        if t:
+            z = consensus_step(graph, z, phix, estimates)
+        estimates = z + phix
+        recorder.add(t, x, z, phix, estimates, 0.0)
+    trace = recorder.build()
+    errors = trace.disagreement
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(errors[:-1] > _FIT_FLOOR,
                           errors[1:] / np.where(errors[:-1] > 0, errors[:-1], 1.0),
                           np.nan)
-    final_gap = float(np.max(np.linalg.norm(z + phix - sigma[None, :], axis=1)))
     return BoundaryLayerResult(errors=errors, ratios=ratios,
-                               final_gap_max=final_gap, steps=int(steps),
-                               rho=float(rho))
+                               final_gap_max=float(trace.est_err_max[-1]),
+                               steps=int(steps), rho=float(rho))

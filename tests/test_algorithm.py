@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trades import algorithm
 from trades.algorithm import (
@@ -336,7 +338,7 @@ def _one_recorded_row():
     x, z = init(game, 0).x, np.zeros((2, 1))
     recorder = _Recorder(game, None)
     phix = phi_stack(game, x)
-    recorder.add(0, x, z, phix, z + phix, 0.0, 0.0)
+    recorder.add(0, x, z, phix, z + phix, 0.0)
     return x, z, recorder
 
 
@@ -423,22 +425,25 @@ def test_checked_step_norm_stops_a_tracker_stack_whose_column_sum_overflows(
     x, z, _ = _one_recorded_row()
     new_z = np.full((3, 2), 1e308)
     with np.errstate(over="ignore"):
-        step_norm, z_sum_sq = _checked_step_norm(x, x + 1.0, 0.5)
-        assert math.isfinite(step_norm) and z_sum_sq is None
+        assert math.isfinite(_checked_step_norm(x, x + 1.0, 0.5))
         assert _checked_step_norm(x, x + 1.0, 0.5, new_z) is None
     out = _run_replacing_sweep(monkeypatch, 5,
                                lambda new_x, _: (new_x, new_z.copy()))
     assert _diverged_at(out, 5) and len(out[1]) == 4
 
 
-def test_checked_step_norm_returns_the_tracker_column_sum_square():
-    # the pair the run hands on: the step norm and |sum_i z_i|^2 of the new
-    # tracker stack, returned, with nothing left on the recorder
+def test_recorded_row_reads_the_tracker_column_sum_square():
+    # the check hands on the step norm alone; the row that records a tracker
+    # stack reads |sum_i z_i|^2 from it, with nothing left on the recorder
     x, z, recorder = _one_recorded_row()
     new_z = np.array([[1.5], [-0.25]])
-    step_norm, z_sum_sq = _checked_step_norm(x, x + 1.0, 0.5, new_z)
+    step_norm = _checked_step_norm(x, x + 1.0, 0.5, new_z)
     assert step_norm == math.sqrt(x.size) / 0.5
-    assert z_sum_sq == 1.25 ** 2
+    phix = phi_stack(_two_agent_game(), x)
+    recorder.add(1, x, new_z, phix, new_z + phix, step_norm)
+    # the column sum is 1.25 and the stack's norm sqrt(1.5^2 + 0.25^2) > 1
+    trace = recorder.build()
+    assert trace.z_mean_residual[1] == 1.25 / math.sqrt(1.5 ** 2 + 0.25 ** 2)
     assert not hasattr(recorder, "z_sum_sq")
 
 
@@ -613,9 +618,7 @@ def test_final_trace_row_matches_direct_evaluation(instance):
     shifted = z + np.linspace(-1.0, 2.0, game.d)
     recorder = _Recorder(game, reference)
     phix = phi_stack(game, x)
-    shifted_sum = shifted.sum(axis=0)
-    recorder.add(0, x, shifted, phix, shifted + phix, 0.0,
-                 shifted_sum @ shifted_sum)
+    recorder.add(0, x, shifted, phix, shifted + phix, 0.0)
     _assert_row_is_direct(recorder.build(), 0, game, x, shifted, reference)
 
 
@@ -647,11 +650,10 @@ def _trace_rows(trace):
 
 @pytest.mark.parametrize("instance", [_bench_instance, _small_voltage_instance])
 def test_striding_keeps_every_recorded_row(instance, monkeypatch):
-    # a row is the same bits whichever rows are recorded around it: the
-    # tracker check's column sums, which a recorded row reads, come from the
-    # sweep before it, recorded or not; the final row (t = 150, not a
-    # multiple of 7) included.  Those sums are also the bits of the row's
-    # own tracker stack summed afresh.
+    # a row is the same bits whichever rows are recorded around it, the
+    # final row (t = 150, not a multiple of 7) included.  The column sums a
+    # row reads, batched over a block of rows, are also the bits of the
+    # row's own tracker stack summed afresh, as a row measured alone does.
     game, graph = instance()
     reference = np.random.default_rng(3).normal(size=game.n)
 
@@ -663,13 +665,8 @@ def test_striding_keeps_every_recorded_row(instance, monkeypatch):
     every, strided = rows(1), rows(7)
     assert sorted(strided) == list(range(0, 150, 7)) + [150]
     assert all(strided[t] == every[t] for t in strided)
-    add = _Recorder.add
-
-    def add_own_sum(self, t, x, z, *rest):
-        z_sum = z.sum(axis=0)
-        return add(self, t, x, z, *rest[:3], z_sum @ z_sum)
-
-    monkeypatch.setattr(_Recorder, "add", add_own_sum)
+    assert _Recorder(game, None).block >= 2
+    monkeypatch.setattr(algorithm, "_BLOCK_BYTES", 0)
     assert rows(1) == every
 
 
@@ -695,12 +692,12 @@ def test_recorder_holds_under_80_bytes_per_row():
     x, z = init(game, 0).x, np.zeros((2, 1))
     phix = phi_stack(game, x)
     recorder = _Recorder(game, np.zeros(game.n))
-    recorder.add(0, x, z, phix, z + phix, 0.5, 0.0)
+    recorder.add(0, x, z, phix, z + phix, 0.5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for t in range(1, 20001):
-            recorder.add(t, x, z, phix, z + phix, 1.0 / t, 0.0)
+            recorder.add(t, x, z, phix, z + phix, 1.0 / t)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -1090,20 +1087,32 @@ def test_boundary_layer_er_graph_decay():
     assert abs(gap - result.final_gap_max) <= 1e-14
 
 
-def test_boundary_layer_error_has_two_routes():
-    # the probe's disagreement error, the norm of the centered estimates,
-    # must agree with the norm of their orthonormal-basis coordinates
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+       st.floats(0.2, 1.0), st.integers(0, 2 ** 16), st.integers(0, 30))
+def test_boundary_layer_error_has_two_routes(n_agents, m, d, edge_prob, seed,
+                                             steps):
+    # the probe's disagreement error, the norm of the centred estimates,
+    # must agree with the norm of their orthonormal-basis coordinates, and
+    # its final gap with the worst agent's distance from the aggregate
     from trades.network import consensus_step
-    game = random_strongly_monotone_game(7, 2, 3, seed=14)
-    graph = _graph(7, 0.5, 5)
-    x = init(game, 8).x
+    game = random_strongly_monotone_game(n_agents, m, d, seed=seed)
+    graph = (_graph(n_agents, edge_prob, seed) if n_agents > 1
+             else _single_agent_graph())
+    x = init(game, seed).x
     phix = phi_stack(game, x)
-    result = boundary_layer_probe(graph, game, x, steps=5)
+    result = boundary_layer_probe(graph, game, x, steps=steps)
+    assert result.errors.shape == (steps + 1,)
     z = np.zeros_like(phix)
-    for error in result.errors:
-        direct = np.linalg.norm(consensus_basis(7).to_disagreement(z + phix))
+    for k, error in enumerate(result.errors):
+        if k:
+            z = consensus_step(graph, z, phix)
+        direct = np.linalg.norm(
+            consensus_basis(n_agents).to_disagreement(z + phix))
         assert abs(error - direct) <= 1e-12 * max(1.0, direct)
-        z = consensus_step(graph, z, phix)
+    sigma = phix.mean(axis=0)
+    gap = max(np.linalg.norm(z[i] + phix[i] - sigma) for i in range(n_agents))
+    assert abs(result.final_gap_max - gap) <= 1e-14
 
 
 # ------------------------------------------------------------------ fitting

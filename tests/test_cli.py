@@ -1349,10 +1349,9 @@ def test_run_leaves_numpy_ma_unloaded(tmp_path):
 # the package's public names, the voltage module's among them
 PACKAGE_NAMES = (
     "AffineGameSpec", "AssumptionReport", "BoundaryLayerResult", "Box",
-    "ConfigError", "ConsensusSpectrum", "ConvergenceReport", "ConvexSet",
-    "DiskPairs", "DistFlowModel", "EmptyIntersectionSuspected", "EvAgentSpec",
-    "ExperimentConfig", "FeasibleSetProjector", "GameDefinition", "Halfspace",
-    "Hyperplane", "InfeasibleSpec", "IterationTrace", "MaxIterExceeded",
+    "ConfigError", "ConsensusSpectrum", "ConvergenceReport", "DiskPairs",
+    "DistFlowModel", "EvAgentSpec", "ExperimentConfig", "FeasibleSetProjector",
+    "GameDefinition", "InfeasibleSpec", "IterationTrace", "MaxIterExceeded",
     "MaxSweepsExceeded", "RadialNetwork",
     "SinkhornStalled", "TRACE_COLUMNS", "TRACKER_MODES", "TradesConfig",
     "TradesError", "TradesState", "VoltageGameConfig", "VoltageSummary",
@@ -1405,6 +1404,18 @@ def test_package_names_resolve_in_a_fresh_interpreter():
                   "    pass\n"
                   "else:\n"
                   "    raise SystemExit('trades.no_such_name resolved')\n")
+
+
+def test_projection_primitives_stay_in_their_modules():
+    # the set primitives and Dykstra's certificate error are read from
+    # trades.projections and trades.errors, not from the package
+    import trades
+    from trades import errors, projections
+    for module, names in ((projections, ("ConvexSet", "Hyperplane", "Halfspace")),
+                          (errors, ("EmptyIntersectionSuspected",))):
+        for name in names:
+            assert inspect.isclass(getattr(module, name))
+            assert not hasattr(trades, name)
 
 
 def test_grid_names_are_every_public_grid_name():
