@@ -257,8 +257,8 @@ def _advance(game, graph, gamma, delta, x, z, tracker):
 def _track(game, graph, tracker, z, phix, estimates, new_x):
     """The tracker stack after one sweep from (z, phix, estimates = z +
     phix): one consensus step, or in "exact" mode the exact values at the
-    new strategies new_x.  The run's sweep and the forked row replay
-    (trades._replay) both take it, so they hold the same bits."""
+    new strategies new_x.  The run's sweep and _replay_rows both take it,
+    so they hold the same bits."""
     if tracker == "consensus":
         return consensus_step(graph, z, phix, estimates)
     return exact_tracker_values(game, new_x)
@@ -284,7 +284,7 @@ def _column_sum_sq(z):
 
 
 class _Recorder:
-    """Accumulates trace rows; one call per recorded iterate.
+    """Trace rows of the states at a multiple of stride and of the final one.
 
     Rows live in two flat typed buffers: t in an int64 array, and the six
     float fields of each row, in field order, in a float64 array (about
@@ -297,8 +297,9 @@ class _Recorder:
     of a small game surfaces at the end of the row's block.
     """
 
-    def __init__(self, game, oracle_vec):
+    def __init__(self, game, oracle_vec, stride=1):
         self.n_agents = game.N
+        self.stride = stride
         self.membership_residual = game.projector.membership_residual
         self.oracle_vec = oracle_vec
         self.mean_row = np.full(game.N, 1.0 / game.N)
@@ -307,7 +308,9 @@ class _Recorder:
         self.block = _BLOCK_BYTES // (8 * (game.n + 3 * game.N * game.d))
         self.held = []
 
-    def add(self, t, x, z, phix, estimates, step_norm):
+    def add(self, t, x, z, phix, estimates, step_norm, final=False):
+        if t % self.stride and not final:
+            return
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
         # to the column sums of z, so the centred stack's squared norm (the
         # disagreement) is their squared norm minus |sum_i z_i|^2 / N;
@@ -371,6 +374,20 @@ class _Recorder:
                               *fields, iterates=iterates)
 
 
+def _replay_rows(game, graph, tracker, recorder, stream):
+    """Record the tracker's rows along a stream of (t, x, step_norm, final):
+    from z = 0, the sweep's tracker step (_track) to each next x, then
+    phi_stack and z + phix, into recorder.add.  The forked replay feeds it
+    the run's x stream, boundary_layer_probe a frozen x."""
+    z = np.zeros((game.N, game.d))
+    for t, x, step_norm, final in stream:
+        if t:
+            z = _track(game, graph, tracker, z, phix, estimates, x)
+        phix = phi_stack(game, x)
+        estimates = z + phix
+        recorder.add(t, x, z, phix, estimates, step_norm, final)
+
+
 def _replays_apart(recorder):
     """Whether a forked child measures the rows (trades._replay): for a
     game measured row by row, on Linux x86-64 (its stores reach the other
@@ -409,19 +426,19 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     state = init(game, x0)
     x, z = state.x, state.z
     oracle_vec = None if oracle is None else game.split(oracle).reshape(-1)
-    recorder = _Recorder(game, oracle_vec)
+    # the recorder, or a forked replay that measures the rows with it
+    rows = recorder = _Recorder(game, oracle_vec, cfg.trace_stride)
     iterates = [x.reshape(-1)] if keep_iterates else None
-    replay = None
     if _replays_apart(recorder):
         from ._replay import Replay
         try:
-            replay = Replay(game, graph, cfg, recorder)
+            rows = Replay(game, graph, cfg.tracker, recorder)
         except OSError:       # no process to spare: the rows stay here
             pass
 
     stop_reason = "max_iter"
     gamma, delta, stop_tol = cfg.gamma, cfg.delta, cfg.stop_tol
-    max_iter, stride, record = cfg.max_iter, cfg.trace_stride, recorder.add
+    max_iter, add = cfg.max_iter, rows.add
     t = 0
     try:
         while t < max_iter:
@@ -431,10 +448,7 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
             if step_norm is None:
                 stop_reason = "diverged"
                 break
-            if replay is not None:
-                replay.send(x, step_norm)
-            elif t % stride == 0:
-                record(t, x, z, phix, estimates, step_norm)
+            add(t, x, z, phix, estimates, step_norm)
             x, z = new_x, new_z
             t += 1
             if keep_iterates:
@@ -443,17 +457,14 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
                 stop_reason = "stop_tol"
                 break
 
-        final = stop_reason != "diverged"    # a diverged run has no final row
-        if replay is not None:
-            replay.finish(recorder, (x, step_norm) if final else None)
-        elif final:
+        if stop_reason != "diverged":    # a diverged run has no final row
             phix = phi_stack(game, x)
-            recorder.add(t, x, z, phix, z + phix, step_norm)
+            add(t, x, z, phix, z + phix, step_norm, True)
+        trace = rows.build(np.asarray(iterates) if keep_iterates else None)
     except BaseException:
-        if replay is not None:
-            replay.close()
+        if rows is not recorder:         # stop and reap the replay
+            rows.close()
         raise
-    trace = recorder.build(np.asarray(iterates) if keep_iterates else None)
 
     # without an oracle err_x is all nan, which the fit reads as no points
     a1, a2, r2, ratio, n_fit = fit_convergence(trace.t, trace.err_x, t)
@@ -528,21 +539,20 @@ def boundary_layer_probe(graph, game, x, steps=None):
     With x frozen the tracker dynamics are linear; their equilibrium
     makes every agent's estimate equal the true aggregate.  The default
     step budget comes from boundary_layer_budget at the measured
-    spectral rate of the weights.  The run's recorder measures each
-    sweep: errors is its disagreement column, final_gap_max the last
-    est_err_max.
+    spectral rate of the weights.  The tracker steps and their rows are
+    _replay_rows on a stream that repeats x: errors is the recorded
+    disagreement column, final_gap_max the last est_err_max.
     """
+    if steps is not None and (not isinstance(steps, (int, np.integer))
+                              or type(steps) is bool or steps < 0):
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     x = game.split(x)
-    phix = phi_stack(game, x)
     rho = spectrum(graph).rho_disagreement
     if steps is None:
         steps = boundary_layer_budget(rho)
-    recorder, z = _Recorder(game, None), np.zeros((game.N, game.d))
-    for t in range(int(steps) + 1):
-        if t:
-            z = consensus_step(graph, z, phix, estimates)
-        estimates = z + phix
-        recorder.add(t, x, z, phix, estimates, 0.0)
+    recorder = _Recorder(game, None)
+    _replay_rows(game, graph, "consensus", recorder,
+                 ((t, x, 0.0, False) for t in range(steps + 1)))
     trace = recorder.build()
     errors = trace.disagreement
     with np.errstate(divide="ignore", invalid="ignore"):

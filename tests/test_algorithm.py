@@ -670,6 +670,44 @@ def test_striding_keeps_every_recorded_row(instance, monkeypatch):
     assert rows(1) == every
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(TRACKER_MODES), st.integers(1, 5), st.booleans(),
+       st.integers(1, 60), st.integers(0, 2 ** 16))
+def test_replayed_strategies_give_the_runs_rows(n_agents, m, d, tracker,
+                                                stride, block, steps, seed):
+    # _replay_rows, the forked replay's driver, fed a stride-1 run's own
+    # strategies and step norms (the last state final) gives bit for bit
+    # the rows of a run at any stride, recorded in blocks or
+    # (_BLOCK_BYTES = 0) row by row; no process is forked
+    game = random_strongly_monotone_game(n_agents, m, d, seed=seed)
+    graph = _graph(n_agents, 0.6, seed)
+    reference = np.random.default_rng(seed).normal(size=game.n)
+    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
+
+    def columns(trace):
+        return [getattr(trace, name).tobytes() for name in fields]
+
+    def traced(trace_stride, **kwargs):
+        cfg = TradesConfig(stop_tol=1e-300, max_iter=steps,
+                           trace_stride=trace_stride, tracker=tracker)
+        return run(game, graph, cfg, x0=seed, oracle=reference, **kwargs)[1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithm, "_replays_apart", lambda recorder: False)
+        if not block:
+            patch.setattr(algorithm, "_BLOCK_BYTES", 0)
+        every = traced(1, keep_iterates=True)
+        assert len(every.iterates) == len(every) == steps + 1
+        recorder = _Recorder(game, reference, stride)
+        assert (recorder.block >= 2) == block
+        algorithm._replay_rows(game, graph, tracker, recorder, (
+            (t, x.reshape(game.N, game.m).copy(), float(step_norm), t == steps)
+            for t, (x, step_norm) in enumerate(zip(every.iterates,
+                                                   every.step_norm))))
+        assert columns(recorder.build()) == columns(traced(stride))
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
 def test_trace_csv_text_across_row_blocks(n_rows):
     # rows are formatted in blocks of 256; every row, on either side of a
@@ -1085,6 +1123,18 @@ def test_boundary_layer_er_graph_decay():
         z = consensus_step(graph, z, phif)
     gap = np.max(np.linalg.norm(z - (sigma[None, :] - phif), axis=1))
     assert abs(gap - result.final_gap_max) <= 1e-14
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, np.float64(3.0), "3", True])
+def test_boundary_layer_probe_refuses_steps_that_are_not_a_count(steps):
+    # steps = -1 raised a bare IndexError from the empty trace, and
+    # steps = 2.5 ran two steps without a word
+    game = random_strongly_monotone_game(3, 2, 2, seed=1)
+    graph, x = _graph(3, 1.0, 0), init(game, 1).x
+    with pytest.raises(ValueError, match="steps must be a non-negative integer"):
+        boundary_layer_probe(graph, game, x, steps=steps)
+    result = boundary_layer_probe(graph, game, x, steps=np.int64(0))
+    assert result.steps == 0 and result.errors.shape == (1,)
 
 
 @settings(max_examples=60, deadline=None)
