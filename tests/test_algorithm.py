@@ -6,9 +6,11 @@ values come from the independent oracles in oracles.py or from direct
 re-evaluation of the defining formulas inside the test body.
 """
 
+import errno
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -46,12 +48,13 @@ from trades.grid import (
     gen_prices,
 )
 from trades.games import (
+    GameDefinition,
     phi_stack,
     quadratic_aggregative_game,
     random_strongly_monotone_game,
     solve_ne_oracle,
 )
-from trades.projections import FeasibleSetProjector
+from trades.projections import Box, FeasibleSetProjector
 from trades.network import (
     WeightedDigraph,
     gen_digraph,
@@ -785,6 +788,21 @@ def desk_game():
     return game, _graph(40, 0.3, 11)
 
 
+def _wide_game():
+    """Three scalar agents over a 10,000-step horizon: a replay record of
+    8 (n + 2) = 240 KB, past a pipe's 64 KiB buffer, takes several reads."""
+    horizon, rng = 10_000, np.random.default_rng(8)
+    n = 3 * horizon
+    game = GameDefinition(np.full((3, 1, 1), 2.0), np.full((3, 1, 1), 0.5),
+                          rng.normal(size=(3, 1, horizon)), np.ones((3, 1, 1)),
+                          FeasibleSetProjector(Box(-np.ones(n), np.ones(n))))
+    return game, _graph(3, 0.9, 1)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
 def _run_on_path(monkeypatch, forked, game, graph, cfg, **kwargs):
     """run() with its rows measured in a forked replay or in process, by
     the selection monkeypatched; returns the outputs and the forks made."""
@@ -815,18 +833,46 @@ def test_forked_rows_are_the_in_process_rows(monkeypatch, desk_game, tracker,
                                              stride):
     # the replay rebuilds the tracker stack from the strategies alone and
     # holds the run's bits: every column of every row, the final one of a
-    # run that spends max_iter (t = 40, not a multiple of 3) included
-    game, graph = desk_game
-    reference = np.random.default_rng(3).normal(size=game.n)
-    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-300, max_iter=40,
-                       trace_stride=stride, tracker=tracker)
-    forked, forks = _run_on_path(monkeypatch, True, game, graph, cfg, x0=11,
-                                 oracle=reference)
-    here, none = _run_on_path(monkeypatch, False, game, graph, cfg, x0=11,
-                              oracle=reference)
-    assert (forks, none) == (1, 0)
-    assert forked[2].stop_reason == "max_iter" and forked[1].t[-1] == 40
-    assert _run_bytes(forked) == _run_bytes(here)
+    # run that spends max_iter (t = 40, not a multiple of 3) included,
+    # for the desk and for a game whose records span several pipe reads
+    for game, graph in (desk_game, _wide_game()):
+        assert _Recorder(game, None).block < 2
+        reference = np.random.default_rng(3).normal(size=game.n)
+        cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-300,
+                           max_iter=40, trace_stride=stride, tracker=tracker)
+        fds = _open_fds()
+        forked, forks = _run_on_path(monkeypatch, True, game, graph, cfg,
+                                     x0=11, oracle=reference)
+        assert _open_fds() == fds
+        here, none = _run_on_path(monkeypatch, False, game, graph, cfg,
+                                  x0=11, oracle=reference)
+        assert (forks, none) == (1, 0)
+        assert forked[2].stop_reason == "max_iter" and forked[1].t[-1] == 40
+        assert _run_bytes(forked) == _run_bytes(here)
+
+
+def test_a_forked_run_prints_an_unflushed_write_once():
+    # the replay child ends by os._exit: it writes nothing and flushes
+    # none of the buffers it inherits, here stdout's, held by a pipe
+    script = (
+        "import os\n"
+        "from trades import algorithm\n"
+        "from trades.games import random_strongly_monotone_game\n"
+        "from trades.network import gen_digraph, make_doubly_stochastic\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or fork()\n"
+        "algorithm._replays_apart = lambda recorder: True\n"
+        "game = random_strongly_monotone_game(40, 2, 40, seed=0)\n"
+        "graph = make_doubly_stochastic(gen_digraph(40, 0.6, 0),\n"
+        "                               method='metropolis_symmetrized')\n"
+        "print('before the run')\n"
+        "algorithm.run(game, graph, algorithm.TradesConfig(max_iter=20, seed=1))\n"
+        "print('forks', len(forks))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "before the run\nforks 1\n"
 
 
 def test_forked_rows_of_a_diverging_run(monkeypatch):
@@ -848,10 +894,12 @@ def test_forked_rows_of_a_diverging_run(monkeypatch):
 def test_the_fork_is_chosen_for_rows_measured_one_by_one(monkeypatch,
                                                          desk_game):
     # only the per-row path forks, and only with BLAS held to one thread
-    # (a pool spinning on every CPU leaves the child none)
-    if (sys.platform != "linux" or os.uname().machine != "x86_64"
-            or len(os.sched_getaffinity(0)) < 2):
-        pytest.skip("the replay forks on Linux x86-64 with two CPUs")
+    # (a pool spinning on every CPU leaves the child none), on any machine
+    if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the replay forks on Linux with two CPUs")
+    here = os.uname()
+    arm = type(here)((*here[:4], "aarch64"))
+    monkeypatch.setattr(os, "uname", lambda: arm)
     desk = _Recorder(desk_game[0], None)
     bench = _Recorder(_bench_instance()[0], None)
     for name in algorithm._BLAS_THREAD_VARS:
@@ -885,8 +933,9 @@ def _forks_for(game):
 
 @pytest.mark.parametrize("max_iter", [3, 5000])
 def test_a_run_raises_when_its_replay_dies(monkeypatch, desk_game, max_iter):
-    # the replay exits at its 2nd row: a long run raises once the ring is
-    # full, a short one when no rows come back, with the dead child reaped
+    # the replay exits at its 2nd row: a long run raises at a record
+    # write (a broken pipe), a short one may only when no rows come back,
+    # with the dead child reaped and both pipes closed
     game, graph = desk_game
     calls, residual = [], FeasibleSetProjector.membership_residual
 
@@ -899,25 +948,41 @@ def test_a_run_raises_when_its_replay_dies(monkeypatch, desk_game, max_iter):
     monkeypatch.setattr(FeasibleSetProjector, "membership_residual", dying)
     monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
     cfg = TradesConfig(stop_tol=1e-300, max_iter=max_iter)
+    fds = _open_fds()
     with pytest.raises(RuntimeError, match="trace replay process died"):
         run(game, graph, cfg, x0=11)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def test_a_run_whose_fork_fails_measures_its_rows_in_process(monkeypatch,
                                                             desk_game):
-    # no process to spare (fork raises EAGAIN): the rows stay in process
+    # no process to spare (fork raises EAGAIN), or no file for the second
+    # pipe (EMFILE): the rows stay in process, with no pipe left open
     game, graph = desk_game
     cfg = TradesConfig(stop_tol=1e-300, max_iter=20)
     here, _ = _run_on_path(monkeypatch, False, game, graph, cfg, x0=11)
+    pipe, pipes = os.pipe, []
 
     def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
-    assert _run_bytes(run(game, graph, cfg, x0=11)) == _run_bytes(here)
+    def one_pipe():
+        if pipes:
+            raise OSError(errno.EMFILE, "Too many open files")
+        pipes.append(pipe())
+        return pipes[-1]
+
+    for name, refusal in (("fork", no_fork), ("pipe", one_pipe)):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, refusal)
+            fds = _open_fds()
+            out, forks = _run_on_path(monkeypatch, True, game, graph, cfg,
+                                      x0=11)
+            assert _open_fds() == fds
+        assert _run_bytes(out) == _run_bytes(here)
+    assert (forks, len(pipes)) == (0, 1)   # refused before any fork
 
 
 class _ResidualFailed(Exception):
@@ -938,10 +1003,12 @@ def test_a_run_that_raises_leaves_no_process(monkeypatch, desk_game):
     monkeypatch.setattr(FeasibleSetProjector, "__call__", failing)
     monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
     cfg = TradesConfig(stop_tol=1e-300, max_iter=200)
+    fds = _open_fds()
     with pytest.raises(_ResidualFailed, match="sweep 50"):
         run(game, graph, cfg, x0=11)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def test_an_error_in_the_replay_is_raised_by_run(monkeypatch, desk_game):
@@ -959,11 +1026,13 @@ def test_an_error_in_the_replay_is_raised_by_run(monkeypatch, desk_game):
     monkeypatch.setattr(FeasibleSetProjector, "membership_residual", failing)
     monkeypatch.setattr(algorithm, "_replays_apart", lambda recorder: True)
     cfg = TradesConfig(stop_tol=1e-300, max_iter=100)
+    fds = _open_fds()
     with pytest.raises(_ResidualFailed, match="row 29"):
         run(game, graph, cfg, x0=11)
     assert not calls                   # the residual ran in the replay only
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 # ------------------------------------------- exact trackers vs centralized
