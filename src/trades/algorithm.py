@@ -390,15 +390,16 @@ def _replay_rows(game, graph, tracker, recorder, stream):
 
 def _replays_apart(recorder):
     """Whether a forked child measures the rows (trades._replay): for a
-    game measured row by row, on Linux with two usable CPUs, one BLAS
-    thread (every setting that is set reads 1: a BLAS pool on every CPU
-    leaves the child none) and one Python thread, outside a
-    multiprocessing worker (a sweep's pool would double up)."""
+    game measured row by row, on Linux x86-64 (its stores reach the other
+    process in order) with two usable CPUs, one BLAS thread (every setting
+    that is set reads 1: a BLAS pool on every CPU leaves the child none)
+    and one Python thread, outside a multiprocessing worker (a sweep's
+    pool would double up)."""
     if recorder.block >= 2 or sys.platform != "linux":
         return False
     threads = [os.environ.get(name) for name in _BLAS_THREAD_VARS]
     mp, threading = sys.modules.get("multiprocessing"), sys.modules.get("threading")
-    return (len(os.sched_getaffinity(0)) >= 2
+    return (len(os.sched_getaffinity(0)) >= 2 and os.uname().machine == "x86_64"
             and any(threads) and all(n in (None, "1") for n in threads)
             and (threading is None or threading.active_count() == 1)
             and (mp is None or mp.parent_process() is None))

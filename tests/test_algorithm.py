@@ -790,7 +790,7 @@ def desk_game():
 
 def _wide_game():
     """Three scalar agents over a 10,000-step horizon: a replay record of
-    8 (n + 2) = 240 KB, past a pipe's 64 KiB buffer, takes several reads."""
+    8 (n + 2) = 240 KB, some 30 times the desk's and past a page."""
     horizon, rng = 10_000, np.random.default_rng(8)
     n = 3 * horizon
     game = GameDefinition(np.full((3, 1, 1), 2.0), np.full((3, 1, 1), 0.5),
@@ -834,7 +834,7 @@ def test_forked_rows_are_the_in_process_rows(monkeypatch, desk_game, tracker,
     # the replay rebuilds the tracker stack from the strategies alone and
     # holds the run's bits: every column of every row, the final one of a
     # run that spends max_iter (t = 40, not a multiple of 3) included,
-    # for the desk and for a game whose records span several pipe reads
+    # for the desk and for a game with 240 KB records
     for game, graph in (desk_game, _wide_game()):
         assert _Recorder(game, None).block < 2
         reference = np.random.default_rng(3).normal(size=game.n)
@@ -894,12 +894,10 @@ def test_forked_rows_of_a_diverging_run(monkeypatch):
 def test_the_fork_is_chosen_for_rows_measured_one_by_one(monkeypatch,
                                                          desk_game):
     # only the per-row path forks, and only with BLAS held to one thread
-    # (a pool spinning on every CPU leaves the child none), on any machine
-    if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the replay forks on Linux with two CPUs")
-    here = os.uname()
-    arm = type(here)((*here[:4], "aarch64"))
-    monkeypatch.setattr(os, "uname", lambda: arm)
+    # (a pool spinning on every CPU leaves the child none)
+    if (sys.platform != "linux" or os.uname().machine != "x86_64"
+            or len(os.sched_getaffinity(0)) < 2):
+        pytest.skip("the replay forks on Linux x86-64 with two CPUs")
     desk = _Recorder(desk_game[0], None)
     bench = _Recorder(_bench_instance()[0], None)
     for name in algorithm._BLAS_THREAD_VARS:
@@ -933,9 +931,9 @@ def _forks_for(game):
 
 @pytest.mark.parametrize("max_iter", [3, 5000])
 def test_a_run_raises_when_its_replay_dies(monkeypatch, desk_game, max_iter):
-    # the replay exits at its 2nd row: a long run raises at a record
-    # write (a broken pipe), a short one may only when no rows come back,
-    # with the dead child reaped and both pipes closed
+    # the replay exits at its 2nd row: a long run raises once the ring is
+    # full, a short one when no rows come back, with the dead child reaped
+    # and its pipe closed
     game, graph = desk_game
     calls, residual = [], FeasibleSetProjector.membership_residual
 
@@ -958,23 +956,20 @@ def test_a_run_raises_when_its_replay_dies(monkeypatch, desk_game, max_iter):
 
 def test_a_run_whose_fork_fails_measures_its_rows_in_process(monkeypatch,
                                                             desk_game):
-    # no process to spare (fork raises EAGAIN), or no file for the second
+    # no process to spare (fork raises EAGAIN), or no file for the result
     # pipe (EMFILE): the rows stay in process, with no pipe left open
     game, graph = desk_game
     cfg = TradesConfig(stop_tol=1e-300, max_iter=20)
     here, _ = _run_on_path(monkeypatch, False, game, graph, cfg, x0=11)
-    pipe, pipes = os.pipe, []
 
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    def one_pipe():
-        if pipes:
-            raise OSError(errno.EMFILE, "Too many open files")
-        pipes.append(pipe())
-        return pipes[-1]
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
 
-    for name, refusal in (("fork", no_fork), ("pipe", one_pipe)):
+    attempts = []
+    for name, refusal in (("fork", no_fork), ("pipe", no_pipe)):
         with monkeypatch.context() as patch:
             patch.setattr(os, name, refusal)
             fds = _open_fds()
@@ -982,7 +977,8 @@ def test_a_run_whose_fork_fails_measures_its_rows_in_process(monkeypatch,
                                       x0=11)
             assert _open_fds() == fds
         assert _run_bytes(out) == _run_bytes(here)
-    assert (forks, len(pipes)) == (0, 1)   # refused before any fork
+        attempts.append(forks)
+    assert attempts == [1, 0]   # a refused fork; no fork tried without a pipe
 
 
 class _ResidualFailed(Exception):
