@@ -1,12 +1,12 @@
 """Trace rows measured in a forked process that replays the tracker.
 
-algorithm.run starts one Replay for a game whose rows are measured one
-by one.  After every checked sweep the run writes its strategies x and
-the step norm into a ring of slots in an anonymous shared mapping.  The
-child runs algorithm._replay_rows on that stream, so it holds the run's
-bits, and measures the rows with the run's recorder.  At the end it
-sends back the pickled (error, trace) pair, one of them None, through a
-pipe.
+algorithm.run starts one Replay for a game measured row by row, from a
+process of one OS thread on two CPUs (algorithm._replays_apart).  After
+every checked sweep the run writes its strategies x and the step norm
+into a ring of slots in an anonymous shared mapping.  The child runs
+algorithm._replay_rows on that stream, so it holds the run's bits, and
+measures the rows with the run's recorder.  At the end it sends back the
+pickled (error, trace) pair, one of them None, through a pipe.
 
 Both ends wait by polling the shared counters: a wake-up through the
 pipe per row cost more than the recording it took off the loop, as two

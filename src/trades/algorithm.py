@@ -20,6 +20,7 @@ run, reduced_system_run and games.solve_ne_oracle (delta = 1) with d the
 pseudo-gradient.
 """
 
+import contextlib
 import math
 import os
 import sys
@@ -43,9 +44,6 @@ _FIT_SKIP_FRACTION = 0.05
 _VERDICT_MIN_R2 = 0.9
 # bytes of sweep arrays the recorder holds before measuring them at once
 _BLOCK_BYTES = 64 * 1024
-# the BLAS thread settings, as the environment sets them (metrics.json
-# records them; a run forks its row replay only when they give one thread)
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ------------------------------------------------------------ configuration
@@ -388,20 +386,21 @@ def _replay_rows(game, graph, tracker, recorder, stream):
         recorder.add(t, x, z, phix, estimates, step_norm, final)
 
 
+def _threads():
+    """The OS threads of this process, a BLAS pool's too; None without /proc."""
+    with contextlib.suppress(OSError):
+        return len(os.listdir("/proc/self/task"))
+
+
 def _replays_apart(recorder):
     """Whether a forked child measures the rows (trades._replay): for a
     game measured row by row, on Linux x86-64 (its stores reach the other
-    process in order) with two usable CPUs, one BLAS thread (every setting
-    that is set reads 1: a BLAS pool on every CPU leaves the child none)
-    and one Python thread, outside a multiprocessing worker (a sweep's
-    pool would double up)."""
-    if recorder.block >= 2 or sys.platform != "linux":
-        return False
-    threads = [os.environ.get(name) for name in _BLAS_THREAD_VARS]
-    mp, threading = sys.modules.get("multiprocessing"), sys.modules.get("threading")
-    return (len(os.sched_getaffinity(0)) >= 2 and os.uname().machine == "x86_64"
-            and any(threads) and all(n in (None, "1") for n in threads)
-            and (threading is None or threading.active_count() == 1)
+    process in order) with two usable CPUs, in a process of one OS thread
+    (a BLAS pool would leave the child no CPU; forking beside a thread is
+    unsafe), outside a multiprocessing worker (a sweep's pool would double up)."""
+    mp = sys.modules.get("multiprocessing")
+    return (recorder.block < 2 and sys.platform == "linux" and _threads() == 1
+            and os.uname().machine == "x86_64" and len(os.sched_getaffinity(0)) > 1
             and (mp is None or mp.parent_process() is None))
 
 

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from ._base import _write_atomic
-from .algorithm import _BLAS_THREAD_VARS, run
+from .algorithm import _threads, run
 from .config import (_KEYS, SPEC_VERSION, canonical_text, load_config,
                      seed_streams)
 from .errors import ConfigError, MaxIterExceeded, TradesError
@@ -267,8 +267,7 @@ def cmd_run(cfg):
                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
     # measurements live apart from report.json, which stays deterministic
     metrics = {"timing_seconds": round(elapsed, 3), "blas": _blas_build(),
-               "blas_thread_env": {k: os.environ.get(k)
-                                   for k in _BLAS_THREAD_VARS}}
+               "threads": _threads()}
     _write_atomic(os.path.join(out_dir, "metrics.json"),
                   json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
@@ -379,7 +378,8 @@ def cmd_sweep(cfg):
     _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
 
     from concurrent.futures import ProcessPoolExecutor   # only sweep uses it
-    workers = min(len(cells), os.cpu_count() or 1)
+    workers = min(len(cells), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_cell, game, graph, trades, cell_dir,
                                oracle_x)

@@ -891,38 +891,62 @@ def test_forked_rows_of_a_diverging_run(monkeypatch):
     assert np.isfinite(trace.step_norm).all()
 
 
-def test_the_fork_is_chosen_for_rows_measured_one_by_one(monkeypatch,
-                                                         desk_game):
-    # only the per-row path forks, and only with BLAS held to one thread
-    # (a pool spinning on every CPU leaves the child none)
+# the desk's game, built as desk_game builds it, and whether a run of it
+# would fork its row replay, in the interpreter that runs this script
+_DESK_FORK_CHOICE = """\
+from trades import algorithm
+from trades.grid import (build_radial_network, build_voltage_game,
+                         default_voltage_config, distflow_sensitivities,
+                         gen_agents, gen_baseline_profile, gen_prices)
+net = build_radial_network(15, seed=3)
+model = distflow_sensitivities(net, gen_baseline_profile(net, 24, seed=4))
+game = build_voltage_game(model, gen_agents(40, net, 24, seed=5),
+                          default_voltage_config(model, gen_prices(24, seed=6)))
+print(algorithm._replays_apart(algorithm._Recorder(game, None)))
+"""
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_the_fork_is_chosen_for_rows_measured_one_by_one(desk_game):
+    # only the per-row path forks, and only from a process of one OS
+    # thread (a BLAS pool spinning on every CPU leaves the child none).
+    # numpy's OpenBLAS starts its pool at import, sized by
+    # OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (MKL_NUM_THREADS is not
+    # its), so each setting gets a fresh interpreter
     if (sys.platform != "linux" or os.uname().machine != "x86_64"
             or len(os.sched_getaffinity(0)) < 2):
         pytest.skip("the replay forks on Linux x86-64 with two CPUs")
+    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    for setting, forks in (({"OPENBLAS_NUM_THREADS": "1"}, True),
+                           ({"OPENBLAS_NUM_THREADS": "1",
+                             "OMP_NUM_THREADS": "4"}, True),
+                           ({"MKL_NUM_THREADS": "1"}, False),
+                           ({}, False),
+                           ({"OPENBLAS_NUM_THREADS": "2"}, False)):
+        proc = subprocess.run([sys.executable, "-c", _DESK_FORK_CHOICE],
+                              capture_output=True, text=True, timeout=120,
+                              env={**unset, **setting})
+        assert (proc.returncode, proc.stdout) == (0, f"{forks}\n"), \
+            (setting, proc.stderr)
+    # in this process: not for a game measured in blocks
     desk = _Recorder(desk_game[0], None)
-    bench = _Recorder(_bench_instance()[0], None)
-    for name in algorithm._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    assert not algorithm._replays_apart(desk)
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert algorithm._replays_apart(desk)
-    assert not algorithm._replays_apart(bench)
-    # nor from a process with a second thread
+    assert not algorithm._replays_apart(_Recorder(_bench_instance()[0], None))
+    # nor beside a second thread, which the count sees
     import threading
-    release = threading.Event()
+    threads, release = algorithm._threads(), threading.Event()
     second = threading.Thread(target=release.wait)
     second.start()
     try:
+        assert algorithm._threads() == threads + 1
         assert not algorithm._replays_apart(desk)
     finally:
         release.set()
         second.join(timeout=10)
-    assert not second.is_alive() and algorithm._replays_apart(desk)
+    assert not second.is_alive()
     # a sweep's cells run in pool workers, which measure in process
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=1) as pool:
         assert not pool.submit(_forks_for, desk_game[0]).result()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert not algorithm._replays_apart(desk)
 
 
 def _forks_for(game):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trades import algorithm
 from trades.cli import _check_sizes, _dense_bytes, assemble_game, main
 from trades.config import (_DERIVED, _FILE, _FLAG, _FLOATS, _KEYS, _OR_NONE,
                            _REQUIRED, SCENARIOS, SPEC_VERSION, _fmt,
@@ -392,19 +393,13 @@ def test_run_outputs_and_determinism(tmp_path):
         (out / "trace.csv").read_bytes()
 
 
-def test_metrics_record_the_blas_build_and_its_thread_settings(tmp_path,
-                                                               monkeypatch):
-    # the thread settings as the environment holds them, not the thread
-    # count BLAS runs with
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+def test_metrics_record_the_blas_build_and_the_thread_count(tmp_path):
+    # the OS threads the process runs when the run ends: this one's
     path = _affine_cfg_file(tmp_path, out_name="m")
     assert main(["run", path, "--oracle", "off"]) == 0
     metrics = json.loads((tmp_path / "m" / "metrics.json").read_text())
-    assert set(metrics) == {"timing_seconds", "blas", "blas_thread_env"}
-    assert metrics["blas_thread_env"] == {
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+    assert set(metrics) == {"timing_seconds", "blas", "threads"}
+    assert metrics["threads"] == algorithm._threads()
     if np.lib.NumpyVersion(np.__version__) < "1.26.0":
         # show_config takes no mode before numpy 1.26
         assert metrics["blas"] is None
@@ -412,6 +407,31 @@ def test_metrics_record_the_blas_build_and_its_thread_settings(tmp_path,
         build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert metrics["blas"] == {"name": build["name"],
                                    "version": build["version"]}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="threads come from /proc")
+def test_metrics_count_the_blas_threads_numpy_started(tmp_path):
+    # a command runs one thread plus numpy's BLAS workers: OpenBLAS, held
+    # to one thread by OPENBLAS_NUM_THREADS, starts its pool on the usable
+    # CPUs under MKL_NUM_THREADS = 1, a variable it does not read
+    path = _affine_cfg_file(tmp_path)
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")}
+    threads = {}
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "trades", "run", path, "--oracle", "off",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**unset, name: "1"})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        metrics = json.loads((out / "metrics.json").read_text())
+        threads[name] = metrics["threads"]
+    assert threads["OPENBLAS_NUM_THREADS"] == 1
+    if "openblas" in str(metrics["blas"]) and len(os.sched_getaffinity(0)) > 1:
+        assert threads["MKL_NUM_THREADS"] > 1
 
 
 def test_run_oracle_off_skips_fit(tmp_path):
@@ -746,6 +766,28 @@ def test_sweep_summary_and_parallel_determinism(tmp_path):
     for name in ("cell-00-00", "cell-01-01"):
         assert (tmp_path / "sw2" / name / "trace.csv").read_bytes() == \
             (tmp_path / "sw1" / name / "trace.csv").read_bytes()
+
+
+def test_sweep_starts_a_worker_per_usable_cpu(tmp_path, monkeypatch):
+    # under one usable CPU (as under taskset -c 0) a 2-cell sweep starts
+    # one worker, and writes the summary of a sweep on every CPU
+    import concurrent.futures
+    path = tmp_path / "sweep.ini"
+    path.write_text(AFFINE_TEXT.format(out=tmp_path / "every")
+                    + "\n[sweep]\ngamma = 0.02,0.08\ndelta = 0.5\n")
+    assert main(["sweep", str(path)]) == 0
+    sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def sized(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sized)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["sweep", str(path), "--out", str(tmp_path / "one")]) == 0
+    assert sizes == [1]
+    assert (tmp_path / "one" / "summary.csv").read_bytes() == \
+        (tmp_path / "every" / "summary.csv").read_bytes()
 
 
 def test_sweep_cell_is_the_run_of_its_stepsizes(tmp_path):
