@@ -19,6 +19,8 @@ a decaying fit, among them) or failed assumption checks under validate,
 """
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -37,6 +39,7 @@ from .network import (gen_digraph, is_strongly_connected,
                       make_doubly_stochastic, spectrum)
 
 ERR_TARGET_SWEEP = 1e-6
+_EXIT_HOOK = []   # gc.freeze once main registered it (README § Command line)
 # the dense arrays of one run, in bytes: a config that needs more is refused
 MAX_DENSE_BYTES = 2 ** 31
 # each scenario's size keys, and the dimensions (N, p, q, T, buses) they set
@@ -221,6 +224,17 @@ def _report_payload(cfg, graph, game, report, trace):
 # ------------------------------------------------------------ subcommands
 
 
+def _check_out_dir(path):
+    """Refuse, before any solve, an output path that cannot be made a
+    directory: the path, or its nearest existing ancestor, is not one."""
+    found = os.path.abspath(path)
+    while not os.path.lexists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"output directory {path} cannot be made: "
+                          f"{found} is not a directory")
+
+
 def _guarded_run(game, graph, trades, oracle):
     """run() with the overflow warnings of a diverging run silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -229,6 +243,7 @@ def _guarded_run(game, graph, trades, oracle):
 
 def cmd_run(cfg):
     started = time.perf_counter()
+    _check_out_dir(cfg.output_dir)
     graph = build_graph(cfg)
     game, extras = assemble_game(cfg)
     oracle_failure = state = trace = report = None
@@ -359,6 +374,7 @@ def _sweep_cell(game, graph, trades, cell_dir, oracle_x):
 def cmd_sweep(cfg):
     if cfg.sweep is None:
         raise ConfigError("sweep requires a [sweep] section")
+    _check_out_dir(cfg.output_dir)
     graph = build_graph(cfg)
     game, _ = assemble_game(cfg)
     # two of the three per-cell metrics are errors to the equilibrium,
@@ -427,6 +443,8 @@ def _build_parser():
 
 
 def main(argv=None):
+    if not _EXIT_HOOK:   # the exit's collections skip what is alive then
+        _EXIT_HOOK.append(atexit.register(gc.freeze))
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "validate": cmd_validate, "sweep": cmd_sweep}

@@ -260,8 +260,9 @@ def test_criterion_8_feasibility_invariance(bench_run, exact_run, desk_run):
              f"worst membership residual {worst:.3g} ({worst_name})")
 
 
-def test_criterion_9_determinism(tmp_path):
-    cfg_text = """
+# the config of criterion 9, with its output directory to fill in; the
+# golden-output manifest (test_golden.py) digests its run and sweep too
+CRITERION_9_CONFIG = """
 [experiment]
 spec_version = 1
 scenario = affine
@@ -286,10 +287,13 @@ gamma = 0.01,0.03
 delta = 0.5,1.0
 max_iter = 1200
 """
+
+
+def test_criterion_9_determinism(tmp_path):
     run_a = tmp_path / "a.ini"
-    run_a.write_text(cfg_text.format(out=tmp_path / "ra"))
+    run_a.write_text(CRITERION_9_CONFIG.format(out=tmp_path / "ra"))
     run_b = tmp_path / "b.ini"
-    run_b.write_text(cfg_text.format(out=tmp_path / "rb"))
+    run_b.write_text(CRITERION_9_CONFIG.format(out=tmp_path / "rb"))
     assert main(["run", str(run_a)]) == 0
     assert main(["run", str(run_b)]) == 0
     single = (tmp_path / "ra" / "trace.csv").read_bytes() == \

@@ -1268,6 +1268,14 @@ def test_fit_recovers_planted_rate():
     assert n == len(ts) - 20  # transient cut at t >= 100 drops 20 samples
 
 
+def test_fit_skips_at_least_the_first_fifty_iterations():
+    # on a short run 5 % of the iterations is below the 50-iteration floor
+    # of the transient cut: a 100-point history keeps t = 50..99
+    ts = np.arange(100)
+    n = fit_convergence(ts, np.exp(-0.1 * ts), 100)[4]
+    assert n == 50
+
+
 def test_fit_ignores_floor_and_short_windows():
     ts = np.arange(300)
     errs = np.full(300, 1e-15)

@@ -817,6 +817,33 @@ def test_sweep_without_grid_is_usage_error(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_an_output_path_that_cannot_be_a_directory_stops_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, under):
+    # `--out` at an existing file, or at a path under one, is one error
+    # line naming the file, before the graph, the oracle or a run
+    from trades import cli
+    path = _affine_cfg_file(tmp_path, extra="\n[sweep]\ngamma = 0.02\n"
+                            "delta = 0.5\n")
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    for name in ("build_graph", "solve_ne_oracle", "run"):
+        monkeypatch.setattr(cli, name, no_solve)
+    out = blocker / "sub" if under else blocker
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: output directory {out} cannot "
+                                       f"be made: {blocker} is not a "
+                                       "directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert blocker.read_text() == "kept\n"
+
+
 def test_case_study_small_instance(tmp_path):
     path = tmp_path / "volt.ini"
     path.write_text(f"""
@@ -1427,6 +1454,40 @@ def test_affine_run_never_loads_the_voltage_module(tmp_path):
                   "assert 'trades.grid' not in sys.modules\n",
                   _affine_cfg_file(tmp_path))
     assert (tmp_path / "out" / "trace.csv").stat().st_size > 0
+
+
+# an atexit handler registered first runs last, after any hook of the CLI
+_REPORT_FREEZE_AT_EXIT = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n")
+
+
+def test_a_command_exits_with_its_heap_frozen(tmp_path):
+    # the exit-time collections skip what is alive once a command ran, and
+    # the output the command printed still comes first
+    out = _fresh_python(_REPORT_FREEZE_AT_EXIT
+                        + "from trades.cli import main\n"
+                        "sys.exit(main(sys.argv[1:]))\n",
+                        "run", _affine_cfg_file(tmp_path), "--oracle", "off")
+    assert out.endswith(f"outputs in {tmp_path / 'out'}\nfrozen True\n")
+
+
+def test_importing_the_cli_registers_no_exit_hook():
+    out = _fresh_python(_REPORT_FREEZE_AT_EXIT
+                        + "count = atexit._ncallbacks()\n"
+                        "import trades.cli\n"
+                        "assert atexit._ncallbacks() == count\n")
+    assert out == "frozen False\n"
+
+
+def test_repeated_commands_register_the_exit_hook_once(tmp_path):
+    _fresh_python("import atexit, sys\n"
+                  "from trades.cli import main\n"
+                  "count = atexit._ncallbacks()\n"
+                  "for _ in range(3):\n"
+                  "    assert main(['validate', sys.argv[1]]) == 0\n"
+                  "    assert atexit._ncallbacks() == count + 1\n",
+                  _affine_cfg_file(tmp_path))
 
 
 def test_package_names_resolve_in_a_fresh_interpreter():

@@ -393,11 +393,10 @@ def test_oracle_stops_at_the_first_non_finite_residual():
     assert err.residual == first.value.residual
 
 
-def test_oracle_stops_once_its_best_residual_stalls(monkeypatch):
+def _ulp_below_cap_game():
     # three chargers on one bus, one with its target an ulp below its cap:
     # the accelerated residual sets its last new best, 1.9e-10, at
-    # iteration 6, then spins above it; with a stall window of 50 the
-    # solve raises at iteration 56 with the best iterate of the first 56
+    # iteration 6, then spins above it
     net = build_radial_network(2, seed=2)
     model = distflow_sensitivities(net, gen_baseline_profile(net, 1, 2))
     agents = [EvAgentSpec(bus=1, plugged=plugged, s_max=s_max,
@@ -407,8 +406,14 @@ def test_oracle_stops_once_its_best_residual_stalls(monkeypatch):
                   ([True], 2.823232981721473, 0.0),
                   ([True], 2.656636173323279, 2.6566361733232786),
                   ([False], 2.2079818108066194, 0.0))]
-    game = build_voltage_game(model, agents,
+    return build_voltage_game(model, agents,
                               default_voltage_config(model, gen_prices(1, 2)))
+
+
+def test_oracle_stops_once_its_best_residual_stalls(monkeypatch):
+    # with a stall window of 50 the solve raises at iteration 56 with the
+    # best iterate of the first 56
+    game = _ulp_below_cap_game()
     monkeypatch.setattr(games, "_ORACLE_STALL", 50)
     with pytest.raises(MaxIterExceeded) as info:
         solve_ne_oracle(game)
@@ -417,6 +422,30 @@ def test_oracle_stops_once_its_best_residual_stalls(monkeypatch):
     assert info.value.iterations == 56
     assert info.value.best.tobytes() == reference.value.best.tobytes()
     assert info.value.residual == reference.value.residual
+
+
+def test_oracle_stall_window_is_two_thousand_iterations():
+    # the same game with the package's window: last best at 6, then 2,000
+    with pytest.raises(MaxIterExceeded) as info:
+        solve_ne_oracle(_ulp_below_cap_game())
+    assert info.value.iterations == 6 + 2000
+
+
+@pytest.mark.parametrize("skew, momentum", [(0.0, True), (3e-9, False)],
+                         ids=["symmetric", "skewed"])
+def test_oracle_momentum_needs_a_symmetric_factor(skew, momentum):
+    # A = Q of one agent, kappa 3: a relative skew of ~1e-9, far above the
+    # rounding of a symmetric A, makes it no potential game, so the solve
+    # takes the plain step 0.9 * 2 mu/L^2 with no momentum
+    game = quadratic_aggregative_game(
+        [np.array([[1.0, skew], [0.0, 3.0]])], [np.zeros(2)], 0.0,
+        [np.zeros((2, 1))], [np.ones((1, 2))])
+    gamma, beta = games._oracle_stepsize(game)
+    mu, lip = game.affine.exact_modulus(), game.affine.exact_lipschitz()
+    if momentum:
+        assert gamma == 1.0 / lip and beta > 0
+    else:
+        assert gamma == 0.9 * 2.0 * mu / lip ** 2 and beta == 0.0
 
 
 def test_oracle_requires_stepsize_for_non_monotone_game():
