@@ -34,9 +34,7 @@ _GRID_NAMES = frozenset((
     "DistFlowModel", "EvAgentSpec", "RadialNetwork", "VoltageGameConfig",
     "VoltageSummary", "build_radial_network", "build_voltage_game",
     "default_voltage_config", "distflow_sensitivities", "evaluate_voltages",
-    "gen_agents", "gen_baseline_profile", "gen_prices", "load_agents",
-    "load_network", "load_prices", "save_agents", "save_network",
-    "save_prices"))
+    "gen_agents", "gen_baseline_profile", "gen_prices"))
 
 
 def __getattr__(name):

@@ -322,7 +322,9 @@ class _Recorder:
         w = estimates - self.mean_row @ phix
         rows = np.einsum("ij,ij->i", w, w)
         disagreement = math.sqrt(max(rows.sum() - z_sum_sq / self.n_agents, 0.0))
-        z_mean = math.sqrt(z_sum_sq) / max(1.0, math.sqrt(np.vdot(z, z)))
+        # einsum makes no BLAS call, so the sum's order is not the thread count's
+        z_sq = np.einsum("ij,ij->", z, z)
+        z_mean = math.sqrt(z_sum_sq) / max(1.0, math.sqrt(z_sq))
         if self.oracle_vec is None:
             err = math.nan
         else:
@@ -333,8 +335,9 @@ class _Recorder:
 
     def flush(self):
         """Measure the held rows: add's reductions over (k, ...) stacks, with
-        matmul of (k, 1, n) by (k, n, 1) for each dot, np.fmax for max(1.0, .)
-        (a nan norm gives 1.0) and the projector's block residual."""
+        matmul of (k, 1, n) by (k, n, 1) for each dot, einsum for |z|^2,
+        np.fmax for max(1.0, .) (a nan norm gives 1.0) and the projector's
+        block residual."""
         if not self.held:
             return
         ts, xs, zs, phis, ests, steps = zip(*self.held)
@@ -353,7 +356,8 @@ class _Recorder:
         fields = np.stack([
             err, np.sqrt(rows.max(axis=1)),
             np.sqrt(np.maximum(rows.sum(axis=1) - z_sum_sq / self.n_agents, 0.0)),
-            np.array(steps), np.sqrt(z_sum_sq) / np.fmax(1.0, np.sqrt(dots(z))),
+            np.array(steps), np.sqrt(z_sum_sq) / np.fmax(
+                1.0, np.sqrt(np.einsum("kij,kij->k", z, z))),
             self.membership_residual(x)], axis=1)
         self.t.extend(ts)
         self.fields.frombytes(fields.tobytes())

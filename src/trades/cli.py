@@ -2,8 +2,7 @@
 
 Three subcommands, each taking a config file:
 
-    trades run      <config>   iterate and persist trace + report (and,
-                               on a voltage scenario, its input data)
+    trades run      <config>   iterate and persist trace + report
     trades validate <config>   structural checks only, no iteration
     trades sweep    <config>   stepsize grid, one cell per (gamma, delta)
 
@@ -116,45 +115,20 @@ def _scenario_game(cfg):
     # time is the one the module holds then
     from .grid import (build_radial_network, build_voltage_game,
                        default_voltage_config, distflow_sensitivities,
-                       gen_agents, gen_baseline_profile, gen_prices,
-                       load_agents, load_network, load_prices)
+                       gen_agents, gen_baseline_profile, gen_prices)
     v = cfg.voltage
     net_seed, base_seed, price_seed, agent_seed = seed_streams(v.seed, 4)
-    if v.network_file is not None:
-        net = load_network(v.network_file)
-        if net.n_buses != v.n_buses:
-            raise ConfigError(f"network file has {net.n_buses} buses, "
-                              f"[voltage] says {v.n_buses}")
-    else:
-        net = build_radial_network(v.n_buses, seed=net_seed)
+    net = build_radial_network(v.n_buses, seed=net_seed)
     baseline = gen_baseline_profile(net, v.horizon, seed=base_seed)
     model = distflow_sensitivities(net, baseline, power_base_kw=v.power_base_kw)
-    if v.prices_file is not None:
-        prices = load_prices(v.prices_file)
-        if prices.size != v.horizon:
-            raise ConfigError(f"price file covers {prices.size} hours, "
-                              f"[voltage] says {v.horizon}")
-    else:
-        prices = gen_prices(v.horizon, seed=price_seed)
-    if v.agents_file is not None:
-        agents = load_agents(v.agents_file)
-        if len(agents) != cfg.graph.n_agents:
-            raise ConfigError(f"agents file lists {len(agents)} agents, "
-                              f"[graph] says {cfg.graph.n_agents}")
-        for k, spec in enumerate(agents):
-            if spec.horizon != v.horizon:
-                raise ConfigError(f"agent {k} covers {spec.horizon} hours, "
-                                  f"[voltage] says {v.horizon}")
-    else:
-        agents = gen_agents(cfg.graph.n_agents, net, v.horizon, seed=agent_seed)
+    prices = gen_prices(v.horizon, seed=price_seed)
+    agents = gen_agents(cfg.graph.n_agents, net, v.horizon, seed=agent_seed)
     game_cfg = default_voltage_config(
         model, prices, voltage_scale=v.voltage_scale,
         penalty_weight=v.penalty_weight, active_weight=v.active_weight,
         reactive_weight=v.reactive_weight)
     game = build_voltage_game(model, agents, game_cfg)
-    extras = {"network": net, "model": model, "prices": prices,
-              "agents": agents, "game_config": game_cfg}
-    return game, extras
+    return game, {"model": model, "agents": agents, "game_config": game_cfg}
 
 
 # ----------------------------------------------------------------- outputs
@@ -286,11 +260,6 @@ def cmd_run(cfg):
     _write_atomic(os.path.join(out_dir, "metrics.json"),
                   json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     _write_atomic(os.path.join(out_dir, "config.echo"), canonical_text(cfg))
-    if extras:   # the voltage scenario's input data, for a replay
-        from .grid import save_agents, save_network, save_prices
-        save_network(extras["network"], os.path.join(out_dir, "network.csv"))
-        save_prices(extras["prices"], os.path.join(out_dir, "prices.csv"))
-        save_agents(extras["agents"], os.path.join(out_dir, "agents.csv"))
 
     if oracle_failure is not None:
         print(f"reference equilibrium not found: {oracle_failure}; "

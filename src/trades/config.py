@@ -16,16 +16,12 @@ One master seed drives everything: per-component seeds (graph topology,
 scenario data, iterate initialization) are derived from it through a
 seed sequence unless a section pins its own.  The canonical echo
 materializes every derived value, so feeding the echo back through the
-parser reproduces the identical experiment.
-
-Referenced files (network_file, prices_file, agents_file) resolve relative
-to the directory containing the config file; output_dir resolves against
+parser reproduces the identical experiment.  output_dir resolves against
 the working directory.
 """
 
 import configparser
 import operator
-import os
 
 import numpy as np
 
@@ -41,7 +37,7 @@ DEFAULT_POWER_BASE_KW = 1000.0
 DEFAULT_VOLTAGE_SCALE = 2400.0
 
 # kinds besides int, float, str and a tuple of allowed words
-_FILE, _FLAG, _FLOATS, _OR_NONE = "file", "on/off", "float list", "float or none"
+_FLAG, _FLOATS, _OR_NONE = "on/off", "float list", "float or none"
 # defaults besides a value; a derived one is passed in by parse_config
 _REQUIRED, _DERIVED = "required", "derived"
 _POSITIVE = ((">", 0.0),)
@@ -81,15 +77,12 @@ _KEYS = {
     },
     "voltage": {
         "n_buses": (int, _REQUIRED, _at_least(2)),
-        "horizon": (int, _REQUIRED, _at_least(1)),
+        "horizon": (int, _REQUIRED, _at_least(10)),   # overnight windows
         "power_base_kw": (float, DEFAULT_POWER_BASE_KW, _POSITIVE),
         "voltage_scale": (float, DEFAULT_VOLTAGE_SCALE, _POSITIVE),
         "penalty_weight": (float, 1.0, _POSITIVE),
         "active_weight": (float, 1.0, _POSITIVE),
         "reactive_weight": (float, 10.0, _POSITIVE),
-        "network_file": (_FILE, None, None),
-        "prices_file": (_FILE, None, None),
-        "agents_file": (_FILE, None, None),
         "seed": (int, _DERIVED, _at_least(0)),
     },
     "sweep": {
@@ -166,7 +159,7 @@ def _read_sections(text):
     return sections
 
 
-def _value(name, key, kind, default, bound, raw, base_dir):
+def _value(name, key, kind, default, bound, raw):
     """One key's raw string, or its default, as a typed value in bound."""
     if raw is None:
         if default == _REQUIRED:
@@ -175,11 +168,6 @@ def _value(name, key, kind, default, bound, raw, base_dir):
     where = f"[{name}] {key}"
     if kind is str:
         return raw
-    if kind == _FILE:
-        path = os.path.abspath(os.path.join(base_dir, raw))
-        if not os.path.isfile(path):
-            raise ConfigError(f"{where} refers to a missing file: {path}")
-        return path
     if kind == _OR_NONE:
         if raw == "none":
             return None
@@ -215,18 +203,18 @@ def _value(name, key, kind, default, bound, raw, base_dir):
     return value
 
 
-def _section(sections, name, base_dir, **defaults):
+def _section(sections, name, **defaults):
     """A section's typed values by key, in table order.
 
     defaults replace the table's derived ones.
     """
     items = sections.get(name, {})
     return {key: _value(name, key, kind, defaults.get(key, default), bound,
-                        items.get(key), base_dir)
+                        items.get(key))
             for key, (kind, default, bound) in _KEYS[name].items()}
 
 
-def parse_config(text, base_dir=".", overrides=None):
+def parse_config(text, overrides=None):
     """Build a validated ExperimentConfig from the raw text.
 
     overrides maps [experiment] keys to raw values that replace the
@@ -236,7 +224,7 @@ def parse_config(text, base_dir=".", overrides=None):
     if "experiment" not in sections:
         raise ConfigError("missing required section [experiment]")
     sections["experiment"].update(overrides or {})
-    exp = _section(sections, "experiment", base_dir)
+    exp = _section(sections, "experiment")
     if exp["spec_version"] != SPEC_VERSION:
         raise ConfigError(f"spec_version {exp['spec_version']} unsupported; "
                           f"this build reads version {SPEC_VERSION}")
@@ -245,12 +233,10 @@ def parse_config(text, base_dir=".", overrides=None):
 
     if "graph" not in sections:
         raise ConfigError("missing required section [graph]")
-    graph = GraphSettings(**_section(sections, "graph", base_dir,
-                                     seed=graph_derived))
+    graph = GraphSettings(**_section(sections, "graph", seed=graph_derived))
 
     try:
-        trades = TradesConfig(**_section(sections, "trades", base_dir),
-                              seed=init_seed)
+        trades = TradesConfig(**_section(sections, "trades"), seed=init_seed)
     except ValueError as exc:
         raise ConfigError(f"[trades] {exc}")
 
@@ -264,18 +250,15 @@ def parse_config(text, base_dir=".", overrides=None):
                           f"{article[scenario]} [{scenario}] section")
     affine = voltage = None
     if scenario == "affine":
-        affine = AffineSettings(**_section(sections, "affine", base_dir,
+        affine = AffineSettings(**_section(sections, "affine",
                                            seed=scenario_derived))
     else:
-        values = _section(sections, "voltage", base_dir, seed=scenario_derived)
-        if values["agents_file"] is None and values["horizon"] < 10:
-            raise ConfigError("[voltage] horizon must be >= 10 when agent "
-                              "schedules are generated")
-        voltage = VoltageSettings(**values)
+        voltage = VoltageSettings(**_section(sections, "voltage",
+                                             seed=scenario_derived))
 
     sweep = None
     if "sweep" in sections:
-        values = _section(sections, "sweep", base_dir, max_iter=trades.max_iter)
+        values = _section(sections, "sweep", max_iter=trades.max_iter)
         if not all(np.isfinite(g) and g > 0 for g in values["gamma"]):
             raise ConfigError("[sweep] gamma values must be finite and positive")
         if not all(0 < dl <= 1 for dl in values["delta"]):
@@ -307,8 +290,7 @@ def load_config(path, seed=None, output_dir=None, oracle=None):
     if oracle is not None:
         overrides["oracle"] = oracle
     try:
-        return parse_config(text, overrides=overrides,
-                            base_dir=os.path.dirname(os.path.abspath(path)))
+        return parse_config(text, overrides=overrides)
     except _Unparsable as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
 
@@ -345,9 +327,6 @@ def canonical_text(cfg):
         if values is None:
             continue
         lines.append(f"[{name}]")
-        for key, (kind, _, _) in _KEYS[name].items():
-            value = values[key]
-            if value is not None or kind != _FILE:  # unset files are left out
-                lines.append(f"{key} = {_fmt(value)}")
+        lines += [f"{key} = {_fmt(values[key])}" for key in _KEYS[name]]
         lines.append("")
     return "\n".join(lines)

@@ -19,21 +19,14 @@ Unit conventions, since the literature leaves them implicit:
 - the game measures the aggregate in units of ``voltage_scale`` per
   unit (so voltage_scale = 100 would mean percent).  The scale is a
   recorded config field; evaluate_voltages undoes it.
-
-File formats (documented here because they are the public interface):
-network CSV with header ``bus,parent,r,x,baseline_p`` (root row has
-parent -1 and zero impedance), price CSV with header ``hour,price``,
-agent CSV with header ``bus,b_ch,s_max,a_ch`` where a_ch is a 0/1
-string of length T.  Every float field must be finite.
 """
 
 import math
 
 import numpy as np
 
-from ._base import Record, _write_atomic
+from ._base import Record
 from .config import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE
-from .errors import InfeasibleSpec
 from .games import GameDefinition
 from .projections import _charger_specs, build_ev_projector
 
@@ -120,61 +113,6 @@ def build_radial_network(n_buses, seed):
                          baseline_p=baseline)
 
 
-def _integer(field, name, where):
-    """One integer field of a data file row."""
-    try:
-        return int(field)
-    except ValueError:
-        raise ValueError(f"{where}: {name} = {field!r} is not an integer") from None
-
-
-def _finite(field, name, where):
-    """One float field of a data file row; nan and inf are rejected."""
-    try:
-        value = float(field)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{where}: {name} = {field!r} is not finite")
-    return value
-
-
-def _rows(path, header, what):
-    """(where, fields) of each row of a data file whose first line is header;
-    every row has the header's field count, and where names file and row."""
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != header:
-        raise ValueError(f"{what} file must start with the documented header")
-    width = header.count(",") + 1
-    for k, row in enumerate(rows[1:], 1):
-        fields, where = row.split(","), f"{what} file row {k}"
-        if len(fields) != width:
-            raise ValueError(f"{where}: expected {width} fields, got {len(fields)}")
-        yield where, fields
-
-
-def save_network(net, path):
-    lines = ["bus,parent,r,x,baseline_p"]
-    for b in range(net.n_buses):
-        lines.append(f"{b},{int(net.parent[b])},{float(net.line_r[b])!r},"
-                     f"{float(net.line_x[b])!r},{float(net.baseline_p[b])!r}")
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_network(path):
-    parent, r, x, base = [], [], [], []
-    for k, (where, fields) in enumerate(
-            _rows(path, "bus,parent,r,x,baseline_p", "network")):
-        if _integer(fields[0], "bus", where) != k:
-            raise ValueError(f"{where}: buses must be listed in order")
-        parent.append(_integer(fields[1], "parent", where))
-        r.append(_finite(fields[2], "r", where))
-        x.append(_finite(fields[3], "x", where))
-        base.append(_finite(fields[4], "baseline_p", where))
-    return RadialNetwork(parent=parent, line_r=r, line_x=x, baseline_p=base)
-
-
 # ------------------------------------------------- sensitivities and loads
 
 
@@ -251,22 +189,6 @@ def gen_prices(horizon, seed):
     return np.maximum(pi, 0.01)
 
 
-def save_prices(prices, path):
-    lines = ["hour,price"]
-    lines += [f"{h},{float(p)!r}" for h, p in enumerate(prices)]
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_prices(path):
-    prices = []
-    for h, (where, fields) in enumerate(_rows(path, "hour,price", "price")):
-        if _integer(fields[0], "hour", where) != h:
-            raise ValueError(f"{where}: expected hour {h} and a price, "
-                             f"got {','.join(fields)!r}")
-        prices.append(_finite(fields[1], "price", where))
-    return np.asarray(prices)
-
-
 # ------------------------------------------------------------- the agents
 
 
@@ -319,32 +241,6 @@ def gen_agents(n_agents, net, horizon, seed):
         target = min(target, DEFAULT_INVERTER_KVA * int(plugged.sum()))
         agents.append(EvAgentSpec(bus=bus, plugged=plugged,
                                   target_energy=target))
-    return agents
-
-
-def save_agents(agents, path):
-    lines = ["bus,b_ch,s_max,a_ch"]
-    for a in agents:
-        bits = "".join("1" if v else "0" for v in a.plugged)
-        lines.append(f"{int(a.bus)},{float(a.target_energy)!r},"
-                     f"{float(a.s_max)!r},{bits}")
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_agents(path):
-    agents = []
-    for where, fields in _rows(path, "bus,b_ch,s_max,a_ch", "agent"):
-        bits = fields[3]
-        if set(bits) - {"0", "1"}:
-            raise ValueError(f"{where}: plug-in profile must be 0/1")
-        bus = _integer(fields[0], "bus", where)
-        target = _finite(fields[1], "b_ch", where)
-        s_max = _finite(fields[2], "s_max", where)
-        try:
-            agents.append(EvAgentSpec(bus=bus, plugged=[c == "1" for c in bits],
-                                      target_energy=target, s_max=s_max))
-        except (ValueError, InfeasibleSpec) as err:
-            raise type(err)(f"{where}: {err}") from None
     return agents
 
 

@@ -891,9 +891,9 @@ def test_forked_rows_of_a_diverging_run(monkeypatch):
     assert np.isfinite(trace.step_norm).all()
 
 
-# the desk's game, built as desk_game builds it, and whether a run of it
-# would fork its row replay, in the interpreter that runs this script
-_DESK_FORK_CHOICE = """\
+# the desk's game, built as desk_game builds it
+_DESK_GAME = """\
+import numpy as np
 from trades import algorithm
 from trades.grid import (build_radial_network, build_voltage_game,
                          default_voltage_config, distflow_sensitivities,
@@ -902,7 +902,22 @@ net = build_radial_network(15, seed=3)
 model = distflow_sensitivities(net, gen_baseline_profile(net, 24, seed=4))
 game = build_voltage_game(model, gen_agents(40, net, 24, seed=5),
                           default_voltage_config(model, gen_prices(24, seed=6)))
+"""
+# whether a run of the desk would fork its row replay, in the interpreter
+# that runs this script
+_DESK_FORK_CHOICE = _DESK_GAME + """\
 print(algorithm._replays_apart(algorithm._Recorder(game, None)))
+"""
+# the fields of ten desk-size rows of random states, measured row by row
+_DESK_ROWS = _DESK_GAME + """\
+recorder = algorithm._Recorder(game, np.zeros(game.n))
+assert recorder.block < 2
+rng = np.random.default_rng(7)
+for t in range(10):
+    x = rng.standard_normal((game.N, game.m))
+    z, phix = rng.standard_normal((2, game.N, game.d))
+    recorder.add(t, x, z, phix, z + phix, 1.0)
+print(np.frombuffer(recorder.fields).tobytes().hex())
 """
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -947,6 +962,20 @@ def test_the_fork_is_chosen_for_rows_measured_one_by_one(desk_game):
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=1) as pool:
         assert not pool.submit(_forks_for, desk_game[0]).result()
+
+
+def test_desk_rows_do_not_depend_on_the_blas_thread_count():
+    # a desk row sums 40 x 360 tracker floats for |z|^2; a threaded BLAS
+    # dot would sum them in an order that depends on the thread count
+    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    fields = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _DESK_ROWS],
+                              capture_output=True, text=True, timeout=120,
+                              env={**unset, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        fields.append(proc.stdout)
+    assert fields[0] == fields[1]
 
 
 def _forks_for(game):

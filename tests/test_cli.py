@@ -19,14 +19,12 @@ from hypothesis import strategies as st
 
 from trades import algorithm
 from trades.cli import _check_sizes, _dense_bytes, assemble_game, main
-from trades.config import (_DERIVED, _FILE, _FLAG, _FLOATS, _KEYS, _OR_NONE,
+from trades.config import (_DERIVED, _FLAG, _FLOATS, _KEYS, _OR_NONE,
                            _REQUIRED, SCENARIOS, SPEC_VERSION, _fmt,
                            canonical_text, load_config, parse_config,
                            seed_streams)
 from trades.errors import ConfigError, MaxIterExceeded
 from trades.games import _oracle_stepsize
-from trades.grid import (EvAgentSpec, build_radial_network, gen_agents,
-                         gen_prices, save_agents, save_network, save_prices)
 
 AFFINE_TEXT = """
 [experiment]
@@ -153,7 +151,7 @@ def test_scenario_section_pairing():
         parse_config(missing)
 
 
-def test_voltage_parse_and_file_checks(tmp_path):
+def test_voltage_parse_and_file_checks():
     text = """
 [experiment]
 spec_version = 1
@@ -172,11 +170,12 @@ horizon = 12
     assert cfg.voltage.power_base_kw == 1000.0
     assert cfg.voltage.voltage_scale == 2400.0
     assert cfg.voltage.reactive_weight == 10.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[voltage\] horizon must be "
+                       ">= 10, got 6$"):
         parse_config(text.replace("horizon = 12", "horizon = 6"))
-    with pytest.raises(ConfigError):
-        parse_config(text + "network_file = nowhere.csv\n",
-                      base_dir=str(tmp_path))
+    # a voltage scenario comes from its seed alone: no key names a data file
+    with pytest.raises(ConfigError, match="unknown keys: .'network_file'.$"):
+        parse_config(text + "network_file = nowhere.csv\n")
 
 
 def test_sweep_parse_and_rejections():
@@ -231,7 +230,7 @@ def test_configs_pickle():
 
 
 # the echo's exact bytes: section and key order, number format, derived
-# seeds and resolved paths written out, unset keys left out
+# seeds written out
 ECHO_CASES = {
     "affine": (AFFINE_TEXT.format(out="out")
                .replace("[graph]", "[graph]\nseed = 11")
@@ -274,8 +273,7 @@ max_iter = 4000
     "voltage": (VOLTAGE_TEXT.replace("seed = 3", "seed = 3\noracle = off")
                 .replace("edge_prob = 0.5", "edge_prob = 0.5\n"
                          "weight_method = sinkhorn")
-                .replace("horizon = 12", "horizon = 4\nagents_file = agents.csv\n"
-                         "prices_file = prices.csv\nnetwork_file = net.csv")
+                .replace("horizon = 12", "horizon = 10")
                 + "\n[trades]\ntracker = exact\ntrace_stride = 3\n", """\
 [experiment]
 spec_version = 1
@@ -300,27 +298,21 @@ tracker = exact
 
 [voltage]
 n_buses = 5
-horizon = 4
+horizon = 10
 power_base_kw = 1000.0
 voltage_scale = 2400.0
 penalty_weight = 1.0
 active_weight = 1.0
 reactive_weight = 10.0
-network_file = {d}/net.csv
-prices_file = {d}/prices.csv
-agents_file = {d}/agents.csv
 seed = 2902887791
 """),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ECHO_CASES))
-def test_canonical_text_bytes(tmp_path, case):
+def test_canonical_text_bytes(case):
     text, expected = ECHO_CASES[case]
-    for name in ("net.csv", "prices.csv", "agents.csv"):
-        (tmp_path / name).write_text("")
-    cfg = parse_config(text, base_dir=str(tmp_path))
-    assert canonical_text(cfg) == expected.format(d=tmp_path)
+    assert canonical_text(parse_config(text)) == expected
 
 
 def test_readme_names_every_config_key():
@@ -872,19 +864,25 @@ horizon = 12
     assert report["scenario"] == "voltage"
     assert report["voltage"]["base_score"] > 0
     assert report["voltage"]["voltage_scale"] == 2400.0
-    for name in ("trace.csv", "network.csv", "prices.csv", "agents.csv"):
-        assert (out / name).exists()
-    # the scenario files reload into the identical instance
-    replay = tmp_path / "replay.ini"
-    replay.write_text(path.read_text().replace(
-        "[voltage]",
-        f"[voltage]\nnetwork_file = {out / 'network.csv'}\n"
-        f"prices_file = {out / 'prices.csv'}\n"
-        f"agents_file = {out / 'agents.csv'}"))
-    assert main(["run", str(replay), "--out",
-                 str(tmp_path / "cs2")]) == 0
-    assert (tmp_path / "cs2" / "trace.csv").read_bytes() == \
-        (out / "trace.csv").read_bytes()
+    assert sorted(os.listdir(out)) == ["config.echo", "metrics.json",
+                                       "report.json", "trace.csv"]
+
+
+def test_a_voltage_run_replays_from_its_config_echo(tmp_path):
+    # the echo is the scenario's one record: its seeds regenerate the
+    # network, prices and agents, so a run of it writes the same bytes
+    path = tmp_path / "volt.ini"
+    path.write_text(VOLTAGE_TEXT.replace("n_agents = 6", "n_agents = 3")
+                    .replace("edge_prob = 0.5", "edge_prob = 0.6")
+                    + "\n[trades]\nmax_iter = 2000\nstop_tol = 1e-6\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", str(path), "--out", str(first)]) == 0
+    assert main(["run", str(first / "config.echo"), "--out", str(second)]) == 0
+    for name in ("trace.csv", "report.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+    echoes = [(out / "config.echo").read_text().replace(
+        f"output_dir = {out}\n", "") for out in (first, second)]
+    assert echoes[0] == echoes[1] and "output_dir" not in echoes[0]
 
 
 def test_case_study_writes_every_file_atomically(tmp_path, monkeypatch):
@@ -919,66 +917,11 @@ horizon = 12
     monkeypatch.setattr(os, "replace", spy)
     out = tmp_path / "cs"
     assert main(["run", str(path), "--out", str(out)]) == 0
-    names = ("trace.csv", "report.json", "metrics.json", "config.echo",
-             "network.csv", "prices.csv", "agents.csv")
+    names = ("trace.csv", "report.json", "metrics.json", "config.echo")
     targets = {dst for _, dst in replaced}
     assert targets == {str(out / name) for name in names}
     assert all(src.startswith(dst + ".tmp.") for src, dst in replaced)
     assert sorted(os.listdir(out)) == sorted(names)
-
-
-def _run_with_doctored_field(tmp_path, name, row, column, value):
-    """Exit code and stderr of a 5-bus, 3-agent run whose data file `name`
-    holds `value` in `column` of `row`; the output directory must not exist."""
-    net = build_radial_network(5, seed=1)
-    save_network(net, tmp_path / "network.csv")
-    save_prices(gen_prices(12, seed=2), tmp_path / "prices.csv")
-    save_agents(gen_agents(3, net, 12, seed=3), tmp_path / "agents.csv")
-    path = tmp_path / name
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    fields = lines[row].split(",")
-    fields[header.index(column)] = value
-    lines[row] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    cfg = tmp_path / "volt.ini"
-    cfg.write_text(VOLTAGE_TEXT.replace("n_agents = 6", "n_agents = 3")
-                   + "network_file = network.csv\nprices_file = prices.csv\n"
-                   "agents_file = agents.csv\n")
-    out = tmp_path / "out"
-    code = main(["run", str(cfg), "--out", str(out)])
-    assert not out.exists()
-    return code
-
-
-@pytest.mark.parametrize("name, row, column", [("network.csv", 3, "r"),
-                                               ("prices.csv", 5, "price"),
-                                               ("agents.csv", 2, "b_ch")])
-def test_run_rejects_a_nan_in_a_data_file(tmp_path, capsys, name, row, column):
-    # a nan target, price or resistance stops the run before any solve
-    code = _run_with_doctored_field(tmp_path, name, row, column, "nan")
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"row {row}: {column} = 'nan' is not finite" in err
-
-
-@pytest.mark.parametrize("name, row, column, value, message", [
-    ("agents.csv", 1, "bus", "x", "agent file row 1: bus = 'x' is not an integer"),
-    ("agents.csv", 2, "b_ch", "-2.0", "agent file row 2: need a positive horizon"),
-    ("agents.csv", 3, "b_ch", "abc", "agent file row 3: b_ch = 'abc' is not finite"),
-    ("network.csv", 2, "bus", "one",
-     "network file row 2: bus = 'one' is not an integer"),
-    ("prices.csv", 2, "hour", "1.5",
-     "price file row 2: hour = '1.5' is not an integer"),
-], ids=["agent-bus", "agent-target", "agent-b_ch", "network-bus", "price-hour"])
-def test_run_names_the_file_and_row_of_a_malformed_field(tmp_path, capsys, name,
-                                                         row, column, value,
-                                                         message):
-    # a field the loader cannot read, or an agent its checks reject, stops
-    # the run before any solve, and the message points at the file and row
-    code = _run_with_doctored_field(tmp_path, name, row, column, value)
-    assert code == 1
-    assert message in capsys.readouterr().err
 
 
 def _usage_error_of_both_commands(capsys, path, out):
@@ -991,33 +934,6 @@ def _usage_error_of_both_commands(capsys, path, out):
     assert capsys.readouterr().err == err
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
-
-
-@pytest.mark.parametrize("edit, message", [
-    (("n_buses = 5", "n_buses = 6"), "network file has 5 buses, [voltage] says 6"),
-    (("horizon = 12", "horizon = 11"),
-     "price file covers 12 hours, [voltage] says 11"),
-    (("n_agents = 3", "n_agents = 4"), "agents file lists 3 agents, [graph] says 4"),
-    (None, "agent 1 covers 14 hours, [voltage] says 12"),
-], ids=["buses", "price-hours", "agents", "agent-hours"])
-def test_scenario_files_must_match_the_config(tmp_path, capsys, edit, message):
-    # each data file is checked against the config before any solve, as a
-    # usage error naming the file and the key it disagrees with
-    net = build_radial_network(5, seed=1)
-    agents = gen_agents(3, net, 12, seed=3)
-    if edit is None:   # one agent's schedule covers 14 hours
-        agents[1] = EvAgentSpec(bus=1, plugged=np.ones(14, dtype=bool),
-                                target_energy=1.0)
-    save_network(net, tmp_path / "network.csv")
-    save_prices(gen_prices(12, seed=2), tmp_path / "prices.csv")
-    save_agents(agents, tmp_path / "agents.csv")
-    text = (VOLTAGE_TEXT.replace("n_agents = 6", "n_agents = 3")
-            + "network_file = network.csv\nprices_file = prices.csv\n"
-            "agents_file = agents.csv\n")
-    path = tmp_path / "volt.ini"
-    path.write_text(text.replace(*edit) if edit else text)
-    assert _usage_error_of_both_commands(capsys, path, tmp_path / "out") == \
-        f"error: {message}\n"
 
 
 def _without_section(text, name):
@@ -1034,7 +950,11 @@ def _without_section(text, name):
     (_without_section(AFFINE_TEXT, "experiment"),
      "missing required section [experiment]"),
     (_without_section(AFFINE_TEXT, "graph"), "missing required section [graph]"),
-], ids=["required-key", "flag", "float-list", "no-experiment", "no-graph"])
+    (VOLTAGE_TEXT + "agents_file = a.csv\nnetwork_file = n.csv\n"
+     "prices_file = p.csv\n", "[voltage] has unknown keys: ['agents_file', "
+     "'network_file', 'prices_file']"),
+], ids=["required-key", "flag", "float-list", "no-experiment", "no-graph",
+        "data-file-keys"])
 def test_config_errors_name_the_key_or_section(tmp_path, capsys, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text.format(out=tmp_path / "out"))
@@ -1155,8 +1075,7 @@ def _config_texts(draw):
     names += [name for name in ("sweep", "affine", "voltage")
               if name not in names and draw(st.integers(0, 4)) == 0]
     sections = {name: {key: draw(_valid_value(name, key))
-                       for key, (kind, _, _) in _KEYS[name].items()
-                       if kind != _FILE and draw(st.integers(0, 15)) > 0}
+                       for key in _KEYS[name] if draw(st.integers(0, 15)) > 0}
                 for name in names}
     sections["experiment"]["scenario"] = scenario
     if draw(st.integers(0, 2)) == 0:
@@ -1238,7 +1157,7 @@ def test_usage_errors_exit_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run"])
     assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:   # a voltage `run` saves its inputs
+    with pytest.raises(SystemExit) as exc:   # a voltage scenario is a `run`
         main(["case-study", _affine_cfg_file(tmp_path)])
     assert exc.value.code == 1
     assert main(["run", str(tmp_path / "missing.ini")]) == 1
@@ -1429,12 +1348,11 @@ PACKAGE_NAMES = (
     "canonical_text", "consensus_step", "default_voltage_config",
     "distflow_sensitivities", "evaluate_voltages", "exact_tracker_values",
     "fit_convergence", "gen_agents", "gen_baseline_profile", "gen_digraph",
-    "gen_prices", "init", "is_strongly_connected", "load_agents",
-    "load_config", "load_network", "load_prices", "local_operator",
-    "make_doubly_stochastic", "parse_config", "phi_stack", "pseudo_gradient",
-    "quadratic_aggregative_game", "random_strongly_monotone_game",
-    "reduced_system_run", "run", "save_agents", "save_network",
-    "save_prices", "solve_ne_oracle", "spectrum", "validate_assumptions",
+    "gen_prices", "init", "is_strongly_connected", "load_config",
+    "local_operator", "make_doubly_stochastic", "parse_config", "phi_stack",
+    "pseudo_gradient", "quadratic_aggregative_game",
+    "random_strongly_monotone_game", "reduced_system_run", "run",
+    "solve_ne_oracle", "spectrum", "validate_assumptions",
     "grid", "__version__")
 
 
@@ -1545,5 +1463,4 @@ def test_voltage_run_loads_the_voltage_module(tmp_path):
                   "                 '--out', sys.argv[2]]) == 0\n"
                   "assert 'trades.grid' in sys.modules\n",
                   str(path), str(tmp_path / "volt"))
-    for name in ("network", "prices", "agents"):
-        assert (tmp_path / "volt" / f"{name}.csv").stat().st_size > 0
+    assert (tmp_path / "volt" / "trace.csv").stat().st_size > 0

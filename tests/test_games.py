@@ -425,10 +425,12 @@ def test_oracle_stops_once_its_best_residual_stalls(monkeypatch):
 
 
 def test_oracle_stall_window_is_two_thousand_iterations():
-    # the same game with the package's window: last best at 6, then 2,000
+    # the package's window, on a 2-agent affine game whose residual meets
+    # its floor, 2.78e-17, at iteration 42 and never goes below it, so a
+    # zero tolerance stops the solve at 42 + 2,000
     with pytest.raises(MaxIterExceeded) as info:
-        solve_ne_oracle(_ulp_below_cap_game())
-    assert info.value.iterations == 6 + 2000
+        solve_ne_oracle(random_strongly_monotone_game(2, 2, 1, seed=1), tol=0.0)
+    assert info.value.iterations == 42 + 2000
 
 
 @pytest.mark.parametrize("skew, momentum", [(0.0, True), (3e-9, False)],

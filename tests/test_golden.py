@@ -47,8 +47,7 @@ CASES = {
     "affine-bench": ("run", workloads.config_text("affine-bench"),
                      ("--seed", "5"), RUN_FILES),
     "voltage-desk": ("run", workloads.config_text("voltage-desk"),
-                     ("--seed", "5"),
-                     RUN_FILES + ("network.csv", "prices.csv", "agents.csv")),
+                     ("--seed", "5"), RUN_FILES),
     "criterion-9": ("run", CRITERION_9_CONFIG.format(out="out"), (),
                     RUN_FILES),
     "criterion-9-sweep": ("sweep", CRITERION_9_CONFIG.format(out="out"), (),

@@ -15,6 +15,7 @@ from scipy import stats
 import oracles
 from oracles import aggregate
 from trades import cli
+from trades._base import _write_atomic
 from trades.errors import InfeasibleSpec
 from trades.games import (local_operator, phi_stack, pseudo_gradient,
                           solve_ne_oracle, validate_assumptions)
@@ -24,7 +25,6 @@ from trades.grid import (
     EvAgentSpec,
     RadialNetwork,
     VoltageGameConfig,
-    _write_atomic,
     build_radial_network,
     build_voltage_game,
     default_voltage_config,
@@ -33,12 +33,6 @@ from trades.grid import (
     gen_agents,
     gen_baseline_profile,
     gen_prices,
-    load_agents,
-    load_network,
-    load_prices,
-    save_agents,
-    save_network,
-    save_prices,
 )
 
 
@@ -115,23 +109,6 @@ def test_sensitivities_psd_sweep():
             assert np.linalg.eigvalsh(mat)[0] >= -1e-10
 
 
-def test_network_csv_roundtrip(tmp_path):
-    net = build_radial_network(10, seed=5)
-    path = tmp_path / "net.csv"
-    save_network(net, path)
-    text = path.read_text()
-    assert text.startswith("bus,parent,r,x,baseline_p\n")
-    again = load_network(path)
-    assert np.array_equal(net.parent, again.parent)
-    assert np.array_equal(net.line_r, again.line_r)
-    assert np.array_equal(net.line_x, again.line_x)
-    assert np.array_equal(net.baseline_p, again.baseline_p)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("bus,parent,resistance\n")
-    with pytest.raises(ValueError):
-        load_network(bad)
-
-
 def test_baseline_profile_shape_and_seed():
     net = build_radial_network(9, seed=3)
     load = gen_baseline_profile(net, 24, seed=8)
@@ -163,18 +140,11 @@ def test_write_atomic_failure_leaves_no_temporary(tmp_path):
 # ------------------------------------------------------------------ prices
 
 
-def test_prices_positive_and_roundtrip(tmp_path):
+def test_prices_positive_and_seeded():
     pi = gen_prices(24, seed=6)
     assert pi.shape == (24,)
     assert np.all(pi > 0)
     assert np.array_equal(pi, gen_prices(24, seed=6))
-    path = tmp_path / "prices.csv"
-    save_prices(pi, path)
-    assert np.array_equal(load_prices(path), pi)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("time,price\n0,0.1\n")
-    with pytest.raises(ValueError):
-        load_prices(bad)
 
 
 # ------------------------------------------------------------------ agents
@@ -221,20 +191,6 @@ def test_gen_agents_proportional_assignment_chi2():
     expected = 10000 / 14.0
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < stats.chi2.ppf(0.95, df=13)
-
-
-def test_agents_csv_roundtrip(tmp_path):
-    net = build_radial_network(10, seed=7)
-    agents = gen_agents(12, net, 24, seed=21)
-    path = tmp_path / "agents.csv"
-    save_agents(agents, path)
-    again = load_agents(path)
-    assert len(again) == 12
-    for s, t in zip(agents, again):
-        assert s.bus == t.bus
-        assert s.target_energy == t.target_energy
-        assert s.s_max == t.s_max
-        assert np.array_equal(s.plugged, t.plugged)
 
 
 # -------------------------------------------------------------------- game

@@ -32,17 +32,10 @@ runs; runs at stepsizes from 1e-3 to 1e3 are checked to stop at their
 first sweep with a non-finite step norm or tracker sum, with every
 recorded row finite.  The config examples draw a value for one bounded
 or multiple-choice key of the config's key table, in range or out of
-it, and check the parse.  The
-data file examples draw a finite network, price curve or agent list,
-check that save then load is bit-exact, and that the same file with one
-float field made non-finite is rejected with its row named; a drawn small
-voltage scenario (2-8 buses, 10-24 hours, 1-6 agents), saved and
-reloaded, rebuilds its game bit for bit.
+it, and check the parse.
 """
 
 import math
-import os
-import tempfile
 from unittest import mock
 
 import numpy as np
@@ -60,12 +53,10 @@ from trades.errors import ConfigError, MaxIterExceeded, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
                           pseudo_gradient, quadratic_aggregative_game,
                           random_strongly_monotone_game, solve_ne_oracle)
-from trades.grid import (EvAgentSpec, RadialNetwork, build_radial_network,
+from trades.grid import (EvAgentSpec, build_radial_network,
                          build_voltage_game, default_voltage_config,
-                         distflow_sensitivities, gen_agents,
-                         gen_baseline_profile, gen_prices, load_agents,
-                         load_network, load_prices, save_agents, save_network,
-                         save_prices)
+                         distflow_sensitivities, gen_baseline_profile,
+                         gen_prices)
 from trades.network import gen_digraph, make_doubly_stochastic
 from trades.projections import (Box, ConvexSet, DiskPairs,
                                 FeasibleSetProjector, build_ev_projector,
@@ -764,9 +755,7 @@ def test_a_run_stops_at_its_first_non_finite_sweep(game, log_gamma, delta,
         assert np.isfinite(getattr(trace, name)).all(), name
 
 
-# one config per scenario, section -> key -> raw value; any existing file
-# serves as agents_file, which the parser only checks for existence and
-# which lets horizon take every value its own bound allows
+# one config per scenario, section -> key -> raw value
 CONFIGS = {
     "affine": {"experiment": {"spec_version": "1", "scenario": "affine",
                               "seed": "42"},
@@ -776,8 +765,7 @@ CONFIGS = {
     "voltage": {"experiment": {"spec_version": "1", "scenario": "voltage",
                                "seed": "3"},
                 "graph": {"n_agents": "6", "edge_prob": "0.5"},
-                "voltage": {"n_buses": "5", "horizon": "12",
-                            "agents_file": os.path.abspath(__file__)}},
+                "voltage": {"n_buses": "5", "horizon": "12"}},
 }
 RULED_KEYS = [(section, key, kind, bound)
               for section, keys in _KEYS.items()
@@ -857,113 +845,3 @@ def test_config_key_out_of_range_is_named(data):
     with pytest.raises(ConfigError) as err:
         parse_config(_with(section, key, raw))
     assert str(err.value).startswith(f"[{section}] {key}"), str(err.value)
-
-
-# ------------------------------------------------------------- data files
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_IMPEDANCE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# kind -> (save, load, the columns that hold floats)
-DATA_FILES = {"network": (save_network, load_network, (2, 3, 4)),
-              "prices": (save_prices, load_prices, (1,)),
-              "agents": (save_agents, load_agents, (1, 2))}
-
-
-@st.composite
-def data_files(draw):
-    """(kind, value) of a random finite network, price curve or agent list."""
-    kind = draw(st.sampled_from(sorted(DATA_FILES)))
-    if kind == "prices":
-        return kind, np.array(draw(st.lists(_FINITE, min_size=1, max_size=30)))
-    if kind == "network":
-        n = draw(st.integers(2, 8))
-        line_r, line_x = ([draw(_FINITE)] + draw(st.lists(
-            _IMPEDANCE, min_size=n - 1, max_size=n - 1)) for _ in range(2))
-        return kind, RadialNetwork(
-            parent=[-1] + [draw(st.integers(0, k - 1)) for k in range(1, n)],
-            line_r=line_r, line_x=line_x,
-            baseline_p=draw(st.lists(_FINITE, min_size=n, max_size=n)))
-    horizon = draw(st.integers(1, 24))
-    agents = []
-    for _ in range(draw(st.integers(1, 5))):
-        plugged = draw(hnp.arrays(bool, horizon))
-        s_max = draw(st.floats(1e-3, 1e3))
-        cap = s_max * int(plugged.sum())
-        agents.append(EvAgentSpec(bus=draw(st.integers(0, 50)), plugged=plugged,
-                                  target_energy=draw(st.floats(0.0, cap)),
-                                  s_max=s_max))
-    return kind, agents
-
-
-def _bits(kind, value):
-    """Every number of a network, price curve or agent list, as raw bytes."""
-    if kind == "network":
-        arrays = [value.parent, value.line_r, value.line_x, value.baseline_p]
-    elif kind == "prices":
-        arrays = [value]
-    else:
-        arrays = [[a.bus for a in value], [a.target_energy for a in value],
-                  [a.s_max for a in value], *(a.plugged for a in value)]
-    return [np.asarray(a).tobytes() for a in arrays]
-
-
-@settings(max_examples=200, deadline=None)
-@given(data_files(), st.data())
-def test_data_files_round_trip_and_reject_nonfinite_numbers(case, data):
-    kind, value = case
-    save, load, columns = DATA_FILES[kind]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, f"{kind}.csv")
-        save(value, path)
-        assert _bits(kind, load(path)) == _bits(kind, value)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        row = data.draw(st.integers(1, len(lines) - 1))
-        fields = lines[row].split(",")
-        fields[data.draw(st.sampled_from(columns))] = data.draw(
-            st.sampled_from(["nan", "inf", "-inf", "NaN", "+Infinity"]))
-        lines[row] = ",".join(fields)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"row {row}: .* is not finite"):
-            load(path)
-
-
-def _voltage_game_bits(game):
-    """Shape and bytes of the game factors and of the projector's box,
-    disks, hyperplane normals and levels."""
-    p = game.projector
-    arrays = (game.B, game.E, game.c, game.G, p.box.lower, p.box.upper,
-              p.disks.radius, p.normals, p.levels)
-    return [(a.shape, a.tobytes()) for a in arrays]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.integers(10, 24), st.integers(1, 6),
-       st.lists(st.integers(0, 2 ** 32 - 1), min_size=4, max_size=4))
-def test_saved_scenario_rebuilds_the_identical_voltage_game(
-        n_buses, horizon, n_agents, seeds):
-    # what a voltage run saves (network, prices, agents) is what its replay
-    # through the [voltage] file keys reads: the game rebuilt from the
-    # reloaded files, as the command line assembles it, is the same bits
-    net_seed, base_seed, price_seed, agent_seed = seeds
-
-    def voltage_game(net, prices, agents):
-        baseline = gen_baseline_profile(net, horizon, seed=base_seed)
-        model = distflow_sensitivities(net, baseline)
-        return build_voltage_game(model, agents,
-                                  default_voltage_config(model, prices))
-
-    net = build_radial_network(n_buses, seed=net_seed)
-    prices = gen_prices(horizon, seed=price_seed)
-    agents = gen_agents(n_agents, net, horizon, seed=agent_seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"{kind}.csv")
-                 for kind in ("network", "prices", "agents")]
-        for save, value, path in zip((save_network, save_prices, save_agents),
-                                     (net, prices, agents), paths):
-            save(value, path)
-        reloaded = [load(path) for load, path in
-                    zip((load_network, load_prices, load_agents), paths)]
-    assert (_voltage_game_bits(voltage_game(*reloaded))
-            == _voltage_game_bits(voltage_game(net, prices, agents)))
