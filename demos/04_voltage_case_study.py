@@ -10,11 +10,12 @@ vehicle's cost couples to everyone else's schedule through the
 aggregate injection.
 
 The vehicles never share their schedules.  Each one talks to a few
-neighbors over a sparse directed graph, tracks the aggregate through
-consensus, and descends its own cost.  The script builds the instance,
-computes the exact equilibrium with a centralized solver for reference,
-runs the distributed iteration, and compares the voltage profile at the
-equilibrium against doing nothing.
+neighbors over a sparse random graph, whose links the default
+metropolis_symmetrized weights make two-way, tracks the aggregate
+through consensus, and descends its own cost.  The script builds the
+instance, computes the exact equilibrium with a centralized solver for
+reference, runs the distributed iteration, and compares the voltage
+profile at the equilibrium against doing nothing.
 
 It runs in about two seconds.
 """

@@ -120,13 +120,12 @@ def _scenario_game(cfg):
     net_seed, base_seed, price_seed, agent_seed = seed_streams(v.seed, 4)
     net = build_radial_network(v.n_buses, seed=net_seed)
     baseline = gen_baseline_profile(net, v.horizon, seed=base_seed)
-    model = distflow_sensitivities(net, baseline, power_base_kw=v.power_base_kw)
+    model = distflow_sensitivities(net, baseline)
     prices = gen_prices(v.horizon, seed=price_seed)
     agents = gen_agents(cfg.graph.n_agents, net, v.horizon, seed=agent_seed)
     game_cfg = default_voltage_config(
-        model, prices, voltage_scale=v.voltage_scale,
-        penalty_weight=v.penalty_weight, active_weight=v.active_weight,
-        reactive_weight=v.reactive_weight)
+        model, prices, penalty_weight=v.penalty_weight,
+        active_weight=v.active_weight, reactive_weight=v.reactive_weight)
     game = build_voltage_game(model, agents, game_cfg)
     return game, {"model": model, "agents": agents, "game_config": game_cfg}
 
@@ -201,6 +200,9 @@ def _report_payload(cfg, graph, game, report, trace):
 def _check_out_dir(path):
     """Refuse, before any solve, an output path that cannot be made a
     directory: the path, or its nearest existing ancestor, is not one."""
+    if not path:   # abspath would make it the working directory
+        raise ConfigError("the output directory ([experiment] output_dir "
+                          "or --out) is empty")
     found = os.path.abspath(path)
     while not os.path.lexists(found):
         found = os.path.dirname(found)
@@ -244,8 +246,6 @@ def cmd_run(cfg):
             "base_score": summary.base_score,
             "improvement_ratio": summary.deviation_score / summary.base_score
             if summary.base_score > 0 else None,
-            "voltage_scale": cfg.voltage.voltage_scale,
-            "power_base_kw": cfg.voltage.power_base_kw,
         }
 
     out_dir = cfg.output_dir

@@ -32,9 +32,6 @@ from .network import _WEIGHT_METHODS
 
 SPEC_VERSION = 1
 SCENARIOS = ("affine", "voltage")
-# [voltage] defaults, which the voltage model's functions share
-DEFAULT_POWER_BASE_KW = 1000.0
-DEFAULT_VOLTAGE_SCALE = 2400.0
 
 # kinds besides int, float, str and a tuple of allowed words
 _FLAG, _FLOATS, _OR_NONE = "on/off", "float list", "float or none"
@@ -78,8 +75,6 @@ _KEYS = {
     "voltage": {
         "n_buses": (int, _REQUIRED, _at_least(2)),
         "horizon": (int, _REQUIRED, _at_least(10)),   # overnight windows
-        "power_base_kw": (float, DEFAULT_POWER_BASE_KW, _POSITIVE),
-        "voltage_scale": (float, DEFAULT_VOLTAGE_SCALE, _POSITIVE),
         "penalty_weight": (float, 1.0, _POSITIVE),
         "active_weight": (float, 1.0, _POSITIVE),
         "reactive_weight": (float, 10.0, _POSITIVE),

@@ -14,11 +14,12 @@ Unit conventions, since the literature leaves them implicit:
 - voltages are per-unit, 1.0 at the substation with no load;
 - injections are kW / kvar, positive meaning generation; charging draws
   therefore carry negative active power;
-- sensitivity matrices are divided by ``power_base_kw`` so a kW-scale
+- sensitivity matrices are divided by POWER_BASE_KW so a kW-scale
   injection moves voltages on the per-unit scale;
-- the game measures the aggregate in units of ``voltage_scale`` per
-  unit (so voltage_scale = 100 would mean percent).  The scale is a
-  recorded config field; evaluate_voltages undoes it.
+- the game measures the aggregate as VOLTAGE_SCALE times the per-unit
+  deviation.  Both are constants: the game and its scores see them only
+  through penalty_weight * (VOLTAGE_SCALE / POWER_BASE_KW)^2, so the
+  penalty weight is the one knob for the voltage term.
 """
 
 import math
@@ -26,12 +27,13 @@ import math
 import numpy as np
 
 from ._base import Record
-from .config import DEFAULT_POWER_BASE_KW, DEFAULT_VOLTAGE_SCALE
 from .games import GameDefinition
 from .projections import _charger_specs, build_ev_projector
 
 DEFAULT_INVERTER_KVA = 7.0
 RECHARGE_TARGET_MAX_KWH = 40.0
+# the game sees these only as penalty_weight * (VOLTAGE_SCALE / POWER_BASE_KW)^2
+VOLTAGE_SCALE, POWER_BASE_KW = 2400.0, 1000.0
 
 
 # ------------------------------------------------------------ the network
@@ -120,7 +122,7 @@ class DistFlowModel(Record):
     """Linearized branch-flow voltage model.
 
     Rmat and Xmat map kW / kvar injection vectors to per-unit voltage
-    changes (the common-path impedance sums divided by power_base_kw);
+    changes (the common-path impedance sums divided by POWER_BASE_KW);
     v0 is the baseline voltage trajectory, bus-major of length
     n_buses * horizon, computed from the baseline demand at unit power
     factor.
@@ -129,7 +131,6 @@ class DistFlowModel(Record):
     Rmat: np.ndarray
     Xmat: np.ndarray
     v0: np.ndarray
-    power_base_kw: float
     horizon: int
 
     @property
@@ -158,8 +159,7 @@ def gen_baseline_profile(net, horizon, seed):
     return load
 
 
-def distflow_sensitivities(net, baseline_load,
-                           power_base_kw=DEFAULT_POWER_BASE_KW):
+def distflow_sensitivities(net, baseline_load):
     """Common-path sensitivity matrices plus the baseline voltage.
 
     baseline_load is a (n_buses, horizon) kW demand matrix; demand is a
@@ -168,14 +168,11 @@ def distflow_sensitivities(net, baseline_load,
     baseline_load = np.asarray(baseline_load, dtype=float)
     if baseline_load.ndim != 2 or baseline_load.shape[0] != net.n_buses:
         raise ValueError("baseline load must be (n_buses, horizon)")
-    if not power_base_kw > 0:
-        raise ValueError("power base must be positive")
     m = net.path_matrix().astype(float)
-    rmat = 2.0 * (m * net.line_r[None, :]) @ m.T / power_base_kw
-    xmat = 2.0 * (m * net.line_x[None, :]) @ m.T / power_base_kw
+    rmat = 2.0 * (m * net.line_r[None, :]) @ m.T / POWER_BASE_KW
+    xmat = 2.0 * (m * net.line_x[None, :]) @ m.T / POWER_BASE_KW
     v0 = 1.0 - rmat @ baseline_load
     return DistFlowModel(Rmat=rmat, Xmat=xmat, v0=v0.ravel(),
-                         power_base_kw=float(power_base_kw),
                          horizon=baseline_load.shape[1])
 
 
@@ -253,8 +250,7 @@ class VoltageGameConfig(Record):
     penalty_weight weighs the squared aggregate voltage deviation
     (dimension n_buses * horizon); active_weight and reactive_weight
     weigh each agent's squared active and reactive injections.
-    reference is the deviation target in scaled units; voltage_scale
-    records the unit change between per-unit volts and the aggregate.
+    reference is the deviation target in units of VOLTAGE_SCALE per unit.
     """
 
     prices: np.ndarray
@@ -262,13 +258,11 @@ class VoltageGameConfig(Record):
     penalty_weight: float
     active_weight: float
     reactive_weight: float
-    voltage_scale: float = DEFAULT_VOLTAGE_SCALE
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float).reshape(-1)
         self.reference = np.asarray(self.reference, dtype=float).reshape(-1)
-        for name in ("penalty_weight", "active_weight", "reactive_weight",
-                     "voltage_scale"):
+        for name in ("penalty_weight", "active_weight", "reactive_weight"):
             value = float(getattr(self, name))
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -279,30 +273,28 @@ class VoltageGameConfig(Record):
         return self.prices.size
 
 
-def default_voltage_config(model, prices,
-                           voltage_scale=DEFAULT_VOLTAGE_SCALE,
-                           penalty_weight=1.0, active_weight=1.0,
-                           reactive_weight=10.0):
+def default_voltage_config(model, prices, penalty_weight=1.0,
+                           active_weight=1.0, reactive_weight=10.0):
     """Reference configuration: the given weights, support target.
 
     The deviation target asks every bus to sit at 1 p.u., expressed in
-    scaled units as voltage_scale * (1 - v0).
+    scaled units as VOLTAGE_SCALE * (1 - v0).
     """
     prices = np.asarray(prices, dtype=float).reshape(-1)
     if prices.size != model.horizon:
         raise ValueError("price horizon does not match the model")
     return VoltageGameConfig(
         prices=prices,
-        reference=float(voltage_scale) * (1.0 - model.v0),
+        reference=VOLTAGE_SCALE * (1.0 - model.v0),
         penalty_weight=penalty_weight, active_weight=active_weight,
-        reactive_weight=reactive_weight, voltage_scale=voltage_scale)
+        reactive_weight=reactive_weight)
 
 
-def _contribution_matrix(model, buses, n_agents, voltage_scale):
-    """Contribution factors N * vscale * [rho xi] of the agents at `buses`,
+def _contribution_matrix(model, buses, n_agents):
+    """Factors N * VOLTAGE_SCALE * [rho xi] of the agents at `buses`,
     (len(buses), n_buses, 2); the contribution map is the factor (x) I_T."""
     cols = np.stack([model.Rmat[:, buses], model.Xmat[:, buses]], axis=2)
-    return n_agents * voltage_scale * cols.transpose(1, 0, 2)
+    return n_agents * VOLTAGE_SCALE * cols.transpose(1, 0, 2)
 
 
 def build_voltage_game(model, agents, cfg):
@@ -335,8 +327,7 @@ def build_voltage_game(model, agents, cfg):
         np.stack([spec.plugged for spec in agents]),
         [spec.target_energy for spec in agents],
         [spec.s_max for spec in agents])
-    g = _contribution_matrix(model, [spec.bus for spec in agents], n_agents,
-                             cfg.voltage_scale)
+    g = _contribution_matrix(model, [spec.bus for spec in agents], n_agents)
     e = (2.0 / n_agents) * (g.transpose(0, 2, 1) * cfg.penalty_weight)
     weights = np.diag([cfg.active_weight, cfg.reactive_weight])
     b = np.repeat(2.0 * weights[None], n_agents, axis=0)
@@ -379,7 +370,7 @@ def evaluate_voltages(model, agents, x, cfg=None):
     voltages = v.ravel()
     if cfg is None:
         return VoltageSummary(voltages=voltages)
-    sigma = cfg.voltage_scale * (voltages - model.v0)
+    sigma = VOLTAGE_SCALE * (voltages - model.v0)
     dev = sigma - cfg.reference
     score = float((cfg.penalty_weight * dev) @ dev)
     base = float((cfg.penalty_weight * cfg.reference) @ cfg.reference)

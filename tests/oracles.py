@@ -25,6 +25,7 @@ from scipy.optimize import nnls
 from trades.errors import InfeasibleSpec, MaxIterExceeded, MaxSweepsExceeded
 from trades.games import (_SAMPLE_SCALE, _oracle_stepsize, phi_stack,
                           pseudo_gradient)
+from trades.grid import VOLTAGE_SCALE
 from trades.projections import (_SEARCH_MAX_EVALS, Box, DiskPairs, Hyperplane,
                                 Intersection)
 
@@ -213,12 +214,13 @@ def dense_voltage_game(model, agents, cfg):
     """Kronecker-expanded per-agent blocks of the voltage game.
 
     Rebuilt from the model and the config with np.kron, the route the
-    library avoids: G_i = N vscale [R_b X_b] (x) I_T, E_i = 2 h G_i' / N,
-    B_i = 2 diag(a, r) (x) I_T, c_i = -(pi, 0) - E_i reference, and the
-    dense pseudo-gradient matrix A = blockdiag(B) + [E_i G_j / N].
+    library avoids: G_i = N VOLTAGE_SCALE [R_b X_b] (x) I_T,
+    E_i = 2 h G_i' / N, B_i = 2 diag(a, r) (x) I_T,
+    c_i = -(pi, 0) - E_i reference, and the dense pseudo-gradient matrix
+    A = blockdiag(B) + [E_i G_j / N].
     """
     n_agents, eye = len(agents), np.eye(model.horizon)
-    g = np.stack([n_agents * cfg.voltage_scale * np.kron(np.column_stack(
+    g = np.stack([n_agents * VOLTAGE_SCALE * np.kron(np.column_stack(
         [model.Rmat[:, a.bus], model.Xmat[:, a.bus]]), eye) for a in agents])
     e = 2.0 * cfg.penalty_weight * g.transpose(0, 2, 1) / n_agents
     b = np.kron(np.diag([2.0 * cfg.active_weight, 2.0 * cfg.reactive_weight]),

@@ -673,6 +673,16 @@ def test_striding_keeps_every_recorded_row(instance, monkeypatch):
     assert rows(1) == every
 
 
+def test_rows_past_the_einsum_buffer_are_measured_one_by_one():
+    # flush's batched einsum over |z|^2 gives the per-row bits only while a
+    # row's N d stays under numpy's 8,192-element iterator buffer (past it,
+    # batches of such rows differed in the last bits); the smallest such
+    # row, N = 2 and d = 4,096, must not share a block with another
+    game = random_strongly_monotone_game(2, 1, 4096, seed=0)
+    assert game.N * game.d == 8192
+    assert _Recorder(game, None).block < 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3),
        st.sampled_from(TRACKER_MODES), st.integers(1, 5), st.booleans(),

@@ -167,8 +167,8 @@ n_buses = 5
 horizon = 12
 """
     cfg = parse_config(text)
-    assert cfg.voltage.power_base_kw == 1000.0
-    assert cfg.voltage.voltage_scale == 2400.0
+    assert cfg.voltage.penalty_weight == 1.0
+    assert cfg.voltage.active_weight == 1.0
     assert cfg.voltage.reactive_weight == 10.0
     with pytest.raises(ConfigError, match=r"^\[voltage\] horizon must be "
                        ">= 10, got 6$"):
@@ -213,7 +213,7 @@ weight_method = sinkhorn
 [voltage]
 n_buses = 4
 horizon = 16
-voltage_scale = 600.0
+penalty_weight = 0.0625
 """
     vcfg = parse_config(vtext)
     assert parse_config(canonical_text(vcfg)) == vcfg
@@ -299,8 +299,6 @@ tracker = exact
 [voltage]
 n_buses = 5
 horizon = 10
-power_base_kw = 1000.0
-voltage_scale = 2400.0
 penalty_weight = 1.0
 active_weight = 1.0
 reactive_weight = 10.0
@@ -836,6 +834,34 @@ def test_an_output_path_that_cannot_be_a_directory_stops_before_any_solve(
     assert blocker.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "key"])
+def test_an_empty_output_directory_stops_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, source):
+    # `--out ''` or `output_dir =` would resolve to the working directory
+    # and fail only at the first write, after the whole solve
+    from trades import cli
+    path = tmp_path / "exp.ini"
+    text = AFFINE_TEXT.format(out="out") + "\n[sweep]\ngamma = 0.02\n" \
+        "delta = 0.5\n"
+    if source == "key":
+        text = text.replace("output_dir = out", "output_dir =")
+    path.write_text(text)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    for name in ("build_graph", "solve_ne_oracle", "run"):
+        monkeypatch.setattr(cli, name, no_solve)
+    monkeypatch.chdir(tmp_path)
+    flag = ["--out", ""] if source == "flag" else []
+    assert main([command, str(path), *flag]) == 1
+    assert capsys.readouterr().err == ("error: the output directory "
+                                       "([experiment] output_dir or --out) "
+                                       "is empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 def test_case_study_small_instance(tmp_path):
     path = tmp_path / "volt.ini"
     path.write_text(f"""
@@ -863,7 +889,8 @@ horizon = 12
     report = json.loads((out / "report.json").read_text())
     assert report["scenario"] == "voltage"
     assert report["voltage"]["base_score"] > 0
-    assert report["voltage"]["voltage_scale"] == 2400.0
+    assert sorted(report["voltage"]) == ["base_score", "deviation_score",
+                                         "improvement_ratio"]
     assert sorted(os.listdir(out)) == ["config.echo", "metrics.json",
                                        "report.json", "trace.csv"]
 
@@ -953,8 +980,13 @@ def _without_section(text, name):
     (VOLTAGE_TEXT + "agents_file = a.csv\nnetwork_file = n.csv\n"
      "prices_file = p.csv\n", "[voltage] has unknown keys: ['agents_file', "
      "'network_file', 'prices_file']"),
+    # the voltage model's units are constants of trades.grid, not keys
+    (VOLTAGE_TEXT + "voltage_scale = 2400.0\n",
+     "[voltage] has unknown keys: ['voltage_scale']"),
+    (VOLTAGE_TEXT + "power_base_kw = 1000.0\n",
+     "[voltage] has unknown keys: ['power_base_kw']"),
 ], ids=["required-key", "flag", "float-list", "no-experiment", "no-graph",
-        "data-file-keys"])
+        "data-file-keys", "voltage-scale-key", "power-base-key"])
 def test_config_errors_name_the_key_or_section(tmp_path, capsys, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text.format(out=tmp_path / "out"))
@@ -1123,10 +1155,8 @@ def test_validate_on_any_config_text_exits_with_a_known_code(tmp_path_factory,
 
 @pytest.mark.parametrize("text, edit", [
     (AFFINE_TEXT, ("agg_dim = 1", "agg_dim = 1\ncoupling = -1e308")),
-    (VOLTAGE_TEXT, ("horizon = 12", "horizon = 12\nvoltage_scale = 1e300")),
-    (VOLTAGE_TEXT, ("penalty_weight = 1.0", "penalty_weight = 1.7e308")),
-    (VOLTAGE_TEXT, ("horizon = 12", "horizon = 12\npower_base_kw = 1e-300"))],
-    ids=["coupling", "voltage-scale", "penalty", "power-base"])
+    (VOLTAGE_TEXT, ("penalty_weight = 1.0", "penalty_weight = 1.7e308"))],
+    ids=["coupling", "penalty"])
 def test_a_scale_that_overflows_the_game_is_an_error_line(tmp_path, capsys,
                                                          text, edit):
     path = tmp_path / "scaled.ini"

@@ -2,8 +2,8 @@
 
 Hand values: for a 3-bus path with unit line resistances the shared
 root-path of buses 1 and 2 is the single first line, so the sensitivity
-entry (1,2) is 2*1 = 2 at unit power base; bus 2's own entry sums both
-lines, 2*2 = 4.
+entry (1,2) is 2*1 = 2 over the power base; bus 2's own entry sums both
+lines, 2*2 = 4 over it.
 """
 
 import os
@@ -20,7 +20,8 @@ from trades.errors import InfeasibleSpec
 from trades.games import (local_operator, phi_stack, pseudo_gradient,
                           solve_ne_oracle, validate_assumptions)
 from trades.grid import (
-    DEFAULT_VOLTAGE_SCALE,
+    POWER_BASE_KW,
+    VOLTAGE_SCALE,
     DistFlowModel,
     EvAgentSpec,
     RadialNetwork,
@@ -67,16 +68,19 @@ def test_build_radial_network_deterministic():
 def test_two_bus_sensitivities():
     r1, x1 = 0.013, 0.021
     net = RadialNetwork(parent=[-1, 0], line_r=[0.0, r1], line_x=[0.0, x1])
-    model = distflow_sensitivities(net, np.zeros((2, 1)), power_base_kw=1.0)
-    assert np.array_equal(model.Rmat, np.array([[0.0, 0.0], [0.0, 2 * r1]]))
-    assert np.array_equal(model.Xmat, np.array([[0.0, 0.0], [0.0, 2 * x1]]))
+    model = distflow_sensitivities(net, np.zeros((2, 1)))
+    assert np.array_equal(model.Rmat, np.array(
+        [[0.0, 0.0], [0.0, 2 * r1 / POWER_BASE_KW]]))
+    assert np.array_equal(model.Xmat, np.array(
+        [[0.0, 0.0], [0.0, 2 * x1 / POWER_BASE_KW]]))
 
 
 def test_three_bus_path_common_path_entries():
     net = RadialNetwork(parent=[-1, 0, 1], line_r=[0, 1.0, 1.0],
                         line_x=[0, 1.0, 1.0])
-    model = distflow_sensitivities(net, np.zeros((3, 1)), power_base_kw=1.0)
-    expected = 2.0 * np.array([[0, 0, 0], [0, 1, 1], [0, 1, 2]], dtype=float)
+    model = distflow_sensitivities(net, np.zeros((3, 1)))
+    expected = 2.0 * np.array([[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+                              dtype=float) / POWER_BASE_KW
     assert np.array_equal(model.Rmat, expected)
     assert np.array_equal(model.Xmat, expected)
 
@@ -213,20 +217,19 @@ def test_voltage_config_validation():
     ok = dict(prices=np.ones(t), reference=np.zeros(d), penalty_weight=1.0,
               active_weight=1.0, reactive_weight=10.0)
     VoltageGameConfig(**ok)
-    for key in ("penalty_weight", "active_weight", "reactive_weight",
-                "voltage_scale"):
+    for key in ("penalty_weight", "active_weight", "reactive_weight"):
         for value in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match=key):
                 VoltageGameConfig(**dict(ok, **{key: value}))
 
 
 def test_desk_game_dimensions(desk):
-    _, model, _, agents, cfg, game = desk
+    _, model, _, agents, _, game = desk
     assert model.dim == 360
     assert game.N == 40
     assert game.d == 360
     assert game.n == 1920
-    assert cfg.voltage_scale == DEFAULT_VOLTAGE_SCALE
+    assert (VOLTAGE_SCALE, POWER_BASE_KW) == (2400.0, 1000.0)
     # held as Kronecker factors with I_24: two strategy rows, 15 bus rows
     assert (game.p, game.q, game.T) == (2, 15, 24)
     assert game.G.shape == (40, 15, 2)
@@ -318,7 +321,7 @@ def test_local_operator_is_total_derivative(desk):
 
     def sigma(stack):
         volts = evaluate_voltages(model, agents, stack.reshape(-1)).voltages
-        return cfg.voltage_scale * (volts - model.v0)
+        return VOLTAGE_SCALE * (volts - model.v0)
 
     got = local_operator(game, x, np.tile(sigma(x), (game.N, 1)))
     for i in (0, 17, 39):
@@ -346,13 +349,13 @@ def test_desk_game_monotonicity_exact(desk):
 
 
 def test_aggregate_equals_scaled_voltage_deviation(desk):
-    _, model, _, agents, cfg, game = desk
+    _, model, _, agents, _, game = desk
     rng = np.random.default_rng(2)
     for _ in range(3):
         x = np.concatenate(game.projector(game.split(rng.normal(size=game.n) * 5)))
         sigma_game = aggregate(game, x)
         volts = evaluate_voltages(model, agents, x).voltages
-        sigma_direct = cfg.voltage_scale * (volts - model.v0)
+        sigma_direct = VOLTAGE_SCALE * (volts - model.v0)
         scale = max(1.0, float(np.max(np.abs(sigma_direct))))
         assert np.max(np.abs(sigma_game - sigma_direct)) <= 1e-12 * scale
 
