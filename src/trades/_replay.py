@@ -23,7 +23,7 @@ import numpy as np
 from .algorithm import _replay_rows
 
 _SLOTS = 8
-# the last float of a slot: float(final) of a state, or _END
+# the last float of a slot: 0.0 for a state, _END for the stream's end
 _END = 2.0
 # int64 indices of the counters (rows sent, rows taken), a cache line apart
 _SENT, _TAKEN = 0, 8
@@ -55,10 +55,13 @@ class Replay:
                    write_fd, parent)
         os.close(write_fd)
 
-    def add(self, t, x, z, phix, estimates, step_norm, final=False):
-        """The recorder's add: put the state's x and step norm (the child
-        rebuilds the rest) in the ring, waiting for a free slot; raises if
-        the child died.  final=_END ends the stream."""
+    def add(self, x, z, phix, estimates, step_norm):
+        """The recorder's add: put the state's x and step norm in the ring
+        (the child rebuilds the rest)."""
+        self._put(x.reshape(-1), step_norm, 0.0)
+
+    def _put(self, x, step_norm, last):
+        """Fill the next slot once it is free; raises if the child died."""
         k, spins = self.sent, 0
         while k - self.counts[_TAKEN] >= _SLOTS:
             spins += 1
@@ -68,17 +71,16 @@ class Replay:
                     self.pid = None
                     raise RuntimeError("the trace replay process died")
         slot = self.ring[k % _SLOTS]
-        if x is not None:
-            slot[:-2] = x.reshape(-1)
+        slot[:-2] = x
         slot[-2] = step_norm
-        slot[-1] = final
+        slot[-1] = last
         self.sent = k + 1
         self.counts[_SENT] = k + 1
 
     def build(self, iterates=None):
         """End the stream; return the child's trace, with iterates, or
         raise the child's error."""
-        self.add(None, None, None, None, None, 0.0, final=_END)
+        self._put(0.0, 0.0, _END)
         data = bytearray()
         while chunk := os.read(self.fd, 1 << 16):
             data += chunk
@@ -143,11 +145,11 @@ def _measure(game, graph, tracker, recorder, counts, ring, parent):
                         os._exit(1)
             slot = ring[k % _SLOTS]
             x = slot[:-2].reshape(game.N, game.m).copy()
-            step_norm, kind = slot[-2:].tolist()
+            step_norm, last = slot[-2:].tolist()
             counts[_TAKEN] = k + 1
-            if kind == _END:
+            if last == _END:
                 return
-            yield k, x, step_norm, kind == 1.0
+            yield x, step_norm
             k += 1
 
     states = stream()

@@ -50,7 +50,7 @@ _BLOCK_BYTES = 64 * 1024
 
 
 class TradesConfig(Record, frozen=True):
-    """Run parameters: stepsize, damping, stopping rule, trace cadence, tracker.
+    """Run parameters: stepsize, damping, stopping rule, tracker.
 
     delta is the convex-combination weight of the projected step; the
     nominal range is (0, 1) but the closed boundary delta = 1 is accepted
@@ -64,7 +64,6 @@ class TradesConfig(Record, frozen=True):
     delta: float = 0.5
     stop_tol: float = 1e-10
     max_iter: int = 50000
-    trace_stride: int = 1
     seed: int = None
     tracker: str = TRACKER_MODES[0]
 
@@ -75,12 +74,11 @@ class TradesConfig(Record, frozen=True):
                 raise ValueError(f"{name} must be > 0 and finite, got {value}")
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        for name in ("max_iter", "trace_stride"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or type(value) is bool:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or type(self.max_iter) is bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.tracker not in TRACKER_MODES:
             raise ValueError(f"tracker must be one of {TRACKER_MODES}, "
                              f"got {self.tracker!r}")
@@ -103,14 +101,15 @@ TRACE_COLUMNS = ("t", "err_x", "est_err_max", "disagreement", "step_norm")
 class IterationTrace(Record):
     """Recorded rows of a run.
 
-    The CSV columns are t, err_x (distance to the supplied equilibrium,
-    nan when none was given), est_err_max (worst per-agent aggregate
-    estimation error), disagreement (norm of the centred estimate stack
-    z + phi, i.e. of the estimates minus their mean across agents),
-    and step_norm (damping-normalized step out of the recorded state;
-    the final row repeats the arriving step, which is the stopping
-    residual).  z_mean_residual and feas_residual are extra in-memory
-    columns used by invariant checks, not written to CSV.
+    A run records every state it reaches, so the CSV columns are t (the
+    row's index), err_x (distance to the supplied equilibrium, nan when
+    none was given), est_err_max (worst per-agent aggregate estimation
+    error), disagreement (norm of the centred estimate stack z + phi,
+    i.e. of the estimates minus their mean across agents), and step_norm
+    (damping-normalized step out of the recorded state; the final row
+    repeats the arriving step, which is the stopping residual).
+    z_mean_residual and feas_residual are extra in-memory columns used by
+    invariant checks, not written to CSV.
     """
 
     t: np.ndarray
@@ -282,39 +281,35 @@ def _column_sum_sq(z):
 
 
 class _Recorder:
-    """Trace rows of the states at a multiple of stride and of the final one.
+    """Trace rows of the states it is handed, one per state, in order.
 
-    Rows live in two flat typed buffers: t in an int64 array, and the six
-    float fields of each row, in field order, in a float64 array (about
-    57 B per row with the buffers' growth slack).  A game whose row of
-    sweep arrays (x, z, phix, estimates: 8 (n + 3 N d) bytes) fits at
-    least twice in _BLOCK_BYTES holds that many rows by reference (the
-    sweep never writes into its arrays again) and measures them in one
-    batched pass, bit for bit the per-row fields; a larger game measures
-    each row on arrival.  So a projector error met while measuring a row
-    of a small game surfaces at the end of the row's block.
+    The six float fields of each row, in field order, live in one flat
+    float64 array (48 B per row, plus the array's growth slack); build
+    makes the t column, the row index.  A game whose row of sweep arrays
+    (x, z, phix, estimates: 8 (n + 3 N d) bytes) fits at least twice in
+    _BLOCK_BYTES holds that many rows by reference (the sweep never writes
+    into its arrays again) and measures them in one batched pass, bit for
+    bit the per-row fields; a larger game measures each row on arrival.
+    So a projector error met while measuring a row of a small game
+    surfaces at the end of the row's block.
     """
 
-    def __init__(self, game, oracle_vec, stride=1):
+    def __init__(self, game, oracle_vec):
         self.n_agents = game.N
-        self.stride = stride
         self.membership_residual = game.projector.membership_residual
         self.oracle_vec = oracle_vec
         self.mean_row = np.full(game.N, 1.0 / game.N)
-        self.t = array("q")
         self.fields = array("d")
         self.block = _BLOCK_BYTES // (8 * (game.n + 3 * game.N * game.d))
         self.held = []
 
-    def add(self, t, x, z, phix, estimates, step_norm, final=False):
-        if t % self.stride and not final:
-            return
+    def add(self, x, z, phix, estimates, step_norm):
         # rows of w are the estimation errors z_i + phi_i - sigma; they sum
         # to the column sums of z, so the centred stack's squared norm (the
         # disagreement) is their squared norm minus |sum_i z_i|^2 / N;
         # estimates (z + phix) is shared with the sweep, so it stays as is
         if self.block >= 2:
-            self.held.append((t, x, z, phix, estimates, step_norm))
+            self.held.append((x, z, phix, estimates, step_norm))
             if len(self.held) == self.block:
                 self.flush()
             return
@@ -330,8 +325,8 @@ class _Recorder:
         else:
             d = x.reshape(-1) - self.oracle_vec
             err = math.sqrt(d.dot(d))
-        self.append(t, err, math.sqrt(rows.max()), disagreement, step_norm,
-                    z_mean, self.membership_residual(x))
+        self.fields.extend((err, math.sqrt(rows.max()), disagreement,
+                            step_norm, z_mean, self.membership_residual(x)))
 
     def flush(self):
         """Measure the held rows: add's reductions over (k, ...) stacks, with
@@ -340,9 +335,9 @@ class _Recorder:
         block residual."""
         if not self.held:
             return
-        ts, xs, zs, phis, ests, steps = zip(*self.held)
+        xs, zs, phis, ests, steps = zip(*self.held)
         self.held = []
-        k, x, z = len(ts), np.array(xs), np.array(zs)
+        k, x, z = len(xs), np.array(xs), np.array(zs)
         w = np.array(ests) - (self.mean_row @ np.array(phis))[:, None, :]
         rows = np.einsum("kij,kij->ki", w, w)
 
@@ -359,35 +354,29 @@ class _Recorder:
             np.array(steps), np.sqrt(z_sum_sq) / np.fmax(
                 1.0, np.sqrt(np.einsum("kij,kij->k", z, z))),
             self.membership_residual(x)], axis=1)
-        self.t.extend(ts)
         self.fields.frombytes(fields.tobytes())
 
-    def append(self, t, *fields):
-        """Store a row: the integer t, then the six float fields in order."""
-        self.t.append(t)
-        self.fields.extend(fields)
-
     def build(self, iterates=None):
-        # copies, so the buffers stay free to grow (an array exporting its
+        # a copy, so the buffer stays free to grow (an array exporting its
         # buffer to a live view cannot be resized)
         self.flush()
         fields = np.frombuffer(self.fields, dtype=np.float64).reshape(-1, 6).T.copy()
-        return IterationTrace(np.frombuffer(self.t, dtype=np.int64).copy(),
-                              *fields, iterates=iterates)
+        return IterationTrace(np.arange(fields.shape[1]), *fields,
+                              iterates=iterates)
 
 
 def _replay_rows(game, graph, tracker, recorder, stream):
-    """Record the tracker's rows along a stream of (t, x, step_norm, final):
-    from z = 0, the sweep's tracker step (_track) to each next x, then
+    """Record the tracker's rows along a stream of (x, step_norm): from
+    z = 0, the sweep's tracker step (_track) to each next x, then
     phi_stack and z + phix, into recorder.add.  The forked replay feeds it
     the run's x stream, boundary_layer_probe a frozen x."""
     z = np.zeros((game.N, game.d))
-    for t, x, step_norm, final in stream:
+    for t, (x, step_norm) in enumerate(stream):
         if t:
             z = _track(game, graph, tracker, z, phix, estimates, x)
         phix = phi_stack(game, x)
         estimates = z + phix
-        recorder.add(t, x, z, phix, estimates, step_norm, final)
+        recorder.add(x, z, phix, estimates, step_norm)
 
 
 def _threads():
@@ -430,7 +419,7 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     x, z = state.x, state.z
     oracle_vec = None if oracle is None else game.split(oracle).reshape(-1)
     # the recorder, or a forked replay that measures the rows with it
-    rows = recorder = _Recorder(game, oracle_vec, cfg.trace_stride)
+    rows = recorder = _Recorder(game, oracle_vec)
     iterates = [x.reshape(-1)] if keep_iterates else None
     if _replays_apart(recorder):
         from ._replay import Replay
@@ -451,7 +440,7 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
             if step_norm is None:
                 stop_reason = "diverged"
                 break
-            add(t, x, z, phix, estimates, step_norm)
+            add(x, z, phix, estimates, step_norm)
             x, z = new_x, new_z
             t += 1
             if keep_iterates:
@@ -462,7 +451,7 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
 
         if stop_reason != "diverged":    # a diverged run has no final row
             phix = phi_stack(game, x)
-            add(t, x, z, phix, z + phix, step_norm, True)
+            add(x, z, phix, z + phix, step_norm)
         trace = rows.build(np.asarray(iterates) if keep_iterates else None)
     except BaseException:
         if rows is not recorder:         # stop and reap the replay
@@ -555,7 +544,7 @@ def boundary_layer_probe(graph, game, x, steps=None):
         steps = boundary_layer_budget(rho)
     recorder = _Recorder(game, None)
     _replay_rows(game, graph, "consensus", recorder,
-                 ((t, x, 0.0, False) for t in range(steps + 1)))
+                 ((x, 0.0) for _ in range(steps + 1)))
     trace = recorder.build()
     errors = trace.disagreement
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -188,8 +188,7 @@ def _report_payload(cfg, graph, game, report, trace):
                  "lipschitz": game.affine.exact_lipschitz()},
         "trades": {"gamma": cfg.trades.gamma, "delta": cfg.trades.delta,
                    "stop_tol": cfg.trades.stop_tol,
-                   "max_iter": cfg.trades.max_iter,
-                   "trace_stride": cfg.trades.trace_stride},
+                   "max_iter": cfg.trades.max_iter},
         "result": result,
     }
 
@@ -336,7 +335,7 @@ def _sweep_cell(game, graph, trades, cell_dir, oracle_x):
     a2 = float("nan") if report.a2 is None else report.a2
     with np.errstate(invalid="ignore"):
         hits = np.nonzero(trace.err_x <= ERR_TARGET_SWEEP)[0]
-    iters = int(trace.t[hits[0]]) if hits.size else -1
+    iters = int(hits[0]) if hits.size else -1
     return trades.gamma, trades.delta, report.converged, a2, iters
 
 

@@ -127,7 +127,10 @@ class _Unparsable(ConfigError):
 
 
 def _read_sections(text):
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # no header can name the default section, so [DEFAULT] is an unknown
+    # section, not keys copied into every other one
+    parser = configparser.ConfigParser(interpolation=None, strict=True,
+                                       default_section="")
     parser.optionxform = str
     # configparser's own messages span lines and name no file
     try:

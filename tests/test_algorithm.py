@@ -104,8 +104,6 @@ def test_config_validation():
         TradesConfig(stop_tol=0.0)
     with pytest.raises(ValueError):
         TradesConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        TradesConfig(trace_stride=0)
 
 
 @pytest.mark.parametrize("field", ["gamma", "stop_tol"])
@@ -118,9 +116,9 @@ def test_config_rates_are_finite(field):
     assert getattr(TradesConfig(**{field: 1e300}), field) == 1e300
 
 
-@pytest.mark.parametrize("field", ["max_iter", "trace_stride"])
+@pytest.mark.parametrize("field", ["max_iter"])
 def test_config_counts_are_integers(field):
-    # a float count ran fractional sweeps or strides (max_iter = 2.5 gave
+    # a float count ran fractional sweeps (max_iter = 2.5 gave
     # 3 sweeps), a string one failed only inside run, and True ran one sweep
     for value in (2.5, 6.0, "10", None, True, False):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -341,12 +339,12 @@ def _one_recorded_row():
     x, z = init(game, 0).x, np.zeros((2, 1))
     recorder = _Recorder(game, None)
     phix = phi_stack(game, x)
-    recorder.add(0, x, z, phix, z + phix, 0.0)
+    recorder.add(x, z, phix, z + phix, 0.0)
     return x, z, recorder
 
 
 def _run_replacing_sweep(monkeypatch, at, replace, x0=1):
-    """(state, trace, report) of a 3-agent run at stride 1 whose sweep that
+    """(state, trace, report) of a 3-agent run whose sweep that
     produces iteration `at` has its (new x, new z) swapped for
     replace(new x, new z); with no replace, an unaltered run."""
     real, calls = algorithm._advance, []
@@ -443,7 +441,7 @@ def test_recorded_row_reads_the_tracker_column_sum_square():
     step_norm = _checked_step_norm(x, x + 1.0, 0.5, new_z)
     assert step_norm == math.sqrt(x.size) / 0.5
     phix = phi_stack(_two_agent_game(), x)
-    recorder.add(1, x, new_z, phix, new_z + phix, step_norm)
+    recorder.add(x, new_z, phix, new_z + phix, step_norm)
     # the column sum is 1.25 and the stack's norm sqrt(1.5^2 + 0.25^2) > 1
     trace = recorder.build()
     assert trace.z_mean_residual[1] == 1.25 / math.sqrt(1.5 ** 2 + 0.25 ** 2)
@@ -490,7 +488,7 @@ def test_run_linear_convergence_affine_family():
     game, graph = _bench_instance()
     xstar = solve_ne_oracle(game)
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-10,
-                       max_iter=50000, trace_stride=5)
+                       max_iter=50000)
     state, trace, report = run(game, graph, cfg, x0=2024, oracle=xstar)
     assert report.converged
     assert report.iterations <= 50000
@@ -504,7 +502,7 @@ def test_run_linear_convergence_affine_family():
 def test_run_tracker_mean_invariance():
     game, graph = _bench_instance()
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-12,
-                       max_iter=800, trace_stride=1)
+                       max_iter=800)
     _, trace, _ = run(game, graph, cfg, x0=5)
     assert len(trace) >= 100
     assert np.max(trace.z_mean_residual) <= 1e-10
@@ -513,7 +511,7 @@ def test_run_tracker_mean_invariance():
 def test_run_feasibility_invariance():
     game, graph = _bench_instance()
     cfg = TradesConfig(gamma=0.02, delta=0.9, stop_tol=1e-12,
-                       max_iter=600, trace_stride=1)
+                       max_iter=600)
     _, trace, _ = run(game, graph, cfg, x0=6)
     assert np.max(trace.feas_residual) <= 1e-8
 
@@ -535,7 +533,7 @@ def test_run_divergence_is_flagged():
 def test_run_seed_determinism_bitwise():
     game, graph = _bench_instance()
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-10,
-                       max_iter=300, trace_stride=10, seed=4)
+                       max_iter=300, seed=4)
     out = [run(game, graph, cfg, keep_iterates=True) for _ in range(2)]
     assert out[0][1].csv_text() == out[1][1].csv_text()
     assert np.array_equal(out[0][1].iterates, out[1][1].iterates)
@@ -566,7 +564,7 @@ def test_run_reads_oracle_through_split():
 def test_trace_quantities_match_direct_evaluation():
     game, graph = _bench_instance()
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-12,
-                       max_iter=3, trace_stride=1)
+                       max_iter=3)
     state0 = init(game, 11)
     _, trace, _ = run(game, graph, cfg, x0=11)
     # row 0 describes the start state, where z = 0
@@ -621,14 +619,13 @@ def test_final_trace_row_matches_direct_evaluation(instance):
     shifted = z + np.linspace(-1.0, 2.0, game.d)
     recorder = _Recorder(game, reference)
     phix = phi_stack(game, x)
-    recorder.add(0, x, shifted, phix, shifted + phix, 0.0)
+    recorder.add(x, shifted, phix, shifted + phix, 0.0)
     _assert_row_is_direct(recorder.build(), 0, game, x, shifted, reference)
 
 
 def test_trace_csv_format():
     game, graph = _bench_instance()
-    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-12,
-                       max_iter=23, trace_stride=7)
+    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-12, max_iter=23)
     _, trace, _ = run(game, graph, cfg, x0=1)
     text = trace.csv_text()
     lines = text.strip().split("\n")
@@ -641,36 +638,29 @@ def test_trace_csv_format():
         float(fields[0])
         [float(f) for f in fields[1:]]
     ts = [int(line.split(",")[0]) for line in lines[1:]]
-    assert ts == sorted(set(ts))
-
-
-def _trace_rows(trace):
-    """The seven recorded fields of each row, as float64 bytes."""
-    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
-    return {int(t): np.array([getattr(trace, f)[k] for f in fields]).tobytes()
-            for k, t in enumerate(trace.t)}
+    assert ts == list(range(len(trace)))
 
 
 @pytest.mark.parametrize("instance", [_bench_instance, _small_voltage_instance])
-def test_striding_keeps_every_recorded_row(instance, monkeypatch):
-    # a row is the same bits whichever rows are recorded around it, the
-    # final row (t = 150, not a multiple of 7) included.  The column sums a
-    # row reads, batched over a block of rows, are also the bits of the
-    # row's own tracker stack summed afresh, as a row measured alone does.
+def test_rows_measured_in_blocks_are_the_rows_measured_alone(instance,
+                                                             monkeypatch):
+    # the column sums a row reads, batched over a block of rows, are the
+    # bits of the row's own tracker stack summed afresh, as a row measured
+    # alone does; every state of the run is a row, the final one included
     game, graph = instance()
     reference = np.random.default_rng(3).normal(size=game.n)
+    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
 
-    def rows(stride):
-        cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14,
-                           max_iter=150, trace_stride=stride)
-        return _trace_rows(run(game, graph, cfg, x0=11, oracle=reference)[1])
+    def columns():
+        cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=150)
+        trace = run(game, graph, cfg, x0=11, oracle=reference)[1]
+        assert np.array_equal(trace.t, np.arange(151))
+        return [getattr(trace, name).tobytes() for name in fields]
 
-    every, strided = rows(1), rows(7)
-    assert sorted(strided) == list(range(0, 150, 7)) + [150]
-    assert all(strided[t] == every[t] for t in strided)
     assert _Recorder(game, None).block >= 2
+    in_blocks = columns()
     monkeypatch.setattr(algorithm, "_BLOCK_BYTES", 0)
-    assert rows(1) == every
+    assert columns() == in_blocks
 
 
 def test_rows_past_the_einsum_buffer_are_measured_one_by_one():
@@ -685,14 +675,13 @@ def test_rows_past_the_einsum_buffer_are_measured_one_by_one():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3),
-       st.sampled_from(TRACKER_MODES), st.integers(1, 5), st.booleans(),
+       st.sampled_from(TRACKER_MODES), st.booleans(),
        st.integers(1, 60), st.integers(0, 2 ** 16))
 def test_replayed_strategies_give_the_runs_rows(n_agents, m, d, tracker,
-                                                stride, block, steps, seed):
-    # _replay_rows, the forked replay's driver, fed a stride-1 run's own
-    # strategies and step norms (the last state final) gives bit for bit
-    # the rows of a run at any stride, recorded in blocks or
-    # (_BLOCK_BYTES = 0) row by row; no process is forked
+                                                block, steps, seed):
+    # _replay_rows, the forked replay's driver, fed a run's own strategies
+    # and step norms gives bit for bit the run's rows, recorded in blocks
+    # or (_BLOCK_BYTES = 0) row by row; no process is forked
     game = random_strongly_monotone_game(n_agents, m, d, seed=seed)
     graph = _graph(n_agents, 0.6, seed)
     reference = np.random.default_rng(seed).normal(size=game.n)
@@ -701,24 +690,20 @@ def test_replayed_strategies_give_the_runs_rows(n_agents, m, d, tracker,
     def columns(trace):
         return [getattr(trace, name).tobytes() for name in fields]
 
-    def traced(trace_stride, **kwargs):
-        cfg = TradesConfig(stop_tol=1e-300, max_iter=steps,
-                           trace_stride=trace_stride, tracker=tracker)
-        return run(game, graph, cfg, x0=seed, oracle=reference, **kwargs)[1]
-
+    cfg = TradesConfig(stop_tol=1e-300, max_iter=steps, tracker=tracker)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algorithm, "_replays_apart", lambda recorder: False)
         if not block:
             patch.setattr(algorithm, "_BLOCK_BYTES", 0)
-        every = traced(1, keep_iterates=True)
+        every = run(game, graph, cfg, x0=seed, oracle=reference,
+                    keep_iterates=True)[1]
         assert len(every.iterates) == len(every) == steps + 1
-        recorder = _Recorder(game, reference, stride)
+        recorder = _Recorder(game, reference)
         assert (recorder.block >= 2) == block
         algorithm._replay_rows(game, graph, tracker, recorder, (
-            (t, x.reshape(game.N, game.m).copy(), float(step_norm), t == steps)
-            for t, (x, step_norm) in enumerate(zip(every.iterates,
-                                                   every.step_norm))))
-        assert columns(recorder.build()) == columns(traced(stride))
+            (x.reshape(game.N, game.m).copy(), float(step_norm))
+            for x, step_norm in zip(every.iterates, every.step_norm)))
+        assert columns(recorder.build()) == columns(every)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
@@ -736,24 +721,25 @@ def test_trace_csv_text_across_row_blocks(n_rows):
 
 
 def test_recorder_holds_under_80_bytes_per_row():
-    # a row is an int64 t and six float64 fields in flat buffers: 56 B
-    # plus the buffers' growth slack, where a tuple of Python numbers
-    # would take ~270 B
+    # a row is six float64 fields in a flat buffer: 48 B, plus the
+    # buffer's growth slack and the arrays of the rows held for the block
+    # being filled, ~56 B in all; a per-row int64 t would take it past
+    # 60 B, and a tuple of Python numbers ~270 B
     game = _two_agent_game()
     x, z = init(game, 0).x, np.zeros((2, 1))
     phix = phi_stack(game, x)
     recorder = _Recorder(game, np.zeros(game.n))
-    recorder.add(0, x, z, phix, z + phix, 0.5)
+    recorder.add(x, z, phix, z + phix, 0.5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for t in range(1, 20001):
-            recorder.add(t, x, z, phix, z + phix, 1.0 / t)
+            recorder.add(x, z, phix, z + phix, 1.0 / t)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(recorder.build()) == 20001
-    assert held / 20000 <= 80
+    assert held / 20000 <= 60
 
 
 def test_trace_csv_text_peaks_near_twice_its_size():
@@ -775,13 +761,12 @@ def test_trace_csv_text_peaks_near_twice_its_size():
 
 
 def test_trace_recording_pattern():
+    # every state the run reaches is a row, the start and the final one too
     game, graph = _bench_instance()
-    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14,
-                       max_iter=23, trace_stride=7)
+    cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=23)
     _, trace, report = run(game, graph, cfg, x0=1)
-    final_t = report.iterations
-    expected = [t for t in range(final_t) if t % 7 == 0] + [final_t]
-    assert list(trace.t) == expected
+    assert report.iterations == 23
+    assert list(trace.t) == list(range(24))
 
 
 # -------------------------------------------- rows measured in a fork
@@ -838,18 +823,16 @@ def _run_bytes(out):
 
 
 @pytest.mark.parametrize("tracker", TRACKER_MODES)
-@pytest.mark.parametrize("stride", [1, 3])
-def test_forked_rows_are_the_in_process_rows(monkeypatch, desk_game, tracker,
-                                             stride):
+def test_forked_rows_are_the_in_process_rows(monkeypatch, desk_game, tracker):
     # the replay rebuilds the tracker stack from the strategies alone and
     # holds the run's bits: every column of every row, the final one of a
-    # run that spends max_iter (t = 40, not a multiple of 3) included,
-    # for the desk and for a game with 240 KB records
+    # run that spends max_iter (t = 40) included, for the desk and for a
+    # game with 240 KB records
     for game, graph in (desk_game, _wide_game()):
         assert _Recorder(game, None).block < 2
         reference = np.random.default_rng(3).normal(size=game.n)
         cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-300,
-                           max_iter=40, trace_stride=stride, tracker=tracker)
+                           max_iter=40, tracker=tracker)
         fds = _open_fds()
         forked, forks = _run_on_path(monkeypatch, True, game, graph, cfg,
                                      x0=11, oracle=reference)
@@ -926,7 +909,7 @@ rng = np.random.default_rng(7)
 for t in range(10):
     x = rng.standard_normal((game.N, game.m))
     z, phix = rng.standard_normal((2, game.N, game.d))
-    recorder.add(t, x, z, phix, z + phix, 1.0)
+    recorder.add(x, z, phix, z + phix, 1.0)
 print(np.frombuffer(recorder.fields).tobytes().hex())
 """
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -1107,6 +1090,23 @@ def test_exact_tracker_matches_reduced_system_bitwise():
     assert trace.iterates.shape == trajectory.shape
     assert np.array_equal(trace.iterates, trajectory)
     assert np.max(np.abs(trace.iterates - trajectory)) <= 1e-12
+
+
+@pytest.mark.parametrize("tracker", TRACKER_MODES)
+def test_a_step_norm_equal_to_stop_tol_stops(tracker):
+    # the stop rule is step_norm <= stop_tol: a first sweep whose step norm
+    # is exactly stop_tol ends the run, and the exact-tracker run's first
+    # step is reduced_system_run's, which then holds two rows
+    game = random_strongly_monotone_game(6, 2, 3, seed=11)
+    graph = _graph(6, 0.5, 3)
+    cfg = TradesConfig(gamma=0.02, delta=0.5, max_iter=1, tracker=tracker)
+    first = run(game, graph, cfg, x0=123)[1].step_norm[0]
+    assert first > 0
+    cfg = cfg._replace(stop_tol=float(first), max_iter=1000)
+    _, trace, report = run(game, graph, cfg, x0=123)
+    assert (report.stop_reason, report.iterations, len(trace)) == ("stop_tol", 1, 2)
+    if tracker == "exact":
+        assert reduced_system_run(game, cfg, 123).shape[0] == 2
 
 
 def test_reduced_system_monotone_error_decay():

@@ -255,7 +255,6 @@ gamma = 0.02
 delta = 0.5
 stop_tol = 1e-09
 max_iter = 4000
-trace_stride = 1
 tracker = consensus
 
 [affine]
@@ -274,7 +273,7 @@ max_iter = 4000
                 .replace("edge_prob = 0.5", "edge_prob = 0.5\n"
                          "weight_method = sinkhorn")
                 .replace("horizon = 12", "horizon = 10")
-                + "\n[trades]\ntracker = exact\ntrace_stride = 3\n", """\
+                + "\n[trades]\ntracker = exact\n", """\
 [experiment]
 spec_version = 1
 scenario = voltage
@@ -293,7 +292,6 @@ gamma = 0.01
 delta = 0.5
 stop_tol = 1e-10
 max_iter = 50000
-trace_stride = 3
 tracker = exact
 
 [voltage]
@@ -985,8 +983,20 @@ def _without_section(text, name):
      "[voltage] has unknown keys: ['voltage_scale']"),
     (VOLTAGE_TEXT + "power_base_kw = 1000.0\n",
      "[voltage] has unknown keys: ['power_base_kw']"),
+    # trace_stride is no key: every sweep is a trace row
+    (AFFINE_TEXT.replace("max_iter = 4000\n", "max_iter = 4000\ntrace_stride = 1\n"),
+     "[trades] has unknown keys: ['trace_stride']"),
+    # configparser copies a [DEFAULT] section's keys into every section; it
+    # is refused like any other unknown section, [trades] present or not
+    ("[DEFAULT]\nseed = 3\n" + _without_section(AFFINE_TEXT, "trades"),
+     "unknown section [DEFAULT]; expected ['affine', 'experiment', 'graph', "
+     "'sweep', 'trades', 'voltage']"),
+    ("[DEFAULT]\nseed = 3\n" + AFFINE_TEXT,
+     "unknown section [DEFAULT]; expected ['affine', 'experiment', 'graph', "
+     "'sweep', 'trades', 'voltage']"),
 ], ids=["required-key", "flag", "float-list", "no-experiment", "no-graph",
-        "data-file-keys", "voltage-scale-key", "power-base-key"])
+        "data-file-keys", "voltage-scale-key", "power-base-key",
+        "trace-stride-key", "default-section", "default-section-with-trades"])
 def test_config_errors_name_the_key_or_section(tmp_path, capsys, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text.format(out=tmp_path / "out"))

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -262,6 +263,22 @@ def test_spectrum_of_one_step_consensus():
     spec = spectrum(g)
     assert spec.rho_disagreement <= 1e-13
     assert spec.sigma_disagreement <= 1e-13
+
+
+def test_spectrum_of_non_normal_sinkhorn_weights():
+    # sinkhorn weights of a sparse digraph are not normal, so the spectral
+    # radius of the disagreement map (~0.56) and its largest singular value
+    # (~0.79) part; each must be the one its name says
+    g = make_doubly_stochastic(gen_digraph(12, 0.3, seed=0), method="sinkhorn")
+    w = g.weights
+    assert np.abs(w @ w.T - w.T @ w).max() > 0.1
+    m = w - np.full((12, 12), 1.0 / 12)
+    rho = np.abs(scipy.linalg.eigvals(m)).max()
+    sigma = scipy.linalg.svdvals(m)[0]
+    assert sigma - rho > 0.2
+    spec = spectrum(g)
+    assert spec.rho_disagreement == pytest.approx(rho, rel=1e-12)
+    assert spec.sigma_disagreement == pytest.approx(sigma, rel=1e-12)
 
 
 def test_spectrum_two_agent_uniform():
