@@ -56,5 +56,5 @@ print(f"verdict: {fit.verdict}")
 # a few trace rows, oldest to newest
 print("\n      t        err_x     est_err   step_norm")
 for k in np.linspace(0, len(trace) - 1, 8).astype(int):
-    print(f"{trace.t[k]:7d}  {trace.err_x[k]:.3e}  "
+    print(f"{k:7d}  {trace.err_x[k]:.3e}  "
           f"{trace.est_err_max[k]:.3e}  {trace.step_norm[k]:.3e}")

@@ -77,9 +77,9 @@ class Replay:
         self.sent = k + 1
         self.counts[_SENT] = k + 1
 
-    def build(self, iterates=None):
-        """End the stream; return the child's trace, with iterates, or
-        raise the child's error."""
+    def build(self):
+        """End the stream; return the child's trace, or raise the child's
+        error."""
         self._put(0.0, 0.0, _END)
         data = bytearray()
         while chunk := os.read(self.fd, 1 << 16):
@@ -91,7 +91,7 @@ class Replay:
             raise RuntimeError("the trace replay process died") from None
         if error is not None:
             raise error
-        return trace._replace(iterates=iterates)
+        return trace
 
     def close(self):
         """Stop and reap the child (a no-op once it has exited) and close

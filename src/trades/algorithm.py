@@ -85,11 +85,10 @@ class TradesConfig(Record, frozen=True):
 
 
 class TradesState(Record):
-    """Iterate: (N, m) strategies, (N, d) trackers (a row per agent), time."""
+    """Iterate: (N, m) strategies, (N, d) trackers (a row per agent)."""
 
     x: np.ndarray
     z: np.ndarray
-    t: int = 0
 
 
 # ------------------------------------------------------------------- traces
@@ -101,18 +100,18 @@ TRACE_COLUMNS = ("t", "err_x", "est_err_max", "disagreement", "step_norm")
 class IterationTrace(Record):
     """Recorded rows of a run.
 
-    A run records every state it reaches, so the CSV columns are t (the
-    row's index), err_x (distance to the supplied equilibrium, nan when
-    none was given), est_err_max (worst per-agent aggregate estimation
-    error), disagreement (norm of the centred estimate stack z + phi,
-    i.e. of the estimates minus their mean across agents), and step_norm
-    (damping-normalized step out of the recorded state; the final row
-    repeats the arriving step, which is the stopping residual).
+    A run records every state it reaches; a row's index, its position, is
+    the CSV's first column t.  The others are err_x (distance to the
+    supplied equilibrium, nan when none was given), est_err_max (worst
+    per-agent aggregate estimation error), disagreement (norm of the
+    centred estimate stack z + phi, i.e. of the estimates minus their
+    mean across agents), and step_norm (damping-normalized step out of
+    the recorded state; the final row repeats the arriving step, which is
+    the stopping residual).
     z_mean_residual and feas_residual are extra in-memory columns used by
     invariant checks, not written to CSV.
     """
 
-    t: np.ndarray
     err_x: np.ndarray
     est_err_max: np.ndarray
     disagreement: np.ndarray
@@ -122,17 +121,18 @@ class IterationTrace(Record):
     iterates: np.ndarray = None
 
     def __len__(self):
-        return len(self.t)
+        return len(self.err_x)
 
     def csv_text(self):
-        """The header line, then one line per row of the repr of each field
-        (%r of the Python ints and floats of .tolist()).  Rows are formatted
+        """The header line, then one line per row of its index and the repr
+        of each field (%r of the floats of .tolist()).  Rows are formatted
         in blocks of 256, each one string, joined once with the header, so
         building the text holds about twice its size."""
         blocks = [",".join(TRACE_COLUMNS) + "\n"]
-        for k in range(0, len(self.t), 256):
-            block = [getattr(self, name)[k:k + 256].tolist()
-                     for name in TRACE_COLUMNS]
+        for k in range(0, len(self), 256):
+            block = [range(k, min(k + 256, len(self)))] + [
+                getattr(self, name)[k:k + 256].tolist()
+                for name in TRACE_COLUMNS[1:]]
             blocks.append("".join(["%r,%r,%r,%r,%r\n" % row for row in zip(*block)]))
         return "".join(blocks)
 
@@ -173,16 +173,16 @@ class ConvergenceReport(Record):
         return "PASS" if self.converged and decays else "FAIL"
 
 
-def fit_convergence(ts, errs, total_iterations):
-    """Least-squares linear fit of log(err) against iteration index.
+def fit_convergence(errs, total_iterations):
+    """Least-squares linear fit of log(err) against its index in errs.
 
     Discards the transient (t below max(50, 5% of the run)) and samples
     at or below the floating-point floor of 1e-12.  Returns a tuple
     (a1, a2, r_squared, contraction_ratio, n_points); the first four are
     None when fewer than three samples survive.
     """
-    ts = np.asarray(ts, dtype=float)
     errs = np.asarray(errs, dtype=float)
+    ts = np.arange(errs.size, dtype=float)
     cut = max(_FIT_MIN_SKIP, _FIT_SKIP_FRACTION * total_iterations)
     mask = (ts >= cut) & np.isfinite(errs) & (errs > _FIT_FLOOR)
     n_points = int(mask.sum())
@@ -228,7 +228,7 @@ def init(game, x0):
         x = np.random.default_rng(int(x0)).standard_normal((game.N, game.m))
     else:
         x = game.split(x0)
-    return TradesState(x=game.projector(x), z=np.zeros((game.N, game.d)), t=0)
+    return TradesState(x=game.projector(x), z=np.zeros((game.N, game.d)))
 
 
 def _advance(game, graph, gamma, delta, x, z, tracker):
@@ -284,12 +284,12 @@ class _Recorder:
     """Trace rows of the states it is handed, one per state, in order.
 
     The six float fields of each row, in field order, live in one flat
-    float64 array (48 B per row, plus the array's growth slack); build
-    makes the t column, the row index.  A game whose row of sweep arrays
-    (x, z, phix, estimates: 8 (n + 3 N d) bytes) fits at least twice in
-    _BLOCK_BYTES holds that many rows by reference (the sweep never writes
-    into its arrays again) and measures them in one batched pass, bit for
-    bit the per-row fields; a larger game measures each row on arrival.
+    float64 array (48 B per row, plus the array's growth slack).  A game
+    whose row of sweep arrays (x, z, phix, estimates: 8 (n + 3 N d) bytes)
+    fits at least twice in _BLOCK_BYTES holds that many rows by reference
+    (the sweep never writes into its arrays again) and measures them in
+    one batched pass, bit for bit the per-row fields; a larger game
+    measures each row on arrival.
     So a projector error met while measuring a row of a small game
     surfaces at the end of the row's block.
     """
@@ -356,13 +356,12 @@ class _Recorder:
             self.membership_residual(x)], axis=1)
         self.fields.frombytes(fields.tobytes())
 
-    def build(self, iterates=None):
+    def build(self):
         # a copy, so the buffer stays free to grow (an array exporting its
         # buffer to a live view cannot be resized)
         self.flush()
         fields = np.frombuffer(self.fields, dtype=np.float64).reshape(-1, 6).T.copy()
-        return IterationTrace(np.arange(fields.shape[1]), *fields,
-                              iterates=iterates)
+        return IterationTrace(*fields)
 
 
 def _replay_rows(game, graph, tracker, recorder, stream):
@@ -404,7 +403,9 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     it is None the seed from cfg is used.  oracle, when given, is the
     reference equilibrium (stacked or (N, m), as ``game.split`` reads it)
     used to fill the error column and fit the linear rate.  Returns
-    (final state, trace, report); the state's x is an (N, m) array.
+    (final state, trace, report); the state's x is an (N, m) array, the
+    report's iterations the sweep count, the trace's iterates with
+    keep_iterates the stacked x of each row.
     The report's stop_reason is "stop_tol", "max_iter" or "diverged": at
     a non-finite step norm or tracker sum (_checked_step_norm) the state
     is the last finite iterate, with no final row.  cfg.tracker picks the
@@ -452,20 +453,21 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
         if stop_reason != "diverged":    # a diverged run has no final row
             phix = phi_stack(game, x)
             add(x, z, phix, z + phix, step_norm)
-        trace = rows.build(np.asarray(iterates) if keep_iterates else None)
+        trace = rows.build()
     except BaseException:
         if rows is not recorder:         # stop and reap the replay
             rows.close()
         raise
 
+    trace.iterates = np.asarray(iterates) if keep_iterates else None
     # without an oracle err_x is all nan, which the fit reads as no points
-    a1, a2, r2, ratio, n_fit = fit_convergence(trace.t, trace.err_x, t)
+    a1, a2, r2, ratio, n_fit = fit_convergence(trace.err_x, t)
     err = float(trace.err_x[-1]) if oracle is not None and len(trace) else None
     report = ConvergenceReport(a1=a1, a2=a2, r_squared=r2,
                                contraction_ratio=ratio, n_fit_points=n_fit,
                                iterations=t, stop_reason=stop_reason,
                                err_x_final=err)
-    return TradesState(x=x, z=z, t=t), trace, report
+    return TradesState(x=x, z=z), trace, report
 
 
 def reduced_system_run(game, cfg, x0):

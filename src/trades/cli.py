@@ -41,12 +41,11 @@ ERR_TARGET_SWEEP = 1e-6
 _EXIT_HOOK = []   # gc.freeze once main registered it (README § Command line)
 # the dense arrays of one run, in bytes: a config that needs more is refused
 MAX_DENSE_BYTES = 2 ** 31
-# each scenario's size keys, and the dimensions (N, p, q, T, buses) they set
+# each scenario's size keys after [graph] n_agents, and the dimensions
+# (N, p, q, T, buses) they set
 _SIZE_KEYS = {
-    "affine": ((("graph", "n_agents"), ("affine", "strategy_dim"),
-                ("affine", "agg_dim")), lambda n, p, q: (n, p, q, 1, 0)),
-    "voltage": ((("graph", "n_agents"), ("voltage", "n_buses"),
-                 ("voltage", "horizon")), lambda n, b, t: (n, 2, b, t, b)),
+    "affine": (("strategy_dim", "agg_dim"), lambda n, p, q: (n, p, q, 1, 0)),
+    "voltage": (("n_buses", "horizon"), lambda n, b, t: (n, 2, b, t, b)),
 }
 
 
@@ -68,8 +67,9 @@ def _dense_bytes(n, p, q, t, buses):
 def _check_sizes(cfg):
     """Refuse a config whose dense arrays pass MAX_DENSE_BYTES, naming the
     size key whose least allowed value shrinks the estimate most."""
-    keys, dims = _SIZE_KEYS[cfg.scenario]
-    values = [getattr(getattr(cfg, section), key) for section, key in keys]
+    names, dims = _SIZE_KEYS[cfg.scenario]
+    keys = [("graph", "n_agents")] + [(cfg.scenario, key) for key in names]
+    values = [cfg.graph.n_agents] + [getattr(cfg.settings, key) for key in names]
     dense = _dense_bytes(*dims(*values))
     if dense <= MAX_DENSE_BYTES:
         return
@@ -105,27 +105,26 @@ def assemble_game(cfg):
 
 
 def _scenario_game(cfg):
+    s = cfg.settings
     if cfg.scenario == "affine":
-        a = cfg.affine
         return random_strongly_monotone_game(
-            cfg.graph.n_agents, a.strategy_dim, a.agg_dim, seed=a.seed,
-            coupling=a.coupling, box_halfwidth=a.box_halfwidth), {}
+            cfg.graph.n_agents, s.strategy_dim, s.agg_dim, seed=s.seed,
+            coupling=s.coupling, box_halfwidth=s.box_halfwidth), {}
 
     # the voltage module loads on first use; a name looked up here at call
     # time is the one the module holds then
     from .grid import (build_radial_network, build_voltage_game,
                        default_voltage_config, distflow_sensitivities,
                        gen_agents, gen_baseline_profile, gen_prices)
-    v = cfg.voltage
-    net_seed, base_seed, price_seed, agent_seed = seed_streams(v.seed, 4)
-    net = build_radial_network(v.n_buses, seed=net_seed)
-    baseline = gen_baseline_profile(net, v.horizon, seed=base_seed)
+    net_seed, base_seed, price_seed, agent_seed = seed_streams(s.seed, 4)
+    net = build_radial_network(s.n_buses, seed=net_seed)
+    baseline = gen_baseline_profile(net, s.horizon, seed=base_seed)
     model = distflow_sensitivities(net, baseline)
-    prices = gen_prices(v.horizon, seed=price_seed)
-    agents = gen_agents(cfg.graph.n_agents, net, v.horizon, seed=agent_seed)
+    prices = gen_prices(s.horizon, seed=price_seed)
+    agents = gen_agents(cfg.graph.n_agents, net, s.horizon, seed=agent_seed)
     game_cfg = default_voltage_config(
-        model, prices, penalty_weight=v.penalty_weight,
-        active_weight=v.active_weight, reactive_weight=v.reactive_weight)
+        model, prices, penalty_weight=s.penalty_weight,
+        active_weight=s.active_weight, reactive_weight=s.reactive_weight)
     game = build_voltage_game(model, agents, game_cfg)
     return game, {"model": model, "agents": agents, "game_config": game_cfg}
 
@@ -174,8 +173,7 @@ def _report_payload(cfg, graph, game, report, trace):
         "tracker": cfg.trades.tracker,
         "oracle_enabled": cfg.oracle,
         "seeds": {"master": cfg.seed, "graph": cfg.graph.seed,
-                  "scenario": (cfg.affine if cfg.scenario == "affine"
-                               else cfg.voltage).seed,
+                  "scenario": cfg.settings.seed,
                   "init": cfg.trades.seed},
         "graph": {"n_agents": cfg.graph.n_agents,
                   "edge_prob": cfg.graph.edge_prob,

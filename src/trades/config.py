@@ -107,8 +107,7 @@ class ExperimentConfig(Record, frozen=True):
     oracle: bool
     graph: GraphSettings
     trades: TradesConfig
-    affine: AffineSettings = None
-    voltage: VoltageSettings = None
+    settings: Record    # [scenario]'s: AffineSettings or VoltageSettings
     sweep: SweepSettings = None
 
 
@@ -246,27 +245,24 @@ def parse_config(text, overrides=None):
     if scenario not in sections:
         raise ConfigError(f"scenario = {scenario} requires "
                           f"{article[scenario]} [{scenario}] section")
-    affine = voltage = None
-    if scenario == "affine":
-        affine = AffineSettings(**_section(sections, "affine",
-                                           seed=scenario_derived))
-    else:
-        voltage = VoltageSettings(**_section(sections, "voltage",
-                                             seed=scenario_derived))
+    settings = (AffineSettings if scenario == "affine" else VoltageSettings)(
+        **_section(sections, scenario, seed=scenario_derived))
 
     sweep = None
     if "sweep" in sections:
-        values = _section(sections, "sweep", max_iter=trades.max_iter)
-        if not all(np.isfinite(g) and g > 0 for g in values["gamma"]):
-            raise ConfigError("[sweep] gamma values must be finite and positive")
-        if not all(0 < dl <= 1 for dl in values["delta"]):
-            raise ConfigError("[sweep] delta values must lie in (0, 1]")
-        sweep = SweepSettings(**values)
+        sweep = SweepSettings(**_section(sections, "sweep",
+                                         max_iter=trades.max_iter))
+        try:    # a cell's step passes TradesConfig's own check
+            for key in ("gamma", "delta"):
+                for value in getattr(sweep, key):
+                    trades._replace(**{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"[sweep] {exc}")
 
     return ExperimentConfig(scenario=scenario, seed=exp["seed"],
                             output_dir=exp["output_dir"], oracle=exp["oracle"],
-                            graph=graph, trades=trades,
-                            affine=affine, voltage=voltage, sweep=sweep)
+                            graph=graph, trades=trades, settings=settings,
+                            sweep=sweep)
 
 
 def load_config(path, seed=None, output_dir=None, oracle=None):
@@ -316,8 +312,7 @@ def canonical_text(cfg):
         "experiment": {**vars(cfg), "spec_version": SPEC_VERSION},
         "graph": vars(cfg.graph),
         "trades": vars(cfg.trades),
-        "affine": cfg.affine and vars(cfg.affine),
-        "voltage": cfg.voltage and vars(cfg.voltage),
+        cfg.scenario: vars(cfg.settings),
         "sweep": cfg.sweep and vars(cfg.sweep),
     }
     lines = []

@@ -173,13 +173,21 @@ def test_the_stop_reason_sets_converged_and_a_diverged_verdict(
     assert "converged" not in ConvergenceReport._fields
 
 
+def test_a_fit_whose_r_squared_is_the_bound_passes():
+    # the verdict asks R^2 of at least 0.9: 0.9 itself passes, the float
+    # below it fails
+    fit = {"a2": 0.1, "stop_reason": "stop_tol"}
+    assert ConvergenceReport(r_squared=0.9, **fit).verdict == "PASS"
+    assert ConvergenceReport(r_squared=np.nextafter(0.9, 0.0),
+                             **fit).verdict == "FAIL"
+
+
 # -------------------------------------------------------------------- init
 
 
 def test_init_feasible_start_unchanged():
     game = _two_agent_game()
     state = init(game, np.array([[0.25], [-0.5]]))
-    assert state.t == 0
     assert state.x[0, 0] == 0.25
     assert state.x[1, 0] == -0.5
     assert state.z.shape == (2, 1)
@@ -229,12 +237,12 @@ def test_hand_computed_step_two_agents():
     assert np.array_equal(new_z, np.array([[-1.0], [1.0]]))
     # a one-iteration run is exactly this sweep from z = 0, at time 1
     cfg = TradesConfig(gamma=0.1, delta=0.5, max_iter=1)
-    state, _, _ = run(game, graph, cfg, x0=np.array([1.0, -1.0]))
+    state, _, report = run(game, graph, cfg, x0=np.array([1.0, -1.0]))
     first_blocks, first_z, *_ = _advance(game, graph, 0.1, 0.5, blocks,
                                         np.zeros((2, 1)), "consensus")
     assert np.array_equal(state.x, first_blocks)
     assert np.array_equal(state.z, first_z)
-    assert state.t == 1
+    assert report.iterations == 1
 
 
 def test_step_tracker_reads_pre_update_strategies():
@@ -274,8 +282,8 @@ def test_single_agent_is_projected_gradient():
     graph = _single_agent_graph()
     cfg = TradesConfig(gamma=0.07, delta=1.0, max_iter=1)
     state = init(game, 42)
-    new, _, _ = run(game, graph, cfg, x0=42)
-    assert new.t == 1
+    new, _, report = run(game, graph, cfg, x0=42)
+    assert report.iterations == 1
     assert np.all(new.z == 0.0)
 
     x = state.x[0]
@@ -314,7 +322,7 @@ def test_step_nonfinite_raises_with_iteration_index():
     assert report.iterations + 1 == produced
     assert len(trace) == produced - 1
     # the returned state is the last finite iterate
-    assert state.t == produced - 1 and np.array_equal(state.x, last_finite)
+    assert np.array_equal(state.x, last_finite)
 
 
 def test_a_nonfinite_first_sweep_carries_an_empty_trace():
@@ -328,7 +336,6 @@ def test_a_nonfinite_first_sweep_carries_an_empty_trace():
     assert report.iterations + 1 == 1 and len(trace) == 0
     assert report.a2 is None and report.verdict == "FAIL"
     assert np.array_equal(state.x, init(game, 1).x)
-    assert trace.t.dtype == np.int64
     for name in (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual"):
         assert getattr(trace, name).dtype == np.float64
     assert trace.csv_text() == ",".join(TRACE_COLUMNS) + "\n"
@@ -368,7 +375,7 @@ def _diverged_at(out, at):
     with the state and rows before it."""
     state, trace, report = out
     return (report.stop_reason == "diverged" and report.verdict == "FAIL"
-            and report.iterations + 1 == at and state.t == at - 1
+            and report.iterations + 1 == at
             and len(trace) == at - 1)
 
 
@@ -464,7 +471,7 @@ def test_checked_step_norm_finds_any_nonfinite_tracker_entry(monkeypatch, bad,
                                lambda new_x, _: (new_x, new_z.copy()))
     assert _diverged_at(out, 5)
     recorded = _run_replacing_sweep(monkeypatch, 5, None)[1]
-    for name in (*TRACE_COLUMNS, "z_mean_residual", "feas_residual"):
+    for name in (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual"):
         assert np.array_equal(getattr(out[1], name),
                               getattr(recorded, name)[:4], equal_nan=True)
 
@@ -610,9 +617,9 @@ def test_final_trace_row_matches_direct_evaluation(instance):
     game, graph = instance()
     reference = np.random.default_rng(3).normal(size=game.n)
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=20)
-    state, trace, _ = run(game, graph, cfg, x0=11, oracle=reference)
+    state, trace, report = run(game, graph, cfg, x0=11, oracle=reference)
     x, z = state.x, state.z
-    assert trace.t[-1] == state.t == 20 and np.linalg.norm(z) > 1.0
+    assert len(trace) == report.iterations + 1 == 21 and np.linalg.norm(z) > 1.0
     _assert_row_is_direct(trace, -1, game, x, z, reference)
     # off the zero-column-mean invariant the disagreement is still the
     # norm of the centred estimate stack
@@ -649,12 +656,12 @@ def test_rows_measured_in_blocks_are_the_rows_measured_alone(instance,
     # alone does; every state of the run is a row, the final one included
     game, graph = instance()
     reference = np.random.default_rng(3).normal(size=game.n)
-    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
+    fields = (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual")
 
     def columns():
         cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=150)
         trace = run(game, graph, cfg, x0=11, oracle=reference)[1]
-        assert np.array_equal(trace.t, np.arange(151))
+        assert len(trace) == 151
         return [getattr(trace, name).tobytes() for name in fields]
 
     assert _Recorder(game, None).block >= 2
@@ -685,7 +692,7 @@ def test_replayed_strategies_give_the_runs_rows(n_agents, m, d, tracker,
     game = random_strongly_monotone_game(n_agents, m, d, seed=seed)
     graph = _graph(n_agents, 0.6, seed)
     reference = np.random.default_rng(seed).normal(size=game.n)
-    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
+    fields = (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual")
 
     def columns(trace):
         return [getattr(trace, name).tobytes() for name in fields]
@@ -710,12 +717,12 @@ def test_replayed_strategies_give_the_runs_rows(n_agents, m, d, tracker,
 def test_trace_csv_text_across_row_blocks(n_rows):
     # rows are formatted in blocks of 256; every row, on either side of a
     # block edge, is the repr of its fields, and err_x is nan without oracle
+    # and each row's t is its index
     rng = np.random.default_rng(n_rows)
-    t = np.arange(n_rows) * 3
     floats = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
               for _ in range(5)]
-    trace = IterationTrace(t, np.full(n_rows, np.nan), *floats)
-    rows = zip(t.tolist(), [np.nan] * n_rows, *(f.tolist() for f in floats[:3]))
+    trace = IterationTrace(np.full(n_rows, np.nan), *floats)
+    rows = zip(range(n_rows), [np.nan] * n_rows, *(f.tolist() for f in floats[:3]))
     expected = [",".join(TRACE_COLUMNS)] + [",".join(map(repr, r)) for r in rows]
     assert trace.csv_text() == "\n".join(expected) + "\n"
 
@@ -747,7 +754,7 @@ def test_trace_csv_text_peaks_near_twice_its_size():
     # of every line, or a final + "\n", would each add one more
     n_rows = 20000
     rng = np.random.default_rng(5)
-    trace = IterationTrace(np.arange(n_rows), *rng.standard_normal((6, n_rows)))
+    trace = IterationTrace(*rng.standard_normal((6, n_rows)))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -765,8 +772,7 @@ def test_trace_recording_pattern():
     game, graph = _bench_instance()
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=23)
     _, trace, report = run(game, graph, cfg, x0=1)
-    assert report.iterations == 23
-    assert list(trace.t) == list(range(24))
+    assert report.iterations == 23 and len(trace) == 24
 
 
 # -------------------------------------------- rows measured in a fork
@@ -817,9 +823,9 @@ def _run_on_path(monkeypatch, forked, game, graph, cfg, **kwargs):
 
 def _run_bytes(out):
     state, trace, report = out
-    fields = (*TRACE_COLUMNS, "z_mean_residual", "feas_residual")
+    fields = (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual")
     return ([getattr(trace, f).tobytes() for f in fields],
-            state.x.tobytes(), state.z.tobytes(), state.t, report)
+            state.x.tobytes(), state.z.tobytes(), report)
 
 
 @pytest.mark.parametrize("tracker", TRACKER_MODES)
@@ -840,7 +846,7 @@ def test_forked_rows_are_the_in_process_rows(monkeypatch, desk_game, tracker):
         here, none = _run_on_path(monkeypatch, False, game, graph, cfg,
                                   x0=11, oracle=reference)
         assert (forks, none) == (1, 0)
-        assert forked[2].stop_reason == "max_iter" and forked[1].t[-1] == 40
+        assert forked[2].stop_reason == "max_iter" and len(forked[1]) == 41
         assert _run_bytes(forked) == _run_bytes(here)
 
 
@@ -880,7 +886,7 @@ def test_forked_rows_of_a_diverging_run(monkeypatch):
     assert forks == 1 and forked[2].stop_reason == "diverged"
     assert _run_bytes(forked) == _run_bytes(here)
     trace = forked[1]
-    assert np.array_equal(trace.t, np.arange(forked[2].iterations))
+    assert len(trace) == forked[2].iterations
     assert np.isfinite(trace.step_norm).all()
 
 
@@ -1297,27 +1303,42 @@ def test_boundary_layer_error_has_two_routes(n_agents, m, d, edge_prob, seed,
 
 
 def test_fit_recovers_planted_rate():
-    ts = np.arange(0, 2000, 5)
-    errs = 3.0 * np.exp(-0.004 * ts)
-    a1, a2, r2, ratio, n = fit_convergence(ts, errs, 2000)
+    # every fifth row is measured, the others masked (nan), so each ratio
+    # spans a gap of five rows
+    ts = np.arange(2000)
+    errs = np.where(ts % 5 == 0, 3.0 * np.exp(-0.004 * ts), np.nan)
+    a1, a2, r2, ratio, n = fit_convergence(errs, 2000)
     assert abs(a1 - 3.0) <= 1e-9
     assert abs(a2 - 0.004) <= 1e-12
     assert r2 >= 1.0 - 1e-12
     assert abs(ratio - np.exp(-0.004)) <= 1e-12
-    assert n == len(ts) - 20  # transient cut at t >= 100 drops 20 samples
+    assert n == 400 - 20  # transient cut at t >= 100 drops 20 samples
 
 
 def test_fit_skips_at_least_the_first_fifty_iterations():
     # on a short run 5 % of the iterations is below the 50-iteration floor
     # of the transient cut: a 100-point history keeps t = 50..99
-    ts = np.arange(100)
-    n = fit_convergence(ts, np.exp(-0.1 * ts), 100)[4]
+    n = fit_convergence(np.exp(-0.1 * np.arange(100)), 100)[4]
     assert n == 50
 
 
+def test_fit_needs_three_points_past_the_transient():
+    # 52 rows keep t = 50 and 51 past the cut, too few for a fit; a 53rd
+    # row makes one
+    assert fit_convergence(np.exp(-0.1 * np.arange(52)), 52) == (
+        None, None, None, None, 2)
+    a1, a2, r2, ratio, n = fit_convergence(np.exp(-0.1 * np.arange(53)), 53)
+    assert n == 3 and abs(a2 - 0.1) <= 1e-12 and r2 == 1.0
+
+
+def test_fit_of_a_constant_error_explains_it_fully():
+    # a flat history has no spread to explain and no residual: R^2 is 1,
+    # with no decay and a unit ratio
+    assert fit_convergence(np.ones(100), 100) == (1.0, 0.0, 1.0, 1.0, 50)
+
+
 def test_fit_ignores_floor_and_short_windows():
-    ts = np.arange(300)
     errs = np.full(300, 1e-15)
-    a1, a2, r2, ratio, n = fit_convergence(ts, errs, 300)
+    a1, a2, r2, ratio, n = fit_convergence(errs, 300)
     assert a1 is None and a2 is None and r2 is None and ratio is None
     assert n == 0

@@ -17,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trades import algorithm
+from trades import algorithm, cli
 from trades.cli import _check_sizes, _dense_bytes, assemble_game, main
 from trades.config import (_DERIVED, _FLAG, _FLOATS, _KEYS, _OR_NONE,
-                           _REQUIRED, SCENARIOS, SPEC_VERSION, _fmt,
-                           canonical_text, load_config, parse_config,
-                           seed_streams)
+                           _REQUIRED, SCENARIOS, SPEC_VERSION, AffineSettings,
+                           VoltageSettings, _fmt, canonical_text, load_config,
+                           parse_config, seed_streams)
 from trades.errors import ConfigError, MaxIterExceeded
 from trades.games import _oracle_stepsize
+from trades.network import WeightedDigraph
 
 AFFINE_TEXT = """
 [experiment]
@@ -84,9 +85,10 @@ def test_parse_minimal_affine_defaults():
     assert cfg.trades.delta == 0.5
     assert cfg.trades.tracker == "consensus"
     assert cfg.graph.weight_method == "metropolis_symmetrized"
-    assert cfg.affine.coupling == 0.3
-    assert cfg.affine.box_halfwidth == 5.0
-    assert cfg.voltage is None and cfg.sweep is None
+    assert type(cfg.settings) is AffineSettings
+    assert cfg.settings.coupling == 0.3
+    assert cfg.settings.box_halfwidth == 5.0
+    assert cfg.sweep is None
 
 
 def test_component_seeds_derived_and_stable():
@@ -97,7 +99,7 @@ def test_component_seeds_derived_and_stable():
     assert seed_streams(43, 3) != (g1, s1, i1)
     cfg = parse_config(AFFINE_TEXT.format(out="out"))
     assert cfg.graph.seed == g1
-    assert cfg.affine.seed == s1
+    assert cfg.settings.seed == s1
     assert cfg.trades.seed == i1
     assert seed_streams(7, 4) == seed_streams(7, 4)
     assert len(seed_streams(7, 4)) == 4
@@ -108,7 +110,7 @@ def test_explicit_section_seed_wins():
         "[graph]", "[graph]\nseed = 123")
     cfg = parse_config(text)
     assert cfg.graph.seed == 123
-    assert cfg.affine.seed == seed_streams(42, 3)[1]
+    assert cfg.settings.seed == seed_streams(42, 3)[1]
 
 
 @pytest.mark.parametrize("mutation", [
@@ -167,9 +169,10 @@ n_buses = 5
 horizon = 12
 """
     cfg = parse_config(text)
-    assert cfg.voltage.penalty_weight == 1.0
-    assert cfg.voltage.active_weight == 1.0
-    assert cfg.voltage.reactive_weight == 10.0
+    assert type(cfg.settings) is VoltageSettings
+    assert cfg.settings.penalty_weight == 1.0
+    assert cfg.settings.active_weight == 1.0
+    assert cfg.settings.reactive_weight == 10.0
     with pytest.raises(ConfigError, match=r"^\[voltage\] horizon must be "
                        ">= 10, got 6$"):
         parse_config(text.replace("horizon = 12", "horizon = 6"))
@@ -680,6 +683,27 @@ def test_validate_names_the_oracle_step(tmp_path, capsys, scenario):
                         f"(kappa {kappa:.3g})")
 
 
+@pytest.mark.parametrize("excess, verdict, code", [(0.9e-9, "PASS", 0),
+                                                   (1.1e-9, "FAIL", 2)])
+def test_validate_allows_a_stochasticity_residual_of_1e_9(
+        tmp_path, capsys, monkeypatch, excess, verdict, code):
+    # weights whose first row sums to 1 + excess: validate's doubly
+    # stochastic check passes them up to a residual of 1e-9
+    real = cli.build_graph
+
+    def off_by_excess(cfg):
+        weights = real(cfg).weights.copy()
+        weights[0, 0] += excess
+        return WeightedDigraph(weights)
+
+    monkeypatch.setattr(cli, "build_graph", off_by_excess)
+    path = tmp_path / "exp.ini"
+    path.write_text(AFFINE_TEXT.format(out="unused"))
+    assert main(["validate", str(path)]) == code
+    assert (f"doubly stochastic weights: residual {excess:.3g} ({verdict})"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_validate_passes_with_no_random_edges(tmp_path, capsys):
     path = tmp_path / "ring.ini"
     path.write_text(AFFINE_TEXT.format(out="unused")
@@ -811,7 +835,6 @@ def test_an_output_path_that_cannot_be_a_directory_stops_before_any_solve(
         tmp_path, monkeypatch, capsys, command, under):
     # `--out` at an existing file, or at a path under one, is one error
     # line naming the file, before the graph, the oracle or a run
-    from trades import cli
     path = _affine_cfg_file(tmp_path, extra="\n[sweep]\ngamma = 0.02\n"
                             "delta = 0.5\n")
     blocker = tmp_path / "taken"
@@ -838,7 +861,6 @@ def test_an_empty_output_directory_stops_before_any_solve(
         tmp_path, monkeypatch, capsys, command, source):
     # `--out ''` or `output_dir =` would resolve to the working directory
     # and fail only at the first write, after the whole solve
-    from trades import cli
     path = tmp_path / "exp.ini"
     text = AFFINE_TEXT.format(out="out") + "\n[sweep]\ngamma = 0.02\n" \
         "delta = 0.5\n"
@@ -994,9 +1016,20 @@ def _without_section(text, name):
     ("[DEFAULT]\nseed = 3\n" + AFFINE_TEXT,
      "unknown section [DEFAULT]; expected ['affine', 'experiment', 'graph', "
      "'sweep', 'trades', 'voltage']"),
+    # a [sweep] step is checked by TradesConfig's own rule
+    (AFFINE_TEXT + "\n[sweep]\ngamma = 0.01, inf\ndelta = 0.5\n",
+     "[sweep] gamma must be > 0 and finite, got inf"),
+    (AFFINE_TEXT + "\n[sweep]\ngamma = 0.01\ndelta = 0.5, 0\n",
+     "[sweep] delta must lie in (0, 1], got 0.0"),
+    (AFFINE_TEXT + "\n[sweep]\ngamma = -1\ndelta = 2\n",
+     "[sweep] gamma must be > 0 and finite, got -1.0"),
+    (AFFINE_TEXT + "\n[sweep]\ngamma = 0.01\ndelta = 1.5\n",
+     "[sweep] delta must lie in (0, 1], got 1.5"),
 ], ids=["required-key", "flag", "float-list", "no-experiment", "no-graph",
         "data-file-keys", "voltage-scale-key", "power-base-key",
-        "trace-stride-key", "default-section", "default-section-with-trades"])
+        "trace-stride-key", "default-section", "default-section-with-trades",
+        "sweep-gamma-inf", "sweep-delta-zero", "sweep-gamma-first",
+        "sweep-delta-above-one"])
 def test_config_errors_name_the_key_or_section(tmp_path, capsys, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text.format(out=tmp_path / "out"))
@@ -1063,6 +1096,20 @@ def test_too_large_a_size_is_an_error_naming_its_key(tmp_path, capsys,
     path.write_text(with_value(value))
     err = _usage_error_of_both_commands(capsys, path, tmp_path / "out")
     assert err.startswith(f"error: [{section}] {key} = {value} needs ")
+
+
+@pytest.mark.parametrize("agg_dim", [1, 2])
+def test_the_readme_size_bound_at_two_strategies(agg_dim):
+    # README § Config format: "N ≤ 3,662 at p = 2 and q = 1 or 2"
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")).read()
+    assert "N ≤ 3,662 at p = 2 and q = 1 or 2" in " ".join(readme.split())
+    text = AFFINE_TEXT.format(out="out").replace(
+        "agg_dim = 1", f"agg_dim = {agg_dim}")
+    _check_sizes(parse_config(text.replace("n_agents = 5", "n_agents = 3662")))
+    with pytest.raises(ConfigError, match=r"^\[graph\] n_agents = 3663 needs "):
+        _check_sizes(parse_config(text.replace("n_agents = 5",
+                                               "n_agents = 3663")))
 
 
 @pytest.mark.parametrize("n_agents", [40, 500])

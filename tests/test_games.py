@@ -226,6 +226,38 @@ def test_modulus_ignores_skew_part():
     assert abs(report.mu - 1.0) <= 1e-12
 
 
+def test_projections_are_feasible_up_to_a_residual_of_1e_8():
+    # the sampled projector check allows a membership residual of 1e-8,
+    # and the float above it fails the check and the assumptions
+    report = validate_assumptions(random_strongly_monotone_game(3, 2, 2, seed=0))
+    at = report._replace(projector_residual=1e-8)
+    above = report._replace(projector_residual=np.nextafter(1e-8, 1.0))
+    assert at.projections_feasible and at.passed
+    assert not above.projections_feasible and not above.passed
+    assert "assumptions: FAIL" in above.summary_lines()
+
+
+def test_the_game_generator_draws_up_to_fifty_times_above_a_quarter_ridge():
+    # a drawn game is kept once its modulus passes 0.25 * ridge = 0.375:
+    # seed 77's first draw, at 0.358, is drawn again, and seed 21 at
+    # coupling 5 passes on its fiftieth draw, the last one allowed
+    drawn, draw = [], games.quadratic_aggregative_game
+
+    def counted(*args, **kwargs):
+        game = draw(*args, **kwargs)
+        drawn.append(game.affine.exact_modulus())
+        return game
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(games, "quadratic_aggregative_game", counted)
+        game = random_strongly_monotone_game(2, 1, 1, seed=77)
+        assert 0.35 < drawn[0] <= 0.375 < game.affine.exact_modulus()
+        drawn.clear()
+        game = random_strongly_monotone_game(4, 2, 2, seed=21, coupling=5.0)
+    assert len(drawn) == 50 and max(drawn[:-1]) <= 0.375 < drawn[-1]
+    assert game.affine.exact_modulus() == drawn[-1]
+
+
 def test_validation_reports_exact_matrix_norms():
     game = random_strongly_monotone_game(4, 2, 3, seed=61)
     data = game.quadratic_data

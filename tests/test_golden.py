@@ -3,7 +3,8 @@
 Each case runs the CLI in a fresh interpreter at one BLAS thread, and the
 sha256 of every deterministic file it writes must match
 tests/golden_manifest.json.  The cases are the benchmark's two workload
-configs (perfbench/workloads.py) at --seed 5, and the criterion-9 config
+configs (perfbench/workloads.py) at --seed 5, as a run and through
+validate, whose standard output is digested, and the criterion-9 config
 at its own seed, as a run and as a sweep.  Digests hold for one numpy
 version and BLAS build, as metrics.json records them; on any other build
 the test skips and names the builds the manifest holds.
@@ -33,6 +34,7 @@ from trades.cli import _blas_build
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 RUN_FILES = ("trace.csv", "report.json", "config.echo")
+STDOUT = "stdout"     # a case's standard output, digested as a file is
 
 
 # the benchmark's workload configs, loaded by path (perfbench is no package)
@@ -44,6 +46,10 @@ _spec.loader.exec_module(workloads)
 # case: (command, config text, extra arguments, files digested); each runs
 # to its stop_tol, the desk, the longest, in well under 1 s
 CASES = {
+    "affine-bench-validate": ("validate", workloads.config_text("affine-bench"),
+                              ("--seed", "5"), (STDOUT,)),
+    "voltage-desk-validate": ("validate", workloads.config_text("voltage-desk"),
+                              ("--seed", "5"), (STDOUT,)),
     "affine-bench": ("run", workloads.config_text("affine-bench"),
                      ("--seed", "5"), RUN_FILES),
     "voltage-desk": ("run", workloads.config_text("voltage-desk"),
@@ -75,7 +81,8 @@ def _digests(name, work):
          "--out", name], cwd=work, capture_output=True, text=True, env=env,
         timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    return {f: hashlib.sha256((work / name / f).read_bytes()).hexdigest()
+    return {f: hashlib.sha256(proc.stdout.encode() if f == STDOUT else
+                              (work / name / f).read_bytes()).hexdigest()
             for f in files}
 
 

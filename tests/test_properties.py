@@ -236,7 +236,7 @@ def test_accelerated_oracle_keeps_its_rate_and_certificate(game):
             + _certificate(game, tight, gamma) + rounding)
 
 
-TRACE_FIELDS = ("t", "err_x", "est_err_max", "disagreement", "step_norm",
+TRACE_FIELDS = ("err_x", "est_err_max", "disagreement", "step_norm",
                 "z_mean_residual", "feas_residual")
 
 
@@ -257,11 +257,11 @@ def test_consensus_run_matches_the_literal_iteration(case, edge_prob, method,
     cfg = TradesConfig(gamma=gamma, delta=delta, stop_tol=1e-300, max_iter=50)
     rng = np.random.default_rng(seed)
     x0, oracle = rng.normal(scale=3.0, size=(2, game.N, game.m))
-    state, trace, _ = run(game, graph, cfg, x0=x0, oracle=oracle)
+    state, trace, report = run(game, graph, cfg, x0=x0, oracle=oracle)
     # a run that lands on a floating-point cycle stops on a zero step the
     # other route may round to 1e-17, so the loops take the run's count
     x, z, rows = oracles.literal_run(game, graph.weights, gamma, delta, x0,
-                                     state.t, project_agent, oracle)
+                                     report.iterations, project_agent, oracle)
 
     def close(got, want):
         assert got.shape == want.shape
@@ -270,7 +270,9 @@ def test_consensus_run_matches_the_literal_iteration(case, edge_prob, method,
 
     close(state.x, x)
     close(state.z, z)
-    for name, column in zip(TRACE_FIELDS, zip(*rows)):
+    ts, *columns = zip(*rows)
+    assert ts == tuple(range(len(trace)))
+    for name, column in zip(TRACE_FIELDS, columns):
         close(getattr(trace, name), np.array(column))
 
 
@@ -614,7 +616,8 @@ def test_disk_screen_keeps_the_caps(case):
 @given(st.integers(1, 30), st.booleans(), st.data())
 def test_fit_median_is_numpy_median(half, odd, data):
     # the fit's contraction ratio is np.median of the per-step ratios, bit
-    # for bit, for odd and even ratio counts, ties and spaced rows included
+    # for bit, for odd and even ratio counts, ties and rows spaced by masked
+    # (nan) rows included
     n = 2 * half + odd + 1   # points; one ratio fewer
     errs = data.draw(hnp.arrays(float, n, elements=st.floats(
         1e-11, 1e100, allow_subnormal=False)))
@@ -622,8 +625,10 @@ def test_fit_median_is_numpy_median(half, odd, data):
         [1.0, 2.0, 7.0])))
     ts = 50.0 + np.concatenate([[0.0], np.cumsum(gaps)])
     ratios = (errs[1:] / errs[:-1]) ** (1.0 / np.diff(ts))
+    history = np.full(int(ts[-1]) + 1, np.nan)
+    history[ts.astype(int)] = errs
     with np.errstate(over="ignore"):   # a1 of a wild history may overflow
-        ratio = fit_convergence(ts, errs, int(ts[-1]))[3]
+        ratio = fit_convergence(history, int(ts[-1]))[3]
     assert ratios.size % 2 == odd
     assert ratio.hex() == float(np.median(ratios)).hex()
 
@@ -641,14 +646,12 @@ trace_rows = st.tuples(*[trace_floats] * len(_FIELDS))
 def test_recorded_columns_are_the_recorded_values(rows, split):
     # the built columns are np.asarray of the values the recorder holds,
     # bit for bit (nan, infinities, -0.0 and subnormals included), float64,
-    # and t is the int64 row index, empty or not; a trace built midway
-    # leaves recording open
+    # one per row, empty or not; a trace built midway leaves recording open
     recorder = _Recorder(random_strongly_monotone_game(2, 1, 1, seed=0), None)
 
     def check(recorded):
         trace = recorder.build()
-        assert trace.t.dtype == np.int64
-        assert np.array_equal(trace.t, np.arange(len(recorded)))
+        assert len(trace) == len(recorded)
         for k, name in enumerate(_FIELDS):
             column = np.asarray([row[k] for row in recorded], dtype=np.float64)
             built = getattr(trace, name)
@@ -663,7 +666,7 @@ def test_recorded_columns_are_the_recorded_values(rows, split):
 
 
 def _recorded_columns(game, graph, cfg, block, **kwargs):
-    """The seven in-memory columns of a run, as bytes, recorded in blocks
+    """The six in-memory columns of a run, as bytes, recorded in blocks
     or (_BLOCK_BYTES = 0) row by row; a run that stops on a non-finite
     value gives the rows recorded before it."""
     saved = algorithm._BLOCK_BYTES
@@ -705,14 +708,13 @@ def test_block_recorder_matches_on_overflowing_runs(box_halfwidth):
     cfg = TradesConfig(gamma=5.0, delta=1.0, max_iter=500, seed=1)
     columns = _recorded_columns(game, graph, cfg, True)
     assert columns == _recorded_columns(game, graph, cfg, False)
-    t = np.frombuffer(columns[0], dtype=np.int64)
-    assert t.size % algorithm._Recorder(game, None).block and t.size < 500
-    assert np.array_equal(t, np.arange(t.size))
-    for column in columns[2:]:
+    n_rows = len(columns[0]) // 8
+    assert n_rows % algorithm._Recorder(game, None).block and n_rows < 500
+    for column in columns[1:]:    # err_x is nan without an oracle
         assert np.isfinite(np.frombuffer(column, dtype=np.float64)).all()
     with np.errstate(over="ignore", invalid="ignore"):
         report = run(game, graph, cfg)[2]
-    assert report.stop_reason == "diverged" and report.iterations == t.size
+    assert report.stop_reason == "diverged" and report.iterations == n_rows
 
 
 @settings(max_examples=60, deadline=None)
