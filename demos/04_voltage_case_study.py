@@ -64,7 +64,7 @@ print(f"  aggregate-tracking error: peak {trace.est_err_max.max():.2e}, "
       f"final {trace.est_err_max[-1]:.2e}")
 
 # what the equilibrium buys, in voltage terms
-idle = evaluate_voltages(model, agents, np.zeros(game.n), cfg)
+idle = evaluate_voltages(model, agents, np.zeros((game.N, game.m)), cfg)
 ne = evaluate_voltages(model, agents, xstar, cfg)
 print("\nweighted squared voltage deviation over the day:")
 print(f"  all vehicles idle:  {ne.base_score:.1f}")
@@ -78,5 +78,5 @@ print(f"  worst bus excursion from 1 p.u.: {worst_idle:.4f} -> {worst_ne:.4f}")
 # the energy targets are met exactly while the converters lend support
 p, q = xstar[:, :HORIZON], xstar[:, HORIZON:]   # (N_AGENTS, 2 HORIZON)
 print(f"  energy charged: {-p.sum():.1f} kWh "
-      f"(target {sum(a.target_energy for a in agents):.1f})")
+      f"(target {agents.target_energy.sum():.1f})")
 print(f"  reactive support across the fleet: [{q.min():.2f}, {q.max():.2f}] kvar")

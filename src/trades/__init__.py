@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 # the voltage case study's names, looked up in trades.grid
 _GRID_NAMES = frozenset((
-    "DistFlowModel", "EvAgentSpec", "RadialNetwork", "VoltageGameConfig",
+    "DistFlowModel", "EvFleet", "RadialNetwork", "VoltageGameConfig",
     "VoltageSummary", "build_radial_network", "build_voltage_game",
     "default_voltage_config", "distflow_sensitivities", "evaluate_voltages",
     "gen_agents", "gen_baseline_profile", "gen_prices"))

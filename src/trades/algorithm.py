@@ -42,6 +42,8 @@ _FIT_SKIP_FRACTION = 0.05
 # explains the error history; a stalled run that cycles at a constant
 # error fits a2 ~ 0 with R^2 ~ 0, while converging runs fit R^2 > 0.999
 _VERDICT_MIN_R2 = 0.9
+# the final error a run that stops before its fit window fills must reach
+_VERDICT_MAX_ERR = 1e-8
 # bytes of sweep arrays the recorder holds before measuring them at once
 _BLOCK_BYTES = 64 * 1024
 
@@ -144,7 +146,9 @@ class ConvergenceReport(Record):
     post-transient window: err is modeled as a1 * exp(-a2 * t).  The
     verdict is FAIL on stop_reason "diverged", N/A with neither a fit nor
     err_x_final (no oracle), else PASS only when the run stopped by
-    stop_tol, a2 > 0 and the fit's R^2 reaches _VERDICT_MIN_R2.
+    stop_tol and either a2 > 0 with the fit's R^2 at least
+    _VERDICT_MIN_R2, or, with no fit (a run that stopped before its fit
+    window held three rows), err_x_final at most _VERDICT_MAX_ERR.
     contraction_ratio is the median per-iteration error ratio over the
     fit window, an empirical counterpart to exp(-a2).
     """
@@ -168,9 +172,11 @@ class ConvergenceReport(Record):
             return "FAIL"
         if self.a2 is None and self.err_x_final is None:
             return "N/A"
-        decays = (self.a2 is not None and self.a2 > 0
-                  and self.r_squared >= _VERDICT_MIN_R2)
-        return "PASS" if self.converged and decays else "FAIL"
+        if self.a2 is None:
+            met = self.err_x_final <= _VERDICT_MAX_ERR
+        else:
+            met = self.a2 > 0 and self.r_squared >= _VERDICT_MIN_R2
+        return "PASS" if self.converged and met else "FAIL"
 
 
 def fit_convergence(errs, total_iterations):
@@ -217,7 +223,7 @@ def exact_tracker_values(game, x):
 
 
 def init(game, x0):
-    """Starting state from a stacked vector, an (N, m) array or a seed.
+    """Starting state from an (N, m) strategy array or an integer seed.
 
     The strategies are projected, and kept as an (N, m) array, so the
     feasibility invariant holds from t = 0; the tracker stack starts at
@@ -245,7 +251,7 @@ def _advance(game, graph, gamma, delta, x, z, tracker):
     if tracker == "consensus":
         direction = local_operator(game, x, estimates)
     else:
-        direction = game.split(pseudo_gradient(game, x))
+        direction = pseudo_gradient(game, x)
     new_x = damped_projected_step(game, x, direction, gamma, delta)
     return (new_x, _track(game, graph, tracker, z, phix, estimates, new_x),
             phix, estimates)
@@ -294,10 +300,10 @@ class _Recorder:
     surfaces at the end of the row's block.
     """
 
-    def __init__(self, game, oracle_vec):
+    def __init__(self, game, oracle):
         self.n_agents = game.N
         self.membership_residual = game.projector.membership_residual
-        self.oracle_vec = oracle_vec
+        self.oracle = oracle
         self.mean_row = np.full(game.N, 1.0 / game.N)
         self.fields = array("d")
         self.block = _BLOCK_BYTES // (8 * (game.n + 3 * game.N * game.d))
@@ -320,10 +326,10 @@ class _Recorder:
         # einsum makes no BLAS call, so the sum's order is not the thread count's
         z_sq = np.einsum("ij,ij->", z, z)
         z_mean = math.sqrt(z_sum_sq) / max(1.0, math.sqrt(z_sq))
-        if self.oracle_vec is None:
+        if self.oracle is None:
             err = math.nan
         else:
-            d = x.reshape(-1) - self.oracle_vec
+            d = (x - self.oracle).reshape(-1)
             err = math.sqrt(d.dot(d))
         self.fields.extend((err, math.sqrt(rows.max()), disagreement,
                             step_norm, z_mean, self.membership_residual(x)))
@@ -346,8 +352,8 @@ class _Recorder:
             return np.matmul(d[:, None, :], d[:, :, None]).reshape(k)
 
         z_sum_sq = dots(z.sum(axis=1))
-        err = np.full(k, math.nan) if self.oracle_vec is None else np.sqrt(
-            dots(x.reshape(k, -1) - self.oracle_vec))
+        err = np.full(k, math.nan) if self.oracle is None else np.sqrt(
+            dots(x - self.oracle))
         fields = np.stack([
             err, np.sqrt(rows.max(axis=1)),
             np.sqrt(np.maximum(rows.sum(axis=1) - z_sum_sq / self.n_agents, 0.0)),
@@ -399,13 +405,12 @@ def _replays_apart(recorder):
 def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
     """Iterate to the stopping tolerance and instrument the trajectory.
 
-    x0 may be a stacked vector, an (N, m) array, or an integer seed; when
-    it is None the seed from cfg is used.  oracle, when given, is the
-    reference equilibrium (stacked or (N, m), as ``game.split`` reads it)
-    used to fill the error column and fit the linear rate.  Returns
-    (final state, trace, report); the state's x is an (N, m) array, the
-    report's iterations the sweep count, the trace's iterates with
-    keep_iterates the stacked x of each row.
+    x0 may be an (N, m) array or an integer seed; when it is None the
+    seed from cfg is used.  oracle, when given, is the (N, m) reference
+    equilibrium used to fill the error column and fit the linear rate.
+    Returns (final state, trace, report); the state's x is an (N, m)
+    array, the report's iterations the sweep count, the trace's iterates
+    with keep_iterates the (k, N, m) stack of each row's x.
     The report's stop_reason is "stop_tol", "max_iter" or "diverged": at
     a non-finite step norm or tracker sum (_checked_step_norm) the state
     is the last finite iterate, with no final row.  cfg.tracker picks the
@@ -418,10 +423,10 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
         x0 = int(cfg.seed)
     state = init(game, x0)
     x, z = state.x, state.z
-    oracle_vec = None if oracle is None else game.split(oracle).reshape(-1)
+    oracle = None if oracle is None else game.split(oracle)
     # the recorder, or a forked replay that measures the rows with it
-    rows = recorder = _Recorder(game, oracle_vec)
-    iterates = [x.reshape(-1)] if keep_iterates else None
+    rows = recorder = _Recorder(game, oracle)
+    iterates = [x] if keep_iterates else None
     if _replays_apart(recorder):
         from ._replay import Replay
         try:
@@ -445,7 +450,7 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
             x, z = new_x, new_z
             t += 1
             if keep_iterates:
-                iterates.append(x.reshape(-1))
+                iterates.append(x)
             if step_norm <= stop_tol:
                 stop_reason = "stop_tol"
                 break
@@ -473,21 +478,21 @@ def run(game, graph, cfg, x0=None, oracle=None, keep_iterates=False):
 def reduced_system_run(game, cfg, x0):
     """Centralized reference: damped projected steps on the exact aggregate.
 
-    Returns the trajectory of stacked iterates, shape (steps + 1, n),
+    Returns the trajectory of strategy arrays, shape (steps + 1, N, m),
     first row the projected start, up to the last finite iterate.  Takes
     run's exact-mode strategy step, so a run with tracker = "exact" and
     the same configuration and start reproduces this trajectory bitwise.
     """
     x = init(game, x0).x
-    trajectory = [x.reshape(-1)]
+    trajectory = [x]
     for _ in range(cfg.max_iter):
         new_x = damped_projected_step(
-            game, x, game.split(pseudo_gradient(game, x)), cfg.gamma, cfg.delta)
+            game, x, pseudo_gradient(game, x), cfg.gamma, cfg.delta)
         step_norm = _checked_step_norm(x, new_x, cfg.delta)
         if step_norm is None:
             break
         x = new_x
-        trajectory.append(x.reshape(-1))
+        trajectory.append(x)
         if step_norm <= cfg.stop_tol:
             break
     return np.asarray(trajectory)

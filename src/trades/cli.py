@@ -12,8 +12,9 @@ reference-equilibrium solve.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 a FAIL
 convergence verdict (a divergence, at a non-finite step norm or tracker
-sum, and with the oracle on a run that ends short of stop_tol or without
-a decaying fit, among them) or failed assumption checks under validate,
+sum, and with the oracle on a run that ends short of stop_tol, without
+a decaying fit, or, stopping before its fit window, more than 1e-8 from
+the equilibrium, among them) or failed assumption checks under validate,
 3 the reference equilibrium solve missed its tolerance.
 """
 
@@ -121,12 +122,12 @@ def _scenario_game(cfg):
     baseline = gen_baseline_profile(net, s.horizon, seed=base_seed)
     model = distflow_sensitivities(net, baseline)
     prices = gen_prices(s.horizon, seed=price_seed)
-    agents = gen_agents(cfg.graph.n_agents, net, s.horizon, seed=agent_seed)
+    fleet = gen_agents(cfg.graph.n_agents, net, s.horizon, seed=agent_seed)
     game_cfg = default_voltage_config(
         model, prices, penalty_weight=s.penalty_weight,
         active_weight=s.active_weight, reactive_weight=s.reactive_weight)
-    game = build_voltage_game(model, agents, game_cfg)
-    return game, {"model": model, "agents": agents, "game_config": game_cfg}
+    game = build_voltage_game(model, fleet, game_cfg)
+    return game, {"model": model, "fleet": fleet, "game_config": game_cfg}
 
 
 # ----------------------------------------------------------------- outputs
@@ -236,7 +237,7 @@ def cmd_run(cfg):
                              "iterations": oracle_failure.iterations}
     if cfg.scenario == "voltage" and state is not None and divergence is None:
         from .grid import evaluate_voltages
-        summary = evaluate_voltages(extras["model"], extras["agents"],
+        summary = evaluate_voltages(extras["model"], extras["fleet"],
                                     state.x, extras["game_config"])
         payload["voltage"] = {
             "deviation_score": summary.deviation_score,
@@ -269,8 +270,8 @@ def cmd_run(cfg):
     if report.a2 is not None:
         print(f"fitted decay exponent {report.a2:.6g} "
               f"(R^2 = {report.r_squared:.6g}), verdict {report.verdict}")
-    elif report.verdict == "FAIL":
-        print("no fitted decay, verdict FAIL")
+    elif report.verdict != "N/A":
+        print(f"no fitted decay, verdict {report.verdict}")
     if "voltage" in payload:
         v = payload["voltage"]
         print(f"voltage deviation score {v['deviation_score']:.6g} "

@@ -89,11 +89,12 @@ _KEYS = {
 
 
 def _settings(name):
-    """Frozen record of one section: a field per key, named as the key."""
+    """Frozen record of one section: a field per key, named as the key,
+    and the section's name as the class attribute section."""
     return type(f"{name.capitalize()}Settings", (Record,),
                 {"__annotations__": dict.fromkeys(_KEYS[name]),
-                 "__module__": __name__},  # so records pickle by name
-                frozen=True)
+                 "__module__": __name__,   # so records pickle by name
+                 "section": name}, frozen=True)
 
 
 GraphSettings, AffineSettings, VoltageSettings, SweepSettings = map(
@@ -101,7 +102,6 @@ GraphSettings, AffineSettings, VoltageSettings, SweepSettings = map(
 
 
 class ExperimentConfig(Record, frozen=True):
-    scenario: str
     seed: int
     output_dir: str
     oracle: bool
@@ -109,6 +109,11 @@ class ExperimentConfig(Record, frozen=True):
     trades: TradesConfig
     settings: Record    # [scenario]'s: AffineSettings or VoltageSettings
     sweep: SweepSettings = None
+
+    @property
+    def scenario(self):
+        """affine or voltage: the section the settings record holds."""
+        return self.settings.section
 
 
 def seed_streams(seed, count):
@@ -259,10 +264,9 @@ def parse_config(text, overrides=None):
         except ValueError as exc:
             raise ConfigError(f"[sweep] {exc}")
 
-    return ExperimentConfig(scenario=scenario, seed=exp["seed"],
-                            output_dir=exp["output_dir"], oracle=exp["oracle"],
-                            graph=graph, trades=trades, settings=settings,
-                            sweep=sweep)
+    return ExperimentConfig(seed=exp["seed"], output_dir=exp["output_dir"],
+                            oracle=exp["oracle"], graph=graph, trades=trades,
+                            settings=settings, sweep=sweep)
 
 
 def load_config(path, seed=None, output_dir=None, oracle=None):
@@ -309,7 +313,8 @@ def canonical_text(cfg):
     written next to run outputs is a complete, replayable record.
     """
     sections = {
-        "experiment": {**vars(cfg), "spec_version": SPEC_VERSION},
+        "experiment": {**vars(cfg), "scenario": cfg.scenario,
+                       "spec_version": SPEC_VERSION},
         "graph": vars(cfg.graph),
         "trades": vars(cfg.trades),
         cfg.scenario: vars(cfg.settings),

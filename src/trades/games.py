@@ -30,6 +30,7 @@ from .projections import Box, FeasibleSetProjector
 _SAMPLE_SCALE = 3.0   # spread of the points validate_assumptions projects
 _RIDGE = 1.5          # added to each Q_i by random_strongly_monotone_game
 _ORACLE_STALL = 2000  # oracle iterations without a new best residual
+_GAME_DRAWS = 50      # draws random_strongly_monotone_game makes at most
 
 
 class AffineGameSpec(Record):
@@ -104,12 +105,13 @@ class GameDefinition:
         self.affine = AffineGameSpec(a)
 
     def split(self, x):
-        """(N, m) strategy array of a stacked vector or an (N, m) array."""
+        """x as an (N, m) float strategy array, a row per agent; any other
+        shape, a flat stacked vector among them, is a ValueError."""
         x = np.asarray(x, dtype=float)
-        if x.shape not in ((self.n,), (self.N, self.m)):
-            raise ValueError(f"strategy has shape {x.shape}, expected "
-                             f"({self.n},) or ({self.N}, {self.m})")
-        return x.reshape(self.N, self.m)
+        if x.shape != (self.N, self.m):
+            raise ValueError(f"strategies have shape {x.shape}, "
+                             f"expected ({self.N}, {self.m})")
+        return x
 
 
 # -------------------------------------------------------------- evaluation
@@ -152,10 +154,10 @@ def local_operator(game, x, s):
 
 
 def pseudo_gradient(game, x):
-    """Stacked partial gradients F(x), each agent fed the true aggregate."""
+    """All partial gradients F_i(x) at the true aggregate, as (N, m)."""
     x = game.split(x)
     sigma = np.broadcast_to(phi_stack(game, x).mean(axis=0), (game.N, game.d))
-    return local_operator(game, x, sigma).reshape(-1)
+    return local_operator(game, x, sigma)
 
 
 def damped_projected_step(game, x, direction, gamma, delta):
@@ -297,7 +299,7 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
     for k in range(1, max_iter + 1):
         y = x + beta * (x - x_prev) if beta else x
         x_next = damped_projected_step(
-            game, y, game.split(pseudo_gradient(game, y)), gamma, 1.0)
+            game, y, pseudo_gradient(game, y), gamma, 1.0)
         resid = float(np.linalg.norm(y - x_next))
         if resid < best_resid:
             best, best_resid, best_k = x_next, resid, k
@@ -374,11 +376,11 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
 
     Draws dense per-agent data, adds a ridge to each Q_i, and retries on
     fresh draws (same stream) in the unlikely event the coupling pushes
-    the symmetric part indefinite; a coupling too large for 50 draws is
-    a ValueError.
+    the symmetric part indefinite; a coupling too large for _GAME_DRAWS
+    draws is a ValueError.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(50):
+    for _ in range(_GAME_DRAWS):
         qs, rs, cs, gs, boxes = [], [], [], [], []
         for _ in range(n_agents):
             bmat = rng.normal(size=(strategy_dim, strategy_dim)) / np.sqrt(strategy_dim)
@@ -393,4 +395,4 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
         if game.affine.exact_modulus() > 0.25 * _RIDGE:
             return game
     raise ValueError(f"coupling = {coupling} gave no strongly monotone "
-                     "instance in 50 draws")
+                     f"instance in {_GAME_DRAWS} draws")

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._base import Record
 from .games import GameDefinition
-from .projections import _charger_specs, build_ev_projector
+from .projections import build_ev_projector
 
 DEFAULT_INVERTER_KVA = 7.0
 RECHARGE_TARGET_MAX_KWH = 40.0
@@ -189,35 +189,27 @@ def gen_prices(horizon, seed):
 # ------------------------------------------------------------- the agents
 
 
-class EvAgentSpec(Record):
-    """One charging agent: bus, plug-in window, energy need, capacity."""
+class EvFleet(Record):
+    """The charging agents, stacked: bus (N,) indices, plug-in windows
+    plugged (N, T) of 0/1, energy needs target_energy (N,) in kWh and the
+    inverter rating s_max (one for all, or (N,)).  build_voltage_game
+    checks them against the model."""
 
-    bus: int
+    bus: np.ndarray
     plugged: np.ndarray
-    target_energy: float
+    target_energy: np.ndarray
     s_max: float = DEFAULT_INVERTER_KVA
-
-    def __post_init__(self):
-        self.plugged = np.asarray(self.plugged)
-        if not np.all((self.plugged == 0) | (self.plugged == 1)):
-            raise ValueError("plug-in profile must be binary")
-        self.plugged = self.plugged.astype(bool)
-        # the feasible set's own checks: target >= 0, within the cap
-        _charger_specs(self.plugged, self.target_energy, self.s_max)
-
-    @property
-    def horizon(self):
-        return self.plugged.size
 
 
 def gen_agents(n_agents, net, horizon, seed):
-    """Seeded agent population.
+    """Seeded agent population, as an EvFleet.
 
     Buses are sampled proportionally to the network's baseline demand
     (the substation, with zero demand, is never drawn).  Plug-in windows
     are overnight biased: arrival between 17h and 22h, departure between
     6h and 9h the next morning.  Recharge targets are uniform on
-    (0, 40] kWh, clipped to what the window delivers at DEFAULT_INVERTER_KVA.
+    [0, RECHARGE_TARGET_MAX_KWH) kWh, which every window delivers: at
+    least 6 plugged hours at DEFAULT_INVERTER_KVA give 42 kWh.
     """
     if int(horizon) < 10:
         raise ValueError("overnight windows need a horizon of at least 10 hours")
@@ -226,19 +218,17 @@ def gen_agents(n_agents, net, horizon, seed):
     if not total > 0:
         raise ValueError("baseline demand must be positive somewhere")
     rng = np.random.default_rng(seed)
-    agents = []
-    for _ in range(int(n_agents)):
-        bus = int(rng.choice(net.n_buses, p=weights / total))
+    n_agents = int(n_agents)
+    bus, target = np.zeros(n_agents, dtype=int), np.zeros(n_agents)
+    plugged = np.zeros((n_agents, int(horizon)), dtype=bool)
+    for i in range(n_agents):
+        bus[i] = rng.choice(net.n_buses, p=weights / total)
         arrival = int(rng.integers(17, 23))
         departure = int(rng.integers(6, 10))
-        plugged = np.zeros(int(horizon), dtype=bool)
-        plugged[arrival:] = True
-        plugged[:departure] = True
-        target = float(rng.uniform(0.0, RECHARGE_TARGET_MAX_KWH))
-        target = min(target, DEFAULT_INVERTER_KVA * int(plugged.sum()))
-        agents.append(EvAgentSpec(bus=bus, plugged=plugged,
-                                  target_energy=target))
-    return agents
+        plugged[i, arrival:] = True
+        plugged[i, :departure] = True
+        target[i] = rng.uniform(0.0, RECHARGE_TARGET_MAX_KWH)
+    return EvFleet(bus=bus, plugged=plugged, target_energy=target)
 
 
 # ------------------------------------------------------------- the game
@@ -297,8 +287,8 @@ def _contribution_matrix(model, buses, n_agents):
     return n_agents * VOLTAGE_SCALE * cols.transpose(1, 0, 2)
 
 
-def build_voltage_game(model, agents, cfg):
-    """Assemble the voltage-support aggregative game.
+def build_voltage_game(model, fleet, cfg):
+    """Assemble the voltage-support aggregative game of an EvFleet.
 
     Agent i pays -pi'p_i + h ||sigma - reference||^2
     + a ||p_i||^2 + r ||q_i||^2 with h, a, r the config's penalty,
@@ -308,26 +298,25 @@ def build_voltage_game(model, agents, cfg):
 
         B_i = 2 diag(a, r),   E_i = 2 h G_i' / N,
         c_i = -(pi, 0) - (E_i (x) I_T) reference.
+
+    The projector (build_ev_projector) checks the windows and targets.
     """
-    agents = list(agents)
-    n_agents = len(agents)
+    bus = np.asarray(fleet.bus)
+    n_agents, t = bus.size, model.horizon
     if n_agents == 0:
         raise ValueError("need at least one agent")
-    t = model.horizon
     if cfg.horizon != t:
         raise ValueError(f"config horizon {cfg.horizon} != model horizon {t}")
     if cfg.reference.size != model.dim:
         raise ValueError("config reference does not match the model dimension")
-    for spec in agents:
-        if not 0 <= spec.bus < model.n_buses:
-            raise ValueError(f"agent bus {spec.bus} outside the network")
-        if spec.horizon != t:
-            raise ValueError("agent plug-in horizon does not match the model")
-    projector = build_ev_projector(
-        np.stack([spec.plugged for spec in agents]),
-        [spec.target_energy for spec in agents],
-        [spec.s_max for spec in agents])
-    g = _contribution_matrix(model, [spec.bus for spec in agents], n_agents)
+    if not np.all((0 <= bus) & (bus < model.n_buses)):
+        raise ValueError(f"agent bus outside the {model.n_buses}-bus network")
+    if np.shape(fleet.plugged) != (n_agents, t):
+        raise ValueError(f"plug-in windows have shape {np.shape(fleet.plugged)}, "
+                         f"expected ({n_agents}, {t})")
+    projector = build_ev_projector(fleet.plugged, fleet.target_energy,
+                                   fleet.s_max)
+    g = _contribution_matrix(model, bus, n_agents)
     e = (2.0 / n_agents) * (g.transpose(0, 2, 1) * cfg.penalty_weight)
     weights = np.diag([cfg.active_weight, cfg.reactive_weight])
     b = np.repeat(2.0 * weights[None], n_agents, axis=0)
@@ -347,26 +336,22 @@ class VoltageSummary(Record):
     base_score: float = None
 
 
-def evaluate_voltages(model, agents, x, cfg=None):
+def evaluate_voltages(model, fleet, x, cfg=None):
     """Apply every agent's injections to the linear voltage model.
 
-    x is the (N, 2 horizon) strategy array of the agents in the order of
-    ``agents``, or its stacked vector; the voltage at bus b and hour tau
-    lands at index b * horizon + tau.  With a config the deviation score
+    x is the (N, 2 horizon) strategy array of the fleet's agents, in
+    order; the voltage at bus b and hour tau lands at index
+    b * horizon + tau.  With a config the deviation score
     penalty_weight * ||sigma - reference||^2 is attached, together with
     the do-nothing score for comparison.
     """
-    agents = list(agents)
-    t = model.horizon
-    n, m = len(agents), 2 * t
+    t, bus = model.horizon, fleet.bus
     x = np.asarray(x, dtype=float)
-    if x.shape not in ((n * m,), (n, m)):
-        raise ValueError(f"strategies have shape {x.shape}, expected "
-                         f"({n * m},) or ({n}, {m})")
-    x = x.reshape(n, m)
-    buses = [spec.bus for spec in agents]
-    v = (model.v0.reshape(model.n_buses, t) + model.Rmat[:, buses] @ x[:, :t]
-         + model.Xmat[:, buses] @ x[:, t:])
+    if x.shape != (len(bus), 2 * t):
+        raise ValueError(f"strategies have shape {x.shape}, "
+                         f"expected ({len(bus)}, {2 * t})")
+    v = (model.v0.reshape(model.n_buses, t) + model.Rmat[:, bus] @ x[:, :t]
+         + model.Xmat[:, bus] @ x[:, t:])
     voltages = v.ravel()
     if cfg is None:
         return VoltageSummary(voltages=voltages)

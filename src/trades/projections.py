@@ -360,12 +360,29 @@ class FeasibleSetProjector(ConvexSet):
         raise MaxSweepsExceeded("multiplier search did not converge")
 
 
-def _charger_specs(plugged, target_energy, s_max):
-    """The checks of one charger, or of N stacked chargers, without their
-    projector: a positive horizon and s_max, a target >= 0 (nan fails) and
-    within the cap s_max * #plugged.  Returns the (N, T) boolean mask and
-    the (N,) targets, s_max values and caps."""
-    plugged = np.atleast_2d(np.asarray(plugged).astype(bool))
+def build_ev_projector(plugged, target_energy, s_max):
+    """Feasible-set projector of one charger, or of N stacked chargers.
+
+    A charger's decision vector over T slots is col(p, q) of active and
+    reactive power.  It draws only while plugged (p <= 0 there, p = 0
+    elsewhere), its plugged draws sum to -target_energy, and every slot
+    keeps p^2 + q^2 <= s_max^2 (q stays free on unplugged slots: the
+    converter supports the grid with no vehicle present).  ``plugged``
+    is a (T,) or (N, T) 0/1 mask, with a target and a cap per charger (or
+    one shared cap).  A zero target fixes every plugged p to 0, leaving q
+    free within the disk; one at the cap s_max * #plugged fixes every
+    plugged (p, q) to (-s_max, 0).  The box then states it and the
+    charger needs no hyperplane.
+
+    Raises ValueError unless the mask is 0/1 with a positive horizon,
+    every s_max is positive and every target is at least 0 (nan is not),
+    and ``InfeasibleSpec`` when the cap makes the energy target
+    unreachable (s_max * #plugged < target_energy).
+    """
+    plugged = np.atleast_2d(np.asarray(plugged))
+    if not np.all((plugged == 0) | (plugged == 1)):
+        raise ValueError("plug-in windows must be 0/1")
+    plugged = plugged.astype(bool)
     n_agents, horizon = plugged.shape
     target, s_max = (np.broadcast_to(np.asarray(a, dtype=float), (n_agents,))
                      for a in (target_energy, s_max))
@@ -376,27 +393,6 @@ def _charger_specs(plugged, target_energy, s_max):
         k = np.argmax(cap < target)
         raise InfeasibleSpec(f"energy target {target[k]:.3f} exceeds cap "
                              f"{s_max[k]:.3f} x {plugged[k].sum()} plugged slots")
-    return plugged, target, s_max, cap
-
-
-def build_ev_projector(plugged, target_energy, s_max):
-    """Feasible-set projector of one charger, or of N stacked chargers.
-
-    A charger's decision vector over T slots is col(p, q) of active and
-    reactive power.  It draws only while plugged (p <= 0 there, p = 0
-    elsewhere), its plugged draws sum to -target_energy, and every slot
-    keeps p^2 + q^2 <= s_max^2 (q stays free on unplugged slots: the
-    converter supports the grid with no vehicle present).  ``plugged``
-    is a (T,) or (N, T) mask, with a target and a cap per charger (or
-    one shared cap).  A zero target fixes every plugged p to 0, leaving q
-    free within the disk; one at the cap s_max * #plugged fixes every
-    plugged (p, q) to (-s_max, 0).  The box then states it and the
-    charger needs no hyperplane.
-
-    Raises ``InfeasibleSpec`` when the cap makes the energy target
-    unreachable (s_max * #plugged < target_energy).
-    """
-    plugged, target, s_max, cap = _charger_specs(plugged, target_energy, s_max)
     charging = plugged & ((target > 0) & (target < cap))[:, None]
     pinned = plugged & ((target > 0) & (target == cap))[:, None]
     full = np.where(pinned, -s_max[:, None], 0.0)

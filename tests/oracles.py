@@ -210,7 +210,7 @@ def voltage_cost(cfg, x_i, s):
                  + cfg.reactive_weight * (q @ q))
 
 
-def dense_voltage_game(model, agents, cfg):
+def dense_voltage_game(model, fleet, cfg):
     """Kronecker-expanded per-agent blocks of the voltage game.
 
     Rebuilt from the model and the config with np.kron, the route the
@@ -219,9 +219,9 @@ def dense_voltage_game(model, agents, cfg):
     c_i = -(pi, 0) - E_i reference, and the dense pseudo-gradient matrix
     A = blockdiag(B) + [E_i G_j / N].
     """
-    n_agents, eye = len(agents), np.eye(model.horizon)
+    n_agents, eye = len(fleet.bus), np.eye(model.horizon)
     g = np.stack([n_agents * VOLTAGE_SCALE * np.kron(np.column_stack(
-        [model.Rmat[:, a.bus], model.Xmat[:, a.bus]]), eye) for a in agents])
+        [model.Rmat[:, b], model.Xmat[:, b]]), eye) for b in fleet.bus])
     e = 2.0 * cfg.penalty_weight * g.transpose(0, 2, 1) / n_agents
     b = np.kron(np.diag([2.0 * cfg.active_weight, 2.0 * cfg.reactive_weight]),
                 eye)
@@ -420,8 +420,7 @@ def reference_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
             y = x + beta * (x - x_prev)
         else:
             y = x
-        f = pseudo_gradient(game, y)
-        x_next = game.projector(y - gamma * game.split(f))
+        x_next = game.projector(y - gamma * pseudo_gradient(game, y))
         resid = float(np.linalg.norm(y - x_next))
         if resid < best_resid:
             best_resid = resid

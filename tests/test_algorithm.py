@@ -173,6 +173,17 @@ def test_the_stop_reason_sets_converged_and_a_diverged_verdict(
     assert "converged" not in ConvergenceReport._fields
 
 
+@pytest.mark.parametrize("stop_reason", ["stop_tol", "max_iter", "diverged"])
+def test_a_run_with_no_fit_is_judged_by_its_final_error(stop_reason):
+    # with the oracle on and no fit (a run that stopped before its fit
+    # window held three rows), a run stopped by stop_tol PASSes when its
+    # final error is within criterion 1's 1e-8 and FAILs above it or at nan
+    report = ConvergenceReport(stop_reason=stop_reason, err_x_final=1e-8)
+    assert report.verdict == ("PASS" if stop_reason == "stop_tol" else "FAIL")
+    for err in (np.nextafter(1e-8, 1.0), math.nan):
+        assert report._replace(err_x_final=err).verdict == "FAIL"
+
+
 def test_a_fit_whose_r_squared_is_the_bound_passes():
     # the verdict asks R^2 of at least 0.9: 0.9 itself passes, the float
     # below it fails
@@ -237,7 +248,7 @@ def test_hand_computed_step_two_agents():
     assert np.array_equal(new_z, np.array([[-1.0], [1.0]]))
     # a one-iteration run is exactly this sweep from z = 0, at time 1
     cfg = TradesConfig(gamma=0.1, delta=0.5, max_iter=1)
-    state, _, report = run(game, graph, cfg, x0=np.array([1.0, -1.0]))
+    state, _, report = run(game, graph, cfg, x0=np.array([[1.0], [-1.0]]))
     first_blocks, first_z, *_ = _advance(game, graph, 0.1, 0.5, blocks,
                                         np.zeros((2, 1)), "consensus")
     assert np.array_equal(state.x, first_blocks)
@@ -554,18 +565,30 @@ def test_run_requires_start_point_or_seed():
 
 
 def test_run_reads_oracle_through_split():
-    # a flat oracle and its (N, m) array fill the error column alike; an
-    # oracle of the wrong size is split's ValueError, before any sweep
+    # the (N, m) oracle fills the error column; its stacked vector, or an
+    # array of another shape, is split's ValueError, before any sweep
     game, graph = _bench_instance()
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-12, max_iter=40)
     xstar = solve_ne_oracle(game)
     assert xstar.shape == (game.N, game.m)
-    texts = [run(game, graph, cfg, x0=5, oracle=o)[1].csv_text()
-             for o in (xstar, xstar.reshape(-1))]
-    assert texts[0] == texts[1]
-    assert "nan" not in texts[0]
-    with pytest.raises(ValueError, match="strategy has shape"):
-        run(game, graph, cfg, x0=5, oracle=xstar.reshape(-1)[:-1])
+    assert "nan" not in run(game, graph, cfg, x0=5, oracle=xstar)[1].csv_text()
+    for bad in (xstar.reshape(-1), xstar[:-1], xstar.T):
+        with pytest.raises(ValueError, match=rf"shape \({bad.shape[0]},"):
+            run(game, graph, cfg, x0=5, oracle=bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda game, graph, x: init(game, x),
+    lambda game, graph, x: run(game, graph, TradesConfig(), x0=x),
+    lambda game, graph, x: run(game, graph, TradesConfig(), x0=0, oracle=x),
+    lambda game, graph, x: boundary_layer_probe(graph, game, x, steps=2),
+], ids=["init", "run x0", "run oracle", "boundary_layer_probe"])
+def test_a_flat_strategy_vector_is_refused(call):
+    # strategies are (N, m) arrays only: a stacked vector of the same
+    # numbers is a ValueError that names both shapes
+    game, graph = _bench_instance()
+    with pytest.raises(ValueError, match=r"shape \(20,\), expected \(10, 2\)"):
+        call(game, graph, np.zeros(game.n))
 
 
 def test_trace_quantities_match_direct_evaluation():
@@ -607,7 +630,7 @@ def _assert_row_is_direct(trace, k, game, x, z, reference):
     assert z_mean > 0 and abs(trace.z_mean_residual[k] - z_mean) <= 1e-12 * z_mean
     feas = np.linalg.norm(x - game.projector(x))
     assert abs(trace.feas_residual[k] - feas) <= 1e-12
-    assert abs(trace.err_x[k] - np.linalg.norm(x.reshape(-1) - reference)) <= 1e-12
+    assert abs(trace.err_x[k] - np.linalg.norm(x - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("instance", [_bench_instance, _small_voltage_instance])
@@ -615,7 +638,7 @@ def test_final_trace_row_matches_direct_evaluation(instance):
     # the final row describes the returned state, where z != 0 and its
     # column sums are rounding; any vector serves as the error reference
     game, graph = instance()
-    reference = np.random.default_rng(3).normal(size=game.n)
+    reference = np.random.default_rng(3).normal(size=(game.N, game.m))
     cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-14, max_iter=20)
     state, trace, report = run(game, graph, cfg, x0=11, oracle=reference)
     x, z = state.x, state.z
@@ -655,7 +678,7 @@ def test_rows_measured_in_blocks_are_the_rows_measured_alone(instance,
     # bits of the row's own tracker stack summed afresh, as a row measured
     # alone does; every state of the run is a row, the final one included
     game, graph = instance()
-    reference = np.random.default_rng(3).normal(size=game.n)
+    reference = np.random.default_rng(3).normal(size=(game.N, game.m))
     fields = (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual")
 
     def columns():
@@ -691,7 +714,7 @@ def test_replayed_strategies_give_the_runs_rows(n_agents, m, d, tracker,
     # or (_BLOCK_BYTES = 0) row by row; no process is forked
     game = random_strongly_monotone_game(n_agents, m, d, seed=seed)
     graph = _graph(n_agents, 0.6, seed)
-    reference = np.random.default_rng(seed).normal(size=game.n)
+    reference = np.random.default_rng(seed).normal(size=(game.N, game.m))
     fields = (*TRACE_COLUMNS[1:], "z_mean_residual", "feas_residual")
 
     def columns(trace):
@@ -708,7 +731,7 @@ def test_replayed_strategies_give_the_runs_rows(n_agents, m, d, tracker,
         recorder = _Recorder(game, reference)
         assert (recorder.block >= 2) == block
         algorithm._replay_rows(game, graph, tracker, recorder, (
-            (x.reshape(game.N, game.m).copy(), float(step_norm))
+            (x.copy(), float(step_norm))
             for x, step_norm in zip(every.iterates, every.step_norm)))
         assert columns(recorder.build()) == columns(every)
 
@@ -836,7 +859,7 @@ def test_forked_rows_are_the_in_process_rows(monkeypatch, desk_game, tracker):
     # game with 240 KB records
     for game, graph in (desk_game, _wide_game()):
         assert _Recorder(game, None).block < 2
-        reference = np.random.default_rng(3).normal(size=game.n)
+        reference = np.random.default_rng(3).normal(size=(game.N, game.m))
         cfg = TradesConfig(gamma=0.01, delta=0.5, stop_tol=1e-300,
                            max_iter=40, tracker=tracker)
         fds = _open_fds()
@@ -909,7 +932,7 @@ print(algorithm._replays_apart(algorithm._Recorder(game, None)))
 """
 # the fields of ten desk-size rows of random states, measured row by row
 _DESK_ROWS = _DESK_GAME + """\
-recorder = algorithm._Recorder(game, np.zeros(game.n))
+recorder = algorithm._Recorder(game, np.zeros((game.N, game.m)))
 assert recorder.block < 2
 rng = np.random.default_rng(7)
 for t in range(10):
@@ -1117,10 +1140,11 @@ def test_a_step_norm_equal_to_stop_tol_stops(tracker):
 
 def test_reduced_system_monotone_error_decay():
     game = random_strongly_monotone_game(8, 2, 2, seed=21)
-    xstar = solve_ne_oracle(game).reshape(-1)
+    xstar = solve_ne_oracle(game)
     cfg = TradesConfig(gamma=0.02, delta=0.5, stop_tol=1e-300, max_iter=400)
     trajectory = reduced_system_run(game, cfg, 77)
-    errs = np.linalg.norm(trajectory - xstar[None, :], axis=1)
+    errs = np.linalg.norm((trajectory - xstar).reshape(len(trajectory), -1),
+                          axis=1)
     tail = errs[10:]
     assert np.all(np.diff(tail) <= 1e-15)
     assert tail[-1] < tail[0]
@@ -1132,7 +1156,7 @@ def test_reduced_system_stationary_at_equilibrium():
     cfg = TradesConfig(gamma=0.05, delta=0.5, stop_tol=1e-9, max_iter=50)
     trajectory = reduced_system_run(game, cfg, xstar)
     assert trajectory.shape[0] <= 3
-    assert np.max(np.abs(trajectory - xstar.reshape(1, -1))) <= 1e-9
+    assert np.max(np.abs(trajectory - xstar)) <= 1e-9
 
 
 # --------------------------------------------------- tracker decomposition

@@ -522,6 +522,28 @@ def test_a_run_short_of_the_equilibrium_fails(tmp_path, capsys, gamma,
     assert result["verdict"] == "N/A" and result["err_x_final"] is None
 
 
+@pytest.mark.parametrize("gamma, iterations, fit_points", [
+    ("0.2537196862308287", 51, 2),     # 1/L of the benchmark game
+    ("0.3", 41, 0),
+])
+def test_a_run_that_stops_before_its_fit_window_passes_by_its_error(
+        tmp_path, capsys, gamma, iterations, fit_points):
+    # undamped (delta = 1) the benchmark game stops by stop_tol within 52
+    # sweeps, before its fit holds three rows, so there is no fit; its
+    # final error, ~1.2e-10, is within criterion 1's 1e-8: a PASS
+    path = tmp_path / "fast.ini"
+    path.write_text(BENCH_TEXT.format(gamma=gamma, max_iter=50000)
+                    .replace("delta = 0.5", "delta = 1"))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--seed", "5", "--out", str(out)]) == 0
+    assert "no fitted decay, verdict PASS" in capsys.readouterr().out.splitlines()
+    result = json.loads((out / "report.json").read_text())["result"]
+    assert (result["verdict"], result["stop_reason"], result["iterations"],
+            result["n_fit_points"], result["a2"]) == (
+                "PASS", "stop_tol", iterations, fit_points, None)
+    assert result["err_x_final"] <= 1e-8
+
+
 OVERFLOW_TEXT = """
 [experiment]
 spec_version = 1
@@ -1425,7 +1447,7 @@ def test_run_leaves_numpy_ma_unloaded(tmp_path):
 PACKAGE_NAMES = (
     "AffineGameSpec", "AssumptionReport", "BoundaryLayerResult", "Box",
     "ConfigError", "ConsensusSpectrum", "ConvergenceReport", "DiskPairs",
-    "DistFlowModel", "EvAgentSpec", "ExperimentConfig", "FeasibleSetProjector",
+    "DistFlowModel", "EvFleet", "ExperimentConfig", "FeasibleSetProjector",
     "GameDefinition", "InfeasibleSpec", "IterationTrace", "MaxIterExceeded",
     "MaxSweepsExceeded", "RadialNetwork",
     "SinkhornStalled", "TRACE_COLUMNS", "TRACKER_MODES", "TradesConfig",

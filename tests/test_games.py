@@ -20,7 +20,7 @@ from trades.games import (
     solve_ne_oracle,
     validate_assumptions,
 )
-from trades.grid import (EvAgentSpec, build_radial_network,
+from trades.grid import (EvFleet, build_radial_network,
                          build_voltage_game, default_voltage_config,
                          distflow_sensitivities, gen_baseline_profile,
                          gen_prices)
@@ -49,18 +49,19 @@ def _uncoupled_game(n_agents, m):
 @given(n_agents=st.integers(1, 6), m=st.integers(1, 4),
        seed=st.integers(0, 2 ** 16),
        other=st.lists(st.integers(0, 8), min_size=0, max_size=3))
-def test_split_reads_flat_and_blocked_strategies_only(n_agents, m, seed,
-                                                      other):
-    """Flat and (N, m) inputs give one (N, m) float array; other shapes
-    raise ValueError."""
+def test_split_reads_blocked_strategies_only(n_agents, m, seed, other):
+    """(N, m) inputs, arrays or nested lists, give one (N, m) float array;
+    the flat stacked vector and every other shape raise ValueError."""
     game = _uncoupled_game(n_agents, m)
     x = np.random.default_rng(seed).normal(size=(n_agents, m))
-    for given_x in (x, x.reshape(-1), x.reshape(-1).tolist()):
+    for given_x in (x, x.tolist(), np.ones((n_agents, m), dtype=int)):
         out = game.split(given_x)
         assert out.shape == (n_agents, m) and out.dtype == float
-        assert np.array_equal(out, x)
+        assert np.array_equal(out, np.asarray(given_x))
+    with pytest.raises(ValueError, match=rf"shape \({n_agents * m},\)"):
+        game.split(x.reshape(-1))
     shape = tuple(other)
-    assume(shape not in ((n_agents * m,), (n_agents, m)))
+    assume(shape != (n_agents, m))
     with pytest.raises(ValueError):
         game.split(np.zeros(shape))
 
@@ -88,7 +89,7 @@ def test_aggregate_zero_maps():
         [np.eye(2)] * 3, [np.zeros(2)] * 3, 0.7,
         [rng.normal(size=(2, 2)) for _ in range(3)],
         [np.zeros((2, 2))] * 3)
-    sigma = aggregate(game, rng.normal(size=6))
+    sigma = aggregate(game, rng.normal(size=(3, 2)))
     assert np.array_equal(sigma, np.zeros(2))
 
 
@@ -158,19 +159,18 @@ def test_pseudo_gradient_matches_assembled_affine_map():
     rng = np.random.default_rng(22)
     aff = game.affine
     for _ in range(20):
-        x = rng.normal(scale=2.0, size=game.n)
-        f = pseudo_gradient(game, x)
-        ref = aff.A @ x + game.c.reshape(-1)
+        x = rng.normal(scale=2.0, size=(game.N, game.m))
+        f = pseudo_gradient(game, x).reshape(-1)
+        ref = aff.A @ x.reshape(-1) + game.c.reshape(-1)
         assert np.allclose(f, ref, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(ref)))
 
 
 def test_pseudo_gradient_stacks_local_operators():
     game = random_strongly_monotone_game(4, 2, 3, seed=31)
     rng = np.random.default_rng(32)
-    x = rng.normal(size=game.n)
+    x = rng.normal(size=(game.N, game.m))
     s = aggregate(game, x)
-    stacked = local_operator(game, game.split(x),
-                             np.tile(s, (game.N, 1))).reshape(-1)
+    stacked = local_operator(game, x, np.tile(s, (game.N, 1)))
     f = pseudo_gradient(game, x)
     assert np.linalg.norm(f - stacked) <= 1e-14 * max(1.0, np.linalg.norm(f))
 
@@ -338,10 +338,12 @@ def test_monotonicity_inequality_on_samples():
     mu = game.affine.exact_modulus()
     rng = np.random.default_rng(82)
     for _ in range(50):
-        x = rng.normal(scale=3.0, size=game.n)
-        y = rng.normal(scale=3.0, size=game.n)
-        gap = float((pseudo_gradient(game, x) - pseudo_gradient(game, y)) @ (x - y))
-        nrm2 = float((x - y) @ (x - y))
+        x = rng.normal(scale=3.0, size=(game.N, game.m))
+        y = rng.normal(scale=3.0, size=(game.N, game.m))
+        d = (x - y).reshape(-1)
+        gap = float((pseudo_gradient(game, x)
+                     - pseudo_gradient(game, y)).reshape(-1) @ d)
+        nrm2 = float(d @ d)
         assert gap >= mu * nrm2 - 1e-9 * max(1.0, nrm2)
 
 
@@ -371,7 +373,7 @@ def test_oracle_equilibrium_satisfies_variational_inequality():
     game = random_strongly_monotone_game(10, 2, 2, seed=91)
     star = solve_ne_oracle(game, tol=1e-12)
     xs = star.reshape(-1)
-    f = pseudo_gradient(game, xs)
+    f = pseudo_gradient(game, star).reshape(-1)
     rng = np.random.default_rng(92)
     for _ in range(1000):
         y = game.projector(rng.normal(scale=4.0, size=(game.N, 2))).reshape(-1)
@@ -390,8 +392,8 @@ def test_oracle_fixed_point_is_damping_invariant():
     gamma = 0.05
     star = solve_ne_oracle(game, gamma=gamma, tol=1e-12)
     xs = star.reshape(-1)
-    f = pseudo_gradient(game, xs)
-    projected = np.concatenate(game.projector(game.split(xs - gamma * f)))
+    projected = game.projector(
+        star - gamma * pseudo_gradient(game, star)).reshape(-1)
     for delta in (0.1, 0.5, 1.0):
         moved = xs + delta * (projected - xs)
         assert np.linalg.norm(moved - xs) <= 2e-12
@@ -431,14 +433,12 @@ def _ulp_below_cap_game():
     # iteration 6, then spins above it
     net = build_radial_network(2, seed=2)
     model = distflow_sensitivities(net, gen_baseline_profile(net, 1, 2))
-    agents = [EvAgentSpec(bus=1, plugged=plugged, s_max=s_max,
-                          target_energy=target)
-              for plugged, s_max, target in (
-                  ([True], 2.5095146153322236, 0.3513162898529648),
-                  ([True], 2.823232981721473, 0.0),
-                  ([True], 2.656636173323279, 2.6566361733232786),
-                  ([False], 2.2079818108066194, 0.0))]
-    return build_voltage_game(model, agents,
+    fleet = EvFleet(bus=[1, 1, 1, 1], plugged=[[1], [1], [1], [0]],
+                    s_max=[2.5095146153322236, 2.823232981721473,
+                           2.656636173323279, 2.2079818108066194],
+                    target_energy=[0.3513162898529648, 0.0,
+                                   2.6566361733232786, 0.0])
+    return build_voltage_game(model, fleet,
                               default_voltage_config(model, gen_prices(1, 2)))
 
 
@@ -520,7 +520,7 @@ def test_game_rejects_unequal_strategy_dims():
 
 def test_phi_stack_shape():
     game = random_strongly_monotone_game(4, 3, 2, seed=98)
-    stack = phi_stack(game, game.split(np.zeros(game.n)))
+    stack = phi_stack(game, np.zeros((game.N, game.m)))
     assert stack.shape == (4, 2)
 
 

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
@@ -19,11 +21,12 @@ from trades._base import _write_atomic
 from trades.errors import InfeasibleSpec
 from trades.games import (local_operator, phi_stack, pseudo_gradient,
                           solve_ne_oracle, validate_assumptions)
+from trades.projections import build_ev_projector
 from trades.grid import (
     POWER_BASE_KW,
     VOLTAGE_SCALE,
     DistFlowModel,
-    EvAgentSpec,
+    EvFleet,
     RadialNetwork,
     VoltageGameConfig,
     build_radial_network,
@@ -95,10 +98,10 @@ def test_zero_load_flat_voltage():
 def test_injection_moves_voltage_by_diagonal_sensitivity():
     net = build_radial_network(6, seed=2)
     model = distflow_sensitivities(net, np.zeros((6, 4)))
-    agent = EvAgentSpec(bus=3, plugged=np.ones(4), target_energy=0.0)
-    x = np.zeros(8)
-    x[1] = 5.0  # +5 kW active injection in hour 1
-    v = evaluate_voltages(model, [agent], x).voltages.reshape(6, 4)
+    fleet = EvFleet(bus=[3], plugged=np.ones((1, 4)), target_energy=[0.0])
+    x = np.zeros((1, 8))
+    x[0, 1] = 5.0  # +5 kW active injection in hour 1
+    v = evaluate_voltages(model, fleet, x).voltages.reshape(6, 4)
     assert abs(v[3, 1] - (1.0 + model.Rmat[3, 3] * 5.0)) <= 1e-15
     assert v[0, 1] == 1.0  # root is the reference bus
     assert np.all(v[:, 0] == 1.0)
@@ -154,34 +157,65 @@ def test_prices_positive_and_seeded():
 # ------------------------------------------------------------------ agents
 
 
-def test_agent_spec_feasibility():
-    EvAgentSpec(bus=1, plugged=[1, 0, 0], target_energy=6.9, s_max=7.0)
-    with pytest.raises(InfeasibleSpec):
-        EvAgentSpec(bus=1, plugged=[1, 0, 0], target_energy=7.1, s_max=7.0)
-    with pytest.raises(ValueError):
-        EvAgentSpec(bus=1, plugged=[1, 2, 0], target_energy=1.0)
-    with pytest.raises(ValueError):
-        EvAgentSpec(bus=1, plugged=[1, 0], target_energy=-1.0)
-    with pytest.raises(ValueError):   # a nan target would lose its hyperplane
-        EvAgentSpec(bus=1, plugged=[1, 0], target_energy=float("nan"))
+def _three_hour_model():
+    net = build_radial_network(4, seed=1)
+    model = distflow_sensitivities(net, np.zeros((4, 3)))
+    return model, default_voltage_config(model, np.ones(3))
+
+
+def test_fleet_window_and_target_checks():
+    # build_ev_projector checks each charger's 0/1 window and its target,
+    # which must be >= 0 and within s_max x #plugged; build_voltage_game
+    # builds the fleet's projector with it
+    model, cfg = _three_hour_model()
+    charger = {"plugged": [[1, 0, 0]], "target_energy": [6.9], "s_max": 7.0}
+
+    for change in ({}, {"plugged": [[1.0, 0.0, 1.0]], "target_energy": [0.0]}):
+        spec = {**charger, **change}
+        build_ev_projector(**spec)
+        build_voltage_game(model, EvFleet(bus=[1], **spec), cfg)
+    # over the cap 7 x 1; then not 0/1, negative, and nan (a nan target
+    # would lose its hyperplane)
+    for error, change in ((InfeasibleSpec, {"target_energy": [7.1]}),
+                          (ValueError, {"plugged": [[1, 2, 0]]}),
+                          (ValueError, {"plugged": [[1, 0.5, 0]]}),
+                          (ValueError, {"target_energy": [-1.0]}),
+                          (ValueError, {"target_energy": [np.nan]})):
+        spec = {**charger, **change}
+        with pytest.raises(error):
+            build_ev_projector(**spec)
+        with pytest.raises(error):
+            build_voltage_game(model, EvFleet(bus=[1], **spec), cfg)
 
 
 def test_gen_agents_reproducible_and_feasible():
     net = build_radial_network(12, seed=4)
     a = gen_agents(25, net, 24, seed=13)
     b = gen_agents(25, net, 24, seed=13)
-    assert len(a) == 25
-    for s, t in zip(a, b):
-        assert s.bus == t.bus
-        assert s.target_energy == t.target_energy
-        assert np.array_equal(s.plugged, t.plugged)
-    for s in a:
-        assert 0 < s.bus < 12  # root carries no demand, never drawn
-        assert s.s_max * s.plugged.sum() >= s.target_energy
-        assert s.target_energy <= 40.0
-        # overnight window: plugged late evening and early morning
-        assert s.plugged[23] and s.plugged[0]
-        assert not s.plugged[12]
+    assert isinstance(a, EvFleet) and a.s_max == 7.0
+    assert a.bus.shape == a.target_energy.shape == (25,)
+    assert a.plugged.shape == (25, 24) and a.plugged.dtype == bool
+    for name in ("bus", "plugged", "target_energy"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.all((0 < a.bus) & (a.bus < 12))  # root carries no demand
+    assert np.all(a.s_max * a.plugged.sum(axis=1) >= a.target_energy)
+    assert np.all(a.target_energy <= 40.0)
+    # overnight window: plugged late evening and early morning
+    assert np.all(a.plugged[:, 23] & a.plugged[:, 0])
+    assert not a.plugged[:, 12].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(10, 48))
+def test_every_drawn_target_fits_its_window(seed, horizon):
+    # every window holds at least 6 plugged hours, and 6 h at 7 kVA is
+    # 42 kWh, above the largest draw of 40 kWh: no target passes its cap,
+    # so the projector takes every drawn fleet
+    net = build_radial_network(5, seed=seed)
+    fleet = gen_agents(20, net, horizon, seed=seed)
+    assert np.all(fleet.plugged.sum(axis=1) >= 6)
+    assert np.all(fleet.s_max * fleet.plugged.sum(axis=1) >= fleet.target_energy)
+    build_ev_projector(fleet.plugged, fleet.target_energy, fleet.s_max)
 
 
 def test_gen_agents_proportional_assignment_chi2():
@@ -191,7 +225,7 @@ def test_gen_agents_proportional_assignment_chi2():
                         line_x=[0] + [0.01] * 14,
                         baseline_p=[0.0] + [30.0] * 14)
     agents = gen_agents(10000, net, 24, seed=99)
-    counts = np.bincount([a.bus for a in agents], minlength=15)[1:]
+    counts = np.bincount(agents.bus, minlength=15)[1:]
     expected = 10000 / 14.0
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < stats.chi2.ppf(0.95, df=13)
@@ -259,8 +293,8 @@ def test_zero_incentive_game_has_zero_equilibrium():
     # moves, and the origin is feasible, so it is the equilibrium
     net = build_radial_network(6, seed=2)
     model = distflow_sensitivities(net, gen_baseline_profile(net, 8, seed=1))
-    agents = [EvAgentSpec(bus=b, plugged=np.ones(8), target_energy=0.0)
-              for b in (1, 3, 5)]
+    agents = EvFleet(bus=[1, 3, 5], plugged=np.ones((3, 8)),
+                     target_energy=np.zeros(3))
     cfg = VoltageGameConfig(prices=np.zeros(8), reference=np.zeros(model.dim),
                             penalty_weight=1.0, active_weight=1.0,
                             reactive_weight=1.0)
@@ -273,9 +307,10 @@ def test_affine_structure_matches_pseudo_gradient(desk):
     _, _, _, _, _, game = desk
     rng = np.random.default_rng(1)
     for _ in range(3):
-        x = np.concatenate(game.projector(game.split(rng.normal(size=game.n) * 3)))
-        direct = pseudo_gradient(game, x)
-        assembled = np.kron(game.affine.A, np.eye(game.T)) @ x + game.c.reshape(-1)
+        x = game.projector(rng.normal(size=(game.N, game.m)) * 3)
+        direct = pseudo_gradient(game, x).reshape(-1)
+        assembled = (np.kron(game.affine.A, np.eye(game.T)) @ x.reshape(-1)
+                     + game.c.reshape(-1))
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(direct - assembled)) <= 1e-12 * scale
 
@@ -317,10 +352,10 @@ def test_local_operator_is_total_derivative(desk):
     aggregate taken from the voltage model instead of the game."""
     _, model, _, agents, cfg, game = desk
     rng = np.random.default_rng(3)
-    x = game.projector(game.split(rng.normal(size=game.n) * 3))
+    x = game.projector(rng.normal(size=(game.N, game.m)) * 3)
 
     def sigma(stack):
-        volts = evaluate_voltages(model, agents, stack.reshape(-1)).voltages
+        volts = evaluate_voltages(model, agents, stack).voltages
         return VOLTAGE_SCALE * (volts - model.v0)
 
     got = local_operator(game, x, np.tile(sigma(x), (game.N, 1)))
@@ -352,7 +387,7 @@ def test_aggregate_equals_scaled_voltage_deviation(desk):
     _, model, _, agents, _, game = desk
     rng = np.random.default_rng(2)
     for _ in range(3):
-        x = np.concatenate(game.projector(game.split(rng.normal(size=game.n) * 5)))
+        x = game.projector(rng.normal(size=(game.N, game.m)) * 5)
         sigma_game = aggregate(game, x)
         volts = evaluate_voltages(model, agents, x).voltages
         sigma_direct = VOLTAGE_SCALE * (volts - model.v0)
@@ -362,16 +397,14 @@ def test_aggregate_equals_scaled_voltage_deviation(desk):
 
 def test_evaluate_voltages_zero_strategy(desk):
     _, model, _, agents, cfg, _ = desk
-    x = np.zeros(2 * 24 * len(agents))
+    x = np.zeros((40, 48))
     summary = evaluate_voltages(model, agents, x, cfg)
     assert np.array_equal(summary.voltages, model.v0)
     assert abs(summary.deviation_score - summary.base_score) <= 1e-9
-    # a stacked vector or the (N, 2 horizon) array, nothing else
-    assert np.array_equal(
-        evaluate_voltages(model, agents, x.reshape(len(agents), 48)).voltages,
-        summary.voltages)
-    for bad in (x[:-1], x.reshape(48, len(agents)), x.reshape(-1, 1)):
-        with pytest.raises(ValueError, match="strategies have shape"):
+    # the (N, 2 horizon) array, nothing else: not its stacked vector
+    for bad in (x.reshape(-1), x[:-1], x.T, x.reshape(-1, 1)):
+        with pytest.raises(ValueError, match=r"strategies have shape \(.*, "
+                                             r"expected \(40, 48\)"):
             evaluate_voltages(model, agents, bad)
 
 
@@ -383,20 +416,26 @@ def test_equilibrium_improves_voltage_deviation(desk):
     # the improvement is substantial, not a rounding artifact
     assert summary.deviation_score <= 0.9 * summary.base_score
     # charging appears where it must: plugged hours only, never positive
-    for spec, block in zip(agents, xstar):
+    for plugged, target, block in zip(agents.plugged, agents.target_energy,
+                                      xstar):
         p = block[:24]
         assert np.all(p <= 1e-10)
-        assert np.max(np.abs(p[~spec.plugged])) <= 1e-9
-        assert abs(p.sum() + spec.target_energy) <= 1e-8
+        assert np.max(np.abs(p[~plugged])) <= 1e-9
+        assert abs(p.sum() + target) <= 1e-8
 
 
 def test_build_voltage_game_input_validation(desk):
     _, model, _, agents, cfg, _ = desk
-    with pytest.raises(ValueError):
-        build_voltage_game(model, [], cfg)
-    stray = EvAgentSpec(bus=99, plugged=np.ones(24), target_energy=1.0)
-    with pytest.raises(ValueError):
-        build_voltage_game(model, [stray], cfg)
-    short = EvAgentSpec(bus=1, plugged=np.ones(12), target_energy=1.0)
-    with pytest.raises(ValueError):
-        build_voltage_game(model, [short], cfg)
+    with pytest.raises(ValueError, match="at least one agent"):
+        build_voltage_game(model, EvFleet(bus=[], plugged=np.ones((0, 24)),
+                                          target_energy=[]), cfg)
+    for bus in (99, 15, -1):
+        stray = EvFleet(bus=[bus], plugged=np.ones((1, 24)), target_energy=[1.0])
+        with pytest.raises(ValueError, match="outside the 15-bus network"):
+            build_voltage_game(model, stray, cfg)
+    # a window per agent over the model's horizon, nothing else
+    for plugged in (np.ones((1, 12)), np.ones((1, 25)), np.ones((2, 24)),
+                    np.ones(24)):
+        short = EvFleet(bus=[1], plugged=plugged, target_energy=[1.0])
+        with pytest.raises(ValueError, match="plug-in windows have shape"):
+            build_voltage_game(model, short, cfg)

@@ -53,7 +53,7 @@ from trades.errors import ConfigError, MaxIterExceeded, MaxSweepsExceeded
 from trades.games import (GameDefinition, local_operator, phi_stack,
                           pseudo_gradient, quadratic_aggregative_game,
                           random_strongly_monotone_game, solve_ne_oracle)
-from trades.grid import (EvAgentSpec, build_radial_network,
+from trades.grid import (EvFleet, build_radial_network,
                          build_voltage_game, default_voltage_config,
                          distflow_sensitivities, gen_baseline_profile,
                          gen_prices)
@@ -129,19 +129,20 @@ def charger_games(draw, min_agents=1, max_fill=1.0):
     seed = draw(st.integers(0, 2 ** 16))
     net = build_radial_network(n_buses, seed=seed)
     model = distflow_sensitivities(net, gen_baseline_profile(net, horizon, seed))
-    agents = []
+    plugged, s_max, target, bus = [], [], [], []
     for _ in range(draw(st.integers(min_agents, 4))):
-        plugged = np.array(draw(st.lists(st.booleans(), min_size=horizon,
-                                         max_size=horizon)))
-        s_max = draw(st.floats(0.5, 3.0))
+        plugged.append(np.array(draw(st.lists(st.booleans(), min_size=horizon,
+                                              max_size=horizon))))
+        s_max.append(draw(st.floats(0.5, 3.0)))
         fill = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, max_fill))
-        agents.append(EvAgentSpec(bus=draw(st.integers(1, n_buses - 1)),
-                                  plugged=plugged, s_max=s_max,
-                                  target_energy=fill * s_max * plugged.sum()))
-    game = build_voltage_game(model, agents, default_voltage_config(
+        target.append(fill * s_max[-1] * plugged[-1].sum())
+        bus.append(draw(st.integers(1, n_buses - 1)))
+    fleet = EvFleet(bus=bus, plugged=plugged, target_energy=target,
+                    s_max=s_max)
+    game = build_voltage_game(model, fleet, default_voltage_config(
         model, gen_prices(horizon, seed)))
     return game, lambda i, v: oracles.charger_projection(
-        v, agents[i].plugged, agents[i].target_energy, agents[i].s_max)
+        v, plugged[i], target[i], s_max[i])
 
 
 @st.composite
@@ -187,14 +188,14 @@ def _certificate(game, x, gamma):
     """(1 + gamma L)/(gamma mu) ||x - P(x - gamma F(x))||, a bound on the
     distance from x to the equilibrium of a strongly monotone game."""
     lip, mu = game.affine.exact_lipschitz(), game.affine.exact_modulus()
-    natural = x - game.projector(x - gamma * game.split(pseudo_gradient(game, x)))
+    natural = x - game.projector(x - gamma * pseudo_gradient(game, x))
     return (1.0 + gamma * lip) / (gamma * mu) * float(np.linalg.norm(natural))
 
 
 def _potential(game, x):
     """0.5 x'(A (x) I_T) x + c'x, whose gradient is F when A is symmetric."""
-    x = x.reshape(-1)
-    return 0.5 * x @ (pseudo_gradient(game, x) + game.c.reshape(-1))
+    return 0.5 * x.reshape(-1) @ (pseudo_gradient(game, x)
+                                  + game.c.reshape(game.N, -1)).reshape(-1)
 
 
 @settings(max_examples=40, deadline=None)
