@@ -126,7 +126,7 @@ def phi_stack(game, x):
     the aggregate being its column mean, so repeated computations reduce
     in the same order and reproduce bitwise.
     """
-    x = np.asarray(x).reshape(game.N, game.p, game.T)
+    x = game.split(x).reshape(game.N, game.p, game.T)
     return (game.G @ x).reshape(game.N, game.d)
 
 
@@ -140,10 +140,7 @@ def local_operator(game, x, s):
     outputs gives the decentralized surrogate.  With rows read as (p, T)
     and (q, T) blocks this is the batched ``B @ x + E @ s + c``.
     """
-    x, s = np.asarray(x), np.asarray(s)
-    if x.shape != (game.N, game.m):
-        raise ValueError(f"strategies have shape {x.shape}, "
-                         f"expected ({game.N}, {game.m})")
+    x, s = game.split(x), np.asarray(s)
     if s.shape != (game.N, game.d):
         raise ValueError(f"aggregate estimates have shape {s.shape}, "
                          f"expected ({game.N}, {game.d})")
@@ -155,7 +152,6 @@ def local_operator(game, x, s):
 
 def pseudo_gradient(game, x):
     """All partial gradients F_i(x) at the true aggregate, as (N, m)."""
-    x = game.split(x)
     sigma = np.broadcast_to(phi_stack(game, x).mean(axis=0), (game.N, game.d))
     return local_operator(game, x, sigma)
 
@@ -234,7 +230,8 @@ def validate_assumptions(game, sample_budget=50, rng=0):
         raise ValueError("sample_budget must be at least 1")
     x = game.projector(np.random.default_rng(rng).normal(
         scale=_SAMPLE_SCALE, size=(sample_budget, game.N, game.m)))
-    worst = max(0.0, *game.projector.membership_residual(x).tolist())
+    # np.max keeps a nan residual, which then fails the feasibility check
+    worst = np.max(game.projector.membership_residual(x))
     lip = game.affine.exact_lipschitz()
     return AssumptionReport(
         mu=game.affine.exact_modulus(),
@@ -326,8 +323,8 @@ def solve_ne_oracle(game, gamma=None, tol=1e-12, max_iter=100000):
 
 
 def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
-                               aggregators, boxes=None):
-    """Build the canonical quadratic test family.
+                               aggregators, bounds=None):
+    """Build the canonical quadratic test family from stacks over agents.
 
     Agent i pays 0.5 x_i'Q_i x_i + r_i'x_i + kappa x_i'C_i sigma with
     contribution map phi_i(x_i) = G_i x_i.  Its search direction, the
@@ -336,38 +333,26 @@ def quadratic_aggregative_game(quadratics, linears, coupling, couplers,
 
         B_i = Q_i + (kappa/N) G_i'C_i',   E_i = kappa C_i,   c_i = r_i.
 
-    All agents share one strategy dimension m and one aggregate
-    dimension d; the game's factors are these matrices with T = 1.
+    Q is (N, m, m), r (N, m), C (N, m, d) and G (N, d, m); the game's
+    factors are these matrices with T = 1, and G and r are kept, not
+    copied.  ``bounds`` is one (lower, upper) pair broadcast to (N, m),
+    scalars among them; None leaves the strategies unboxed.
     """
-    n_agents = len(quadratics)
-    if not (len(linears) == len(couplers) == len(aggregators) == n_agents):
-        raise ValueError("per-agent lists must share one length")
-    dims = {np.size(r) for r in linears}
-    if len(dims) != 1:
-        raise ValueError(f"agents must share one strategy dimension, "
-                         f"got {sorted(dims)}")
     kappa = float(coupling)
-    qs, cs, gs = (np.array(v, dtype=float)
-                  for v in (quadratics, couplers, aggregators))
-    rs = np.array(linears, dtype=float).reshape(n_agents, -1)
-    m = rs.shape[1]
+    qs, rs, cs, gs = (np.asarray(v, dtype=float)
+                      for v in (quadratics, linears, couplers, aggregators))
+    n_agents, m = rs.shape if rs.ndim == 2 and len(rs) else (-1, -1)
     d = gs.shape[1] if gs.ndim == 3 else -1
-    if qs.shape != (n_agents, m, m) or cs.shape != (n_agents, m, d) \
-            or gs.shape != (n_agents, d, m):
-        raise ValueError(f"matrix shapes inconsistent with m={m}: Q {qs.shape}, "
-                         f"C {cs.shape}, G {gs.shape}")
-    lower, upper = np.full(n_agents * m, -np.inf), np.full(n_agents * m, np.inf)
-    if boxes is not None:
-        lower, upper = (np.array([box[k] for box in boxes], dtype=float)
-                        for k in (0, 1))
+    if (qs.shape, cs.shape, gs.shape) != ((n_agents, m, m), (n_agents, m, d),
+                                          (n_agents, d, m)):
+        raise ValueError(f"stacks disagree or hold no agent: Q {qs.shape}, "
+                         f"r {rs.shape}, C {cs.shape}, G {gs.shape}")
+    lower, upper = (-np.inf, np.inf) if bounds is None else bounds
+    box = Box(*(np.full(rs.shape, b, dtype=float) for b in (lower, upper)))
     cg = cs @ gs
-    game = GameDefinition(qs + (kappa / n_agents) * cg.transpose(0, 2, 1),
+    return GameDefinition(qs + (kappa / n_agents) * cg.transpose(0, 2, 1),
                           kappa * cs, rs[:, :, None], gs,
-                          FeasibleSetProjector(Box(lower, upper)))
-    # the builder's stated inputs, against which its factors can be checked
-    game.quadratic_data = {"quadratics": qs, "linears": rs, "coupling": kappa,
-                           "couplers": cs, "aggregators": gs}
-    return game
+                          FeasibleSetProjector(box))
 
 
 def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
@@ -380,18 +365,19 @@ def random_strongly_monotone_game(n_agents, strategy_dim, agg_dim, seed,
     draws is a ValueError.
     """
     rng = np.random.default_rng(seed)
+    n, m, d = n_agents, strategy_dim, agg_dim
+    half = np.inf if box_halfwidth is None else box_halfwidth
     for _ in range(_GAME_DRAWS):
-        qs, rs, cs, gs, boxes = [], [], [], [], []
-        for _ in range(n_agents):
-            bmat = rng.normal(size=(strategy_dim, strategy_dim)) / np.sqrt(strategy_dim)
-            qs.append(bmat.T @ bmat + _RIDGE * np.eye(strategy_dim))
-            rs.append(rng.normal(size=strategy_dim))
-            cs.append(rng.normal(size=(strategy_dim, agg_dim)) / np.sqrt(agg_dim))
-            gs.append(rng.normal(size=(agg_dim, strategy_dim)) / np.sqrt(strategy_dim))
-            half = np.inf if box_halfwidth is None else box_halfwidth
-            boxes.append((np.full(strategy_dim, -half),
-                          np.full(strategy_dim, half)))
-        game = quadratic_aggregative_game(qs, rs, coupling, cs, gs, boxes)
+        # fresh stacks per draw: the game keeps G
+        qs, rs = np.empty((n, m, m)), np.empty((n, m))
+        cs, gs = np.empty((n, m, d)), np.empty((n, d, m))
+        for i in range(n):
+            bmat = rng.normal(size=(m, m)) / np.sqrt(m)
+            qs[i] = bmat.T @ bmat + _RIDGE * np.eye(m)
+            rs[i] = rng.normal(size=m)
+            cs[i] = rng.normal(size=(m, d)) / np.sqrt(d)
+            gs[i] = rng.normal(size=(d, m)) / np.sqrt(m)
+        game = quadratic_aggregative_game(qs, rs, coupling, cs, gs, (-half, half))
         if game.affine.exact_modulus() > 0.25 * _RIDGE:
             return game
     raise ValueError(f"coupling = {coupling} gave no strongly monotone "

@@ -50,8 +50,8 @@ class Box(ConvexSet):
         upper = np.asarray(upper, dtype=float).reshape(-1)
         if lower.shape != upper.shape:
             raise ValueError("lower and upper must have the same length")
-        if np.any(lower > upper):
-            raise ValueError("box has lower > upper on some coordinate")
+        if not np.all(lower <= upper):   # a nan bound fails this too
+            raise ValueError("box needs lower <= upper on every coordinate")
         self.lower = lower
         self.upper = upper
         self.dim = lower.size

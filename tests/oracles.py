@@ -13,6 +13,9 @@ projector check of ``validate_assumptions`` are checked against their
 first forms, kept here verbatim.  ``literal_run`` writes the
 consensus-mode iteration the slow way, agent by agent and neighbour by
 neighbour, with its own box and charger projections.
+``quadratic_game_data`` makes the quadratic generator's draws agent by
+agent and forms their factors by hand; it also states the data the
+costs of the quadratic family are checked against.
 """
 
 import itertools
@@ -190,10 +193,53 @@ def central_diff_jacobian(f, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def quadratic_game_data(n_agents, m, d, seed, coupling=0.3,
+                        box_halfwidth=5.0):
+    """The draws of ``random_strongly_monotone_game``, made by hand.
+
+    Draws agent by agent, in the generator's order: Q_i = R'R + 1.5 I
+    with R normal / sqrt(m), then r_i, C_i (scaled by 1/sqrt(d)) and G_i
+    (by 1/sqrt(m)).  Forms B_i = Q_i + (kappa/N) (C_i G_i)', E_i = kappa
+    C_i, c_i = r_i and the box bounds +-half-width per agent, and keeps
+    the first of at most 50 draws whose dense pseudo-gradient matrix
+    has a modulus above a quarter of the ridge, 0.375.  Returns the
+    stated data (Q, r, kappa, C, G) and the factors as stacks over
+    agents, or None when no draw qualifies.
+    """
+    rng = np.random.default_rng(seed)
+    kappa = float(coupling)
+    half = np.inf if box_halfwidth is None else box_halfwidth
+    for _ in range(50):
+        qs, rs, cs, gs = [], [], [], []
+        for _ in range(n_agents):
+            root = rng.normal(size=(m, m)) / np.sqrt(m)
+            qs.append(root.T @ root + 1.5 * np.eye(m))
+            rs.append(rng.normal(size=m))
+            cs.append(rng.normal(size=(m, d)) / np.sqrt(d))
+            gs.append(rng.normal(size=(d, m)) / np.sqrt(m))
+        bs = [q + (kappa / n_agents) * (c @ g).T
+              for q, c, g in zip(qs, cs, gs)]
+        es = [kappa * c for c in cs]
+        a = np.zeros((n_agents * m, n_agents * m))
+        for i in range(n_agents):
+            for j in range(n_agents):
+                a[i * m:(i + 1) * m, j * m:(j + 1) * m] = es[i] @ gs[j] / n_agents
+            a[i * m:(i + 1) * m, i * m:(i + 1) * m] += bs[i]
+        if np.linalg.eigvalsh((a + a.T) / 2.0)[0] > 0.375:
+            return {"quadratics": np.stack(qs), "linears": np.stack(rs),
+                    "coupling": kappa, "couplers": np.stack(cs),
+                    "aggregators": np.stack(gs), "B": np.stack(bs),
+                    "E": np.stack(es), "c": np.stack(rs)[:, :, None],
+                    "G": np.stack(gs),
+                    "lower": np.full((n_agents, m), -half),
+                    "upper": np.full((n_agents, m), half)}
+    return None
+
+
 def quadratic_cost(data, i, x_i, s):
     """Stated cost of agent i in the quadratic family,
-    J_i = 0.5 x'Q_i x + r_i'x + kappa x'C_i s, from the builder's inputs
-    (``game.quadratic_data``)."""
+    J_i = 0.5 x'Q_i x + r_i'x + kappa x'C_i s, from the stated data of
+    ``quadratic_game_data``."""
     q, r, c = data["quadratics"][i], data["linears"][i], data["couplers"][i]
     return float(0.5 * x_i @ q @ x_i + r @ x_i
                  + data["coupling"] * x_i @ c @ s)

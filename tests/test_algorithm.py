@@ -62,6 +62,7 @@ from trades.network import (
     spectrum,
 )
 
+import oracles
 from oracles import (ConsensusBasis, aggregate, consensus_basis,
                      kron_consensus_oracle)
 
@@ -82,7 +83,7 @@ def _two_agent_game():
         coupling=1.0,
         couplers=[np.array([[1.0]]), np.array([[0.5]])],
         aggregators=[np.array([[1.0]]), np.array([[1.0]])],
-        boxes=[(np.array([-10.0]), np.array([10.0]))] * 2,
+        bounds=(-10.0, 10.0),
     )
 
 
@@ -298,7 +299,7 @@ def test_single_agent_is_projected_gradient():
     assert np.all(new.z == 0.0)
 
     x = state.x[0]
-    data = game.quadratic_data
+    data = oracles.quadratic_game_data(1, 3, 2, seed=5)
     q, r, c, g = (data[key][0] for key in
                   ("quadratics", "linears", "couplers", "aggregators"))
     kappa = data["coupling"]

@@ -127,7 +127,7 @@ def test_local_operator_is_total_derivative():
     """Against central differences of the stated cost J_i(x_i, sigma),
     sigma moving with x_i through the agent's own contribution."""
     game = random_strongly_monotone_game(3, 2, 2, seed=11)
-    data = game.quadratic_data
+    data = oracles.quadratic_game_data(3, 2, 2, seed=11)
     gs = data["aggregators"]
     rng = np.random.default_rng(8)
     x = rng.normal(size=(3, 2))
@@ -186,7 +186,7 @@ def test_gradient_oracles_match_finite_differences():
     """The direction at an estimate s unrelated to x is the chain rule
     dJ/dx_i + G_i' dJ/ds / N, each piece by central differences."""
     game = random_strongly_monotone_game(3, 2, 2, seed=51)
-    data = game.quadratic_data
+    data = oracles.quadratic_game_data(3, 2, 2, seed=51)
     rng = np.random.default_rng(52)
     for _ in range(100):
         i = int(rng.integers(0, 3))
@@ -258,9 +258,31 @@ def test_the_game_generator_draws_up_to_fifty_times_above_a_quarter_ridge():
     assert game.affine.exact_modulus() == drawn[-1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_agents=st.integers(1, 4), m=st.integers(1, 3), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), coupling=st.floats(0.0, 6.0),
+       half=st.sampled_from([None, 0.5, 5.0, 1e300]))
+def test_the_game_generator_makes_the_hand_made_draws(n_agents, m, d, seed,
+                                                      coupling, half):
+    """Factors and box bounds bit for bit those of the per-agent draws of
+    oracles.quadratic_game_data, or both find no monotone draw."""
+    data = oracles.quadratic_game_data(n_agents, m, d, seed, coupling, half)
+    if data is None:
+        with pytest.raises(ValueError, match="no strongly monotone"):
+            random_strongly_monotone_game(n_agents, m, d, seed, coupling, half)
+        return
+    game = random_strongly_monotone_game(n_agents, m, d, seed, coupling, half)
+    box = game.projector.box
+    for got, want in ((game.B, data["B"]), (game.E, data["E"]),
+                      (game.c, data["c"]), (game.G, data["G"]),
+                      (box.lower, data["lower"].reshape(-1)),
+                      (box.upper, data["upper"].reshape(-1))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_validation_reports_exact_matrix_norms():
     game = random_strongly_monotone_game(4, 2, 3, seed=61)
-    data = game.quadratic_data
+    data = oracles.quadratic_game_data(4, 2, 3, seed=61)
     kappa = data["coupling"]
     report = validate_assumptions(game, sample_budget=5, rng=62)
     # [B_i E_i] rebuilt from the stated data, G_i as stated
@@ -290,6 +312,28 @@ def test_broken_projector_flagged():
     assert report.monotone and not report.passed
     assert any("feasible-set projections" in line and "FAIL" in line
                for line in report.summary_lines())
+
+
+class _NanProjector(FeasibleSetProjector):
+    """Box projector whose calls return nan."""
+
+    def __call__(self, v):
+        return super().__call__(v) * np.nan
+
+
+def test_a_nan_box_bound_is_refused_and_a_nan_residual_fails():
+    with pytest.raises(ValueError, match="lower <= upper"):
+        random_strongly_monotone_game(3, 2, 2, seed=1,
+                                      box_halfwidth=float("nan"))
+    with pytest.raises(ValueError, match="lower <= upper"):
+        Box([0.0, np.nan], [1.0, 1.0])
+    game = random_strongly_monotone_game(3, 2, 2, seed=1)
+    game.projector = _NanProjector(game.projector.box)
+    report = validate_assumptions(game, sample_budget=3, rng=1)
+    assert np.isnan(report.projector_residual)
+    assert report.monotone and not report.projections_feasible
+    assert not report.passed
+    assert "assumptions: FAIL" in report.summary_lines()
 
 
 def test_non_monotone_game_flagged():
@@ -354,7 +398,7 @@ def test_oracle_unconstrained_minimum_inside_box():
     game = quadratic_aggregative_game(
         [np.eye(1)], [np.array([-3.0])], 0.0,
         [np.zeros((1, 1))], [np.eye(1)],
-        boxes=[(np.array([0.0]), np.array([10.0]))])
+        bounds=(0.0, 10.0))
     star = solve_ne_oracle(game, tol=1e-12)
     assert abs(star[0, 0] - 3.0) <= 1e-9
 
@@ -363,7 +407,7 @@ def test_oracle_active_box_constraint():
     game = quadratic_aggregative_game(
         [np.eye(1)], [np.array([-3.0])], 0.0,
         [np.zeros((1, 1))], [np.eye(1)],
-        boxes=[(np.array([0.0]), np.array([2.0]))])
+        bounds=(0.0, 2.0))
     star = solve_ne_oracle(game, tol=1e-12)
     assert abs(star[0, 0] - 2.0) <= 1e-9
 
@@ -516,12 +560,47 @@ def test_game_rejects_unequal_strategy_dims():
             linears=[np.zeros(2), np.zeros(1)], coupling=0.0,
             couplers=[np.zeros((2, 1)), np.zeros((1, 1))],
             aggregators=[np.ones((1, 2)), np.ones((1, 1))])
+    # stacks over 3 agents of 2 strategies and 1 aggregate entry
+    q, r = np.tile(np.eye(2), (3, 1, 1)), np.zeros((3, 2))
+    c, g = np.zeros((3, 2, 1)), np.ones((3, 1, 2))
+    for args in ((np.eye(2), r, 0.1, c, g),            # a shared 2-D Q
+                 (q, np.zeros(6), 0.1, c, g),          # a flat r
+                 (q, r, 0.1, c, np.ones((3, 2, 2))),   # G of another d
+                 (q[:2], r, 0.1, c, g),                # two Q for 3 agents
+                 (q[:0], r[:0], 0.1, c[:0], g[:0])):   # no agent
+        with pytest.raises(ValueError, match="stacks disagree"):
+            quadratic_aggregative_game(*args)
+    with pytest.raises(ValueError):
+        quadratic_aggregative_game(q, r, 0.1, c, g, (np.zeros(3), 1.0))
+    # scalar bounds broadcast to the (N, m) bounds they stand for
+    scalar = quadratic_aggregative_game(q, r, 0.1, c, g, (-2.0, 3.0))
+    stacked = quadratic_aggregative_game(
+        q, r, 0.1, c, g, (np.full((3, 2), -2.0), np.full((3, 2), 3.0)))
+    assert np.array_equal(scalar.projector.box.lower, np.full(6, -2.0))
+    assert np.array_equal(scalar.projector.box.upper, np.full(6, 3.0))
+
+    def parts(game):
+        return (game.B, game.E, game.c, game.G, game.projector.box.lower,
+                game.projector.box.upper)
+
+    for got, want in zip(parts(scalar), parts(stacked)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_phi_stack_shape():
+    # every strategy reader goes through split: one check, one message
     game = random_strongly_monotone_game(4, 3, 2, seed=98)
     stack = phi_stack(game, np.zeros((game.N, game.m)))
     assert stack.shape == (4, 2)
+    s = np.zeros((game.N, game.d))
+    readers = (game.split, lambda x: phi_stack(game, x),
+               lambda x: local_operator(game, x, s),
+               lambda x: pseudo_gradient(game, x))
+    for shape, text in (((12,), r"\(12,\)"), ((3, 4), r"\(3, 4\)")):
+        for read in readers:
+            with pytest.raises(ValueError, match=rf"strategies have shape "
+                               rf"{text}, expected \(4, 3\)"):
+                read(np.zeros(shape))
 
 
 def test_affine_spec_shape_validation():

@@ -160,7 +160,7 @@ def potential_games(draw):
         root.transpose(0, 2, 1) @ root + draw(st.floats(0.1, 2.0)) * np.eye(m),
         rng.normal(size=(n, m)), draw(st.floats(0.0, 3.0)),
         aggregators.transpose(0, 2, 1), aggregators,
-        [(np.full(m, -half), np.full(m, half))] * n)
+        (-half, half))
 
 
 def _oracle_outcome(solve, game, **kwargs):
